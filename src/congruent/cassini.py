@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .conics import conic_input
 from .exact import rat_sqrt
 from .triples import RatTriangle
 
@@ -125,17 +126,6 @@ def oval_axis_points(oval):
     return {"x2": x2, "y2": y2, "loops": oval.loops}
 
 
-def _f2sq(n, f2, adjoin):
-    f2 = Fraction(f2)
-    if adjoin == "none":
-        return f2**2
-    if adjoin == "sqrtN":
-        return f2**2 * n
-    if adjoin == "sqrt2N":
-        return f2**2 * 2 * n
-    raise ValueError(f"unknown adjunction class {adjoin!r}")
-
-
 def heegner_two(n, f1, f2, adjoin="none"):
     """The two-intersection system: quad, triangle and oval for (N, f1, f2).
 
@@ -143,7 +133,7 @@ def heegner_two(n, f1, f2, adjoin="none"):
     c4^2 = N c1^2 + c2^2; the triangle (c3c4/(c1c2), 2c1c2N/(c3c4), ...)
     has area N; the oval is (a', b') = (c2, c1 sqrt(N)).
     """
-    f2sq = _f2sq(n, f2, adjoin)
+    f2sq = conic_input(n, f1, f2, adjoin).f2sq
     c1sq = f1**2 * f2sq
     if c1sq == 0:
         raise ValueError("f1 f2 must be nonzero")

@@ -417,7 +417,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=_cmd_triples, sub=None)
 
-    p = add_parser(sub, "trinity", help="symbolic vector-system identities")
+    p = add_parser(sub, "trinity", help="vector-system identities, proved by exact evaluation")
     p.add_argument("--max-order", type=int, default=4)
     p.add_argument("--samples", type=int, default=32)
     p.set_defaults(handler=_cmd_trinity, sub=None)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .elliptic import Point, curve_en
 from .exact import rat_sqrt, squarefree_part
-from .polyrat import Poly, RatFunc
+from .polyrat import RatFunc
 from .triples import RatTriangle
 
 __all__ = [
@@ -181,66 +181,8 @@ def reduce_raise(x_t, tri):
 
 
 def _intersect_sides(t):
-    a = Fraction(-16 * t**4 + 32 * t**3 - 24 * t**2 + 8 * t + 3) / (2 - 4 * t)
-    b = Fraction(4 * (32 * t**5 - 80 * t**4 + 80 * t**3 - 40 * t**2 + 18 * t - 5)) / (
-        16 * t**4 - 32 * t**3 + 24 * t**2 - 8 * t - 3
-    )
-    c = Fraction(
-        256 * t**8
-        - 1024 * t**7
-        + 1792 * t**6
-        - 1792 * t**5
-        + 1504 * t**4
-        - 1216 * t**3
-        + 688 * t**2
-        - 208 * t
-        + 41
-    ) / (64 * t**5 - 160 * t**4 + 160 * t**3 - 80 * t**2 + 4 * t + 6)
-    return a, b, c
-
-
-def intersect_example(t, f=1):
-    """The quartic congruent-number family from one line-ellipse intersection.
-
-    Returns (N(t), ellipse point (x, e), triangle, P1, P2) where
-    N(t) = (4t^2+1)(4t^2-8t+5), the triangle has area N(t), and P1, P2
-    lie on E_{N(t)}.  The ellipse point carries the f^2 factor that the
-    reduce step removes; the triangle and curve points do not depend on f.
-    """
-    t = Fraction(t)
-    if t == Fraction(1, 2):
-        raise ValueError("t = 1/2 is the singular slope")
-    n_t = (4 * t**2 + 1) * (4 * t**2 - 8 * t + 5)
-    x_t = f**2 * (4 * t**2 - 8 * t + 5) / (4 * t**2 + 1)
-    e_t = f**2 * (-4 * t**2 + 4 * t + 1) / (4 * t**2 + 1)
-    tri = RatTriangle(*_intersect_sides(t))
-    if tri.area != n_t:
-        raise AssertionError("intersection triangle area mismatch")
-    u = 2 * t - 1
-    v1 = 4 * t**2 - 4 * t - 1
-    v2 = 4 * t**2 - 4 * t + 3
-    p1 = Point(-4 * u**2, 2 * u * v1 * v2)
-    p2 = Point(
-        (4 * t**2 + 1) ** 2 * (4 * t**2 - 8 * t + 5) ** 2 / (4 * u**2),
-        (4 * t**2 + 1) ** 2 * (4 * t**2 - 8 * t + 5) ** 2 * v1 * v2 / (8 * u**3),
-    )
-    curve = curve_en(n_t)
-    for p in (p1, p2):
-        if not curve.contains(p):
-            raise AssertionError("intersection curve point off E_N(t)")
-    return n_t, (x_t, e_t), tri, p1, p2
-
-
-def intersect_polynomial_identity():
-    """Symbolic proof obligations of the intersection family.
-
-    Checks, as rational-function identities in t: a^2 + b^2 = c^2,
-    ab/2 = (4t^2+1)(4t^2-8t+5), the ellipse membership of the
-    parameterized point, and that P1, P2 satisfy y^2 = x^3 - N(t)^2 x.
-    """
-    t = RatFunc.t()
     a = (-16 * t**4 + 32 * t**3 - 24 * t**2 + 8 * t + 3) / (2 - 4 * t)
-    b = (4 * (32 * t**5 - 80 * t**4 + 80 * t**3 - 40 * t**2 + 18 * t - 5)) / (
+    b = 4 * (32 * t**5 - 80 * t**4 + 80 * t**3 - 40 * t**2 + 18 * t - 5) / (
         16 * t**4 - 32 * t**3 + 24 * t**2 - 8 * t - 3
     )
     c = (
@@ -254,23 +196,63 @@ def intersect_polynomial_identity():
         - 208 * t
         + 41
     ) / (64 * t**5 - 160 * t**4 + 160 * t**3 - 80 * t**2 + 4 * t + 6)
+    return a, b, c
+
+
+def _intersect_forms(t):
+    """N(t), the f = 1 ellipse point (x_t, e_t) and P1, P2 as (x, y) pairs."""
     n_t = (4 * t**2 + 1) * (4 * t**2 - 8 * t + 5)
     x_t = (4 * t**2 - 8 * t + 5) / (4 * t**2 + 1)
     e_t = (-4 * t**2 + 4 * t + 1) / (4 * t**2 + 1)
-    # ellipse with f = 1: e(x)^2 = x - (x-1)^2/4
-    ellipse = x_t - (x_t - 1) ** 2 * Fraction(1, 4)
     u = 2 * t - 1
     v1 = 4 * t**2 - 4 * t - 1
     v2 = 4 * t**2 - 4 * t + 3
-    x1, y1 = -4 * u**2, 2 * u * v1 * v2
-    x2 = (4 * t**2 + 1) ** 2 * (4 * t**2 - 8 * t + 5) ** 2 / (4 * u**2)
-    y2 = (4 * t**2 + 1) ** 2 * (4 * t**2 - 8 * t + 5) ** 2 * v1 * v2 / (8 * u**3)
+    p1 = (-4 * u**2, 2 * u * v1 * v2)
+    p2 = (n_t**2 / (4 * u**2), n_t**2 * v1 * v2 / (8 * u**3))
+    return n_t, x_t, e_t, p1, p2
+
+
+def intersect_example(t, f=1):
+    """The quartic congruent-number family from one line-ellipse intersection.
+
+    Returns (N(t), ellipse point (x, e), triangle, P1, P2) where
+    N(t) = (4t^2+1)(4t^2-8t+5), the triangle has area N(t), and P1, P2
+    lie on E_{N(t)}.  The ellipse point carries the f^2 factor that the
+    reduce step removes; the triangle and curve points do not depend on f.
+    """
+    t = Fraction(t)
+    if t == Fraction(1, 2):
+        raise ValueError("t = 1/2 is the singular slope")
+    n_t, x_t, e_t, p1, p2 = _intersect_forms(t)
+    tri = RatTriangle(*_intersect_sides(t))
+    if tri.area != n_t:
+        raise AssertionError("intersection triangle area mismatch")
+    p1, p2 = Point(*p1), Point(*p2)
+    curve = curve_en(n_t)
+    for p in (p1, p2):
+        if not curve.contains(p):
+            raise AssertionError("intersection curve point off E_N(t)")
+    return n_t, (f**2 * x_t, f**2 * e_t), tri, p1, p2
+
+
+def intersect_polynomial_identity():
+    """Proof obligations of the intersection family, as identities in t.
+
+    Checks, as rational-function identities in t: a^2 + b^2 = c^2,
+    ab/2 = (4t^2+1)(4t^2-8t+5), the ellipse membership of the
+    parameterized point, and that P1, P2 satisfy y^2 = x^3 - N(t)^2 x.
+    """
+    t = RatFunc.t()
+    a, b, c = _intersect_sides(t)
+    n_t, x_t, e_t, (x1, y1), (x2, y2) = _intersect_forms(t)
+    # ellipse with f = 1: e(x)^2 = x - (x-1)^2/4
+    ellipse = x_t - (x_t - 1) ** 2 * Fraction(1, 4)
     return [
-        ("pythagoras", (a**2 + b**2).cross_equal(c**2)),
-        ("area = N(t)", (a * b * Fraction(1, 2)).cross_equal(n_t)),
-        ("point on ellipse", (e_t**2).cross_equal(ellipse)),
-        ("P1 on curve", (y1**2).cross_equal(x1**3 - n_t**2 * x1)),
-        ("P2 on curve", (y2**2).cross_equal(x2**3 - n_t**2 * x2)),
+        ("pythagoras", a**2 + b**2 == c**2),
+        ("area = N(t)", a * b * Fraction(1, 2) == n_t),
+        ("point on ellipse", e_t**2 == ellipse),
+        ("P1 on curve", y1**2 == x1**3 - n_t**2 * x1),
+        ("P2 on curve", y2**2 == x2**3 - n_t**2 * x2),
     ]
 
 
@@ -444,21 +426,20 @@ def _twin_n(t):
 
 
 def _twin_sides(t):
+    n1, n2 = _twin_n(t)
     p1 = 3 * t**2 - 10 * t + 9
     q1 = t**4 + 12 * t**3 - 62 * t**2 + 84 * t - 31
-    r1 = 11 * t**4 - 36 * t**3 + 30 * t**2 - 12 * t + 19
     s1 = (t**2 - 2 * t - 1) * (7 * t**2 - 22 * t + 17) * (
         5 * t**4 - 24 * t**3 + 46 * t**2 - 48 * t + 25
     )
-    a1 = -p1 * q1 * r1 / s1
+    a1 = -p1 * q1 * n1 / (2 * s1)
     b1 = -4 * s1 / (p1 * q1)
     p2 = 3 * t**2 - 2 * t + 3
     q2 = t**4 + 36 * t**3 + 22 * t**2 - 60 * t + 17
-    r2 = 11 * t**4 + 60 * t**3 + 66 * t**2 - 132 * t + 43
     s2 = (t**2 + 2 * t - 7) * (7 * t**2 - 2 * t - 1) * (
         5 * t**4 + 12 * t**3 + 22 * t**2 - 36 * t + 13
     )
-    a2 = -p2 * q2 * r2 / s2
+    a2 = -p2 * q2 * n2 / (2 * s2)
     b2 = -4 * s2 / (p2 * q2)
     return (a1, b1), (a2, b2)
 
@@ -490,7 +471,7 @@ def twin_hyperbolas(t):
 
 
 def twin_polynomial_identities():
-    """Symbolic checks of the twin-hyperbola construction.
+    """Checks of the twin-hyperbola construction, as identities in t.
 
     H(x) = 2 h1(x)^2 h2(x)^2 evaluated at the two second-intersection
     abscissae factors into a rational square times N1 (resp. N2/4), and
@@ -499,37 +480,19 @@ def twin_polynomial_identities():
     t = RatFunc.t()
     x1 = 2 * (2 - 3 * t + t**2) / (t**2 - 3)
     x2 = (3 - 6 * t - t**2) / (2 * (t**2 - 1))
-    n1 = 2 * (11 * t**4 - 36 * t**3 + 30 * t**2 - 12 * t + 19)
-    n2 = 2 * (11 * t**4 + 60 * t**3 + 66 * t**2 - 132 * t + 43)
+    n1, n2 = _twin_n(t)
 
     def h_prod(x):
         return 2 * (1 - 2 * x + 3 * x**2) * (3 + 2 * x + x**2)
 
-    lhs1 = h_prod(x1)
     rhs1 = ((9 - 10 * t + 3 * t**2) / (t**2 - 3) ** 2) ** 2 * n1
-    lhs2 = h_prod(x2)
     # square factor carries 2(t^2-1)^2, so that H(x2) = (...)^2 * (N2/2)/2;
     # four times its squarefree class recovers N2
     rhs2 = ((3 - 2 * t + 3 * t**2) / (2 * (t**2 - 1) ** 2)) ** 2 * n2 * Fraction(1, 4)
-    checks = [
-        ("H(x1) decomposition", lhs1.cross_equal(rhs1)),
-        ("H(x2) decomposition", lhs2.cross_equal(rhs2)),
+    (a1, b1), (a2, b2) = _twin_sides(t)
+    return [
+        ("H(x1) decomposition", h_prod(x1) == rhs1),
+        ("H(x2) decomposition", h_prod(x2) == rhs2),
+        ("area1 = N1", a1 * b1 * Fraction(1, 2) == n1),
+        ("area2 = N2", a2 * b2 * Fraction(1, 2) == n2),
     ]
-
-    p1 = 3 * t**2 - 10 * t + 9
-    q1 = t**4 + 12 * t**3 - 62 * t**2 + 84 * t - 31
-    s1 = (t**2 - 2 * t - 1) * (7 * t**2 - 22 * t + 17) * (
-        5 * t**4 - 24 * t**3 + 46 * t**2 - 48 * t + 25
-    )
-    a1 = RatFunc.const(-1) * p1 * q1 * (n1 * Fraction(1, 2)) / s1
-    b1 = RatFunc.const(-4) * s1 / (p1 * q1)
-    checks.append(("area1 = N1", (a1 * b1 * Fraction(1, 2)).cross_equal(n1)))
-    p2 = 3 * t**2 - 2 * t + 3
-    q2 = t**4 + 36 * t**3 + 22 * t**2 - 60 * t + 17
-    s2 = (t**2 + 2 * t - 7) * (7 * t**2 - 2 * t - 1) * (
-        5 * t**4 + 12 * t**3 + 22 * t**2 - 36 * t + 13
-    )
-    a2 = RatFunc.const(-1) * p2 * q2 * (n2 * Fraction(1, 2)) / s2
-    b2 = RatFunc.const(-4) * s2 / (p2 * q2)
-    checks.append(("area2 = N2", (a2 * b2 * Fraction(1, 2)).cross_equal(n2)))
-    return checks

@@ -1,19 +1,20 @@
 """Dense univariate polynomials and rational functions over exact rationals.
 
-Coefficients are Fractions stored lowest degree first.  Rational functions
-normalize to coprime numerator/denominator with a monic denominator, so
-structural equality is semantic equality.  Polynomial gcds run over the
-integer primitive parts with content stripped at every remainder step,
-which keeps the coefficient growth of the Euclidean algorithm in check at
-the degrees (< a few hundred) this package produces.
+Coefficients are Fractions stored lowest degree first.  A rational function
+is a plain numerator/denominator pair that is never reduced; two of them
+are equal when their cross products are.  Derivatives of a quotient are
+taken at a point: ``derivatives_at`` gives the exact values f(t0), f'(t0),
+... at one rational t0, and an identity between such values is proved by
+evaluating it at more points than the degree of its cleared polynomial
+form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import factorial
 
-__all__ = ["Poly", "RatFunc", "chebyshev"]
+__all__ = ["Poly", "RatFunc", "chebyshev", "derivatives_at"]
 
 
 class Poly:
@@ -52,9 +53,6 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self == Poly([other])
         return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -105,24 +103,6 @@ class Poly:
             n >>= 1
         return out
 
-    def divmod(self, other):
-        """Exact rational-coefficient polynomial division with remainder."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        lead = other.coeffs[-1]
-        d = other.degree
-        while len(rem) - 1 >= d and rem:
-            k = len(rem) - 1 - d
-            q = rem[-1] / lead
-            quo[k] = q
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= q * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(quo), Poly(rem)
-
     def deriv(self):
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -131,45 +111,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
-
-    def eval_float(self, t):
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + float(c)
-        return acc
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return Poly([c / lead for c in self.coeffs])
-
-    def _int_primitive(self):
-        """Primitive integer-coefficient version of self (content stripped)."""
-        if self.is_zero():
-            return []
-        lcm = 1
-        for c in self.coeffs:
-            lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = int_gcd(g, c)
-        return [c // g for c in ints]
-
-    def gcd(self, other):
-        """Monic gcd via a primitive remainder sequence over the integers."""
-        a, b = self._int_primitive(), other._int_primitive()
-        if not a:
-            return other.monic()
-        if not b:
-            return self.monic()
-        while b:
-            a, b = b, _int_prem(a, b)
-        g = 0
-        for c in a:
-            g = int_gcd(g, c)
-        return Poly([Fraction(c, g) for c in a]).monic()
 
     def __str__(self):
         if self.is_zero():
@@ -201,36 +142,12 @@ def _fmt_coeff(c):
     return str(c.numerator) if c.denominator == 1 else f"({c})"
 
 
-def _int_prem(a, b):
-    """Primitive pseudo-remainder of integer coefficient lists a mod b."""
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    while len(a) - 1 >= db:
-        k = len(a) - 1 - db
-        la = a[-1]
-        g = int_gcd(la, lead)
-        mul_a, mul_b = lead // g, la // g
-        for i in range(len(a)):
-            a[i] *= mul_a
-        for i, c in enumerate(b):
-            a[k + i] -= mul_b * c
-        while a and a[-1] == 0:
-            a.pop()
-    if not a:
-        return []
-    g = 0
-    for c in a:
-        g = int_gcd(g, c)
-    return [c // g for c in a]
-
-
 class RatFunc:
-    """A quotient of two Polys, kept coprime with a monic denominator."""
+    """A quotient of two Polys, stored as given and never reduced."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, _normalized=False):
+    def __init__(self, num, den=None):
         if not isinstance(num, Poly):
             num = Poly([num]) if isinstance(num, (int, Fraction)) else Poly(num)
         if den is None:
@@ -239,18 +156,6 @@ class RatFunc:
             den = Poly([den]) if isinstance(den, (int, Fraction)) else Poly(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if not _normalized:
-            if num.is_zero():
-                den = Poly([1])
-            else:
-                g = num.gcd(den)
-                if g.degree > 0:
-                    num, _ = num.divmod(g)
-                    den, _ = den.divmod(g)
-                lead = den.coeffs[-1]
-                if lead != 1:
-                    num = num * (1 / lead)
-                    den = den.monic()
         self.num = num
         self.den = den
 
@@ -270,10 +175,7 @@ class RatFunc:
             other = RatFunc.const(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
+        return self.num * other.den == other.num * self.den
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -283,7 +185,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, _normalized=True)
+        return RatFunc(-self.num, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -315,32 +217,11 @@ class RatFunc:
             return RatFunc(self.den, self.num) ** (-n)
         return RatFunc(self.num**n, self.den**n)
 
-    def cross_equal(self, other):
-        """Equality by cross-multiplication; test oracle for normalization."""
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
-        return self.num * other.den == other.num * self.den
-
-    def deriv(self, n=1):
-        """Exact n-th derivative via the quotient rule, normalized each order."""
-        if n < 0:
-            raise ValueError("derivative order must be >= 0")
-        f = self
-        for _ in range(n):
-            f = RatFunc(
-                f.num.deriv() * f.den - f.num * f.den.deriv(),
-                f.den * f.den,
-            )
-        return f
-
     def __call__(self, t):
         d = self.den(t)
         if d == 0:
             raise ZeroDivisionError(f"pole at t={t}")
         return self.num(t) / d
-
-    def eval_float(self, t):
-        return self.num.eval_float(t) / self.den.eval_float(t)
 
     def __str__(self):
         if self.den == Poly([1]):
@@ -369,3 +250,24 @@ def chebyshev(kind, m):
     for _ in range(m - 1):
         prev, cur = cur, 2 * x * cur - prev
     return cur
+
+
+def derivatives_at(num, den, t0, order):
+    """The exact values f(t0), f'(t0), ..., f^(order)(t0) of f = num/den.
+
+    Taylor-mode differentiation (Griewank & Walther, Evaluating Derivatives,
+    ch. 13): with num(t0 + h) = sum p_k h^k and den(t0 + h) = sum q_k h^k,
+    the Taylor coefficients of f follow from f * den = num as
+    f_k = (p_k - sum_{j=1..k} q_j f_{k-j}) / q_0, and f^(k)(t0) = k! f_k.
+    """
+    p, q = [], []
+    for k in range(order + 1):
+        p.append(num(t0) / factorial(k))
+        q.append(den(t0) / factorial(k))
+        num, den = num.deriv(), den.deriv()
+    if q[0] == 0:
+        raise ZeroDivisionError(f"pole at t={t0}")
+    f = []
+    for k in range(order + 1):
+        f.append((p[k] - sum(q[j] * f[k - j] for j in range(1, k + 1))) / q[0])
+    return [factorial(k) * fk for k, fk in enumerate(f)]

@@ -1,13 +1,16 @@
 """A rational differential-geometric system built on three spheres.
 
-The sides of the three derived rational triangles, normalized by their
+The sides of the three derived rational triangles, divided by their
 common quadratic norm and parameterized by t = m/n, trace rational points
 on three concentric spheres of squared radii 1, 1/2, 3/2.  Reinterpreting
 the three parameterizations as vectors a, b, c yields an orthogonality
 structure (a ⟂ b ⟂ c, a·c = 1) that survives differentiation in a long
 list of exact identities.  The sphere loci are circles; the trigonometric
-circle parameterizations are checked numerically, everything else is
-verified symbolically over rational functions.
+circle parameterizations are checked numerically.  Every other identity
+is proved by exact evaluation: the derivatives of each component are
+computed exactly at rational points, and an identity counts as proved
+once it holds at more points than the degree bound of its cleared
+polynomial form.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .polyrat import Poly, RatFunc
+from .polyrat import Poly, RatFunc, derivatives_at
 from .triples import derived_triples, euclid
 
 __all__ = [
@@ -37,11 +40,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Vec3F:
-    """A 3-vector of rational functions in t."""
+    """A 3-vector of rational functions in t, or of their values at a point."""
 
-    x: RatFunc
-    y: RatFunc
-    z: RatFunc
+    x: RatFunc | Fraction
+    y: RatFunc | Fraction
+    z: RatFunc | Fraction
 
     def __iter__(self):
         return iter((self.x, self.y, self.z))
@@ -59,31 +62,14 @@ class Vec3F:
     def norm2(self):
         return self.dot(self)
 
-    def deriv(self, n=1):
-        v = self
-        for _ in range(n):
-            v = Vec3F(v.x.deriv(), v.y.deriv(), v.z.deriv())
-        return v
-
     def scaled(self, k):
         return Vec3F(self.x * k, self.y * k, self.z * k)
-
-    def hadamard(self, signs):
-        """Componentwise multiplication by a scalar triple (sign flips)."""
-        s1, s2, s3 = signs
-        return Vec3F(self.x * s1, self.y * s2, self.z * s3)
-
-    def __add__(self, other):
-        return Vec3F(self.x + other.x, self.y + other.y, self.z + other.z)
 
     def __sub__(self, other):
         return Vec3F(self.x - other.x, self.y - other.y, self.z - other.z)
 
     def is_zero(self):
-        return self.x.is_zero() and self.y.is_zero() and self.z.is_zero()
-
-    def __call__(self, t):
-        return (self.x(t), self.y(t), self.z(t))
+        return self.x == 0 and self.y == 0 and self.z == 0
 
 
 def _build_spheres():
@@ -118,30 +104,70 @@ def sphere_params(i):
     return _SPHERES[i]
 
 
-def verify_sphere_relations(max_order=4):
-    """Exact plane, norm, componentwise-Pythagoras and derivative-plane checks.
+# Degree bound.  Call P/d^w, with d = t^8 + 14t^4 + 1 and deg P <= 8w, a
+# function of weight w (a constant factor, as in the 2d of sphere 2, does
+# not matter).  Each sphere component is deg 8 over d, weight 1.  The
+# derivative of P/d^w is (P'd - wPd')/d^(w+1) with degree <= 8w + 7, so the
+# k-th derivative of a component is deg <= 8 + 7k over d^(k+1), weight k + 1.
+# Over the common denominator d^max(w, v), a sum has weight max(w, v); a
+# product has weight w + v.  A check of weight w therefore clears to a
+# polynomial identity of degree <= 8w, and as d > 0 at every real t, it
+# holds identically once it holds at 8w + 1 distinct rational points.
+def _points(weight):
+    return range(8 * weight + 1)
 
-    Returns a list of (name, bool); every entry must be True.
+
+def _jet(v, t0, order):
+    """[v, v', ..., v^(order)] of a rational-function Vec3F, exactly at t0."""
+    comps = [derivatives_at(f.num, f.den, t0, order) for f in v]
+    return [Vec3F(*ks) for ks in zip(*comps)]
+
+
+def _proved(battery, points):
+    """battery(t0) at every point; a check passes when it holds at all of them.
+
+    Each point's results are folded into a running AND and dropped, so
+    memory does not grow with the number of points.
     """
-    (s1, r1), (s2, r2), (s3, r3) = (sphere_params(i) for i in (1, 2, 3))
-    checks = [
-        ("plane1: x1+y1-z1 = 1", s1.x + s1.y - s1.z == 1),
-        ("plane2: x2-y2-z2 = 0", (s2.x - s2.y - s2.z).is_zero()),
-        ("plane3: x3+y3+z3 = 2", s3.x + s3.y + s3.z == 2),
-        ("norm1 = 1", s1.norm2() == r1),
-        ("norm2 = 1/2", s2.norm2() == r2),
-        ("norm3 = 3/2", s3.norm2() == r3),
-        ("x1^2+x2^2 = x3^2", s1.x**2 + s2.x**2 == s3.x**2),
-        ("y1^2+y2^2 = y3^2", s1.y**2 + s2.y**2 == s3.y**2),
-        ("z1^2+z2^2 = z3^2", s1.z**2 + s2.z**2 == s3.z**2),
-    ]
-    d1, d2, d3 = s1, s2, s3
-    for n in range(1, max_order + 1):
-        d1, d2, d3 = d1.deriv(), d2.deriv(), d3.deriv()
-        checks.append((f"d^{n} plane1 = 0", (d1.x + d1.y - d1.z).is_zero()))
-        checks.append((f"d^{n} plane2 = 0", (d2.x - d2.y - d2.z).is_zero()))
-        checks.append((f"d^{n} plane3 = 0", (d3.x + d3.y + d3.z).is_zero()))
-    return checks
+    held = None
+    for t0 in points:
+        checks = battery(t0)
+        oks = [ok for _, ok in checks]
+        held = oks if held is None else [h and ok for h, ok in zip(held, oks)]
+    return [(name, ok) for (name, _), ok in zip(checks, held)]
+
+
+def verify_sphere_relations(max_order=4):
+    """Plane, norm, componentwise-Pythagoras and derivative-plane checks.
+
+    Each check is proved by exact evaluation at degree-bound points (the
+    highest weight is max(2, max_order + 1)).  Returns a list of
+    (name, bool); every entry must be True.
+    """
+    if max_order < 0:
+        raise ValueError("derivative order must be >= 0")
+    (p1, r1), (p2, r2), (p3, r3) = (sphere_params(i) for i in (1, 2, 3))
+
+    def battery(t0):
+        (s1, *d1), (s2, *d2), (s3, *d3) = (_jet(p, t0, max_order) for p in (p1, p2, p3))
+        checks = [
+            ("plane1: x1+y1-z1 = 1", s1.x + s1.y - s1.z == 1),
+            ("plane2: x2-y2-z2 = 0", s2.x - s2.y - s2.z == 0),
+            ("plane3: x3+y3+z3 = 2", s3.x + s3.y + s3.z == 2),
+            ("norm1 = 1", s1.norm2() == r1),
+            ("norm2 = 1/2", s2.norm2() == r2),
+            ("norm3 = 3/2", s3.norm2() == r3),
+            ("x1^2+x2^2 = x3^2", s1.x**2 + s2.x**2 == s3.x**2),
+            ("y1^2+y2^2 = y3^2", s1.y**2 + s2.y**2 == s3.y**2),
+            ("z1^2+z2^2 = z3^2", s1.z**2 + s2.z**2 == s3.z**2),
+        ]
+        for n, (e1, e2, e3) in enumerate(zip(d1, d2, d3), start=1):
+            checks.append((f"d^{n} plane1 = 0", e1.x + e1.y - e1.z == 0))
+            checks.append((f"d^{n} plane2 = 0", e2.x - e2.y - e2.z == 0))
+            checks.append((f"d^{n} plane3 = 0", e3.x + e3.y + e3.z == 0))
+        return checks
+
+    return _proved(battery, _points(max(2, max_order + 1)))
 
 
 def trinity_vectors():
@@ -156,7 +182,7 @@ def trinity_vectors():
 
 
 def vec_ops(u, v, op):
-    """Exact dot (RatFunc) or cross (Vec3F) product of two Vec3F."""
+    """Exact dot (scalar) or cross (Vec3F) product of two Vec3F."""
     if op == "dot":
         return u.dot(v)
     if op == "cross":
@@ -168,20 +194,11 @@ def _vec_eq(u, v):
     return (u - v).is_zero()
 
 
-def verify_derivative_identities(max_n=4, max_m=4):
-    """The full battery of vector and derivative identities, exactly.
-
-    Covers the base orthogonality/norm facts, triple products, the
-    same-order derivative relations, and the mixed-order dot/cross
-    symmetries for 1 <= n <= max_n, 1 <= m <= max_m.
-    Returns a list of (name, bool).
-    """
-    if max_n < 1 or max_m < 1:
-        raise ValueError("derivative orders must be >= 1")
-    a, b, c = trinity_vectors()
+def _derivative_battery(da, db, dc, max_n, max_m):
+    a, b, c = da[0], db[0], dc[0]
     checks = [
-        ("a.b = 0", a.dot(b).is_zero()),
-        ("b.c = 0", b.dot(c).is_zero()),
+        ("a.b = 0", a.dot(b) == 0),
+        ("b.c = 0", b.dot(c) == 0),
         ("a.c = 1", a.dot(c) == 1),
         ("|a|^2 = 1", a.norm2() == 1),
         ("|b|^2 = 1/2", b.norm2() == Fraction(1, 2)),
@@ -205,19 +222,11 @@ def verify_derivative_identities(max_n=4, max_m=4):
         ("cxa = b", _vec_eq(c.cross(a), b)),
         ("bx(axc) = 0", b.cross(a.cross(c)).is_zero()),
     ]
-    da = [a]
-    db = [b]
-    dc = [c]
-    top = max(max_n, max_m)
-    for _ in range(top):
-        da.append(da[-1].deriv())
-        db.append(db[-1].deriv())
-        dc.append(dc[-1].deriv())
     for n in range(1, max_n + 1):
         an, bn, cn = da[n], db[n], dc[n]
         ac = an.dot(cn)
-        checks.append((f"d{n}a.d{n}b = 0", an.dot(bn).is_zero()))
-        checks.append((f"d{n}b.d{n}c = 0", bn.dot(cn).is_zero()))
+        checks.append((f"d{n}a.d{n}b = 0", an.dot(bn) == 0))
+        checks.append((f"d{n}b.d{n}c = 0", bn.dot(cn) == 0))
         checks.append((f"d{n}a.d{n}c = |d{n}a|^2/2", 2 * ac == an.norm2()))
         checks.append(
             (f"d{n}a.d{n}c = 2|d{n}b|^2/3", 3 * ac == 2 * bn.norm2())
@@ -295,6 +304,30 @@ def verify_derivative_identities(max_n=4, max_m=4):
                 )
             )
     return checks
+
+
+def verify_derivative_identities(max_n=4, max_m=4):
+    """The full battery of vector and derivative identities, exactly.
+
+    Covers the base orthogonality/norm facts, triple products, the
+    same-order derivative relations, and the mixed-order dot/cross
+    symmetries for 1 <= n <= max_n, 1 <= m <= max_m.  Each check is
+    proved by exact evaluation at degree-bound points: the quartic base
+    checks cos^2(axb,c) and cos^2(bxc,a) have weight 6 and a check on
+    orders n and m has weight n + m + 2, where the same-order checks reach
+    n = m = max_n.  With max_n = max_m = 4 the bound is 8 * 10 = 80.
+    Returns a list of (name, bool).
+    """
+    if max_n < 1 or max_m < 1:
+        raise ValueError("derivative orders must be >= 1")
+    vectors = trinity_vectors()
+    top = max(max_n, max_m)
+
+    def battery(t0):
+        da, db, dc = (_jet(v, t0, top) for v in vectors)
+        return _derivative_battery(da, db, dc, max_n, max_m)
+
+    return _proved(battery, _points(max(6, max_n + top + 2)))
 
 
 def sum_of_squares_identity(m, n):
@@ -429,7 +462,7 @@ def circle_check(samples=32):
 
 
 def verify_all(max_order=4, samples=32):
-    """Every symbolic and numeric check in this module as (name, ok) pairs."""
+    """Every exact and numeric check in this module as (name, ok) pairs."""
     checks = list(verify_sphere_relations(max_order))
     checks += verify_derivative_identities(max_order, max_order)
     for mm, nn in ((2, 1), (3, 2), (4, 1), (5, 2)):

@@ -1,9 +1,11 @@
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from congruent import trinity
+from congruent.polyrat import RatFunc, derivatives_at
 
 F = Fraction
 
@@ -44,6 +46,63 @@ def test_vec_ops_rejects_unknown_op():
 def test_derivative_identities_small():
     checks = trinity.verify_derivative_identities(max_n=2, max_m=2)
     assert checks and all(ok for _, ok in checks)
+
+
+def test_perturbed_sphere_fails_by_name(monkeypatch):
+    # t^9/d moves x1 off sphere 1 and its plane: every check on x1 must fail
+    s1, r1 = trinity.sphere_params(1)
+    t = RatFunc.t()
+    bad = trinity.Vec3F(s1.x + t**9 / RatFunc(s1.x.den), s1.y, s1.z)
+    monkeypatch.setitem(trinity._SPHERES, 1, (bad, r1))
+    sphere = dict(trinity.verify_sphere_relations(2))
+    for name in ("plane1: x1+y1-z1 = 1", "norm1 = 1", "d^1 plane1 = 0", "d^2 plane1 = 0"):
+        assert not sphere[name], name
+    assert all(sphere[k] for k in ("plane2: x2-y2-z2 = 0", "norm2 = 1/2", "d^2 plane3 = 0"))
+    vector = dict(trinity.verify_derivative_identities(2, 2))
+    for name in ("a.b = 0", "|a|^2 = 1", "cxa = b", "d1a.d1b = 0", "d2a x d2c = 0"):
+        assert not vector[name], name
+    assert all(vector[k] for k in ("b.c = 0", "|b|^2 = 1/2", "d2b.d2c = 0"))
+
+
+@pytest.mark.parametrize(
+    "run, name, points",
+    [
+        (lambda: trinity.verify_sphere_relations(1), "norm1 = 1", 17),
+        (lambda: trinity.verify_derivative_identities(1, 1), "|a|^2 = 1", 49),
+    ],
+)
+def test_perturbation_hidden_below_the_bound_is_caught(monkeypatch, run, name, points):
+    # the evaluation points are 0, 1, 2, ...; each perturbation vanishes at
+    # all of them but one, so dropping any point would miss it
+    s1, r1 = trinity.sphere_params(1)
+    t = RatFunc.t()
+    for seen in (0, points - 1):
+        hidden = RatFunc.const(1)
+        for k in range(points):
+            if k != seen:
+                hidden = hidden * (t - k)
+        x1 = s1.x + hidden / RatFunc(s1.x.den) ** ((points - 1) // 8)
+        monkeypatch.setitem(trinity._SPHERES, 1, (trinity.Vec3F(x1, s1.y, s1.z), r1))
+        assert not dict(run())[name], seen
+
+
+def test_sphere_derivatives_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+
+    def expr(poly):
+        return sum(sympy.Rational(c.numerator, c.denominator) * t**k
+                   for k, c in enumerate(poly.coeffs))
+
+    for i in (1, 2, 3):
+        for f in trinity.sphere_params(i)[0]:
+            g = expr(f.num) / expr(f.den)
+            for t0 in (F(2, 3), F(-3)):
+                ours = derivatives_at(f.num, f.den, t0, 4)
+                point = sympy.Rational(t0.numerator, t0.denominator)
+                for k in range(5):
+                    want = sympy.diff(g, t, k).subs(t, point)
+                    assert sympy.Rational(ours[k].numerator, ours[k].denominator) == want
 
 
 @given(
