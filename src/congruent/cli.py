@@ -164,7 +164,8 @@ def _cmd_conics(args):
             "points": [{"x": x, "e": e} for x, e in pts],
             "triangles": [_tri_dict(t) for t in tris],
         }
-        checks = [("lattice triangles have area x_i", True)]
+        areas_ok = all(tri.area == x for (x, _), tri in zip(pts, tris))
+        checks = [("lattice triangles have area x_i", areas_ok)]
         inputs = {"m": args.m, "n": args.n}
         if args.t is not None:
             sec = conics.lattice_secondary(args.m, args.n, parse_rat(args.t))
@@ -178,7 +179,8 @@ def _cmd_conics(args):
                 }
                 for r in sec
             ]
-            checks.append(("secondary intersections verified", True))
+            sec_ok = all(r["triangle"].area == r["primitive"] for r in sec)
+            checks.append(("secondary intersections verified", sec_ok))
             inputs["t"] = parse_rat(args.t)
     else:  # twin
         t = parse_rat(args.t)

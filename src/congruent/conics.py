@@ -257,17 +257,35 @@ def intersect_polynomial_identity():
 
 
 # --- the lattice-point family ---
+#
+# One closed form each gives the index-1 point P(m, n) = (x, e), triangle
+# T(m, n) of area x and secondary number N(m, n, t).  The other indices are
+# signed swaps of (m, n), all keeping s = m^2 + n^2: for the i-th entry
+# (u, v, e_sign, sign) of _lattice_subs, point i is (x, e_sign * e) of
+# P(u, v), triangle i is sign * T(u, v) and N_i2 is N(u, v, sign * t).
 
 
-def _lattice_data(m, n):
+def _lattice_subs(m, n):
+    return ((m, n, 1, 1), (m, -n, 1, -1), (n, -m, -1, -1), (n, m, -1, 1))
+
+
+def _lattice_point(m, n):
     s = m**2 + n**2
-    points = (
-        (s * (m**2 + 4 * m * n + 5 * n**2), s * (m**2 + 2 * m * n - n**2)),
-        (s * (m**2 - 4 * m * n + 5 * n**2), s * (m**2 - 2 * m * n - n**2)),
-        (s * (5 * m**2 - 4 * m * n + n**2), s * (m**2 + 2 * m * n - n**2)),
-        (s * (5 * m**2 + 4 * m * n + n**2), s * (m**2 - 2 * m * n - n**2)),
+    return s * (m**2 + 4 * m * n + 5 * n**2), s * (m**2 + 2 * m * n - n**2)
+
+
+def _lattice_triangle(m, n, name):
+    """Sides of T(m, n); name labels the leg a in the degenerate-input error."""
+    x, _ = _lattice_point(m, n)
+    p = (m**2 + 2 * m * n - n**2) * (m**2 + 2 * m * n + 3 * n**2)
+    den = 2 * n * (m + n)
+    if den * p == 0:
+        raise ValueError(f"degenerate (m, n): denominator of {name} vanishes")
+    c_num = (
+        m**8 + 8 * m**7 * n + 28 * m**6 * n**2 + 56 * m**5 * n**3 + 94 * m**4 * n**4
+        + 152 * m**3 * n**5 + 172 * m**2 * n**6 + 104 * m * n**7 + 41 * n**8
     )
-    return s, points
+    return Fraction(p, den), Fraction(2 * den * x, p), Fraction(c_num, den * p)
 
 
 def lattice_points(m, n):
@@ -276,100 +294,29 @@ def lattice_points(m, n):
     The ellipse is the (f1, f2) = (1, m^2+n^2) instance; each x_i is a
     congruent number (unless square) with triangle area exactly x_i.
     """
-    s, pts = _lattice_data(m, n)
-    p = (m**2 + 2 * m * n - n**2) * (m**2 + 2 * m * n + 3 * n**2)
-    q = (m**2 - 2 * m * n - n**2) * (m**2 - 2 * m * n + 3 * n**2)
-    r = (m**2 + 2 * m * n - n**2) * (3 * m**2 - 2 * m * n + n**2)
-    w = (m**2 - 2 * m * n - n**2) * (3 * m**2 + 2 * m * n + n**2)
-    den1 = 2 * n * (m + n)
-    den2 = 2 * n * (m - n)
-    den3 = 2 * m * (m - n)
-    den4 = 2 * m * (m + n)
-    for name, d in (("a1", den1 * p), ("a2", den2 * q), ("a3", den3 * r), ("a4", den4 * w)):
-        if d == 0:
-            raise ValueError(f"degenerate (m, n): denominator of {name} vanishes")
-    c1_num = (
-        m**8 + 8 * m**7 * n + 28 * m**6 * n**2 + 56 * m**5 * n**3 + 94 * m**4 * n**4
-        + 152 * m**3 * n**5 + 172 * m**2 * n**6 + 104 * m * n**7 + 41 * n**8
-    )
-    c2_num = (
-        m**8 - 8 * m**7 * n + 28 * m**6 * n**2 - 56 * m**5 * n**3 + 94 * m**4 * n**4
-        - 152 * m**3 * n**5 + 172 * m**2 * n**6 - 104 * m * n**7 + 41 * n**8
-    )
-    c3_num = (
-        41 * m**8 - 104 * m**7 * n + 172 * m**6 * n**2 - 152 * m**5 * n**3
-        + 94 * m**4 * n**4 - 56 * m**3 * n**5 + 28 * m**2 * n**6 - 8 * m * n**7 + n**8
-    )
-    c4_num = (
-        41 * m**8 + 104 * m**7 * n + 172 * m**6 * n**2 + 152 * m**5 * n**3
-        + 94 * m**4 * n**4 + 56 * m**3 * n**5 + 28 * m**2 * n**6 + 8 * m * n**7 + n**8
-    )
-    tris = (
-        RatTriangle(
-            Fraction(p, den1),
-            Fraction(4 * n * (m + n) * s * (m**2 + 4 * m * n + 5 * n**2), p),
-            Fraction(c1_num, den1 * p),
-        ),
-        RatTriangle(
-            Fraction(q, den2),
-            Fraction(4 * n * (m - n) * s * (m**2 - 4 * m * n + 5 * n**2), q),
-            Fraction(
-                c2_num,
-                2 * m**5 * n - 10 * m**4 * n**2 + 20 * m**3 * n**3
-                - 20 * m**2 * n**4 + 2 * m * n**5 + 6 * n**6,
-            ),
-        ),
-        RatTriangle(
-            Fraction(r, den3),
-            Fraction(4 * m * (m - n) * s * (5 * m**2 - 4 * m * n + n**2), r),
-            Fraction(
-                c3_num,
-                6 * m**6 + 2 * m**5 * n - 20 * m**4 * n**2 + 20 * m**3 * n**3
-                - 10 * m**2 * n**4 + 2 * m * n**5,
-            ),
-        ),
-        RatTriangle(
-            Fraction(-w, den4),
-            Fraction(-4 * m * (m + n) * s * (5 * m**2 + 4 * m * n + n**2), w),
-            Fraction(
-                c4_num,
-                2 * m * (-3 * m**5 + m**4 * n + 10 * m**3 * n**2
-                         + 10 * m**2 * n**3 + 5 * m * n**4 + n**5),
-            ),
-        ),
-    )
-    for (x_i, _), tri in zip(pts, tris):
-        if tri.area != x_i:
+    pts, tris = [], []
+    for i, (u, v, e_sign, sign) in enumerate(_lattice_subs(m, n), 1):
+        x, e = _lattice_point(u, v)
+        tri = RatTriangle(*(sign * side for side in _lattice_triangle(u, v, f"a{i}")))
+        if tri.area != x:
             raise AssertionError("lattice triangle area mismatch")
-    return pts, tris
+        pts.append((x, e_sign * e))
+        tris.append(tri)
+    return tuple(pts), tuple(tris)
 
 
-# closed forms for the four raised second-intersection congruent numbers
-def _n_secondary(m, n, t):
-    s = m**2 + n**2
-    lead = 4 * t**2 + 1
-    return (
-        lead * s * (
-            m**2 * (4 * t * (t - 2) + 5)
-            + 4 * m * n * (4 * t * (t - 1) - 1)
-            + n**2 * (4 * t * (5 * t + 2) + 1)
-        ),
-        lead * s * (
-            m**2 * (4 * t * (t + 2) + 5)
-            - 4 * m * n * (4 * t * (t + 1) - 1)
-            + n**2 * (4 * t * (5 * t - 2) + 1)
-        ),
-        lead * s * (
-            m**2 * (4 * t * (5 * t - 2) + 1)
-            - 4 * m * n * (4 * t * (t + 1) - 1)
-            + n**2 * (4 * t * (t + 2) + 5)
-        ),
-        lead * s * (
-            m**2 * (4 * t * (5 * t + 2) + 1)
-            + 4 * m * n * (4 * (t - 1) * t - 1)
-            + n**2 * (4 * (t - 2) * t + 5)
-        ),
+def _lattice_n2(m, n, t):
+    """N(m, n, t): the raised congruent number of the slope-t second intersection."""
+    return (4 * t**2 + 1) * (m**2 + n**2) * (
+        m**2 * (4 * t * (t - 2) + 5)
+        + 4 * m * n * (4 * t * (t - 1) - 1)
+        + n**2 * (4 * t * (5 * t + 2) + 1)
     )
+
+
+def _n_secondary(m, n, t):
+    """The four secondary numbers N_12, ..., N_42."""
+    return tuple(_lattice_n2(u, v, sign * t) for u, v, _, sign in _lattice_subs(m, n))
 
 
 def lattice_secondary(m, n, t):
@@ -381,11 +328,11 @@ def lattice_secondary(m, n, t):
     Returns a list of dicts with the raw point, N_i2 and triangle.
     """
     t = Fraction(t)
-    s, pts = _lattice_data(m, n)
+    s = m**2 + n**2
     f2sq = Fraction(s**2)
-    expected = _n_secondary(m, n, t)
     out = []
-    for (x_i, e_i), n_i2 in zip(pts, expected):
+    for (u, v, _, _), n_i2 in zip(_lattice_subs(m, n), _n_secondary(m, n, t)):
+        x_i, e_i = _lattice_point(u, v)
         # the slope-t lines pass through the positive-ordinate ellipse
         # points; the displayed lattice points carry a signed ordinate
         e_i = abs(e_i)

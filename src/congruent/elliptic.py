@@ -5,6 +5,11 @@ congruent-number curves y^2 = x^3 - N^2 x and the factored cubics
 y^2 = (x+AB)(x+BC)(x+AC) used by the Heronian-triangle family.  Points are
 affine pairs of Fractions or the point at infinity; exactness, not speed,
 is the goal, so there are no projective coordinates.
+
+Points are validated once, where they enter: every construction checks
+its points with ``contains``, and ``mul`` and ``order_at_most`` check
+their argument.  ``add`` itself does not, so a chain of additions pays
+for no cubic evaluations; an off-curve argument gives a meaningless sum.
 """
 
 from __future__ import annotations
@@ -79,9 +84,7 @@ class Curve:
             raise ValueError(f"point {p} is not on the curve")
 
     def add(self, p, q):
-        """Chord-tangent addition."""
-        self._require(p)
-        self._require(q)
+        """Chord-tangent addition of two points already known to be on the curve."""
         if p.infinity:
             return q
         if q.infinity:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-__all__ = ["Poly", "RatFunc", "chebyshev", "derivatives_at"]
+__all__ = ["Poly", "RatFunc", "derivatives_at"]
 
 
 class Poly:
@@ -230,26 +230,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
-
-
-def chebyshev(kind, m):
-    """Chebyshev polynomial T_m or U_m by the three-term recurrence.
-
-    kind 'first' gives T (T0=1, T1=x), 'second' gives U (U0=1, U1=2x);
-    both satisfy P_{k+1} = 2x P_k - P_{k-1}.
-    """
-    if m < 0:
-        raise ValueError("chebyshev index must be >= 0")
-    if kind not in ("first", "second"):
-        raise ValueError("kind must be 'first' or 'second'")
-    x = Poly.x()
-    prev = Poly([1])
-    if m == 0:
-        return prev
-    cur = x if kind == "first" else 2 * x
-    for _ in range(m - 1):
-        prev, cur = cur, 2 * x * cur - prev
-    return cur
 
 
 def derivatives_at(num, den, t0, order):

@@ -9,6 +9,10 @@ specializing at n=2 connects the family to the Heronian triangles with
 consecutive integer sides.  Every family instance carries explicit
 rational points on its curve y^2 = x^3 - N^2 x, tied together by the
 group law: P1 = (0,0) + P0 and P2 = 2 P0.
+
+T_m(n) and U_m(n) are integers computed by their three-term recurrence.
+The Pell relation, a polynomial identity of degree 2m in n, is proved by
+evaluating it at 2m + 1 points.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from fractions import Fraction
 
 from .elliptic import Curve, Point, curve_en
 from .exact import rat_sqrt
-from .polyrat import chebyshev
 from .triples import RatTriangle
 
 __all__ = [
@@ -142,10 +145,20 @@ def fib_odd_family(n):
 
 
 def cheb_eval(kind, m, n):
-    """Integer value T_m(n) or U_m(n) via the polynomial recurrence."""
-    v = chebyshev(kind, m)(Fraction(n))
-    assert v.denominator == 1
-    return int(v)
+    """Integer value T_m(n) or U_m(n) by the three-term recurrence.
+
+    kind 'first' gives T (T_0 = 1, T_1 = n), 'second' gives U (U_0 = 1,
+    U_1 = 2n); both satisfy P_{k+1} = 2n P_k - P_{k-1}.  The loop starts one
+    step below index 0, at T_{-1} = T_1 = n and U_{-1} = 0.
+    """
+    if m < 0:
+        raise ValueError("chebyshev index must be >= 0")
+    if kind not in ("first", "second"):
+        raise ValueError("kind must be 'first' or 'second'")
+    prev, cur = (n if kind == "first" else 0), 1
+    for _ in range(m):
+        prev, cur = cur, 2 * n * cur - prev
+    return cur
 
 
 def cheb_family(m, n):
@@ -172,16 +185,16 @@ def cheb_family(m, n):
 
 
 def pell_identity_check(max_m=12):
-    """T_m^2 - (x^2-1) U_{m-1}^2 = 1 as exact polynomial identities."""
-    from .polyrat import Poly
+    """T_m(x)^2 - (x^2-1) U_{m-1}(x)^2 = 1 as polynomial identities, m <= max_m.
 
-    x2m1 = Poly((-1, 0, 1))
-    for m in range(1, max_m + 1):
-        t = chebyshev("first", m)
-        u = chebyshev("second", m - 1)
-        if t * t - x2m1 * u * u != Poly((1,)):
-            return False
-    return True
+    The left side has degree <= 2m, so holding at the 2m + 1 points
+    x = 0, 1, ..., 2m proves the identity for index m.
+    """
+    return all(
+        cheb_eval("first", m, x) ** 2 - (x**2 - 1) * cheb_eval("second", m - 1, x) ** 2 == 1
+        for m in range(1, max_m + 1)
+        for x in range(2 * m + 1)
+    )
 
 
 def brahmagupta(k):

@@ -63,6 +63,8 @@ def point_to_triangle(p, n):
 def tangent_intersection(p, n):
     """Third intersection of the tangent at p with E_N, i.e. -2p."""
     curve = curve_en(n)
+    if not curve.contains(p):
+        raise ValueError(f"point {p} is not on E_{n}")
     return -curve.double(p)
 
 

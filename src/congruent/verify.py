@@ -158,9 +158,14 @@ def suite_conics_lattice():
     for i, (res, (n2, tri)) in enumerate(zip(results, want), 1):
         checks.append((f"lattice N_{i}2", res["n2"] == n2))
         checks.append((f"lattice triangle {i}", res["triangle"] == tri))
-    conics.lattice_points(1, 2)  # closed-form lattice triangles self-check
-    conics.lattice_points(2, 1)
-    checks.append(("lattice closed forms", True))
+    closed_forms = True
+    for m, n in ((1, 2), (2, 1)):
+        s = m**2 + n**2
+        pts, tris = conics.lattice_points(m, n)
+        for (x, e), tri in zip(pts, tris):
+            # on the (f1, f2) = (1, s) ellipse e^2 = x s^2 - (x - s^2)^2 / 4
+            closed_forms &= tri.area == x and 4 * e**2 == 4 * x * s**2 - (x - s**2) ** 2
+    checks.append(("lattice closed forms", closed_forms))
     return checks
 
 

@@ -82,6 +82,47 @@ def test_lattice_points_self_check():
         conics.lattice_points(m, n)  # raises on any internal mismatch
 
 
+def test_lattice_points_fixtures():
+    pts, tris = conics.lattice_points(1, 2)
+    assert pts == ((145, 5), (65, -35), (5, 5), (85, -35))
+    assert tris == (
+        _tri("17/12", "3480/17", "41761/204"),
+        _tri("63/4", "520/63", "4481/252"),
+        _tri("-3/2", "-20/3", "-41/6"),
+        _tri("77/6", "1020/77", "8521/462"),
+    )
+    pts, tris = conics.lattice_points(3, 5)
+    assert pts == ((6596, 476), (2516, -1564), (340, 476), (4420, -1564))
+    assert tris == (
+        _tri("399/20", "263840/399", "5279201/7980"),
+        _tri("621/5", "25160/621", "405641/3105"),
+        _tri("-77/3", "-2040/77", "-8521/231"),
+        _tri("943/12", "106080/943", "1552801/11316"),
+    )
+
+
+def test_lattice_points_sweep():
+    checked = 0
+    for m in range(-6, 7):
+        for n in range(-6, 7):
+            try:
+                pts, tris = conics.lattice_points(m, n)
+            except ValueError:
+                continue
+            s = m**2 + n**2
+            for (x, e), tri in zip(pts, tris):
+                assert tri.area == x
+                assert e**2 == x * s**2 - F(x - s**2) ** 2 / 4
+                checked += 1
+    assert checked == 480
+
+
+def test_lattice_points_degenerate_inputs_name_the_leg():
+    for (m, n), leg in (((1, 0), "a1"), ((0, 1), "a3"), ((1, 1), "a2")):
+        with pytest.raises(ValueError, match=f"denominator of {leg} vanishes"):
+            conics.lattice_points(m, n)
+
+
 def test_twin_hyperbolas_fixture():
     n1, n2, t1, t2 = conics.twin_hyperbolas(10)
     assert (n1, n2) == (153798, 350646)

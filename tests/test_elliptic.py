@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from congruent.elliptic import INFINITY, Curve, Point, curve_en
+from congruent.tangent import tangent_intersection
 
 F = Fraction
 
@@ -24,9 +25,15 @@ def test_identity_and_inverse():
     assert E5.add(P, -P) == INFINITY
 
 
-def test_add_requires_on_curve():
+def test_entry_points_reject_off_curve_points():
+    # add trusts its arguments; points are validated where they enter
+    off = Point(F(1), F(1))
     with pytest.raises(ValueError):
-        E5.add(P, Point(F(1), F(1)))
+        E5.mul(3, off)
+    with pytest.raises(ValueError):
+        E5.order_at_most(off)
+    with pytest.raises(ValueError):
+        tangent_intersection(off, 5)
 
 
 def test_doubling_stays_on_curve():

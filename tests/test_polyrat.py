@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from congruent.polyrat import Poly, RatFunc, chebyshev, derivatives_at
+from congruent.polyrat import Poly, RatFunc, derivatives_at
 
 X = Poly.x()
 
@@ -64,25 +64,3 @@ def test_derivatives_at_rejects_a_pole():
     with pytest.raises(ZeroDivisionError):
         derivatives_at(Poly.const(1), X - Poly.const(2), 2, 3)
 
-
-def test_chebyshev_recurrence():
-    for kind in ("first", "second"):
-        ps = [chebyshev(kind, m) for m in range(8)]
-        for m in range(2, 8):
-            assert ps[m] == 2 * X * ps[m - 1] - ps[m - 2]
-    assert chebyshev("first", 0) == Poly.const(1)
-    assert chebyshev("first", 1) == X
-    assert chebyshev("second", 1) == 2 * X
-
-
-def test_chebyshev_pell_relation():
-    # T_m^2 - (x^2 - 1) U_{m-1}^2 = 1
-    for m in range(1, 9):
-        t = chebyshev("first", m)
-        u = chebyshev("second", m - 1)
-        assert t * t - (X * X - Poly.const(1)) * u * u == Poly.const(1)
-
-
-def test_chebyshev_rejects_bad_kind():
-    with pytest.raises(ValueError):
-        chebyshev("third", 2)

@@ -51,6 +51,24 @@ def test_cheb_eval_matches_recurrence():
     assert sequences.cheb_eval("first", 7, 3) == t1
 
 
+def test_cheb_eval_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in range(41):
+        t = sympy.chebyshevt_poly(m, x, polys=True)
+        u = sympy.chebyshevu_poly(m, x, polys=True)
+        for n in range(-3, 10):
+            assert sequences.cheb_eval("first", m, n) == t.eval(n)
+            assert sequences.cheb_eval("second", m, n) == u.eval(n)
+
+
+def test_cheb_eval_rejects_bad_kind_and_index():
+    with pytest.raises(ValueError):
+        sequences.cheb_eval("third", 2, 3)
+    with pytest.raises(ValueError):
+        sequences.cheb_eval("first", -1, 3)
+
+
 def test_cheb_family_baseline():
     tri, n, pts = sequences.cheb_family(3, 2)
     assert n == 78
@@ -64,6 +82,17 @@ def test_cheb_family_baseline():
 
 def test_pell_identity():
     assert sequences.pell_identity_check(8)
+
+
+def test_pell_identity_catches_one_wrong_value(monkeypatch):
+    cheb_eval = sequences.cheb_eval
+
+    def off_by_one(kind, m, n):
+        v = cheb_eval(kind, m, n)
+        return v + 1 if (kind, m, n) == ("second", 6, 9) else v
+
+    monkeypatch.setattr(sequences, "cheb_eval", off_by_one)
+    assert not sequences.pell_identity_check(12)
 
 
 def test_brahmagupta_baseline():
