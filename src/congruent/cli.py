@@ -2,10 +2,10 @@
 
 Every command builds an envelope (command echo, inputs, exact results,
 named checks) and emits it as aligned text or stable-key JSON.  All
-rationals are printed exactly as "p/q"; the only floating-point values
-ever emitted are the explicitly labeled approximate entries of the
-trinity circle report and --emit-curve point dumps.  Exit codes: 0 all
-checks pass, 1 a check failed, 2 usage error, 3 domain/arithmetic error.
+rationals are printed exactly as "p/q"; only the labeled approximate
+point dumps of cassini --emit-curve are floating-point.  Exit codes: 0
+all checks pass, 1 a check failed, 2 usage error, 3 domain/arithmetic
+error.
 """
 
 from __future__ import annotations
@@ -123,15 +123,18 @@ def _cmd_triples(args):
     return {"m": m, "n": n}, results, checks
 
 
+# The largest --max-order trinity accepts: order 6 takes about 5 s on a
+# 2-vCPU host, and the time grows faster than the order.
+TRINITY_MAX_ORDER = 6
+
+
 def _cmd_trinity(args):
-    checks = verify.suite_trinity(max_order=args.max_order, samples=args.samples)
-    rep = trinity.circle_check(args.samples)
-    results = {
-        "circle_points_checked": rep["points"],
-        "circle_max_residual_approx": rep["max_residual"],
-        "tolerance": 1e-9,
-    }
-    return {"max_order": args.max_order, "samples": args.samples}, results, checks
+    if not 1 <= args.max_order <= TRINITY_MAX_ORDER:
+        raise ValueError(f"--max-order must be between 1 and {TRINITY_MAX_ORDER}")
+    checks = trinity.verify_all(args.max_order)
+    rep = trinity.circle_check()
+    results = {"circles": rep["circles"], "circles_failed": rep["failed"]}
+    return {"max_order": args.max_order}, results, checks
 
 
 def _cmd_conics(args):
@@ -196,8 +199,8 @@ def _cmd_conics(args):
     return inputs, results, checks
 
 
-def _oval_samples(oval, count):
-    """Approximate (x, y) samples on the upper half of an oval."""
+def _oval_points(oval, count):
+    """Approximate (x, y) points on the upper half of an oval."""
     import math
 
     b2 = math.sqrt(float(oval.b4))
@@ -235,7 +238,7 @@ def _cmd_cassini(args):
     }
     if args.emit_curve:
         results["curve_points_approx"] = [
-            {"x": x, "y": y} for x, y in _oval_samples(oval, args.emit_curve)
+            {"x": x, "y": y} for x, y in _oval_points(oval, args.emit_curve)
         ]
     checks = [("triangle area = N", tri.area == args.n)]
     inputs = {"n": args.n, "f1": args.f1, "f2": args.f2}
@@ -383,17 +386,13 @@ def _cmd_fermat(args):
 
 
 def _cmd_verify_all(args):
-    overrides = {
-        "trinity": {"max_order": args.max_order, "samples": args.samples},
-    }
     results = {}
     checks = []
-    for name, suite_checks in verify.run_all(**overrides).items():
+    for name, suite_checks in verify.run_all().items():
         ok = all(p for _, p in suite_checks)
         results[name] = f"{sum(p for _, p in suite_checks)}/{len(suite_checks)}"
         checks.append((name, ok))
-    inputs = {"max_order": args.max_order, "samples": args.samples}
-    return inputs, results, checks
+    return {}, results, checks
 
 
 def build_parser():
@@ -420,8 +419,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_triples, sub=None)
 
     p = add_parser(sub, "trinity", help="vector-system identities, proved by exact evaluation")
-    p.add_argument("--max-order", type=int, default=4)
-    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--max-order", type=int, default=4, help=f"1 to {TRINITY_MAX_ORDER}")
     p.set_defaults(handler=_cmd_trinity, sub=None)
 
     p = add_parser(sub, "conics", help="conic constructions")
@@ -501,8 +499,6 @@ def build_parser():
     p.set_defaults(handler=_cmd_fermat, sub=None)
 
     p = add_parser(sub, "verify-all", help="run every reference-example suite")
-    p.add_argument("--max-order", type=int, default=4)
-    p.add_argument("--samples", type=int, default=32)
     p.set_defaults(handler=_cmd_verify_all, sub=None)
 
     return parser

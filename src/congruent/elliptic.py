@@ -48,10 +48,6 @@ class Point:
 INFINITY = Point(infinity=True)
 
 
-def point(x, y):
-    return Point(Fraction(x), Fraction(y))
-
-
 @dataclass(frozen=True)
 class Curve:
     a2: Fraction

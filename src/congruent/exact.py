@@ -1,11 +1,10 @@
 """Exact integer and rational kernels.
 
 Python ints are already arbitrary precision and fractions.Fraction is an
-exact, eagerly normalized rational, so the scalar types here are thin:
-``Rat`` is an alias for Fraction.  What this module adds are the
-number-theoretic kernels everything else leans on: integer square root,
-perfect-square tests, deterministic factorization with an effort budget,
-and signed squarefree parts.
+exact, eagerly normalized rational, so there are no scalar types here.
+What this module adds are the number-theoretic kernels everything else
+leans on: perfect-square tests, deterministic factorization with an
+effort budget, and signed squarefree parts.
 """
 
 from __future__ import annotations
@@ -14,12 +13,8 @@ import math
 import random
 from fractions import Fraction
 
-Rat = Fraction
-
 __all__ = [
-    "Rat",
     "FactorBudgetExceeded",
-    "isqrt",
     "is_square",
     "rat_sqrt",
     "is_probable_prime",
@@ -39,13 +34,6 @@ class FactorBudgetExceeded(Exception):
         super().__init__(f"factorization budget exhausted on {n}; unfactored part {remaining}")
         self.n = n
         self.remaining = remaining
-
-
-def isqrt(n):
-    """Floor of the square root of a nonnegative integer."""
-    if n < 0:
-        raise ValueError("isqrt of negative integer")
-    return math.isqrt(n)
 
 
 def is_square(n):

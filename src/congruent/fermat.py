@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import isqrt
 
-from .exact import is_square, isqrt
+from .exact import is_square
 
 __all__ = [
     "FermatNode",

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic import Curve, Point, curve_en
-from .exact import rat_sqrt
 from .triples import RatTriangle
 
 __all__ = [

@@ -122,20 +122,16 @@ class TangentChain:
         return True
 
 
-def tangent_chain(tri0, n, depth=3, allow_large=False):
+def tangent_chain(tri0, n, depth=3):
     """Generate the solution chain S_1..S_depth from a seed triangle.
 
     Each step reads (c1, c2) = (denominator(c), numerator(c)/2) off the
     current hypotenuse, solves for (f1, f2), and rebuilds the next
     triangle through the two-intersection system.  Numbers roughly square
-    each step; depths beyond 5 must be explicitly allowed.
+    each step, so depth is bounded by MAX_FREE_DEPTH.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if depth > MAX_FREE_DEPTH and not allow_large:
-        raise ValueError(
-            f"depth {depth} exceeds {MAX_FREE_DEPTH}; pass allow_large=True"
-        )
+    if not 1 <= depth <= MAX_FREE_DEPTH:
+        raise ValueError(f"--depth must be between 1 and {MAX_FREE_DEPTH}, got {depth}")
     if tri0.area != n:
         raise ValueError("seed triangle area is not N")
     entries = []

@@ -5,17 +5,17 @@ common quadratic norm and parameterized by t = m/n, trace rational points
 on three concentric spheres of squared radii 1, 1/2, 3/2.  Reinterpreting
 the three parameterizations as vectors a, b, c yields an orthogonality
 structure (a ⟂ b ⟂ c, a·c = 1) that survives differentiation in a long
-list of exact identities.  The sphere loci are circles; the trigonometric
-circle parameterizations are checked numerically.  Every other identity
-is proved by exact evaluation: the derivatives of each component are
-computed exactly at rational points, and an identity counts as proved
-once it holds at more points than the degree bound of its cleared
-polynomial form.
+list of exact identities.  The sphere loci are twenty signed circles
+with trigonometric parameterizations; each is proved exact through the
+rational data of its parameterization.  Every other identity is proved
+by exact evaluation: the derivatives of each component are computed
+exactly at rational points, and an identity counts as proved once it
+holds at more points than the degree bound of its cleared polynomial
+form.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -29,7 +29,6 @@ __all__ = [
     "sphere_params",
     "verify_sphere_relations",
     "trinity_vectors",
-    "vec_ops",
     "verify_derivative_identities",
     "sum_of_squares_identity",
     "circles",
@@ -181,20 +180,7 @@ def trinity_vectors():
     return a, b, c
 
 
-def vec_ops(u, v, op):
-    """Exact dot (scalar) or cross (Vec3F) product of two Vec3F."""
-    if op == "dot":
-        return u.dot(v)
-    if op == "cross":
-        return u.cross(v)
-    raise ValueError("op must be 'dot' or 'cross'")
-
-
-def _vec_eq(u, v):
-    return (u - v).is_zero()
-
-
-def _derivative_battery(da, db, dc, max_n, max_m):
+def _derivative_battery(da, db, dc, max_order):
     a, b, c = da[0], db[0], dc[0]
     checks = [
         ("a.b = 0", a.dot(b) == 0),
@@ -217,12 +203,12 @@ def _derivative_battery(da, db, dc, max_n, max_m):
         ("a.(bxc) = 1/2", a.dot(b.cross(c)) == Fraction(1, 2)),
         ("b.(cxa) = 1/2", b.dot(c.cross(a)) == Fraction(1, 2)),
         ("c.(axb) = 1/2", c.dot(a.cross(b)) == Fraction(1, 2)),
-        ("ax(bxc) = b", _vec_eq(a.cross(b.cross(c)), b)),
-        ("cx(bxa) = b", _vec_eq(c.cross(b.cross(a)), b)),
-        ("cxa = b", _vec_eq(c.cross(a), b)),
+        ("ax(bxc) = b", a.cross(b.cross(c)) == b),
+        ("cx(bxa) = b", c.cross(b.cross(a)) == b),
+        ("cxa = b", c.cross(a) == b),
         ("bx(axc) = 0", b.cross(a.cross(c)).is_zero()),
     ]
-    for n in range(1, max_n + 1):
+    for n in range(1, max_order + 1):
         an, bn, cn = da[n], db[n], dc[n]
         ac = an.dot(cn)
         checks.append((f"d{n}a.d{n}b = 0", an.dot(bn) == 0))
@@ -233,10 +219,9 @@ def _derivative_battery(da, db, dc, max_n, max_m):
         )
         checks.append((f"d{n}a.d{n}c = 2|d{n}c|^2", ac == 2 * cn.norm2()))
         checks.append((f"d{n}a x d{n}c = 0", an.cross(cn).is_zero()))
-    ones = (1, 1, -1)
-    flip = (-1, -1, 1)
-    for n in range(1, max_n + 1):
-        for m in range(1, max_m + 1):
+    ones = Vec3F(1, 1, -1)
+    for n in range(1, max_order + 1):
+        for m in range(1, max_order + 1):
             an, bn = da[n], db[n]
             am, cm = da[m], dc[m]
             bm, cn = db[m], dc[n]
@@ -246,7 +231,7 @@ def _derivative_battery(da, db, dc, max_n, max_m):
             checks.append(
                 (
                     f"2 d{n}b x d{m}c = d{n}b x d{m}a",
-                    _vec_eq(bn.cross(cm).scaled(2), bn.cross(am)),
+                    bn.cross(cm).scaled(2) == bn.cross(am),
                 )
             )
             checks.append(
@@ -264,70 +249,62 @@ def _derivative_battery(da, db, dc, max_n, max_m):
             checks.append(
                 (
                     f"3 d{n}a x d{m}a = 4 d{n}b x d{m}b",
-                    _vec_eq(an.cross(am).scaled(3), bn.cross(bm).scaled(4)),
+                    an.cross(am).scaled(3) == bn.cross(bm).scaled(4),
                 )
             )
             checks.append(
                 (
                     f"3 d{n}a x d{m}a = 12 d{n}c x d{m}c",
-                    _vec_eq(an.cross(am), cn.cross(cm).scaled(4)),
+                    an.cross(am) == cn.cross(cm).scaled(4),
                 )
             )
-            dot_ac = an.dot(cm)
-            scaled = Vec3F(dot_ac * flip[0], dot_ac * flip[1], dot_ac * flip[2])
             checks.append(
                 (
                     f"(d{n}a.d{m}c)(-1,-1,1) = 2 d{n}b x d{m}c",
-                    _vec_eq(scaled, bn.cross(cm).scaled(2)),
+                    ones.scaled(-an.dot(cm)) == bn.cross(cm).scaled(2),
                 )
             )
             checks.append(
                 (
                     f"2 d{n}b x d{m}c = d{n}b x d{m}a",
-                    _vec_eq(bn.cross(cm).scaled(2), bn.cross(am)),
+                    bn.cross(cm).scaled(2) == bn.cross(am),
                 )
             )
-            dot_bc = bn.dot(cm)
-            scaled2 = Vec3F(dot_bc * ones[0], dot_bc * ones[1], dot_bc * ones[2])
             checks.append(
                 (
                     f"3 d{n}a x d{m}c = 2(d{n}b.d{m}c)(1,1,-1)",
-                    _vec_eq(an.cross(cm).scaled(3), scaled2.scaled(2)),
+                    an.cross(cm).scaled(3) == ones.scaled(2 * bn.dot(cm)),
                 )
             )
-            dot_ba = bn.dot(am)
-            scaled3 = Vec3F(dot_ba * ones[0], dot_ba * ones[1], dot_ba * ones[2])
             checks.append(
                 (
                     f"3 d{n}a x d{m}c = (d{n}b.d{m}a)(1,1,-1)",
-                    _vec_eq(an.cross(cm).scaled(3), scaled3),
+                    an.cross(cm).scaled(3) == ones.scaled(bn.dot(am)),
                 )
             )
     return checks
 
 
-def verify_derivative_identities(max_n=4, max_m=4):
+def verify_derivative_identities(max_order=4):
     """The full battery of vector and derivative identities, exactly.
 
     Covers the base orthogonality/norm facts, triple products, the
     same-order derivative relations, and the mixed-order dot/cross
-    symmetries for 1 <= n <= max_n, 1 <= m <= max_m.  Each check is
-    proved by exact evaluation at degree-bound points: the quartic base
-    checks cos^2(axb,c) and cos^2(bxc,a) have weight 6 and a check on
-    orders n and m has weight n + m + 2, where the same-order checks reach
-    n = m = max_n.  With max_n = max_m = 4 the bound is 8 * 10 = 80.
-    Returns a list of (name, bool).
+    symmetries for 1 <= n, m <= max_order.  Each check is proved by exact
+    evaluation at degree-bound points: the quartic base checks
+    cos^2(axb,c) and cos^2(bxc,a) have weight 6 and a check on orders n
+    and m has weight n + m + 2.  With max_order = 4 the bound is
+    8 * 10 = 80.  Returns a list of (name, bool).
     """
-    if max_n < 1 or max_m < 1:
-        raise ValueError("derivative orders must be >= 1")
+    if max_order < 1:
+        raise ValueError("derivative order must be >= 1")
     vectors = trinity_vectors()
-    top = max(max_n, max_m)
 
     def battery(t0):
-        da, db, dc = (_jet(v, t0, top) for v in vectors)
-        return _derivative_battery(da, db, dc, max_n, max_m)
+        da, db, dc = (_jet(v, t0, max_order) for v in vectors)
+        return _derivative_battery(da, db, dc, max_order)
 
-    return _proved(battery, _points(max(6, max_n + top + 2)))
+    return _proved(battery, _points(max(6, 2 * max_order + 2)))
 
 
 def sum_of_squares_identity(m, n):
@@ -348,57 +325,58 @@ def sum_of_squares_identity(m, n):
 
 @dataclass(frozen=True)
 class TrigCircle:
-    """One signed copy of a trigonometric circle from the sphere loci."""
+    """One signed circle p(θ) = center + cos θ·√su·u + sin θ·√sv·v.
+
+    The sign flips are applied to center, u, v and the plane normal; su and
+    sv are the rational squares of the scale factors.  Every point lies on
+    the plane normal·p = const.
+    """
 
     family: int
     signs: tuple
-    center: tuple
-    radius2: Fraction
-    plane: tuple  # (n1, n2, n3, const) with n1 x + n2 y + n3 z = const
-
-    def point(self, angle):
-        """Float coordinates of the parameterized point at this angle."""
-        cs, sn = math.cos(angle), math.sin(angle)
-        if self.family == 1:
-            base = (
-                1 / 3 - cs / math.sqrt(3) - sn / 3,
-                1 / 3 + cs / math.sqrt(3) - sn / 3,
-                1 / 3 + 2 * sn / 3,
-            )
-        elif self.family == 2:
-            base = (
-                -cs / 2 - sn / (2 * math.sqrt(3)),
-                -cs / 2 + sn / (2 * math.sqrt(3)),
-                -sn / math.sqrt(3),
-            )
-        else:
-            base = (
-                2 / 3 - cs / (2 * math.sqrt(3)) - sn / 6,
-                2 / 3 + cs / (2 * math.sqrt(3)) - sn / 6,
-                2 / 3 + sn / 3,
-            )
-        return tuple(s * v for s, v in zip(self.signs, base))
+    center: Vec3F
+    u: Vec3F
+    v: Vec3F
+    su: Fraction
+    sv: Fraction
+    normal: Vec3F
+    const: Fraction
 
 
-# Squared radii of the spheres each circle family lives on, and of the
-# second sphere family whose intersection with the first retraces the
-# circle (families 1 and 3 only).
+# The base circle (signs (1, 1, 1)) of each family: center C, directions u
+# and v with scales su and sv, plane normal and constant, the squared radius
+# of the sphere about the origin it lies on and its own squared radius.
+# Families 1 and 3 also lie on a second sphere, with center k·signs and
+# squared radius r2 given as second = (k, r2), which cuts the first one
+# along the circle.
 _FAMILY = {
-    1: dict(sphere2=Fraction(1), radius2=Fraction(2, 3), center=Fraction(1, 3), const=Fraction(1)),
-    2: dict(sphere2=Fraction(1, 2), radius2=Fraction(1, 2), center=Fraction(0), const=Fraction(0)),
-    3: dict(sphere2=Fraction(3, 2), radius2=Fraction(1, 6), center=Fraction(2, 3), const=Fraction(2)),
+    1: dict(
+        C=(Fraction(1, 3),) * 3, u=(-1, 1, 0), su=Fraction(1, 3),
+        v=(Fraction(-1, 3), Fraction(-1, 3), Fraction(2, 3)), sv=1,
+        normal=(1, 1, 1), const=1, sphere2=1, radius2=Fraction(2, 3), second=(1, 2),
+    ),
+    2: dict(
+        C=(0, 0, 0), u=(Fraction(-1, 2), Fraction(-1, 2), 0), su=1,
+        v=(Fraction(-1, 2), Fraction(1, 2), -1), sv=Fraction(1, 3),
+        normal=(1, -1, -1), const=0, sphere2=Fraction(1, 2), radius2=Fraction(1, 2), second=None,
+    ),
+    3: dict(
+        C=(Fraction(2, 3),) * 3, u=(Fraction(-1, 2), Fraction(1, 2), 0), su=Fraction(1, 3),
+        v=(Fraction(-1, 6), Fraction(-1, 6), Fraction(1, 3)), sv=1,
+        normal=(1, 1, 1), const=2, sphere2=Fraction(3, 2), radius2=Fraction(1, 6),
+        second=(Fraction(3, 4), Fraction(3, 16)),
+    ),
 }
-_INTERSECT = {
-    1: dict(second_center=Fraction(1), second_radius2=Fraction(2)),
-    3: dict(second_center=Fraction(3, 4), second_radius2=Fraction(3, 16)),
-}
+
+
+def _flip(signs, vec):
+    return Vec3F(*(s * x for s, x in zip(signs, vec)))
 
 
 def circles():
     """All 20 signed circles: 8 + 4 + 8 across the three families."""
     out = []
-    for family in (1, 2, 3):
-        info = _FAMILY[family]
+    for family, info in _FAMILY.items():
         if family == 2:
             # flipping all three signs retraces the same circle, so only
             # sign patterns up to global negation are distinct
@@ -406,70 +384,70 @@ def circles():
         else:
             sign_sets = list(product((1, -1), repeat=3))
         for signs in sign_sets:
-            center = tuple(Fraction(s) * info["center"] for s in signs)
-            if family == 2:
-                plane = (signs[0], -signs[1], -signs[2], Fraction(0))
-            else:
-                plane = (signs[0], signs[1], signs[2], info["const"])
+            center, u, v, normal = (_flip(signs, info[k]) for k in ("C", "u", "v", "normal"))
             out.append(
-                TrigCircle(family, signs, center, info["radius2"], plane)
+                TrigCircle(family, signs, center, u, v, info["su"], info["sv"], normal, info["const"])
             )
     return out
 
 
-def circle_check(samples=32):
-    """Numeric verification of every signed circle at sampled angles.
+def _on_sphere(circ, q, r2):
+    """Whether |p(θ) - q|^2 = r2 for every θ.
 
-    At each angle the point must lie on its sphere, on its plane, at the
-    right squared distance from its center, and (families 1 and 3) on the
-    second sphere of the intersection-path description.  Returns a dict
-    with the maximum residual and a pass flag (tolerance 1e-9).
+    With w = center - q, |p(θ) - q|^2 = |w|^2 + (su|u|^2 + sv|v|^2)/2
+    + cos 2θ (su|u|^2 - sv|v|^2)/2 + sin 2θ √(su sv) u·v
+    + 2 cos θ √su w·u + 2 sin θ √sv w·v, and 1, cos θ, sin θ, cos 2θ,
+    sin 2θ are linearly independent functions of θ.
     """
-    if samples < 8:
-        raise ValueError("need at least 8 samples")
-    tol = 1e-9
-    worst = 0.0
-    count = 0
-    for circ in circles():
+    w = circ.center - q
+    uu = circ.su * circ.u.norm2()
+    return (
+        uu == circ.sv * circ.v.norm2()
+        and circ.u.dot(circ.v) == 0
+        and w.dot(circ.u) == 0
+        and w.dot(circ.v) == 0
+        and w.norm2() + uu == r2
+    )
+
+
+def _in_plane(circ):
+    """Whether normal·p(θ) = const for every θ."""
+    n = circ.normal
+    return n.dot(circ.center) == circ.const and n.dot(circ.u) == 0 and n.dot(circ.v) == 0
+
+
+def circle_check():
+    """Exact proof that every signed circle lies where it should.
+
+    For every angle, each point must lie on its sphere about the origin,
+    on its plane, at its squared radius from its center and (families 1
+    and 3) on the second sphere of the intersection-path description.
+    The own-radius condition su|u|^2 = radius2 > 0 also makes su and sv
+    positive, so each p(θ) is a real point.  Returns a dict with the
+    number of circles, the (family, signs) of those that fail, and a pass
+    flag.
+    """
+    cs = circles()
+    failed = []
+    for circ in cs:
         info = _FAMILY[circ.family]
-        inter = _INTERSECT.get(circ.family)
-        for k in range(samples):
-            angle = 2 * math.pi * k / samples + 0.123
-            p = circ.point(angle)
-            norm2 = sum(v * v for v in p)
-            worst = max(worst, abs(norm2 - float(info["sphere2"])))
-            n1, n2, n3, const = circ.plane
-            worst = max(
-                worst,
-                abs(float(n1) * p[0] + float(n2) * p[1] + float(n3) * p[2] - float(const)),
-            )
-            d2 = sum((v - float(cc)) ** 2 for v, cc in zip(p, circ.center))
-            worst = max(worst, abs(d2 - float(circ.radius2)))
-            if inter is not None:
-                c2 = inter["second_center"]
-                d2b = sum(
-                    (v - s * float(c2)) ** 2 for v, s in zip(p, circ.signs)
-                )
-                worst = max(worst, abs(d2b - float(inter["second_radius2"])))
-            count += 1
-    return {
-        "circles": 20,
-        "samples": samples,
-        "points": count,
-        "max_residual": worst,
-        "ok": worst < tol,
-    }
+        spheres = [(Vec3F(0, 0, 0), info["sphere2"]), (circ.center, info["radius2"])]
+        if info["second"] is not None:
+            k, r2 = info["second"]
+            spheres.append((_flip(circ.signs, (k, k, k)), r2))
+        if not (_in_plane(circ) and all(_on_sphere(circ, q, r2) for q, r2 in spheres)):
+            failed.append((circ.family, circ.signs))
+    return {"circles": len(cs), "failed": failed, "ok": not failed}
 
 
-def verify_all(max_order=4, samples=32):
-    """Every exact and numeric check in this module as (name, ok) pairs."""
+def verify_all(max_order=4):
+    """Every check in this module as (name, ok) pairs, each one exact."""
     checks = list(verify_sphere_relations(max_order))
-    checks += verify_derivative_identities(max_order, max_order)
+    checks += verify_derivative_identities(max_order)
     for mm, nn in ((2, 1), (3, 2), (4, 1), (5, 2)):
         checks.append(
             (f"side-vector norm identity (m,n)=({mm},{nn})",
              sum_of_squares_identity(mm, nn)["holds"])
         )
-    rep = circle_check(samples)
-    checks.append(("trig circles numeric", rep["ok"]))
+    checks.append(("trig circles numeric", circle_check()["ok"]))
     return checks

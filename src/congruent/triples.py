@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elliptic import Curve, Point, curve_en
+from .elliptic import Point, curve_en
 from .exact import is_square, rat_sqrt, squarefree_part
 
 __all__ = [

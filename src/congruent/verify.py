@@ -73,9 +73,10 @@ def suite_triples():
     return checks
 
 
-def suite_triples_random(count=200, seed=20210525):
-    """Derived-triple identities over random admissible (m, n)."""
-    rng = random.Random(seed)
+def suite_triples_random():
+    """Derived-triple identities over 200 random admissible (m, n)."""
+    count = 200
+    rng = random.Random(20210525)
     done = 0
     while done < count:
         m = rng.randint(2, 80)
@@ -95,8 +96,8 @@ def suite_triples_random(count=200, seed=20210525):
     return [(f"{count} random (m,n) pass all identities", True)]
 
 
-def suite_trinity(max_order=4, samples=32):
-    return trinity.verify_all(max_order=max_order, samples=samples)
+def suite_trinity():
+    return trinity.verify_all()
 
 
 def suite_conics_zagier():
@@ -308,10 +309,11 @@ def suite_footprints():
     return checks
 
 
-def suite_recurrence(random_count=20, seed=79):
+def suite_recurrence():
     reports = recurrence.verify_tree_table()
     checks = [("28-cell walk table", all(r["ok"] for r in reports))]
-    rng = random.Random(seed)
+    random_count = 20
+    rng = random.Random(79)
     done = 0
     while done < random_count:
         m = rng.randint(2, 40)
@@ -378,8 +380,8 @@ def suite_sequences():
     return checks
 
 
-def suite_fermat(depth=4):
-    tree = fermat.enumerate_tree(depth)
+def suite_fermat():
+    tree = fermat.enumerate_tree(4)
     found = {(n.a, n.b, n.c): d for d, n in tree.nodes}
     table = {
         "N1": (-119, 120, 169),
@@ -419,14 +421,6 @@ SUITES = (
 )
 
 
-def run_all(**overrides):
-    """Run every suite; returns dict name -> list of (check, ok).
-
-    overrides may carry per-suite keyword arguments, keyed by suite name
-    with a dict value (e.g. trinity={'max_order': 2}).
-    """
-    results = {}
-    for name, fn in SUITES:
-        kwargs = overrides.get(name.replace("-", "_"), {})
-        results[name] = fn(**kwargs)
-    return results
+def run_all():
+    """Run every suite; returns dict name -> list of (check, ok)."""
+    return {name: fn() for name, fn in SUITES}

@@ -1,8 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from congruent import cli
+from congruent import cli, trinity, verify
 
 
 def run(capsys, argv):
@@ -111,8 +113,51 @@ def test_domain_error_exit_code(capsys):
     assert "error:" in err
 
 
-def test_verify_all_fast(capsys):
-    code, out, _ = run(capsys, ["verify-all", "--max-order", "1", "--samples", "8", "--json"])
+def test_verify_all_fast(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "SUITES", (("triples", verify.suite_triples),))
+    code, out, _ = run(capsys, ["verify-all", "--json"])
     assert code == 0
     env = json.loads(out)
+    assert env["inputs"] == {}
+    assert env["results"] == {"triples": "11/11"}
+    monkeypatch.setattr(verify, "SUITES", (("broken", lambda: [("one", True), ("two", False)]),))
+    code, out, _ = run(capsys, ["verify-all", "--json"])
+    assert code == 1
+    assert json.loads(out)["checks"] == [{"name": "broken", "pass": False}]
+
+
+def test_trinity_json_is_exact(capsys):
+    code, out, _ = run(capsys, ["trinity", "--max-order", "1", "--json"])
+    assert code == 0
+    env = json.loads(out, parse_float=lambda text: pytest.fail(f"float {text} in output"))
+    assert env["results"] == {"circles": 20, "circles_failed": []}
     assert all(c["pass"] for c in env["checks"])
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["trinity", "--max-order", "0"], "--max-order must be between 1 and 6"),
+        (["trinity", "--max-order", "7"], "--max-order must be between 1 and 6"),
+        (["tangent", "--n", "5", "--a", "3/2", "--b", "20/3", "--depth", "6"],
+         "--depth must be between 1 and 5"),
+    ],
+)
+def test_out_of_range_effort_exits_before_work(capsys, monkeypatch, argv, flag):
+    monkeypatch.setattr(trinity, "verify_all", lambda *_: pytest.fail("trinity ran"))
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert not out
+    assert flag in err
+
+
+def test_readme_cli_block_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        prog, *argv = shlex.split(line)
+        assert prog == "congruent"
+        parser.parse_args(argv)

@@ -10,17 +10,10 @@ from congruent.exact import (
     format_rat,
     is_probable_prime,
     is_square,
-    isqrt,
     parse_rat,
     rat_sqrt,
     squarefree_part,
 )
-
-
-@given(st.integers(min_value=0, max_value=10**40))
-def test_isqrt_bounds(n):
-    r = isqrt(n)
-    assert r * r <= n < (r + 1) * (r + 1)
 
 
 @given(st.integers(min_value=0, max_value=10**20))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -27,24 +28,14 @@ def test_vector_cross_and_dot_structure():
 
 def test_vec_ops_dot_and_cross():
     u, v, _ = trinity.trinity_vectors()
-    c = trinity.vec_ops(u, v, "cross")
+    c = u.cross(v)
     # the cross product is orthogonal to both factors, symbolically
-    assert trinity.vec_ops(c, u, "dot").is_zero()
-    assert trinity.vec_ops(c, v, "dot").is_zero()
-
-
-def test_vec_ops_rejects_unknown_op():
-    u, v, _ = trinity.trinity_vectors()
-    try:
-        trinity.vec_ops(u, v, "wedge")
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected ValueError")
+    assert c.dot(u).is_zero()
+    assert c.dot(v).is_zero()
 
 
 def test_derivative_identities_small():
-    checks = trinity.verify_derivative_identities(max_n=2, max_m=2)
+    checks = trinity.verify_derivative_identities(2)
     assert checks and all(ok for _, ok in checks)
 
 
@@ -58,7 +49,7 @@ def test_perturbed_sphere_fails_by_name(monkeypatch):
     for name in ("plane1: x1+y1-z1 = 1", "norm1 = 1", "d^1 plane1 = 0", "d^2 plane1 = 0"):
         assert not sphere[name], name
     assert all(sphere[k] for k in ("plane2: x2-y2-z2 = 0", "norm2 = 1/2", "d^2 plane3 = 0"))
-    vector = dict(trinity.verify_derivative_identities(2, 2))
+    vector = dict(trinity.verify_derivative_identities(2))
     for name in ("a.b = 0", "|a|^2 = 1", "cxa = b", "d1a.d1b = 0", "d2a x d2c = 0"):
         assert not vector[name], name
     assert all(vector[k] for k in ("b.c = 0", "|b|^2 = 1/2", "d2b.d2c = 0"))
@@ -68,7 +59,7 @@ def test_perturbed_sphere_fails_by_name(monkeypatch):
     "run, name, points",
     [
         (lambda: trinity.verify_sphere_relations(1), "norm1 = 1", 17),
-        (lambda: trinity.verify_derivative_identities(1, 1), "|a|^2 = 1", 49),
+        (lambda: trinity.verify_derivative_identities(1), "|a|^2 = 1", 49),
     ],
 )
 def test_perturbation_hidden_below_the_bound_is_caught(monkeypatch, run, name, points):
@@ -116,19 +107,68 @@ def test_sum_of_squares_identity(mn):
     assert rep["holds"]
 
 
-def test_circle_check_small_sample():
-    rep = trinity.circle_check(samples=8)
-    assert rep["ok"]
-    assert rep["points"] == 20 * 8
-
-
-def test_circle_check_rejects_tiny_sample():
-    try:
-        trinity.circle_check(samples=4)
-    except ValueError:
-        pass
+def _reference_point(family, signs, angle):
+    """The float parameterization of each circle family: the reference for the exact data."""
+    cs, sn = math.cos(angle), math.sin(angle)
+    if family == 1:
+        base = (
+            1 / 3 - cs / math.sqrt(3) - sn / 3,
+            1 / 3 + cs / math.sqrt(3) - sn / 3,
+            1 / 3 + 2 * sn / 3,
+        )
+    elif family == 2:
+        base = (
+            -cs / 2 - sn / (2 * math.sqrt(3)),
+            -cs / 2 + sn / (2 * math.sqrt(3)),
+            -sn / math.sqrt(3),
+        )
     else:
-        raise AssertionError("expected ValueError")
+        base = (
+            2 / 3 - cs / (2 * math.sqrt(3)) - sn / 6,
+            2 / 3 + cs / (2 * math.sqrt(3)) - sn / 6,
+            2 / 3 + sn / 3,
+        )
+    return tuple(s * v for s, v in zip(signs, base))
+
+
+def test_circle_check_proves_every_circle():
+    rep = trinity.circle_check()
+    assert rep == {"circles": 20, "failed": [], "ok": True}
+
+
+def test_exact_circles_match_the_float_parameterization():
+    for circ in trinity.circles():
+        a, b = math.sqrt(circ.su), math.sqrt(circ.sv)
+        for angle in (0.123, 1.0, 2.5, -2.0, 4.7):
+            cs, sn = math.cos(angle), math.sin(angle)
+            got = [c + cs * a * u + sn * b * v for c, u, v in zip(circ.center, circ.u, circ.v)]
+            want = _reference_point(circ.family, circ.signs, angle)
+            assert all(abs(g - w) < 1e-12 for g, w in zip(got, want)), (circ, angle)
+
+
+def _mutations(info):
+    """Every datum of one family, changed one at a time."""
+    for key in ("C", "u", "v", "normal"):
+        for i in range(3):
+            vec = list(info[key])
+            vec[i] += Fraction(1, 7)
+            yield key, tuple(vec)
+    for key in ("su", "sv", "const", "sphere2", "radius2"):
+        yield key, info[key] + Fraction(1, 7)
+    if info["second"] is not None:
+        k, r2 = info["second"]
+        yield "second", (k + Fraction(1, 7), r2)
+        yield "second", (k, r2 + Fraction(1, 7))
+
+
+@pytest.mark.parametrize("family", [1, 2, 3])
+def test_circle_check_fails_on_any_changed_datum(monkeypatch, family):
+    info = trinity._FAMILY[family]
+    for key, value in _mutations(info):
+        monkeypatch.setitem(trinity._FAMILY, family, {**info, key: value})
+        rep = trinity.circle_check()
+        assert not rep["ok"], (family, key, value)
+        assert {f for f, _ in rep["failed"]} == {family}
 
 
 def test_twenty_signed_circles():
@@ -142,5 +182,5 @@ def test_twenty_signed_circles():
 
 
 def test_verify_all_low_order():
-    checks = trinity.verify_all(max_order=1, samples=8)
+    checks = trinity.verify_all(max_order=1)
     assert checks and all(ok for _, ok in checks)
