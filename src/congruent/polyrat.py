@@ -3,16 +3,17 @@
 Coefficients are Fractions stored lowest degree first.  A rational function
 is a plain numerator/denominator pair that is never reduced; two of them
 are equal when their cross products are.  Derivatives of a quotient are
-taken at a point: ``derivatives_at`` gives the exact values f(t0), f'(t0),
-... at one rational t0, and an identity between such values is proved by
-evaluating it at more points than the degree of its cleared polynomial
-form.
+taken at a point: ``derivatives_at`` gives f(t0), f'(t0), ... as values
+over one common scale, all of them ints when t0 is an integer, by
+division-free Taylor-mode recurrences on the cleared polynomials.  An
+identity between such values is proved by evaluating it at more points
+than the degree of its cleared polynomial form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 __all__ = ["Poly", "RatFunc", "derivatives_at"]
 
@@ -102,9 +103,6 @@ class Poly:
             base = base * base
             n >>= 1
         return out
-
-    def deriv(self):
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, t):
         acc = Fraction(0)
@@ -232,22 +230,50 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def derivatives_at(num, den, t0, order):
-    """The exact values f(t0), f'(t0), ..., f^(order)(t0) of f = num/den.
+def _taylor(coeffs, t0, order):
+    """[c_0, ..., c_order] with sum c_k h^k = sum coeffs[i] (t0 + h)^i, through h^order.
 
-    Taylor-mode differentiation (Griewank & Walther, Evaluating Derivatives,
-    ch. 13): with num(t0 + h) = sum p_k h^k and den(t0 + h) = sum q_k h^k,
-    the Taylor coefficients of f follow from f * den = num as
-    f_k = (p_k - sum_{j=1..k} q_j f_{k-j}) / q_0, and f^(k)(t0) = k! f_k.
+    Each synthetic division by (t - t0) (Horner) yields the next Taylor
+    coefficient as its remainder and leaves the quotient for the next one.
     """
-    p, q = [], []
-    for k in range(order + 1):
-        p.append(num(t0) / factorial(k))
-        q.append(den(t0) / factorial(k))
-        num, den = num.deriv(), den.deriv()
-    if q[0] == 0:
+    cs = list(reversed(coeffs))
+    out = []
+    for _ in range(order + 1):
+        acc = 0
+        for i, c in enumerate(cs):
+            acc = acc * t0 + c
+            cs[i] = acc
+        out.append(cs.pop() if cs else 0)
+    return out
+
+
+def derivatives_at(num, den, t0, order):
+    """Exact f(t0), f'(t0), ..., f^(order)(t0) of f = num/den over one scale.
+
+    Returns (values, scale) with f^(k)(t0) = values[k] / scale.  Both
+    polynomials are first multiplied by the lcm of their coefficient
+    denominators, so at an integer t0 every value and the scale are ints;
+    a Fraction t0 gives Fractions.  Taylor-mode differentiation (Griewank &
+    Walther, Evaluating Derivatives, ch. 13): with num(t0 + h) = sum p_k h^k
+    and den(t0 + h) = sum q_k h^k, f = num/den has Taylor coefficients
+    f_k = (p_k - sum_{j=1..k} q_j f_{k-j}) / Q with Q = q_0.  The integers
+    F_k = f_k Q^(k+1) obey F_k = p_k Q^k - sum_{j=1..k} q_j F_{k-j} Q^(j-1),
+    with no division, and f^(k)(t0) = k! F_k Q^(order-k) / Q^(order+1).
+    """
+    # a list, not a generator: CPython builds *args from an iterator by resizing
+    # a tuple, and those tuples pile up on its free list (~0.4 MB per run)
+    clear = lcm(*[c.denominator for c in num.coeffs + den.coeffs])
+    p, q = (
+        _taylor([c.numerator * (clear // c.denominator) for c in poly.coeffs], t0, order)
+        for poly in (num, den)
+    )
+    q0 = q[0]
+    if q0 == 0:
         raise ZeroDivisionError(f"pole at t={t0}")
+    powers = [1]
+    for _ in range(order + 1):
+        powers.append(powers[-1] * q0)
     f = []
     for k in range(order + 1):
-        f.append((p[k] - sum(q[j] * f[k - j] for j in range(1, k + 1))) / q[0])
-    return [factorial(k) * fk for k, fk in enumerate(f)]
+        f.append(p[k] * powers[k] - sum(q[j] * f[k - j] * powers[j - 1] for j in range(1, k + 1)))
+    return [factorial(k) * fk * powers[order - k] for k, fk in enumerate(f)], powers[order + 1]

@@ -8,10 +8,10 @@ structure (a ⟂ b ⟂ c, a·c = 1) that survives differentiation in a long
 list of exact identities.  The sphere loci are twenty signed circles
 with trigonometric parameterizations; each is proved exact through the
 rational data of its parameterization.  Every other identity is proved
-by exact evaluation: the derivatives of each component are computed
-exactly at rational points, and an identity counts as proved once it
-holds at more points than the degree bound of its cleared polynomial
-form.
+by exact evaluation: at each integer point the derivatives of all
+components are integers over one common scale, each identity is
+compared in integers, and it counts as proved once it holds at more
+points than the degree bound of its cleared polynomial form.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .polyrat import Poly, RatFunc, derivatives_at
 from .triples import derived_triples, euclid
@@ -39,11 +40,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Vec3F:
-    """A 3-vector of rational functions in t, or of their values at a point."""
+    """A 3-vector of rational functions in t, or of their scaled values at a point."""
 
-    x: RatFunc | Fraction
-    y: RatFunc | Fraction
-    z: RatFunc | Fraction
+    x: RatFunc | Fraction | int
+    y: RatFunc | Fraction | int
+    z: RatFunc | Fraction | int
 
     def __iter__(self):
         return iter((self.x, self.y, self.z))
@@ -112,14 +113,30 @@ def sphere_params(i):
 # product has weight w + v.  A check of weight w therefore clears to a
 # polynomial identity of degree <= 8w, and as d > 0 at every real t, it
 # holds identically once it holds at 8w + 1 distinct rational points.
+#
+# Scale.  At each integer point every value is an integer over one scale S
+# (see _jets; the denominators d and 2d of the spheres and of a, b, c give
+# S = (2 d(t0))^(order+1)), so a product of j values is an integer over
+# S^j.  Each check compares integers with both sides at the same power of
+# S: a constant facing a product of j values is multiplied by S^j, as in
+# a.c = 1 becoming a.c == S^2 and cxa = b becoming cxa == S b.  As S != 0,
+# the integer equality holds exactly when the rational one does.
 def _points(weight):
     return range(8 * weight + 1)
 
 
-def _jet(v, t0, order):
-    """[v, v', ..., v^(order)] of a rational-function Vec3F, exactly at t0."""
-    comps = [derivatives_at(f.num, f.den, t0, order) for f in v]
-    return [Vec3F(*ks) for ks in zip(*comps)]
+def _jets(vectors, t0, order):
+    """The jets [v, v', ..., v^(order)] of each vector at t0, over one scale.
+
+    Returns (jets, S): for every vector v, the k-th derivative of v at t0 is
+    jets[i][k] / S.  S is the lcm of the scales of all the components, so
+    at an integer t0 every entry is an int.
+    """
+    comps = [derivatives_at(f.num, f.den, t0, order) for v in vectors for f in v]
+    scale = lcm(*[s for _, s in comps])  # a list, as in derivatives_at
+    values = [[x * (scale // s) for x in xs] for xs, s in comps]
+    jets = [[Vec3F(*ks) for ks in zip(*values[i : i + 3])] for i in range(0, len(values), 3)]
+    return jets, scale
 
 
 def _proved(battery, points):
@@ -148,14 +165,15 @@ def verify_sphere_relations(max_order=4):
     (p1, r1), (p2, r2), (p3, r3) = (sphere_params(i) for i in (1, 2, 3))
 
     def battery(t0):
-        (s1, *d1), (s2, *d2), (s3, *d3) = (_jet(p, t0, max_order) for p in (p1, p2, p3))
+        ((s1, *d1), (s2, *d2), (s3, *d3)), S = _jets((p1, p2, p3), t0, max_order)
+        S2 = S * S
         checks = [
-            ("plane1: x1+y1-z1 = 1", s1.x + s1.y - s1.z == 1),
+            ("plane1: x1+y1-z1 = 1", s1.x + s1.y - s1.z == S),
             ("plane2: x2-y2-z2 = 0", s2.x - s2.y - s2.z == 0),
-            ("plane3: x3+y3+z3 = 2", s3.x + s3.y + s3.z == 2),
-            ("norm1 = 1", s1.norm2() == r1),
-            ("norm2 = 1/2", s2.norm2() == r2),
-            ("norm3 = 3/2", s3.norm2() == r3),
+            ("plane3: x3+y3+z3 = 2", s3.x + s3.y + s3.z == 2 * S),
+            ("norm1 = 1", r1.denominator * s1.norm2() == r1.numerator * S2),
+            ("norm2 = 1/2", r2.denominator * s2.norm2() == r2.numerator * S2),
+            ("norm3 = 3/2", r3.denominator * s3.norm2() == r3.numerator * S2),
             ("x1^2+x2^2 = x3^2", s1.x**2 + s2.x**2 == s3.x**2),
             ("y1^2+y2^2 = y3^2", s1.y**2 + s2.y**2 == s3.y**2),
             ("z1^2+z2^2 = z3^2", s1.z**2 + s2.z**2 == s3.z**2),
@@ -180,32 +198,32 @@ def trinity_vectors():
     return a, b, c
 
 
-def _derivative_battery(da, db, dc, max_order):
+def _derivative_battery(da, db, dc, S, max_order):
+    """The battery on jets over the scale S (see the scale rule above)."""
     a, b, c = da[0], db[0], dc[0]
+    S2, S3 = S * S, S**3
     checks = [
         ("a.b = 0", a.dot(b) == 0),
         ("b.c = 0", b.dot(c) == 0),
-        ("a.c = 1", a.dot(c) == 1),
-        ("|a|^2 = 1", a.norm2() == 1),
-        ("|b|^2 = 1/2", b.norm2() == Fraction(1, 2)),
-        ("|c|^2 = 3/2", c.norm2() == Fraction(3, 2)),
-        ("cos^2(a,c) = 2/3", a.dot(c) ** 2 == Fraction(2, 3) * a.norm2() * c.norm2()),
+        ("a.c = 1", a.dot(c) == S2),
+        ("|a|^2 = 1", a.norm2() == S2),
+        ("|b|^2 = 1/2", 2 * b.norm2() == S2),
+        ("|c|^2 = 3/2", 2 * c.norm2() == 3 * S2),
+        ("cos^2(a,c) = 2/3", 3 * a.dot(c) ** 2 == 2 * a.norm2() * c.norm2()),
         (
             "cos^2(axb,c) = 1/3",
-            a.cross(b).dot(c) ** 2
-            == Fraction(1, 3) * a.cross(b).norm2() * c.norm2(),
+            3 * a.cross(b).dot(c) ** 2 == a.cross(b).norm2() * c.norm2(),
         ),
         (
             "cos^2(bxc,a) = 1/3",
-            b.cross(c).dot(a) ** 2
-            == Fraction(1, 3) * b.cross(c).norm2() * a.norm2(),
+            3 * b.cross(c).dot(a) ** 2 == b.cross(c).norm2() * a.norm2(),
         ),
-        ("a.(bxc) = 1/2", a.dot(b.cross(c)) == Fraction(1, 2)),
-        ("b.(cxa) = 1/2", b.dot(c.cross(a)) == Fraction(1, 2)),
-        ("c.(axb) = 1/2", c.dot(a.cross(b)) == Fraction(1, 2)),
-        ("ax(bxc) = b", a.cross(b.cross(c)) == b),
-        ("cx(bxa) = b", c.cross(b.cross(a)) == b),
-        ("cxa = b", c.cross(a) == b),
+        ("a.(bxc) = 1/2", 2 * a.dot(b.cross(c)) == S3),
+        ("b.(cxa) = 1/2", 2 * b.dot(c.cross(a)) == S3),
+        ("c.(axb) = 1/2", 2 * c.dot(a.cross(b)) == S3),
+        ("ax(bxc) = b", a.cross(b.cross(c)) == b.scaled(S2)),
+        ("cx(bxa) = b", c.cross(b.cross(a)) == b.scaled(S2)),
+        ("cxa = b", c.cross(a) == b.scaled(S)),
         ("bx(axc) = 0", b.cross(a.cross(c)).is_zero()),
     ]
     for n in range(1, max_order + 1):
@@ -301,8 +319,8 @@ def verify_derivative_identities(max_order=4):
     vectors = trinity_vectors()
 
     def battery(t0):
-        da, db, dc = (_jet(v, t0, max_order) for v in vectors)
-        return _derivative_battery(da, db, dc, max_order)
+        (da, db, dc), S = _jets(vectors, t0, max_order)
+        return _derivative_battery(da, db, dc, S, max_order)
 
     return _proved(battery, _points(max(6, 2 * max_order + 2)))
 

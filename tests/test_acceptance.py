@@ -6,8 +6,9 @@ the `verify-all` CLI command as the whole-repository gate.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
-from congruent import cli, verify
+from congruent import cli, fermat, sequences, verify
 
 
 F = Fraction
@@ -80,3 +81,54 @@ def test_verify_all_cli_exits_zero(capsys):
     assert cli.main(["verify-all"]) == 0
     out = capsys.readouterr().out
     assert "verify-all" in out
+
+
+def test_raising_suite_becomes_one_named_failing_check(monkeypatch):
+    def broken():
+        raise ValueError("boom")
+
+    monkeypatch.setattr(verify, "SUITES", (("broken", broken), ("triples", verify.suite_triples)))
+    results = verify.run_all()
+    assert results["broken"] == [("broken: ValueError: boom", False)]
+    assert results["triples"] == verify.suite_triples()
+
+
+def _corrupt_one(monkeypatch, module, name, which, corrupt):
+    """Make module.name return corrupt(result) for the argument `which` only."""
+    original = getattr(module, name)
+
+    def patched(k):
+        result = original(k)
+        return corrupt(result) if k == which else result
+
+    monkeypatch.setattr(module, name, patched)
+
+
+def test_fibonacci_family_check_catches_one_wrong_area(monkeypatch):
+    _corrupt_one(monkeypatch, sequences, "fib_odd_family", 4, lambda r: (r[0], r[1] + 1, r[2]))
+    checks = dict(verify.suite_sequences())
+    assert not checks["Fibonacci families, 10 instances"]
+    assert checks["Fibonacci/Lucas identity n <= 60"]
+
+
+def test_lucas_identity_check_catches_one_wrong_value(monkeypatch):
+    def wrong(pair):
+        return SimpleNamespace(index=pair.index, f=pair.f, l=pair.l + 1)
+
+    _corrupt_one(monkeypatch, sequences, "fib_lucas", 37, wrong)
+    assert not dict(verify.suite_sequences())["Fibonacci/Lucas identity n <= 60"]
+
+
+def test_fermat_node_check_catches_one_wrong_node(monkeypatch):
+    def corrupt(tree):
+        depth, node = tree.nodes[-1]
+        fields = ("x", "a", "b", "c", "kind", "sum_root", "hyp_root")
+        bad = SimpleNamespace(**{k: getattr(node, k) for k in fields})
+        bad.hyp_root += 1
+        return fermat.FermatTree(tree.depth, tree.nodes[:-1] + ((depth, bad),))
+
+    _corrupt_one(monkeypatch, fermat, "enumerate_tree", 4, corrupt)
+    checks = verify.suite_fermat()
+    invariants = [ok for name, ok in checks if name.endswith("nodes pass invariants")]
+    assert invariants == [False]
+    assert all(ok for name, ok in checks if not name.endswith("nodes pass invariants"))

@@ -126,6 +126,37 @@ def test_verify_all_fast(capsys, monkeypatch):
     assert json.loads(out)["checks"] == [{"name": "broken", "pass": False}]
 
 
+def test_verify_all_names_a_raising_suite(capsys, monkeypatch):
+    def broken():
+        raise AssertionError("secondary congruent number mismatch")
+
+    monkeypatch.setattr(verify, "SUITES", (("broken", broken), ("triples", verify.suite_triples)))
+    code, out, err = run(capsys, ["verify-all", "--json"])
+    assert code == 1
+    env = json.loads(out)
+    assert env["checks"] == [{"name": "broken", "pass": False}, {"name": "triples", "pass": True}]
+    assert env["results"]["broken"] == "0/1"
+    assert env["results"]["failed_checks"] == [
+        "broken: AssertionError: secondary congruent number mismatch"
+    ]
+    assert not err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["recur", "walk", "--start-m", "2", "--start-n", "1", "--path", "aaaaaaaaaaaaaa"], "--path"),
+        (["fermat", "--depth", "7"], "--depth"),
+    ],
+)
+def test_result_past_the_digit_limit_exits_3(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert not out
+    assert "4300-digit output limit" in err and flag in err
+    assert "set_int_max_str_digits" not in err
+
+
 def test_trinity_json_is_exact(capsys):
     code, out, _ = run(capsys, ["trinity", "--max-order", "1", "--json"])
     assert code == 0

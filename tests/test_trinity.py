@@ -55,6 +55,22 @@ def test_perturbed_sphere_fails_by_name(monkeypatch):
     assert all(vector[k] for k in ("b.c = 0", "|b|^2 = 1/2", "d2b.d2c = 0"))
 
 
+def test_perturbed_b_fails_the_checks_that_carry_scale_powers(monkeypatch):
+    # t^9/d moves y2, and so b = (x2, -y2, z2): the checks that compare b
+    # with a constant times a power of the common scale must fail
+    s2, r2 = trinity.sphere_params(2)
+    t = RatFunc.t()
+    bad = trinity.Vec3F(s2.x, s2.y + t**9 / RatFunc(s2.x.den), s2.z)
+    monkeypatch.setitem(trinity._SPHERES, 2, (bad, r2))
+    sphere = dict(trinity.verify_sphere_relations(2))
+    assert not sphere["norm2 = 1/2"]
+    assert all(sphere[k] for k in ("plane1: x1+y1-z1 = 1", "norm1 = 1", "norm3 = 3/2"))
+    vector = dict(trinity.verify_derivative_identities(2))
+    for name in ("|b|^2 = 1/2", "a.(bxc) = 1/2", "ax(bxc) = b"):
+        assert not vector[name], name
+    assert all(vector[k] for k in ("a.c = 1", "|a|^2 = 1", "|c|^2 = 3/2", "d2a x d2c = 0"))
+
+
 @pytest.mark.parametrize(
     "run, name, points",
     [
@@ -89,11 +105,12 @@ def test_sphere_derivatives_match_sympy():
         for f in trinity.sphere_params(i)[0]:
             g = expr(f.num) / expr(f.den)
             for t0 in (F(2, 3), F(-3)):
-                ours = derivatives_at(f.num, f.den, t0, 4)
+                values, scale = derivatives_at(f.num, f.den, t0, 4)
                 point = sympy.Rational(t0.numerator, t0.denominator)
                 for k in range(5):
                     want = sympy.diff(g, t, k).subs(t, point)
-                    assert sympy.Rational(ours[k].numerator, ours[k].denominator) == want
+                    ours = values[k] / scale
+                    assert sympy.Rational(ours.numerator, ours.denominator) == want
 
 
 @given(
