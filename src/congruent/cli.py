@@ -390,7 +390,7 @@ def _cmd_fermat(args):
         for d, n in tree.nodes
     ]
     results = {"nodes": nodes}
-    checks = [(f"{len(nodes)} nodes pass square invariants", True)]
+    checks = [(f"{len(nodes)} nodes pass square invariants", tree.invariants_hold())]
     if args.find_smallest:
         small = tree.smallest_sum()
         if small is None:

@@ -13,9 +13,8 @@ solution and its 45-digit successor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
 
 from .exact import is_square
 
@@ -30,18 +29,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FermatNode:
-    """One solution: the defining fraction and its signed integer triple."""
+    """One solution: the defining fraction, its signed integer triple and
+    the square roots of a + b and c."""
 
     x: Fraction
     a: int
     b: int
     c: int
+    sum_root: int = field(init=False, repr=False, compare=False)
+    hyp_root: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a**2 + self.b**2 != self.c**2:
             raise ValueError("node triple is not Pythagorean")
-        if is_square(self.a + self.b) is None or is_square(self.c) is None:
+        sum_root, hyp_root = is_square(self.a + self.b), is_square(self.c)
+        if sum_root is None or hyp_root is None:
             raise ValueError("node violates the square invariants")
+        object.__setattr__(self, "sum_root", sum_root)
+        object.__setattr__(self, "hyp_root", hyp_root)
 
     @property
     def kind(self):
@@ -50,14 +55,6 @@ class FermatNode:
         if self.b == 0:
             return "root"
         return "sum" if self.a > 0 and self.b > 0 else "diff"
-
-    @property
-    def sum_root(self):
-        return isqrt(self.a + self.b)
-
-    @property
-    def hyp_root(self):
-        return isqrt(self.c)
 
 
 @dataclass(frozen=True)
@@ -76,6 +73,13 @@ class FermatTree:
         if not candidates:
             return None
         return min(candidates, key=lambda n: n.c)
+
+    def invariants_hold(self):
+        """Whether every node has a^2 + b^2 = c^2, a + b = sum_root^2 and c = hyp_root^2."""
+        return all(
+            n.a**2 + n.b**2 == n.c**2 and n.a + n.b == n.sum_root**2 and n.c == n.hyp_root**2
+            for _, n in self.nodes
+        )
 
 
 def node_from_fraction(x):
@@ -96,14 +100,14 @@ def children(node):
     With n = a - b and m = sqrt(a+b) sqrt(c) (integers by the node
     invariants), the children are ((2mn)^2 + n^4 ± 4mn·sqrt(8m^4+n^4))
     over (16m^4 + n^4); the value 1 (the root) is excluded.  The radical
-    8m^4 + n^4 has been a perfect square at every node ever enumerated;
-    a non-square here is treated as a hard structural failure.
+    is always a square: with u = a + b, v = a - b = n and
+    c^2 = a^2 + b^2 = (u^2 + v^2)/2, m^4 = u^2 c^2 and
+    8m^4 + n^4 = 4u^2 (u^2 + v^2) + v^4 = (2u^2 + v^2)^2,
+    whose positive root is 2u^2 + v^2 = 3a^2 + 2ab + 3b^2.
     """
     n = node.a - node.b
     m = node.sum_root * node.hyp_root
-    d = is_square(8 * m**4 + n**4)
-    if d is None:
-        raise ArithmeticError("8m^4 + n^4 is not a perfect square on-tree")
+    d = 2 * (node.a + node.b) ** 2 + n**2
     den = 16 * m**4 + n**4
     out = []
     for sign in (1, -1):

@@ -7,11 +7,13 @@ the three parameterizations as vectors a, b, c yields an orthogonality
 structure (a ⟂ b ⟂ c, a·c = 1) that survives differentiation in a long
 list of exact identities.  The sphere loci are twenty signed circles
 with trigonometric parameterizations; each is proved exact through the
-rational data of its parameterization.  Every other identity is proved
-by exact evaluation: at each integer point the derivatives of all
-components are integers over one common scale, each identity is
-compared in integers, and it counts as proved once it holds at more
-points than the degree bound of its cleared polynomial form.
+rational data of its parameterization.  The nine sphere components are
+integer numerators over the one denominator 2(t^8 + 14t^4 + 1).  Every
+other identity is proved by exact evaluation: at each integer point a
+division-free Taylor recurrence gives the derivatives of all components
+as integers over one common scale, each identity is compared in
+integers, and it counts as proved once it holds at more points than the
+degree bound of its cleared polynomial form.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import factorial
 
-from .polyrat import Poly, RatFunc, derivatives_at
 from .triples import derived_triples, euclid
 
 __all__ = [
@@ -40,11 +41,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Vec3F:
-    """A 3-vector of rational functions in t, or of their scaled values at a point."""
+    """A 3-vector of exact numbers: scaled values at a point, or circle data."""
 
-    x: RatFunc | Fraction | int
-    y: RatFunc | Fraction | int
-    z: RatFunc | Fraction | int
+    x: Fraction | int
+    y: Fraction | int
+    z: Fraction | int
 
     def __iter__(self):
         return iter((self.x, self.y, self.z))
@@ -72,41 +73,88 @@ class Vec3F:
         return self.x == 0 and self.y == 0 and self.z == 0
 
 
-def _build_spheres():
-    t = Poly.x()
-    one = Poly([1])
-    d = t**8 + 14 * t**4 + one
-    s1 = Vec3F(
-        RatFunc((t**4 - one) ** 2, d),
-        RatFunc(4 * t**2 * (t**2 + one) ** 2, d),
-        RatFunc(4 * t**2 * (t**2 - one) ** 2, d),
-    )
-    s2 = Vec3F(
-        RatFunc(4 * t**2 * (t**4 + one), d),
-        RatFunc((t**2 - one) ** 2 * (t**4 + 6 * t**2 + one), 2 * d),
-        RatFunc(-((t**2 + one) ** 2) * (t**4 - 6 * t**2 + one), 2 * d),
-    )
-    s3 = Vec3F(
-        RatFunc(t**8 + 6 * t**4 + one, d),
-        RatFunc(t**8 + 4 * t**6 + 22 * t**4 + 4 * t**2 + one, 2 * d),
-        RatFunc(t**8 - 4 * t**6 + 22 * t**4 - 4 * t**2 + one, 2 * d),
-    )
-    return {1: (s1, Fraction(1)), 2: (s2, Fraction(1, 2)), 3: (s3, Fraction(3, 2))}
-
-
-_SPHERES = _build_spheres()
+# Every sphere component is an integer numerator over the one denominator
+# _DEN = 2d, d = t^8 + 14t^4 + 1, all coefficients lowest degree first.
+# They are the product forms
+#   sphere 1: ((t^4-1)^2, 4t^2(t^2+1)^2, 4t^2(t^2-1)^2) / d
+#   sphere 2: 4t^2(t^4+1) / d, (t^2-1)^2(t^4+6t^2+1) / 2d,
+#             -(t^2+1)^2(t^4-6t^2+1) / 2d
+#   sphere 3: (t^8+6t^4+1) / d, (t^8+4t^6+22t^4+4t^2+1) / 2d,
+#             (t^8-4t^6+22t^4-4t^2+1) / 2d
+# with squared radii 1, 1/2 and 3/2.
+_DEN = (2, 0, 0, 0, 28, 0, 0, 0, 2)
+_SPHERES = {
+    1: (((2, 0, 0, 0, -4, 0, 0, 0, 2),
+         (0, 0, 8, 0, 16, 0, 8, 0, 0),
+         (0, 0, 8, 0, -16, 0, 8, 0, 0)), Fraction(1)),
+    2: (((0, 0, 8, 0, 0, 0, 8, 0, 0),
+         (1, 0, 4, 0, -10, 0, 4, 0, 1),
+         (-1, 0, 4, 0, 10, 0, 4, 0, -1)), Fraction(1, 2)),
+    3: (((2, 0, 0, 0, 12, 0, 0, 0, 2),
+         (1, 0, 4, 0, 22, 0, 4, 0, 1),
+         (1, 0, -4, 0, 22, 0, -4, 0, 1)), Fraction(3, 2)),
+}
 
 
 def sphere_params(i):
-    """The rational point (x, y, z)_i on sphere i and its squared radius."""
+    """The numerators (x, y, z)_i of the point on sphere i over _DEN, and its squared radius."""
     if i not in (1, 2, 3):
         raise ValueError("sphere index must be 1, 2 or 3")
     return _SPHERES[i]
 
 
+def _taylor(coeffs, t0, order):
+    """[c_0, ..., c_order] with sum c_k h^k = sum coeffs[i] (t0 + h)^i, through h^order.
+
+    Each synthetic division by (t - t0) (Horner) yields the next Taylor
+    coefficient as its remainder and leaves the quotient for the next one.
+    """
+    cs = list(reversed(coeffs))
+    out = []
+    for _ in range(order + 1):
+        acc = 0
+        for i, c in enumerate(cs):
+            acc = acc * t0 + c
+            cs[i] = acc
+        out.append(cs.pop() if cs else 0)
+    return out
+
+
+def _derivatives(nums, den, t0, order):
+    """Exact f(t0), f'(t0), ..., f^(order)(t0) of each f = num/den over one scale.
+
+    Returns (values, S) with f^(k)(t0) = values[i][k] / S for f = nums[i]/den
+    and S = den(t0)^(order+1): ints at an integer t0 when the coefficients
+    are ints, Fractions at a Fraction t0.  Taylor-mode differentiation
+    (Griewank & Walther, Evaluating Derivatives, ch. 13): with
+    num(t0 + h) = sum p_k h^k and den(t0 + h) = sum q_k h^k, f has Taylor
+    coefficients f_k = (p_k - sum_{j=1..k} q_j f_{k-j}) / Q with Q = q_0.
+    The F_k = f_k Q^(k+1) obey F_k = p_k Q^k - sum_{j=1..k} q_j F_{k-j} Q^(j-1),
+    with no division, and f^(k)(t0) = k! F_k Q^(order-k) / Q^(order+1).
+    The denominator is shifted once for all the numerators.
+    """
+    q = _taylor(den, t0, order)
+    q0 = q[0]
+    if q0 == 0:
+        # a zero scale would make every scaled comparison hold vacuously
+        raise ZeroDivisionError(f"pole at t={t0}")
+    powers = [1]
+    for _ in range(order + 1):
+        powers.append(powers[-1] * q0)
+    values = []
+    for num in nums:
+        p = _taylor(num, t0, order)
+        f = []
+        for k in range(order + 1):
+            carry = sum(q[j] * f[k - j] * powers[j - 1] for j in range(1, k + 1))
+            f.append(p[k] * powers[k] - carry)
+        values.append([factorial(k) * fk * powers[order - k] for k, fk in enumerate(f)])
+    return values, powers[order + 1]
+
+
 # Degree bound.  Call P/d^w, with d = t^8 + 14t^4 + 1 and deg P <= 8w, a
-# function of weight w (a constant factor, as in the 2d of sphere 2, does
-# not matter).  Each sphere component is deg 8 over d, weight 1.  The
+# function of weight w (a constant factor, as in _DEN = 2d, does not
+# matter).  Each sphere component is deg 8 over 2d, weight 1.  The
 # derivative of P/d^w is (P'd - wPd')/d^(w+1) with degree <= 8w + 7, so the
 # k-th derivative of a component is deg <= 8 + 7k over d^(k+1), weight k + 1.
 # Over the common denominator d^max(w, v), a sum has weight max(w, v); a
@@ -114,27 +162,24 @@ def sphere_params(i):
 # polynomial identity of degree <= 8w, and as d > 0 at every real t, it
 # holds identically once it holds at 8w + 1 distinct rational points.
 #
-# Scale.  At each integer point every value is an integer over one scale S
-# (see _jets; the denominators d and 2d of the spheres and of a, b, c give
-# S = (2 d(t0))^(order+1)), so a product of j values is an integer over
-# S^j.  Each check compares integers with both sides at the same power of
-# S: a constant facing a product of j values is multiplied by S^j, as in
-# a.c = 1 becoming a.c == S^2 and cxa = b becoming cxa == S b.  As S != 0,
-# the integer equality holds exactly when the rational one does.
+# Scale.  At each integer point every value is an integer over the one
+# scale S = (2 d(t0))^(order+1) of _DEN (see _derivatives), so a product
+# of j values is an integer over S^j.  Each check compares integers with
+# both sides at the same power of S: a constant facing a product of j
+# values is multiplied by S^j, as in a.c = 1 becoming a.c == S^2 and
+# cxa = b becoming cxa == S b.  As S != 0, the integer equality holds
+# exactly when the rational one does.
 def _points(weight):
     return range(8 * weight + 1)
 
 
 def _jets(vectors, t0, order):
-    """The jets [v, v', ..., v^(order)] of each vector at t0, over one scale.
+    """The jets [v, v', ..., v^(order)] of each vector of numerators at t0.
 
-    Returns (jets, S): for every vector v, the k-th derivative of v at t0 is
-    jets[i][k] / S.  S is the lcm of the scales of all the components, so
-    at an integer t0 every entry is an int.
+    Returns (jets, S): for every vector v, the k-th derivative of v / _DEN
+    at t0 is jets[i][k] / S, and at an integer t0 every entry is an int.
     """
-    comps = [derivatives_at(f.num, f.den, t0, order) for v in vectors for f in v]
-    scale = lcm(*[s for _, s in comps])  # a list, as in derivatives_at
-    values = [[x * (scale // s) for x in xs] for xs, s in comps]
+    values, scale = _derivatives([f for v in vectors for f in v], _DEN, t0, order)
     jets = [[Vec3F(*ks) for ks in zip(*values[i : i + 3])] for i in range(0, len(values), 3)]
     return jets, scale
 
@@ -187,15 +232,16 @@ def verify_sphere_relations(max_order=4):
     return _proved(battery, _points(max(2, max_order + 1)))
 
 
+def _neg(coeffs):
+    return tuple(-c for c in coeffs)
+
+
 def trinity_vectors():
-    """The vectors a = (x,y,z)_1, b = (x,-y,z)_2, c = (x,y,-z)_3."""
-    s1, _ = sphere_params(1)
-    s2, _ = sphere_params(2)
-    s3, _ = sphere_params(3)
-    a = s1
-    b = Vec3F(s2.x, -s2.y, s2.z)
-    c = Vec3F(s3.x, s3.y, -s3.z)
-    return a, b, c
+    """The vectors a = (x,y,z)_1, b = (x,-y,z)_2, c = (x,y,-z)_3, as numerators over _DEN."""
+    a, _ = sphere_params(1)
+    (x2, y2, z2), _ = sphere_params(2)
+    (x3, y3, z3), _ = sphere_params(3)
+    return a, (x2, _neg(y2), z2), (x3, y3, _neg(z3))
 
 
 def _derivative_battery(da, db, dc, S, max_order):

@@ -73,16 +73,22 @@ def suite_triples():
     return checks
 
 
+def _random_pairs(seed, count, max_m):
+    """count seeded Euclid pairs: 0 < n < m <= max_m, coprime, of opposite parity."""
+    rng = random.Random(seed)
+    done = 0
+    while done < count:
+        m = rng.randint(2, max_m)
+        n = rng.randint(1, m - 1)
+        if gcd(m, n) == 1 and (m - n) % 2:
+            yield m, n
+            done += 1
+
+
 def suite_triples_random():
     """Derived-triple identities over 200 random admissible (m, n)."""
     count = 200
-    rng = random.Random(20210525)
-    done = 0
-    while done < count:
-        m = rng.randint(2, 80)
-        n = rng.randint(1, m - 1)
-        if gcd(m, n) != 1 or (m - n) % 2 == 0:
-            continue
+    for m, n in _random_pairs(20210525, count, 80):
         try:
             triples.derived_triples(m, n)  # Pythagoras asserted on build
             if not triples.area_identity_check(m, n)["holds"]:
@@ -92,7 +98,6 @@ def suite_triples_random():
             triples.concordant_solutions(m, n)
         except (ValueError, AssertionError) as exc:
             return [(f"random ({m},{n}): {exc}", False)]
-        done += 1
     return [(f"{count} random (m,n) pass all identities", True)]
 
 
@@ -313,17 +318,10 @@ def suite_recurrence():
     reports = recurrence.verify_tree_table()
     checks = [("28-cell walk table", all(r["ok"] for r in reports))]
     random_count = 20
-    rng = random.Random(79)
-    done = 0
-    while done < random_count:
-        m = rng.randint(2, 40)
-        n = rng.randint(1, m - 1)
-        if gcd(m, n) != 1 or (m - n) % 2 == 0:
-            continue
+    for m, n in _random_pairs(79, random_count, 40):
         for which, i in (("a_pow_i", 1), ("a_pow_i", 2), ("a_pow_i", 3), ("ab", 1), ("bb", 1)):
             if not recurrence.closed_form_check(m, n, which, i)["match"]:
                 return checks + [(f"closed form {which} ({m},{n})", False)]
-        done += 1
     checks.append((f"closed forms on {random_count} random (m,n)", True))
     return checks
 
@@ -401,11 +399,7 @@ def suite_fermat():
     checks.append(
         ("square witnesses", (small.sum_root, small.hyp_root) == (2372159, 2165017))
     )
-    invariants = all(
-        n.a**2 + n.b**2 == n.c**2 and n.a + n.b == n.sum_root**2 and n.c == n.hyp_root**2
-        for _, n in tree.nodes
-    )
-    checks.append((f"{len(tree.nodes)} nodes pass invariants", invariants))
+    checks.append((f"{len(tree.nodes)} nodes pass invariants", tree.invariants_hold()))
     return checks
 
 

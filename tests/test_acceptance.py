@@ -5,7 +5,10 @@ property sweeps, symbolic identities, the shipped tables, and finally
 the `verify-all` CLI command as the whole-repository gate.
 """
 
+import json
+import random
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
 from congruent import cli, fermat, sequences, verify
@@ -119,16 +122,35 @@ def test_lucas_identity_check_catches_one_wrong_value(monkeypatch):
     assert not dict(verify.suite_sequences())["Fibonacci/Lucas identity n <= 60"]
 
 
-def test_fermat_node_check_catches_one_wrong_node(monkeypatch):
-    def corrupt(tree):
-        depth, node = tree.nodes[-1]
-        fields = ("x", "a", "b", "c", "kind", "sum_root", "hyp_root")
-        bad = SimpleNamespace(**{k: getattr(node, k) for k in fields})
-        bad.hyp_root += 1
-        return fermat.FermatTree(tree.depth, tree.nodes[:-1] + ((depth, bad),))
+def _corrupt_last_node(tree):
+    depth, node = tree.nodes[-1]
+    fields = ("x", "a", "b", "c", "kind", "sum_root", "hyp_root")
+    bad = SimpleNamespace(**{k: getattr(node, k) for k in fields})
+    bad.hyp_root += 1
+    return fermat.FermatTree(tree.depth, tree.nodes[:-1] + ((depth, bad),))
 
-    _corrupt_one(monkeypatch, fermat, "enumerate_tree", 4, corrupt)
+
+def test_fermat_node_check_catches_one_wrong_node(monkeypatch):
+    _corrupt_one(monkeypatch, fermat, "enumerate_tree", 4, _corrupt_last_node)
     checks = verify.suite_fermat()
     invariants = [ok for name, ok in checks if name.endswith("nodes pass invariants")]
     assert invariants == [False]
     assert all(ok for name, ok in checks if not name.endswith("nodes pass invariants"))
+
+
+def test_fermat_cli_check_catches_one_wrong_node(monkeypatch, capsys):
+    _corrupt_one(monkeypatch, fermat, "enumerate_tree", 4, _corrupt_last_node)
+    assert cli.main(["fermat", "--depth", "4", "--json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks == [{"name": "16 nodes pass square invariants", "pass": False}]
+
+
+def test_random_pairs_are_the_seeded_euclid_pairs():
+    for seed, count, max_m in ((20210525, 200, 80), (79, 20, 40)):
+        rng, want = random.Random(seed), []
+        while len(want) < count:
+            m = rng.randint(2, max_m)
+            n = rng.randint(1, m - 1)
+            if gcd(m, n) == 1 and (m - n) % 2 == 1:
+                want.append((m, n))
+        assert list(verify._random_pairs(seed, count, max_m)) == want

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -63,3 +64,21 @@ def test_tree_growth_and_invariants():
 def test_negative_depth_rejected():
     with pytest.raises(ValueError):
         fermat.enumerate_tree(-1)
+
+
+def test_radical_closed_form_matches_isqrt():
+    # children() takes sqrt(8m^4 + n^4) = 2(a+b)^2 + (a-b)^2 in closed form
+    for _, node in fermat.enumerate_tree(5).nodes:
+        n = node.a - node.b
+        m = node.sum_root * node.hyp_root
+        radical = 8 * m**4 + n**4
+        root = isqrt(radical)
+        assert root * root == radical
+        assert root == 3 * node.a**2 + 2 * node.a * node.b + 3 * node.b**2
+        den = 16 * m**4 + n**4
+        kids = [F((2 * m * n) ** 2 + n**4 + s * 4 * m * n * root, den) for s in (1, -1)]
+        assert fermat.children(node) == [x for x in kids if x != 1]
+
+
+def test_invariants_hold_on_the_tree():
+    assert fermat.enumerate_tree(3).invariants_hold()

@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from congruent import trinity
-from congruent.polyrat import RatFunc, derivatives_at
+from congruent.polyrat import Poly, RatFunc
 
 F = Fraction
 
@@ -16,22 +17,30 @@ def test_sphere_relations_low_order():
     assert checks and all(ok for _, ok in checks)
 
 
+def _jets_at(points, order=2):
+    """The integer jets of a, b, c at each point."""
+    for t0 in points:
+        jets, _ = trinity._jets(trinity.trinity_vectors(), t0, order)
+        yield jets
+
+
 def test_vector_cross_and_dot_structure():
-    vecs = trinity.trinity_vectors()
-    assert len(vecs) == 3
-    for u in vecs:
-        assert not u.is_zero()
-    u, v, w = vecs
-    # scalar triple product is antisymmetric under swapping two arguments
-    assert u.cross(v).dot(w) == -v.cross(u).dot(w)
+    assert len(trinity.trinity_vectors()) == 3
+    for jets in _jets_at((0, 1, 3, 40, -7)):
+        assert not any(jet[0].is_zero() for jet in jets)
+        for k in range(3):
+            u, v, w = (jet[k] for jet in jets)
+            # scalar triple product is antisymmetric under swapping two arguments
+            assert u.cross(v).dot(w) == -v.cross(u).dot(w)
 
 
 def test_vec_ops_dot_and_cross():
-    u, v, _ = trinity.trinity_vectors()
-    c = u.cross(v)
-    # the cross product is orthogonal to both factors, symbolically
-    assert c.dot(u).is_zero()
-    assert c.dot(v).is_zero()
+    for da, db, _ in _jets_at((0, 2, 5, 81, -3)):
+        for u, v in zip(da, db):
+            c = u.cross(v)
+            # the cross product is orthogonal to both factors
+            assert c.dot(u) == 0
+            assert c.dot(v) == 0
 
 
 def test_derivative_identities_small():
@@ -39,12 +48,18 @@ def test_derivative_identities_small():
     assert checks and all(ok for _, ok in checks)
 
 
+def _plus(num, extra):
+    return tuple(a + b for a, b in zip_longest(num, extra, fillvalue=0))
+
+
+# t^9/d, as a numerator over the sphere denominator 2d
+T9_OVER_D = (0,) * 9 + (2,)
+
+
 def test_perturbed_sphere_fails_by_name(monkeypatch):
     # t^9/d moves x1 off sphere 1 and its plane: every check on x1 must fail
-    s1, r1 = trinity.sphere_params(1)
-    t = RatFunc.t()
-    bad = trinity.Vec3F(s1.x + t**9 / RatFunc(s1.x.den), s1.y, s1.z)
-    monkeypatch.setitem(trinity._SPHERES, 1, (bad, r1))
+    (x1, y1, z1), r1 = trinity.sphere_params(1)
+    monkeypatch.setitem(trinity._SPHERES, 1, ((_plus(x1, T9_OVER_D), y1, z1), r1))
     sphere = dict(trinity.verify_sphere_relations(2))
     for name in ("plane1: x1+y1-z1 = 1", "norm1 = 1", "d^1 plane1 = 0", "d^2 plane1 = 0"):
         assert not sphere[name], name
@@ -58,10 +73,8 @@ def test_perturbed_sphere_fails_by_name(monkeypatch):
 def test_perturbed_b_fails_the_checks_that_carry_scale_powers(monkeypatch):
     # t^9/d moves y2, and so b = (x2, -y2, z2): the checks that compare b
     # with a constant times a power of the common scale must fail
-    s2, r2 = trinity.sphere_params(2)
-    t = RatFunc.t()
-    bad = trinity.Vec3F(s2.x, s2.y + t**9 / RatFunc(s2.x.den), s2.z)
-    monkeypatch.setitem(trinity._SPHERES, 2, (bad, r2))
+    (x2, y2, z2), r2 = trinity.sphere_params(2)
+    monkeypatch.setitem(trinity._SPHERES, 2, ((x2, _plus(y2, T9_OVER_D), z2), r2))
     sphere = dict(trinity.verify_sphere_relations(2))
     assert not sphere["norm2 = 1/2"]
     assert all(sphere[k] for k in ("plane1: x1+y1-z1 = 1", "norm1 = 1", "norm3 = 3/2"))
@@ -79,38 +92,94 @@ def test_perturbed_b_fails_the_checks_that_carry_scale_powers(monkeypatch):
     ],
 )
 def test_perturbation_hidden_below_the_bound_is_caught(monkeypatch, run, name, points):
-    # the evaluation points are 0, 1, 2, ...; each perturbation vanishes at
-    # all of them but one, so dropping any point would miss it
-    s1, r1 = trinity.sphere_params(1)
-    t = RatFunc.t()
+    # the evaluation points are 0, 1, 2, ...; each perturbation of x1 (a
+    # numerator over 2d) vanishes at all of them but one, so dropping any
+    # point would miss it
+    (x1, y1, z1), r1 = trinity.sphere_params(1)
     for seen in (0, points - 1):
-        hidden = RatFunc.const(1)
+        hidden = (1,)
         for k in range(points):
             if k != seen:
-                hidden = hidden * (t - k)
-        x1 = s1.x + hidden / RatFunc(s1.x.den) ** ((points - 1) // 8)
-        monkeypatch.setitem(trinity._SPHERES, 1, (trinity.Vec3F(x1, s1.y, s1.z), r1))
+                # times (t - k)
+                hidden = tuple(a - k * b for a, b in zip((0, *hidden), (*hidden, 0)))
+        monkeypatch.setitem(trinity._SPHERES, 1, ((_plus(x1, hidden), y1, z1), r1))
         assert not dict(run())[name], seen
+
+
+def _value_at(poly, t0):
+    return sum(c * t0**i for i, c in enumerate(poly.coeffs))
+
+
+def _quotient_rule(num, den, order):
+    """Numerators n_k with f^(k) = n_k / den^(k+1), by (n/D^w)' = (n'D - w n D')/D^(w+1)."""
+
+    def deriv(p):
+        return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+    out = [num]
+    for w in range(1, order + 1):
+        n = out[-1]
+        out.append(deriv(n) * den + Poly([-w]) * n * deriv(den))
+    return out
+
+
+def _sphere_numerators():
+    return [f for i in (1, 2, 3) for f in trinity.sphere_params(i)[0]]
+
+
+def test_sphere_table_matches_the_product_forms():
+    t = RatFunc.t()
+    d = t**8 + 14 * t**4 + 1
+    # the product forms written next to the table in trinity.py
+    forms = {
+        1: ((t**4 - 1) ** 2 / d, 4 * t**2 * (t**2 + 1) ** 2 / d, 4 * t**2 * (t**2 - 1) ** 2 / d),
+        2: (
+            4 * t**2 * (t**4 + 1) / d,
+            (t**2 - 1) ** 2 * (t**4 + 6 * t**2 + 1) / (2 * d),
+            -((t**2 + 1) ** 2) * (t**4 - 6 * t**2 + 1) / (2 * d),
+        ),
+        3: (
+            (t**8 + 6 * t**4 + 1) / d,
+            (t**8 + 4 * t**6 + 22 * t**4 + 4 * t**2 + 1) / (2 * d),
+            (t**8 - 4 * t**6 + 22 * t**4 - 4 * t**2 + 1) / (2 * d),
+        ),
+    }
+    den = Poly(trinity._DEN)
+    assert RatFunc(den) == 2 * d
+    for i, form in forms.items():
+        table = trinity.sphere_params(i)[0]
+        assert tuple(RatFunc(Poly(num), den) for num in table) == form, i
+
+
+def test_integer_jets_match_the_quotient_rule():
+    nums = _sphere_numerators()
+    den = Poly(trinity._DEN)
+    references = [_quotient_rule(Poly(num), den, 4) for num in nums]
+    for t0 in range(81):
+        values, scale = trinity._derivatives(nums, trinity._DEN, t0, 4)
+        assert type(scale) is int and all(type(v) is int for vs in values for v in vs)
+        d = _value_at(den, t0)
+        for i, (vs, reference) in enumerate(zip(values, references)):
+            want = [_value_at(n, t0) / d ** (k + 1) for k, n in enumerate(reference)]
+            assert [Fraction(v, scale) for v in vs] == want, (i, t0)
 
 
 def test_sphere_derivatives_match_sympy():
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
-
-    def expr(poly):
-        return sum(sympy.Rational(c.numerator, c.denominator) * t**k
-                   for k, c in enumerate(poly.coeffs))
-
-    for i in (1, 2, 3):
-        for f in trinity.sphere_params(i)[0]:
-            g = expr(f.num) / expr(f.den)
-            for t0 in (F(2, 3), F(-3)):
-                values, scale = derivatives_at(f.num, f.den, t0, 4)
-                point = sympy.Rational(t0.numerator, t0.denominator)
-                for k in range(5):
-                    want = sympy.diff(g, t, k).subs(t, point)
-                    ours = values[k] / scale
-                    assert sympy.Rational(ours.numerator, ours.denominator) == want
+    nums = _sphere_numerators()
+    points = (F(2, 3), F(-3))
+    ours = [trinity._derivatives(nums, trinity._DEN, t0, 4) for t0 in points]
+    den = sum(c * t**k for k, c in enumerate(trinity._DEN))
+    for i, num in enumerate(nums):
+        g = sum(c * t**k for k, c in enumerate(num)) / den
+        for k in range(5):
+            if k:
+                g = sympy.diff(g, t)
+            for t0, (values, scale) in zip(points, ours):
+                want = g.subs(t, sympy.Rational(t0.numerator, t0.denominator))
+                got = values[i][k] / scale
+                assert sympy.Rational(got.numerator, got.denominator) == want, (i, k, t0)
 
 
 @given(
