@@ -43,7 +43,6 @@ EXIT_DOMAIN = 3
 # default, sys.get_int_max_str_digits()).
 _SIZE_FLAGS = {
     "recur": "a shorter --path",
-    "fermat": "a smaller --depth",
     "tangent": "a smaller --depth",
 }
 
@@ -377,18 +376,21 @@ def _cmd_seq(args):
 
 def _cmd_fermat(args):
     tree = fermat.enumerate_tree(args.depth)
-    nodes = [
-        {
-            "depth": d,
-            "x": n.x,
-            "a": n.a,
-            "b": n.b,
-            "c": n.c,
-            "kind": n.kind,
-            "digits": len(_decimal(abs(n.c))),
-        }
-        for d, n in tree.nodes
-    ]
+    nodes = []
+    for d, n in tree.nodes:
+        # c > 0 is converted to text once; the digit count reads that text
+        c = _fmt(n.c)
+        nodes.append(
+            {
+                "depth": d,
+                "x": n.x,
+                "a": n.a,
+                "b": n.b,
+                "c": c,
+                "kind": n.kind,
+                "digits": len(str(c)),
+            }
+        )
     results = {"nodes": nodes}
     checks = [(f"{len(nodes)} nodes pass square invariants", tree.invariants_hold())]
     if args.find_smallest:

@@ -26,6 +26,10 @@ __all__ = [
     "enumerate_tree",
 ]
 
+# the largest hypotenuse has 14,164 bits (4,264 digits) at depth 6 and
+# 57,104 bits at depth 7, past the 4300-digit int-to-str limit
+MAX_DEPTH = 6
+
 
 @dataclass(frozen=True)
 class FermatNode:
@@ -122,11 +126,11 @@ def enumerate_tree(depth):
     """Breadth-first expansion of the solution tree to a given depth.
 
     Fractions are deduplicated; each node is validated on construction.
-    Node count doubles per level and the integers roughly square, so
-    depths beyond ~8 get slow.
+    Node count doubles per level and the integers roughly quadruple in
+    length, so depth is bounded by MAX_DEPTH.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"--depth must be between 1 and {MAX_DEPTH}, got {depth}")
     root = node_from_fraction(Fraction(1))
     seen = {root.x}
     nodes = [(0, root)]

@@ -1,25 +1,29 @@
-"""Dense univariate polynomials and rational functions over exact rationals.
+"""Dense univariate polynomials over the integers and their quotients.
 
-Coefficients are Fractions stored lowest degree first.  A rational function
-is a plain numerator/denominator pair that is never reduced; two of them
-are equal when their cross products are.  The conic identities in
-``conics`` build such functions of t and compare them.
+Coefficients are ints stored lowest degree first, so a product costs no
+gcd.  A rational function is a plain numerator/denominator pair of such
+polynomials that is never reduced; two of them are equal when their cross
+products are.  A rational constant enters through ``RatFunc.const``, which
+puts its numerator and denominator on either side.  The conic identities
+in ``conics`` build such functions of t and compare them.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 __all__ = ["Poly", "RatFunc"]
 
 
 class Poly:
-    """A univariate polynomial with exact rational coefficients."""
+    """A univariate polynomial with integer coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        # a Fraction raises TypeError here instead of making every product pay gcds
+        cs = [operator.index(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -55,7 +59,7 @@ class Poly:
 
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -92,7 +96,8 @@ class RatFunc:
 
     @classmethod
     def const(cls, c):
-        return cls(Poly([c]))
+        c = Fraction(c)
+        return cls(Poly([c.numerator]), Poly([c.denominator]))
 
     def is_zero(self):
         return self.num.is_zero()

@@ -1,10 +1,11 @@
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
-from congruent import cli, trinity, verify
+from congruent import cli, fermat, trinity, verify
 
 
 def run(capsys, argv):
@@ -146,7 +147,6 @@ def test_verify_all_names_a_raising_suite(capsys, monkeypatch):
     "argv, flag",
     [
         (["recur", "walk", "--start-m", "2", "--start-n", "1", "--path", "aaaaaaaaaaaaaa"], "--path"),
-        (["fermat", "--depth", "7"], "--depth"),
     ],
 )
 def test_result_past_the_digit_limit_exits_3(capsys, argv, flag):
@@ -172,11 +172,17 @@ def test_trinity_json_is_exact(capsys):
         (["trinity", "--max-order", "7"], "--max-order must be between 1 and 6"),
         (["tangent", "--n", "5", "--a", "3/2", "--b", "20/3", "--depth", "6"],
          "--depth must be between 1 and 5"),
+        (["fermat", "--depth", "7"], "--depth must be between 1 and 6"),
+        (["fermat", "--depth", "0"], "--depth must be between 1 and 6"),
+        (["fermat", "--depth", "8"], "--depth must be between 1 and 6"),
     ],
 )
 def test_out_of_range_effort_exits_before_work(capsys, monkeypatch, argv, flag):
     monkeypatch.setattr(trinity, "verify_all", lambda *_: pytest.fail("trinity ran"))
+    monkeypatch.setattr(fermat, "node_from_fraction", lambda *_: pytest.fail("fermat ran"))
+    start = time.perf_counter()
     code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
     assert code == 3
     assert not out
     assert flag in err

@@ -60,6 +60,56 @@ def test_intersect_polynomial_identity():
     assert checks and all(ok for _, ok in checks)
 
 
+def _intersect_n_plus_one(forms):
+    n_t, *rest = forms
+    return (n_t + 1, *rest)
+
+
+def _intersect_x_plus_one(forms):
+    n_t, x_t, *rest = forms
+    return (n_t, x_t + 1, *rest)
+
+
+def _twin_n1_plus_one(ns):
+    n1, n2 = ns
+    return n1 + 1, n2
+
+
+def _twin_b2_plus_one(sides):
+    side1, (a2, b2) = sides
+    return side1, (a2, b2 + 1)
+
+
+@pytest.mark.parametrize(
+    "form, change, identities, failing",
+    [
+        (
+            "_intersect_forms",
+            _intersect_n_plus_one,
+            conics.intersect_polynomial_identity,
+            {"area = N(t)", "P1 on curve", "P2 on curve"},
+        ),
+        (
+            "_intersect_forms",
+            _intersect_x_plus_one,
+            conics.intersect_polynomial_identity,
+            {"point on ellipse"},
+        ),
+        # the legs are built from the patched N1 too (a1 = -p1 q1 N1 / (2 s1)),
+        # so "area1 = N1" holds for any N1; only the H(x1) square class sees it
+        ("_twin_n", _twin_n1_plus_one, conics.twin_polynomial_identities, {"H(x1) decomposition"}),
+        ("_twin_sides", _twin_b2_plus_one, conics.twin_polynomial_identities, {"area2 = N2"}),
+    ],
+    ids=["N(t)+1", "ellipse x+1", "N1+1", "b2+1"],
+)
+def test_perturbed_conic_form_fails_by_name(monkeypatch, form, change, identities, failing):
+    checks = dict(identities())
+    assert failing <= checks.keys() and all(checks.values())
+    original = getattr(conics, form)
+    monkeypatch.setattr(conics, form, lambda t: change(original(t)))
+    assert dict(identities()) == {name: name not in failing for name in checks}
+
+
 def test_reduce_raise_roundtrip():
     n_t, _, tri, _, _ = conics.intersect_example(3)
     rep = conics.reduce_raise(tri.area * 25, tri)

@@ -10,7 +10,7 @@ X = Poly.x()
 
 small_coeffs = st.lists(
     st.integers(min_value=-20, max_value=20), min_size=0, max_size=6
-).map(lambda cs: Poly([Fraction(c) for c in cs]))
+).map(Poly)
 
 
 @given(small_coeffs, small_coeffs)
@@ -22,6 +22,14 @@ def test_add_commutes(p, q):
 @settings(max_examples=100)
 def test_mul_distributes(p, q, r):
     assert p * (q + r) == p * q + p * r
+
+
+def test_poly_rejects_non_integer_coefficients():
+    with pytest.raises(TypeError):
+        Poly([Fraction(1, 2)])
+    c = RatFunc.const(Fraction(3, 4))
+    assert (c.num.coeffs, c.den.coeffs) == ((3,), (4,))
+    assert c == RatFunc(Poly([3]), Poly([4]))
 
 
 def test_ratfunc_normalizes():

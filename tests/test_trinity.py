@@ -160,7 +160,7 @@ def test_integer_jets_match_the_quotient_rule():
         assert type(scale) is int and all(type(v) is int for vs in values for v in vs)
         d = _value_at(den, t0)
         for i, (vs, reference) in enumerate(zip(values, references)):
-            want = [_value_at(n, t0) / d ** (k + 1) for k, n in enumerate(reference)]
+            want = [Fraction(_value_at(n, t0), d ** (k + 1)) for k, n in enumerate(reference)]
             assert [Fraction(v, scale) for v in vs] == want, (i, t0)
 
 
