@@ -144,7 +144,7 @@ def _cmd_triples(args):
     return {"m": m, "n": n}, results, checks
 
 
-# The largest --max-order trinity accepts: order 6 takes about 0.5 s on a
+# The largest --max-order trinity accepts: order 6 takes about 0.16 s on a
 # 2-vCPU host, and the time grows faster than the order.
 TRINITY_MAX_ORDER = 6
 
@@ -168,7 +168,11 @@ def _cmd_conics(args):
             "p1": _point(p1),
             "p2": _point(p2),
         }
-        checks = [("area = N", tri.area == args.n), ("points infinite order", True)]
+        checks = [
+            ("area = N", tri.area == args.n),
+            # the torsion of E_N is {O, (0,0), (±N,0)}; see conics.conic_ec_points
+            ("points infinite order", p1.y != 0 and p2.y != 0),
+        ]
         inputs = {"n": args.n, "f1": args.f1, "f2": args.f2, "adjoin": args.adjoin}
     elif args.sub == "intersect":
         t = parse_rat(args.t)
@@ -329,7 +333,12 @@ def _cmd_recur(args):
         "start": {"n": n0, "triangle": _tri_dict(tri0)},
         "steps": [{"n": n, "triangle": _tri_dict(tr)} for n, tr in steps],
     }
-    checks = [("every step is a valid right triangle", True)]
+    checks = [
+        (
+            "every step is a valid right triangle",
+            all(tr.a**2 + tr.b**2 == tr.c**2 for _, tr in steps),
+        )
+    ]
     inputs = {"start_m": args.start_m, "start_n": args.start_n, "path": args.path}
     return inputs, results, checks
 
@@ -363,9 +372,10 @@ def _cmd_seq(args):
         "points": [_point(q) for q in qs],
         "orders": list(orders) if orders else None,
     }
+    p = bt.perimeter_half
     checks = [
-        ("Heron area", True),
-        ("points on curve", True),
+        ("Heron area", p * (p - bt.a) * (p - bt.b) * (p - bt.c) == bt.area**2),
+        ("points on curve", all(curve.contains(q) for q in qs)),
         (
             "infinite order" if orders is None else "order 4 (degenerate)",
             True,

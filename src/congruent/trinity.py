@@ -13,7 +13,8 @@ other identity is proved by exact evaluation: at each integer point a
 division-free Taylor recurrence gives the derivatives of all components
 as integers over one common scale, each identity is compared in
 integers, and it counts as proved once it holds at more points than the
-degree bound of its cleared polynomial form.
+degree bound of its cleared polynomial form, taken in t^2 as every
+component is even.
 """
 
 from __future__ import annotations
@@ -162,6 +163,16 @@ def _derivatives(nums, den, t0, order):
 # polynomial identity of degree <= 8w, and as d > 0 at every real t, it
 # holds identically once it holds at 8w + 1 distinct rational points.
 #
+# Parity.  When d and every numerator hold only even powers of t, each
+# component f is even, so f^(k) has the parity of k.  Every check compares
+# terms of one total derivative order K (a product of derivatives of
+# orders n and m has order n + m, a constant has order 0), so its cleared
+# form P has the parity of K: P = Q(t^2) with deg Q <= 4w, or P = t Q(t^2)
+# with deg Q < 4w.  P vanishing at t0 = 0, 1, ..., 4w makes Q vanish at
+# the 4w + 1 squares 0, 1, ..., (4w)^2, or at the 4w nonzero ones; either
+# way at more points than deg Q, so Q = 0.  Those 4w + 1 points prove the
+# check.  A table with any odd power keeps the 8w + 1 points.
+#
 # Scale.  At each integer point every value is an integer over the one
 # scale S = (2 d(t0))^(order+1) of _DEN (see _derivatives), so a product
 # of j values is an integer over S^j.  Each check compares integers with
@@ -169,8 +180,9 @@ def _derivatives(nums, den, t0, order):
 # values is multiplied by S^j, as in a.c = 1 becoming a.c == S^2 and
 # cxa = b becoming cxa == S b.  As S != 0, the integer equality holds
 # exactly when the rational one does.
-def _points(weight):
-    return range(8 * weight + 1)
+def _points(weight, vectors):
+    even = all(not any(f[1::2]) for f in (_DEN, *(f for v in vectors for f in v)))
+    return range((4 if even else 8) * weight + 1)
 
 
 def _jets(vectors, t0, order):
@@ -208,9 +220,10 @@ def verify_sphere_relations(max_order=4):
     if max_order < 0:
         raise ValueError("derivative order must be >= 0")
     (p1, r1), (p2, r2), (p3, r3) = (sphere_params(i) for i in (1, 2, 3))
+    vectors = (p1, p2, p3)
 
     def battery(t0):
-        ((s1, *d1), (s2, *d2), (s3, *d3)), S = _jets((p1, p2, p3), t0, max_order)
+        ((s1, *d1), (s2, *d2), (s3, *d3)), S = _jets(vectors, t0, max_order)
         S2 = S * S
         checks = [
             ("plane1: x1+y1-z1 = 1", s1.x + s1.y - s1.z == S),
@@ -229,7 +242,7 @@ def verify_sphere_relations(max_order=4):
             checks.append((f"d^{n} plane3 = 0", e3.x + e3.y + e3.z == 0))
         return checks
 
-    return _proved(battery, _points(max(2, max_order + 1)))
+    return _proved(battery, _points(max(2, max_order + 1), vectors))
 
 
 def _neg(coeffs):
@@ -245,107 +258,61 @@ def trinity_vectors():
 
 
 def _derivative_battery(da, db, dc, S, max_order):
-    """The battery on jets over the scale S (see the scale rule above)."""
+    """The battery on jets over the scale S (see the scale rule above).
+
+    Each dot or cross product that serves several checks is taken once.
+    """
     a, b, c = da[0], db[0], dc[0]
     S2, S3 = S * S, S**3
+    ac, aa, cc = a.dot(c), a.norm2(), c.norm2()
+    axb, bxc = a.cross(b), b.cross(c)
     checks = [
         ("a.b = 0", a.dot(b) == 0),
         ("b.c = 0", b.dot(c) == 0),
-        ("a.c = 1", a.dot(c) == S2),
-        ("|a|^2 = 1", a.norm2() == S2),
+        ("a.c = 1", ac == S2),
+        ("|a|^2 = 1", aa == S2),
         ("|b|^2 = 1/2", 2 * b.norm2() == S2),
-        ("|c|^2 = 3/2", 2 * c.norm2() == 3 * S2),
-        ("cos^2(a,c) = 2/3", 3 * a.dot(c) ** 2 == 2 * a.norm2() * c.norm2()),
-        (
-            "cos^2(axb,c) = 1/3",
-            3 * a.cross(b).dot(c) ** 2 == a.cross(b).norm2() * c.norm2(),
-        ),
-        (
-            "cos^2(bxc,a) = 1/3",
-            3 * b.cross(c).dot(a) ** 2 == b.cross(c).norm2() * a.norm2(),
-        ),
-        ("a.(bxc) = 1/2", 2 * a.dot(b.cross(c)) == S3),
+        ("|c|^2 = 3/2", 2 * cc == 3 * S2),
+        ("cos^2(a,c) = 2/3", 3 * ac**2 == 2 * aa * cc),
+        ("cos^2(axb,c) = 1/3", 3 * axb.dot(c) ** 2 == axb.norm2() * cc),
+        ("cos^2(bxc,a) = 1/3", 3 * bxc.dot(a) ** 2 == bxc.norm2() * aa),
+        ("a.(bxc) = 1/2", 2 * a.dot(bxc) == S3),
         ("b.(cxa) = 1/2", 2 * b.dot(c.cross(a)) == S3),
-        ("c.(axb) = 1/2", 2 * c.dot(a.cross(b)) == S3),
-        ("ax(bxc) = b", a.cross(b.cross(c)) == b.scaled(S2)),
+        ("c.(axb) = 1/2", 2 * c.dot(axb) == S3),
+        ("ax(bxc) = b", a.cross(bxc) == b.scaled(S2)),
         ("cx(bxa) = b", c.cross(b.cross(a)) == b.scaled(S2)),
         ("cxa = b", c.cross(a) == b.scaled(S)),
         ("bx(axc) = 0", b.cross(a.cross(c)).is_zero()),
     ]
     for n in range(1, max_order + 1):
         an, bn, cn = da[n], db[n], dc[n]
-        ac = an.dot(cn)
+        acn = an.dot(cn)
         checks.append((f"d{n}a.d{n}b = 0", an.dot(bn) == 0))
         checks.append((f"d{n}b.d{n}c = 0", bn.dot(cn) == 0))
-        checks.append((f"d{n}a.d{n}c = |d{n}a|^2/2", 2 * ac == an.norm2()))
-        checks.append(
-            (f"d{n}a.d{n}c = 2|d{n}b|^2/3", 3 * ac == 2 * bn.norm2())
-        )
-        checks.append((f"d{n}a.d{n}c = 2|d{n}c|^2", ac == 2 * cn.norm2()))
+        checks.append((f"d{n}a.d{n}c = |d{n}a|^2/2", 2 * acn == an.norm2()))
+        checks.append((f"d{n}a.d{n}c = 2|d{n}b|^2/3", 3 * acn == 2 * bn.norm2()))
+        checks.append((f"d{n}a.d{n}c = 2|d{n}c|^2", acn == 2 * cn.norm2()))
         checks.append((f"d{n}a x d{n}c = 0", an.cross(cn).is_zero()))
     ones = Vec3F(1, 1, -1)
     for n in range(1, max_order + 1):
+        an, bn, cn = da[n], db[n], dc[n]
         for m in range(1, max_order + 1):
-            an, bn = da[n], db[n]
-            am, cm = da[m], dc[m]
-            bm, cn = db[m], dc[n]
-            checks.append(
-                (f"2 d{n}b.d{m}c = d{n}b.d{m}a", 2 * bn.dot(cm) == bn.dot(am))
-            )
-            checks.append(
-                (
-                    f"2 d{n}b x d{m}c = d{n}b x d{m}a",
-                    bn.cross(cm).scaled(2) == bn.cross(am),
-                )
-            )
-            checks.append(
-                (
-                    f"3 d{n}a.d{m}a = 4 d{n}b.d{m}b",
-                    3 * an.dot(am) == 4 * bn.dot(bm),
-                )
-            )
-            checks.append(
-                (
-                    f"3 d{n}a.d{m}a = 12 d{n}c.d{m}c",
-                    an.dot(am) == 4 * cn.dot(cm),
-                )
-            )
-            checks.append(
-                (
-                    f"3 d{n}a x d{m}a = 4 d{n}b x d{m}b",
-                    an.cross(am).scaled(3) == bn.cross(bm).scaled(4),
-                )
-            )
-            checks.append(
-                (
-                    f"3 d{n}a x d{m}a = 12 d{n}c x d{m}c",
-                    an.cross(am) == cn.cross(cm).scaled(4),
-                )
-            )
-            checks.append(
-                (
-                    f"(d{n}a.d{m}c)(-1,-1,1) = 2 d{n}b x d{m}c",
-                    ones.scaled(-an.dot(cm)) == bn.cross(cm).scaled(2),
-                )
-            )
-            checks.append(
-                (
-                    f"2 d{n}b x d{m}c = d{n}b x d{m}a",
-                    bn.cross(cm).scaled(2) == bn.cross(am),
-                )
-            )
-            checks.append(
-                (
-                    f"3 d{n}a x d{m}c = 2(d{n}b.d{m}c)(1,1,-1)",
-                    an.cross(cm).scaled(3) == ones.scaled(2 * bn.dot(cm)),
-                )
-            )
-            checks.append(
-                (
-                    f"3 d{n}a x d{m}c = (d{n}b.d{m}a)(1,1,-1)",
-                    an.cross(cm).scaled(3) == ones.scaled(bn.dot(am)),
-                )
-            )
+            am, bm, cm = da[m], db[m], dc[m]
+            bn_cm, bn_am, an_am = bn.dot(cm), bn.dot(am), an.dot(am)
+            bxc2, axa, axc3 = bn.cross(cm).scaled(2), an.cross(am), an.cross(cm).scaled(3)
+            bxc_bxa = bxc2 == bn.cross(am)
+            checks += [
+                (f"2 d{n}b.d{m}c = d{n}b.d{m}a", 2 * bn_cm == bn_am),
+                (f"2 d{n}b x d{m}c = d{n}b x d{m}a", bxc_bxa),
+                (f"3 d{n}a.d{m}a = 4 d{n}b.d{m}b", 3 * an_am == 4 * bn.dot(bm)),
+                (f"3 d{n}a.d{m}a = 12 d{n}c.d{m}c", an_am == 4 * cn.dot(cm)),
+                (f"3 d{n}a x d{m}a = 4 d{n}b x d{m}b", axa.scaled(3) == bn.cross(bm).scaled(4)),
+                (f"3 d{n}a x d{m}a = 12 d{n}c x d{m}c", axa == cn.cross(cm).scaled(4)),
+                (f"(d{n}a.d{m}c)(-1,-1,1) = 2 d{n}b x d{m}c", ones.scaled(-an.dot(cm)) == bxc2),
+                (f"2 d{n}b x d{m}c = d{n}b x d{m}a", bxc_bxa),
+                (f"3 d{n}a x d{m}c = 2(d{n}b.d{m}c)(1,1,-1)", axc3 == ones.scaled(2 * bn_cm)),
+                (f"3 d{n}a x d{m}c = (d{n}b.d{m}a)(1,1,-1)", axc3 == ones.scaled(bn_am)),
+            ]
     return checks
 
 
@@ -357,8 +324,9 @@ def verify_derivative_identities(max_order=4):
     symmetries for 1 <= n, m <= max_order.  Each check is proved by exact
     evaluation at degree-bound points: the quartic base checks
     cos^2(axb,c) and cos^2(bxc,a) have weight 6 and a check on orders n
-    and m has weight n + m + 2.  With max_order = 4 the bound is
-    8 * 10 = 80.  Returns a list of (name, bool).
+    and m has weight n + m + 2.  With max_order = 4 the weight is 10, so
+    the even sphere table is proved at the 41 points 0..40 (a table with
+    an odd power would need 81).  Returns a list of (name, bool).
     """
     if max_order < 1:
         raise ValueError("derivative order must be >= 1")
@@ -368,7 +336,7 @@ def verify_derivative_identities(max_order=4):
         (da, db, dc), S = _jets(vectors, t0, max_order)
         return _derivative_battery(da, db, dc, S, max_order)
 
-    return _proved(battery, _points(max(6, 2 * max_order + 2)))
+    return _proved(battery, _points(max(6, 2 * max_order + 2), vectors))
 
 
 def sum_of_squares_identity(m, n):

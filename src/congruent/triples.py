@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic import Point, curve_en
-from .exact import is_square, rat_sqrt, squarefree_part
+from .exact import is_square, squarefree_part
 
 __all__ = [
     "PythTriple",
@@ -214,8 +214,9 @@ def distance_identity(m, n):
     With d_i = c_i - a_i over the AC, BC, BA triples, verifies
         (2(C^4 - 3(AB)^2)/(ABC))^2 = 2*sum d_i^2 = (sum d_i)^2
                                    = 4*(d1 d2 + d1 d3 + d2 d3)
-    and that each product 4 d_i d_j is a perfect rational square, returning
-    the resulting Pythagorean quadruple decomposition of (sum d_i)^2.
+    and that each product 4 d_i d_j is the square of a signed combination
+    u, v, w of the d_i (so a perfect rational square), returning the
+    resulting Pythagorean quadruple decomposition of (sum d_i)^2.
     """
     t = euclid(m, n)
     ac, bc, ba = derived_triples(m, n)
@@ -237,10 +238,6 @@ def distance_identity(m, n):
         and 4 * d1 * d3 == v**2
         and 4 * d2 * d3 == w**2
     )
-    squares_exist = all(
-        rat_sqrt(4 * p) is not None
-        for p in (d1 * d2, d1 * d3, d2 * d3)
-    )
     quadruple = (total, u, v, w)
     decomposition = total**2 == u**2 + v**2 + w**2
     return {
@@ -250,7 +247,7 @@ def distance_identity(m, n):
         "eq_sum_of_squares": eq16,
         "eq_square_of_sum": eq17,
         "eq_products": eq18,
-        "eq_products_are_squares": eq19 and squares_exist,
+        "eq_products_are_squares": eq19,
         "eq_quadruple": decomposition,
-        "holds": eq16 and eq17 and eq18 and eq19 and squares_exist and decomposition,
+        "holds": eq16 and eq17 and eq18 and eq19 and decomposition,
     }

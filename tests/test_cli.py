@@ -1,11 +1,14 @@
 import json
 import shlex
 import time
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from congruent import cli, fermat, trinity, verify
+from congruent import cli, conics, fermat, recurrence, sequences, trinity, verify
+from congruent.elliptic import Point
 
 
 def run(capsys, argv):
@@ -186,6 +189,50 @@ def test_out_of_range_effort_exits_before_work(capsys, monkeypatch, argv, flag):
     assert code == 3
     assert not out
     assert flag in err
+
+
+def _zero_y(points):
+    p1, p2 = points
+    return p1, Point(p2.x, Fraction(0))
+
+
+def _wrong_area(result):
+    bt, curve, qs, orders = result
+    return SimpleNamespace(**{**vars(bt), "area": bt.area + 1}), curve, qs, orders
+
+
+def _point_off_curve(result):
+    bt, curve, (q0, *qs), orders = result
+    return bt, curve, (Point(q0.x, q0.y + 1), *qs), orders
+
+
+def _leg_off_by_one(steps):
+    n, tri = steps[-1]
+    return steps[:-1] + [(n, SimpleNamespace(a=tri.a + 1, b=tri.b, c=tri.c))]
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, change, check",
+    [
+        (["conics", "triangle", "--n", "157", "--f1", "87005", "--f2", "610961"],
+         conics, "conic_ec_points", _zero_y, "points infinite order"),
+        (["seq", "brahmagupta", "--k", "3"], sequences, "brahmagupta", _wrong_area, "Heron area"),
+        (["seq", "brahmagupta", "--k", "3"],
+         sequences, "brahmagupta", _point_off_curve, "points on curve"),
+        (["recur", "walk", "--start-m", "2", "--start-n", "1", "--path", "abba"],
+         recurrence, "walk", _leg_off_by_one, "every step is a valid right triangle"),
+    ],
+)  # fmt: skip
+def test_perturbed_result_fails_its_cli_check(
+    capsys, monkeypatch, argv, module, name, change, check
+):
+    # each check is computed from the result it prints, so a wrong result
+    # fails that check by name and exits 1
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: change(real(*args)))
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 1
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] == [check]
 
 
 def test_readme_cli_block_parses():

@@ -36,6 +36,16 @@ def test_conic_ec_points_lie_on_curve():
     assert p1.x * p2.x == -F(157) ** 2
 
 
+def test_two_torsion_conic_point_is_rejected(monkeypatch):
+    # (N, 0) is on E_N and has order 2: the y != 0 rule must refuse it
+    real = conics._ec_points
+    monkeypatch.setattr(
+        conics, "_ec_points", lambda n, *rest: (real(n, *rest)[0], Point(F(n), F(0)))
+    )
+    with pytest.raises(AssertionError, match="small finite order"):
+        conics.conic_ec_points(conics.conic_input(157, 87005, 610961))
+
+
 def test_intersect_example_fixture():
     n_t, _, tri, p1, p2 = conics.intersect_example(3)
     assert n_t == 629

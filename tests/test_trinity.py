@@ -106,6 +106,38 @@ def test_perturbation_hidden_below_the_bound_is_caught(monkeypatch, run, name, p
         assert not dict(run())[name], seen
 
 
+@pytest.mark.parametrize(
+    "run, name, points",
+    [
+        (lambda: trinity.verify_sphere_relations(1), "norm1 = 1", 9),
+        (lambda: trinity.verify_derivative_identities(1), "|a|^2 = 1", 25),
+    ],
+)
+def test_even_perturbation_hidden_below_the_parity_bound_is_caught(
+    monkeypatch, run, name, points
+):
+    # an even table is proved at 0, 1, ..., 4w; each even perturbation of x1
+    # vanishes at all of them but one, so dropping any point would miss it
+    (x1, y1, z1), r1 = trinity.sphere_params(1)
+    for seen in (0, points - 1):
+        hidden = (1,)
+        for k in range(points):
+            if k != seen:
+                # times (t^2 - k^2)
+                hidden = tuple(a - k * k * b for a, b in zip((0, 0, *hidden), (*hidden, 0, 0)))
+        assert not any(hidden[1::2])
+        monkeypatch.setitem(trinity._SPHERES, 1, ((_plus(x1, hidden), y1, z1), r1))
+        assert not dict(run())[name], seen
+
+
+def test_points_halve_only_for_an_even_table():
+    vectors = trinity.trinity_vectors()
+    assert trinity._points(10, vectors) == range(41)
+    a, b, c = vectors
+    odd_x = _plus(a[0], T9_OVER_D)
+    assert trinity._points(10, ((odd_x, *a[1:]), b, c)) == range(81)
+
+
 def _value_at(poly, t0):
     return sum(c * t0**i for i, c in enumerate(poly.coeffs))
 
