@@ -153,12 +153,7 @@ def heegner_two(n, f1, f2, adjoin="none"):
         raise ValueError("c1 c3 irrational: sides do not rationalize")
     a = c3c1 * c4 / (c1sq * c2)
     b = 2 * n * c1sq * c2 / (c3c1 * c4)
-    c = rat_sqrt(a**2 + b**2)
-    if c is None:
-        raise AssertionError("two-intersection hypotenuse irrational")
-    tri = RatTriangle(a, b, c)
-    if tri.area != n:
-        raise AssertionError("two-intersection triangle area mismatch")
+    tri = RatTriangle.from_legs(a, b)
     oval = CassiniOval(c2**2, c1sq**2 * n**2, x_weight=1)
     return quad, tri, oval
 
@@ -186,12 +181,7 @@ def heegner_four(n, f1, f2sq):
         raise ValueError("sides do not rationalize for this (N, f1, f2)")
     a = n * c2 * c1c4 / (abs(c3) * c4sq)
     b = 2 * abs(c3) * c4sq / (c2 * c1c4)
-    c = rat_sqrt(a**2 + b**2)
-    if c is None:
-        raise AssertionError("four-intersection hypotenuse irrational")
-    tri = RatTriangle(a, b, c)
-    if tri.area != n:
-        raise AssertionError("four-intersection triangle area mismatch")
+    tri = RatTriangle.from_legs(a, b)
     oval = CassiniOval(c2**2, c1sq**2 * n**2, x_weight=2)
     points = oval_axis_points(oval)
     expected = sorted((c3**2, c4sq))

@@ -9,18 +9,21 @@ effort budget, and signed squarefree parts.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 __all__ = [
     "FactorBudgetExceeded",
+    "OutputTooLarge",
     "is_square",
     "rat_sqrt",
     "is_probable_prime",
     "factorize",
     "squarefree_part",
     "parse_rat",
+    "printable_bits",
     "format_rat",
 ]
 
@@ -91,9 +94,9 @@ def is_probable_prime(n):
 
 
 def _brent_rho(n, budget, seed):
-    """One Pollard rho run with Brent cycle detection; returns a factor or None."""
+    """One Pollard rho run with Brent cycle detection; returns (factor or None, iterations)."""
     if n % 2 == 0:
-        return 2
+        return 2, 0
     rng = random.Random(seed)
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
@@ -114,7 +117,7 @@ def _brent_rho(n, budget, seed):
             k += m
             iterations += min(m, r - k + m)
             if iterations > budget:
-                return None
+                return None, iterations
         r *= 2
     if g == n:
         # backtrack one step at a time
@@ -123,14 +126,15 @@ def _brent_rho(n, budget, seed):
             g = math.gcd(abs(x - ys), n)
             if g > 1:
                 break
-    return g if g != n else None
+    return (g if g != n else None), iterations
 
 
 def factorize(n, budget=10**7):
     """Prime factorization of |n| as a sorted list with multiplicity.
 
     Trial division to 10**6, then Pollard rho (Brent) with a fixed seed so
-    runs are deterministic.  ``budget`` caps rho iterations; exceeding it
+    runs are deterministic.  ``budget`` caps the rho iterations of the
+    whole call, shared by every attempt on every cofactor; exceeding it
     raises FactorBudgetExceeded rather than hanging on hard composites.
     """
     n = abs(n)
@@ -166,7 +170,8 @@ def factorize(n, budget=10**7):
             continue
         d = None
         for attempt in range(8):
-            d = _brent_rho(m, budget, seed=0x5EED + attempt)
+            d, used = _brent_rho(m, budget, seed=0x5EED + attempt)
+            budget -= used
             if d is not None and d != m:
                 break
             d = None
@@ -201,9 +206,23 @@ def parse_rat(s):
     return Fraction(s.strip())
 
 
+class OutputTooLarge(Exception):
+    """A result has more decimal digits than the int-to-str limit allows."""
+
+
+@functools.cache
+def printable_bits(digits):
+    """Bits of 10**digits, or None for digits = 0 (no limit).  For the limit
+    sys.get_int_max_str_digits(), format_rat cannot print an int with more bits."""
+    return (10**digits).bit_length() if digits else None
+
+
 def format_rat(r):
-    """Exact 'p/q' (or 'p') string for a rational; never a float."""
+    """Exact 'p/q' (or 'p') string for a rational; raises OutputTooLarge past the digit limit."""
     r = Fraction(r)
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+    try:
+        if r.denominator == 1:
+            return str(r.numerator)
+        return f"{r.numerator}/{r.denominator}"
+    except ValueError:
+        raise OutputTooLarge from None

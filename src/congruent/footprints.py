@@ -130,17 +130,11 @@ def footprint_triangle(row):
     pq = footprint_pq(row)
     if pq.p_sq <= 0 or pq.q_sq <= 0:
         raise ValueError("row yields a nonpositive p^2 or q^2")
-    a_sq = pq.p_sq / pq.q_sq
-    b_sq = 4 * row.n**2 * pq.q_sq / pq.p_sq
-    a = rat_sqrt(a_sq)
-    b = rat_sqrt(b_sq)
-    c = rat_sqrt(a_sq + b_sq)
-    if a is None or b is None or c is None:
+    a = rat_sqrt(pq.p_sq / pq.q_sq)
+    b = rat_sqrt(4 * row.n**2 * pq.q_sq / pq.p_sq)
+    if a is None or b is None:
         raise ValueError("row does not rationalize: a side square is not a square")
-    tri = RatTriangle(a, b, c)
-    if tri.area != row.n:
-        raise AssertionError("footprint triangle area mismatch")
-    return tri
+    return RatTriangle.from_legs(a, b)
 
 
 def load_rows(table=None):
@@ -174,7 +168,8 @@ def verify_tables(table=None):
     """Reconstruct every row's triangle; returns per-row reports.
 
     Each report carries the row, a validity flag and either the triangle
-    or the failure reason; class consistency with classify() is included.
+    or the failure reason; class consistency with classify() and the
+    triangle's area N are included.
     """
     reports = []
     for row in load_rows(table):
@@ -186,8 +181,11 @@ def verify_tables(table=None):
                 raise ValueError(
                     f"row class {row.cls} inconsistent with N = {row.n} ({family})"
                 )
-            report["triangle"] = footprint_triangle(row)
-        except (ValueError, AssertionError) as exc:
+            tri = footprint_triangle(row)
+            if tri.area != row.n:
+                raise ValueError(f"triangle area {tri.area} is not N = {row.n}")
+            report["triangle"] = tri
+        except ValueError as exc:
             report["ok"] = False
             report["error"] = str(exc)
         reports.append(report)

@@ -11,11 +11,12 @@ started from a Euclid triple are verified against the iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .exact import is_square
+from .exact import OutputTooLarge, is_square, printable_bits
 from .triples import RatTriangle, euclid
 
 __all__ = [
@@ -33,21 +34,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RecState:
-    """(N, p, q) with p/q a leg of a rational right triangle of area N."""
+    """(N, p, q) with p/q a leg of a right triangle of area N; radical = sqrt(p^4 + 4N^2q^4)."""
 
     n: int
     p: int
     q: int
+    radical: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.q <= 0 or self.p <= 0 or self.n <= 0:
             raise ValueError("state entries must be positive")
-        if is_square(self.p**4 + 4 * self.n**2 * self.q**4) is None:
+        radical = is_square(self.p**4 + 4 * self.n**2 * self.q**4)
+        if radical is None:
             raise ValueError("not a right-triangle state")
-
-    @property
-    def radical(self):
-        return is_square(self.p**4 + 4 * self.n**2 * self.q**4)
+        object.__setattr__(self, "radical", radical)
 
 
 def state_triangle(s):
@@ -86,15 +86,22 @@ def walk(tri0, n0, path):
 
     Returns the list of (N, triangle) pairs after each step; the start
     pair is not included.  Deterministic: same start and path always
-    produce the same output.
+    produce the same output.  Raises OutputTooLarge at the first step past
+    the int-to-str digit limit; sizes roughly double each step.
     """
     if not path or set(path) - {"a", "b"}:
         raise ValueError("path must be a nonempty string over {a, b}")
+    bits = printable_bits(sys.get_int_max_str_digits())
     out = []
     tri, n = tri0, n0
     for side in path:
         s = rec_step(assign(tri, side, n))
         tri, n = state_triangle(s), s.n
+        if bits is not None and any(
+            max(v.numerator.bit_length(), v.denominator.bit_length()) > bits
+            for v in (n, tri.a, tri.b, tri.c)
+        ):
+            raise OutputTooLarge
         out.append((n, tri))
     return out
 

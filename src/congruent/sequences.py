@@ -121,8 +121,6 @@ def fib_even_family(n):
         Fraction(5 * f), Fraction(4 * l, f), Fraction(l**2 + 4, f)
     )
     big_n = 10 * l
-    if tri.area != big_n:
-        raise AssertionError("even-index family area mismatch")
     p0 = Point(Fraction(-20), Fraction(100 * f))
     p1, p2 = standard_points(tri, big_n)
     _check_group_relations(big_n, p0, p1, p2)
@@ -137,8 +135,6 @@ def fib_odd_family(n):
     f, l = pair.f, pair.l
     tri = RatTriangle(Fraction(l**2 - 4), Fraction(4 * l), Fraction(5 * f**2))
     big_n = 2 * (l**2 - 4) * l
-    if tri.area != big_n:
-        raise AssertionError("odd-index family area mismatch")
     p1, p2 = standard_points(tri, big_n)
     return tri, big_n, (p1, p2)
 
@@ -175,8 +171,6 @@ def cheb_family(m, n):
         Fraction((n**2 - 1) * u), Fraction(2 * t, u), Fraction(t**2 + 1, u)
     )
     big_n = (n**2 - 1) * t
-    if tri.area != big_n:
-        raise AssertionError("Chebyshev family area mismatch")
     p0 = Point(Fraction(1 - n**2), Fraction((n**2 - 1) ** 2 * u))
     p1, p2 = standard_points(tri, big_n)
     _check_group_relations(big_n, p0, p1, p2)
@@ -204,7 +198,8 @@ def brahmagupta(k):
     Chebyshev-family right triangle at (k, 2), so P is a congruent
     number.  The curve y^2 = (x+AB)(x+BC)(x+AC) carries the integral
     points Q0..Q3; they have infinite order for t > 2 and order 4 in the
-    degenerate t = 2 case.
+    degenerate t = 2 case.  Returns (triangle, curve, points, orders), with
+    orders the computed orders of Q0..Q3 when t = 2 and None otherwise.
     """
     if k < 0:
         raise ValueError("need k >= 0")
@@ -229,9 +224,6 @@ def brahmagupta(k):
         Point(Fraction(2 - ab), Fraction(2 * c)),
         Point(Fraction(2 - bc), Fraction(2 * a)),
     )
-    for q in qs:
-        if not curve.contains(q):
-            raise AssertionError("integral point off the Heronian curve")
     if t > 2:
         for q in qs:
             if not curve.certify_infinite_order(q):
@@ -239,6 +231,4 @@ def brahmagupta(k):
         orders = None
     else:
         orders = tuple(curve.order_at_most(q, 12) for q in qs)
-        if any(o != 4 for o in orders):
-            raise AssertionError("degenerate-case points are not order 4")
     return tri, curve, qs, orders

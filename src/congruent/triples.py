@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic import Point, curve_en
-from .exact import is_square, squarefree_part
+from .exact import is_square, rat_sqrt, squarefree_part
 
 __all__ = [
     "PythTriple",
@@ -61,6 +61,14 @@ class RatTriangle:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
+
+    @classmethod
+    def from_legs(cls, a, b):
+        """The right triangle with legs a, b and hypotenuse the exact root of a^2 + b^2."""
+        c = rat_sqrt(a**2 + b**2)
+        if c is None:
+            raise ValueError("a and b are not the legs of a rational right triangle")
+        return cls(a, b, c)
 
     @property
     def area(self):

@@ -7,8 +7,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from congruent import cli, conics, fermat, recurrence, sequences, trinity, verify
-from congruent.elliptic import Point
+from congruent import cli, conics, fermat, recurrence, sequences, tangent, trinity, verify
+from congruent.elliptic import Curve, Point
+from congruent.triples import RatTriangle
 
 
 def run(capsys, argv):
@@ -150,10 +151,14 @@ def test_verify_all_names_a_raising_suite(capsys, monkeypatch):
     "argv, flag",
     [
         (["recur", "walk", "--start-m", "2", "--start-n", "1", "--path", "aaaaaaaaaaaaaa"], "--path"),
+        (["recur", "walk", "--start-m", "2", "--start-n", "1", "--path", "a" * 20], "--path"),
     ],
 )
 def test_result_past_the_digit_limit_exits_3(capsys, argv, flag):
+    # the walk stops at the first step past the limit, not at the end of the path
+    start = time.perf_counter()
     code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
     assert code == 3
     assert not out
     assert "4300-digit output limit" in err and flag in err
@@ -211,6 +216,10 @@ def _leg_off_by_one(steps):
     return steps[:-1] + [(n, SimpleNamespace(a=tri.a + 1, b=tri.b, c=tri.c))]
 
 
+def _double_legs(tri):
+    return tri.scaled(Fraction(1, 2))
+
+
 @pytest.mark.parametrize(
     "argv, module, name, change, check",
     [
@@ -221,6 +230,21 @@ def _leg_off_by_one(steps):
          sequences, "brahmagupta", _point_off_curve, "points on curve"),
         (["recur", "walk", "--start-m", "2", "--start-n", "1", "--path", "abba"],
          recurrence, "walk", _leg_off_by_one, "every step is a valid right triangle"),
+        # the constructions no longer check these themselves; only the named
+        # check sees a broken helper
+        (["conics", "triangle", "--n", "157", "--f1", "87005", "--f2", "610961"],
+         conics, "_signed_triangle", _double_legs, "area = N"),
+        (["conics", "lattice", "--m", "1", "--n", "2"],
+         conics, "_lattice_triangle", lambda sides: tuple(2 * s for s in sides),
+         "lattice triangles have area x_i"),
+        (["tangent", "--n", "5", "--a", "3/2", "--b", "20/3"],
+         tangent.TangentChain, "doubling_holds", lambda ok: False, "doubling relation"),
+        (["cassini", "two", "--n", "29", "--f1", "1", "--f2", "-13"],
+         RatTriangle, "from_legs", _double_legs, "triangle area = N"),
+        (["footprints", "triangle", "--n", "14", "--m", "2", "--k", "1", "--cls", "TIII"],
+         RatTriangle, "from_legs", _double_legs, "area = N"),
+        (["seq", "brahmagupta", "--k", "0"],
+         Curve, "order_at_most", lambda order: order + 1, "order 4 (degenerate)"),
     ],
 )  # fmt: skip
 def test_perturbed_result_fails_its_cli_check(

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from congruent.exact import (
     FactorBudgetExceeded,
+    OutputTooLarge,
     factorize,
     format_rat,
     is_probable_prime,
     is_square,
     parse_rat,
+    printable_bits,
     rat_sqrt,
     squarefree_part,
 )
@@ -70,6 +73,24 @@ def test_factorize_budget():
     q = 2**107 - 171
     with pytest.raises(FactorBudgetExceeded):
         factorize(p * q, budget=10**3)
+
+
+def test_printable_bits_is_the_first_unprintable_bit_length():
+    limit = sys.get_int_max_str_digits()
+    bits = printable_bits(limit)
+    assert len(format_rat(2 ** (bits - 1))) <= limit
+    with pytest.raises(OutputTooLarge):
+        format_rat(Fraction(1, 2**bits))
+    assert printable_bits(0) is None
+
+
+def test_factorize_budget_is_shared_by_the_attempts():
+    # the first rho attempt on this semiprime needs 2687 iterations and the
+    # second 1151, so a budget of 2000 per attempt would split it on the second
+    p, q = 10000019, 30000023
+    assert factorize(p * q, budget=4000) == [p, q]
+    with pytest.raises(FactorBudgetExceeded):
+        factorize(p * q, budget=2000)
 
 
 @given(st.integers(min_value=1, max_value=10**9), st.integers(min_value=1, max_value=10**4))

@@ -19,6 +19,16 @@ def test_assign_and_radical():
     assert s.radical ** 2 == s.p**4 + 4 * s.n**2 * s.q**4
 
 
+def test_walk_step_takes_two_square_roots(monkeypatch):
+    # one when assign builds the state, one when rec_step builds the next;
+    # state_triangle and rec_step read the root the state keeps
+    calls = []
+    real = recurrence.is_square
+    monkeypatch.setattr(recurrence, "is_square", lambda n: calls.append(n) or real(n))
+    recurrence.walk(TRI345, 6, "abba")
+    assert len(calls) == 2 * 4
+
+
 def test_rec_step_produces_valid_state():
     s = recurrence.assign(TRI345, "b", 6)
     s2 = recurrence.rec_step(s)

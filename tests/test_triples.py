@@ -105,6 +105,13 @@ def test_distance_identity_generic(mn):
     assert rep["lhs_root"] ** 2 == sum(v**2 for v in rep["quadruple"][1:])
 
 
+def test_from_legs_takes_the_exact_hypotenuse():
+    assert RatTriangle.from_legs(3, 4) == RatTriangle(F(3), F(4), F(5))
+    assert RatTriangle.from_legs(F(3, 2), F(20, 3)).c == F(41, 6)
+    with pytest.raises(ValueError, match="not the legs of a rational right triangle"):
+        RatTriangle.from_legs(1, 1)
+
+
 def test_rat_triangle_rejects_non_pythagorean():
     with pytest.raises((ValueError, AssertionError)):
         RatTriangle(F(1), F(1), F(1))
