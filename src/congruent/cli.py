@@ -158,7 +158,7 @@ def _cmd_conics(args):
         }
         checks = [
             ("area = N", tri.area == args.n),
-            # the torsion of E_N is {O, (0,0), (±N,0)}; see conics.conic_ec_points
+            # E_N(Q)_tors = {O, (0,0), (±N,0)} (Koblitz, ch. I, Prop. 17): y != 0 is infinite order
             ("points infinite order", p1.y != 0 and p2.y != 0),
         ]
         inputs = {"n": args.n, "f1": args.f1, "f2": args.f2, "adjoin": args.adjoin}

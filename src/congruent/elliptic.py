@@ -6,10 +6,11 @@ y^2 = (x+AB)(x+BC)(x+AC) used by the Heronian-triangle family.  Points are
 affine pairs of Fractions or the point at infinity; exactness, not speed,
 is the goal, so there are no projective coordinates.
 
-Points are validated once, where they enter: every construction checks
-its points with ``contains``, and ``mul`` and ``order_at_most`` check
-their argument.  ``add`` itself does not, so a chain of additions pays
-for no cubic evaluations; an off-curve argument gives a meaningless sum.
+Points are validated once, where they enter: a construction's points lie
+on its curve by an identity proved in tests/test_identities.py, input
+points are checked with ``contains``, and ``mul`` and ``order_at_most``
+check their argument.  ``add`` itself does not, so a chain of additions
+pays for no cubic evaluations; an off-curve argument gives a meaningless sum.
 """
 
 from __future__ import annotations

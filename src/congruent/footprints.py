@@ -47,18 +47,10 @@ class FootprintRow:
 
 @dataclass(frozen=True)
 class PQ:
-    """p and q squared, plus the exact roots when they are rational."""
+    """p and q squared; p and q themselves may be irrational."""
 
     p_sq: Fraction
     q_sq: Fraction
-
-    @property
-    def p(self):
-        return rat_sqrt(self.p_sq)
-
-    @property
-    def q(self):
-        return rat_sqrt(self.q_sq)
 
 
 def classify(n):

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .elliptic import Point, curve_en
-from .exact import is_square, rat_sqrt, squarefree_part
+from .exact import rat_sqrt, squarefree_part
 
 __all__ = [
     "PythTriple",
@@ -129,30 +130,29 @@ def euclid(m, n):
     return PythTriple(m**2 - n**2, 2 * m * n, m**2 + n**2)
 
 
+def _numerators(m, n):
+    """D = ABC and the integer numerators over D of the sides of AC, BC, BA.
+
+    With (X, Y, Z) = (A, C, B), (B, C, A) and (A, B, C) in turn, the sides
+    are (2 X^2 Y^2, Z^2 (Y^2 + X^2), X^4 + Y^4) / D, with Y^2 - X^2 for BA;
+    c - a is then B^4, A^4 and (B^2 - A^2)^2 over D.
+    """
+    t = euclid(m, n)
+    a2, b2, c2 = t.a**2, t.b**2, t.c**2
+    return t.a * t.b * t.c, (
+        (2 * a2 * c2, b2 * (a2 + c2), a2**2 + c2**2),
+        (2 * b2 * c2, a2 * (b2 + c2), b2**2 + c2**2),
+        (2 * a2 * b2, c2 * (b2 - a2), a2**2 + b2**2),
+    )
+
+
 def derived_triples(m, n):
     """The three rational triples built by pairing sides of euclid(m, n).
 
     Returns (AC, BC, BA); BA's middle side goes negative once B < A.
     """
-    _check_mn(m, n)
-    t = euclid(m, n)
-    a, b, c = t.a, t.b, t.c
-    ac = RatTriangle(
-        Fraction(2 * a * c, b),
-        Fraction(b * (a**2 + c**2), a * c),
-        Fraction(a**4 + c**4, a * b * c),
-    )
-    bc = RatTriangle(
-        Fraction(2 * b * c, a),
-        Fraction(a * (b**2 + c**2), b * c),
-        Fraction(b**4 + c**4, a * b * c),
-    )
-    ba = RatTriangle(
-        Fraction(2 * b * a, c),
-        Fraction(c * (b**2 - a**2), b * a),
-        Fraction(b**4 + a**4, a * b * c),
-    )
-    return ac, bc, ba
+    d, table = _numerators(m, n)
+    return tuple(RatTriangle(*(Fraction(side, d) for side in sides)) for sides in table)
 
 
 def area_quad(m, n):
@@ -186,34 +186,24 @@ def connecting_points(m, n):
         (curve_en(q.n_bc), Point(Fraction(-(a**2)), Fraction(y))),
         (curve_en(q.n_ba), Point(Fraction(c**2), Fraction(y))),
     )
-    for curve, p in pairs:
-        if not curve.contains(p):
-            raise AssertionError(f"connecting point {p} off its curve")
+    # on their curves: tests/test_identities.py::test_connecting_points_lie_on_their_curves
     return pairs
 
 
 def concordant_solutions(m, n):
     """Euler concordant-form solutions for the AC, BC and BA hypotenuses.
 
-    (x, y) is (numerator of c, 2 * denominator of c); z and t come from
-    the radical definitions and all three y values equal 2ABC.
+    (x, y) is (numerator of c over D = ABC, 2D); z and t are the roots of
+    the radical definitions, and all three y values equal 2ABC.
     """
-    t = euclid(m, n)
-    a, b, c = t.a, t.b, t.c
+    d, table = _numerators(m, n)
     q = area_quad(m, n)
-    y = 2 * a * b * c
-    out = []
-    for x, area in (
-        (a**4 + c**4, q.n_ac),
-        (b**4 + c**4, q.n_bc),
-        (b**4 + a**4, q.n_ba),
-    ):
-        z = is_square(x**2 + area * y**2)
-        tt = is_square(x**2 - area * y**2)
-        if z is None or tt is None:
-            raise AssertionError("concordant radicals are not perfect squares")
-        out.append(ConcordantSolution(x, y, z, tt, area))
-    return tuple(out)
+    y = 2 * d
+    # x^2 ± N y^2 are squares: tests/test_identities.py::test_concordant_radicals_are_squares
+    return tuple(
+        ConcordantSolution(x, y, isqrt(x**2 + area * y**2), isqrt(x**2 - area * y**2), area)
+        for (_, _, x), area in zip(table, (q.n_ac, q.n_bc, q.n_ba))
+    )
 
 
 def distance_identity(m, n):
@@ -224,14 +214,13 @@ def distance_identity(m, n):
                                    = 4*(d1 d2 + d1 d3 + d2 d3)
     and that each product 4 d_i d_j is the square of a signed combination
     u, v, w of the d_i (so a perfect rational square), returning the
-    resulting Pythagorean quadruple decomposition of (sum d_i)^2.
+    resulting Pythagorean quadruple decomposition of (sum d_i)^2.  Every
+    quantity is a numerator over D = ABC, so the identities compare integers.
     """
     t = euclid(m, n)
-    ac, bc, ba = derived_triples(m, n)
-    d1 = ac.c - ac.a
-    d2 = bc.c - bc.a
-    d3 = ba.c - ba.a
-    lhs_root = Fraction(2 * (t.c**4 - 3 * (t.a * t.b) ** 2), t.a * t.b * t.c)
+    d, table = _numerators(m, n)
+    d1, d2, d3 = (c - a for a, _, c in table)
+    lhs_root = 2 * (t.c**4 - 3 * (t.a * t.b) ** 2)
     lhs = lhs_root**2
     total = d1 + d2 + d3
     eq16 = lhs == 2 * (d1**2 + d2**2 + d3**2)
@@ -246,12 +235,11 @@ def distance_identity(m, n):
         and 4 * d1 * d3 == v**2
         and 4 * d2 * d3 == w**2
     )
-    quadruple = (total, u, v, w)
     decomposition = total**2 == u**2 + v**2 + w**2
     return {
-        "diffs": (d1, d2, d3),
-        "lhs_root": lhs_root,
-        "quadruple": quadruple,
+        "diffs": tuple(Fraction(x, d) for x in (d1, d2, d3)),
+        "lhs_root": Fraction(lhs_root, d),
+        "quadruple": tuple(Fraction(x, d) for x in (total, u, v, w)),
         "eq_sum_of_squares": eq16,
         "eq_square_of_sum": eq17,
         "eq_products": eq18,

@@ -95,7 +95,7 @@ def suite_triples_random():
             if not triples.distance_identity(m, n)["holds"]:
                 return [(f"distance identity ({m},{n})", False)]
             triples.concordant_solutions(m, n)
-        except (ValueError, AssertionError) as exc:
+        except ValueError as exc:
             return [(f"random ({m},{n}): {exc}", False)]
     return [(f"{count} random (m,n) pass all identities", True)]
 

@@ -23,12 +23,18 @@ def test_heegner_two_29_fixture():
 
 
 def test_axis_points_satisfy_oval_equation():
-    _, _, oval = cassini.heegner_two(29, 1, -13)
-    pts = cassini.oval_axis_points(oval)
-    for x2 in pts["x2"]:
-        assert oval.residual(x2, 0) == 0
-    for y2 in pts["y2"]:
-        assert oval.residual(0, y2) == 0
+    for _, _, oval, *_ in (
+        cassini.heegner_two(29, 1, -13),
+        cassini.heegner_two(62, 20, 7, adjoin="sqrt2N"),
+        cassini.heegner_four(79, 125, 52**2),
+        cassini.heegner_four(62, 20, F(7**2 * 2)),
+    ):
+        pts = cassini.oval_axis_points(oval)
+        assert pts["x2"]
+        for x2 in pts["x2"]:
+            assert oval.residual(x2, 0) == 0
+        for y2 in pts["y2"]:
+            assert oval.residual(0, y2) == 0
 
 
 def test_loop_classification():

@@ -118,6 +118,14 @@ def test_domain_error_exit_code(capsys):
     assert "error:" in err
 
 
+def test_degenerate_lattice_secondary_exits_3_with_its_reason(capsys):
+    # each slope puts a second intersection at x2 = (m^2+n^2)^2, where w = 0
+    for m, n, t in (("1", "2", "-3/2"), ("2", "3", "1/3"), ("4", "1", "2")):
+        code, out, err = run(capsys, ["conics", "lattice", "--m", m, "--n", n, f"--t={t}"])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: second intersection at x = (m^2+n^2)^2 gives a degenerate")
+
+
 def test_verify_all_fast(capsys, monkeypatch):
     monkeypatch.setattr(verify, "SUITES", (("triples", verify.suite_triples),))
     code, out, _ = run(capsys, ["verify-all", "--json"])

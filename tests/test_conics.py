@@ -28,22 +28,18 @@ def test_conic_triangle_has_area_n():
 
 
 def test_conic_ec_points_lie_on_curve():
-    inp = conics.conic_input(157, 87005, 610961)
-    p1, p2 = conics.conic_ec_points(inp)
-    e = curve_en(157)
-    assert e.contains(p1) and e.contains(p2)
-    # the two abscissas multiply to -N^2
-    assert p1.x * p2.x == -F(157) ** 2
-
-
-def test_two_torsion_conic_point_is_rejected(monkeypatch):
-    # (N, 0) is on E_N and has order 2: the y != 0 rule must refuse it
-    real = conics._ec_points
-    monkeypatch.setattr(
-        conics, "_ec_points", lambda n, *rest: (real(n, *rest)[0], Point(F(n), F(0)))
-    )
-    with pytest.raises(AssertionError, match="small finite order"):
-        conics.conic_ec_points(conics.conic_input(157, 87005, 610961))
+    for n, f1, f2, adjoin in (
+        (157, 87005, 610961, "none"),
+        (5, 1, 1, "none"),
+        (79, 125, 52, "sqrtN"),
+        (62, 20, 7, "sqrt2N"),
+    ):
+        p1, p2 = conics.conic_ec_points(conics.conic_input(n, f1, f2, adjoin))
+        e = curve_en(n)
+        assert e.contains(p1) and e.contains(p2)
+        assert p1.y != 0 and p2.y != 0
+        # the two abscissas multiply to -N^2
+        assert p1.x * p2.x == -F(n) ** 2
 
 
 def test_intersect_example_fixture():
@@ -135,6 +131,12 @@ def test_lattice_secondary_fixture():
         tri = r["triangle"]
         assert tri.a**2 + tri.b**2 == tri.c**2
         assert tri.congruent_number() == abs(r["n2"]) or tri.area != 0
+    # each second intersection lies on the (1, m^2+n^2) ellipse
+    for m, n, t in ((1, 2, 3), (2, 1, 3), (1, 2, 2), (3, 2, 2), (1, 2, F(-5, 2))):
+        s2 = (m**2 + n**2) ** 2
+        for r in conics.lattice_secondary(m, n, t):
+            x2, e2 = r["point"]
+            assert e2**2 == x2 * s2 - (x2 - s2) ** 2 / 4
 
 
 def test_lattice_points_self_check():

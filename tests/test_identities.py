@@ -1,0 +1,191 @@
+"""Proofs of the construction identities that the library does not re-check.
+
+Each closed form below has its defining property as an algebraic identity in
+inputs that the constructing function has already validated, so checking it
+again at run time could never fail.  Each test proves the identity once: it
+expands the closed form, or reduces its cleared numerator modulo the stated
+relation by a Groebner basis, to zero.  Where the library's own function
+accepts symbols, the test calls it; otherwise it writes the same closed form.
+"""
+
+from types import SimpleNamespace
+
+import pytest
+
+from congruent import conics, sequences, tangent, triples
+from congruent.cassini import CassiniOval
+from congruent.elliptic import Curve, Point
+
+sympy = pytest.importorskip("sympy")
+
+
+def _vanishes(expr, relations=(), gens=()):
+    """True when the numerator of expr is 0, modulo relations in gens (lex order)."""
+    num = sympy.expand(sympy.numer(sympy.together(expr)))
+    if not relations:
+        return num == 0
+    return sympy.groebner(relations, *gens, order="lex").reduce(num)[1] == 0
+
+
+def _off_e_n(p, n):
+    """y^2 - (x^3 - N^2 x), which is 0 exactly when p lies on E_N."""
+    return p.y**2 - p.x**3 + n**2 * p.x
+
+
+# --- cassini ---
+
+
+def test_axis_points_lie_on_the_oval():
+    # oval_axis_points: x^2 = (a'^2 ± b'^2)/w and y^2 = b'^2 - a'^2, where
+    # b'^2 is the root of b'^4
+    a2, b2, w = sympy.symbols("a2 b2 w")
+    oval = SimpleNamespace(a2=a2, b4=b2**2, x_weight=w)
+    for x2 in ((a2 + b2) / w, (a2 - b2) / w):
+        assert _vanishes(CassiniOval.residual(oval, x2, 0))
+    assert _vanishes(CassiniOval.residual(oval, 0, b2 - a2))
+
+
+def test_heegner_four_axis_points():
+    # heegner_four's oval (c2^2, c1^4 N^2) in the weight-2 form; its guards
+    # c4^2 > c3^2 and c3 != 0 make b'^2 = |c1^2 N| = c4^2 - c3^2 and both
+    # x^2 = (c2^2 ± b'^2)/2 positive, so oval_axis_points keeps both
+    f1, f2sq, n = sympy.symbols("f1 f2sq n")
+    c3 = f1**2 - f2sq
+    c4sq = 4 * f1**2 * f2sq
+    c2 = f1**2 + f2sq
+    c1sq = (c4sq - c3**2) / n
+    b2 = c4sq - c3**2
+    assert _vanishes(b2**2 - c1sq**2 * n**2)
+    assert _vanishes((c2**2 + b2) / 2 - c4sq)
+    assert _vanishes((c2**2 - b2) / 2 - c3**2)
+
+
+# --- conics ---
+
+
+def test_conic_points_lie_on_e_n_with_y_nonzero():
+    n, f1sq, f2sq, ef = sympy.symbols("n f1sq f2sq ef")
+    w = n * f1sq - f2sq
+    e2 = n * f1sq * f2sq - w**2 / 4
+    # _principal_ef takes ef as the root of e2 f1^2 f2^2
+    relation = ef**2 - e2 * f1sq * f2sq
+    p1, p2 = conics._ec_points(n, f1sq, f2sq, ef)
+    for p in (p1, p2):
+        assert _vanishes(_off_e_n(p, n), [relation], (ef, n, f1sq, f2sq))
+    # y != 0: _principal_ef requires e2 > 0, so n f1^2 f2^2 > w^2/4 >= 0 and
+    # n, f1^2, h = (n f1^2 + f2^2)/2 and ef are nonzero; _core_quantities
+    # requires w != 0.  Each y is a product of these factors and e2 (w^2 + 2 e2).
+    h = (n * f1sq + f2sq) / 2
+    pos = e2 * (w**2 + 2 * e2)
+    assert _vanishes(p1.y + w * pos / (4 * ef * h * f1sq * f2sq))
+    assert _vanishes(p2.y - 4 * n**2 * f1sq * f2sq * pos / (ef * h * w**3))
+
+
+def test_lattice_second_point_lies_on_the_ellipse():
+    # every signed swap (u, v) of (m, n) keeps u^2 + v^2, so general (m, n)
+    # covers all four lattice points
+    m, n, t = sympy.symbols("m n t")
+    f2sq = (m**2 + n**2) ** 2
+
+    def off_ellipse(x, e):
+        return e**2 - (x * f2sq - (x - f2sq) ** 2 / 4)
+
+    x_i, e = conics._lattice_point(m, n)
+    assert _vanishes(off_ellipse(x_i, e))
+    # lattice_secondary's Vieta step, for either sign of e_i
+    for e_i in (e, -e):
+        root_sum = (sympy.Rational(3, 2) * f2sq - 2 * t * e_i + 2 * t**2 * x_i) / (
+            t**2 + sympy.Rational(1, 4)
+        )
+        x2 = root_sum - x_i
+        e2 = t * (x2 - x_i) + e_i
+        assert _vanishes(off_ellipse(x2, e2))
+
+
+# --- sequences ---
+
+
+def test_standard_points_lie_on_e_n():
+    a, b, c = sympy.symbols("a b c")
+    for p in sequences.standard_points(SimpleNamespace(a=a, b=b, c=c)):
+        assert _vanishes(_off_e_n(p, a * b / 2), [c**2 - a**2 - b**2], (c, a, b))
+
+
+def _assert_group_relations(tri, n, p0, relation, gens):
+    """P0 on E_N, (0,0) + P0 = P1 and 2 P0 = P2 by Curve.add, modulo relation."""
+    curve = SimpleNamespace(a2=0, a4=-(n**2), a6=0)
+    p1, p2 = sequences.standard_points(tri)
+    assert _vanishes(_off_e_n(p0, n), [relation], gens)
+    for got, want in ((Curve.add(curve, Point(0, 0), p0), p1), (Curve.add(curve, p0, p0), p2)):
+        assert _vanishes(got.x - want.x, [relation], gens)
+        assert _vanishes(got.y - want.y, [relation], gens)
+
+
+def test_fib_group_relations():
+    # fib_even_family at (F, L) = (F_2k, L_2k), where L^2 = 5 F^2 + 4
+    f, l = sympy.symbols("f l")
+    tri = SimpleNamespace(a=5 * f, b=4 * l / f, c=(l**2 + 4) / f)
+    _assert_group_relations(tri, 10 * l, Point(-20, 100 * f), l**2 - 5 * f**2 - 4, (l, f))
+
+
+def test_cheb_group_relations():
+    # cheb_family at (T, U) = (T_m(k), U_{m-1}(k)), where T^2 = (k^2-1) U^2 + 1
+    t, u, k = sympy.symbols("t u k")
+    tri = SimpleNamespace(a=(k**2 - 1) * u, b=2 * t / u, c=(t**2 + 1) / u)
+    p0 = Point(1 - k**2, (k**2 - 1) ** 2 * u)
+    _assert_group_relations(tri, (k**2 - 1) * t, p0, t**2 - (k**2 - 1) * u**2 - 1, (t, u, k))
+
+
+def test_brahmagupta_semiperimeter():
+    # P = 3t/2 with t = 2 T_k(2) is the Chebyshev area (2^2 - 1) T_k(2)
+    tk = sympy.Symbol("tk")
+    assert _vanishes(sympy.Rational(3, 2) * (2 * tk) - (2**2 - 1) * tk)
+
+
+# --- tangent ---
+
+
+def test_triangle_point_lies_on_e_n():
+    a, b, c = sympy.symbols("a b c")
+    n = a * b / 2
+    p = tangent.triangle_to_point(SimpleNamespace(a=a, b=b, c=c, area=n), n)
+    assert _vanishes(_off_e_n(p, n), [c**2 - a**2 - b**2], (c, a, b))
+
+
+def test_point_triangle_has_area_n():
+    # point_to_triangle's sides, for a point it has checked to be on E_N
+    x, y, n = sympy.symbols("x y n")
+    a, b, c = (x**2 - n**2) / y, 2 * n * x / y, (x**2 + n**2) / y
+    assert _vanishes(a**2 + b**2 - c**2)
+    assert _vanishes(a * b / 2 - n, [y**2 - x**3 + n**2 * x], (y, x, n))
+
+
+# --- triples ---
+
+
+@pytest.fixture
+def symbolic_triples(monkeypatch):
+    """triples with euclid(m, n) = (m^2 - n^2, 2mn, m^2 + n^2) in symbols."""
+    m, n = sympy.symbols("m n")
+    euclid = SimpleNamespace(a=m**2 - n**2, b=2 * m * n, c=m**2 + n**2)
+    monkeypatch.setattr(triples, "euclid", lambda *_: euclid)
+    return m, n
+
+
+def test_connecting_points_lie_on_their_curves(symbolic_triples):
+    m, n = symbolic_triples
+    t, q = triples.euclid(m, n), triples.area_quad(m, n)
+    # connecting_points' (x, 2ABC) on the curve of each area
+    y = 2 * t.a * t.b * t.c
+    for x, big_n in ((-(t.b**2), q.n_ac), (-(t.a**2), q.n_bc), (t.c**2, q.n_ba)):
+        assert _vanishes(_off_e_n(Point(x, y), big_n))
+
+
+def test_concordant_radicals_are_squares(symbolic_triples):
+    m, n = symbolic_triples
+    d, table = triples._numerators(m, n)
+    q = triples.area_quad(m, n)
+    # the legs a/D, b/D have area N, so N (2D)^2 = 2ab and x^2 ± N y^2 = (a ± b)^2
+    for (a, b, x), big_n in zip(table, (q.n_ac, q.n_bc, q.n_ba)):
+        assert _vanishes(x**2 + big_n * (2 * d) ** 2 - (a + b) ** 2)
+        assert _vanishes(x**2 - big_n * (2 * d) ** 2 - (a - b) ** 2)

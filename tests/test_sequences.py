@@ -38,10 +38,13 @@ def test_fib_odd_family_points_on_curve():
 
 
 def test_standard_points_relations():
-    tri, n, pts = sequences.cheb_family(3, 2)
-    p1, p2 = sequences.standard_points(tri, n)
-    e = curve_en(n)
-    assert e.contains(p1) and e.contains(p2)
+    families = [sequences.fib_even_family(k) for k in (1, 5)]
+    families += [sequences.cheb_family(m, k) for m, k in ((3, 2), (1, 5), (4, 7))]
+    for _, n, (p0, p1, p2) in families:
+        e = curve_en(n)
+        assert e.contains(p0) and e.contains(p1) and e.contains(p2)
+        assert e.add(Point(F(0), F(0)), p0) == p1
+        assert e.double(p0) == p2
 
 
 def test_cheb_eval_matches_recurrence():
@@ -109,6 +112,8 @@ def test_brahmagupta_heron():
         bt, curve, qs, _ = sequences.brahmagupta(k)
         s = bt.perimeter_half
         assert bt.area**2 == s * (s - bt.a) * (s - bt.b) * (s - bt.c)
+        # the semiperimeter is the area of the Chebyshev triangle at (k, 2)
+        assert s == sequences.cheb_family(k, 2)[0].area
         for q in qs:
             assert curve.contains(q)
 

@@ -24,6 +24,11 @@ def test_triangle_to_point_validates_area():
         tangent.triangle_to_point(SEED5, 6)
 
 
+def test_point_to_triangle_rejects_a_point_off_the_curve():
+    with pytest.raises(ValueError, match="not on E_5"):
+        tangent.point_to_triangle(Point(F(1), F(1)), 5)
+
+
 def test_tangent_intersection_is_minus_double():
     p = Point(F(-4), F(6))
     e = curve_en(5)

@@ -83,6 +83,8 @@ def test_area_identity_generic(mn):
 def test_connecting_points_on_curves():
     pairs = connecting_points(2, 1)
     assert [(p.x, p.y) for _, p in pairs] == [(-16, 120), (-9, 120), (25, 120)]
+    for mn in ((2, 1), (3, 2), (7, 4), (12, 5)):
+        assert all(curve.contains(p) for curve, p in connecting_points(*mn))
 
 
 def test_concordant_solutions_satisfy_both_forms():
