@@ -135,14 +135,12 @@ def heegner_two(n, f1, f2, adjoin="none"):
     c2 = abs(Fraction(n * f1**2 - f2sq, 2))
     if c2 == 0:
         raise ValueError("degenerate input: N f1^2 = f2^2")
+    # c3^2 != 0: tests/test_identities.py::test_heegner_two_c3_is_nonzero
     c3sq = abs(n * c1sq - c2**2)
-    if c3sq == 0:
-        raise ValueError("N c1^2 = c2^2: triangle degenerates")
     c4sq = n * c1sq + c2**2
     quad = HeegnerQuad(c1sq, c2, c3sq, c4sq)
+    # c4 is rational: tests/test_identities.py::test_heegner_two_c4_is_rational
     c4 = quad.c4
-    if c4 is None:
-        raise ValueError("c4 irrational: invalid adjunction for this system")
     c3c1 = rat_sqrt(c3sq * c1sq)
     if c3c1 is None:
         raise ValueError("c1 c3 irrational: sides do not rationalize")

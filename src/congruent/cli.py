@@ -234,11 +234,11 @@ def _cmd_cassini(args):
         quad, tri, oval = cassini.heegner_two(
             args.n, args.f1, parse_rat(args.f2), args.adjoin
         )
+        axis = cassini.oval_axis_points(oval)
     else:
-        quad, tri, oval, _ = cassini.heegner_four(
+        quad, tri, oval, axis = cassini.heegner_four(
             args.n, args.f1, parse_rat(args.f2) ** 2
         )
-    axis = cassini.oval_axis_points(oval)
     results = {
         "c1_sq": quad.c1sq,
         "c2": quad.c2,

@@ -39,15 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FibPair:
-    """(F_n, L_n) with the defining identity checked on construction."""
+    """(F_n, L_n) at index n."""
 
     index: int
     f: int
     l: int
-
-    def __post_init__(self):
-        if self.l**2 - 5 * self.f**2 != 4 * (-1) ** self.index:
-            raise ValueError("Fibonacci/Lucas identity violated")
 
 
 @dataclass(frozen=True)
@@ -60,14 +56,6 @@ class BrahmaguptaTriangle:
     perimeter_half: Fraction
     area: Fraction
 
-    def __post_init__(self):
-        if not (self.b == self.a + 1 == self.c - 1):
-            raise ValueError("sides must be consecutive integers")
-        p = self.perimeter_half
-        heron = p * (p - self.a) * (p - self.b) * (p - self.c)
-        if self.area**2 != heron:
-            raise ValueError("Heron area mismatch")
-
 
 def fib_lucas(n):
     """The pair (F_n, L_n) by the standard recurrences."""
@@ -78,6 +66,7 @@ def fib_lucas(n):
     for _ in range(n):
         f0, f1 = f1, f0 + f1
         l0, l1 = l1, l0 + l1
+    # L^2 - 5 F^2 = 4(-1)^n: tests/test_identities.py::test_lucas_identity_at_every_index
     return FibPair(n, f0, l0)
 
 
@@ -195,6 +184,7 @@ def brahmagupta(k):
     p = Fraction(3 * t, 2)
     s = Fraction(3 * tk * uk)
     # P = 3 T_k(2) is the Chebyshev area: tests/test_identities.py::test_brahmagupta_semiperimeter
+    # S^2 is Heron's P(P-a)(P-b)(P-c): tests/test_identities.py::test_brahmagupta_heron_area
     tri = BrahmaguptaTriangle(a, b, c, p, s)
     ab, bc, ac = a * b, b * c, a * c
     curve = Curve(

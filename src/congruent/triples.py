@@ -38,10 +38,6 @@ class PythTriple:
     b: int
     c: int
 
-    def __post_init__(self):
-        if self.a**2 + self.b**2 != self.c**2:
-            raise ValueError(f"({self.a}, {self.b}, {self.c}) is not Pythagorean")
-
     @property
     def area(self):
         return Fraction(self.a * self.b, 2)
@@ -127,6 +123,7 @@ def _check_mn(m, n):
 def euclid(m, n):
     """Euclid's fundamental formula (m^2 - n^2, 2mn, m^2 + n^2)."""
     _check_mn(m, n)
+    # a^2 + b^2 = c^2: tests/test_identities.py::test_euclid_and_fermat_triples_are_pythagorean
     return PythTriple(m**2 - n**2, 2 * m * n, m**2 + n**2)
 
 

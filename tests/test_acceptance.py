@@ -5,10 +5,12 @@ property sweeps, symbolic identities, the shipped tables, and finally
 the `verify-all` CLI command as the whole-repository gate.
 """
 
+import hashlib
 import json
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from types import SimpleNamespace
 
 from congruent import cli, fermat, sequences, verify
@@ -154,3 +156,13 @@ def test_random_pairs_are_the_seeded_euclid_pairs():
             if gcd(m, n) == 1 and (m - n) % 2 == 1:
                 want.append((m, n))
         assert list(verify._random_pairs(seed, count, max_m)) == want
+
+
+def test_gate_replays_the_recorded_digest():
+    # the benchmark's gate op compares this digest of the whole check list
+    # (suite, name and outcome of every check) with the one recorded in its
+    # op pool, so any change to the gate's checks fails here as well
+    pool = json.loads((Path(__file__).parents[1] / "perfbench" / "pool.json").read_text())
+    want = pool["workloads"]["gate"]["gate"]["verify.run_all()"]["digest"]
+    named = [[suite, name, bool(ok)] for suite, checks in verify.run_all().items() for name, ok in checks]
+    assert hashlib.sha256(json.dumps(named).encode()).hexdigest()[:16] == want

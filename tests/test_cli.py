@@ -267,6 +267,20 @@ def test_perturbed_result_fails_its_cli_check(
     assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] == [check]
 
 
+def test_wrong_chebyshev_value_fails_heron_area_by_name(capsys, monkeypatch):
+    # BrahmaguptaTriangle holds what it is given, so a wrong U_{k-1}(2)
+    # reaches the printed result and fails only the check on Heron's formula
+    real = sequences.cheb_eval
+
+    def off_by_one(kind, m, n):
+        return real(kind, m, n) + (kind == "second")
+
+    monkeypatch.setattr(sequences, "cheb_eval", off_by_one)
+    code, out, _ = run(capsys, ["seq", "brahmagupta", "--k", "3", "--json"])
+    assert code == 1
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] == ["Heron area"]
+
+
 def test_readme_cli_block_parses():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

@@ -4,7 +4,8 @@ Each closed form below has its defining property as an algebraic identity in
 inputs that the constructing function has already validated, so checking it
 again at run time could never fail.  Each test proves the identity once: it
 expands the closed form, or reduces its cleared numerator modulo the stated
-relation by a Groebner basis, to zero.  Where the library's own function
+relation by a Groebner basis, to zero; a value that must be nonzero is shown
+to vanish only at irrational inputs.  Where the library's own function
 accepts symbols, the test calls it; otherwise it writes the same closed form.
 """
 
@@ -58,6 +59,32 @@ def test_heegner_four_axis_points():
     assert _vanishes(b2**2 - c1sq**2 * n**2)
     assert _vanishes((c2**2 + b2) / 2 - c4sq)
     assert _vanishes((c2**2 - b2) / 2 - c3**2)
+
+
+
+def _heegner_two_values():
+    """heegner_two's c1^2, c2^2 and c4^2 in the symbols n, f1 and f2sq = f2^2."""
+    n, f1, f2sq = sympy.symbols("n f1 f2sq")
+    c1sq = f1**2 * f2sq
+    c2sq = ((n * f1**2 - f2sq) / 2) ** 2
+    return (n, f1, f2sq), c1sq, c2sq, n * c1sq + c2sq
+
+
+def test_heegner_two_c4_is_rational():
+    # c4^2 = N c1^2 + c2^2 = ((N f1^2 + f2^2)/2)^2, a rational square
+    (n, f1, f2sq), _, _, c4sq = _heegner_two_values()
+    assert _vanishes(c4sq - ((n * f1**2 + f2sq) / 2) ** 2)
+
+
+def test_heegner_two_c3_is_nonzero():
+    # with r = N f1^2 / f2^2, 4 (N c1^2 - c2^2) / f2^4 = -(r^2 - 6r + 1), so
+    # c3^2 = 0 needs r = 3 ± 2 sqrt 2; r is rational once f2^2 != 0
+    (n, f1, f2sq), c1sq, c2sq, _ = _heegner_two_values()
+    r = sympy.Symbol("r")
+    quadratic = r**2 - 6 * r + 1
+    assert _vanishes(4 * (n * c1sq - c2sq) / f2sq**2 + quadratic.subs(r, n * f1**2 / f2sq))
+    roots = sympy.roots(quadratic, r)
+    assert len(roots) == 2 and not any(root.is_rational for root in roots)
 
 
 # --- conics ---
@@ -142,6 +169,32 @@ def test_brahmagupta_semiperimeter():
     assert _vanishes(sympy.Rational(3, 2) * (2 * tk) - (2**2 - 1) * tk)
 
 
+
+def test_brahmagupta_heron_area():
+    # sides (t-1, t, t+1) with t = 2T, P = 3T and S = 3TU, where (T, U) =
+    # (T_k(2), U_{k-1}(2)) obey the Pell relation T^2 = 3U^2 + 1
+    t, u = sympy.symbols("t u")
+    p = 3 * t
+    heron = p * (p - (2 * t - 1)) * (p - 2 * t) * (p - (2 * t + 1))
+    assert _vanishes(heron - (3 * t * u) ** 2, [t**2 - 3 * u**2 - 1], (t, u))
+
+
+def test_lucas_identity_at_every_index():
+    # fib_lucas steps (F_n, F_n+1) -> (F_n+1, F_n + F_n+1) from (0, 1), and
+    # L_n by the same recurrence from (2, 1).  L_n = 2 F_n+1 - F_n holds at
+    # n = 0, 1 and so for all n.  The step negates Q = F_n+1^2 - F_n F_n+1 -
+    # F_n^2, which is 1 at n = 0, so Q = (-1)^n and L_n^2 - 5 F_n^2 = 4Q.
+    f0, f1 = sympy.symbols("f0 f1")
+
+    def q(f0, f1):
+        return f1**2 - f0 * f1 - f0**2
+
+    fib = [0, 1, 1]
+    assert [2 * fib[n + 1] - fib[n] for n in (0, 1)] == [2, 1] and q(0, 1) == 1
+    assert _vanishes(q(f1, f0 + f1) + q(f0, f1))
+    assert _vanishes((2 * f1 - f0) ** 2 - 5 * f0**2 - 4 * q(f0, f1))
+
+
 # --- tangent ---
 
 
@@ -160,7 +213,16 @@ def test_point_triangle_has_area_n():
     assert _vanishes(a * b / 2 - n, [y**2 - x**3 + n**2 * x], (y, x, n))
 
 
-# --- triples ---
+# --- triples and fermat ---
+
+
+def test_euclid_and_fermat_triples_are_pythagorean():
+    m, n, p, q = sympy.symbols("m n p q")
+    # euclid's (m^2 - n^2, 2mn, m^2 + n^2)
+    assert _vanishes((m**2 - n**2) ** 2 + (2 * m * n) ** 2 - (m**2 + n**2) ** 2)
+    # node_from_fraction's (pq, -(p^2 - q^2)/2, (p^2 + q^2)/2)
+    a, b, c = p * q, -(p**2 - q**2) / 2, (p**2 + q**2) / 2
+    assert _vanishes(a**2 + b**2 - c**2)
 
 
 @pytest.fixture

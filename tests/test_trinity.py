@@ -1,6 +1,7 @@
 import math
+from collections import Counter
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import product, zip_longest
 from math import gcd
 
 import pytest
@@ -13,20 +14,22 @@ F = Fraction
 
 
 def test_sphere_relations_low_order():
-    checks = trinity.verify_sphere_relations(max_order=2)
-    assert checks and all(ok for _, ok in checks)
+    # the sphere relations lead the one pass: 9 base checks and 3 plane checks per order
+    checks = trinity.verify_derivative_identities(2)[: 9 + 3 * 2]
+    assert checks[0][0] == "plane1: x1+y1-z1 = 1" and checks[-1][0] == "d^2 plane3 = 0"
+    assert all(ok for _, ok in checks)
 
 
 def _jets_at(points, order=2):
-    """The integer jets of a, b, c at each point."""
+    """The integer jets of p1, p2, p3 at each point."""
     for t0 in points:
-        jets, _ = trinity._jets(trinity.trinity_vectors(), t0, order)
+        jets, _ = trinity._jets(t0, order)
         yield jets
 
 
 def test_vector_cross_and_dot_structure():
-    assert len(trinity.trinity_vectors()) == 3
     for jets in _jets_at((0, 1, 3, 40, -7)):
+        assert len(jets) == 3
         assert not any(jet[0].is_zero() for jet in jets)
         for k in range(3):
             u, v, w = (jet[k] for jet in jets)
@@ -48,6 +51,27 @@ def test_derivative_identities_small():
     assert checks and all(ok for _, ok in checks)
 
 
+# (checks in verify_all, jet evaluation points) for max_order 1..6: the
+# points are 0..4w for the pass weight w = max(6, 2 max_order + 2)
+ONE_PASS = {1: (49, 25), 2: (88, 25), 3: (147, 33), 4: (226, 41), 5: (325, 49), 6: (444, 57)}
+
+
+@pytest.mark.parametrize("max_order", sorted(ONE_PASS))
+def test_one_pass_takes_one_jet_table_per_point(monkeypatch, max_order):
+    calls = []
+    real = trinity._jets
+
+    def counted(t0, order):
+        calls.append(t0)
+        return real(t0, order)
+
+    monkeypatch.setattr(trinity, "_jets", counted)
+    checks = trinity.verify_all(max_order)
+    assert (len(checks), len(calls)) == ONE_PASS[max_order]
+    assert calls == list(range(len(calls)))
+    assert all(ok for _, ok in checks)
+
+
 def _plus(num, extra):
     return tuple(a + b for a, b in zip_longest(num, extra, fillvalue=0))
 
@@ -58,67 +82,56 @@ T9_OVER_D = (0,) * 9 + (2,)
 
 def test_perturbed_sphere_fails_by_name(monkeypatch):
     # t^9/d moves x1 off sphere 1 and its plane: every check on x1 must fail
-    (x1, y1, z1), r1 = trinity.sphere_params(1)
-    monkeypatch.setitem(trinity._SPHERES, 1, ((_plus(x1, T9_OVER_D), y1, z1), r1))
-    sphere = dict(trinity.verify_sphere_relations(2))
+    x1, y1, z1 = trinity._SPHERES[1]
+    monkeypatch.setitem(trinity._SPHERES, 1, (_plus(x1, T9_OVER_D), y1, z1))
+    checks = dict(trinity.verify_derivative_identities(2))
     for name in ("plane1: x1+y1-z1 = 1", "norm1 = 1", "d^1 plane1 = 0", "d^2 plane1 = 0"):
-        assert not sphere[name], name
-    assert all(sphere[k] for k in ("plane2: x2-y2-z2 = 0", "norm2 = 1/2", "d^2 plane3 = 0"))
-    vector = dict(trinity.verify_derivative_identities(2))
+        assert not checks[name], name
+    assert all(checks[k] for k in ("plane2: x2-y2-z2 = 0", "norm2 = 1/2", "d^2 plane3 = 0"))
     for name in ("a.b = 0", "|a|^2 = 1", "cxa = b", "d1a.d1b = 0", "d2a x d2c = 0"):
-        assert not vector[name], name
-    assert all(vector[k] for k in ("b.c = 0", "|b|^2 = 1/2", "d2b.d2c = 0"))
+        assert not checks[name], name
+    assert all(checks[k] for k in ("b.c = 0", "|b|^2 = 1/2", "d2b.d2c = 0"))
 
 
 def test_perturbed_b_fails_the_checks_that_carry_scale_powers(monkeypatch):
     # t^9/d moves y2, and so b = (x2, -y2, z2): the checks that compare b
     # with a constant times a power of the common scale must fail
-    (x2, y2, z2), r2 = trinity.sphere_params(2)
-    monkeypatch.setitem(trinity._SPHERES, 2, ((x2, _plus(y2, T9_OVER_D), z2), r2))
-    sphere = dict(trinity.verify_sphere_relations(2))
-    assert not sphere["norm2 = 1/2"]
-    assert all(sphere[k] for k in ("plane1: x1+y1-z1 = 1", "norm1 = 1", "norm3 = 3/2"))
-    vector = dict(trinity.verify_derivative_identities(2))
+    x2, y2, z2 = trinity._SPHERES[2]
+    monkeypatch.setitem(trinity._SPHERES, 2, (x2, _plus(y2, T9_OVER_D), z2))
+    checks = dict(trinity.verify_derivative_identities(2))
+    assert not checks["norm2 = 1/2"]
+    assert all(checks[k] for k in ("plane1: x1+y1-z1 = 1", "norm1 = 1", "norm3 = 3/2"))
     for name in ("|b|^2 = 1/2", "a.(bxc) = 1/2", "ax(bxc) = b"):
-        assert not vector[name], name
-    assert all(vector[k] for k in ("a.c = 1", "|a|^2 = 1", "|c|^2 = 3/2", "d2a x d2c = 0"))
+        assert not checks[name], name
+    assert all(checks[k] for k in ("a.c = 1", "|a|^2 = 1", "|c|^2 = 3/2", "d2a x d2c = 0"))
 
 
-@pytest.mark.parametrize(
-    "run, name, points",
-    [
-        (lambda: trinity.verify_sphere_relations(1), "norm1 = 1", 17),
-        (lambda: trinity.verify_derivative_identities(1), "|a|^2 = 1", 49),
-    ],
-)
-def test_perturbation_hidden_below_the_bound_is_caught(monkeypatch, run, name, points):
+# verify_derivative_identities(1) proves every check at weight 6: at the
+# 8w + 1 = 49 points 0..48 for a table with an odd power, and at the
+# 4w + 1 = 25 points 0..24 for an even one
+@pytest.mark.parametrize("name", ["norm1 = 1", "|a|^2 = 1"], ids=["norm1", "a-norm"])
+def test_perturbation_hidden_below_the_bound_is_caught(monkeypatch, name):
     # the evaluation points are 0, 1, 2, ...; each perturbation of x1 (a
     # numerator over 2d) vanishes at all of them but one, so dropping any
     # point would miss it
-    (x1, y1, z1), r1 = trinity.sphere_params(1)
+    x1, y1, z1 = trinity._SPHERES[1]
+    points = 49
     for seen in (0, points - 1):
         hidden = (1,)
         for k in range(points):
             if k != seen:
                 # times (t - k)
                 hidden = tuple(a - k * b for a, b in zip((0, *hidden), (*hidden, 0)))
-        monkeypatch.setitem(trinity._SPHERES, 1, ((_plus(x1, hidden), y1, z1), r1))
-        assert not dict(run())[name], seen
+        monkeypatch.setitem(trinity._SPHERES, 1, (_plus(x1, hidden), y1, z1))
+        assert not dict(trinity.verify_derivative_identities(1))[name], seen
 
 
-@pytest.mark.parametrize(
-    "run, name, points",
-    [
-        (lambda: trinity.verify_sphere_relations(1), "norm1 = 1", 9),
-        (lambda: trinity.verify_derivative_identities(1), "|a|^2 = 1", 25),
-    ],
-)
-def test_even_perturbation_hidden_below_the_parity_bound_is_caught(
-    monkeypatch, run, name, points
-):
+@pytest.mark.parametrize("name", ["norm1 = 1", "|a|^2 = 1"], ids=["norm1", "a-norm"])
+def test_even_perturbation_hidden_below_the_parity_bound_is_caught(monkeypatch, name):
     # an even table is proved at 0, 1, ..., 4w; each even perturbation of x1
     # vanishes at all of them but one, so dropping any point would miss it
-    (x1, y1, z1), r1 = trinity.sphere_params(1)
+    x1, y1, z1 = trinity._SPHERES[1]
+    points = 25
     for seen in (0, points - 1):
         hidden = (1,)
         for k in range(points):
@@ -126,16 +139,15 @@ def test_even_perturbation_hidden_below_the_parity_bound_is_caught(
                 # times (t^2 - k^2)
                 hidden = tuple(a - k * k * b for a, b in zip((0, 0, *hidden), (*hidden, 0, 0)))
         assert not any(hidden[1::2])
-        monkeypatch.setitem(trinity._SPHERES, 1, ((_plus(x1, hidden), y1, z1), r1))
-        assert not dict(run())[name], seen
+        monkeypatch.setitem(trinity._SPHERES, 1, (_plus(x1, hidden), y1, z1))
+        assert not dict(trinity.verify_derivative_identities(1))[name], seen
 
 
-def test_points_halve_only_for_an_even_table():
-    vectors = trinity.trinity_vectors()
-    assert trinity._points(10, vectors) == range(41)
-    a, b, c = vectors
-    odd_x = _plus(a[0], T9_OVER_D)
-    assert trinity._points(10, ((odd_x, *a[1:]), b, c)) == range(81)
+def test_points_halve_only_for_an_even_table(monkeypatch):
+    assert trinity._points(10) == range(41)
+    x1, y1, z1 = trinity._SPHERES[1]
+    monkeypatch.setitem(trinity._SPHERES, 1, (_plus(x1, T9_OVER_D), y1, z1))
+    assert trinity._points(10) == range(81)
 
 
 def _value_at(poly, t0):
@@ -156,7 +168,7 @@ def _quotient_rule(num, den, order):
 
 
 def _sphere_numerators():
-    return [f for i in (1, 2, 3) for f in trinity.sphere_params(i)[0]]
+    return [f for i in (1, 2, 3) for f in trinity._SPHERES[i]]
 
 
 def test_sphere_table_matches_the_product_forms():
@@ -179,7 +191,7 @@ def test_sphere_table_matches_the_product_forms():
     den = Poly(trinity._DEN)
     assert RatFunc(den) == 2 * d
     for i, form in forms.items():
-        table = trinity.sphere_params(i)[0]
+        table = trinity._SPHERES[i]
         assert tuple(RatFunc(Poly(num), den) for num in table) == form, i
 
 
@@ -255,13 +267,14 @@ def test_circle_check_proves_every_circle():
 
 
 def test_exact_circles_match_the_float_parameterization():
-    for circ in trinity.circles():
-        a, b = math.sqrt(circ.su), math.sqrt(circ.sv)
+    for (family, info), signs in product(trinity._FAMILY.items(), product((1, -1), repeat=3)):
+        center, u, v = (trinity._flip(signs, info[k]) for k in ("C", "u", "v"))
+        a, b = math.sqrt(info["su"]), math.sqrt(info["sv"])
         for angle in (0.123, 1.0, 2.5, -2.0, 4.7):
             cs, sn = math.cos(angle), math.sin(angle)
-            got = [c + cs * a * u + sn * b * v for c, u, v in zip(circ.center, circ.u, circ.v)]
-            want = _reference_point(circ.family, circ.signs, angle)
-            assert all(abs(g - w) < 1e-12 for g, w in zip(got, want)), (circ, angle)
+            got = [c + cs * a * x + sn * b * y for c, x, y in zip(center, u, v)]
+            want = _reference_point(family, signs, angle)
+            assert all(abs(g - w) < 1e-12 for g, w in zip(got, want)), (family, signs, angle)
 
 
 def _mutations(info):
@@ -289,14 +302,16 @@ def test_circle_check_fails_on_any_changed_datum(monkeypatch, family):
         assert {f for f, _ in rep["failed"]} == {family}
 
 
-def test_twenty_signed_circles():
-    cs = trinity.circles()
-    assert len(cs) == 20
-    by_family = {}
-    for c in cs:
-        by_family.setdefault(c.family, 0)
-        by_family[c.family] += 1
+def test_twenty_signed_circles(monkeypatch):
+    # with every sphere condition failing, circle_check lists each signed circle once
+    monkeypatch.setattr(trinity, "_on_sphere", lambda *_: False)
+    rep = trinity.circle_check()
+    assert rep["circles"] == len(rep["failed"]) == len(set(rep["failed"])) == 20
+    by_family = Counter(family for family, _ in rep["failed"])
     assert by_family == {1: 8, 2: 4, 3: 8}
+    # family 2 keeps one of each pair of opposite sign patterns
+    flips = {signs for family, signs in rep["failed"] if family == 2}
+    assert not flips & {tuple(-s for s in signs) for signs in flips}
 
 
 def test_verify_all_low_order():
