@@ -43,6 +43,7 @@ EXIT_DOMAIN = 3
 # default, sys.get_int_max_str_digits()).
 _SIZE_FLAGS = {
     "recur": "a shorter --path",
+    "seq": "a smaller --n (fib), or --m or --k (cheb)",
     "tangent": "a smaller --depth",
 }
 
@@ -304,9 +305,7 @@ def _cmd_recur(args):
         results = {"cells": len(reports), "failed": len(bad)}
         checks = [("all table cells reproduce", not bad)]
         return {}, results, checks
-    t = triples.euclid(args.start_m, args.start_n)
-    tri0 = triples.RatTriangle(t.a, t.b, t.c)
-    n0 = int(tri0.area)
+    tri0, n0 = recurrence.euclid_root(args.start_m, args.start_n)
     steps = recurrence.walk(tri0, n0, args.path)
     results = {
         "start": {"n": n0, "triangle": _tri_dict(tri0)},

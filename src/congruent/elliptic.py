@@ -115,11 +115,11 @@ class Curve:
             k >>= 1
         return acc
 
-    def order_at_most(self, p, bound=MAZUR_MAX_ORDER):
-        """Smallest 1 <= k <= bound with k*P = infinity, or None."""
+    def order_at_most(self, p):
+        """Smallest 1 <= k <= MAZUR_MAX_ORDER with k*P = infinity, or None."""
         self._require(p)
         acc = INFINITY
-        for k in range(1, bound + 1):
+        for k in range(1, MAZUR_MAX_ORDER + 1):
             acc = self.add(acc, p)
             if acc.infinity:
                 return k

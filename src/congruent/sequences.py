@@ -17,10 +17,12 @@ evaluating it at 2m + 1 points.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic import Curve, Point
+from .exact import OutputTooLarge, printable_bits
 from .triples import RatTriangle
 
 __all__ = [
@@ -35,6 +37,10 @@ __all__ = [
     "pell_identity_check",
     "brahmagupta",
 ]
+
+# seq brahmagupta --k 400 takes about 1.5 s on a 2-vCPU host, nearly all of it
+# in the Mazur loop of certify_infinite_order
+MAX_BRAHMAGUPTA_K = 400
 
 
 @dataclass(frozen=True)
@@ -58,14 +64,21 @@ class BrahmaguptaTriangle:
 
 
 def fib_lucas(n):
-    """The pair (F_n, L_n) by the standard recurrences."""
+    """The pair (F_n, L_n) by the standard recurrences.
+
+    Raises OutputTooLarge at the first L_k past the int-to-str digit limit,
+    as every family prints a multiple of L_n.
+    """
     if n < 0:
         raise ValueError("need n >= 0")
+    bits = printable_bits(sys.get_int_max_str_digits())
     f0, f1 = 0, 1
     l0, l1 = 2, 1
     for _ in range(n):
         f0, f1 = f1, f0 + f1
         l0, l1 = l1, l0 + l1
+        if bits is not None and l0.bit_length() > bits:
+            raise OutputTooLarge
     # L^2 - 5 F^2 = 4(-1)^n: tests/test_identities.py::test_lucas_identity_at_every_index
     return FibPair(n, f0, l0)
 
@@ -119,15 +132,19 @@ def cheb_eval(kind, m, n):
 
     kind 'first' gives T (T_0 = 1, T_1 = n), 'second' gives U (U_0 = 1,
     U_1 = 2n); both satisfy P_{k+1} = 2n P_k - P_{k-1}.  The loop starts one
-    step below index 0, at T_{-1} = T_1 = n and U_{-1} = 0.
+    step below index 0, at T_{-1} = T_1 = n and U_{-1} = 0.  Raises
+    OutputTooLarge at the first value past the int-to-str digit limit.
     """
     if m < 0:
         raise ValueError("chebyshev index must be >= 0")
     if kind not in ("first", "second"):
         raise ValueError("kind must be 'first' or 'second'")
+    bits = printable_bits(sys.get_int_max_str_digits())
     prev, cur = (n if kind == "first" else 0), 1
     for _ in range(m):
         prev, cur = cur, 2 * n * cur - prev
+        if bits is not None and cur.bit_length() > bits:
+            raise OutputTooLarge
     return cur
 
 
@@ -175,8 +192,8 @@ def brahmagupta(k):
     degenerate t = 2 case.  Returns (triangle, curve, points, orders), with
     orders the computed orders of Q0..Q3 when t = 2 and None otherwise.
     """
-    if k < 0:
-        raise ValueError("need k >= 0")
+    if not 0 <= k <= MAX_BRAHMAGUPTA_K:
+        raise ValueError(f"--k must be between 0 and {MAX_BRAHMAGUPTA_K}, got {k}")
     tk = cheb_eval("first", k, 2)
     uk = cheb_eval("second", k - 1, 2) if k >= 1 else 0
     t = 2 * tk
@@ -204,5 +221,5 @@ def brahmagupta(k):
                 raise AssertionError("integral point unexpectedly torsion")
         orders = None
     else:
-        orders = tuple(curve.order_at_most(q, 12) for q in qs)
+        orders = tuple(curve.order_at_most(q) for q in qs)
     return tri, curve, qs, orders

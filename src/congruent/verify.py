@@ -318,9 +318,10 @@ def suite_recurrence():
     checks = [("28-cell walk table", all(r["ok"] for r in reports))]
     random_count = 20
     for m, n in _random_pairs(79, random_count, 40):
-        for which, i in (("a_pow_i", 1), ("a_pow_i", 2), ("a_pow_i", 3), ("ab", 1), ("bb", 1)):
-            if not recurrence.closed_form_check(m, n, which, i)["match"]:
-                return checks + [(f"closed form {which} ({m},{n})", False)]
+        tri0, n0 = recurrence.euclid_root(m, n)
+        for path in ("a", "aa", "aaa", "b", "ba"):
+            if recurrence.walk(tri0, n0, path)[-1][1] != recurrence.closed_form(m, n, path):
+                return checks + [(f"closed form {path} ({m},{n})", False)]
     checks.append((f"closed forms on {random_count} random (m,n)", True))
     return checks
 

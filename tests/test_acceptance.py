@@ -5,7 +5,9 @@ property sweeps, symbolic identities, the shipped tables, and finally
 the `verify-all` CLI command as the whole-repository gate.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 from fractions import Fraction
@@ -158,11 +160,38 @@ def test_random_pairs_are_the_seeded_euclid_pairs():
         assert list(verify._random_pairs(seed, count, max_m)) == want
 
 
+def _pool_workloads():
+    return json.loads((Path(__file__).parents[1] / "perfbench" / "pool.json").read_text())["workloads"]
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def test_gate_replays_the_recorded_digest():
     # the benchmark's gate op compares this digest of the whole check list
     # (suite, name and outcome of every check) with the one recorded in its
     # op pool, so any change to the gate's checks fails here as well
-    pool = json.loads((Path(__file__).parents[1] / "perfbench" / "pool.json").read_text())
-    want = pool["workloads"]["gate"]["gate"]["verify.run_all()"]["digest"]
+    want = _pool_workloads()["gate"]["gate"]["verify.run_all()"]["digest"]
     named = [[suite, name, bool(ok)] for suite, checks in verify.run_all().items() for name, ok in checks]
-    assert hashlib.sha256(json.dumps(named).encode()).hexdigest()[:16] == want
+    assert _digest(json.dumps(named)) == want
+
+
+def test_recur_and_seq_ops_replay_their_recorded_digests():
+    # the benchmark digests the JSON output of each CLI op and compares it
+    # with its op pool; replaying the recur and seq strata here makes any
+    # change to those outputs fail the tests as well
+    workloads = _pool_workloads()
+    strata = [
+        workloads["cli"][name] for name in ("recur", "seq-fib", "seq-cheb", "seq-brahmagupta")
+    ] + [workloads["growth"][name] for name in ("recur-8", "recur-10", "recur-12")]
+    ops = {key: entry["digest"] for stratum in strata for key, entry in stratum.items()}
+    differ = []
+    for key, want in ops.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(key.split() + ["--json"])
+        if code != 0 or _digest(out.getvalue()) != want:
+            differ.append(key)
+    assert len(ops) == 316
+    assert not differ

@@ -160,10 +160,13 @@ def test_verify_all_names_a_raising_suite(capsys, monkeypatch):
     [
         (["recur", "walk", "--start-m", "2", "--start-n", "1", "--path", "aaaaaaaaaaaaaa"], "--path"),
         (["recur", "walk", "--start-m", "2", "--start-n", "1", "--path", "a" * 20], "--path"),
+        (["seq", "fib", "--n", "2000000"], "--n"),
+        (["seq", "cheb", "--m", "1000000", "--k", "9"], "--m"),
     ],
 )
 def test_result_past_the_digit_limit_exits_3(capsys, argv, flag):
-    # the walk stops at the first step past the limit, not at the end of the path
+    # the walk and the sequence loops stop at the first value past the limit,
+    # not at the end of the path or the index
     start = time.perf_counter()
     code, out, err = run(capsys, argv)
     assert time.perf_counter() - start < 1
@@ -191,11 +194,15 @@ def test_trinity_json_is_exact(capsys):
         (["fermat", "--depth", "7"], "--depth must be between 1 and 6"),
         (["fermat", "--depth", "0"], "--depth must be between 1 and 6"),
         (["fermat", "--depth", "8"], "--depth must be between 1 and 6"),
+        (["seq", "brahmagupta", "--k", "1200"], "--k must be between 0 and 400"),
+        (["seq", "brahmagupta", "--k", "3000"], "--k must be between 0 and 400"),
+        (["seq", "brahmagupta", "--k", "-1"], "--k must be between 0 and 400"),
     ],
 )
 def test_out_of_range_effort_exits_before_work(capsys, monkeypatch, argv, flag):
     monkeypatch.setattr(trinity, "verify_all", lambda *_: pytest.fail("trinity ran"))
     monkeypatch.setattr(fermat, "node_from_fraction", lambda *_: pytest.fail("fermat ran"))
+    monkeypatch.setattr(sequences, "cheb_eval", lambda *_: pytest.fail("brahmagupta ran"))
     start = time.perf_counter()
     code, out, err = run(capsys, argv)
     assert time.perf_counter() - start < 1

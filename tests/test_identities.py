@@ -129,6 +129,26 @@ def test_lattice_second_point_lies_on_the_ellipse():
         assert _vanishes(off_ellipse(x2, e2))
 
 
+# --- recurrence ---
+
+
+def test_recurrence_step():
+    # walk holds a triangle of area N with chosen leg p/q; r^2 = p^4 + 4N^2 q^4
+    p, q, n, r = sympy.symbols("p q n r")
+    relation = (r**2 - p**4 - 4 * n**2 * q**4,)
+    gens = (r, p, q, n)
+    # the held triangle (p/q, 2N/(p/q), r/(pq)) is right: its hypotenuse is
+    # |c| = r/(pq), so r = |c| p q
+    assert _vanishes((p / q) ** 2 + (2 * n * q / p) ** 2 - (r / (p * q)) ** 2, relation, gens)
+    # the next triangle is right, has area r, and its hypotenuse is the root
+    # that the state (r, p r, q^2 N) would take: p^4 r^2 + 4 q^8 N^4 = (p^4 + 2N^2 q^4)^2
+    a, b = p * r / (q**2 * n), 2 * q**2 * n / p
+    c = (p**4 + 2 * n**2 * q**4) / (p * q**2 * n)
+    assert _vanishes(a**2 + b**2 - c**2, relation, gens)
+    assert _vanishes(a * b / 2 - r)
+    assert _vanishes(p**4 * r**2 + 4 * q**8 * n**4 - (p**4 + 2 * n**2 * q**4) ** 2, relation, gens)
+
+
 # --- sequences ---
 
 
