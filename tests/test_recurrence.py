@@ -1,4 +1,3 @@
-import math
 import sys
 from fractions import Fraction
 from math import gcd, isqrt
@@ -45,7 +44,7 @@ def _isqrt_calls(fn):
     calls = []
 
     def profile(frame, event, arg):
-        if event == "c_call" and arg is math.isqrt:
+        if event == "c_call" and arg is isqrt:
             calls.append(arg)
 
     previous = sys.getprofile()
