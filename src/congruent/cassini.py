@@ -101,8 +101,8 @@ class CassiniOval:
 def oval_axis_points(oval):
     """Exact axis intersections of the oval, in squared coordinates.
 
-    Returns a dict with x2 (list of x^2 values for points (±x, 0)),
-    y2 (list of y^2 values for points (0, ±y)) and the loop class.
+    Returns a dict with x2 (list of x^2 values for points (±x, 0)) and
+    y2 (list of y^2 values for points (0, ±y)).
     b'^2 must be rational (it always is here: b'^4 = c1^4 N^2).
     """
     b2 = rat_sqrt(oval.b4)
@@ -118,7 +118,7 @@ def oval_axis_points(oval):
     if b2 > oval.a2:
         y2.append(b2 - oval.a2)
     # on the oval: tests/test_identities.py::test_axis_points_lie_on_the_oval
-    return {"x2": x2, "y2": y2, "loops": oval.loops}
+    return {"x2": x2, "y2": y2}
 
 
 def heegner_two(n, f1, f2, adjoin="none"):

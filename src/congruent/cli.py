@@ -143,6 +143,7 @@ def _cmd_trinity(args):
         raise ValueError(f"--max-order must be between 1 and {TRINITY_MAX_ORDER}")
     checks = trinity.verify_all(args.max_order)
     rep = trinity.circle_check()
+    checks.append(("trig circles numeric", rep["ok"]))
     results = {"circles": rep["circles"], "circles_failed": rep["failed"]}
     return {"max_order": args.max_order}, results, checks
 
@@ -151,7 +152,7 @@ def _cmd_conics(args):
     if args.sub == "triangle":
         inp = conics.conic_input(args.n, args.f1, parse_rat(args.f2), args.adjoin)
         tri = conics.conic_triangle(inp)
-        p1, p2 = conics.conic_ec_points(inp)
+        p1, p2 = conics.conic_ec_points(tri)
         results = {
             "triangle": _tri_dict(tri),
             "p1": _point(p1),

@@ -3,10 +3,10 @@
 A right triangle of area N is parameterized by two conjugate conics — an
 ellipse e and a degenerate hyperbola h touching at a rational point — in
 two integer variables f1, f2.  Intersecting the ellipse with rational
-lines produces congruent-number polynomials, lattice-point families, and
-points of infinite order on y^2 = x^3 - N^2 x.  A second pair of conics
-(the twin hyperbolas) yields two more quartic congruent-number
-polynomials.  All arithmetic is exact: irrational f2 (multiples of
+lines produces congruent-number polynomials and lattice-point families,
+and each triangle gives points of infinite order on y^2 = x^3 - N^2 x.
+A second pair of conics (the twin hyperbolas) yields two more quartic
+congruent-number polynomials.  All arithmetic is exact: irrational f2 (multiples of
 sqrt(N) or sqrt(2N)) is only ever handled through f2^2, and square roots
 are taken of full rational squares.
 """
@@ -20,7 +20,7 @@ from fractions import Fraction
 from .elliptic import Point, curve_en
 from .exact import rat_sqrt, squarefree_part
 from .polyrat import RatFunc
-from .triples import RatTriangle
+from .triples import RatTriangle, triangle_point
 
 __all__ = [
     "ConicInput",
@@ -88,14 +88,6 @@ class CongruentResult:
     scale: Fraction  # legs of the input triangle were divided by this
 
 
-def _core_quantities(n, f1sq, f2sq):
-    w = n * f1sq - f2sq
-    if w == 0:
-        raise ValueError("degenerate input: N f1^2 = f2^2")
-    e2 = n * f1sq * f2sq - Fraction(w**2, 4)
-    return w, e2
-
-
 def _signed_triangle(n, f1sq, f2sq, ef):
     """Triangle from the conic closed forms given E = e*f1*f2 (signed)."""
     w = n * f1sq - f2sq
@@ -109,8 +101,13 @@ def _signed_triangle(n, f1sq, f2sq, ef):
     return RatTriangle(a, b, c)
 
 
-def _principal_ef(n, f1sq, f2sq):
-    w, e2 = _core_quantities(n, f1sq, f2sq)
+def conic_triangle(inp):
+    """The rational right triangle of area N defined by (N, f1, f2)."""
+    n, f1sq, f2sq = inp.n, Fraction(inp.f1**2), inp.f2sq
+    w = n * f1sq - f2sq
+    if w == 0:
+        raise ValueError("degenerate input: N f1^2 = f2^2")
+    e2 = n * f1sq * f2sq - Fraction(w**2, 4)
     if e2 <= 0:
         raise ValueError("point lies outside the real ellipse (e^2 <= 0)")
     ef = rat_sqrt(e2 * f1sq * f2sq)
@@ -118,34 +115,19 @@ def _principal_ef(n, f1sq, f2sq):
         raise ValueError(
             "e*f1*f2 is irrational; (N, f1, f2) is not a valid rational input"
         )
-    return w, e2, ef
+    return _signed_triangle(n, f1sq, f2sq, ef)
 
 
-def conic_triangle(inp):
-    """The rational right triangle of area N defined by (N, f1, f2)."""
-    f1sq = Fraction(inp.f1**2)
-    _, _, ef = _principal_ef(inp.n, f1sq, inp.f2sq)
-    return _signed_triangle(inp.n, f1sq, inp.f2sq, ef)
+def conic_ec_points(tri):
+    """Two points of infinite order on E_N from a conic triangle of area N.
 
-
-def _ec_points(n, f1sq, f2sq, ef):
-    w = n * f1sq - f2sq
-    h = (n * f1sq + f2sq) / 2
-    x1 = -(w**2) / (4 * f1sq * f2sq)
-    y1 = w * (w**4 - 16 * n**2 * f1sq**2 * f2sq**2) / (32 * ef * h * f1sq * f2sq)
-    x2 = 4 * n**2 * f1sq * f2sq / w**2
-    y2 = n**2 * f1sq * f2sq * (16 * n**2 * f1sq**2 * f2sq**2 - w**4) / (
-        2 * ef * h * w**3
-    )
-    return Point(x1, y1), Point(x2, y2)
-
-
-def conic_ec_points(inp):
-    """Two points of infinite order on E_N produced by (N, f1, f2)."""
-    f1sq = Fraction(inp.f1**2)
-    _, _, ef = _principal_ef(inp.n, f1sq, inp.f2sq)
-    # on E_N with y != 0: tests/test_identities.py::test_conic_points_lie_on_e_n_with_y_nonzero
-    return _ec_points(inp.n, f1sq, inp.f2sq, ef)
+    P2 is the triangle's point and P1 = -(P2 + (0,0)) = (-N^2/x, -N^2 y/x^2).
+    """
+    p2 = triangle_point(tri)
+    n2 = tri.area**2
+    # equal to the conic closed forms, with y != 0:
+    # tests/test_identities.py::test_conic_points_match_the_conic_forms
+    return Point(-n2 / p2.x, -n2 * p2.y / p2.x**2), p2
 
 
 def reduce_raise(x_t, tri):
@@ -241,8 +223,9 @@ def intersect_polynomial_identity():
 
 # --- the lattice-point family ---
 #
-# One closed form each gives the index-1 point P(m, n) = (x, e), triangle
-# T(m, n) of area x and secondary number N(m, n, t).  The other indices are
+# One closed form each gives the index-1 point P(m, n) = (x, e) and
+# secondary number N(m, n, t); the triangle T(m, n) of area x is the conic
+# triangle of the (1, m^2+n^2) ellipse at P(m, n).  The other indices are
 # signed swaps of (m, n), all keeping s = m^2 + n^2: for the i-th entry
 # (u, v, e_sign, sign) of _lattice_subs, point i is (x, e_sign * e) of
 # P(u, v), triangle i is sign * T(u, v) and N_i2 is N(u, v, sign * t).
@@ -258,17 +241,13 @@ def _lattice_point(m, n):
 
 
 def _lattice_triangle(m, n, name):
-    """Sides of T(m, n); name labels the leg a in the degenerate-input error."""
-    x, _ = _lattice_point(m, n)
-    p = (m**2 + 2 * m * n - n**2) * (m**2 + 2 * m * n + 3 * n**2)
-    den = 2 * n * (m + n)
-    if den * p == 0:
+    """T(m, n); name labels the leg a in the degenerate-input error."""
+    # the conic's N f1^2 - f2^2 is x - s^2 = 4 s n (m+n)
+    if n * (m + n) == 0:
         raise ValueError(f"degenerate (m, n): denominator of {name} vanishes")
-    c_num = (
-        m**8 + 8 * m**7 * n + 28 * m**6 * n**2 + 56 * m**5 * n**3 + 94 * m**4 * n**4
-        + 152 * m**3 * n**5 + 172 * m**2 * n**6 + 104 * m * n**7 + 41 * n**8
-    )
-    return Fraction(p, den), Fraction(2 * den * x, p), Fraction(c_num, den * p)
+    s = m**2 + n**2
+    x, e = _lattice_point(m, n)
+    return _signed_triangle(x, Fraction(1), s**2, e * s)
 
 
 def lattice_points(m, n):
@@ -281,7 +260,7 @@ def lattice_points(m, n):
     for i, (u, v, e_sign, sign) in enumerate(_lattice_subs(m, n), 1):
         x, e = _lattice_point(u, v)
         pts.append((x, e_sign * e))
-        tris.append(RatTriangle(*(sign * side for side in _lattice_triangle(u, v, f"a{i}"))))
+        tris.append(_lattice_triangle(u, v, f"a{i}").scaled(sign))
     return tuple(pts), tuple(tris)
 
 

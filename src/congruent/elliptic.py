@@ -131,18 +131,6 @@ class Curve:
             return False
         return self.order_at_most(p) is None
 
-    def __str__(self):
-        from .exact import format_rat
-
-        terms = ["x^3"]
-        for coeff, mono in ((self.a2, "x^2"), (self.a4, "x"), (self.a6, "")):
-            if coeff == 0:
-                continue
-            s = format_rat(abs(coeff))
-            body = f"{s}*{mono}" if mono else s
-            terms.append(("- " if coeff < 0 else "+ ") + body)
-        return "y^2 = " + " ".join(terms)
-
 
 def curve_en(n):
     """The congruent-number curve y^2 = x^3 - N^2 x (sign of N immaterial)."""

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .elliptic import Curve, Point
 from .exact import OutputTooLarge, printable_bits
-from .triples import RatTriangle
+from .triples import RatTriangle, triangle_point
 
 __all__ = [
     "FibPair",
@@ -86,14 +86,12 @@ def fib_lucas(n):
 def standard_points(tri):
     """The companion points P1, P2 on E_N for a triangle of area N.
 
-    P1 = (a(a+c)/2, a^2(a+c)/2) and P2 = (c^2/4, c(a^2-b^2)/8); in the
-    even Fibonacci and the Chebyshev families they are (0,0) + P0 and 2 P0.
+    P1 = triangle_point(tri) and P2 = (c^2/4, c(a^2-b^2)/8); in the even
+    Fibonacci and the Chebyshev families they are (0,0) + P0 and 2 P0.
     """
     a, b, c = tri.a, tri.b, tri.c
-    p1 = Point(a * (a + c) / 2, a**2 * (a + c) / 2)
-    p2 = Point(c**2 / 4, c * (a**2 - b**2) / 8)
-    # on E_{ab/2}: tests/test_identities.py::test_standard_points_lie_on_e_n
-    return p1, p2
+    # P2 on E_{ab/2}: tests/test_identities.py::test_standard_points_lie_on_e_n
+    return triangle_point(tri), Point(c**2 / 4, c * (a**2 - b**2) / 8)
 
 
 def fib_even_family(n):

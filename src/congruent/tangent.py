@@ -5,8 +5,8 @@ half-numerator of its hypotenuse form Heegner's (c1, c2); solving the
 binary quadratic form c2 = |N f1^2 - f2^2|/2 with f1 f2 = c1 yields a new
 solution pair (f1, f2) and, through the two-intersection system, a new
 triangle for the same N.  Iterating walks the tangent lines of
-y^2 = x^3 - N^2 x: each triangle's curve point is (minus) the double of
-the previous one.
+y^2 = x^3 - N^2 x: each triangle's curve point, triples.triangle_point,
+is (minus) the double of the previous one.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from fractions import Fraction
 from .cassini import heegner_two
 from .elliptic import Point, curve_en
 from .exact import rat_sqrt
-from .triples import RatTriangle
+from .triples import RatTriangle, triangle_point
 
 __all__ = [
     "ChainEntry",
     "TangentChain",
-    "triangle_to_point",
     "point_to_triangle",
     "tangent_intersection",
     "solve_f",
@@ -33,20 +32,8 @@ __all__ = [
 MAX_FREE_DEPTH = 5
 
 
-def triangle_to_point(tri, n):
-    """The point (N(a+c)/b, 2N^2(a+c)/b^2) on E_N for a triangle of area N."""
-    if tri.b == 0:
-        raise ValueError("degenerate triangle")
-    if tri.area != n:
-        raise ValueError("triangle area is not N")
-    x = n * (tri.a + tri.c) / tri.b
-    y = 2 * n**2 * (tri.a + tri.c) / tri.b**2
-    # on E_N: tests/test_identities.py::test_triangle_point_lies_on_e_n
-    return Point(x, y)
-
-
 def point_to_triangle(p, n):
-    """The inverse map ((x^2-N^2)/y, 2Nx/y, (x^2+N^2)/y)."""
+    """The inverse of triples.triangle_point: ((x^2-N^2)/y, 2Nx/y, (x^2+N^2)/y)."""
     if p.infinity or p.y == 0:
         raise ValueError("point has no associated triangle")
     if not curve_en(n).contains(p):
@@ -111,7 +98,7 @@ class TangentChain:
     def doubling_holds(self):
         """Each entry's point is ±2 times the previous point on E_N."""
         curve = curve_en(self.n)
-        prev = triangle_to_point(self.seed, self.n)
+        prev = triangle_point(self.seed)
         for entry in self.entries:
             dbl = curve.double(prev)
             if entry.point.x != dbl.x or abs(entry.point.y) != abs(dbl.y):
@@ -141,6 +128,6 @@ def tangent_chain(tri0, n, depth=3):
         c2 = Fraction(c.numerator, 2)
         f1, f2 = solve_f(c1, c2, n)
         _, tri, _ = heegner_two(n, f1, f2)
-        entries.append(ChainEntry(f1, f2, tri, triangle_to_point(tri, n)))
+        entries.append(ChainEntry(f1, f2, tri, triangle_point(tri)))
         current = tri
     return TangentChain(n, tri0, tuple(entries))

@@ -3,9 +3,10 @@
 From one integer Pythagorean triple (A, B, C) three rational right
 triangles are built by pairing its sides; their areas are congruent
 numbers tied together by a single quartic identity.  Also here: the
-collinear points those areas induce on the curves y^2 = x^3 - N^2 x,
-Euler concordant-form solutions read off the hypotenuses, and the
-three-dimensional distance identity of the side differences.
+point of a right triangle of area N on y^2 = x^3 - N^2 x, the collinear
+points the three areas induce on their curves, Euler concordant-form
+solutions read off the hypotenuses, and the three-dimensional distance
+identity of the side differences.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .exact import rat_sqrt, squarefree_part
 __all__ = [
     "PythTriple",
     "RatTriangle",
+    "triangle_point",
     "AreaQuad",
     "ConcordantSolution",
     "euclid",
@@ -82,10 +84,13 @@ class RatTriangle:
         factor = Fraction(factor)
         return RatTriangle(self.a / factor, self.b / factor, self.c / factor)
 
-    def __str__(self):
-        from .exact import format_rat
 
-        return f"({format_rat(self.a)}, {format_rat(self.b)}, {format_rat(self.c)})"
+def triangle_point(tri):
+    """The point (N(a+c)/b, 2N^2(a+c)/b^2) on E_N, N = ab/2 (Koblitz, ch. I)."""
+    n = tri.a * tri.b / 2
+    x = n * (tri.a + tri.c) / tri.b
+    # on E_N: tests/test_identities.py::test_triangle_point_lies_on_e_n
+    return Point(x, 2 * n * x / tri.b)
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,7 @@ def suite_triples_random():
 
 
 def suite_trinity():
-    return trinity.verify_all()
+    return trinity.verify_all() + [("trig circles numeric", trinity.circle_check()["ok"])]
 
 
 def suite_conics_zagier():
@@ -115,7 +115,7 @@ def suite_conics_zagier():
         "8912332268928859588025535178967163570016480830",
     )
     checks = [("N=157 triangle", tri == want)]
-    p1, p2 = conics.conic_ec_points(inp)
+    p1, p2 = conics.conic_ec_points(tri)
     checks.append(
         (
             "N=157 P1",

@@ -177,14 +177,11 @@ def test_gate_replays_the_recorded_digest():
     assert _digest(json.dumps(named)) == want
 
 
-def test_recur_and_seq_ops_replay_their_recorded_digests():
-    # the benchmark digests the JSON output of each CLI op and compares it
-    # with its op pool; replaying the recur and seq strata here makes any
-    # change to those outputs fail the tests as well
+def _replay(cli_strata, growth_strata):
+    """Run every op of the named pool strata; return the op count and the ops that differ."""
     workloads = _pool_workloads()
-    strata = [
-        workloads["cli"][name] for name in ("recur", "seq-fib", "seq-cheb", "seq-brahmagupta")
-    ] + [workloads["growth"][name] for name in ("recur-8", "recur-10", "recur-12")]
+    strata = [workloads["cli"][name] for name in cli_strata]
+    strata += [workloads["growth"][name] for name in growth_strata]
     ops = {key: entry["digest"] for stratum in strata for key, entry in stratum.items()}
     differ = []
     for key, want in ops.items():
@@ -193,5 +190,29 @@ def test_recur_and_seq_ops_replay_their_recorded_digests():
             code = cli.main(key.split() + ["--json"])
         if code != 0 or _digest(out.getvalue()) != want:
             differ.append(key)
-    assert len(ops) == 316
+    return len(ops), differ
+
+
+def test_recur_and_seq_ops_replay_their_recorded_digests():
+    # the benchmark digests the JSON output of each CLI op and compares it
+    # with its op pool; replaying the recur and seq strata here makes any
+    # change to those outputs fail the tests as well
+    count, differ = _replay(
+        ("recur", "seq-fib", "seq-cheb", "seq-brahmagupta"), ("recur-8", "recur-10", "recur-12")
+    )
+    assert count == 316
+    assert not differ
+
+
+def test_conic_cassini_and_tangent_ops_replay_their_recorded_digests():
+    # the strata whose triangles and curve points come from the conic
+    # triangle formula and triples.triangle_point, plus the README examples
+    count, differ = _replay(
+        (
+            "readme", "conics-triangle", "conics-intersect", "conics-lattice",
+            "conics-lattice-t", "conics-twin", "cassini", "tangent",
+        ),
+        ("tangent-4", "tangent-5"),
+    )  # fmt: skip
+    assert count == 228
     assert not differ

@@ -250,7 +250,7 @@ def _double_legs(tri):
         (["conics", "triangle", "--n", "157", "--f1", "87005", "--f2", "610961"],
          conics, "_signed_triangle", _double_legs, "area = N"),
         (["conics", "lattice", "--m", "1", "--n", "2"],
-         conics, "_lattice_triangle", lambda sides: tuple(2 * s for s in sides),
+         conics, "_lattice_triangle", lambda tri: tri.scaled(Fraction(1, 2)),
          "lattice triangles have area x_i"),
         (["tangent", "--n", "5", "--a", "3/2", "--b", "20/3"],
          tangent.TangentChain, "doubling_holds", lambda ok: False, "doubling relation"),

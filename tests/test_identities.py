@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from congruent import conics, sequences, tangent, triples
+from congruent import conics, sequences, triples
 from congruent.cassini import CassiniOval
 from congruent.elliptic import Curve, Point
 
@@ -90,22 +90,57 @@ def test_heegner_two_c3_is_nonzero():
 # --- conics ---
 
 
-def test_conic_points_lie_on_e_n_with_y_nonzero():
+@pytest.fixture
+def record_triangles(monkeypatch):
+    """conics builds plain records, so its triangle formulas accept symbols."""
+
+    def record(a, b, c):
+        return SimpleNamespace(a=a, b=b, c=c, area=a * b / 2)
+
+    monkeypatch.setattr(conics, "RatTriangle", record)
+
+
+def test_conic_points_match_the_conic_forms(record_triangles):
     n, f1sq, f2sq, ef = sympy.symbols("n f1sq f2sq ef")
     w = n * f1sq - f2sq
     e2 = n * f1sq * f2sq - w**2 / 4
-    # _principal_ef takes ef as the root of e2 f1^2 f2^2
-    relation = ef**2 - e2 * f1sq * f2sq
-    p1, p2 = conics._ec_points(n, f1sq, f2sq, ef)
-    for p in (p1, p2):
-        assert _vanishes(_off_e_n(p, n), [relation], (ef, n, f1sq, f2sq))
-    # y != 0: _principal_ef requires e2 > 0, so n f1^2 f2^2 > w^2/4 >= 0 and
-    # n, f1^2, h = (n f1^2 + f2^2)/2 and ef are nonzero; _core_quantities
-    # requires w != 0.  Each y is a product of these factors and e2 (w^2 + 2 e2).
+    # conic_triangle takes ef as the root of e2 f1^2 f2^2
+    relation, gens = [ef**2 - e2 * f1sq * f2sq], (ef, n, f1sq, f2sq)
+    p1, p2 = conics.conic_ec_points(conics._signed_triangle(n, f1sq, f2sq, ef))
+    # the closed forms in (N, f1^2, f2^2, ef) that P1, P2 were computed from
+    # before they were read off the triangle
     h = (n * f1sq + f2sq) / 2
+    x1 = -(w**2) / (4 * f1sq * f2sq)
+    y1 = w * (w**4 - 16 * n**2 * f1sq**2 * f2sq**2) / (32 * ef * h * f1sq * f2sq)
+    x2 = 4 * n**2 * f1sq * f2sq / w**2
+    y2 = n**2 * f1sq * f2sq * (16 * n**2 * f1sq**2 * f2sq**2 - w**4) / (2 * ef * h * w**3)
+    for p, x, y in ((p1, x1, y1), (p2, x2, y2)):
+        assert _vanishes(p.x - x, relation, gens)
+        assert _vanishes(p.y - y, relation, gens)
+        assert _vanishes(_off_e_n(p, n), relation, gens)
+    # y != 0: conic_triangle requires e2 > 0, so n f1^2 f2^2 > w^2/4 >= 0 and
+    # n, f1^2, h = (n f1^2 + f2^2)/2 and ef are nonzero; it also requires
+    # w != 0.  Each y is a product of these factors and e2 (w^2 + 2 e2).
     pos = e2 * (w**2 + 2 * e2)
-    assert _vanishes(p1.y + w * pos / (4 * ef * h * f1sq * f2sq))
-    assert _vanishes(p2.y - 4 * n**2 * f1sq * f2sq * pos / (ef * h * w**3))
+    assert _vanishes(y1 + w * pos / (4 * ef * h * f1sq * f2sq))
+    assert _vanishes(y2 - 4 * n**2 * f1sq * f2sq * pos / (ef * h * w**3))
+
+
+def test_lattice_triangle_matches_its_closed_form(record_triangles):
+    # T(m, n), the conic triangle at P(m, n), is the closed form in (m, n)
+    # that lattice_points printed before it was built by _signed_triangle
+    m, n = sympy.symbols("m n")
+    tri = conics._lattice_triangle(m, n, "a1")
+    x, _ = conics._lattice_point(m, n)
+    p = (m**2 + 2 * m * n - n**2) * (m**2 + 2 * m * n + 3 * n**2)
+    den = 2 * n * (m + n)
+    c_num = (
+        m**8 + 8 * m**7 * n + 28 * m**6 * n**2 + 56 * m**5 * n**3 + 94 * m**4 * n**4
+        + 152 * m**3 * n**5 + 172 * m**2 * n**6 + 104 * m * n**7 + 41 * n**8
+    )
+    assert _vanishes(tri.a - p / den)
+    assert _vanishes(tri.b - 2 * den * x / p)
+    assert _vanishes(tri.c - c_num / (den * p))
 
 
 def test_lattice_second_point_lies_on_the_ellipse():
@@ -153,9 +188,12 @@ def test_recurrence_step():
 
 
 def test_standard_points_lie_on_e_n():
+    # P1 is triples.triangle_point's, proved in test_triangle_point_lies_on_e_n
     a, b, c = sympy.symbols("a b c")
-    for p in sequences.standard_points(SimpleNamespace(a=a, b=b, c=c)):
-        assert _vanishes(_off_e_n(p, a * b / 2), [c**2 - a**2 - b**2], (c, a, b))
+    tri = SimpleNamespace(a=a, b=b, c=c)
+    p1, p2 = sequences.standard_points(tri)
+    assert p1 == triples.triangle_point(tri)
+    assert _vanishes(_off_e_n(p2, a * b / 2), [c**2 - a**2 - b**2], (c, a, b))
 
 
 def _assert_group_relations(tri, n, p0, relation, gens):
@@ -215,14 +253,13 @@ def test_lucas_identity_at_every_index():
     assert _vanishes((2 * f1 - f0) ** 2 - 5 * f0**2 - 4 * q(f0, f1))
 
 
-# --- tangent ---
+# --- triangles and points ---
 
 
 def test_triangle_point_lies_on_e_n():
     a, b, c = sympy.symbols("a b c")
-    n = a * b / 2
-    p = tangent.triangle_to_point(SimpleNamespace(a=a, b=b, c=c, area=n), n)
-    assert _vanishes(_off_e_n(p, n), [c**2 - a**2 - b**2], (c, a, b))
+    p = triples.triangle_point(SimpleNamespace(a=a, b=b, c=c))
+    assert _vanishes(_off_e_n(p, a * b / 2), [c**2 - a**2 - b**2], (c, a, b))
 
 
 def test_point_triangle_has_area_n():

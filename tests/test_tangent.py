@@ -5,7 +5,7 @@ import pytest
 
 from congruent import tangent
 from congruent.elliptic import Point, curve_en
-from congruent.triples import RatTriangle
+from congruent.triples import RatTriangle, triangle_point
 
 F = Fraction
 
@@ -13,15 +13,15 @@ SEED5 = RatTriangle(F(3, 2), F(20, 3), F(41, 6))
 
 
 def test_triangle_point_roundtrip():
-    p = tangent.triangle_to_point(SEED5, 5)
+    p = triangle_point(SEED5)
     tri = tangent.point_to_triangle(p, 5)
     assert tri.area == 5
-    assert tangent.triangle_to_point(tri, 5) == p
+    assert triangle_point(tri) == p
 
 
-def test_triangle_to_point_validates_area():
-    with pytest.raises(ValueError):
-        tangent.triangle_to_point(SEED5, 6)
+def test_tangent_chain_validates_seed_area():
+    with pytest.raises(ValueError, match="seed triangle area is not N"):
+        tangent.tangent_chain(SEED5, 6)
 
 
 def test_point_to_triangle_rejects_a_point_off_the_curve():
