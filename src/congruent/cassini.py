@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conics import conic_input
+from .conics import f2_squared
 from .exact import rat_sqrt
 from .triples import RatTriangle
 
@@ -128,7 +128,7 @@ def heegner_two(n, f1, f2, adjoin="none"):
     c4^2 = N c1^2 + c2^2; the triangle (c3c4/(c1c2), 2c1c2N/(c3c4), ...)
     has area N; the oval is (a', b') = (c2, c1 sqrt(N)).
     """
-    f2sq = conic_input(n, f1, f2, adjoin).f2sq
+    f2sq = f2_squared(n, f2, adjoin)
     c1sq = f1**2 * f2sq
     if c1sq == 0:
         raise ValueError("f1 f2 must be nonzero")

@@ -28,7 +28,7 @@ from . import (
     triples,
     verify,
 )
-from .exact import FactorBudgetExceeded, OutputTooLarge, format_rat, parse_rat
+from .exact import FactorBudgetExceeded, OutputTooLarge, format_rat
 
 __all__ = ["main"]
 
@@ -150,8 +150,7 @@ def _cmd_trinity(args):
 
 def _cmd_conics(args):
     if args.sub == "triangle":
-        inp = conics.conic_input(args.n, args.f1, parse_rat(args.f2), args.adjoin)
-        tri = conics.conic_triangle(inp)
+        tri = conics.conic_triangle(args.n, args.f1, args.f2, args.adjoin)
         p1, p2 = conics.conic_ec_points(tri)
         results = {
             "triangle": _tri_dict(tri),
@@ -165,7 +164,7 @@ def _cmd_conics(args):
         ]
         inputs = {"n": args.n, "f1": args.f1, "f2": args.f2, "adjoin": args.adjoin}
     elif args.sub == "intersect":
-        t = parse_rat(args.t)
+        t = Fraction(args.t)
         n_t, (x_t, e_t), tri, p1, p2 = conics.intersect_example(t, args.f)
         results = {
             "n": n_t,
@@ -186,7 +185,8 @@ def _cmd_conics(args):
         checks = [("lattice triangles have area x_i", areas_ok)]
         inputs = {"m": args.m, "n": args.n}
         if args.t is not None:
-            sec = conics.lattice_secondary(args.m, args.n, parse_rat(args.t))
+            t = Fraction(args.t)
+            sec = conics.lattice_secondary(args.m, args.n, t)
             results["secondary"] = [
                 {
                     "x2": r["point"][0],
@@ -197,11 +197,12 @@ def _cmd_conics(args):
                 }
                 for r in sec
             ]
-            sec_ok = all(r["triangle"].area == r["primitive"] for r in sec)
+            # x_i2 (4t^2+1)^2, with x_i2 from Vieta, against the closed form N_i2
+            sec_ok = all(r["point"][0] * (4 * t**2 + 1) ** 2 == r["n2"] for r in sec)
             checks.append(("secondary intersections verified", sec_ok))
-            inputs["t"] = parse_rat(args.t)
+            inputs["t"] = t
     else:  # twin
-        t = parse_rat(args.t)
+        t = Fraction(args.t)
         n1, n2, t1, t2 = conics.twin_hyperbolas(t)
         results = {
             "n1": n1,
@@ -233,13 +234,11 @@ def _oval_points(oval, count):
 
 def _cmd_cassini(args):
     if args.sub == "two":
-        quad, tri, oval = cassini.heegner_two(
-            args.n, args.f1, parse_rat(args.f2), args.adjoin
-        )
+        quad, tri, oval = cassini.heegner_two(args.n, args.f1, args.f2, args.adjoin)
         axis = cassini.oval_axis_points(oval)
     else:
         quad, tri, oval, axis = cassini.heegner_four(
-            args.n, args.f1, parse_rat(args.f2) ** 2
+            args.n, args.f1, Fraction(args.f2) ** 2
         )
     results = {
         "c1_sq": quad.c1sq,
@@ -263,8 +262,8 @@ def _cmd_cassini(args):
 
 
 def _cmd_tangent(args):
-    a = parse_rat(args.a)
-    b = parse_rat(args.b)
+    a = Fraction(args.a)
+    b = Fraction(args.b)
     tri = triples.RatTriangle.from_legs(a, b)
     chain = tangent.tangent_chain(tri, args.n, depth=args.depth)
     results = {

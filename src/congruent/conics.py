@@ -13,7 +13,6 @@ are taken of full rational squares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 # curve_en is unused here; perfbench's tracer test checks that it wraps this alias
@@ -23,9 +22,7 @@ from .polyrat import RatFunc
 from .triples import RatTriangle, triangle_point
 
 __all__ = [
-    "ConicInput",
-    "CongruentResult",
-    "conic_input",
+    "f2_squared",
     "conic_triangle",
     "conic_ec_points",
     "intersect_example",
@@ -38,54 +35,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConicInput:
-    """N with f1 and the square of f2; f2 itself may be irrational.
+def f2_squared(n, f2, adjoin="none"):
+    """f2^2 from the rational part of f2; f2 itself may be irrational.
 
-    adjoin records the class of f2: 'none' for integer f2 (f2sq a perfect
-    square), 'sqrtN' for f2 = u*sqrt(N), 'sqrt2N' for f2 = u*sqrt(2N).
+    adjoin is the class of f2: with 'none' f2 is the rational given, with
+    'sqrtN' it means f2*sqrt(N) and with 'sqrt2N' it means f2*sqrt(2N).
     """
-
-    n: int
-    f1: int
-    f2sq: Fraction
-    adjoin: str = "none"
-
-    def __post_init__(self):
-        if self.f2sq <= 0:
-            raise ValueError("f2^2 must be positive")
-        if self.adjoin not in ("none", "sqrtN", "sqrt2N"):
-            raise ValueError(f"unknown adjunction class {self.adjoin!r}")
-        if self.adjoin == "none" and rat_sqrt(self.f2sq) is None:
-            raise ValueError("f2^2 must be a perfect square when f2 is rational")
-
-
-def conic_input(n, f1, f2, adjoin="none"):
-    """Build a ConicInput from the rational part of f2.
-
-    With adjoin='sqrtN' the pair (f1, f2) means (f1, f2*sqrt(N)); with
-    'sqrt2N' it means (f1, f2*sqrt(2N)).
-    """
-    f2 = Fraction(f2)
-    if adjoin == "none":
-        f2sq = f2**2
-    elif adjoin == "sqrtN":
-        f2sq = f2**2 * n
+    f2sq = Fraction(f2) ** 2
+    if adjoin == "sqrtN":
+        f2sq *= n
     elif adjoin == "sqrt2N":
-        f2sq = f2**2 * 2 * n
-    else:
+        f2sq *= 2 * n
+    elif adjoin != "none":
         raise ValueError(f"unknown adjunction class {adjoin!r}")
-    return ConicInput(n, f1, f2sq, adjoin)
-
-
-@dataclass(frozen=True)
-class CongruentResult:
-    """A primitive congruent number with its certifying triangle."""
-
-    n_raw: Fraction
-    n_primitive: int
-    triangle: RatTriangle
-    scale: Fraction  # legs of the input triangle were divided by this
+    if f2sq <= 0:
+        raise ValueError("f2^2 must be positive")
+    return f2sq
 
 
 def _signed_triangle(n, f1sq, f2sq, ef):
@@ -101,9 +66,9 @@ def _signed_triangle(n, f1sq, f2sq, ef):
     return RatTriangle(a, b, c)
 
 
-def conic_triangle(inp):
-    """The rational right triangle of area N defined by (N, f1, f2)."""
-    n, f1sq, f2sq = inp.n, Fraction(inp.f1**2), inp.f2sq
+def conic_triangle(n, f1, f2, adjoin="none"):
+    """The rational right triangle of area N defined by (N, f1, f2); see f2_squared."""
+    f1sq, f2sq = Fraction(f1**2), f2_squared(n, f2, adjoin)
     w = n * f1sq - f2sq
     if w == 0:
         raise ValueError("degenerate input: N f1^2 = f2^2")
@@ -130,22 +95,14 @@ def conic_ec_points(tri):
     return Point(-n2 / p2.x, -n2 * p2.y / p2.x**2), p2
 
 
-def reduce_raise(x_t, tri):
-    """Reduce/raise a rational area to its primitive congruent number.
+def reduce_raise(tri):
+    """(N, the similar triangle of area ±N) for N the primitive congruent number of tri.
 
-    The primitive congruent number of x_t is |squarefree part of
-    numerator*denominator|; the triangle legs are divided by the rational
-    scale s with s^2 = area/N, which removes square factors and clears
-    the denominator in one step.
+    The legs are divided by the rational s with s^2 = |area|/N, which
+    removes square factors and clears the denominator in one step.
     """
-    x_t = Fraction(x_t)
-    if x_t == 0:
-        raise ValueError("zero area has no congruent number")
-    n_prim = abs(squarefree_part(x_t.numerator * x_t.denominator))
-    s = rat_sqrt(tri.area / n_prim)
-    if s is None:
-        raise ValueError("triangle area and x_t are in different square classes")
-    return CongruentResult(x_t, n_prim, tri.scaled(s), s)
+    n_prim = tri.congruent_number()
+    return n_prim, tri.scaled(rat_sqrt(abs(tri.area) / n_prim))
 
 
 # --- the line-ellipse intersection family N(t) = (4t^2+1)(4t^2-8t+5) ---
@@ -273,28 +230,25 @@ def _lattice_n2(m, n, t):
     )
 
 
-def _n_secondary(m, n, t):
-    """The four secondary numbers N_12, ..., N_42."""
-    return tuple(_lattice_n2(u, v, sign * t) for u, v, _, sign in _lattice_subs(m, n))
-
-
 def lattice_secondary(m, n, t):
     """Second intersection points of slope-t lines through the lattice points.
 
     For each lattice point the line meets the ellipse again at a rational
     point (x_i2, e_i2); raising x_i2 by its denominator 4t^2+1 gives the
     four displayed congruent numbers N_i2 with verifying triangles.
-    Returns a list of dicts with the raw point, N_i2 and triangle.
+    Returns a list of dicts with the raw point, N_i2, its primitive
+    congruent number and the reduced triangle.
     """
     t = Fraction(t)
     s = m**2 + n**2
     f2sq = Fraction(s**2)
     out = []
-    for (u, v, _, _), n_i2 in zip(_lattice_subs(m, n), _n_secondary(m, n, t)):
+    for u, v, _, sign in _lattice_subs(m, n):
+        n_i2 = _lattice_n2(u, v, sign * t)
         x_i, e_i = _lattice_point(u, v)
-        # the slope-t lines pass through the positive-ordinate ellipse
-        # points; the displayed lattice points carry a signed ordinate
-        e_i = abs(e_i)
+        # the slope-t line passes through (x_i, sign * e_i), the point
+        # whose second intersection the closed form N(u, v, sign * t) raises
+        e_i = sign * e_i
         # Vieta: the quadratic (t^2+1/4)x^2 + ... has roots x_i and x_i2
         root_sum = (Fraction(3, 2) * f2sq - 2 * t * e_i + 2 * t**2 * x_i) / (
             t**2 + Fraction(1, 4)
@@ -308,16 +262,15 @@ def lattice_secondary(m, n, t):
         e2 = t * (x2 - x_i) + e_i
         # the triangle is built from the positive root at the new abscissa
         ef = abs(e2) * s  # f1 = 1, f2 = m^2+n^2 exactly rational here
-        tri_raw = _signed_triangle(x2, Fraction(1), f2sq, ef)
-        result = reduce_raise(x2, tri_raw)
-        if result.n_primitive != abs(squarefree_part(n_i2)):
+        primitive, tri = reduce_raise(_signed_triangle(x2, Fraction(1), f2sq, ef))
+        if primitive != abs(squarefree_part(n_i2)):
             raise AssertionError("secondary congruent number mismatch")
         out.append(
             {
                 "point": (x2, e2),
                 "n2": n_i2,
-                "primitive": result.n_primitive,
-                "triangle": result.triangle,
+                "primitive": primitive,
+                "triangle": tri,
             }
         )
     return out

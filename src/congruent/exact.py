@@ -22,7 +22,6 @@ __all__ = [
     "is_probable_prime",
     "factorize",
     "squarefree_part",
-    "parse_rat",
     "printable_bits",
     "format_rat",
 ]
@@ -181,7 +180,7 @@ def factorize(n, budget=10**7):
     return sorted(factors)
 
 
-def squarefree_part(n, budget=10**7):
+def squarefree_part(n):
     """The squarefree d with n = d*s**2; sign of d follows the sign of n."""
     if n == 0:
         raise ValueError("squarefree part of 0 is undefined")
@@ -189,7 +188,7 @@ def squarefree_part(n, budget=10**7):
     d = 1
     prev = None
     odd = False
-    for p in factorize(n, budget=budget):
+    for p in factorize(n):
         if p == prev:
             odd = not odd
         else:
@@ -199,11 +198,6 @@ def squarefree_part(n, budget=10**7):
     if odd:
         d *= prev
     return sign * d
-
-
-def parse_rat(s):
-    """Parse 'p/q' or 'p' into an exact Fraction."""
-    return Fraction(s.strip())
 
 
 class OutputTooLarge(Exception):

@@ -66,12 +66,9 @@ class FermatTree:
     depth: int
     nodes: tuple  # of (depth, FermatNode)
 
-    def by_kind(self, kind):
-        return [n for _, n in self.nodes if n.kind == kind]
-
     def smallest_sum(self):
         """The nontrivial all-positive node with the smallest hypotenuse."""
-        candidates = self.by_kind("sum")
+        candidates = [n for _, n in self.nodes if n.kind == "sum"]
         if not candidates:
             return None
         return min(candidates, key=lambda n: n.c)

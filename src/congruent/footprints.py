@@ -123,10 +123,9 @@ def footprint_triangle(row):
     if pq.p_sq <= 0 or pq.q_sq <= 0:
         raise ValueError("row yields a nonpositive p^2 or q^2")
     a = rat_sqrt(pq.p_sq / pq.q_sq)
-    b = rat_sqrt(4 * row.n**2 * pq.q_sq / pq.p_sq)
-    if a is None or b is None:
+    if a is None:
         raise ValueError("row does not rationalize: a side square is not a square")
-    return RatTriangle.from_legs(a, b)
+    return RatTriangle.from_legs(a, 2 * abs(row.n) / a)
 
 
 def load_rows(table=None):

@@ -136,7 +136,7 @@ _TABLE_TRIANGLES = {
 
 
 def verify_tree_table():
-    """Recompute every cell of the reference tree; 28 per-cell reports.
+    """Recompute every cell of the reference tree; 28 reports {"n": N, "ok": bool}.
 
     A root cell checks that its triangle has area N.  Every other cell walks
     from its root and checks the congruent number, which is the area of the
@@ -146,10 +146,10 @@ def verify_tree_table():
     reports = []
     for n0, root in _ROOTS.items():
         tri0 = RatTriangle(*root)
-        reports.append({"root": n0, "path": "", "n": n0, "ok": tri0.area == n0})
+        reports.append({"n": n0, "ok": tri0.area == n0})
         for path in ("a", "aa", "ab", "b", "ba", "bb"):
             a, b, c = (Fraction(s) for s in _TABLE_TRIANGLES[n0, path])
             n, tri = walk(tri0, n0, path)[-1]
             ok = n == a * b / 2 and {tri.a, tri.b} == {a, b} and tri.c == c
-            reports.append({"root": n0, "path": path, "n": n, "triangle": tri, "ok": ok})
+            reports.append({"n": n, "ok": ok})
     return reports

@@ -170,7 +170,7 @@ def area_identity_check(m, n):
     c = euclid(m, n).c
     lhs = q.n_ac**2 + q.n_bc**2 + q.n_ba**2
     rhs = 6 * (c**4 - 4 * q.n**2)
-    return {"quad": q, "lhs": lhs, "rhs": rhs, "holds": lhs == rhs}
+    return {"lhs": lhs, "rhs": rhs, "holds": lhs == rhs}
 
 
 def connecting_points(m, n):
@@ -239,13 +239,7 @@ def distance_identity(m, n):
     )
     decomposition = total**2 == u**2 + v**2 + w**2
     return {
-        "diffs": tuple(Fraction(x, d) for x in (d1, d2, d3)),
         "lhs_root": Fraction(lhs_root, d),
         "quadruple": tuple(Fraction(x, d) for x in (total, u, v, w)),
-        "eq_sum_of_squares": eq16,
-        "eq_square_of_sum": eq17,
-        "eq_products": eq18,
-        "eq_products_are_squares": eq19,
-        "eq_quadruple": decomposition,
         "holds": eq16 and eq17 and eq18 and eq19 and decomposition,
     }

@@ -106,8 +106,7 @@ def suite_trinity():
 
 def suite_conics_zagier():
     """The smallest-triangle example for N = 157."""
-    inp = conics.conic_input(157, 87005, 610961)
-    tri = conics.conic_triangle(inp)
+    tri = conics.conic_triangle(157, 87005, 610961)
     want = _tri(
         "411340519227716149383203/21666555693714761309610",
         "6803298487826435051217540/411340519227716149383203",
@@ -255,7 +254,7 @@ def suite_tangent():
             ),
         )
     )
-    tri79 = conics.conic_triangle(conics.conic_input(79, 125, 52, adjoin="sqrtN"))
+    tri79 = conics.conic_triangle(79, 125, 52, adjoin="sqrtN")
     c = abs(tri79.c)
     f1, f2 = tangent.solve_f(c.denominator, F(c.numerator, 2), 79)
     checks.append(("N=79 S1", (f1, f2) == (2080281, 238277000)))

@@ -126,6 +126,17 @@ def test_degenerate_lattice_secondary_exits_3_with_its_reason(capsys):
         assert err.startswith("error: second intersection at x = (m^2+n^2)^2 gives a degenerate")
 
 
+def test_integer_t_lattice_secondaries_pass_their_checks(capsys):
+    # both once raised AssertionError: the slope-t line went through (x_i, |e_i|)
+    for m, n, t in (("2", "7", "3"), ("1", "4", "1")):
+        code, out, _ = run(capsys, ["conics", "lattice", "--m", m, "--n", n, "--t", t, "--json"])
+        assert code == 0
+        assert [c["name"] for c in json.loads(out)["checks"] if c["pass"]] == [
+            "lattice triangles have area x_i",
+            "secondary intersections verified",
+        ]
+
+
 def test_verify_all_fast(capsys, monkeypatch):
     monkeypatch.setattr(verify, "SUITES", (("triples", verify.suite_triples),))
     code, out, _ = run(capsys, ["verify-all", "--json"])
@@ -252,6 +263,9 @@ def _double_legs(tri):
         (["conics", "lattice", "--m", "1", "--n", "2"],
          conics, "_lattice_triangle", lambda tri: tri.scaled(Fraction(1, 2)),
          "lattice triangles have area x_i"),
+        # 4 N_i2 keeps the square class, so only the Vieta comparison sees it
+        (["conics", "lattice", "--m", "1", "--n", "2", "--t", "3"],
+         conics, "_lattice_n2", lambda n2: 4 * n2, "secondary intersections verified"),
         (["tangent", "--n", "5", "--a", "3/2", "--b", "20/3"],
          tangent.TangentChain, "doubling_holds", lambda ok: False, "doubling relation"),
         (["cassini", "two", "--n", "29", "--f1", "1", "--f2", "-13"],

@@ -14,15 +14,17 @@ def _tri(a, b, c):
 
 
 def test_conic_input_validation():
-    with pytest.raises(ValueError):
-        conics.conic_input(6, 1, 0)
-    with pytest.raises(ValueError):
-        conics.conic_input(6, 1, 1, adjoin="sqrt3N")
+    with pytest.raises(ValueError, match="f2\\^2 must be positive"):
+        conics.f2_squared(6, 0)
+    with pytest.raises(ValueError, match="f2\\^2 must be positive"):
+        conics.f2_squared(-6, 1, adjoin="sqrtN")
+    with pytest.raises(ValueError, match="unknown adjunction class"):
+        conics.f2_squared(6, 1, adjoin="sqrt3N")
+    assert conics.f2_squared(6, F(3, 2), adjoin="sqrt2N") == 27
 
 
 def test_conic_triangle_has_area_n():
-    inp = conics.conic_input(157, 87005, 610961)
-    tri = conics.conic_triangle(inp)
+    tri = conics.conic_triangle(157, 87005, 610961)
     assert tri.area == 157
     assert tri.a**2 + tri.b**2 == tri.c**2
 
@@ -34,7 +36,7 @@ def test_conic_ec_points_lie_on_curve():
         (79, 125, 52, "sqrtN"),
         (62, 20, 7, "sqrt2N"),
     ):
-        tri = conics.conic_triangle(conics.conic_input(n, f1, f2, adjoin))
+        tri = conics.conic_triangle(n, f1, f2, adjoin)
         p1, p2 = conics.conic_ec_points(tri)
         e = curve_en(n)
         assert e.contains(p1) and e.contains(p2)
@@ -119,10 +121,7 @@ def test_perturbed_conic_form_fails_by_name(monkeypatch, form, change, identitie
 
 def test_reduce_raise_roundtrip():
     n_t, _, tri, _, _ = conics.intersect_example(3)
-    rep = conics.reduce_raise(tri.area * 25, tri)
-    assert rep.n_primitive == 629
-    assert rep.triangle.area == 629
-    assert rep.scale == 1
+    assert conics.reduce_raise(tri.scaled(F(1, 5))) == (629, tri)
 
 
 def test_lattice_secondary_fixture():
@@ -138,6 +137,24 @@ def test_lattice_secondary_fixture():
         for r in conics.lattice_secondary(m, n, t):
             x2, e2 = r["point"]
             assert e2**2 == x2 * s2 - (x2 - s2) ** 2 / 4
+
+
+def test_lattice_secondary_matches_its_closed_form_at_integer_t():
+    # the slope-t line through (x_i, sign * e_i) is the one whose second
+    # intersection N(u, v, sign * t) raises; through (x_i, |e_i|) most of
+    # these inputs raised "secondary congruent number mismatch"
+    checked = 0
+    for m in range(-4, 5):
+        for n in range(-4, 5):
+            for t in (-3, -2, -1, 1, 2, 3):
+                try:
+                    results = conics.lattice_secondary(m, n, t)
+                except ValueError:  # a tangent line or a degenerate second point
+                    continue
+                for r in results:
+                    assert r["point"][0] * (4 * t**2 + 1) ** 2 == r["n2"]
+                    checked += 1
+    assert checked == 4 * 440
 
 
 def test_lattice_points_self_check():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from congruent.conics import conic_ec_points, conic_input, conic_triangle
+from congruent.conics import conic_ec_points, conic_triangle
 from congruent.elliptic import INFINITY, Curve, Point, curve_en
 from congruent.tangent import tangent_intersection
 
@@ -73,7 +73,7 @@ def test_infinite_order_certificate():
 def test_torsion_theorem_matches_the_mazur_loop():
     # E_N(Q)_tors = {O, (0,0), (±N,0)}, so conics certifies infinite order
     # on E_N by y != 0; the 12-fold addition is the oracle here
-    tri157 = conic_triangle(conic_input(157, 87005, 610961))
+    tri157 = conic_triangle(157, 87005, 610961)
     cases = {5: [P, E5.double(P)], 157: list(conic_ec_points(tri157))}
     for n, points in cases.items():
         curve = curve_en(n)

@@ -234,8 +234,7 @@ def test_sphere_derivatives_match_sympy():
 )
 @settings(max_examples=60, deadline=None)
 def test_sum_of_squares_identity(mn):
-    rep = trinity.sum_of_squares_identity(*mn)
-    assert rep["holds"]
+    assert trinity.sum_of_squares_identity(*mn)
 
 
 def _reference_point(family, signs, angle):

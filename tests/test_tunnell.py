@@ -52,7 +52,7 @@ def _certified_numbers():
             if gcd(m, n) == 1 and (m - n) % 2:
                 q = triples.area_quad(m, n)
                 yield from (q.n, q.n_ac, q.n_bc, q.n_ba)
-    yield conics.conic_triangle(conics.conic_input(157, 87005, 610961)).area
+    yield conics.conic_triangle(157, 87005, 610961).area
     for t in (Fraction(1, 3), 2, 3, Fraction(5, 2), 4, 7):
         yield conics.intersect_example(t)[0]
         yield from conics.twin_hyperbolas(t)[:2]
