@@ -263,9 +263,6 @@ def _double_legs(tri):
         (["conics", "lattice", "--m", "1", "--n", "2"],
          conics, "_lattice_triangle", lambda tri: tri.scaled(Fraction(1, 2)),
          "lattice triangles have area x_i"),
-        # 4 N_i2 keeps the square class, so only the Vieta comparison sees it
-        (["conics", "lattice", "--m", "1", "--n", "2", "--t", "3"],
-         conics, "_lattice_n2", lambda n2: 4 * n2, "secondary intersections verified"),
         (["tangent", "--n", "5", "--a", "3/2", "--b", "20/3"],
          tangent.TangentChain, "doubling_holds", lambda ok: False, "doubling relation"),
         (["cassini", "two", "--n", "29", "--f1", "1", "--f2", "-13"],
@@ -274,6 +271,9 @@ def _double_legs(tri):
          RatTriangle, "from_legs", _double_legs, "area = N"),
         (["seq", "brahmagupta", "--k", "0"],
          Curve, "order_at_most", lambda order: order + 1, "order 4 (degenerate)"),
+        # 4 N_i2 keeps the square class, so only the Vieta comparison sees it
+        (["conics", "lattice", "--m", "1", "--n", "2", "--t", "3"],
+         conics, "_lattice_n2", lambda n2: 4 * n2, "secondary intersections verified"),
     ],
 )  # fmt: skip
 def test_perturbed_result_fails_its_cli_check(
