@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conics import f2_squared
+from .conics import _signed_triangle, f2_squared
 from .exact import rat_sqrt
 from .triples import RatTriangle
 
@@ -32,26 +32,13 @@ class HeegnerQuad:
     """The four quadratic-system values; c1, c3, c4 stored squared.
 
     Any of c1, c3, c4 may be an integer multiple of sqrt(N) or sqrt(2N);
-    the squared fields are always exact rationals and the plain
-    properties return the exact root when it is rational, else None.
+    the squared fields are always exact rationals.
     """
 
     c1sq: Fraction
     c2: Fraction
     c3sq: Fraction
     c4sq: Fraction
-
-    @property
-    def c1(self):
-        return rat_sqrt(self.c1sq)
-
-    @property
-    def c3(self):
-        return rat_sqrt(self.c3sq)
-
-    @property
-    def c4(self):
-        return rat_sqrt(self.c4sq)
 
 
 @dataclass(frozen=True)
@@ -125,8 +112,9 @@ def heegner_two(n, f1, f2, adjoin="none"):
     """The two-intersection system: quad, triangle and oval for (N, f1, f2).
 
     c1 = |f1 f2|, c2 = |N f1^2 - f2^2|/2, c3^2 = |N c1^2 - c2^2|,
-    c4^2 = N c1^2 + c2^2; the triangle (c3c4/(c1c2), 2c1c2N/(c3c4), ...)
-    has area N; the oval is (a', b') = (c2, c1 sqrt(N)).
+    c4^2 = N c1^2 + c2^2; the oval is (a', b') = (c2, c1 sqrt(N)) and the
+    triangle is the conic one at e f1 f2 = c1 c3, negated if its c < 0, also
+    where c3^2 = c2^2 - N c1^2 puts the point outside the real ellipse.
     """
     f2sq = f2_squared(n, f2, adjoin)
     c1sq = f1**2 * f2sq
@@ -137,16 +125,14 @@ def heegner_two(n, f1, f2, adjoin="none"):
         raise ValueError("degenerate input: N f1^2 = f2^2")
     # c3^2 != 0: tests/test_identities.py::test_heegner_two_c3_is_nonzero
     c3sq = abs(n * c1sq - c2**2)
-    c4sq = n * c1sq + c2**2
-    quad = HeegnerQuad(c1sq, c2, c3sq, c4sq)
-    # c4 is rational: tests/test_identities.py::test_heegner_two_c4_is_rational
-    c4 = quad.c4
-    c3c1 = rat_sqrt(c3sq * c1sq)
-    if c3c1 is None:
+    quad = HeegnerQuad(c1sq, c2, c3sq, n * c1sq + c2**2)
+    c1c3 = rat_sqrt(c3sq * c1sq)
+    if c1c3 is None:
         raise ValueError("c1 c3 irrational: sides do not rationalize")
-    a = c3c1 * c4 / (c1sq * c2)
-    b = 2 * n * c1sq * c2 / (c3c1 * c4)
-    tri = RatTriangle.from_legs(a, b)
+    # right, area N: tests/test_identities.py::test_heegner_two_triangle_is_the_conic_triangle
+    tri = _signed_triangle(n, f1**2, f2sq, c1c3)
+    if tri.c < 0:
+        tri = tri.scaled(-1)
     oval = CassiniOval(c2**2, c1sq**2 * n**2, x_weight=1)
     return quad, tri, oval
 

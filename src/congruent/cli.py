@@ -11,6 +11,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -28,7 +29,7 @@ from . import (
     triples,
     verify,
 )
-from .exact import FactorBudgetExceeded, OutputTooLarge, format_rat
+from .exact import FactorBudgetExceeded, OutputTooLarge, check_printable, format_rat
 
 __all__ = ["main"]
 
@@ -46,6 +47,24 @@ _SIZE_FLAGS = {
     "seq": "a smaller --n (fib), or --m or --k (cheb)",
     "tangent": "a smaller --depth",
 }
+
+
+def _rational(flag, text):
+    """Fraction(text) for a rational flag; ValueError naming the flag past the digit limit.
+
+    Fraction multiplies out an exponent before anything can check it, so an
+    exponent beyond the limit plus the text's length, which makes a numerator
+    or denominator past the limit, is refused from the text alone.
+    """
+    limit = sys.get_int_max_str_digits()
+    exp = text.lower().partition("e")[2].lstrip("+-").replace("_", "")
+    # int() itself refuses an exponent with more digits than the limit
+    if not (limit and exp.isdigit() and (len(exp) > limit or int(exp) > limit + len(text))):
+        value = Fraction(text)
+        with contextlib.suppress(OutputTooLarge):
+            check_printable(value)
+            return value
+    raise ValueError(f"{flag}: the value or its exponent is past the {limit}-digit limit")
 
 
 def _fmt(value):
@@ -150,7 +169,7 @@ def _cmd_trinity(args):
 
 def _cmd_conics(args):
     if args.sub == "triangle":
-        tri = conics.conic_triangle(args.n, args.f1, args.f2, args.adjoin)
+        tri = conics.conic_triangle(args.n, args.f1, _rational("--f2", args.f2), args.adjoin)
         p1, p2 = conics.conic_ec_points(tri)
         results = {
             "triangle": _tri_dict(tri),
@@ -164,7 +183,7 @@ def _cmd_conics(args):
         ]
         inputs = {"n": args.n, "f1": args.f1, "f2": args.f2, "adjoin": args.adjoin}
     elif args.sub == "intersect":
-        t = Fraction(args.t)
+        t = _rational("--t", args.t)
         n_t, (x_t, e_t), tri, p1, p2 = conics.intersect_example(t, args.f)
         results = {
             "n": n_t,
@@ -176,6 +195,7 @@ def _cmd_conics(args):
         checks = conics.intersect_polynomial_identity()
         inputs = {"t": t, "f": args.f}
     elif args.sub == "lattice":
+        t = None if args.t is None else _rational("--t", args.t)
         pts, tris = conics.lattice_points(args.m, args.n)
         results = {
             "points": [{"x": x, "e": e} for x, e in pts],
@@ -184,8 +204,7 @@ def _cmd_conics(args):
         areas_ok = all(tri.area == x for (x, _), tri in zip(pts, tris))
         checks = [("lattice triangles have area x_i", areas_ok)]
         inputs = {"m": args.m, "n": args.n}
-        if args.t is not None:
-            t = Fraction(args.t)
+        if t is not None:
             sec = conics.lattice_secondary(args.m, args.n, t)
             results["secondary"] = [
                 {
@@ -202,7 +221,7 @@ def _cmd_conics(args):
             checks.append(("secondary intersections verified", sec_ok))
             inputs["t"] = t
     else:  # twin
-        t = Fraction(args.t)
+        t = _rational("--t", args.t)
         n1, n2, t1, t2 = conics.twin_hyperbolas(t)
         results = {
             "n1": n1,
@@ -233,13 +252,12 @@ def _oval_points(oval, count):
 
 
 def _cmd_cassini(args):
+    f2 = _rational("--f2", args.f2)
     if args.sub == "two":
-        quad, tri, oval = cassini.heegner_two(args.n, args.f1, args.f2, args.adjoin)
+        quad, tri, oval = cassini.heegner_two(args.n, args.f1, f2, args.adjoin)
         axis = cassini.oval_axis_points(oval)
     else:
-        quad, tri, oval, axis = cassini.heegner_four(
-            args.n, args.f1, Fraction(args.f2) ** 2
-        )
+        quad, tri, oval, axis = cassini.heegner_four(args.n, args.f1, f2**2)
     results = {
         "c1_sq": quad.c1sq,
         "c2": quad.c2,
@@ -262,8 +280,7 @@ def _cmd_cassini(args):
 
 
 def _cmd_tangent(args):
-    a = Fraction(args.a)
-    b = Fraction(args.b)
+    a, b = _rational("--a", args.a), _rational("--b", args.b)
     tri = triples.RatTriangle.from_legs(a, b)
     chain = tangent.tangent_chain(tri, args.n, depth=args.depth)
     results = {

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 from fractions import Fraction
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "factorize",
     "squarefree_part",
     "printable_bits",
+    "check_printable",
     "format_rat",
 ]
 
@@ -209,6 +211,16 @@ def printable_bits(digits):
     """Bits of 10**digits, or None for digits = 0 (no limit).  For the limit
     sys.get_int_max_str_digits(), format_rat cannot print an int with more bits."""
     return (10**digits).bit_length() if digits else None
+
+
+def check_printable(*values):
+    """Raise OutputTooLarge if an int, or a Fraction's numerator or denominator,
+    has more bits than printable_bits allows under sys.get_int_max_str_digits()."""
+    bits = printable_bits(sys.get_int_max_str_digits())
+    if bits is not None:
+        for v in values:
+            if v.numerator.bit_length() > bits or v.denominator.bit_length() > bits:
+                raise OutputTooLarge
 
 
 def format_rat(r):

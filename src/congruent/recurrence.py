@@ -12,10 +12,9 @@ started from a Euclid triple are verified against the iteration.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
-from .exact import OutputTooLarge, printable_bits
+from .exact import check_printable
 from .triples import RatTriangle, euclid
 
 __all__ = [
@@ -48,7 +47,6 @@ def walk(tri0, n0, path):
     # the area is positive, so both legs share the sign of a
     if tri0.a < 0:
         raise ValueError("the start triangle's legs must be positive")
-    bits = printable_bits(sys.get_int_max_str_digits())
     out = []
     tri, n = tri0, int(n0)
     for side in path:
@@ -62,11 +60,7 @@ def walk(tri0, n0, path):
             Fraction(p * r, qqn), Fraction(2 * qqn, p), Fraction(p**4 + 2 * qqn**2, p * qqn)
         )
         n = r
-        if bits is not None and any(
-            max(v.numerator.bit_length(), v.denominator.bit_length()) > bits
-            for v in (n, tri.a, tri.b, tri.c)
-        ):
-            raise OutputTooLarge
+        check_printable(n, tri.a, tri.b, tri.c)
         out.append((n, tri))
     return out
 

@@ -10,19 +10,18 @@ consecutive integer sides.  Every family instance carries explicit
 rational points on its curve y^2 = x^3 - N^2 x, tied together by the
 group law: P1 = (0,0) + P0 and P2 = 2 P0.
 
-T_m(n) and U_m(n) are integers computed by their three-term recurrence.
+T_m(n) and U_{m-1}(n) are integers computed together by one recurrence.
 The Pell relation, a polynomial identity of degree 2m in n, is proved by
 evaluating it at 2m + 1 points.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic import Curve, Point
-from .exact import OutputTooLarge, printable_bits
+from .exact import check_printable
 from .triples import RatTriangle, triangle_point
 
 __all__ = [
@@ -32,7 +31,7 @@ __all__ = [
     "fib_even_family",
     "fib_odd_family",
     "standard_points",
-    "cheb_eval",
+    "cheb_pair",
     "cheb_family",
     "pell_identity_check",
     "brahmagupta",
@@ -71,14 +70,12 @@ def fib_lucas(n):
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    bits = printable_bits(sys.get_int_max_str_digits())
     f0, f1 = 0, 1
     l0, l1 = 2, 1
     for _ in range(n):
         f0, f1 = f1, f0 + f1
         l0, l1 = l1, l0 + l1
-        if bits is not None and l0.bit_length() > bits:
-            raise OutputTooLarge
+        check_printable(l0)
     # L^2 - 5 F^2 = 4(-1)^n: tests/test_identities.py::test_lucas_identity_at_every_index
     return FibPair(n, f0, l0)
 
@@ -125,25 +122,20 @@ def fib_odd_family(n):
     return tri, big_n, standard_points(tri)
 
 
-def cheb_eval(kind, m, n):
-    """Integer value T_m(n) or U_m(n) by the three-term recurrence.
+def cheb_pair(m, n):
+    """The integers (T_m(n), U_{m-1}(n)) by the recurrence P_{k+1} = 2n P_k - P_{k-1}.
 
-    kind 'first' gives T (T_0 = 1, T_1 = n), 'second' gives U (U_0 = 1,
-    U_1 = 2n); both satisfy P_{k+1} = 2n P_k - P_{k-1}.  The loop starts one
-    step below index 0, at T_{-1} = T_1 = n and U_{-1} = 0.  Raises
-    OutputTooLarge at the first value past the int-to-str digit limit.
+    It starts at (T_{-1}, T_0) = (n, 1) and (U_{-2}, U_{-1}) = (-1, 0), so m = 0
+    gives (1, 0); raises OutputTooLarge at the first value past the digit limit.
     """
     if m < 0:
         raise ValueError("chebyshev index must be >= 0")
-    if kind not in ("first", "second"):
-        raise ValueError("kind must be 'first' or 'second'")
-    bits = printable_bits(sys.get_int_max_str_digits())
-    prev, cur = (n if kind == "first" else 0), 1
+    t0, t1, u0, u1 = n, 1, -1, 0
     for _ in range(m):
-        prev, cur = cur, 2 * n * cur - prev
-        if bits is not None and cur.bit_length() > bits:
-            raise OutputTooLarge
-    return cur
+        t0, t1 = t1, 2 * n * t1 - t0
+        u0, u1 = u1, 2 * n * u1 - u0
+        check_printable(t1, u1)
+    return t1, u1
 
 
 def cheb_family(m, n):
@@ -155,8 +147,7 @@ def cheb_family(m, n):
     """
     if m < 1 or n < 2:
         raise ValueError("need m >= 1 and n >= 2")
-    t = cheb_eval("first", m, n)
-    u = cheb_eval("second", m - 1, n)
+    t, u = cheb_pair(m, n)
     tri = RatTriangle(
         Fraction((n**2 - 1) * u), Fraction(2 * t, u), Fraction(t**2 + 1, u)
     )
@@ -172,11 +163,8 @@ def pell_identity_check(max_m=12):
     The left side has degree <= 2m, so holding at the 2m + 1 points
     x = 0, 1, ..., 2m proves the identity for index m.
     """
-    return all(
-        cheb_eval("first", m, x) ** 2 - (x**2 - 1) * cheb_eval("second", m - 1, x) ** 2 == 1
-        for m in range(1, max_m + 1)
-        for x in range(2 * m + 1)
-    )
+    pairs = ((x, *cheb_pair(m, x)) for m in range(1, max_m + 1) for x in range(2 * m + 1))
+    return all(t**2 - (x**2 - 1) * u**2 == 1 for x, t, u in pairs)
 
 
 def brahmagupta(k):
@@ -192,8 +180,7 @@ def brahmagupta(k):
     """
     if not 0 <= k <= MAX_BRAHMAGUPTA_K:
         raise ValueError(f"--k must be between 0 and {MAX_BRAHMAGUPTA_K}, got {k}")
-    tk = cheb_eval("first", k, 2)
-    uk = cheb_eval("second", k - 1, 2) if k >= 1 else 0
+    tk, uk = cheb_pair(k, 2)
     t = 2 * tk
     a, b, c = t - 1, t, t + 1
     p = Fraction(3 * t, 2)

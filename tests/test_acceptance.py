@@ -193,13 +193,38 @@ def _replay(cli_strata, growth_strata):
     return len(ops), differ
 
 
+# the (cli, growth) strata each replay test below runs; together, every one
+_RECUR_AND_SEQ = (
+    ("recur", "seq-fib", "seq-cheb", "seq-brahmagupta"), ("recur-8", "recur-10", "recur-12")
+)
+_CONIC_CASSINI_AND_TANGENT = (
+    (
+        "readme", "conics-triangle", "conics-intersect", "conics-lattice",
+        "conics-lattice-t", "conics-twin", "cassini", "tangent",
+    ),
+    ("tangent-4", "tangent-5"),
+)  # fmt: skip
+_TRIPLES_FOOTPRINTS_AND_FERMAT = (
+    ("triples", "footprints-triangle", "fermat"),
+    (
+        "brahmagupta-25", "brahmagupta-50", "brahmagupta-100", "brahmagupta-200",
+        "fermat-5", "fermat-6",
+    ),
+)  # fmt: skip
+
+
+def test_replays_cover_every_cli_and_growth_stratum():
+    groups = (_RECUR_AND_SEQ, _CONIC_CASSINI_AND_TANGENT, _TRIPLES_FOOTPRINTS_AND_FERMAT)
+    workloads = _pool_workloads()
+    for i, workload in enumerate(("cli", "growth")):
+        assert sorted(name for group in groups for name in group[i]) == sorted(workloads[workload])
+
+
 def test_recur_and_seq_ops_replay_their_recorded_digests():
     # the benchmark digests the JSON output of each CLI op and compares it
     # with its op pool; replaying the recur and seq strata here makes any
     # change to those outputs fail the tests as well
-    count, differ = _replay(
-        ("recur", "seq-fib", "seq-cheb", "seq-brahmagupta"), ("recur-8", "recur-10", "recur-12")
-    )
+    count, differ = _replay(*_RECUR_AND_SEQ)
     assert count == 316
     assert not differ
 
@@ -207,12 +232,14 @@ def test_recur_and_seq_ops_replay_their_recorded_digests():
 def test_conic_cassini_and_tangent_ops_replay_their_recorded_digests():
     # the strata whose triangles and curve points come from the conic
     # triangle formula and triples.triangle_point, plus the README examples
-    count, differ = _replay(
-        (
-            "readme", "conics-triangle", "conics-intersect", "conics-lattice",
-            "conics-lattice-t", "conics-twin", "cassini", "tangent",
-        ),
-        ("tangent-4", "tangent-5"),
-    )  # fmt: skip
+    count, differ = _replay(*_CONIC_CASSINI_AND_TANGENT)
     assert count == 228
+    assert not differ
+
+
+def test_triples_footprints_and_fermat_ops_replay_their_recorded_digests():
+    # the remaining strata; fermat-5 and fermat-6 repeat two ops of the cli
+    # fermat stratum, so 215 pool entries are 213 distinct ops
+    count, differ = _replay(*_TRIPLES_FOOTPRINTS_AND_FERMAT)
+    assert count == 213
     assert not differ

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from congruent import cassini
+from congruent import cassini, conics
 from congruent.triples import RatTriangle
 
 F = Fraction
@@ -14,7 +14,7 @@ def _tri(a, b, c):
 
 def test_heegner_two_29_fixture():
     quad, tri, oval = cassini.heegner_two(29, 1, -13)
-    assert (quad.c1, quad.c2, quad.c3, quad.c4) == (13, 70, 1, 99)
+    assert (quad.c1sq, quad.c2, quad.c3sq, quad.c4sq) == (13**2, 70, 1, 99**2)
     assert tri == _tri("99/910", "52780/99", "48029801/90090")
     assert tri.area == 29
     pts = cassini.oval_axis_points(oval)
@@ -58,7 +58,7 @@ def test_heegner_four_79_fixture():
 
 def test_heegner_adjoined_62_fixture():
     quad, tri, _ = cassini.heegner_two(62, 20, 7, adjoin="sqrt2N")
-    assert (quad.c2, quad.c4) == (9362, 15438)
+    assert (quad.c2, quad.c4sq) == (9362, 15438**2)
     assert tri == _tri("177537/21140", "84560/5727", "2056525601/121068780")
     assert tri.area == 62
 
@@ -71,7 +71,22 @@ def test_heegner_four_62_adjoined():
 def test_quad_invariants():
     quad, _, _ = cassini.heegner_two(29, 1, -13)
     # c4^2 - c2^2 = N c1^2 and c4^2 + c2^2-side structure
-    assert quad.c4**2 - quad.c2**2 == 29 * quad.c1**2
+    assert quad.c4sq - quad.c2**2 == 29 * quad.c1sq
+
+
+def test_heegner_two_is_the_conic_triangle_with_positive_hypotenuse():
+    tri = cassini.heegner_two(29, 1, -13)[1]
+    assert tri == conics.conic_triangle(29, 1, -13).scaled(-1)
+
+
+def test_heegner_two_serves_the_hyperbolic_branch():
+    # the first N = 5 tangent-chain step, (f1, f2) = (3, 2), has N c1^2 < c2^2:
+    # conic_triangle refuses it, and the same formula still gives area 5
+    quad, tri, _ = cassini.heegner_two(5, 3, 2)
+    assert 5 * quad.c1sq - quad.c2**2 == -quad.c3sq
+    assert tri == _tri("1519/492", "4920/1519", "3344161/747348")
+    with pytest.raises(ValueError, match="outside the real ellipse"):
+        conics.conic_triangle(5, 3, 2)
 
 
 def test_rejects_degenerate_input():

@@ -126,6 +126,32 @@ def test_conic_points_match_the_conic_forms(record_triangles):
     assert _vanishes(y2 - 4 * n**2 * f1sq * f2sq * pos / (ef * h * w**3))
 
 
+def test_heegner_two_triangle_is_the_conic_triangle(record_triangles):
+    # heegner_two calls _signed_triangle at ef = c1 c3, where c3^2 = |e2|:
+    # ef^2 = e2 f1^2 f2^2 inside the real ellipse and -e2 f1^2 f2^2 outside
+    n, f1sq, f2sq, ef = sympy.symbols("n f1sq f2sq ef")
+    w = n * f1sq - f2sq
+    s = n * f1sq + f2sq
+    e2 = n * f1sq * f2sq - w**2 / 4
+    tri = conics._signed_triangle(n, f1sq, f2sq, ef)
+    assert _vanishes(tri.a * tri.b / 2 - n)
+    for sign in (1, -1):
+        relation, gens = [ef**2 - sign * e2 * f1sq * f2sq], (ef, n, f1sq, f2sq)
+        assert _vanishes(tri.a**2 + tri.b**2 - tri.c**2, relation, gens)
+    # c = ((4 N f1^2 f2^2)^2 + w^4) / (4 ef w s) with w != 0 and ef > 0, so
+    # heegner_two's sign flip on c < 0 multiplies the sides by sign(w s)
+    assert _vanishes(tri.c - ((4 * n * f1sq * f2sq) ** 2 + w**4) / (4 * ef * w * s))
+    # the oracle: heegner_two's former legs a = c3 c4/(c1 c2) and
+    # b = 2 N c1 c2/(c3 c4), with c2 = |w|/2 and c4 = |s|/2, are the sides
+    # times sign(w s) for every sign of w and of s
+    c1sq = f1sq * f2sq
+    for sign_w in (1, -1):
+        for sign_s in (1, -1):
+            c2, c4 = sign_w * w / 2, sign_s * s / 2
+            assert _vanishes(sign_w * sign_s * tri.a - ef * c4 / (c1sq * c2))
+            assert _vanishes(sign_w * sign_s * tri.b - 2 * n * c1sq * c2 / (ef * c4))
+
+
 def test_lattice_triangle_matches_its_closed_form(record_triangles):
     # T(m, n), the conic triangle at P(m, n), is the closed form in (m, n)
     # that lattice_points printed before it was built by _signed_triangle

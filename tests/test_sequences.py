@@ -47,29 +47,30 @@ def test_standard_points_relations():
         assert e.double(p0) == p2
 
 
-def test_cheb_eval_matches_recurrence():
+def test_cheb_pair_matches_recurrence():
     t0, t1 = 1, 3
+    u0, u1 = 1, 6
     for m in range(2, 8):
         t0, t1 = t1, 2 * 3 * t1 - t0
-    assert sequences.cheb_eval("first", 7, 3) == t1
+        u0, u1 = u1, 2 * 3 * u1 - u0
+    # the loop ends at (t0, t1) = (T_6(3), T_7(3)) and (u0, u1) = (U_6(3), U_7(3))
+    assert sequences.cheb_pair(7, 3) == (t1, u0)
+    assert sequences.cheb_pair(0, 3) == (1, 0)
 
 
-def test_cheb_eval_matches_sympy():
+def test_cheb_pair_matches_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     for m in range(41):
         t = sympy.chebyshevt_poly(m, x, polys=True)
-        u = sympy.chebyshevu_poly(m, x, polys=True)
+        u = sympy.chebyshevu_poly(m - 1, x, polys=True) if m else sympy.Poly(0, x)
         for n in range(-3, 10):
-            assert sequences.cheb_eval("first", m, n) == t.eval(n)
-            assert sequences.cheb_eval("second", m, n) == u.eval(n)
+            assert sequences.cheb_pair(m, n) == (t.eval(n), u.eval(n))
 
 
-def test_cheb_eval_rejects_bad_kind_and_index():
+def test_cheb_pair_rejects_negative_index():
     with pytest.raises(ValueError):
-        sequences.cheb_eval("third", 2, 3)
-    with pytest.raises(ValueError):
-        sequences.cheb_eval("first", -1, 3)
+        sequences.cheb_pair(-1, 3)
 
 
 def test_cheb_family_baseline():
@@ -88,13 +89,13 @@ def test_pell_identity():
 
 
 def test_pell_identity_catches_one_wrong_value(monkeypatch):
-    cheb_eval = sequences.cheb_eval
+    cheb_pair = sequences.cheb_pair
 
-    def off_by_one(kind, m, n):
-        v = cheb_eval(kind, m, n)
-        return v + 1 if (kind, m, n) == ("second", 6, 9) else v
+    def off_by_one(m, n):
+        t, u = cheb_pair(m, n)
+        return t, u + ((m, n) == (7, 9))
 
-    monkeypatch.setattr(sequences, "cheb_eval", off_by_one)
+    monkeypatch.setattr(sequences, "cheb_pair", off_by_one)
     assert not sequences.pell_identity_check(12)
 
 
