@@ -152,8 +152,8 @@ def _cmd_triples(args):
     return {"m": m, "n": n}, results, checks
 
 
-# The largest --max-order trinity accepts: order 6 takes about 0.16 s on a
-# 2-vCPU host, and the time grows faster than the order.
+# The largest --max-order trinity accepts: order 6 takes about 0.02 s in
+# process on a 2-vCPU host, and its checks grow with the order squared.
 TRINITY_MAX_ORDER = 6
 
 

@@ -68,7 +68,7 @@ def is_probable_prime(n):
     """Miller-Rabin test; deterministic below 3.3e24, else 40 fixed rounds."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         if n % p == 0:
             return n == p
     d = n - 1
@@ -77,7 +77,7 @@ def is_probable_prime(n):
         d //= 2
         s += 1
     if n < 3317044064679887385961981:
-        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     else:
         rng = random.Random(0xC0FFEE ^ n)
         bases = tuple(rng.randrange(2, n - 1) for _ in range(40))

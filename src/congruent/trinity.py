@@ -10,12 +10,14 @@ nine sphere components are integer numerators over the one denominator
 2(t^8 + 14t^4 + 1).  The sphere relations and the vector identities are
 proved in one pass by exact evaluation: at each integer point a
 division-free Taylor recurrence gives the derivatives of all components
-as integers over one common scale, each identity is compared in
-integers, and it counts as proved once it holds at more points than the
-degree bound of its cleared polynomial form, taken in t^2 as every
-component is even.  The sphere loci are twenty signed circles with
-trigonometric parameterizations; each is proved exact through the
-rational data of its family.
+as integers over one common scale, and each identity is compared in
+integers.  The base facts (planes, norms, Pythagoras and one linear
+relation per pair of vectors) count as proved once they hold at more
+points than the degree bound of their cleared polynomial forms, taken in
+t^2 as every component is even; they imply every other identity at every
+order.  The sphere loci are twenty signed circles with trigonometric
+parameterizations; each is proved exact through the rational data of its
+family.
 """
 
 from __future__ import annotations
@@ -147,33 +149,40 @@ def _derivatives(nums, den, t0, order):
 
 # Degree bound.  Call P/d^w, with d = t^8 + 14t^4 + 1 and deg P <= 8w, a
 # function of weight w (a constant factor, as in _DEN = 2d, does not
-# matter).  Each sphere component is deg 8 over 2d, weight 1.  The
-# derivative of P/d^w is (P'd - wPd')/d^(w+1) with degree <= 8w + 7, so the
-# k-th derivative of a component is deg <= 8 + 7k over d^(k+1), weight k + 1.
-# Over the common denominator d^max(w, v), a sum has weight max(w, v); a
-# product has weight w + v.  A check of weight w therefore clears to a
-# polynomial identity of degree <= 8w, and as d > 0 at every real t, it
-# holds identically once it holds at 8w + 1 distinct rational points.  A
-# point set that proves the checks of the highest weight proves every
-# check of lower weight too, so one pass proves them all.
+# matter).  Each sphere component is deg 8 over 2d, weight 1.  Over the
+# common denominator d^max(w, v), a sum has weight max(w, v); a product
+# has weight w + v.  A fact of weight w therefore clears to a polynomial
+# identity of degree <= 8w, and as d > 0 at every real t, it holds
+# identically once it holds at 8w + 1 distinct rational points.
 #
 # Parity.  When d and every numerator hold only even powers of t, each
-# component f is even, so f^(k) has the parity of k.  Every check compares
-# terms of one total derivative order K (a product of derivatives of
-# orders n and m has order n + m, a constant has order 0), so its cleared
-# form P has the parity of K: P = Q(t^2) with deg Q <= 4w, or P = t Q(t^2)
-# with deg Q < 4w.  P vanishing at t0 = 0, 1, ..., 4w makes Q vanish at
-# the 4w + 1 squares 0, 1, ..., (4w)^2, or at the 4w nonzero ones; either
-# way at more points than deg Q, so Q = 0.  Those 4w + 1 points prove the
-# check.  A table with any odd power keeps the 8w + 1 points.
+# component is even, and so is the cleared form P of a fact on values
+# alone: P = Q(t^2) with deg Q <= 4w.  P vanishing at t0 = 0, 1, ..., 4w
+# makes Q vanish at the 4w + 1 squares 0, 1, ..., (4w)^2, so Q = 0.  A
+# table with any odd power keeps the 8w + 1 points.
+#
+# Theorem.  With k = (1, 1, -1)/2, the base facts are plane1..3
+# (k.a = 1/2, k.b = 0, k.c = 1), norm1..3, the componentwise Pythagoras of
+# p1, p2, p3 and one linear relation per pair: 2c = a + 2k, 2b = 2k x a and
+# b = 2k x c.  All are facts on values of weight <= 2, proved identically
+# in t at _points(2), the 9 points 0..8 of the even table.  Their
+# derivatives give k.d^n a = 0, d^n c = d^n a/2 and d^n b = k x d^n a for
+# n >= 1, and with Lagrange's identity |u x v|^2 = |u|^2 |v|^2 - (u.v)^2
+# and u x (v x w) = v(u.w) - w(u.v) they imply every other check at every
+# order: 3 d^n a.d^m a = 4 d^n b.d^m b, say, as d^n b.d^m b equals
+# |k|^2 d^n a.d^m a - (k.d^n a)(k.d^m a).  A check on the vectors V needs
+# only the plane and norm of each vector in V and the relation of each
+# pair in V, which define the others; the derivative planes of p_i need
+# only plane i.  Each such check is still evaluated at every point, gated
+# on its premises, so one pass at the base facts' points proves it.
 #
 # Scale.  At each integer point every value is an integer over the one
 # scale S = (2 d(t0))^(order+1) of _DEN (see _derivatives), so a product
 # of j values is an integer over S^j.  Each check compares integers with
 # both sides at the same power of S: a constant facing a product of j
 # values is multiplied by S^j, as in a.c = 1 becoming a.c == S^2 and
-# cxa = b becoming cxa == S b.  As S != 0, the integer equality holds
-# exactly when the rational one does.
+# 2c = a + 2k becoming 2c - a == S(1, 1, -1).  As S != 0, the integer
+# equality holds exactly when the rational one does.
 def _points(weight):
     even = all(not any(f[1::2]) for f in (_DEN, *(f for v in _SPHERES.values() for f in v)))
     return range((4 if even else 8) * weight + 1)
@@ -191,101 +200,94 @@ def _jets(t0, order):
     return jets, scale
 
 
-def _proved(battery, points):
-    """battery(t0) at every point; a check passes when it holds at all of them.
-
-    Each point's results are folded into a running AND and dropped, so
-    memory does not grow with the number of points.
-    """
-    held = None
-    for t0 in points:
-        checks = battery(t0)
-        oks = [ok for _, ok in checks]
-        held = oks if held is None else [h and ok for h, ok in zip(held, oks)]
-    return [(name, ok) for (name, _), ok in zip(checks, held)]
-
-
 def _battery(t0, max_order):
     """Every check of the pass at t0, on one table of sphere jets over its scale S.
 
-    The sphere relations come first, on p1, p2, p3; then the vector
-    identities, on a = p1, b = p2 with y negated and c = p3 with z
-    negated.  A sign flip keeps the norm, so each norm is compared once
-    and reported under its sphere name and its vector name, and each dot
-    or cross product that serves several checks is taken once.
+    The sphere relations of p1, p2, p3 come first, then the vector
+    identities on a = p1, b = p2 with y negated and c = p3 with z negated.
+    All read the jets as a, b, c, since a sign flip keeps each square, and
+    each norm is compared once and reported under both of its names.  Past
+    the base facts each check is gated on its premises (see the theorem
+    above): AB, AC, BC and ABC for the vector checks on those letters.
     """
     (d1, d2, d3), S = _jets(t0, max_order)
-    s1, s2, s3 = d1[0], d2[0], d3[0]
+    da, db, dc = d1, [_flip((1, -1, 1), e) for e in d2], [_flip((1, 1, -1), e) for e in d3]
+    a, b, c = da[0], db[0], dc[0]
     S2, S3 = S * S, S**3
-    aa, cc = s1.norm2(), s3.norm2()
-    norm1, norm2, norm3 = aa == S2, 2 * s2.norm2() == S2, 2 * cc == 3 * S2
+    ones = Vec3F(1, 1, -1)  # 2k
+    aa, cc = a.norm2(), c.norm2()
+    plane1, plane2, plane3 = ones.dot(a) == S, ones.dot(b) == 0, ones.dot(c) == 2 * S
+    norm1, norm2, norm3 = aa == S2, 2 * b.norm2() == S2, 2 * cc == 3 * S2
     checks = [
-        ("plane1: x1+y1-z1 = 1", s1.x + s1.y - s1.z == S),
-        ("plane2: x2-y2-z2 = 0", s2.x - s2.y - s2.z == 0),
-        ("plane3: x3+y3+z3 = 2", s3.x + s3.y + s3.z == 2 * S),
+        ("plane1: x1+y1-z1 = 1", plane1),
+        ("plane2: x2-y2-z2 = 0", plane2),
+        ("plane3: x3+y3+z3 = 2", plane3),
         ("norm1 = 1", norm1),
         ("norm2 = 1/2", norm2),
         ("norm3 = 3/2", norm3),
-        ("x1^2+x2^2 = x3^2", s1.x**2 + s2.x**2 == s3.x**2),
-        ("y1^2+y2^2 = y3^2", s1.y**2 + s2.y**2 == s3.y**2),
-        ("z1^2+z2^2 = z3^2", s1.z**2 + s2.z**2 == s3.z**2),
+        ("x1^2+x2^2 = x3^2", a.x**2 + b.x**2 == c.x**2),
+        ("y1^2+y2^2 = y3^2", a.y**2 + b.y**2 == c.y**2),
+        ("z1^2+z2^2 = z3^2", a.z**2 + b.z**2 == c.z**2),
     ]
     for n in range(1, max_order + 1):
-        e1, e2, e3 = d1[n], d2[n], d3[n]
-        checks.append((f"d^{n} plane1 = 0", e1.x + e1.y - e1.z == 0))
-        checks.append((f"d^{n} plane2 = 0", e2.x - e2.y - e2.z == 0))
-        checks.append((f"d^{n} plane3 = 0", e3.x + e3.y + e3.z == 0))
+        for i, (plane, d) in enumerate(((plane1, da), (plane2, db), (plane3, dc)), 1):
+            checks.append((f"d^{n} plane{i} = 0", plane and ones.dot(d[n]) == 0))
 
-    da, db, dc = d1, [_flip((1, -1, 1), e) for e in d2], [_flip((1, 1, -1), e) for e in d3]
-    a, b, c = da[0], db[0], dc[0]
+    A, B, C = plane1 and norm1, plane2 and norm2, plane3 and norm3
+    AB = A and B and b.scaled(2) == ones.cross(a)
+    AC = A and C and c.scaled(2) - a == ones.scaled(S)
+    BC = B and C and b == ones.cross(c)
+    ABC = AB and AC and BC
     ac = a.dot(c)
     axb, bxc = a.cross(b), b.cross(c)
     checks += [
-        ("a.b = 0", a.dot(b) == 0),
-        ("b.c = 0", b.dot(c) == 0),
-        ("a.c = 1", ac == S2),
+        ("a.b = 0", AB and a.dot(b) == 0),
+        ("b.c = 0", BC and b.dot(c) == 0),
+        ("a.c = 1", AC and ac == S2),
         ("|a|^2 = 1", norm1),
         ("|b|^2 = 1/2", norm2),
         ("|c|^2 = 3/2", norm3),
-        ("cos^2(a,c) = 2/3", 3 * ac**2 == 2 * aa * cc),
-        ("cos^2(axb,c) = 1/3", 3 * axb.dot(c) ** 2 == axb.norm2() * cc),
-        ("cos^2(bxc,a) = 1/3", 3 * bxc.dot(a) ** 2 == bxc.norm2() * aa),
-        ("a.(bxc) = 1/2", 2 * a.dot(bxc) == S3),
-        ("b.(cxa) = 1/2", 2 * b.dot(c.cross(a)) == S3),
-        ("c.(axb) = 1/2", 2 * c.dot(axb) == S3),
-        ("ax(bxc) = b", a.cross(bxc) == b.scaled(S2)),
-        ("cx(bxa) = b", c.cross(b.cross(a)) == b.scaled(S2)),
-        ("cxa = b", c.cross(a) == b.scaled(S)),
-        ("bx(axc) = 0", b.cross(a.cross(c)).is_zero()),
+        ("cos^2(a,c) = 2/3", AC and 3 * ac**2 == 2 * aa * cc),
+        ("cos^2(axb,c) = 1/3", ABC and 3 * axb.dot(c) ** 2 == axb.norm2() * cc),
+        ("cos^2(bxc,a) = 1/3", ABC and 3 * bxc.dot(a) ** 2 == bxc.norm2() * aa),
+        ("a.(bxc) = 1/2", ABC and 2 * a.dot(bxc) == S3),
+        ("b.(cxa) = 1/2", ABC and 2 * b.dot(c.cross(a)) == S3),
+        ("c.(axb) = 1/2", ABC and 2 * c.dot(axb) == S3),
+        ("ax(bxc) = b", ABC and a.cross(bxc) == b.scaled(S2)),
+        ("cx(bxa) = b", ABC and c.cross(b.cross(a)) == b.scaled(S2)),
+        ("cxa = b", ABC and c.cross(a) == b.scaled(S)),
+        ("bx(axc) = 0", ABC and b.cross(a.cross(c)).is_zero()),
     ]
     for n in range(1, max_order + 1):
         an, bn, cn = da[n], db[n], dc[n]
         acn = an.dot(cn)
-        checks.append((f"d{n}a.d{n}b = 0", an.dot(bn) == 0))
-        checks.append((f"d{n}b.d{n}c = 0", bn.dot(cn) == 0))
-        checks.append((f"d{n}a.d{n}c = |d{n}a|^2/2", 2 * acn == an.norm2()))
-        checks.append((f"d{n}a.d{n}c = 2|d{n}b|^2/3", 3 * acn == 2 * bn.norm2()))
-        checks.append((f"d{n}a.d{n}c = 2|d{n}c|^2", acn == 2 * cn.norm2()))
-        checks.append((f"d{n}a x d{n}c = 0", an.cross(cn).is_zero()))
-    ones = Vec3F(1, 1, -1)
+        checks.append((f"d{n}a.d{n}b = 0", AB and an.dot(bn) == 0))
+        checks.append((f"d{n}b.d{n}c = 0", BC and bn.dot(cn) == 0))
+        checks.append((f"d{n}a.d{n}c = |d{n}a|^2/2", AC and 2 * acn == an.norm2()))
+        checks.append((f"d{n}a.d{n}c = 2|d{n}b|^2/3", ABC and 3 * acn == 2 * bn.norm2()))
+        checks.append((f"d{n}a.d{n}c = 2|d{n}c|^2", AC and acn == 2 * cn.norm2()))
+        checks.append((f"d{n}a x d{n}c = 0", AC and an.cross(cn).is_zero()))
     for n in range(1, max_order + 1):
         an, bn, cn = da[n], db[n], dc[n]
         for m in range(1, max_order + 1):
             am, bm, cm = da[m], db[m], dc[m]
             bn_cm, bn_am, an_am = bn.dot(cm), bn.dot(am), an.dot(am)
             bxc2, axa, axc3 = bn.cross(cm).scaled(2), an.cross(am), an.cross(cm).scaled(3)
-            bxc_bxa = bxc2 == bn.cross(am)
+            bxc_bxa = ABC and bxc2 == bn.cross(am)
             checks += [
-                (f"2 d{n}b.d{m}c = d{n}b.d{m}a", 2 * bn_cm == bn_am),
+                (f"2 d{n}b.d{m}c = d{n}b.d{m}a", ABC and 2 * bn_cm == bn_am),
                 (f"2 d{n}b x d{m}c = d{n}b x d{m}a", bxc_bxa),
-                (f"3 d{n}a.d{m}a = 4 d{n}b.d{m}b", 3 * an_am == 4 * bn.dot(bm)),
-                (f"3 d{n}a.d{m}a = 12 d{n}c.d{m}c", an_am == 4 * cn.dot(cm)),
-                (f"3 d{n}a x d{m}a = 4 d{n}b x d{m}b", axa.scaled(3) == bn.cross(bm).scaled(4)),
-                (f"3 d{n}a x d{m}a = 12 d{n}c x d{m}c", axa == cn.cross(cm).scaled(4)),
-                (f"(d{n}a.d{m}c)(-1,-1,1) = 2 d{n}b x d{m}c", ones.scaled(-an.dot(cm)) == bxc2),
+                (f"3 d{n}a.d{m}a = 4 d{n}b.d{m}b", AB and 3 * an_am == 4 * bn.dot(bm)),
+                (f"3 d{n}a.d{m}a = 12 d{n}c.d{m}c", AC and an_am == 4 * cn.dot(cm)),
+                (f"3 d{n}a x d{m}a = 4 d{n}b x d{m}b",
+                 AB and axa.scaled(3) == bn.cross(bm).scaled(4)),
+                (f"3 d{n}a x d{m}a = 12 d{n}c x d{m}c", AC and axa == cn.cross(cm).scaled(4)),
+                (f"(d{n}a.d{m}c)(-1,-1,1) = 2 d{n}b x d{m}c",
+                 ABC and ones.scaled(-an.dot(cm)) == bxc2),
                 (f"2 d{n}b x d{m}c = d{n}b x d{m}a", bxc_bxa),
-                (f"3 d{n}a x d{m}c = 2(d{n}b.d{m}c)(1,1,-1)", axc3 == ones.scaled(2 * bn_cm)),
-                (f"3 d{n}a x d{m}c = (d{n}b.d{m}a)(1,1,-1)", axc3 == ones.scaled(bn_am)),
+                (f"3 d{n}a x d{m}c = 2(d{n}b.d{m}c)(1,1,-1)",
+                 ABC and axc3 == ones.scaled(2 * bn_cm)),
+                (f"3 d{n}a x d{m}c = (d{n}b.d{m}a)(1,1,-1)", ABC and axc3 == ones.scaled(bn_am)),
             ]
     return checks
 
@@ -298,17 +300,15 @@ def verify_derivative_identities(max_order=4):
     orthogonality/norm facts of a, b, c, triple products, the same-order
     derivative relations, and the mixed-order dot/cross symmetries for
     1 <= n, m <= max_order.  The jets are taken once per point for all
-    of them.  Each check is proved by exact evaluation at degree-bound
-    points: the quartic base checks cos^2(axb,c) and cos^2(bxc,a) have
-    weight 6, a check on orders n and m has weight n + m + 2, and the
-    sphere checks have weight at most max(2, max_order + 1), which is
-    below max(6, 2 max_order + 2).  With max_order = 4 the weight is 10,
-    so the even sphere table is proved at the 41 points 0..40 (a table
-    with an odd power would need 81).  Returns a list of (name, bool).
+    of them.  The base facts have weight at most 2 and imply every other
+    check (see the theorem above), so at every order the even sphere
+    table is proved at the 9 points 0..8 (a table with an odd power would
+    need 17).  Returns a list of (name, bool).
     """
     if max_order < 1:
         raise ValueError("derivative order must be >= 1")
-    return _proved(lambda t0: _battery(t0, max_order), _points(max(6, 2 * max_order + 2)))
+    tables = [_battery(t0, max_order) for t0 in _points(2)]
+    return [(checks[0][0], all(ok for _, ok in checks)) for checks in zip(*tables)]
 
 
 def sum_of_squares_identity(m, n):

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -48,7 +49,9 @@ def test_rat_sqrt_non_square():
 @pytest.mark.parametrize(
     "n,expected",
     [(2, True), (3, True), (4, False), (561, False), (2**61 - 1, True),
-     (10**18 + 9, True), (10**18 + 7, False)],
+     (10**18 + 9, True), (10**18 + 7, False),
+     # a strong pseudoprime to the twelve prime bases 2..37: base 41 exposes it
+     (318665857834031151167461, False)],
 )
 def test_probable_prime(n, expected):
     assert is_probable_prime(n) is expected
@@ -112,3 +115,50 @@ def test_squarefree_part_sign():
 def test_parse_format_roundtrip():
     for s in ("3/2", "-41/6", "7", "0"):
         assert format_rat(Fraction(s)) == s
+
+
+# --- sympy oracles ---
+
+
+def _oracle_inputs(seed, count):
+    """Seeded integers across the trial-division, rho and Miller-Rabin regimes."""
+    rng = random.Random(seed)
+    return [rng.randrange(2, 10**k) for k in (3, 6, 9, 12, 15, 18, 24, 30) for _ in range(count)]
+
+
+def test_factorize_matches_sympy_factorint():
+    sympy = pytest.importorskip("sympy")
+    near = [sympy.nextprime(10**6 + k) for k in (0, 50, 1000)]
+    # semiprimes just past 10**12, the end of trial division, so rho splits them
+    semiprimes = [p * q for p in near for q in near if p <= q]
+    semiprimes += [sympy.nextprime(10**8) * sympy.nextprime(3 * 10**9), 10000019 * 30000023]
+    for n in _oracle_inputs(1, 1) + semiprimes + [2**64, 3**40 * 7, (10**6 + 3) ** 3]:
+        want = sorted(p for p, e in sympy.factorint(n).items() for _ in range(e))
+        assert factorize(n) == want, n
+    # at the budget that just splits it (see the shared-budget test above)
+    assert factorize(10000019 * 30000023, budget=4000) == [10000019, 30000023]
+
+
+def test_is_probable_prime_matches_sympy_isprime():
+    sympy = pytest.importorskip("sympy")
+    # Carmichael numbers, strong pseudoprimes to the first bases, and both
+    # sides of the deterministic-base limit 3317044064679887385961981
+    hard = [561, 41041, 825265, 3215031751, 3825123056546413051, 318665857834031151167461]
+    limit = 3317044064679887385961981
+    edges = [sympy.prevprime(limit), sympy.nextprime(limit), limit, limit + 2]
+    edges += [2**89 - 1, 2**107 - 1]
+    for n in [*range(-2, 5000), *_oracle_inputs(2, 12), *hard, *edges]:
+        assert is_probable_prime(n) is bool(sympy.isprime(n)), n
+
+
+@given(st.fractions(max_denominator=10**6), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_rat_sqrt_matches_sympy_sqrt(q, square):
+    sympy = pytest.importorskip("sympy")
+    if square:
+        q = q * q
+    for r in (q, q.numerator):
+        want = sympy.sqrt(sympy.Rational(r.numerator, r.denominator))
+        got = rat_sqrt(r)
+        assert (got is None) is (not want.is_Rational), r
+        assert got is None or sympy.Rational(got.numerator, got.denominator) == want, r

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from congruent import conics, sequences, triples
+from congruent import conics, sequences, triples, trinity
 from congruent.cassini import CassiniOval
 from congruent.elliptic import Curve, Point
 
@@ -334,3 +334,87 @@ def test_concordant_radicals_are_squares(symbolic_triples):
     for (a, b, x), big_n in zip(table, (q.n_ac, q.n_bc, q.n_ba)):
         assert _vanishes(x**2 + big_n * (2 * d) ** 2 - (a + b) ** 2)
         assert _vanishes(x**2 - big_n * (2 * d) ** 2 - (a - b) ** 2)
+
+
+# --- trinity ---
+
+HALF = sympy.Rational(1, 2)
+K = trinity.Vec3F(HALF, HALF, -HALF)
+
+
+def _trinity_vectors():
+    """a = p1, b = p2 with y negated and c = p3 with z negated, as functions of t."""
+    t = sympy.Symbol("t")
+    den = sum(c * t**i for i, c in enumerate(trinity._DEN))
+    p1, p2, p3 = (
+        [sum(c * t**i for i, c in enumerate(num)) / den for num in trinity._SPHERES[s]]
+        for s in (1, 2, 3)
+    )
+    return trinity.Vec3F(*p1), trinity._flip((1, -1, 1), p2), trinity._flip((1, 1, -1), p3)
+
+
+def test_trinity_base_relations_hold_identically():
+    # the premises of trinity's theorem, on the sphere table: one circle,
+    # k.a = 1/2 and |a|^2 = 1, of which b and c are affine images
+    a, b, c = _trinity_vectors()
+    assert _vanishes(K.dot(a) - HALF) and _vanishes(a.norm2() - 1)
+    for residual in (c.scaled(2) - a - K.scaled(2), b.scaled(2) - K.scaled(2).cross(a),
+                     b - K.scaled(2).cross(c)):
+        assert all(_vanishes(x) for x in residual), residual
+
+
+def _modulo(relations, gens):
+    """A number type on sympy expressions whose == reduces the difference by _vanishes."""
+
+    def expr(v):
+        return v.expr if isinstance(v, Mod) else v
+
+    def lift(op):
+        return lambda self, other: Mod(op(self.expr, expr(other)))
+
+    class Mod:
+        def __init__(self, e):
+            self.expr = e
+
+        __add__ = __radd__ = lift(lambda x, y: x + y)
+        __sub__ = lift(lambda x, y: x - y)
+        __rsub__ = lift(lambda x, y: y - x)
+        __mul__ = __rmul__ = lift(lambda x, y: x * y)
+        __pow__ = lift(lambda x, y: x**y)
+
+        def __neg__(self):
+            return Mod(-self.expr)
+
+        def __eq__(self, other):
+            return _vanishes(self.expr - expr(other), relations, gens)
+
+    return Mod
+
+
+def test_trinity_battery_follows_from_the_base_facts(monkeypatch):
+    # generic jets A_0..A_2 with k.A_0 = 1/2, |A_0|^2 = 1 and k.A_n = 0 for
+    # n >= 1, B_n = k x A_n and C_n = A_n/2 (+ k at n = 0), in place of the
+    # sphere jets at scale 1: _battery's own code then finds every check and
+    # every premise 0 modulo those relations.  A check on orders n and m reads
+    # only the jets of those orders, and every order n >= 1 obeys the same
+    # relation, so orders 1 and 2, giving both n = m and n != m, prove the
+    # battery at every order.
+    order = 2
+    jets = [sympy.symbols(f"x{n} y{n} z{n}") for n in range(order + 1)]
+    relations = [K.dot(trinity.Vec3F(*jets[0])) - HALF, trinity.Vec3F(*jets[0]).norm2() - 1]
+    relations += [K.dot(trinity.Vec3F(*v)) for v in jets[1:]]
+    gens = [x for v in jets for x in v]
+    Mod = _modulo(relations, gens)
+    a = [trinity.Vec3F(*map(Mod, v)) for v in jets]
+    b = [K.cross(v) for v in a]
+    c = [v.scaled(HALF) - K.scaled(-1 if n == 0 else 0) for n, v in enumerate(a)]
+    p2 = [trinity._flip((1, -1, 1), v) for v in b]
+    p3 = [trinity._flip((1, 1, -1), v) for v in c]
+    names = [name for name, _ in trinity.verify_derivative_identities(order)]
+    monkeypatch.setattr(trinity, "_jets", lambda t0, order: ((a, p2, p3), 1))
+    checks = trinity._battery(0, order)
+    assert [name for name, _ in checks] == names
+    assert [name for name, ok in checks if not ok] == []
+    # not vacuous: without |A_0|^2 = 1, a.c = |A_0|^2/2 + 1/2 is not 1
+    free = _modulo(relations[:1] + relations[2:], gens)
+    assert not free(a[0].dot(c[0]).expr) == 1

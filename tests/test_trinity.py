@@ -52,9 +52,9 @@ def test_derivative_identities_small():
 
 
 # (checks in verify_all, jet evaluation points) for max_order 1..6: the
-# points are 0..4w for the pass weight w = max(6, 2 max_order + 2); the
+# points are 0..8, as the base facts have weight <= 2 at every order; the
 # circle check is appended by the callers of verify_all
-ONE_PASS = {1: (48, 25), 2: (87, 25), 3: (146, 33), 4: (225, 41), 5: (324, 49), 6: (443, 57)}
+ONE_PASS = {1: (48, 9), 2: (87, 9), 3: (146, 9), 4: (225, 9), 5: (324, 9), 6: (443, 9)}
 
 
 @pytest.mark.parametrize("max_order", sorted(ONE_PASS))
@@ -67,10 +67,13 @@ def test_one_pass_takes_one_jet_table_per_point(monkeypatch, max_order):
         return real(t0, order)
 
     monkeypatch.setattr(trinity, "_jets", counted)
-    checks = trinity.verify_all(max_order)
-    assert (len(checks), len(calls)) == ONE_PASS[max_order]
-    assert calls == list(range(len(calls)))
-    assert all(ok for _, ok in checks)
+    for _ in range(2):
+        # a second call takes the same tables again: nothing is kept between calls
+        calls.clear()
+        checks = trinity.verify_all(max_order)
+        assert (len(checks), len(calls)) == ONE_PASS[max_order]
+        assert calls == list(range(len(calls)))
+        assert all(ok for _, ok in checks)
 
 
 def _plus(num, extra):
@@ -107,16 +110,16 @@ def test_perturbed_b_fails_the_checks_that_carry_scale_powers(monkeypatch):
     assert all(checks[k] for k in ("a.c = 1", "|a|^2 = 1", "|c|^2 = 3/2", "d2a x d2c = 0"))
 
 
-# verify_derivative_identities(1) proves every check at weight 6: at the
-# 8w + 1 = 49 points 0..48 for a table with an odd power, and at the
-# 4w + 1 = 25 points 0..24 for an even one
+# verify_derivative_identities proves the base facts at weight 2: at the
+# 8w + 1 = 17 points 0..16 for a table with an odd power, and at the
+# 4w + 1 = 9 points 0..8 for an even one
 @pytest.mark.parametrize("name", ["norm1 = 1", "|a|^2 = 1"], ids=["norm1", "a-norm"])
 def test_perturbation_hidden_below_the_bound_is_caught(monkeypatch, name):
     # the evaluation points are 0, 1, 2, ...; each perturbation of x1 (a
     # numerator over 2d) vanishes at all of them but one, so dropping any
     # point would miss it
     x1, y1, z1 = trinity._SPHERES[1]
-    points = 49
+    points = 17
     for seen in (0, points - 1):
         hidden = (1,)
         for k in range(points):
@@ -127,28 +130,128 @@ def test_perturbation_hidden_below_the_bound_is_caught(monkeypatch, name):
         assert not dict(trinity.verify_derivative_identities(1))[name], seen
 
 
+def _hidden_even(seen, points):
+    """An even numerator over 2d that vanishes at 0, 1, ..., points - 1 but at seen."""
+    hidden = (1,)
+    for k in range(points):
+        if k != seen:
+            # times (t^2 - k^2)
+            hidden = tuple(a - k * k * b for a, b in zip((0, 0, *hidden), (*hidden, 0, 0)))
+    assert not any(hidden[1::2])
+    return hidden
+
+
 @pytest.mark.parametrize("name", ["norm1 = 1", "|a|^2 = 1"], ids=["norm1", "a-norm"])
 def test_even_perturbation_hidden_below_the_parity_bound_is_caught(monkeypatch, name):
     # an even table is proved at 0, 1, ..., 4w; each even perturbation of x1
     # vanishes at all of them but one, so dropping any point would miss it
     x1, y1, z1 = trinity._SPHERES[1]
-    points = 25
+    points = 9
     for seen in (0, points - 1):
-        hidden = (1,)
-        for k in range(points):
-            if k != seen:
-                # times (t^2 - k^2)
-                hidden = tuple(a - k * k * b for a, b in zip((0, 0, *hidden), (*hidden, 0, 0)))
-        assert not any(hidden[1::2])
-        monkeypatch.setitem(trinity._SPHERES, 1, (_plus(x1, hidden), y1, z1))
+        monkeypatch.setitem(trinity._SPHERES, 1, (_plus(x1, _hidden_even(seen, points)), y1, z1))
         assert not dict(trinity.verify_derivative_identities(1))[name], seen
 
 
+@pytest.mark.parametrize(
+    "name", ["cxa = b", "3 d1a x d2c = (d1b.d2a)(1,1,-1)", "d2a.d2c = 2|d2c|^2", "d^2 plane3 = 0"]
+)
+def test_sphere3_perturbation_hidden_at_all_but_one_point_fails_derived_checks(monkeypatch, name):
+    # each of these checks is gated on a premise that a change to z3 breaks
+    # where it is seen (2c = a + 2k, or plane3 for the derivative plane), so
+    # the change fails it when seen at just one of the 9 points
+    x3, y3, z3 = trinity._SPHERES[3]
+    for seen in (0, 8):
+        monkeypatch.setitem(trinity._SPHERES, 3, (x3, y3, _plus(z3, _hidden_even(seen, 9))))
+        assert trinity._points(2) == range(9)
+        checks = dict(trinity.verify_derivative_identities(2))
+        assert not checks[name], seen
+        untouched = ("norm1 = 1", "a.b = 0", "d2a.d2b = 0", "3 d1a.d2a = 4 d1b.d2b")
+        assert all(checks[k] for k in untouched), seen
+
+
+def _c_to_its_antipode(p1, p2, p3, scale):
+    """c to 8k/3 - c, its antipode on its circle, and each d^n c to -d^n c.
+
+    The table is scaled by 3, so that the new c is an integer over the scale.
+    """
+    p1, p2, p3 = ([v.scaled(3) for v in p] for p in (p1, p2, p3))
+    p3 = [trinity.Vec3F(1, 1, 1).scaled(4 * scale) - p3[0], *(v.scaled(-1) for v in p3[1:])]
+    return p1, p2, p3, 3 * scale
+
+
+def _b_negated(p1, p2, p3, scale):
+    """Each d^n b to -d^n b."""
+    return p1, [v.scaled(-1) for v in p2], p3, scale
+
+
+def _a_reflected(p1, p2, p3, scale):
+    """a to a - (4/3)k, its mirror image in the plane k.x = 0, and c to c - (2/3)k.
+
+    That keeps |a|^2 = 1, 2b = 2k x a and 2c = a + 2k, and the table is
+    scaled by 3, so that the new a and c are integers over the scale.
+    """
+    p1, p2, p3 = ([v.scaled(3) for v in p] for p in (p1, p2, p3))
+    p1[0] -= trinity.Vec3F(1, 1, -1).scaled(2 * scale)
+    p3[0] -= trinity.Vec3F(1, 1, 1).scaled(scale)
+    return p1, p2, p3, 3 * scale
+
+
+def _a_negated(p1, p2, p3, scale):
+    """a to -a, with every other jet kept: only b and c still obey b = 2k x c."""
+    return [p1[0].scaled(-1), *p1[1:]], p2, p3, scale
+
+
+# (the move at t0 = 8, checks it fails by a premise of their gate alone, as
+# their own comparison still holds there, and checks it keeps)
+GATES = {
+    "ac-relation": (
+        _c_to_its_antipode,
+        ("d1a x d1c = 0", "3 d1a x d2a = 12 d1c x d2c", "b.c = 0", "d2b.d2c = 0",
+         "(d1a.d2c)(-1,-1,1) = 2 d1b x d2c"),
+        ("plane3: x3+y3+z3 = 2", "norm3 = 3/2", "|c|^2 = 3/2", "a.b = 0", "d2a.d2b = 0"),
+    ),
+    "ab-relation": (
+        _b_negated,
+        ("a.b = 0", "d1a.d1b = 0", "3 d1a.d2a = 4 d1b.d2b", "b.c = 0", "d2b.d2c = 0",
+         "2 d1b.d2c = d1b.d2a"),
+        ("plane2: x2-y2-z2 = 0", "norm2 = 1/2", "a.c = 1", "d2a x d2c = 0"),
+    ),
+    "plane1": (
+        _a_reflected,
+        ("a.b = 0", "d1a.d1b = 0", "d2a x d2c = 0", "d^1 plane1 = 0"),
+        ("norm1 = 1", "|a|^2 = 1", "plane2: x2-y2-z2 = 0", "norm2 = 1/2", "d^1 plane2 = 0"),
+    ),
+    "abc-beyond-bc": (
+        _a_negated,
+        ("2 d1b.d2c = d1b.d2a", "3 d1a x d2c = (d1b.d2a)(1,1,-1)", "d1a.d1b = 0"),
+        ("b.c = 0", "d2b.d2c = 0", "norm1 = 1", "plane3: x3+y3+z3 = 2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("premise", sorted(GATES))
+def test_a_derived_check_fails_where_its_premise_does(monkeypatch, premise):
+    move, failed, held = GATES[premise]
+    real = trinity._jets
+
+    def moved(t0, order):
+        (p1, p2, p3), scale = real(t0, order)
+        if t0 == 8:
+            *jets, scale = move(p1, p2, p3, scale)
+            return jets, scale
+        return (p1, p2, p3), scale
+
+    monkeypatch.setattr(trinity, "_jets", moved)
+    checks = dict(trinity.verify_derivative_identities(2))
+    assert [name for name in failed if checks[name]] == []
+    assert all(checks[name] for name in held)
+
+
 def test_points_halve_only_for_an_even_table(monkeypatch):
-    assert trinity._points(10) == range(41)
+    assert trinity._points(2) == range(9)
     x1, y1, z1 = trinity._SPHERES[1]
     monkeypatch.setitem(trinity._SPHERES, 1, (_plus(x1, T9_OVER_D), y1, z1))
-    assert trinity._points(10) == range(81)
+    assert trinity._points(2) == range(17)
 
 
 def _value_at(poly, t0):
