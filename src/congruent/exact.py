@@ -133,10 +133,11 @@ def _brent_rho(n, budget, seed):
 def factorize(n, budget=10**7):
     """Prime factorization of |n| as a sorted list with multiplicity.
 
-    Trial division to 10**6, then Pollard rho (Brent) with a fixed seed so
-    runs are deterministic.  ``budget`` caps the rho iterations of the
-    whole call, shared by every attempt on every cofactor; exceeding it
-    raises FactorBudgetExceeded rather than hanging on hard composites.
+    Trial division to 10**6, stopping early at a prime cofactor, then
+    Pollard rho (Brent) with a fixed seed so runs are deterministic.
+    ``budget`` caps the rho iterations of the whole call, shared by every
+    attempt on every cofactor; exceeding it raises FactorBudgetExceeded
+    rather than hanging on hard composites.
     """
     n = abs(n)
     if n == 0:
@@ -149,13 +150,22 @@ def factorize(n, budget=10**7):
     p = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while p * p <= n and p < TRIAL_DIVISION_BOUND:
-        while n % p == 0:
-            factors.append(p)
-            n //= p
+    # A prime cofactor ends trial division, so it is tested before the loop and
+    # after each prime divided out: a large prime costs one Miller-Rabin test,
+    # not ~2.7e5 divisions.  Only an int is tested: conics.lattice_secondary
+    # still passes Fractions, which would raise TypeError in Miller-Rabin.
+    prime = isinstance(n, int) and is_probable_prime(n)
+    while not prime and p * p <= n and p < TRIAL_DIVISION_BOUND:
+        if n % p == 0:
+            while n % p == 0:
+                factors.append(p)
+                n //= p
+            prime = is_probable_prime(n)
         p += wheel[i]
         i = (i + 1) % 8
-    if n == 1:
+    if prime:
+        factors.append(n)
+    if prime or n == 1:
         return sorted(factors)
     stack = [n]
     while stack:

@@ -132,7 +132,10 @@ def test_factorize_matches_sympy_factorint():
     # semiprimes just past 10**12, the end of trial division, so rho splits them
     semiprimes = [p * q for p in near for q in near if p <= q]
     semiprimes += [sympy.nextprime(10**8) * sympy.nextprime(3 * 10**9), 10000019 * 30000023]
-    for n in _oracle_inputs(1, 1) + semiprimes + [2**64, 3**40 * 7, (10**6 + 3) ** 3]:
+    # prime cofactors that end trial division early, and a product of two
+    # primes just past 10**6 that must run it to the end
+    early = [10**12 + 39, (10**6 + 3) * (10**6 + 33), 2**61 - 1, 3 * (2**89 - 1)]
+    for n in _oracle_inputs(1, 1) + semiprimes + early + [2**64, 3**40 * 7, (10**6 + 3) ** 3]:
         want = sorted(p for p, e in sympy.factorint(n).items() for _ in range(e))
         assert factorize(n) == want, n
     # at the budget that just splits it (see the shared-budget test above)

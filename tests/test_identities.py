@@ -263,6 +263,23 @@ def test_brahmagupta_heron_area():
     assert _vanishes(heron - (3 * t * u) ** 2, [t**2 - 3 * u**2 - 1], (t, u))
 
 
+def test_brahmagupta_points_are_shifts_of_q0():
+    # sides (t-1, t, t+1) on y^2 = (x+AB)(x+BC)(x+AC), with 2-torsion T_XY = (-XY, 0)
+    t = sympy.Symbol("t")
+    a, b, c = t - 1, t, t + 1
+    ab, bc, ac = a * b, b * c, a * c
+    curve = SimpleNamespace(a2=ab + bc + ac, a4=ab * bc + ab * ac + bc * ac, a6=ab * bc * ac)
+    q0, q1, q2, q3 = Point(0, a * b * c), Point(-(b**2), b), Point(2 - ab, 2 * c), Point(2 - bc, 2 * a)
+    assert _vanishes(q0.y**2 - (q0.x + ab) * (q0.x + bc) * (q0.x + ac))
+    shifts = (
+        (Curve.add(curve, q0, Point(-ac, 0)), q1),
+        (Curve.add(curve, Point(-ab, 0), -q0), q2),
+        (Curve.add(curve, Point(-bc, 0), -q0), q3),
+    )
+    for got, want in shifts:
+        assert _vanishes(got.x - want.x) and _vanishes(got.y - want.y)
+
+
 def test_lucas_identity_at_every_index():
     # fib_lucas steps (F_n, F_n+1) -> (F_n+1, F_n + F_n+1) from (0, 1), and
     # L_n by the same recurrence from (2, 1).  L_n = 2 F_n+1 - F_n holds at

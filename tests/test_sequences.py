@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from congruent import sequences
-from congruent.elliptic import Point, curve_en
+from congruent.elliptic import Curve, Point, curve_en
 from congruent.triples import RatTriangle
 
 F = Fraction
@@ -124,6 +124,41 @@ def test_brahmagupta_degenerate_torsion():
     assert orders == (4, 4, 4, 4)
     for q in qs:
         assert curve.order_at_most(q) == 4
+
+
+def test_brahmagupta_points_have_infinite_order_by_the_mazur_loop():
+    # the per-point loop is the oracle for the one certificate on Q0
+    for k in range(1, 41):
+        _, curve, qs, orders = sequences.brahmagupta(k)
+        assert orders is None
+        for q in qs:
+            assert curve.order_at_most(q) is None, (k, q)
+
+
+def test_brahmagupta_certifies_only_q0(monkeypatch):
+    certified = []
+    certify = Curve.certify_infinite_order
+
+    def counting(self, p):
+        certified.append(p)
+        return certify(self, p)
+
+    monkeypatch.setattr(Curve, "certify_infinite_order", counting)
+    for k in (0, 1, 2, 3, 10, 40):
+        certified.clear()
+        _, _, qs, _ = sequences.brahmagupta(k)
+        assert certified == ([qs[0]] if k else []), k
+
+
+@pytest.mark.parametrize("swap", ["2-torsion", "negated"])
+def test_brahmagupta_raises_when_q2_is_off_the_shift(monkeypatch, swap):
+    _, curve, qs, _ = sequences.brahmagupta(3)
+    q2 = qs[2]
+    other = {"2-torsion": Point(F(-51 * 52)), "negated": -q2}[swap]
+    assert curve.contains(other) and other != q2
+    monkeypatch.setattr(sequences, "Point", lambda *xy: other if Point(*xy) == q2 else Point(*xy))
+    with pytest.raises(AssertionError):
+        sequences.brahmagupta(3)
 
 
 def test_brahmagupta_rejects_negative():
