@@ -28,7 +28,7 @@ __all__ = [
     "format_rat",
 ]
 
-TRIAL_DIVISION_BOUND = 10**6
+TRIAL_DIVISION_BOUND = 2**12
 
 
 class FactorBudgetExceeded(Exception):
@@ -133,7 +133,7 @@ def _brent_rho(n, budget, seed):
 def factorize(n, budget=10**7):
     """Prime factorization of |n| as a sorted list with multiplicity.
 
-    Trial division to 10**6, stopping early at a prime cofactor, then
+    Trial division below TRIAL_DIVISION_BOUND, stopping early at a prime cofactor, then
     Pollard rho (Brent) with a fixed seed so runs are deterministic.
     ``budget`` caps the rho iterations of the whole call, shared by every
     attempt on every cofactor; exceeding it raises FactorBudgetExceeded
@@ -151,11 +151,12 @@ def factorize(n, budget=10**7):
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
     # A prime cofactor ends trial division, so it is tested before the loop and
-    # after each prime divided out: a large prime costs one Miller-Rabin test,
-    # not ~2.7e5 divisions.  Only an int is tested: conics.lattice_secondary
-    # still passes Fractions, which would raise TypeError in Miller-Rabin.
+    # after each prime divided out.  Only an int is tested, and only an int gets
+    # the lower bound: conics.lattice_secondary still passes Fractions, which
+    # would raise TypeError in Miller-Rabin, and keep their old results at 10**6.
     prime = isinstance(n, int) and is_probable_prime(n)
-    while not prime and p * p <= n and p < TRIAL_DIVISION_BOUND:
+    bound = TRIAL_DIVISION_BOUND if isinstance(n, int) else 10**6
+    while not prime and p * p <= n and p < bound:
         if n % p == 0:
             while n % p == 0:
                 factors.append(p)
@@ -172,7 +173,8 @@ def factorize(n, budget=10**7):
         m = stack.pop()
         if m == 1:
             continue
-        if m < TRIAL_DIVISION_BOUND**2 or is_probable_prime(m):
+        # no prime below the bound divides m, so m < bound^2 is prime
+        if m < bound**2 or is_probable_prime(m):
             factors.append(m)
             continue
         r = is_square(m)

@@ -28,7 +28,8 @@ __all__ = [
 def euclid_root(m, n):
     """The Euclid triangle (m^2 - n^2, 2mn, m^2 + n^2) and its area N."""
     t = euclid(m, n)
-    return RatTriangle(t.a, t.b, t.c), t.a * t.b // 2
+    # right: tests/test_identities.py::test_euclid_and_fermat_triples_are_pythagorean
+    return RatTriangle._proved(Fraction(t.a), Fraction(t.b), Fraction(t.c)), t.a * t.b // 2
 
 
 def walk(tri0, n0, path):
@@ -52,11 +53,11 @@ def walk(tri0, n0, path):
     for side in path:
         leg = tri.a if side == "a" else tri.b
         p, q = leg.numerator, leg.denominator
-        # |c| = r/(pq) and the next triangle has area r:
+        # |c| = r/(pq) and the next triangle is right, of area r:
         # tests/test_identities.py::test_recurrence_step
         r = abs(tri.c.numerator) * p * q // tri.c.denominator
         qqn = q * q * n
-        tri = RatTriangle(
+        tri = RatTriangle._proved(
             Fraction(p * r, qqn), Fraction(2 * qqn, p), Fraction(p**4 + 2 * qqn**2, p * qqn)
         )
         n = r
@@ -73,18 +74,19 @@ def closed_form(m, n, path):
     if not (m > n > 0):
         raise ValueError("need m > n > 0")
     i = len(path)
+    # right: tests/test_identities.py::test_recurrence_closed_forms_are_right
     if i and path == "a" * i:
         e = 2 ** (i + 1)
         d = Fraction(m * n) ** (2 ** (i - 1))
-        return RatTriangle((m**e - n**e) / d, 2 * d, (m**e + n**e) / d)
+        return RatTriangle._proved((m**e - n**e) / d, 2 * d, (m**e + n**e) / d)
     if path == "b":
         d = Fraction(m**2 - n**2)
-        return RatTriangle(
+        return RatTriangle._proved(
             4 * m * n * (m**2 + n**2) / d, d, (m**4 + 6 * m**2 * n**2 + n**4) / d
         )
     if path == "ba":
         d = Fraction(m**2 - n**2) ** 2
-        return RatTriangle(
+        return RatTriangle._proved(
             8 * m * n * (m**6 + 7 * m**4 * n**2 + 7 * m**2 * n**4 + n**6) / d,
             d,
             (m**8 + 28 * m**6 * n**2 + 70 * m**4 * n**4 + 28 * m**2 * n**6 + n**8) / d,

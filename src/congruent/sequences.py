@@ -102,9 +102,8 @@ def fib_even_family(n):
         raise ValueError("need n >= 1")
     pair = fib_lucas(2 * n)
     f, l = pair.f, pair.l
-    tri = RatTriangle(
-        Fraction(5 * f), Fraction(4 * l, f), Fraction(l**2 + 4, f)
-    )
+    # right: tests/test_identities.py::test_fib_group_relations
+    tri = RatTriangle._proved(Fraction(5 * f), Fraction(4 * l, f), Fraction(l**2 + 4, f))
     big_n = 10 * l
     # P0 on E_N, P1 = (0,0) + P0, P2 = 2 P0: tests/test_identities.py::test_fib_group_relations
     p0 = Point(Fraction(-20), Fraction(100 * f))
@@ -117,7 +116,8 @@ def fib_odd_family(n):
         raise ValueError("need n >= 1")
     pair = fib_lucas(2 * n + 1)
     f, l = pair.f, pair.l
-    tri = RatTriangle(Fraction(l**2 - 4), Fraction(4 * l), Fraction(5 * f**2))
+    # right: tests/test_identities.py::test_fib_odd_triangle_is_right
+    tri = RatTriangle._proved(Fraction(l**2 - 4), Fraction(4 * l), Fraction(5 * f**2))
     big_n = 2 * (l**2 - 4) * l
     return tri, big_n, standard_points(tri)
 
@@ -148,9 +148,8 @@ def cheb_family(m, n):
     if m < 1 or n < 2:
         raise ValueError("need m >= 1 and n >= 2")
     t, u = cheb_pair(m, n)
-    tri = RatTriangle(
-        Fraction((n**2 - 1) * u), Fraction(2 * t, u), Fraction(t**2 + 1, u)
-    )
+    # right: tests/test_identities.py::test_cheb_group_relations
+    tri = RatTriangle._proved(Fraction((n**2 - 1) * u), Fraction(2 * t, u), Fraction(t**2 + 1, u))
     big_n = (n**2 - 1) * t
     # P0 on E_N, P1 = (0,0) + P0, P2 = 2 P0: tests/test_identities.py::test_cheb_group_relations
     p0 = Point(Fraction(1 - n**2), Fraction((n**2 - 1) ** 2 * u))

@@ -39,10 +39,8 @@ def point_to_triangle(p, n):
     if not curve_en(n).contains(p):
         raise ValueError(f"point {p} is not on E_{n}")
     n = Fraction(n)
-    # area N: tests/test_identities.py::test_point_triangle_has_area_n
-    return RatTriangle(
-        (p.x**2 - n**2) / p.y, 2 * n * p.x / p.y, (p.x**2 + n**2) / p.y
-    )
+    # right, of area N: tests/test_identities.py::test_point_triangle_has_area_n
+    return RatTriangle._proved((p.x**2 - n**2) / p.y, 2 * n * p.x / p.y, (p.x**2 + n**2) / p.y)
 
 
 def tangent_intersection(p, n):

@@ -16,8 +16,8 @@ relation per pair of vectors) count as proved once they hold at more
 points than the degree bound of their cleared polynomial forms, taken in
 t^2 as every component is even; they imply every other identity at every
 order.  The sphere loci are twenty signed circles with trigonometric
-parameterizations; each is proved exact through the rational data of its
-family.
+parameterizations; each is proved exact in integers, from its family's
+data cleared by one scale for the vectors and one for the scalars.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 
 from .triples import derived_triples, euclid
 
@@ -352,13 +352,14 @@ _FAMILY = {
 }
 
 
-def _on_sphere(w, u, v, su, sv, r2):
+def _on_sphere(w, u, v, su, sv, r2, scale):
     """Whether the circle p(θ) = C + cos θ·√su·u + sin θ·√sv·v has |p(θ) - q|^2 = r2.
 
     With w = C - q, |p(θ) - q|^2 = |w|^2 + (su|u|^2 + sv|v|^2)/2
     + cos 2θ (su|u|^2 - sv|v|^2)/2 + sin 2θ √(su sv) u·v
     + 2 cos θ √su w·u + 2 sin θ √sv w·v, and 1, cos θ, sin θ, cos 2θ,
-    sin 2θ are linearly independent functions of θ.
+    sin 2θ are linearly independent functions of θ.  The data are ints: the
+    vectors times V, su and sv times scale and r2 times V^2 scale.
     """
     uu = su * u.norm2()
     return (
@@ -366,8 +367,13 @@ def _on_sphere(w, u, v, su, sv, r2):
         and u.dot(v) == 0
         and w.dot(u) == 0
         and w.dot(v) == 0
-        and w.norm2() + uu == r2
+        and scale * w.norm2() + uu == r2
     )
+
+
+def _cleared(values, scale):
+    """The ints x * scale of rationals x whose denominators divide scale, built without Fraction."""
+    return [x.numerator * (scale // x.denominator) for x in values]
 
 
 def circle_check():
@@ -377,9 +383,10 @@ def circle_check():
     on its plane, at its squared radius from its center and (families 1
     and 3) on the second sphere of the intersection-path description.
     The own-radius condition su|u|^2 = radius2 > 0 also makes su and sv
-    positive, so each p(θ) is a real point.  Returns a dict with the
-    number of circles, the (family, signs) of those that fail, and a pass
-    flag.
+    positive, so each p(θ) is a real point.  Each condition is compared in
+    ints, at the power of the family's vector and scalar scales it carries.
+    Returns a dict with the number of circles, the (family, signs) of
+    those that fail, and a pass flag.
     """
     failed = []
     count = 0
@@ -390,18 +397,24 @@ def circle_check():
             sign_sets = [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)]
         else:
             sign_sets = product((1, -1), repeat=3)
+        seconds = [info["second"]] if info["second"] is not None else []
+        vectors = [info[k] for k in ("C", "u", "v", "normal")] + [(k, k, k) for k, _ in seconds]
+        scalars = [info[k] for k in ("su", "sv", "const", "sphere2", "radius2")]
+        scalars += [r2 for _, r2 in seconds]
+        vscale = lcm(*[x.denominator for vec in vectors for x in vec])
+        scale = lcm(*[x.denominator for x in scalars])
+        center0, u0, v0, normal0, *ks = (_cleared(vec, vscale) for vec in vectors)
+        su, sv, const, *radii = _cleared(scalars, scale)
+        v2 = vscale * vscale
         for signs in sign_sets:
             count += 1
-            center, u, v, normal = (_flip(signs, info[k]) for k in ("C", "u", "v", "normal"))
-            spheres = [(Vec3F(0, 0, 0), info["sphere2"]), (center, info["radius2"])]
-            if info["second"] is not None:
-                k, r2 = info["second"]
-                spheres.append((_flip(signs, (k, k, k)), r2))
+            center, u, v, normal = (_flip(signs, x) for x in (center0, u0, v0, normal0))
+            spheres = zip([Vec3F(0, 0, 0), center, *(_flip(signs, k) for k in ks)], radii)
             in_plane = (
-                normal.dot(center) == info["const"] and normal.dot(u) == 0 and normal.dot(v) == 0
+                scale * normal.dot(center) == v2 * const and normal.dot(u) == normal.dot(v) == 0
             )
             on_spheres = all(
-                _on_sphere(center - q, u, v, info["su"], info["sv"], r2) for q, r2 in spheres
+                _on_sphere(center - q, u, v, su, sv, v2 * r2, scale) for q, r2 in spheres
             )
             if not (in_plane and on_spheres):
                 failed.append((family, signs))

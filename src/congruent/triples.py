@@ -57,17 +57,24 @@ class RatTriangle:
         a, b, c = Fraction(a), Fraction(b), Fraction(c)
         if a**2 + b**2 != c**2:
             raise ValueError(f"sides ({a}, {b}, {c}) violate a^2 + b^2 = c^2")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        vars(self).update(a=a, b=b, c=c)
+
+    @classmethod
+    def _proved(cls, a, b, c):
+        """The triangle of Fraction sides whose a^2 + b^2 = c^2 the caller's proof covers."""
+        tri = object.__new__(cls)
+        vars(tri).update(a=a, b=b, c=c)
+        return tri
 
     @classmethod
     def from_legs(cls, a, b):
         """The right triangle with legs a, b and hypotenuse the exact root of a^2 + b^2."""
+        a, b = Fraction(a), Fraction(b)
         c = rat_sqrt(a**2 + b**2)
         if c is None:
             raise ValueError("a and b are not the legs of a rational right triangle")
-        return cls(a, b, c)
+        # c^2 = a^2 + b^2: tests/test_exact.py::test_rat_sqrt_matches_sympy_sqrt
+        return cls._proved(a, b, c)
 
     @property
     def area(self):
@@ -82,7 +89,8 @@ class RatTriangle:
     def scaled(self, factor):
         """Similar triangle with both legs divided by factor."""
         factor = Fraction(factor)
-        return RatTriangle(self.a / factor, self.b / factor, self.c / factor)
+        # similar to a right triangle: a^2 + b^2 = c^2 divided by factor^2
+        return RatTriangle._proved(self.a / factor, self.b / factor, self.c / factor)
 
 
 def triangle_point(tri):
@@ -154,7 +162,8 @@ def derived_triples(m, n):
     Returns (AC, BC, BA); BA's middle side goes negative once B < A.
     """
     d, table = _numerators(m, n)
-    return tuple(RatTriangle(*(Fraction(side, d) for side in sides)) for sides in table)
+    # right: tests/test_identities.py::test_derived_triples_are_right
+    return tuple(RatTriangle._proved(*(Fraction(side, d) for side in sides)) for sides in table)
 
 
 def area_quad(m, n):

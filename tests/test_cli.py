@@ -2,6 +2,7 @@ import json
 import shlex
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import pytest
 
 from congruent import cassini, cli, conics, fermat, recurrence, sequences, tangent, trinity, verify
 from congruent.elliptic import Curve, Point
-from congruent.triples import RatTriangle
+from congruent.triples import RatTriangle, derived_triples
 
 
 def run(capsys, argv):
@@ -311,6 +312,29 @@ def test_perturbed_result_fails_its_cli_check(
     assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] == [check]
 
 
+def test_wrong_walk_step_fails_its_check(capsys, monkeypatch):
+    # walk builds each step unchecked, so a step that is not a right triangle
+    # reaches the printed result and fails the named check (exit 1, not 3)
+    real = RatTriangle._proved.__func__
+    built = []
+
+    def last_step_off(cls, a, b, c):
+        # calls: euclid_root's start triangle, then one per step of "abba"
+        built.append(a)
+        return real(cls, a + 1 if len(built) == 5 else a, b, c)
+
+    monkeypatch.setattr(RatTriangle, "_proved", classmethod(last_step_off))
+    argv = ["recur", "walk", "--start-m", "2", "--start-n", "1", "--path", "abba", "--json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 1 and len(built) == 5
+    env = json.loads(out)
+    assert [c["name"] for c in env["checks"] if not c["pass"]] == [
+        "every step is a valid right triangle"
+    ]
+    sides = [[Fraction(step["triangle"][k]) for k in "abc"] for step in env["results"]["steps"]]
+    assert [a**2 + b**2 == c**2 for a, b, c in sides] == [True, True, True, False]
+
+
 def test_wrong_chebyshev_value_fails_heron_area_by_name(capsys, monkeypatch):
     # BrahmaguptaTriangle holds what it is given, so a wrong U_{k-1}(2)
     # reaches the printed result and fails only the check on Heron's formula
@@ -326,13 +350,46 @@ def test_wrong_chebyshev_value_fails_heron_area_by_name(capsys, monkeypatch):
     assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] == ["Heron area"]
 
 
-def test_readme_cli_block_parses():
+def _readme_cli_lines():
+    """The README's CLI examples, each split into words."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    lines = [line for line in block.splitlines() if line.strip()]
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_block_parses():
+    lines = _readme_cli_lines()
     assert len(lines) >= 10
     parser = cli.build_parser()
-    for line in lines:
-        prog, *argv = shlex.split(line)
+    for prog, *argv in lines:
         assert prog == "congruent"
         parser.parse_args(argv)
+
+
+def test_every_proved_triangle_is_right(monkeypatch, capsys):
+    # RatTriangle._proved takes a^2 + b^2 = c^2 from the identity proof named
+    # at each call site; here every triangle it builds is checked again
+    real = RatTriangle._proved.__func__
+    seen = []
+
+    def checked(cls, a, b, c):
+        assert all(type(x) is Fraction for x in (a, b, c)), (a, b, c)
+        assert a**2 + b**2 == c**2, (a, b, c)
+        seen.append((a, b, c))
+        return real(cls, a, b, c)
+
+    monkeypatch.setattr(RatTriangle, "_proved", classmethod(checked))
+    for suite, checks in verify.run_all().items():
+        assert all(ok for _, ok in checks), suite
+    for _, *argv in _readme_cli_lines():
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    for m in range(2, 13):
+        for n in range(1, m):
+            derived_triples(m, n)
+            tri0, n0 = recurrence.euclid_root(m, n)
+            for path in map("".join, product("ab", repeat=4)):
+                recurrence.walk(tri0, n0, path)
+            for path in ("a", "aa", "aaa", "aaaa", "b", "ba"):
+                recurrence.closed_form(m, n, path)
+    assert len(seen) > 500

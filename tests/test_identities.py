@@ -97,7 +97,7 @@ def record_triangles(monkeypatch):
     def record(a, b, c):
         return SimpleNamespace(a=a, b=b, c=c, area=a * b / 2)
 
-    monkeypatch.setattr(conics, "RatTriangle", record)
+    monkeypatch.setattr(conics, "RatTriangle", SimpleNamespace(_proved=record))
 
 
 def test_conic_points_match_the_conic_forms(record_triangles):
@@ -210,6 +210,23 @@ def test_recurrence_step():
     assert _vanishes(p**4 * r**2 + 4 * q**8 * n**4 - (p**4 + 2 * n**2 * q**4) ** 2, relation, gens)
 
 
+def test_recurrence_closed_forms_are_right():
+    m, n = sympy.symbols("m n")
+    # closed_form's a^i triangle ((M - N)/d, 2d, (M + N)/d) with M = m^e,
+    # N = n^e and d = (mn)^(e/4), e = 2^(i+1): d^4 = MN at every i
+    big_m, big_n, d = sympy.symbols("M N d")
+    a, b, c = (big_m - big_n) / d, 2 * d, (big_m + big_n) / d
+    assert _vanishes(a**2 + b**2 - c**2, [d**4 - big_m * big_n], (d, big_m, big_n))
+    # its b and ba triangles
+    d = m**2 - n**2
+    a, b, c = 4 * m * n * (m**2 + n**2) / d, d, (m**4 + 6 * m**2 * n**2 + n**4) / d
+    assert _vanishes(a**2 + b**2 - c**2)
+    d = (m**2 - n**2) ** 2
+    a = 8 * m * n * (m**6 + 7 * m**4 * n**2 + 7 * m**2 * n**4 + n**6) / d
+    c = (m**8 + 28 * m**6 * n**2 + 70 * m**4 * n**4 + 28 * m**2 * n**6 + n**8) / d
+    assert _vanishes(a**2 + d**2 - c**2)
+
+
 # --- sequences ---
 
 
@@ -223,9 +240,10 @@ def test_standard_points_lie_on_e_n():
 
 
 def _assert_group_relations(tri, n, p0, relation, gens):
-    """P0 on E_N, (0,0) + P0 = P1 and 2 P0 = P2 by Curve.add, modulo relation."""
+    """tri right, P0 on E_N, (0,0) + P0 = P1 and 2 P0 = P2 by Curve.add, modulo relation."""
     curve = SimpleNamespace(a2=0, a4=-(n**2), a6=0)
     p1, p2 = sequences.standard_points(tri)
+    assert _vanishes(tri.a**2 + tri.b**2 - tri.c**2, [relation], gens)
     assert _vanishes(_off_e_n(p0, n), [relation], gens)
     for got, want in ((Curve.add(curve, Point(0, 0), p0), p1), (Curve.add(curve, p0, p0), p2)):
         assert _vanishes(got.x - want.x, [relation], gens)
@@ -237,6 +255,14 @@ def test_fib_group_relations():
     f, l = sympy.symbols("f l")
     tri = SimpleNamespace(a=5 * f, b=4 * l / f, c=(l**2 + 4) / f)
     _assert_group_relations(tri, 10 * l, Point(-20, 100 * f), l**2 - 5 * f**2 - 4, (l, f))
+
+
+def test_fib_odd_triangle_is_right():
+    # fib_odd_family's (L^2 - 4, 4L, 5F^2) at (F, L) = (F_2n+1, L_2n+1), where
+    # L^2 = 5 F^2 - 4
+    f, l = sympy.symbols("f l")
+    a, b, c = l**2 - 4, 4 * l, 5 * f**2
+    assert _vanishes(a**2 + b**2 - c**2, [l**2 - 5 * f**2 + 4], (l, f))
 
 
 def test_cheb_group_relations():
@@ -332,6 +358,14 @@ def symbolic_triples(monkeypatch):
     euclid = SimpleNamespace(a=m**2 - n**2, b=2 * m * n, c=m**2 + n**2)
     monkeypatch.setattr(triples, "euclid", lambda *_: euclid)
     return m, n
+
+
+def test_derived_triples_are_right(symbolic_triples):
+    # derived_triples' sides are these numerators over the one D = ABC
+    m, n = symbolic_triples
+    _, table = triples._numerators(m, n)
+    for a, b, c in table:
+        assert _vanishes(a**2 + b**2 - c**2)
 
 
 def test_connecting_points_lie_on_their_curves(symbolic_triples):

@@ -405,6 +405,28 @@ def test_circle_check_fails_on_any_changed_datum(monkeypatch, family):
         assert {f for f, _ in rep["failed"]} == {family}
 
 
+def test_circle_check_builds_no_fraction(monkeypatch):
+    # each family's data are cleared to ints by integer division, so the
+    # proof of the twenty circles runs in integers throughout
+    built = []
+
+    def counting(make):
+        def counted(*args, **kwargs):
+            built.append(args)
+            return make(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting(Fraction.__new__)))
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12 builds results here
+        make = Fraction._from_coprime_ints.__func__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting(make)))
+    assert Fraction(1, 3) * 3 == 1 and len(built) >= 2
+    built.clear()
+    assert trinity.circle_check()["ok"]
+    assert built == []
+
+
 def test_twenty_signed_circles(monkeypatch):
     # with every sphere condition failing, circle_check lists each signed circle once
     monkeypatch.setattr(trinity, "_on_sphere", lambda *_: False)
