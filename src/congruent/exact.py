@@ -24,6 +24,7 @@ __all__ = [
     "factorize",
     "squarefree_part",
     "printable_bits",
+    "printable_bit_limit",
     "check_printable",
     "format_rat",
 ]
@@ -71,6 +72,8 @@ def is_probable_prime(n):
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         if n % p == 0:
             return n == p
+    if n < 43**2:  # a composite n has a prime factor <= sqrt(n), so <= 41 here
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -225,14 +228,18 @@ def printable_bits(digits):
     return (10**digits).bit_length() if digits else None
 
 
+def printable_bit_limit():
+    """printable_bits(sys.get_int_max_str_digits()), or math.inf when there is no limit."""
+    return printable_bits(sys.get_int_max_str_digits()) or math.inf
+
+
 def check_printable(*values):
     """Raise OutputTooLarge if an int, or a Fraction's numerator or denominator,
-    has more bits than printable_bits allows under sys.get_int_max_str_digits()."""
-    bits = printable_bits(sys.get_int_max_str_digits())
-    if bits is not None:
-        for v in values:
-            if v.numerator.bit_length() > bits or v.denominator.bit_length() > bits:
-                raise OutputTooLarge
+    has more bits than printable_bit_limit() allows."""
+    bits = printable_bit_limit()
+    for v in values:
+        if v.numerator.bit_length() > bits or v.denominator.bit_length() > bits:
+            raise OutputTooLarge
 
 
 def format_rat(r):

@@ -5,7 +5,7 @@ rational right triangle (p/q, 2Nq/p, sqrt(p^4+4N^2q^4)/(pq)) of area N
 through one of five closed-form families selected by the congruence
 class of N mod 8.  The p and q values may individually be irrational
 (multiples of sqrt(N) or sqrt(2)); the module works entirely with p^2
-and q^2 so the triangle sides emerge from exact rational square roots.
+and q^2 so the triangle sides emerge from exact integer square roots.
 A table of solutions for every qualifying N below 1000 ships with the
 package and is verified row by row.
 """
@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from math import gcd
 
-from .exact import is_probable_prime, rat_sqrt
+from .exact import is_probable_prime, is_square
 from .triples import RatTriangle
 
 __all__ = [
@@ -85,47 +86,40 @@ def footprint_pq(row):
     if row.cls == "T0a":
         if n != m**4 + 6 * m**2 * k**2 + k**4:
             raise ValueError("T0a requires N = m^4 + 6 m^2 n^2 + n^4")
-        p = Fraction(n * (m**2 - k**2))
-        q = Fraction(2 * m * k * (m**2 + k**2))
-        return PQ(p**2, q**2)
+        return PQ(Fraction((n * (m**2 - k**2)) ** 2), Fraction((2 * m * k * (m**2 + k**2)) ** 2))
     if row.cls == "T0b":
         p_sq = Fraction((m**2 + k**2) ** 2 * n * ((2 * m * k) ** 2 - (m**2 - k**2) ** 2), 16)
-        q = Fraction(m * k * (m**2 - k**2), 2)
-        return PQ(p_sq, q**2)
+        return PQ(p_sq, Fraction((m * k * (m**2 - k**2)) ** 2, 4))
     if row.cls == "TI":
-        p_sq = Fraction((m**2 * k**2 * n) ** 2) - Fraction((m**2 * n - k**2) ** 4, 16)
-        q = Fraction(m * k * (m**2 * n - k**2), 2)
-        return PQ(p_sq, q**2)
+        p_sq = Fraction(16 * (m**2 * k**2 * n) ** 2 - (m**2 * n - k**2) ** 4, 16)
+        return PQ(p_sq, Fraction((m * k * (m**2 * n - k**2)) ** 2, 4))
     if row.cls == "TII":
         p_sq = Fraction((m**2 + k**2) ** 2 * n * ((2 * m * k) ** 2 - (m**2 - k**2) ** 2))
-        q = Fraction(2 * m * k * (m**2 - k**2))
-        return PQ(p_sq, q**2)
+        return PQ(p_sq, Fraction((2 * m * k * (m**2 - k**2)) ** 2))
     if row.cls == "TIII":
-        p_sq = Fraction(
-            (m**2 + 2 * k**2) ** 2 * n * (8 * m**2 * k**2 - (m**2 - 2 * k**2) ** 2)
-        )
-        q_sq = Fraction(8 * m**2 * k**2 * (m**2 - 2 * k**2) ** 2)
-        return PQ(p_sq, q_sq)
+        p_sq = Fraction((m**2 + 2 * k**2) ** 2 * n * (8 * m**2 * k**2 - (m**2 - 2 * k**2) ** 2))
+        return PQ(p_sq, Fraction(8 * m**2 * k**2 * (m**2 - 2 * k**2) ** 2))
     # TIV
-    p_sq = (
-        Fraction((m**2 - k**2 - 2 * m * k) ** 2)
-        * Fraction(n, 2)
-        * ((m - k) ** 2 + 2 * m**2)
-        * ((m + k) ** 2 + 2 * k**2)
-    )
-    q = Fraction((m**2 - k**2 + 2 * m * k) * (m**2 + k**2))
-    return PQ(p_sq, q**2)
+    p2 = (m**2 - k**2 - 2 * m * k) ** 2 * n * ((m - k) ** 2 + 2 * m**2) * ((m + k) ** 2 + 2 * k**2)
+    return PQ(Fraction(p2, 2), Fraction(((m**2 - k**2 + 2 * m * k) * (m**2 + k**2)) ** 2))
 
 
 def footprint_triangle(row):
-    """The positive rational right triangle of area N for a table row."""
+    """The positive rational right triangle (x/y, 2|N|y/x, r/(xy)) of area N for a table row,
+    with p^2/q^2 = x^2/y^2 in lowest terms and r^2 = x^4 + 4N^2 y^4 = (cxy)^2."""
     pq = footprint_pq(row)
-    if pq.p_sq <= 0 or pq.q_sq <= 0:
+    num = pq.p_sq.numerator * pq.q_sq.denominator
+    den = pq.p_sq.denominator * pq.q_sq.numerator
+    if num <= 0 or den <= 0:
         raise ValueError("row yields a nonpositive p^2 or q^2")
-    a = rat_sqrt(pq.p_sq / pq.q_sq)
-    if a is None:
+    g = gcd(num, den)
+    x, y = is_square(num // g), is_square(den // g)
+    if x is None or y is None:
         raise ValueError("row does not rationalize: a side square is not a square")
-    return RatTriangle.from_legs(a, 2 * abs(row.n) / a)
+    r = is_square(x**4 + 4 * row.n**2 * y**4)
+    if r is None:
+        raise ValueError("a and b are not the legs of a rational right triangle")
+    return RatTriangle._proved(Fraction(x, y), Fraction(2 * abs(row.n) * y, x), Fraction(r, x * y))
 
 
 def load_rows(table=None):
@@ -173,7 +167,8 @@ def verify_tables(table=None):
                     f"row class {row.cls} inconsistent with N = {row.n} ({family})"
                 )
             tri = footprint_triangle(row)
-            if tri.area != row.n:
+            a, b = tri.a, tri.b
+            if a.numerator * b.numerator != 2 * row.n * a.denominator * b.denominator:
                 raise ValueError(f"triangle area {tri.area} is not N = {row.n}")
             report["triangle"] = tri
         except ValueError as exc:

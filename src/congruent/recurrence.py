@@ -74,24 +74,24 @@ def closed_form(m, n, path):
     if not (m > n > 0):
         raise ValueError("need m > n > 0")
     i = len(path)
-    # right: tests/test_identities.py::test_recurrence_closed_forms_are_right
     if i and path == "a" * i:
         e = 2 ** (i + 1)
-        d = Fraction(m * n) ** (2 ** (i - 1))
-        return RatTriangle._proved((m**e - n**e) / d, 2 * d, (m**e + n**e) / d)
-    if path == "b":
-        d = Fraction(m**2 - n**2)
-        return RatTriangle._proved(
-            4 * m * n * (m**2 + n**2) / d, d, (m**4 + 6 * m**2 * n**2 + n**4) / d
+        d = (m * n) ** (2 ** (i - 1))
+        sides = m**e - n**e, 2 * d * d, m**e + n**e
+    elif path == "b":
+        d = m**2 - n**2
+        sides = 4 * m * n * (m**2 + n**2), d * d, m**4 + 6 * m**2 * n**2 + n**4
+    elif path == "ba":
+        d = (m**2 - n**2) ** 2
+        sides = (
+            8 * m * n * (m**6 + 7 * m**4 * n**2 + 7 * m**2 * n**4 + n**6),
+            d * d,
+            m**8 + 28 * m**6 * n**2 + 70 * m**4 * n**4 + 28 * m**2 * n**6 + n**8,
         )
-    if path == "ba":
-        d = Fraction(m**2 - n**2) ** 2
-        return RatTriangle._proved(
-            8 * m * n * (m**6 + 7 * m**4 * n**2 + 7 * m**2 * n**4 + n**6) / d,
-            d,
-            (m**8 + 28 * m**6 * n**2 + 70 * m**4 * n**4 + 28 * m**2 * n**6 + n**8) / d,
-        )
-    raise ValueError(f"no closed form for path {path!r}")
+    else:
+        raise ValueError(f"no closed form for path {path!r}")
+    # right: tests/test_identities.py::test_recurrence_closed_forms_are_right
+    return RatTriangle._proved(*(Fraction(side, d) for side in sides))
 
 
 # the reference tree's four root triangles, keyed by their area

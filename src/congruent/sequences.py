@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic import Curve, Point
-from .exact import check_printable
+from .exact import OutputTooLarge, printable_bit_limit
 from .triples import RatTriangle, triangle_point
 
 __all__ = [
@@ -72,10 +72,12 @@ def fib_lucas(n):
         raise ValueError("need n >= 0")
     f0, f1 = 0, 1
     l0, l1 = 2, 1
+    bits = printable_bit_limit()
     for _ in range(n):
         f0, f1 = f1, f0 + f1
         l0, l1 = l1, l0 + l1
-        check_printable(l0)
+        if l0.bit_length() > bits:
+            raise OutputTooLarge
     # L^2 - 5 F^2 = 4(-1)^n: tests/test_identities.py::test_lucas_identity_at_every_index
     return FibPair(n, f0, l0)
 
@@ -131,10 +133,12 @@ def cheb_pair(m, n):
     if m < 0:
         raise ValueError("chebyshev index must be >= 0")
     t0, t1, u0, u1 = n, 1, -1, 0
+    bits = printable_bit_limit()
     for _ in range(m):
         t0, t1 = t1, 2 * n * t1 - t0
         u0, u1 = u1, 2 * n * u1 - u0
-        check_printable(t1, u1)
+        if t1.bit_length() > bits or u1.bit_length() > bits:
+            raise OutputTooLarge
     return t1, u1
 
 

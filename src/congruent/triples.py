@@ -140,8 +140,8 @@ def euclid(m, n):
     return PythTriple(m**2 - n**2, 2 * m * n, m**2 + n**2)
 
 
-def _numerators(m, n):
-    """D = ABC and the integer numerators over D of the sides of AC, BC, BA.
+def _pair(m, n):
+    """euclid(m, n), its AreaQuad, D = ABC and the integer side numerators over D of AC, BC, BA.
 
     With (X, Y, Z) = (A, C, B), (B, C, A) and (A, B, C) in turn, the sides
     are (2 X^2 Y^2, Z^2 (Y^2 + X^2), X^4 + Y^4) / D, with Y^2 - X^2 for BA;
@@ -149,11 +149,17 @@ def _numerators(m, n):
     """
     t = euclid(m, n)
     a2, b2, c2 = t.a**2, t.b**2, t.c**2
-    return t.a * t.b * t.c, (
+    q = AreaQuad(t.a * t.b // 2, a2 + c2, b2 + c2, b2 - a2)
+    return t, q, t.a * t.b * t.c, (
         (2 * a2 * c2, b2 * (a2 + c2), a2**2 + c2**2),
         (2 * b2 * c2, a2 * (b2 + c2), b2**2 + c2**2),
         (2 * a2 * b2, c2 * (b2 - a2), a2**2 + b2**2),
     )
+
+
+def _numerators(m, n):
+    """D = ABC and the integer numerators over D of the sides of AC, BC, BA."""
+    return _pair(m, n)[2:]
 
 
 def derived_triples(m, n):
@@ -168,18 +174,18 @@ def derived_triples(m, n):
 
 def area_quad(m, n):
     """(N, N_AC, N_BC, N_BA) = (AB/2, A^2+C^2, B^2+C^2, B^2-A^2)."""
-    t = euclid(m, n)
-    a, b, c = t.a, t.b, t.c
-    return AreaQuad(a * b // 2, a**2 + c**2, b**2 + c**2, b**2 - a**2)
+    return _pair(m, n)[1]
+
+
+def _area_identity(t, q, *_):
+    lhs = q.n_ac**2 + q.n_bc**2 + q.n_ba**2
+    rhs = 6 * (t.c**4 - 4 * q.n**2)
+    return {"lhs": lhs, "rhs": rhs, "holds": lhs == rhs}
 
 
 def area_identity_check(m, n):
     """Both sides of N_AC^2 + N_BC^2 + N_BA^2 = 6(C^4 - 4N^2)."""
-    q = area_quad(m, n)
-    c = euclid(m, n).c
-    lhs = q.n_ac**2 + q.n_bc**2 + q.n_ba**2
-    rhs = 6 * (c**4 - 4 * q.n**2)
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs == rhs}
+    return _area_identity(*_pair(m, n))
 
 
 def connecting_points(m, n):
@@ -188,9 +194,8 @@ def connecting_points(m, n):
     Returns three (curve, point) pairs; each curve is y^2 = x^3 - N^2 x
     built from the squared area, so the sign of N_BA does not matter.
     """
-    t = euclid(m, n)
+    t, q = _pair(m, n)[:2]
     a, b, c = t.a, t.b, t.c
-    q = area_quad(m, n)
     y = 2 * a * b * c
     pairs = (
         (curve_en(q.n_ac), Point(Fraction(-(b**2)), Fraction(y))),
@@ -201,20 +206,38 @@ def connecting_points(m, n):
     return pairs
 
 
-def concordant_solutions(m, n):
-    """Euler concordant-form solutions for the AC, BC and BA hypotenuses.
-
-    (x, y) is (numerator of c over D = ABC, 2D); z and t are the roots of
-    the radical definitions, and all three y values equal 2ABC.
-    """
-    d, table = _numerators(m, n)
-    q = area_quad(m, n)
+def _concordant(_t, q, d, table):
     y = 2 * d
     # x^2 ± N y^2 are squares: tests/test_identities.py::test_concordant_radicals_are_squares
     return tuple(
         ConcordantSolution(x, y, isqrt(x**2 + area * y**2), isqrt(x**2 - area * y**2), area)
         for (_, _, x), area in zip(table, (q.n_ac, q.n_bc, q.n_ba))
     )
+
+
+def concordant_solutions(m, n):
+    """Euler concordant-form solutions for the AC, BC and BA hypotenuses.
+
+    (x, y) is (numerator of c over D = ABC, 2D); z and t are the roots of
+    the radical definitions, and all three y values equal 2ABC.
+    """
+    return _concordant(*_pair(m, n))
+
+
+def _distance(t, _q, _d, table):
+    """(lhs root, (sum d_i, u, v, w), holds) of distance_identity, as numerators over D."""
+    d1, d2, d3 = (c - a for a, _, c in table)
+    lhs_root = 2 * (t.c**4 - 3 * (t.a * t.b) ** 2)
+    lhs = lhs_root**2
+    total = d1 + d2 + d3
+    eq16 = lhs == 2 * (d1**2 + d2**2 + d3**2)
+    eq17 = lhs == total**2
+    eq18 = lhs == 4 * (d1 * d2 + d1 * d3 + d2 * d3)
+    # the three pairwise products as squares of signed combinations
+    u, v, w = d1 + d2 - d3, d1 - d2 + d3, -d1 + d2 + d3
+    eq19 = 4 * d1 * d2 == u**2 and 4 * d1 * d3 == v**2 and 4 * d2 * d3 == w**2
+    decomposition = total**2 == u**2 + v**2 + w**2
+    return lhs_root, (total, u, v, w), eq16 and eq17 and eq18 and eq19 and decomposition
 
 
 def distance_identity(m, n):
@@ -228,27 +251,10 @@ def distance_identity(m, n):
     resulting Pythagorean quadruple decomposition of (sum d_i)^2.  Every
     quantity is a numerator over D = ABC, so the identities compare integers.
     """
-    t = euclid(m, n)
-    d, table = _numerators(m, n)
-    d1, d2, d3 = (c - a for a, _, c in table)
-    lhs_root = 2 * (t.c**4 - 3 * (t.a * t.b) ** 2)
-    lhs = lhs_root**2
-    total = d1 + d2 + d3
-    eq16 = lhs == 2 * (d1**2 + d2**2 + d3**2)
-    eq17 = lhs == total**2
-    eq18 = lhs == 4 * (d1 * d2 + d1 * d3 + d2 * d3)
-    # the three pairwise products as squares of signed combinations
-    u = d1 + d2 - d3
-    v = d1 - d2 + d3
-    w = -d1 + d2 + d3
-    eq19 = (
-        4 * d1 * d2 == u**2
-        and 4 * d1 * d3 == v**2
-        and 4 * d2 * d3 == w**2
-    )
-    decomposition = total**2 == u**2 + v**2 + w**2
+    t, q, d, table = _pair(m, n)
+    lhs_root, quadruple, holds = _distance(t, q, d, table)
     return {
         "lhs_root": Fraction(lhs_root, d),
-        "quadruple": tuple(Fraction(x, d) for x in (total, u, v, w)),
-        "holds": eq16 and eq17 and eq18 and eq19 and decomposition,
+        "quadruple": tuple(Fraction(x, d) for x in quadruple),
+        "holds": holds,
     }

@@ -90,11 +90,12 @@ def suite_triples_random():
     count = 200
     for m, n in _random_pairs(20210525, count, 80):
         try:
-            if not triples.area_identity_check(m, n)["holds"]:
+            pair = triples._pair(m, n)
+            if not triples._area_identity(*pair)["holds"]:
                 return [(f"area identity ({m},{n})", False)]
-            if not triples.distance_identity(m, n)["holds"]:
+            if not triples._distance(*pair)[2]:
                 return [(f"distance identity ({m},{n})", False)]
-            triples.concordant_solutions(m, n)
+            triples._concordant(*pair)
         except ValueError as exc:
             return [(f"random ({m},{n}): {exc}", False)]
     return [(f"{count} random (m,n) pass all identities", True)]
@@ -318,8 +319,9 @@ def suite_recurrence():
     random_count = 20
     for m, n in _random_pairs(79, random_count, 40):
         tri0, n0 = recurrence.euclid_root(m, n)
-        for path in ("a", "aa", "aaa", "b", "ba"):
-            if recurrence.walk(tri0, n0, path)[-1][1] != recurrence.closed_form(m, n, path):
+        steps = recurrence.walk(tri0, n0, "aaa") + recurrence.walk(tri0, n0, "ba")
+        for path, (_, tri) in zip(("a", "aa", "aaa", "b", "ba"), steps):
+            if tri != recurrence.closed_form(m, n, path):
                 return checks + [(f"closed form {path} ({m},{n})", False)]
     checks.append((f"closed forms on {random_count} random (m,n)", True))
     return checks

@@ -15,7 +15,9 @@ from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
 
-from congruent import cli, fermat, sequences, verify
+import pytest
+
+from congruent import cli, fermat, recurrence, sequences, triples, verify
 
 
 F = Fraction
@@ -158,6 +160,81 @@ def test_random_pairs_are_the_seeded_euclid_pairs():
             if gcd(m, n) == 1 and (m - n) % 2 == 1:
                 want.append((m, n))
         assert list(verify._random_pairs(seed, count, max_m)) == want
+
+
+def _count_fractions(monkeypatch):
+    """A list that grows by one for every Fraction built from now on."""
+    built = []
+
+    def counting(make):
+        def counted(*args, **kwargs):
+            built.append(args)
+            return make(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting(Fraction.__new__)))
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12 builds results here
+        make = Fraction._from_coprime_ints.__func__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting(make)))
+    assert Fraction(1, 3) * 3 == 1 and len(built) >= 2
+    built.clear()
+    return built
+
+
+def test_random_triples_suite_builds_no_fraction(monkeypatch):
+    # each pair's identities are integers over the one D = ABC of _pair
+    built = _count_fractions(monkeypatch)
+    assert verify.suite_triples_random() == [("200 random (m,n) pass all identities", True)]
+    assert built == []
+
+
+def test_gate_builds_a_bounded_number_of_fractions(monkeypatch):
+    # a cost guard that needs no timing: one run_all() built 8,467 Fractions
+    # before triples-random, footprints, recurrence and sequences ran on
+    # shared integers, and 5,050 after (CPython 3.11)
+    built = _count_fractions(monkeypatch)
+    results = verify.run_all()
+    assert all(ok for checks in results.values() for _, ok in checks)
+    assert len(built) <= 5050
+
+
+@pytest.mark.parametrize(
+    "corrupt, check",
+    [
+        # a wrong first side changes d_1 = c_1 - a_1 only
+        (lambda t, q, d, rows: (t, q, d, ((rows[0][0] + 1, *rows[0][1:]), *rows[1:])),
+         "distance identity"),
+        # a wrong area fails its identity before the concordant forms can raise
+        (lambda t, q, d, rows: (t, SimpleNamespace(**{**vars(q), "n_ac": q.n_ac + 1}), d, rows),
+         "area identity"),
+    ],
+)  # fmt: skip
+def test_random_triples_suite_names_a_corrupted_pair(monkeypatch, corrupt, check):
+    pairs = list(verify._random_pairs(20210525, 200, 80))
+    m, n = pairs[57]
+    real = triples._pair
+    monkeypatch.setattr(
+        triples, "_pair", lambda *mn: corrupt(*real(*mn)) if mn == (m, n) else real(*mn)
+    )
+    assert verify.suite_triples_random() == [(f"{check} ({m},{n})", False)]
+
+
+@pytest.mark.parametrize("path", ["aa", "b"])
+def test_wrong_closed_form_fails_under_its_first_name(monkeypatch, path):
+    # the suite compares every prefix of the "aaa" and "ba" walks in the
+    # order a, aa, aaa, b, ba, so a wrong form is named at its own path
+    real = recurrence.closed_form
+    monkeypatch.setattr(
+        recurrence,
+        "closed_form",
+        lambda m, n, p: real(m, n, p).scaled(2) if p == path else real(m, n, p),
+    )
+    m, n = next(verify._random_pairs(79, 20, 40))
+    assert verify.suite_recurrence() == [
+        ("28-cell walk table", True),
+        (f"closed form {path} ({m},{n})", False),
+    ]
 
 
 def _pool_workloads():

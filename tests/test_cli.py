@@ -8,7 +8,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from congruent import cassini, cli, conics, fermat, recurrence, sequences, tangent, trinity, verify
+from congruent import (
+    cassini,
+    cli,
+    conics,
+    fermat,
+    footprints,
+    recurrence,
+    sequences,
+    tangent,
+    trinity,
+    verify,
+)
 from congruent.elliptic import Curve, Point
 from congruent.triples import RatTriangle, derived_triples
 
@@ -292,7 +303,7 @@ def _double_legs(tri):
         (["cassini", "two", "--n", "29", "--f1", "1", "--f2", "-13"],
          cassini, "_signed_triangle", _double_legs, "triangle area = N"),
         (["footprints", "triangle", "--n", "14", "--m", "2", "--k", "1", "--cls", "TIII"],
-         RatTriangle, "from_legs", _double_legs, "area = N"),
+         footprints, "footprint_triangle", _double_legs, "area = N"),
         (["seq", "brahmagupta", "--k", "0"],
          Curve, "order_at_most", lambda order: order + 1, "order 4 (degenerate)"),
         # 4 N_i2 keeps the square class, so only the Vieta comparison sees it

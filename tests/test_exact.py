@@ -142,6 +142,15 @@ def test_factorize_matches_sympy_factorint():
     assert factorize(10000019 * 30000023, budget=4000) == [10000019, 30000023]
 
 
+def test_is_probable_prime_matches_a_sieve_below_2000():
+    # below 43^2 = 1849 trial division by the primes <= 41 decides alone
+    sieve = [False, False] + [True] * 1998
+    for p in range(2, 45):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+    assert [is_probable_prime(n) for n in range(2000)] == sieve
+
+
 def test_is_probable_prime_matches_sympy_isprime():
     sympy = pytest.importorskip("sympy")
     # Carmichael numbers, strong pseudoprimes to the first bases, and both

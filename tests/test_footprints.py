@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from congruent import footprints
+from congruent.footprints import CLASSES
 from congruent.exact import rat_sqrt
 from congruent.triples import RatTriangle
 
@@ -77,3 +79,50 @@ def test_verify_tables_fails_a_row_with_the_wrong_area(monkeypatch):
     assert [r["row"].n for r in bad] == [14]
     assert bad[0]["triangle"] is None
     assert bad[0]["error"] == "triangle area 56 is not N = 14"
+
+
+def _from_legs_oracle(row):
+    # footprint_triangle before it ran in integers: two rational roots and from_legs
+    pq = footprints.footprint_pq(row)
+    if pq.p_sq <= 0 or pq.q_sq <= 0:
+        raise ValueError("row yields a nonpositive p^2 or q^2")
+    a = rat_sqrt(pq.p_sq / pq.q_sq)
+    if a is None:
+        raise ValueError("row does not rationalize: a side square is not a square")
+    return RatTriangle.from_legs(a, 2 * abs(row.n) / a)
+
+
+def _outcome(build, row):
+    try:
+        return build(row)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_integer_triangle_matches_the_from_legs_oracle():
+    for row in footprints.load_rows():
+        tri = footprints.footprint_triangle(row)
+        assert tri == _from_legs_oracle(row), row
+        assert tri.a**2 + tri.b**2 == tri.c**2 and tri.area == row.n
+    # rows that do not rationalize, or break their class, raise the same message
+    outcomes = set()
+    for n, m, k, cls in product((-7, 0, 5, 14, 353), range(-3, 5), range(-3, 5), CLASSES):
+        row = footprints.FootprintRow(n, m, k, cls)
+        want = _outcome(_from_legs_oracle, row)
+        assert _outcome(footprints.footprint_triangle, row) == want, row
+        outcomes.add(want if isinstance(want, str) else "triangle")
+    assert outcomes == {
+        "triangle",
+        "row yields a nonpositive p^2 or q^2",
+        "row does not rationalize: a side square is not a square",
+        "T0a requires N = m^4 + 6 m^2 n^2 + n^4",
+    }
+
+
+def test_irrational_hypotenuse_raises_the_from_legs_message(monkeypatch):
+    # no class formula gets here: a = 1 and b = 2 leave c^2 = 5
+    monkeypatch.setattr(footprints, "footprint_pq", lambda row: footprints.PQ(F(1), F(1)))
+    row = footprints.FootprintRow(1, 1, 1, "TI")
+    message = "a and b are not the legs of a rational right triangle"
+    assert _outcome(_from_legs_oracle, row) == message
+    assert _outcome(footprints.footprint_triangle, row) == message

@@ -1,8 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 from congruent import sequences
+from congruent.exact import OutputTooLarge, printable_bits
 from congruent.elliptic import Curve, Point, curve_en
 from congruent.triples import RatTriangle
 
@@ -164,3 +166,32 @@ def test_brahmagupta_raises_when_q2_is_off_the_shift(monkeypatch, swap):
 def test_brahmagupta_rejects_negative():
     with pytest.raises(ValueError):
         sequences.brahmagupta(-1)
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_sequences_stop_at_the_first_value_past_the_digit_limit(limit):
+    # fib_lucas bounds each L_k and cheb_pair each T_k(9) and U_{k-1}(9) by the
+    # bits of the current digit limit; the first k past it raises
+    bits = printable_bits(limit)
+    lucas, t, u = [2, 1], [9, 1], [-1, 0]
+    while lucas[-2].bit_length() <= bits:
+        lucas.append(lucas[-1] + lucas[-2])
+    while t[-1].bit_length() <= bits and u[-1].bit_length() <= bits:
+        t.append(18 * t[-1] - t[-2])
+        u.append(18 * u[-1] - u[-2])
+    first_l, first_t = len(lucas) - 2, len(t) - 2
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert sequences.fib_lucas(first_l - 1).l == lucas[first_l - 1]
+        with pytest.raises(OutputTooLarge):
+            sequences.fib_lucas(first_l)
+        assert sequences.cheb_pair(first_t - 1, 9) == (t[-2], u[-2])
+        with pytest.raises(OutputTooLarge):
+            sequences.cheb_pair(first_t, 9)
+        # no limit, no bound
+        sys.set_int_max_str_digits(0)
+        assert sequences.fib_lucas(first_l).l == lucas[first_l]
+        assert sequences.cheb_pair(first_t, 9) == (t[-1], u[-1])
+    finally:
+        sys.set_int_max_str_digits(old)

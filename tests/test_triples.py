@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from congruent import triples
 from congruent.triples import (
     RatTriangle,
     area_identity_check,
@@ -117,3 +118,29 @@ def test_from_legs_takes_the_exact_hypotenuse():
 def test_rat_triangle_rejects_non_pythagorean():
     with pytest.raises((ValueError, AssertionError)):
         RatTriangle(F(1), F(1), F(1))
+
+
+def test_gate_pair_checks_agree_with_the_public_results():
+    # the gate evaluates the area identity, the distance identity and the
+    # concordant solutions as integers from one _pair(m, n); they agree with
+    # the CLI's results and with the d_i = c_i - a_i of derived_triples
+    for m in range(2, 41):
+        for n in range(1, m):
+            if gcd(m, n) != 1 or (m - n) % 2 == 0:
+                continue
+            pair = triples._pair(m, n)
+            t, q, d, _ = pair
+            assert triples._area_identity(*pair) == area_identity_check(m, n)
+            sols = triples._concordant(*pair)
+            assert sols == concordant_solutions(m, n)
+            tris = derived_triples(m, n)
+            want = [(tri.c * d, 2 * d, tri.area) for tri in tris]
+            assert [(s.x, s.y, s.n) for s in sols] == want
+            root, quadruple, holds = triples._distance(*pair)
+            rep = distance_identity(m, n)
+            assert holds and rep["holds"]
+            assert F(root, d) == rep["lhs_root"] == F(2 * (t.c**4 - 3 * (t.a * t.b) ** 2), d)
+            d1, d2, d3 = (tri.c - tri.a for tri in tris)
+            want = (d1 + d2 + d3, d1 + d2 - d3, d1 - d2 + d3, -d1 + d2 + d3)
+            assert tuple(F(x, d) for x in quadruple) == rep["quadruple"] == want
+            assert q == area_quad(m, n) and (q.n, q.n_ac) == (t.a * t.b // 2, t.a**2 + t.c**2)
