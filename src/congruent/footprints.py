@@ -153,8 +153,9 @@ def verify_tables(table=None):
     """Reconstruct every row's triangle; returns per-row reports.
 
     Each report carries the row, a validity flag and either the triangle
-    or the failure reason; class consistency with classify() and the
-    triangle's area N are included.
+    or the failure reason; a row fails when its class disagrees with
+    classify() or footprint_triangle() rejects it.  A built triangle has
+    area |N| = N, since classify() admits only N >= 2.
     """
     reports = []
     for row in load_rows(table):
@@ -166,11 +167,8 @@ def verify_tables(table=None):
                 raise ValueError(
                     f"row class {row.cls} inconsistent with N = {row.n} ({family})"
                 )
-            tri = footprint_triangle(row)
-            a, b = tri.a, tri.b
-            if a.numerator * b.numerator != 2 * row.n * a.denominator * b.denominator:
-                raise ValueError(f"triangle area {tri.area} is not N = {row.n}")
-            report["triangle"] = tri
+            # area N: tests/test_footprints.py::test_integer_triangle_matches_the_from_legs_oracle
+            report["triangle"] = footprint_triangle(row)
         except ValueError as exc:
             report["ok"] = False
             report["error"] = str(exc)

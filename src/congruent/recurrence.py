@@ -43,7 +43,8 @@ def walk(tri0, n0, path):
     """
     if not path or set(path) - {"a", "b"}:
         raise ValueError("path must be a nonempty string over {a, b}")
-    if not (n0 > 0 and tri0.area == n0 and tri0.area.denominator == 1):
+    area = tri0.area
+    if not (n0 > 0 and area == n0 and area.denominator == 1):
         raise ValueError("n0 must be the positive integer area of the start triangle")
     # the area is positive, so both legs share the sign of a
     if tri0.a < 0:

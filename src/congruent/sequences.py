@@ -179,7 +179,8 @@ def brahmagupta(k):
     number.  The curve y^2 = (x+AB)(x+BC)(x+AC) carries the integral
     points Q0..Q3; they have infinite order for t > 2 and order 4 in the
     degenerate t = 2 case.  Returns (triangle, curve, points, orders), with
-    orders the computed orders of Q0..Q3 when t = 2 and None otherwise.
+    orders None when all four points are certified of infinite order and
+    otherwise the orders of Q0..Q3 from Curve.order_at_most.
     """
     if not 0 <= k <= MAX_BRAHMAGUPTA_K:
         raise ValueError(f"--k must be between 0 and {MAX_BRAHMAGUPTA_K}, got {k}")
@@ -192,30 +193,26 @@ def brahmagupta(k):
     # S^2 is Heron's P(P-a)(P-b)(P-c): tests/test_identities.py::test_brahmagupta_heron_area
     tri = BrahmaguptaTriangle(a, b, c, p, s)
     ab, bc, ac = a * b, b * c, a * c
-    curve = Curve(
-        a2=Fraction(ab + bc + ac),
-        a4=Fraction(ab * bc + ab * ac + bc * ac),
-        a6=Fraction(ab * bc * ac),
-    )
+    curve = Curve(a2=ab + bc + ac, a4=ab * bc + ab * ac + bc * ac, a6=ab * bc * ac)
     qs = (
         Point(Fraction(0), Fraction(a * b * c)),
         Point(Fraction(-(b**2)), Fraction(b)),
         Point(Fraction(2 - ab), Fraction(2 * c)),
         Point(Fraction(2 - bc), Fraction(2 * a)),
     )
-    if t > 2:
-        # Q1 = Q0 + T_AC, Q2 = T_AB - Q0 and Q3 = T_BC - Q0 for the 2-torsion points
-        # T_AB = (-AB, 0) etc.: tests/test_identities.py::test_brahmagupta_points_are_shifts_of_q0
-        # So 2 Q_i = ±2 Q0, and one Mazur loop on Q0 certifies all four points.
-        q0 = qs[0]
-        shifts = (
+    # Q1 = Q0 + T_AC, Q2 = T_AB - Q0 and Q3 = T_BC - Q0 for the 2-torsion points
+    # T_AB = (-AB, 0) etc.: tests/test_identities.py::test_brahmagupta_points_are_shifts_of_q0
+    # So 2 Q_i = ±2 Q0, and one Mazur loop on Q0 certifies all four points.
+    q0 = qs[0]
+    certified = (
+        t > 2
+        and (
             curve.add(q0, Point(Fraction(-ac))),
             curve.add(Point(Fraction(-ab)), -q0),
             curve.add(Point(Fraction(-bc)), -q0),
         )
-        if shifts != qs[1:] or not curve.certify_infinite_order(q0):
-            raise AssertionError("integral point not certified of infinite order")
-        orders = None
-    else:
-        orders = tuple(curve.order_at_most(q) for q in qs)
+        == qs[1:]
+        and curve.certify_infinite_order(q0)
+    )
+    orders = None if certified else tuple(curve.order_at_most(q) for q in qs)
     return tri, curve, qs, orders

@@ -157,17 +157,12 @@ def _pair(m, n):
     )
 
 
-def _numerators(m, n):
-    """D = ABC and the integer numerators over D of the sides of AC, BC, BA."""
-    return _pair(m, n)[2:]
-
-
 def derived_triples(m, n):
     """The three rational triples built by pairing sides of euclid(m, n).
 
     Returns (AC, BC, BA); BA's middle side goes negative once B < A.
     """
-    d, table = _numerators(m, n)
+    _, _, d, table = _pair(m, n)
     # right: tests/test_identities.py::test_derived_triples_are_right
     return tuple(RatTriangle._proved(*(Fraction(side, d) for side in sides)) for sides in table)
 

@@ -32,17 +32,13 @@ __all__ = ["run_all", "SUITES"]
 F = Fraction
 
 
-def _tri(a, b, c):
-    return RatTriangle(F(a), F(b), F(c))
-
-
 def suite_triples():
     """The (m, n) = (2, 1) worked example, end to end."""
     checks = []
     ac, bc, ba = triples.derived_triples(2, 1)
-    checks.append(("derived AC", ac == _tri("15/2", "136/15", "353/30")))
-    checks.append(("derived BC", bc == _tri("40/3", "123/20", "881/60")))
-    checks.append(("derived BA", ba == _tri("24/5", "35/12", "337/60")))
+    checks.append(("derived AC", ac == RatTriangle("15/2", "136/15", "353/30")))
+    checks.append(("derived BC", bc == RatTriangle("40/3", "123/20", "881/60")))
+    checks.append(("derived BA", ba == RatTriangle("24/5", "35/12", "337/60")))
     q = triples.area_quad(2, 1)
     checks.append(("area quadruple", (q.n, q.n_ac, q.n_bc, q.n_ba) == (6, 34, 41, 7)))
     rep = triples.area_identity_check(2, 1)
@@ -108,7 +104,7 @@ def suite_trinity():
 def suite_conics_zagier():
     """The smallest-triangle example for N = 157."""
     tri = conics.conic_triangle(157, 87005, 610961)
-    want = _tri(
+    want = RatTriangle(
         "411340519227716149383203/21666555693714761309610",
         "6803298487826435051217540/411340519227716149383203",
         "224403517704336969924557513090674863160948472041/"
@@ -143,7 +139,7 @@ def suite_conics_intersect():
     n_t, _, tri, p1, p2 = conics.intersect_example(3)
     checks = [
         ("t=3 N", n_t == 629),
-        ("t=3 triangle", tri == _tri("621/10", "12580/621", "405641/6210")),
+        ("t=3 triangle", tri == RatTriangle("621/10", "12580/621", "405641/6210")),
         ("t=3 P1", p1 == Point(F(-100), F(6210))),
         ("t=3 P2", p2 == Point(F("395641/100"), F("245693061/1000"))),
     ]
@@ -154,10 +150,10 @@ def suite_conics_intersect():
 def suite_conics_lattice():
     results = conics.lattice_secondary(1, 2, 3)
     want = (
-        (188885, _tri("71757/418", "157907860/71757", "66206019401/29994426")),
-        (58645, _tri("58483/66", "7741140/58483", "3458210761/3859878")),
-        (7585, _tri("-5537/72", "-1092240/5537", "-84406081/398664")),
-        (84545, _tri("82497/136", "22996240/82497", "7489959041/11219592")),
+        (188885, RatTriangle("71757/418", "157907860/71757", "66206019401/29994426")),
+        (58645, RatTriangle("58483/66", "7741140/58483", "3458210761/3859878")),
+        (7585, RatTriangle("-5537/72", "-1092240/5537", "-84406081/398664")),
+        (84545, RatTriangle("82497/136", "22996240/82497", "7489959041/11219592")),
     )
     checks = []
     for i, (res, (n2, tri)) in enumerate(zip(results, want), 1):
@@ -182,7 +178,7 @@ def suite_conics_twin():
         (
             "twin triangle 1",
             t1
-            == _tri(
+            == RatTriangle(
                 "-266938037619/1183583135",
                 "-4734332540/3471281",
                 "5679574272052285061/4108549648445935",
@@ -191,7 +187,7 @@ def suite_conics_twin():
         (
             "twin triangle 2",
             t2
-            == _tri(
+            == RatTriangle(
                 "-2362584547353/4899249131",
                 "-19596996524/13475611",
                 "101151574309748379365/66020375481444041",
@@ -209,7 +205,7 @@ def suite_cassini():
         ("N=29 quad", (quad.c1sq, quad.c2, quad.c3sq, quad.c4sq) == (13**2, 70, 1, 99**2))
     )
     checks.append(
-        ("N=29 triangle", tri == _tri("99/910", "52780/99", "48029801/90090"))
+        ("N=29 triangle", tri == RatTriangle("99/910", "52780/99", "48029801/90090"))
     )
     pts = cassini.oval_axis_points(oval)
     checks.append(
@@ -222,7 +218,7 @@ def suite_cassini():
     quad2, tri2, _ = cassini.heegner_two(62, 20, 7, adjoin="sqrt2N")
     checks.append(("N=62 (c2,c4)", (quad2.c2, quad2.c4sq) == (9362, 15438**2)))
     checks.append(
-        ("N=62 triangle", tri2 == _tri("177537/21140", "84560/5727", "2056525601/121068780"))
+        ("N=62 triangle", tri2 == RatTriangle("177537/21140", "84560/5727", "2056525601/121068780"))
     )
     quad3, _, _, pts3 = cassini.heegner_four(62, 20, F(7**2 * 2))
     checks.append(
@@ -233,7 +229,7 @@ def suite_cassini():
 
 def suite_tangent():
     checks = []
-    seed = _tri("3/2", "20/3", "41/6")
+    seed = RatTriangle("3/2", "20/3", "41/6")
     chain = tangent.tangent_chain(seed, 5, depth=3)
     s = [(e.f1, e.f2) for e in chain.entries]
     checks.append(("N=5 S1", s[0] == (3, 2)))
@@ -267,14 +263,14 @@ def suite_footprints():
     bad = [r for r in reports if not r["ok"]]
     checks = [(f"all {len(reports)} table rows", not bad)]
     examples = (
-        ((353, 4, 1, "T0a"), _tri("5295/136", "272/15", "87617/2040")),
+        ((353, 4, 1, "T0a"), RatTriangle("5295/136", "272/15", "87617/2040")),
         (
             (761, 31, 51, "T0b"),
-            _tri("66411709/1296420", "2592840/87269", "6699926952721/113137276980"),
+            RatTriangle("66411709/1296420", "2592840/87269", "6699926952721/113137276980"),
         ),
         (
             (173, 10865, -343141, "TI"),
-            _tri(
+            RatTriangle(
                 "418416739097462232963/181421867613059954270",
                 "62771966194118744177420/418416739097462232963",
                 "11389552969201600543101928087171460571651881/"
@@ -283,7 +279,7 @@ def suite_footprints():
         ),
         (
             (191, 27469, 11580, "TII"),
-            _tri(
+            RatTriangle(
                 "1726816796630813713/394718867434084440",
                 "789437734868168880/9040925636810543",
                 "311996818759910472998178689881743841/"
@@ -292,7 +288,7 @@ def suite_footprints():
         ),
         (
             (382, 540, 239, "TIII"),
-            _tri(
+            RatTriangle(
                 "447382566673/11444911740",
                 "45779646960/2342317103",
                 "1171595729834345971681/26807612510927489220",
@@ -300,7 +296,7 @@ def suite_footprints():
         ),
         (
             (326, 170, -69, "TIV"),
-            _tri(
+            RatTriangle(
                 "28931957373/22855819",
                 "91423276/177496671",
                 "5135326544339012645/4056831785478549",
@@ -331,7 +327,8 @@ def suite_sequences():
     checks = []
     tri, n, _ = sequences.fib_even_family(3)
     red = tri.scaled(6)
-    checks.append(("Fibonacci n=3 reduces to area 5", n == 180 and red == _tri("20/3", "3/2", "41/6")))
+    reduced = n == 180 and red == RatTriangle("20/3", "3/2", "41/6")
+    checks.append(("Fibonacci n=3 reduces to area 5", reduced))
     families = [
         family(k)
         for k in range(1, 6)
@@ -343,7 +340,8 @@ def suite_sequences():
     checks.append(("Fibonacci/Lucas identity n <= 60", lucas))
     checks.append(("Pell polynomial identity m <= 12", sequences.pell_identity_check(12)))
     tri, n, pts = sequences.cheb_family(3, 2)
-    checks.append(("Chebyshev (3,2) triangle", n == 78 and tri == _tri(45, "52/15", "677/15")))
+    cheb = n == 78 and tri == RatTriangle(45, "52/15", "677/15")
+    checks.append(("Chebyshev (3,2) triangle", cheb))
     checks.append(
         (
             "Chebyshev (3,2) points",
@@ -355,8 +353,6 @@ def suite_sequences():
             ),
         )
     )
-    for args in ((1, 2), (2, 2), (4, 2), (2, 3), (1, 5)):
-        sequences.cheb_family(*args)
     bt, _, qs, _ = sequences.brahmagupta(3)
     checks.append(
         (

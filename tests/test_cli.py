@@ -403,4 +403,6 @@ def test_every_proved_triangle_is_right(monkeypatch, capsys):
                 recurrence.walk(tri0, n0, path)
             for path in ("a", "aa", "aaa", "aaaa", "b", "ba"):
                 recurrence.closed_form(m, n, path)
+    for m, n in ((1, 2), (2, 2), (4, 2), (2, 3), (1, 5)):
+        sequences.cheb_family(m, n)
     assert len(seen) > 500

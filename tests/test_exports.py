@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import congruent
 
@@ -11,3 +13,33 @@ def test_every_exported_name_exists():
         module = importlib.import_module(f"congruent.{name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, (name, missing)
+
+
+# A computed check reports a failure by name and exit code 1; an AssertionError
+# escapes as a traceback. The one site left is pinned by perfbench until the
+# lattice secondaries take their square classes from closed-form factors
+# (ROADMAP item 8). This set may only shrink.
+ASSERTION_SITES = {("conics", "lattice_secondary")}
+
+
+def _raises_assertion(node):
+    if isinstance(node, ast.Assert):
+        return True
+    if not isinstance(node, ast.Raise):
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_no_new_assertion_error_in_src():
+    sites = set()
+    for path in Path(congruent.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if _raises_assertion(node):
+                owners = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                # the innermost enclosing function starts last
+                owner = max(owners, key=lambda f: f.lineno).name if owners else "<module>"
+                sites.add((path.stem, owner))
+    assert sites == ASSERTION_SITES

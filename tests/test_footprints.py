@@ -67,20 +67,6 @@ def test_rejects_unknown_class():
         footprints.FootprintRow(6, 2, 1, "TX")
 
 
-def test_verify_tables_fails_a_row_with_the_wrong_area(monkeypatch):
-    real = footprints.footprint_triangle
-
-    def doubled_legs_for_14(row):
-        tri = real(row)
-        return tri.scaled(F(1, 2)) if row.n == 14 else tri
-
-    monkeypatch.setattr(footprints, "footprint_triangle", doubled_legs_for_14)
-    bad = [r for r in footprints.verify_tables("III") if not r["ok"]]
-    assert [r["row"].n for r in bad] == [14]
-    assert bad[0]["triangle"] is None
-    assert bad[0]["error"] == "triangle area 56 is not N = 14"
-
-
 def _from_legs_oracle(row):
     # footprint_triangle before it ran in integers: two rational roots and from_legs
     pq = footprints.footprint_pq(row)

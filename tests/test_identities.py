@@ -363,7 +363,7 @@ def symbolic_triples(monkeypatch):
 def test_derived_triples_are_right(symbolic_triples):
     # derived_triples' sides are these numerators over the one D = ABC
     m, n = symbolic_triples
-    _, table = triples._numerators(m, n)
+    *_, table = triples._pair(m, n)
     for a, b, c in table:
         assert _vanishes(a**2 + b**2 - c**2)
 
@@ -379,7 +379,7 @@ def test_connecting_points_lie_on_their_curves(symbolic_triples):
 
 def test_concordant_radicals_are_squares(symbolic_triples):
     m, n = symbolic_triples
-    d, table = triples._numerators(m, n)
+    _, _, d, table = triples._pair(m, n)
     q = triples.area_quad(m, n)
     # the legs a/D, b/D have area N, so N (2D)^2 = 2ab and x^2 ± N y^2 = (a ± b)^2
     for (a, b, x), big_n in zip(table, (q.n_ac, q.n_bc, q.n_ba)):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from congruent.polyrat import Poly, RatFunc
-from congruent.trinity import _derivatives
 
 X = Poly.x()
 
@@ -49,17 +48,4 @@ def test_ratfunc_arithmetic():
 def test_ratfunc_quotient_rule():
     t = RatFunc.t()
     f = (t**2 + 1) / (t**3 - 2)
-    num, den = (1, 0, 1), (-2, 0, 0, 1)
-    assert f == RatFunc(Poly(num), Poly(den))
-    # check the Taylor-mode first derivative against the quotient rule
-    for v in (Fraction(2), Fraction(-1), Fraction(5, 3)):
-        [(value, slope)], scale = _derivatives([num], den, v, 1)
-        slope_num = 2 * v * (v**3 - 2) - (v**2 + 1) * 3 * v**2
-        assert value / scale == (v**2 + 1) / (v**3 - 2)
-        assert slope / scale == slope_num / (v**3 - 2) ** 2
-
-
-def test_derivatives_at_rejects_a_pole():
-    # 1 / (t - 2) at t = 2
-    with pytest.raises(ZeroDivisionError):
-        _derivatives([(1,)], (-2, 1), 2, 3)
+    assert f == RatFunc(Poly((1, 0, 1)), Poly((-2, 0, 0, 1)))

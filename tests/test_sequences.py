@@ -1,9 +1,10 @@
+import json
 import sys
 from fractions import Fraction
 
 import pytest
 
-from congruent import sequences
+from congruent import cli, sequences
 from congruent.exact import OutputTooLarge, printable_bits
 from congruent.elliptic import Curve, Point, curve_en
 from congruent.triples import RatTriangle
@@ -152,15 +153,28 @@ def test_brahmagupta_certifies_only_q0(monkeypatch):
         assert certified == ([qs[0]] if k else []), k
 
 
+def _cli_checks_at_k3(capsys):
+    assert cli.main(["seq", "brahmagupta", "--k", "3", "--json"]) == 1
+    return {c["name"]: c["pass"] for c in json.loads(capsys.readouterr().out)["checks"]}
+
+
 @pytest.mark.parametrize("swap", ["2-torsion", "negated"])
-def test_brahmagupta_raises_when_q2_is_off_the_shift(monkeypatch, swap):
+def test_brahmagupta_fails_when_q2_is_off_the_shift(monkeypatch, capsys, swap):
     _, curve, qs, _ = sequences.brahmagupta(3)
     q2 = qs[2]
     other = {"2-torsion": Point(F(-51 * 52)), "negated": -q2}[swap]
     assert curve.contains(other) and other != q2
     monkeypatch.setattr(sequences, "Point", lambda *xy: other if Point(*xy) == q2 else Point(*xy))
-    with pytest.raises(AssertionError):
-        sequences.brahmagupta(3)
+    assert sequences.brahmagupta(3)[3] is not None
+    checks = _cli_checks_at_k3(capsys)
+    assert checks == {"Heron area": True, "points on curve": True, "infinite order": False}
+
+
+def test_brahmagupta_fails_when_q0_is_not_certified(monkeypatch, capsys):
+    monkeypatch.setattr(Curve, "certify_infinite_order", lambda self, p: False)
+    assert sequences.brahmagupta(3)[3] == (None, None, None, None)
+    checks = _cli_checks_at_k3(capsys)
+    assert checks == {"Heron area": True, "points on curve": True, "infinite order": False}
 
 
 def test_brahmagupta_rejects_negative():

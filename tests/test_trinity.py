@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from congruent import trinity
-from congruent.polyrat import Poly, RatFunc
 
 F = Fraction
 
@@ -254,20 +253,28 @@ def test_points_halve_only_for_an_even_table(monkeypatch):
     assert trinity._points(2) == range(17)
 
 
-def _value_at(poly, t0):
-    return sum(c * t0**i for i, c in enumerate(poly.coeffs))
+def _value_at(coeffs, t0):
+    return sum(c * t0**i for i, c in enumerate(coeffs))
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
 
 
 def _quotient_rule(num, den, order):
     """Numerators n_k with f^(k) = n_k / den^(k+1), by (n/D^w)' = (n'D - w n D')/D^(w+1)."""
 
     def deriv(p):
-        return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+        return tuple(i * c for i, c in enumerate(p))[1:]
 
     out = [num]
     for w in range(1, order + 1):
         n = out[-1]
-        out.append(deriv(n) * den + Poly([-w]) * n * deriv(den))
+        out.append(_plus(_times(deriv(n), den), [-w * c for c in _times(n, deriv(den))]))
     return out
 
 
@@ -276,33 +283,36 @@ def _sphere_numerators():
 
 
 def test_sphere_table_matches_the_product_forms():
-    t = RatFunc.t()
-    d = t**8 + 14 * t**4 + 1
-    # the product forms written next to the table in trinity.py
+    # the product forms written next to the table in trinity.py, as numerators
+    # over _DEN = 2d; each side has degree <= 8, so 9 points prove each equality
     forms = {
-        1: ((t**4 - 1) ** 2 / d, 4 * t**2 * (t**2 + 1) ** 2 / d, 4 * t**2 * (t**2 - 1) ** 2 / d),
+        1: (
+            lambda t: 2 * (t**4 - 1) ** 2,
+            lambda t: 8 * t**2 * (t**2 + 1) ** 2,
+            lambda t: 8 * t**2 * (t**2 - 1) ** 2,
+        ),
         2: (
-            4 * t**2 * (t**4 + 1) / d,
-            (t**2 - 1) ** 2 * (t**4 + 6 * t**2 + 1) / (2 * d),
-            -((t**2 + 1) ** 2) * (t**4 - 6 * t**2 + 1) / (2 * d),
+            lambda t: 8 * t**2 * (t**4 + 1),
+            lambda t: (t**2 - 1) ** 2 * (t**4 + 6 * t**2 + 1),
+            lambda t: -((t**2 + 1) ** 2) * (t**4 - 6 * t**2 + 1),
         ),
         3: (
-            (t**8 + 6 * t**4 + 1) / d,
-            (t**8 + 4 * t**6 + 22 * t**4 + 4 * t**2 + 1) / (2 * d),
-            (t**8 - 4 * t**6 + 22 * t**4 - 4 * t**2 + 1) / (2 * d),
+            lambda t: 2 * (t**8 + 6 * t**4 + 1),
+            lambda t: t**8 + 4 * t**6 + 22 * t**4 + 4 * t**2 + 1,
+            lambda t: t**8 - 4 * t**6 + 22 * t**4 - 4 * t**2 + 1,
         ),
     }
-    den = Poly(trinity._DEN)
-    assert RatFunc(den) == 2 * d
-    for i, form in forms.items():
-        table = trinity._SPHERES[i]
-        assert tuple(RatFunc(Poly(num), den) for num in table) == form, i
+    for t in range(9):
+        assert _value_at(trinity._DEN, t) == 2 * (t**8 + 14 * t**4 + 1)
+        for i, form in forms.items():
+            table = trinity._SPHERES[i]
+            assert tuple(_value_at(num, t) for num in table) == tuple(f(t) for f in form), (i, t)
 
 
 def test_integer_jets_match_the_quotient_rule():
     nums = _sphere_numerators()
-    den = Poly(trinity._DEN)
-    references = [_quotient_rule(Poly(num), den, 4) for num in nums]
+    den = trinity._DEN
+    references = [_quotient_rule(num, den, 4) for num in nums]
     for t0 in range(81):
         values, scale = trinity._derivatives(nums, trinity._DEN, t0, 4)
         assert type(scale) is int and all(type(v) is int for vs in values for v in vs)
@@ -310,6 +320,22 @@ def test_integer_jets_match_the_quotient_rule():
         for i, (vs, reference) in enumerate(zip(values, references)):
             want = [Fraction(_value_at(n, t0), d ** (k + 1)) for k, n in enumerate(reference)]
             assert [Fraction(v, scale) for v in vs] == want, (i, t0)
+
+
+def test_first_derivative_matches_the_quotient_rule():
+    # f = (t^2 + 1) / (t^3 - 2)
+    num, den = (1, 0, 1), (-2, 0, 0, 1)
+    for v in (Fraction(2), Fraction(-1), Fraction(5, 3)):
+        [(value, slope)], scale = trinity._derivatives([num], den, v, 1)
+        slope_num = 2 * v * (v**3 - 2) - (v**2 + 1) * 3 * v**2
+        assert value / scale == (v**2 + 1) / (v**3 - 2)
+        assert slope / scale == slope_num / (v**3 - 2) ** 2
+
+
+def test_derivatives_at_rejects_a_pole():
+    # 1 / (t - 2) at t = 2
+    with pytest.raises(ZeroDivisionError):
+        trinity._derivatives([(1,)], (-2, 1), 2, 3)
 
 
 def test_sphere_derivatives_match_sympy():
