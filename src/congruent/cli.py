@@ -94,25 +94,24 @@ def _envelope(args, inputs, results, checks):
 
 
 def _emit(envelope, use_json):
-    stream = sys.stdout
     if use_json:
-        stream.write(json.dumps(envelope, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(envelope, sort_keys=True) + "\n")
         return
-    stream.write(f"== {envelope['command']} ==\n")
+    sys.stdout.write(f"== {envelope['command']} ==\n")
     if envelope["inputs"]:
-        stream.write("inputs:\n")
+        sys.stdout.write("inputs:\n")
         for k, v in envelope["inputs"].items():
-            stream.write(f"  {k} = {v}\n")
+            sys.stdout.write(f"  {k} = {v}\n")
     if envelope["results"]:
-        stream.write("results:\n")
+        sys.stdout.write("results:\n")
         for k, v in envelope["results"].items():
-            stream.write(f"  {k} = {v}\n")
+            sys.stdout.write(f"  {k} = {v}\n")
     if envelope["checks"]:
         width = max(len(c["name"]) for c in envelope["checks"])
-        stream.write("checks:\n")
+        sys.stdout.write("checks:\n")
         for c in envelope["checks"]:
             mark = "pass" if c["pass"] else "FAIL"
-            stream.write(f"  {c['name']:<{width}}  {mark}\n")
+            sys.stdout.write(f"  {c['name']:<{width}}  {mark}\n")
 
 
 def _tri_dict(tri):

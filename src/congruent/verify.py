@@ -353,7 +353,7 @@ def suite_sequences():
             ),
         )
     )
-    bt, _, qs, _ = sequences.brahmagupta(3)
+    bt, _, qs, orders = sequences.brahmagupta(3)
     checks.append(
         (
             "Brahmagupta k=3",
@@ -369,7 +369,8 @@ def suite_sequences():
                 Point(F(-2704), F(52)),
                 Point(F(-2650), F(106)),
                 Point(F(-2754), F(102)),
-            ),
+            )
+            and orders is None,
         )
     )
     _, _, _, orders = sequences.brahmagupta(0)

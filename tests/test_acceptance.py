@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import pytest
 
 from congruent import cli, fermat, recurrence, sequences, triples, verify
+from congruent.elliptic import Curve
 
 
 F = Fraction
@@ -126,6 +127,13 @@ def test_lucas_identity_check_catches_one_wrong_value(monkeypatch):
 
     _corrupt_one(monkeypatch, sequences, "fib_lucas", 37, wrong)
     assert not dict(verify.suite_sequences())["Fibonacci/Lucas identity n <= 60"]
+
+
+def test_brahmagupta_points_check_fails_an_uncertified_q0(monkeypatch):
+    monkeypatch.setattr(Curve, "certify_infinite_order", lambda self, p: False)
+    checks = dict(verify.run_all()["sequences"])
+    assert not checks["Brahmagupta k=3 points"]
+    assert [name for name, ok in checks.items() if not ok] == ["Brahmagupta k=3 points"]
 
 
 def _corrupt_last_node(tree):

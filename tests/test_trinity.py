@@ -302,6 +302,7 @@ def test_sphere_table_matches_the_product_forms():
             lambda t: t**8 - 4 * t**6 + 22 * t**4 - 4 * t**2 + 1,
         ),
     }
+    assert len(trinity._DEN) <= 9 and all(len(num) <= 9 for num in _sphere_numerators())
     for t in range(9):
         assert _value_at(trinity._DEN, t) == 2 * (t**8 + 14 * t**4 + 1)
         for i, form in forms.items():
