@@ -5,7 +5,9 @@ named checks) and emits it as aligned text or stable-key JSON.  All
 rationals are printed exactly as "p/q"; only the labeled approximate
 point dumps of cassini --emit-curve are floating-point.  Exit codes: 0
 all checks pass, 1 a check failed, 2 usage error, 3 domain/arithmetic
-error.
+error.  Each handler imports its modules on first use, so a one-shot
+command loads only what it runs; footprints is loaded up front for the
+--cls choices.
 """
 
 from __future__ import annotations
@@ -17,18 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import (
-    cassini,
-    conics,
-    fermat,
-    footprints,
-    recurrence,
-    sequences,
-    tangent,
-    trinity,
-    triples,
-    verify,
-)
+from . import footprints
 from .exact import FactorBudgetExceeded, OutputTooLarge, check_printable, format_rat
 
 __all__ = ["main"]
@@ -126,6 +117,7 @@ def _point(p):
 
 
 def _cmd_triples(args):
+    from . import triples
     m, n = args.m, args.n
     ac, bc, ba = triples.derived_triples(m, n)
     quad = triples.area_quad(m, n)
@@ -156,6 +148,7 @@ TRINITY_MAX_ORDER = 6
 
 
 def _cmd_trinity(args):
+    from . import trinity
     if not 1 <= args.max_order <= TRINITY_MAX_ORDER:
         raise ValueError(f"--max-order must be between 1 and {TRINITY_MAX_ORDER}")
     checks = trinity.verify_all(args.max_order)
@@ -166,6 +159,7 @@ def _cmd_trinity(args):
 
 
 def _cmd_conics(args):
+    from . import conics
     if args.sub == "triangle":
         tri = conics.conic_triangle(args.n, args.f1, _rational("--f2", args.f2), args.adjoin)
         p1, p2 = conics.conic_ec_points(tri)
@@ -250,6 +244,7 @@ def _oval_points(oval, count):
 
 
 def _cmd_cassini(args):
+    from . import cassini
     f2 = _rational("--f2", args.f2)
     if args.sub == "two":
         quad, tri, oval = cassini.heegner_two(args.n, args.f1, f2, args.adjoin)
@@ -278,6 +273,7 @@ def _cmd_cassini(args):
 
 
 def _cmd_tangent(args):
+    from . import tangent, triples
     a, b = _rational("--a", args.a), _rational("--b", args.b)
     tri = triples.RatTriangle.from_legs(a, b)
     chain = tangent.tangent_chain(tri, args.n, depth=args.depth)
@@ -302,8 +298,8 @@ def _cmd_footprints(args):
         checks = [(f"all {len(reports)} rows rebuild their triangle", not bad)]
         return {"table": args.table}, results, checks
     row = footprints.FootprintRow(args.n, args.m, args.k, args.cls)
-    tri = footprints.footprint_triangle(row)
     pq = footprints.footprint_pq(row)
+    tri = footprints.footprint_triangle(row, pq)
     results = {
         "p_sq": pq.p_sq,
         "q_sq": pq.q_sq,
@@ -314,6 +310,7 @@ def _cmd_footprints(args):
 
 
 def _cmd_recur(args):
+    from . import recurrence
     if args.sub == "table-check":
         reports = recurrence.verify_tree_table()
         bad = [r for r in reports if not r["ok"]]
@@ -337,6 +334,7 @@ def _cmd_recur(args):
 
 
 def _cmd_seq(args):
+    from . import sequences
     if args.sub == "fib":
         family = sequences.fib_odd_family if args.odd else sequences.fib_even_family
         tri, n, pts = family(args.n)
@@ -377,6 +375,7 @@ def _cmd_seq(args):
 
 
 def _cmd_fermat(args):
+    from . import fermat
     tree = fermat.enumerate_tree(args.depth)
     nodes = []
     for d, n in tree.nodes:
@@ -412,6 +411,7 @@ def _cmd_fermat(args):
 
 
 def _cmd_verify_all(args):
+    from . import verify
     results = {}
     checks = []
     failed = []

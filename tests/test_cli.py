@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import product
@@ -375,6 +378,35 @@ def test_readme_cli_block_parses():
     for prog, *argv in lines:
         assert prog == "congruent"
         parser.parse_args(argv)
+
+
+# Run in a fresh interpreter: the congruent modules loaded after importing
+# the CLI, then after one triples command.
+_IMPORT_CHILD = """
+import contextlib, io, json, sys
+import congruent.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "congruent")
+
+first = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = congruent.cli.main(["triples", "--m", "2", "--n", "1", "--json"])
+print(json.dumps([first, code, loaded()]))
+"""
+
+
+def test_cli_imports_each_subcommand_module_on_first_use():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CHILD], env=env, check=True, capture_output=True, text=True
+    )
+    first, code, after = json.loads(proc.stdout)
+    eager = ("cli", "exact", "elliptic", "footprints", "triples")
+    assert first == sorted(["congruent"] + [f"congruent.{m}" for m in eager])
+    assert code == 0
+    lazy = ("trinity", "verify", "polyrat", "conics", "cassini")
+    assert not {f"congruent.{m}" for m in lazy} & set(after)
 
 
 def test_every_proved_triangle_is_right(monkeypatch, capsys):

@@ -40,13 +40,6 @@ def test_all_rows_verify():
     assert not bad
 
 
-def test_triangle_area_is_n():
-    for row in footprints.load_rows()[:20]:
-        tri = footprints.footprint_triangle(row)
-        assert tri.area == row.n
-        assert tri.a**2 + tri.b**2 == tri.c**2
-
-
 def test_pq_squares_consistent():
     # a = p/q and b = 2Nq/p must both be rational for every row
     for row in footprints.load_rows()[::17]:
