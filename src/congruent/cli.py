@@ -142,7 +142,7 @@ def _cmd_triples(args):
     return {"m": m, "n": n}, results, checks
 
 
-# The largest --max-order trinity accepts: order 6 takes about 0.02 s in
+# The largest --max-order trinity accepts: order 6 takes about 0.003 s in
 # process on a 2-vCPU host, and its checks grow with the order squared.
 TRINITY_MAX_ORDER = 6
 

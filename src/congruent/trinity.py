@@ -8,16 +8,18 @@ with z negated yields an orthogonality structure (a ⟂ b ⟂ c, a·c = 1)
 that survives differentiation in a long list of exact identities.  The
 nine sphere components are integer numerators over the one denominator
 2(t^8 + 14t^4 + 1).  The sphere relations and the vector identities are
-proved in one pass by exact evaluation: at each integer point a
-division-free Taylor recurrence gives the derivatives of all components
-as integers over one common scale, and each identity is compared in
-integers.  The base facts (planes, norms, Pythagoras and one linear
-relation per pair of vectors) count as proved once they hold at more
-points than the degree bound of their cleared polynomial forms, taken in
-t^2 as every component is even; they imply every other identity at every
-order.  The sphere loci are twenty signed circles with trigonometric
-parameterizations; each is proved exact in integers, from its family's
-data cleared by one scale for the vectors and one for the scalars.
+proved in one pass by exact evaluation, each compared in integers over
+one common scale.  The base facts (planes, norms, Pythagoras and one
+linear relation per pair of vectors) count as proved once they hold at
+more points than the degree bound of their cleared polynomial forms,
+taken in t^2 as every component is even; they are read from the values
+at each point.  They imply every other identity at every order, and each
+of those is evaluated once, at the last point, from the derivatives that
+a division-free Taylor recurrence gives there, and gated on the base
+facts at every point.  The sphere loci are twenty signed circles with
+trigonometric parameterizations; each is proved exact in integers, from
+its family's data cleared by one scale for the vectors and one for the
+scalars.
 """
 
 from __future__ import annotations
@@ -173,8 +175,11 @@ def _derivatives(nums, den, t0, order):
 # |k|^2 d^n a.d^m a - (k.d^n a)(k.d^m a).  A check on the vectors V needs
 # only the plane and norm of each vector in V and the relation of each
 # pair in V, which define the others; the derivative planes of p_i need
-# only plane i.  Each such check is still evaluated at every point, gated
-# on its premises, so one pass at the base facts' points proves it.
+# only plane i.  So each such check is evaluated once, at the last of the
+# base facts' points, gated on its premises at all of them: the theorem
+# proves it, and the evaluation keeps it a computed predicate that fails
+# on a wrong formula.  The other points need only the values, the jets of
+# order 0.
 #
 # Scale.  At each integer point every value is an integer over the one
 # scale S = (2 d(t0))^(order+1) of _DEN (see _derivatives), so a product
@@ -200,24 +205,47 @@ def _jets(t0, order):
     return jets, scale
 
 
-def _battery(t0, max_order):
-    """Every check of the pass at t0, on one table of sphere jets over its scale S.
+def _vectors(t0, order):
+    """The jets of a = p1, b = p2 with y negated, c = p3 with z negated at t0, and their scale."""
+    (d1, d2, d3), S = _jets(t0, order)
+    return d1, [_flip((1, -1, 1), e) for e in d2], [_flip((1, 1, -1), e) for e in d3], S
+
+
+def _base_facts(da, db, dc, S):
+    """The base facts at one point, on the values of the jets da, db, dc over the scale S.
+
+    The planes, norms and componentwise Pythagoras of p1, p2, p3, all read
+    on a, b, c as a sign flip keeps each square, then the relations
+    2b = 2k x a, 2c = a + 2k and b = 2k x c of the pairs AB, AC and BC.
+    """
+    a, b, c = da[0], db[0], dc[0]
+    ones = Vec3F(1, 1, -1)  # 2k
+    S2 = S * S
+    return (
+        ones.dot(a) == S, ones.dot(b) == 0, ones.dot(c) == 2 * S,
+        a.norm2() == S2, 2 * b.norm2() == S2, 2 * c.norm2() == 3 * S2,
+        a.x**2 + b.x**2 == c.x**2, a.y**2 + b.y**2 == c.y**2, a.z**2 + b.z**2 == c.z**2,
+        b.scaled(2) == ones.cross(a), c.scaled(2) - a == ones.scaled(S), b == ones.cross(c),
+    )
+
+
+def _battery(t0, max_order, held=()):
+    """Every check of the pass, on one table of sphere jets at t0 over its scale S.
 
     The sphere relations of p1, p2, p3 come first, then the vector
-    identities on a = p1, b = p2 with y negated and c = p3 with z negated.
-    All read the jets as a, b, c, since a sign flip keeps each square, and
-    each norm is compared once and reported under both of its names.  Past
-    the base facts each check is gated on its premises (see the theorem
-    above): AB, AC, BC and ABC for the vector checks on those letters.
+    identities on a, b, c.  Each base fact reads its value at t0 ANDed
+    with its values in held, one tuple of _base_facts per other point, and
+    each norm is reported under both of its names.  Every other check is
+    evaluated at t0 alone and gated on its premises (see the theorem
+    above): plane i for the derivative planes of p_i, and AB, AC, BC and
+    ABC for the vector checks on those letters.
     """
-    (d1, d2, d3), S = _jets(t0, max_order)
-    da, db, dc = d1, [_flip((1, -1, 1), e) for e in d2], [_flip((1, 1, -1), e) for e in d3]
+    da, db, dc, S = _vectors(t0, max_order)
     a, b, c = da[0], db[0], dc[0]
+    facts = [all(f) for f in zip(_base_facts(da, db, dc, S), *held)]
+    plane1, plane2, plane3, norm1, norm2, norm3, px, py, pz, rel_ab, rel_ac, rel_bc = facts
     S2, S3 = S * S, S**3
     ones = Vec3F(1, 1, -1)  # 2k
-    aa, cc = a.norm2(), c.norm2()
-    plane1, plane2, plane3 = ones.dot(a) == S, ones.dot(b) == 0, ones.dot(c) == 2 * S
-    norm1, norm2, norm3 = aa == S2, 2 * b.norm2() == S2, 2 * cc == 3 * S2
     checks = [
         ("plane1: x1+y1-z1 = 1", plane1),
         ("plane2: x2-y2-z2 = 0", plane2),
@@ -225,20 +253,18 @@ def _battery(t0, max_order):
         ("norm1 = 1", norm1),
         ("norm2 = 1/2", norm2),
         ("norm3 = 3/2", norm3),
-        ("x1^2+x2^2 = x3^2", a.x**2 + b.x**2 == c.x**2),
-        ("y1^2+y2^2 = y3^2", a.y**2 + b.y**2 == c.y**2),
-        ("z1^2+z2^2 = z3^2", a.z**2 + b.z**2 == c.z**2),
+        ("x1^2+x2^2 = x3^2", px),
+        ("y1^2+y2^2 = y3^2", py),
+        ("z1^2+z2^2 = z3^2", pz),
     ]
     for n in range(1, max_order + 1):
         for i, (plane, d) in enumerate(((plane1, da), (plane2, db), (plane3, dc)), 1):
             checks.append((f"d^{n} plane{i} = 0", plane and ones.dot(d[n]) == 0))
 
     A, B, C = plane1 and norm1, plane2 and norm2, plane3 and norm3
-    AB = A and B and b.scaled(2) == ones.cross(a)
-    AC = A and C and c.scaled(2) - a == ones.scaled(S)
-    BC = B and C and b == ones.cross(c)
+    AB, AC, BC = A and B and rel_ab, A and C and rel_ac, B and C and rel_bc
     ABC = AB and AC and BC
-    ac = a.dot(c)
+    aa, cc, ac = a.norm2(), c.norm2(), a.dot(c)
     axb, bxc = a.cross(b), b.cross(c)
     checks += [
         ("a.b = 0", AB and a.dot(b) == 0),
@@ -299,16 +325,19 @@ def verify_derivative_identities(max_order=4):
     sphere points and the planes of their derivatives; then the base
     orthogonality/norm facts of a, b, c, triple products, the same-order
     derivative relations, and the mixed-order dot/cross symmetries for
-    1 <= n, m <= max_order.  The jets are taken once per point for all
-    of them.  The base facts have weight at most 2 and imply every other
-    check (see the theorem above), so at every order the even sphere
-    table is proved at the 9 points 0..8 (a table with an odd power would
-    need 17).  Returns a list of (name, bool).
+    1 <= n, m <= max_order.  The base facts have weight at most 2 and
+    imply every other check (see the theorem above), so at every order the
+    even sphere table is proved at the 9 points 0..8 (a table with an odd
+    power would need 17).  The base facts are read at each point from its
+    values alone, the jets of order 0; every other check is evaluated once,
+    at the last point from its jets through max_order, and gated on its
+    premises at all of them.  Returns a list of (name, bool).
     """
     if max_order < 1:
         raise ValueError("derivative order must be >= 1")
-    tables = [_battery(t0, max_order) for t0 in _points(2)]
-    return [(checks[0][0], all(ok for _, ok in checks)) for checks in zip(*tables)]
+    *rest, last = _points(2)
+    held = [_base_facts(*_vectors(t0, 0)) for t0 in rest]
+    return _battery(last, max_order, held)
 
 
 def sum_of_squares_identity(m, n):

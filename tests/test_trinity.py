@@ -59,20 +59,54 @@ ONE_PASS = {1: (48, 9), 2: (87, 9), 3: (146, 9), 4: (225, 9), 5: (324, 9), 6: (4
 @pytest.mark.parametrize("max_order", sorted(ONE_PASS))
 def test_one_pass_takes_one_jet_table_per_point(monkeypatch, max_order):
     calls = []
+    orders = []
     real = trinity._jets
 
     def counted(t0, order):
         calls.append(t0)
+        orders.append(order)
         return real(t0, order)
 
     monkeypatch.setattr(trinity, "_jets", counted)
     for _ in range(2):
         # a second call takes the same tables again: nothing is kept between calls
         calls.clear()
+        orders.clear()
         checks = trinity.verify_all(max_order)
         assert (len(checks), len(calls)) == ONE_PASS[max_order]
         assert calls == list(range(len(calls)))
         assert all(ok for _, ok in checks)
+        # the base facts read the values at t0 = 0..7; the derived checks
+        # read every order once, at t0 = 8
+        assert list(zip(calls, orders)) == [(t0, 0) for t0 in range(8)] + [(8, max_order)]
+
+
+def test_derived_checks_are_computed_not_read_from_their_gates(monkeypatch):
+    # every derivative of p1 at t0 = 8 moves by (-S, 0, 0), and no value at
+    # any point moves: every base fact, and so every gate, still holds, so
+    # only the derived checks' own comparisons can fail
+    real = trinity._jets
+
+    def moved(t0, order):
+        (p1, p2, p3), scale = real(t0, order)
+        if t0 == 8:
+            p1 = [p1[0], *(v - trinity.Vec3F(scale, 0, 0) for v in p1[1:])]
+        return (p1, p2, p3), scale
+
+    monkeypatch.setattr(trinity, "_jets", moved)
+    checks = dict(trinity.verify_derivative_identities(2))
+    # the base facts: the sphere relations and the norms of a, b, c
+    base = (
+        "plane1: x1+y1-z1 = 1", "plane2: x2-y2-z2 = 0", "plane3: x3+y3+z3 = 2",
+        "norm1 = 1", "norm2 = 1/2", "norm3 = 3/2",
+        "x1^2+x2^2 = x3^2", "y1^2+y2^2 = y3^2", "z1^2+z2^2 = z3^2",
+        "|a|^2 = 1", "|b|^2 = 1/2", "|c|^2 = 3/2",
+    )
+    assert all(checks[name] for name in base)
+    for name in ("d^1 plane1 = 0", "d^2 plane1 = 0", "d1a.d1c = |d1a|^2/2", "d2a x d2c = 0",
+                 "3 d1a.d2a = 4 d1b.d2b", "3 d1a x d2c = (d1b.d2a)(1,1,-1)"):
+        assert not checks[name], name
+    assert all(checks[k] for k in ("d^1 plane2 = 0", "d^2 plane3 = 0", "d1b.d1c = 0", "a.b = 0"))
 
 
 def _plus(num, extra):
