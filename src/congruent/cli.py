@@ -113,6 +113,11 @@ def _point(p):
     return {"x": p.x, "y": p.y}
 
 
+def _right_of_area(tri, n):
+    """Whether the printed triangle is right, a^2 + b^2 = c^2, and has area n."""
+    return tri.a**2 + tri.b**2 == tri.c**2 and tri.area == n
+
+
 # --- per-command handlers; each returns (inputs, results, checks) ---
 
 
@@ -169,7 +174,7 @@ def _cmd_conics(args):
             "p2": _point(p2),
         }
         checks = [
-            ("area = N", tri.area == args.n),
+            ("area = N", _right_of_area(tri, args.n)),
             # E_N(Q)_tors = {O, (0,0), (±N,0)} (Koblitz, ch. I, Prop. 17): y != 0 is infinite order
             ("points infinite order", p1.y != 0 and p2.y != 0),
         ]
@@ -193,7 +198,7 @@ def _cmd_conics(args):
             "points": [{"x": x, "e": e} for x, e in pts],
             "triangles": [_tri_dict(t) for t in tris],
         }
-        areas_ok = all(tri.area == x for (x, _), tri in zip(pts, tris))
+        areas_ok = all(_right_of_area(tri, x) for (x, _), tri in zip(pts, tris))
         checks = [("lattice triangles have area x_i", areas_ok)]
         inputs = {"m": args.m, "n": args.n}
         if t is not None:
@@ -265,7 +270,7 @@ def _cmd_cassini(args):
         results["curve_points_approx"] = [
             {"x": x, "y": y} for x, y in _oval_points(oval, args.emit_curve)
         ]
-    checks = [("triangle area = N", tri.area == args.n)]
+    checks = [("triangle area = N", _right_of_area(tri, args.n))]
     inputs = {"n": args.n, "f1": args.f1, "f2": args.f2}
     if args.sub == "two":
         inputs["adjoin"] = args.adjoin
@@ -305,7 +310,7 @@ def _cmd_footprints(args):
         "q_sq": pq.q_sq,
         "triangle": _tri_dict(tri),
     }
-    checks = [("area = N", tri.area == args.n)]
+    checks = [("area = N", _right_of_area(tri, args.n))]
     return {"n": args.n, "m": args.m, "k": args.k, "class": args.cls}, results, checks
 
 
@@ -335,25 +340,20 @@ def _cmd_recur(args):
 
 def _cmd_seq(args):
     from . import sequences
-    if args.sub == "fib":
-        family = sequences.fib_odd_family if args.odd else sequences.fib_even_family
-        tri, n, pts = family(args.n)
+    if args.sub in ("fib", "cheb"):
+        if args.sub == "fib":
+            inputs = {"n": args.n, "odd": args.odd}
+            family = sequences.fib_odd_family if args.odd else sequences.fib_even_family
+            tri, n, pts = family(args.n)
+        else:
+            inputs = {"m": args.m, "k": args.k}
+            tri, n, pts = sequences.cheb_family(args.m, args.k)
         results = {
             "triangle": _tri_dict(tri),
             "congruent_number": n,
             "points": [_point(p) for p in pts],
         }
-        checks = [("area = N", tri.area == n)]
-        return {"n": args.n, "odd": args.odd}, results, checks
-    if args.sub == "cheb":
-        tri, n, pts = sequences.cheb_family(args.m, args.k)
-        results = {
-            "triangle": _tri_dict(tri),
-            "congruent_number": n,
-            "points": [_point(p) for p in pts],
-        }
-        checks = [("area = N", tri.area == n)]
-        return {"m": args.m, "k": args.k}, results, checks
+        return inputs, results, [("area = N", _right_of_area(tri, n))]
     bt, curve, qs, orders = sequences.brahmagupta(args.k)
     results = {
         "sides": [bt.a, bt.b, bt.c],

@@ -13,6 +13,7 @@ import functools
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 __all__ = [
@@ -202,19 +203,7 @@ def squarefree_part(n):
     if n == 0:
         raise ValueError("squarefree part of 0 is undefined")
     sign = -1 if n < 0 else 1
-    d = 1
-    prev = None
-    odd = False
-    for p in factorize(n):
-        if p == prev:
-            odd = not odd
-        else:
-            if odd:
-                d *= prev
-            prev, odd = p, True
-    if odd:
-        d *= prev
-    return sign * d
+    return sign * math.prod(p for p, k in Counter(factorize(n)).items() if k % 2)
 
 
 class OutputTooLarge(Exception):

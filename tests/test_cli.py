@@ -284,6 +284,11 @@ def _double_legs(tri):
     return tri.scaled(Fraction(1, 2))
 
 
+def _stretch(tri):
+    # (2a, b/2, c) keeps the area and breaks a^2 + b^2 = c^2
+    return RatTriangle._proved(2 * tri.a, tri.b / 2, tri.c)
+
+
 @pytest.mark.parametrize(
     "argv, module, name, change, check",
     [
@@ -312,6 +317,19 @@ def _double_legs(tri):
         # 4 N_i2 keeps the square class, so only the Vieta comparison sees it
         (["conics", "lattice", "--m", "1", "--n", "2", "--t", "3"],
          conics, "_lattice_n2", lambda n2: 4 * n2, "secondary intersections verified"),
+        # each printed triangle must be right as well as of area N
+        (["conics", "triangle", "--n", "157", "--f1", "87005", "--f2", "610961"],
+         conics, "_signed_triangle", _stretch, "area = N"),
+        (["conics", "lattice", "--m", "1", "--n", "2"],
+         conics, "_lattice_triangle", _stretch, "lattice triangles have area x_i"),
+        (["cassini", "two", "--n", "29", "--f1", "1", "--f2", "-13"],
+         cassini, "_signed_triangle", _stretch, "triangle area = N"),
+        (["footprints", "triangle", "--n", "14", "--m", "2", "--k", "1", "--cls", "TIII"],
+         footprints, "footprint_triangle", _stretch, "area = N"),
+        (["seq", "fib", "--n", "3"],
+         sequences, "fib_lucas", lambda p: sequences.FibPair(p.index, p.f, p.l + 1), "area = N"),
+        (["seq", "cheb", "--m", "3", "--k", "2"],
+         sequences, "cheb_pair", lambda tu: (tu[0] + 1, tu[1]), "area = N"),
     ],
 )  # fmt: skip
 def test_perturbed_result_fails_its_cli_check(

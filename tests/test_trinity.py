@@ -430,6 +430,22 @@ def test_circle_check_proves_every_circle():
     assert rep == {"circles": 20, "failed": [], "ok": True}
 
 
+def test_circle_check_proves_each_family_on_its_base_circle(monkeypatch):
+    # a sign flip is orthogonal, so the base circle of each family carries
+    # the proof: one call per sphere of it, the origin, the center and, in
+    # families 1 and 3, the second sphere (3 + 2 + 3), not one per signed circle
+    calls = []
+    real = trinity._on_sphere
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(trinity, "_on_sphere", counted)
+    assert trinity.circle_check()["ok"]
+    assert len(calls) == 8
+
+
 def test_exact_circles_match_the_float_parameterization():
     for (family, info), signs in product(trinity._FAMILY.items(), product((1, -1), repeat=3)):
         center, u, v = (trinity._flip(signs, info[k]) for k in ("C", "u", "v"))
@@ -456,6 +472,13 @@ def _mutations(info):
         yield "second", (k, r2 + Fraction(1, 7))
 
 
+_SIGN_SETS = {
+    1: list(product((1, -1), repeat=3)),
+    2: [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)],
+    3: list(product((1, -1), repeat=3)),
+}
+
+
 @pytest.mark.parametrize("family", [1, 2, 3])
 def test_circle_check_fails_on_any_changed_datum(monkeypatch, family):
     info = trinity._FAMILY[family]
@@ -464,6 +487,8 @@ def test_circle_check_fails_on_any_changed_datum(monkeypatch, family):
         rep = trinity.circle_check()
         assert not rep["ok"], (family, key, value)
         assert {f for f, _ in rep["failed"]} == {family}
+        # every signed circle of the family fails with it, in order
+        assert rep["failed"] == [(family, signs) for signs in _SIGN_SETS[family]]
 
 
 def test_circle_check_builds_no_fraction(monkeypatch):
