@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import footprints
-from .exact import FactorBudgetExceeded, OutputTooLarge, check_printable, format_rat
+from .exact import EffortOutOfRange, FactorBudgetExceeded, OutputTooLarge, check_printable, format_rat
 
 __all__ = ["main"]
 
@@ -113,11 +113,6 @@ def _point(p):
     return {"x": p.x, "y": p.y}
 
 
-def _right_of_area(tri, n):
-    """Whether the printed triangle is right, a^2 + b^2 = c^2, and has area n."""
-    return tri.a**2 + tri.b**2 == tri.c**2 and tri.area == n
-
-
 # --- per-command handlers; each returns (inputs, results, checks) ---
 
 
@@ -147,15 +142,8 @@ def _cmd_triples(args):
     return {"m": m, "n": n}, results, checks
 
 
-# The largest --max-order trinity accepts: order 6 takes about 0.003 s in
-# process on a 2-vCPU host, and its checks grow with the order squared.
-TRINITY_MAX_ORDER = 6
-
-
 def _cmd_trinity(args):
     from . import trinity
-    if not 1 <= args.max_order <= TRINITY_MAX_ORDER:
-        raise ValueError(f"--max-order must be between 1 and {TRINITY_MAX_ORDER}")
     checks = trinity.verify_all(args.max_order)
     rep = trinity.circle_check()
     checks.append(("trig circles numeric", rep["ok"]))
@@ -164,7 +152,7 @@ def _cmd_trinity(args):
 
 
 def _cmd_conics(args):
-    from . import conics
+    from . import conics, elliptic
     if args.sub == "triangle":
         tri = conics.conic_triangle(args.n, args.f1, _rational("--f2", args.f2), args.adjoin)
         p1, p2 = conics.conic_ec_points(tri)
@@ -173,10 +161,12 @@ def _cmd_conics(args):
             "p1": _point(p1),
             "p2": _point(p2),
         }
+        e_n = elliptic.curve_en(args.n)
         checks = [
-            ("area = N", _right_of_area(tri, args.n)),
-            # E_N(Q)_tors = {O, (0,0), (±N,0)} (Koblitz, ch. I, Prop. 17): y != 0 is infinite order
-            ("points infinite order", p1.y != 0 and p2.y != 0),
+            ("area = N", tri.is_right_of_area(args.n)),
+            # E_N(Q)_tors = {O, (0,0), (±N,0)} (Koblitz, ch. I, Prop. 17): a point
+            # of E_N with y != 0 has infinite order
+            ("points infinite order", all(p.y != 0 and e_n.contains(p) for p in (p1, p2))),
         ]
         inputs = {"n": args.n, "f1": args.f1, "f2": args.f2, "adjoin": args.adjoin}
     elif args.sub == "intersect":
@@ -198,7 +188,7 @@ def _cmd_conics(args):
             "points": [{"x": x, "e": e} for x, e in pts],
             "triangles": [_tri_dict(t) for t in tris],
         }
-        areas_ok = all(_right_of_area(tri, x) for (x, _), tri in zip(pts, tris))
+        areas_ok = all(tri.is_right_of_area(x) for (x, _), tri in zip(pts, tris))
         checks = [("lattice triangles have area x_i", areas_ok)]
         inputs = {"m": args.m, "n": args.n}
         if t is not None:
@@ -270,7 +260,7 @@ def _cmd_cassini(args):
         results["curve_points_approx"] = [
             {"x": x, "y": y} for x, y in _oval_points(oval, args.emit_curve)
         ]
-    checks = [("triangle area = N", _right_of_area(tri, args.n))]
+    checks = [("triangle area = N", tri.is_right_of_area(args.n))]
     inputs = {"n": args.n, "f1": args.f1, "f2": args.f2}
     if args.sub == "two":
         inputs["adjoin"] = args.adjoin
@@ -310,7 +300,7 @@ def _cmd_footprints(args):
         "q_sq": pq.q_sq,
         "triangle": _tri_dict(tri),
     }
-    checks = [("area = N", _right_of_area(tri, args.n))]
+    checks = [("area = N", tri.is_right_of_area(args.n))]
     return {"n": args.n, "m": args.m, "k": args.k, "class": args.cls}, results, checks
 
 
@@ -353,7 +343,7 @@ def _cmd_seq(args):
             "congruent_number": n,
             "points": [_point(p) for p in pts],
         }
-        return inputs, results, [("area = N", _right_of_area(tri, n))]
+        return inputs, results, [("area = N", tri.is_right_of_area(n))]
     bt, curve, qs, orders = sequences.brahmagupta(args.k)
     results = {
         "sides": [bt.a, bt.b, bt.c],
@@ -449,7 +439,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_triples, sub=None)
 
     p = add_parser(sub, "trinity", help="vector-system identities, proved by exact evaluation")
-    p.add_argument("--max-order", type=int, default=4, help=f"1 to {TRINITY_MAX_ORDER}")
+    p.add_argument("--max-order", type=int, default=4)
     p.set_defaults(handler=_cmd_trinity, sub=None)
 
     p = add_parser(sub, "conics", help="conic constructions")
@@ -544,6 +534,10 @@ def main(argv=None):
         limit = sys.get_int_max_str_digits()
         hint = _SIZE_FLAGS.get(args.command, "smaller inputs")
         print(f"error: a result exceeds the {limit}-digit output limit; use {hint}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except EffortOutOfRange as exc:  # the one place a library bound is worded as its flag
+        flag = "--" + exc.name.replace("_", "-")
+        print(f"error: {flag} must be between {exc.low} and {exc.high}, got {exc.value}", file=sys.stderr)
         return EXIT_DOMAIN
     except (ValueError, ArithmeticError, FactorBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

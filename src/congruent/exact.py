@@ -17,6 +17,7 @@ from collections import Counter
 from fractions import Fraction
 
 __all__ = [
+    "EffortOutOfRange",
     "FactorBudgetExceeded",
     "OutputTooLarge",
     "is_square",
@@ -40,6 +41,14 @@ class FactorBudgetExceeded(Exception):
         super().__init__(f"factorization budget exhausted on {n}; unfactored part {remaining}")
         self.n = n
         self.remaining = remaining
+
+
+class EffortOutOfRange(ValueError):
+    """A parameter that bounds a construction's effort is outside low..high."""
+
+    def __init__(self, name, low, high, value):
+        super().__init__(f"{name} must be between {low} and {high}, got {value}")
+        self.name, self.low, self.high, self.value = name, low, high, value
 
 
 def is_square(n):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import is_square
+from .exact import EffortOutOfRange, is_square
 
 __all__ = [
     "FermatNode",
@@ -126,7 +126,7 @@ def enumerate_tree(depth):
     length, so depth is bounded by MAX_DEPTH.
     """
     if not 1 <= depth <= MAX_DEPTH:
-        raise ValueError(f"--depth must be between 1 and {MAX_DEPTH}, got {depth}")
+        raise EffortOutOfRange("depth", 1, MAX_DEPTH, depth)
     root = node_from_fraction(Fraction(1))
     seen = {root.x}
     nodes = [(0, root)]

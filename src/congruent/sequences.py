@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic import Curve, Point
-from .exact import OutputTooLarge, printable_bit_limit
+from .exact import EffortOutOfRange, OutputTooLarge, printable_bit_limit
 from .triples import RatTriangle, triangle_point
 
 __all__ = [
@@ -37,8 +37,8 @@ __all__ = [
     "brahmagupta",
 ]
 
-# seq brahmagupta --k 400 takes about 0.7 s as a process on a 2-vCPU host,
-# 0.4 s of it in the one Mazur loop of certify_infinite_order, on Q0
+# k = 400 takes about 0.7 s as a `seq brahmagupta` process on a 2-vCPU
+# host, 0.4 s of it in the one Mazur loop of certify_infinite_order, on Q0
 MAX_BRAHMAGUPTA_K = 400
 
 
@@ -183,7 +183,7 @@ def brahmagupta(k):
     otherwise the orders of Q0..Q3 from Curve.order_at_most.
     """
     if not 0 <= k <= MAX_BRAHMAGUPTA_K:
-        raise ValueError(f"--k must be between 0 and {MAX_BRAHMAGUPTA_K}, got {k}")
+        raise EffortOutOfRange("k", 0, MAX_BRAHMAGUPTA_K, k)
     tk, uk = cheb_pair(k, 2)
     t = 2 * tk
     a, b, c = t - 1, t, t + 1

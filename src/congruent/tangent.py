@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .cassini import heegner_two
 from .elliptic import Point, curve_en
-from .exact import rat_sqrt
+from .exact import EffortOutOfRange, rat_sqrt
 from .triples import RatTriangle, triangle_point
 
 __all__ = [
@@ -115,7 +115,7 @@ def tangent_chain(tri0, n, depth=3):
     doubling_holds() checks that each point is ±2 times the previous one.
     """
     if not 1 <= depth <= MAX_FREE_DEPTH:
-        raise ValueError(f"--depth must be between 1 and {MAX_FREE_DEPTH}, got {depth}")
+        raise EffortOutOfRange("depth", 1, MAX_FREE_DEPTH, depth)
     if tri0.area != n:
         raise ValueError("seed triangle area is not N")
     entries = []

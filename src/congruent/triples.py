@@ -81,6 +81,12 @@ class RatTriangle:
         """Signed area a*b/2; the associated congruent number up to squares."""
         return self.a * self.b / 2
 
+    def is_right_of_area(self, n):
+        """Whether a^2 + b^2 = c^2 and ab/2 = n, compared in integers over the denominators."""
+        (a, ad), (b, bd), (c, cd) = (x.as_integer_ratio() for x in (self.a, self.b, self.c))
+        right = (a * bd * cd) ** 2 + (b * ad * cd) ** 2 == (c * ad * bd) ** 2
+        return right and a * b * n.denominator == 2 * n.numerator * ad * bd
+
     def congruent_number(self):
         """|squarefree part of numerator*denominator| of the area."""
         n = self.area

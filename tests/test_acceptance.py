@@ -121,6 +121,15 @@ def test_fibonacci_family_check_catches_one_wrong_area(monkeypatch):
     assert checks["Fibonacci/Lucas identity n <= 60"]
 
 
+def test_fibonacci_family_check_catches_a_triangle_that_is_not_right(monkeypatch):
+    # N is built from the same wrong L, so only a^2 + b^2 = c^2 sees it
+    def wrong(pair):
+        return sequences.FibPair(pair.index, pair.f, pair.l + 1)
+
+    _corrupt_one(monkeypatch, sequences, "fib_lucas", 7, wrong)
+    assert not dict(verify.suite_sequences())["Fibonacci families, 10 instances"]
+
+
 def test_lucas_identity_check_catches_one_wrong_value(monkeypatch):
     def wrong(pair):
         return SimpleNamespace(index=pair.index, f=pair.f, l=pair.l + 1)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -233,6 +234,23 @@ def test_trinity_json_is_exact(capsys):
     assert all(c["pass"] for c in env["checks"])
 
 
+# the arguments a bounded command needs besides its effort flag
+_REQUIRED = {"tangent": ["--n", "5", "--a", "3/2", "--b", "20/3"]}
+
+
+def _readme_bound_cases():
+    """(argv, message) just outside each "`cmd --flag` lo..hi" bound the README states."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    bounds = re.findall(r"`([a-z ]+) (--[a-z-]+)` (\d+)\.\.(\d+)", readme)
+    assert len(bounds) == 4, bounds
+    return [
+        (cmd.split() + _REQUIRED.get(cmd, []) + [flag, str(value)],
+         f"{flag} must be between {lo} and {hi}, got {value}")
+        for cmd, flag, lo, hi in bounds
+        for value in (int(lo) - 1, int(hi) + 1)
+    ]  # fmt: skip
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -246,10 +264,12 @@ def test_trinity_json_is_exact(capsys):
         (["seq", "brahmagupta", "--k", "1200"], "--k must be between 0 and 400"),
         (["seq", "brahmagupta", "--k", "3000"], "--k must be between 0 and 400"),
         (["seq", "brahmagupta", "--k", "-1"], "--k must be between 0 and 400"),
-    ],
+    ]
+    + _readme_bound_cases(),
 )
 def test_out_of_range_effort_exits_before_work(capsys, monkeypatch, argv, flag):
-    monkeypatch.setattr(trinity, "verify_all", lambda *_: pytest.fail("trinity ran"))
+    # each module checks its own bound before its work; the cli names the flag
+    monkeypatch.setattr(trinity, "_vectors", lambda *_: pytest.fail("trinity ran"))
     monkeypatch.setattr(fermat, "node_from_fraction", lambda *_: pytest.fail("fermat ran"))
     monkeypatch.setattr(sequences, "cheb_pair", lambda *_: pytest.fail("brahmagupta ran"))
     start = time.perf_counter()
@@ -263,6 +283,11 @@ def test_out_of_range_effort_exits_before_work(capsys, monkeypatch, argv, flag):
 def _zero_y(points):
     p1, p2 = points
     return p1, Point(p2.x, Fraction(0))
+
+
+def _p1_off_curve(points):
+    p1, p2 = points
+    return Point(p1.x, p1.y + 1), p2
 
 
 def _wrong_area(result):
@@ -300,9 +325,10 @@ def _stretch(tri):
         (["recur", "walk", "--start-m", "2", "--start-n", "1", "--path", "abba"],
          recurrence, "walk", _leg_off_by_one, "every step is a valid right triangle"),
         # the constructions no longer check these themselves; only the named
-        # check sees a broken helper
+        # check sees a broken helper, and the points of a wrong conic
+        # triangle are off E_N too
         (["conics", "triangle", "--n", "157", "--f1", "87005", "--f2", "610961"],
-         conics, "_signed_triangle", _double_legs, "area = N"),
+         conics, "_signed_triangle", _double_legs, ["area = N", "points infinite order"]),
         (["conics", "lattice", "--m", "1", "--n", "2"],
          conics, "_lattice_triangle", lambda tri: tri.scaled(Fraction(1, 2)),
          "lattice triangles have area x_i"),
@@ -319,7 +345,7 @@ def _stretch(tri):
          conics, "_lattice_n2", lambda n2: 4 * n2, "secondary intersections verified"),
         # each printed triangle must be right as well as of area N
         (["conics", "triangle", "--n", "157", "--f1", "87005", "--f2", "610961"],
-         conics, "_signed_triangle", _stretch, "area = N"),
+         conics, "_signed_triangle", _stretch, ["area = N", "points infinite order"]),
         (["conics", "lattice", "--m", "1", "--n", "2"],
          conics, "_lattice_triangle", _stretch, "lattice triangles have area x_i"),
         (["cassini", "two", "--n", "29", "--f1", "1", "--f2", "-13"],
@@ -330,6 +356,9 @@ def _stretch(tri):
          sequences, "fib_lucas", lambda p: sequences.FibPair(p.index, p.f, p.l + 1), "area = N"),
         (["seq", "cheb", "--m", "3", "--k", "2"],
          sequences, "cheb_pair", lambda tu: (tu[0] + 1, tu[1]), "area = N"),
+        # a point with y != 0 has infinite order only if it lies on E_N
+        (["conics", "triangle", "--n", "157", "--f1", "87005", "--f2", "610961"],
+         conics, "conic_ec_points", _p1_off_curve, "points infinite order"),
     ],
 )  # fmt: skip
 def test_perturbed_result_fails_its_cli_check(
@@ -341,7 +370,8 @@ def test_perturbed_result_fails_its_cli_check(
     monkeypatch.setattr(module, name, lambda *args: change(real(*args)))
     code, out, _ = run(capsys, argv + ["--json"])
     assert code == 1
-    assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] == [check]
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+    assert failed == ([check] if isinstance(check, str) else check)
 
 
 def test_wrong_walk_step_fails_its_check(capsys, monkeypatch):

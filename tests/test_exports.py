@@ -1,9 +1,14 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
+import pytest
+
 import congruent
+from congruent import fermat, sequences, tangent, trinity
+from congruent.exact import EffortOutOfRange
 
 
 def test_every_exported_name_exists():
@@ -43,3 +48,26 @@ def test_no_new_assertion_error_in_src():
                 owner = max(owners, key=lambda f: f.lineno).name if owners else "<module>"
                 sites.add((path.stem, owner))
     assert sites == ASSERTION_SITES
+
+
+def test_only_the_cli_names_flags():
+    # a library module words its errors in its own parameter names; cli.main
+    # turns an effort bound into its flag (ROADMAP item 12)
+    paths = [p for p in Path(congruent.__file__).parent.glob("*.py") if p.name != "cli.py"]
+    flags = {p.name: re.findall(r"--[a-z][a-z-]*", p.read_text()) for p in paths}
+    assert not any(flags.values()), flags
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: tangent.tangent_chain(None, 5, depth=9), "depth must be between 1 and 5, got 9"),
+        (lambda: fermat.enumerate_tree(0), "depth must be between 1 and 6, got 0"),
+        (lambda: sequences.brahmagupta(401), "k must be between 0 and 400, got 401"),
+        (lambda: trinity.verify_all(7), "max_order must be between 1 and 6, got 7"),
+    ],
+)
+def test_each_effort_bound_raises_one_error_in_library_words(build, message):
+    with pytest.raises(EffortOutOfRange) as info:
+        build()
+    assert str(info.value) == message
