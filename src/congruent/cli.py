@@ -6,20 +6,18 @@ rationals are printed exactly as "p/q"; only the labeled approximate
 point dumps of cassini --emit-curve are floating-point.  Exit codes: 0
 all checks pass, 1 a check failed, 2 usage error, 3 domain/arithmetic
 error.  Each handler imports its modules on first use, so a one-shot
-command loads only what it runs; footprints is loaded up front for the
---cls choices.
+command loads only what it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from fractions import Fraction
 
-from . import footprints
+from . import FOOTPRINT_CLASSES
 from .exact import EffortOutOfRange, FactorBudgetExceeded, OutputTooLarge, check_printable, format_rat
 
 __all__ = ["main"]
@@ -86,6 +84,8 @@ def _envelope(args, inputs, results, checks):
 
 def _emit(envelope, use_json):
     if use_json:
+        import json
+
         sys.stdout.write(json.dumps(envelope, sort_keys=True) + "\n")
         return
     sys.stdout.write(f"== {envelope['command']} ==\n")
@@ -282,6 +282,7 @@ def _cmd_tangent(args):
 
 
 def _cmd_footprints(args):
+    from . import footprints
     if args.sub == "verify":
         reports = footprints.verify_tables(args.table)
         bad = [r for r in reports if not r["ok"]]
@@ -489,7 +490,7 @@ def build_parser():
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--cls", required=True, choices=footprints.CLASSES)
+    q.add_argument("--cls", required=True, choices=FOOTPRINT_CLASSES)
     p.set_defaults(handler=_cmd_footprints)
 
     p = add_parser(sub, "recur", help="side-walk recurrence trees")

@@ -17,6 +17,7 @@ from fractions import Fraction
 from importlib import resources
 from math import gcd
 
+from . import FOOTPRINT_CLASSES as CLASSES
 from .exact import is_probable_prime, is_square
 from .triples import RatTriangle
 
@@ -30,8 +31,6 @@ __all__ = [
     "load_rows",
     "verify_tables",
 ]
-
-CLASSES = ("T0a", "T0b", "TI", "TII", "TIII", "TIV")
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,8 @@ class Poly:
         return Poly._normal(tuple(out))
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError(f"negative exponent {n}: a Poly has no inverse")
         out = Poly._normal((1,))
         base = self
         while True:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .cassini import heegner_two
 from .elliptic import Point, curve_en
-from .exact import EffortOutOfRange, rat_sqrt
+from .exact import EffortOutOfRange, check_printable, rat_sqrt
 from .triples import RatTriangle, triangle_point
 
 __all__ = [
@@ -111,8 +111,10 @@ def tangent_chain(tri0, n, depth=3):
     Each step reads (c1, c2) = (denominator(c), numerator(c)/2) off the
     current hypotenuse, solves for (f1, f2), and rebuilds the next
     triangle through the two-intersection system.  Numbers roughly square
-    each step, so depth is bounded by MAX_FREE_DEPTH.  The chain's
-    doubling_holds() checks that each point is ±2 times the previous one.
+    each step, so depth is bounded by MAX_FREE_DEPTH, and the first step
+    with a value too large to print raises exact.OutputTooLarge before the
+    next one starts.  The chain's doubling_holds() checks that each point
+    is ±2 times the previous one.
     """
     if not 1 <= depth <= MAX_FREE_DEPTH:
         raise EffortOutOfRange("depth", 1, MAX_FREE_DEPTH, depth)
@@ -126,6 +128,8 @@ def tangent_chain(tri0, n, depth=3):
         c2 = Fraction(c.numerator, 2)
         f1, f2 = solve_f(c1, c2, n)
         _, tri, _ = heegner_two(n, f1, f2)
-        entries.append(ChainEntry(f1, f2, tri, triangle_point(tri)))
+        point = triangle_point(tri)
+        check_printable(f1, f2, tri.a, tri.b, tri.c, point.x, point.y)
+        entries.append(ChainEntry(f1, f2, tri, point))
         current = tri
     return TangentChain(n, tri0, tuple(entries))

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import congruent
 from congruent import (
     cassini,
     cli,
@@ -201,6 +202,23 @@ def test_result_past_the_digit_limit_exits_3(capsys, argv, flag):
     assert not out
     assert "4300-digit output limit" in err and flag in err
     assert "set_int_max_str_digits" not in err
+
+
+def test_tangent_stops_at_the_first_step_past_the_digit_limit(capsys, monkeypatch):
+    # the fourth entry of the README chain has 423-digit legs; its second step
+    # is past the limit, and the three steps after it are never computed
+    seed = RatTriangle.from_legs(Fraction(3, 2), Fraction(20, 3))
+    tri = tangent.tangent_chain(seed, 5, depth=4).entries[-1].triangle
+    steps = []
+    solve_f = tangent.solve_f
+    monkeypatch.setattr(tangent, "solve_f", lambda *a: steps.append(a) or solve_f(*a))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["tangent", "--n", "5", "--a", str(tri.a), "--b", str(tri.b), "--depth", "5"])
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert not out
+    assert err == "error: a result exceeds the 4300-digit output limit; use a smaller --depth\n"
+    assert len(steps) == 2
 
 
 @pytest.mark.parametrize(
@@ -450,11 +468,31 @@ def test_cli_imports_each_subcommand_module_on_first_use():
         [sys.executable, "-c", _IMPORT_CHILD], env=env, check=True, capture_output=True, text=True
     )
     first, code, after = json.loads(proc.stdout)
-    eager = ("cli", "exact", "elliptic", "footprints", "triples")
+    eager = ("cli", "exact")
     assert first == sorted(["congruent"] + [f"congruent.{m}" for m in eager])
     assert code == 0
-    lazy = ("trinity", "verify", "polyrat", "conics", "cassini")
+    # triples loads elliptic for its curve points; nothing else follows it
+    lazy = ("trinity", "verify", "polyrat", "conics", "cassini", "footprints")
     assert not {f"congruent.{m}" for m in lazy} & set(after)
+    # under -S no site hook preloads stdlib modules, so the child sees what the import loads
+    heavy = ["dataclasses", "inspect", "json", "importlib.resources"]
+    child = f"import sys, congruent.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-S", "-c", child], env=env, check=True, capture_output=True, text=True)
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [(["--n", "5", "--m", "1", "--k", "1", "--cls", "T9"], 2), (["-h"], 0)],
+)
+def test_footprints_cls_choices_are_the_six_classes(capsys, flags, code):
+    # the choices come from the package, so parsing does not import footprints
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["footprints", "triangle", *flags])
+    assert exc.value.code == code
+    out = capsys.readouterr()
+    assert "{T0a,T0b,TI,TII,TIII,TIV}" in out.out + out.err
+    assert footprints.CLASSES is congruent.FOOTPRINT_CLASSES
 
 
 def test_every_proved_triangle_is_right(monkeypatch, capsys):

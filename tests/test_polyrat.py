@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,22 @@ def test_arithmetic_keeps_normal_form_and_matches_schoolbook(p, q):
     for got, want in cases:
         assert_normal(got)
         assert got.coeffs == want.coeffs
+
+
+@pytest.mark.parametrize("base", [Poly([1]), Poly([-1]), RatFunc(Poly([1]), Poly([-1]))])
+def test_negative_power_raises_instead_of_looping(base):
+    # a unit base never grows, so the loop it once ran forever is cut by a timer
+    def expire(*_):
+        raise TimeoutError("negative power still looping")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        with pytest.raises(ValueError, match="negative exponent -1"):
+            base**-1
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @given(polys, st.integers(0, 6))
