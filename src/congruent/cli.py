@@ -319,12 +319,9 @@ def _cmd_recur(args):
         "start": {"n": n0, "triangle": _tri_dict(tri0)},
         "steps": [{"n": n, "triangle": _tri_dict(tr)} for n, tr in steps],
     }
-    checks = [
-        (
-            "every step is a valid right triangle",
-            all(tr.a**2 + tr.b**2 == tr.c**2 for _, tr in steps),
-        )
-    ]
+    # each printed N must be the area of its printed triangle
+    right = all(tr.is_right_of_area(n) for n, tr in [(n0, tri0), *steps])
+    checks = [("every step is a valid right triangle", right)]
     inputs = {"start_m": args.start_m, "start_n": args.start_n, "path": args.path}
     return inputs, results, checks
 

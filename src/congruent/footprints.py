@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from math import gcd
 
@@ -124,12 +125,9 @@ def footprint_triangle(row, pq=None):
     return RatTriangle._proved(Fraction(x, y), Fraction(2 * abs(row.n) * y, x), Fraction(r, x * y))
 
 
-def load_rows(table=None):
-    """All shipped table rows, optionally filtered by family.
-
-    table may be '0' (both T0 subclasses), 'I', 'II', 'III', 'IV', or a
-    full class name like 'T0a'.
-    """
+@cache
+def _table_rows():
+    """Every row of the shipped table, read and validated once."""
     text = resources.files("congruent.data").joinpath("footprint_tables.txt").read_text()
     rows = []
     for line in text.splitlines():
@@ -138,6 +136,16 @@ def load_rows(table=None):
             continue
         n_s, m_s, k_s, cls = line.split()
         rows.append(FootprintRow(int(n_s), int(m_s), int(k_s), cls))
+    return tuple(rows)
+
+
+def load_rows(table=None):
+    """All shipped table rows, optionally filtered by family.
+
+    table may be '0' (both T0 subclasses), 'I', 'II', 'III', 'IV', or a
+    full class name like 'T0a'.
+    """
+    rows = list(_table_rows())
     if table is not None:
         if table == "0":
             wanted = {"T0a", "T0b"}

@@ -13,6 +13,7 @@ started from a Euclid triple are verified against the iteration.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .exact import check_printable
 from .triples import RatTriangle, euclid
@@ -132,21 +133,31 @@ _TABLE_TRIANGLES = {
 }
 
 
+@cache
+def _tree_table():
+    """The roots as triangles and the other cells as Fraction sides, parsed once."""
+    roots = {n0: RatTriangle(*sides) for n0, sides in _ROOTS.items()}
+    cells = {key: tuple(map(Fraction, sides)) for key, sides in _TABLE_TRIANGLES.items()}
+    return roots, cells
+
+
 def verify_tree_table():
     """Recompute every cell of the reference tree; 28 reports {"n": N, "ok": bool}.
 
     A root cell checks that its triangle has area N.  Every other cell walks
     from its root and checks the congruent number, which is the area of the
     printed triangle, the legs as an unordered pair (the table swaps legs
-    when re-rooting) and the hypotenuse.
+    when re-rooting) and the hypotenuse.  The walks "aa", "ab", "ba" and
+    "bb" reach every cell; a one-step cell is read off the walk "aa" or "ba".
     """
+    roots, cells = _tree_table()
     reports = []
-    for n0, root in _ROOTS.items():
-        tri0 = RatTriangle(*root)
+    for n0, tri0 in roots.items():
         reports.append({"n": n0, "ok": tri0.area == n0})
-        for path in ("a", "aa", "ab", "b", "ba", "bb"):
-            a, b, c = (Fraction(s) for s in _TABLE_TRIANGLES[n0, path])
-            n, tri = walk(tri0, n0, path)[-1]
+        aa, ab, ba, bb = (walk(tri0, n0, path) for path in ("aa", "ab", "ba", "bb"))
+        steps = {"a": aa[0], "aa": aa[1], "ab": ab[1], "b": ba[0], "ba": ba[1], "bb": bb[1]}
+        for path, (n, tri) in steps.items():
+            a, b, c = cells[n0, path]
             ok = n == a * b / 2 and {tri.a, tri.b} == {a, b} and tri.c == c
             reports.append({"n": n, "ok": ok})
     return reports

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .elliptic import Curve, Point
 from .exact import EffortOutOfRange, OutputTooLarge, printable_bit_limit
@@ -27,10 +28,12 @@ from .triples import RatTriangle, triangle_point
 __all__ = [
     "FibPair",
     "BrahmaguptaTriangle",
+    "lucas_pairs",
     "fib_lucas",
     "fib_even_family",
     "fib_odd_family",
     "standard_points",
+    "cheb_pairs",
     "cheb_pair",
     "cheb_family",
     "pell_identity_check",
@@ -62,24 +65,32 @@ class BrahmaguptaTriangle:
     area: Fraction
 
 
-def fib_lucas(n):
-    """The pair (F_n, L_n) by the standard recurrences.
+def lucas_pairs(n):
+    """Yield (F_k, L_k) for k = 0..n by the standard recurrences.
 
     Raises OutputTooLarge at the first L_k past the int-to-str digit limit,
-    as every family prints a multiple of L_n.
+    as every family prints a multiple of L_k.
     """
     if n < 0:
         raise ValueError("need n >= 0")
     f0, f1 = 0, 1
     l0, l1 = 2, 1
     bits = printable_bit_limit()
+    yield f0, l0
     for _ in range(n):
         f0, f1 = f1, f0 + f1
         l0, l1 = l1, l0 + l1
         if l0.bit_length() > bits:
             raise OutputTooLarge
+        yield f0, l0
+
+
+def fib_lucas(n):
+    """The pair (F_n, L_n): the last value of lucas_pairs(n)."""
+    for f, l in lucas_pairs(n):
+        pass
     # L^2 - 5 F^2 = 4(-1)^n: tests/test_identities.py::test_lucas_identity_at_every_index
-    return FibPair(n, f0, l0)
+    return FibPair(n, f, l)
 
 
 def standard_points(tri):
@@ -124,22 +135,27 @@ def fib_odd_family(n):
     return tri, big_n, standard_points(tri)
 
 
-def cheb_pair(m, n):
-    """The integers (T_m(n), U_{m-1}(n)) by the recurrence P_{k+1} = 2n P_k - P_{k-1}.
+def cheb_pairs(n):
+    """Yield the integers (T_m(n), U_{m-1}(n)) for m = 0, 1, ... by P_{k+1} = 2n P_k - P_{k-1}.
 
     It starts at (T_{-1}, T_0) = (n, 1) and (U_{-2}, U_{-1}) = (-1, 0), so m = 0
     gives (1, 0); raises OutputTooLarge at the first value past the digit limit.
     """
-    if m < 0:
-        raise ValueError("chebyshev index must be >= 0")
     t0, t1, u0, u1 = n, 1, -1, 0
     bits = printable_bit_limit()
-    for _ in range(m):
+    while True:
+        yield t1, u1
         t0, t1 = t1, 2 * n * t1 - t0
         u0, u1 = u1, 2 * n * u1 - u0
         if t1.bit_length() > bits or u1.bit_length() > bits:
             raise OutputTooLarge
-    return t1, u1
+
+
+def cheb_pair(m, n):
+    """The integers (T_m(n), U_{m-1}(n)): value m of cheb_pairs(n)."""
+    if m < 0:
+        raise ValueError("chebyshev index must be >= 0")
+    return next(islice(cheb_pairs(n), m, None))
 
 
 def cheb_family(m, n):
@@ -164,10 +180,15 @@ def pell_identity_check(max_m=12):
     """T_m(x)^2 - (x^2-1) U_{m-1}(x)^2 = 1 as polynomial identities, m <= max_m.
 
     The left side has degree <= 2m, so holding at the 2m + 1 points
-    x = 0, 1, ..., 2m proves the identity for index m.
+    x = 0, 1, ..., 2m proves the identity for index m.  One cheb_pairs(x)
+    run serves every m >= x/2 at the point x.
     """
-    pairs = ((x, *cheb_pair(m, x)) for m in range(1, max_m + 1) for x in range(2 * m + 1))
-    return all(t**2 - (x**2 - 1) * u**2 == 1 for x, t, u in pairs)
+    return all(
+        t**2 - (x**2 - 1) * u**2 == 1
+        for x in range(2 * max_m + 1)
+        for m, (t, u) in enumerate(islice(cheb_pairs(x), max_m + 1))
+        if m >= 1 and x <= 2 * m
+    )
 
 
 def brahmagupta(k):

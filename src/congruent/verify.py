@@ -32,13 +32,21 @@ __all__ = ["run_all", "SUITES"]
 F = Fraction
 
 
+# the reference values of every suite are built once, when the module is imported
+_DERIVED_2_1 = (
+    RatTriangle("15/2", "136/15", "353/30"),
+    RatTriangle("40/3", "123/20", "881/60"),
+    RatTriangle("24/5", "35/12", "337/60"),
+)
+_DISTANCE_ROOT_2_1 = F(193, 30)
+
+
 def suite_triples():
     """The (m, n) = (2, 1) worked example, end to end."""
     checks = []
-    ac, bc, ba = triples.derived_triples(2, 1)
-    checks.append(("derived AC", ac == RatTriangle("15/2", "136/15", "353/30")))
-    checks.append(("derived BC", bc == RatTriangle("40/3", "123/20", "881/60")))
-    checks.append(("derived BA", ba == RatTriangle("24/5", "35/12", "337/60")))
+    derived = triples.derived_triples(2, 1)
+    for name, got, want in zip(("AC", "BC", "BA"), derived, _DERIVED_2_1):
+        checks.append((f"derived {name}", got == want))
     q = triples.area_quad(2, 1)
     checks.append(("area quadruple", (q.n, q.n_ac, q.n_bc, q.n_ba) == (6, 34, 41, 7)))
     rep = triples.area_identity_check(2, 1)
@@ -62,7 +70,7 @@ def suite_triples():
     )
     rep = triples.distance_identity(2, 1)
     checks.append(("distance identity holds", rep["holds"]))
-    checks.append(("distance identity root", rep["lhs_root"] == F(193, 30)))
+    checks.append(("distance identity root", rep["lhs_root"] == _DISTANCE_ROOT_2_1))
     checks.append(
         ("distance quadruple", rep["lhs_root"] ** 2 == sum(v**2 for v in rep["quadruple"][1:]))
     )
@@ -81,10 +89,12 @@ def _random_pairs(seed, count, max_m):
             done += 1
 
 
+_TRIPLES_PAIRS = tuple(_random_pairs(20210525, 200, 80))
+
+
 def suite_triples_random():
     """Derived-triple identities over 200 random admissible (m, n)."""
-    count = 200
-    for m, n in _random_pairs(20210525, count, 80):
+    for m, n in _TRIPLES_PAIRS:
         try:
             pair = triples._pair(m, n)
             if not triples._area_identity(*pair)["holds"]:
@@ -94,69 +104,71 @@ def suite_triples_random():
             triples._concordant(*pair)
         except ValueError as exc:
             return [(f"random ({m},{n}): {exc}", False)]
-    return [(f"{count} random (m,n) pass all identities", True)]
+    return [(f"{len(_TRIPLES_PAIRS)} random (m,n) pass all identities", True)]
 
 
 def suite_trinity():
     return trinity.verify_all() + [("trig circles numeric", trinity.circle_check()["ok"])]
 
 
+_ZAGIER_157 = RatTriangle(
+    "411340519227716149383203/21666555693714761309610",
+    "6803298487826435051217540/411340519227716149383203",
+    "224403517704336969924557513090674863160948472041/"
+    "8912332268928859588025535178967163570016480830",
+)
+_ZAGIER_157_P1 = Point(
+    F("-166136231668185267540804/2825630694251145858025"),
+    F("-167661624456834335404812111469782006/150201095200135518108761470235125"),
+)
+_ZAGIER_157_P2 = Point(
+    F("69648970982596494254458225/166136231668185267540804"),
+    F("538962435089604615078004307258785218335/67716816556077455999228495435742408"),
+)
+
+
 def suite_conics_zagier():
     """The smallest-triangle example for N = 157."""
     tri = conics.conic_triangle(157, 87005, 610961)
-    want = RatTriangle(
-        "411340519227716149383203/21666555693714761309610",
-        "6803298487826435051217540/411340519227716149383203",
-        "224403517704336969924557513090674863160948472041/"
-        "8912332268928859588025535178967163570016480830",
-    )
-    checks = [("N=157 triangle", tri == want)]
+    checks = [("N=157 triangle", tri == _ZAGIER_157)]
     p1, p2 = conics.conic_ec_points(tri)
-    checks.append(
-        (
-            "N=157 P1",
-            p1
-            == Point(
-                F("-166136231668185267540804/2825630694251145858025"),
-                F("-167661624456834335404812111469782006/150201095200135518108761470235125"),
-            ),
-        )
-    )
-    checks.append(
-        (
-            "N=157 P2",
-            p2
-            == Point(
-                F("69648970982596494254458225/166136231668185267540804"),
-                F("538962435089604615078004307258785218335/67716816556077455999228495435742408"),
-            ),
-        )
-    )
+    checks.append(("N=157 P1", p1 == _ZAGIER_157_P1))
+    checks.append(("N=157 P2", p2 == _ZAGIER_157_P2))
     return checks
+
+
+_INTERSECT_3 = (
+    RatTriangle("621/10", "12580/621", "405641/6210"),
+    Point(F(-100), F(6210)),
+    Point(F("395641/100"), F("245693061/1000")),
+)
 
 
 def suite_conics_intersect():
     n_t, _, tri, p1, p2 = conics.intersect_example(3)
+    want_tri, want_p1, want_p2 = _INTERSECT_3
     checks = [
         ("t=3 N", n_t == 629),
-        ("t=3 triangle", tri == RatTriangle("621/10", "12580/621", "405641/6210")),
-        ("t=3 P1", p1 == Point(F(-100), F(6210))),
-        ("t=3 P2", p2 == Point(F("395641/100"), F("245693061/1000"))),
+        ("t=3 triangle", tri == want_tri),
+        ("t=3 P1", p1 == want_p1),
+        ("t=3 P2", p2 == want_p2),
     ]
     checks += conics.intersect_polynomial_identity()
     return checks
 
 
+_LATTICE_1_2_3 = (
+    (188885, RatTriangle("71757/418", "157907860/71757", "66206019401/29994426")),
+    (58645, RatTriangle("58483/66", "7741140/58483", "3458210761/3859878")),
+    (7585, RatTriangle("-5537/72", "-1092240/5537", "-84406081/398664")),
+    (84545, RatTriangle("82497/136", "22996240/82497", "7489959041/11219592")),
+)
+
+
 def suite_conics_lattice():
     results = conics.lattice_secondary(1, 2, 3)
-    want = (
-        (188885, RatTriangle("71757/418", "157907860/71757", "66206019401/29994426")),
-        (58645, RatTriangle("58483/66", "7741140/58483", "3458210761/3859878")),
-        (7585, RatTriangle("-5537/72", "-1092240/5537", "-84406081/398664")),
-        (84545, RatTriangle("82497/136", "22996240/82497", "7489959041/11219592")),
-    )
     checks = []
-    for i, (res, (n2, tri)) in enumerate(zip(results, want), 1):
+    for i, (res, (n2, tri)) in enumerate(zip(results, _LATTICE_1_2_3), 1):
         checks.append((f"lattice N_{i}2", res["n2"] == n2))
         checks.append((f"lattice triangle {i}", res["triangle"] == tri))
     closed_forms = True
@@ -170,32 +182,34 @@ def suite_conics_lattice():
     return checks
 
 
+_TWIN_10 = (
+    RatTriangle(
+        "-266938037619/1183583135",
+        "-4734332540/3471281",
+        "5679574272052285061/4108549648445935",
+    ),
+    RatTriangle(
+        "-2362584547353/4899249131",
+        "-19596996524/13475611",
+        "101151574309748379365/66020375481444041",
+    ),
+)
+
+
 def suite_conics_twin():
     n1, n2, t1, t2 = conics.twin_hyperbolas(10)
     checks = [
         ("twin N1", n1 == 153798),
         ("twin N2", n2 == 350646),
-        (
-            "twin triangle 1",
-            t1
-            == RatTriangle(
-                "-266938037619/1183583135",
-                "-4734332540/3471281",
-                "5679574272052285061/4108549648445935",
-            ),
-        ),
-        (
-            "twin triangle 2",
-            t2
-            == RatTriangle(
-                "-2362584547353/4899249131",
-                "-19596996524/13475611",
-                "101151574309748379365/66020375481444041",
-            ),
-        ),
+        ("twin triangle 1", t1 == _TWIN_10[0]),
+        ("twin triangle 2", t2 == _TWIN_10[1]),
     ]
     checks += conics.twin_polynomial_identities()
     return checks
+
+
+_CASSINI_29 = RatTriangle("99/910", "52780/99", "48029801/90090")
+_CASSINI_62 = RatTriangle("177537/21140", "84560/5727", "2056525601/121068780")
 
 
 def suite_cassini():
@@ -204,9 +218,7 @@ def suite_cassini():
     checks.append(
         ("N=29 quad", (quad.c1sq, quad.c2, quad.c3sq, quad.c4sq) == (13**2, 70, 1, 99**2))
     )
-    checks.append(
-        ("N=29 triangle", tri == RatTriangle("99/910", "52780/99", "48029801/90090"))
-    )
+    checks.append(("N=29 triangle", tri == _CASSINI_29))
     pts = cassini.oval_axis_points(oval)
     checks.append(
         ("N=29 axis points", (sorted(pts["x2"]), pts["y2"]) == ([99**2], [1]))
@@ -217,9 +229,7 @@ def suite_cassini():
     )
     quad2, tri2, _ = cassini.heegner_two(62, 20, 7, adjoin="sqrt2N")
     checks.append(("N=62 (c2,c4)", (quad2.c2, quad2.c4sq) == (9362, 15438**2)))
-    checks.append(
-        ("N=62 triangle", tri2 == RatTriangle("177537/21140", "84560/5727", "2056525601/121068780"))
-    )
+    checks.append(("N=62 triangle", tri2 == _CASSINI_62))
     quad3, _, _, pts3 = cassini.heegner_four(62, 20, F(7**2 * 2))
     checks.append(
         ("N=62 four intersections", sorted(pts3["x2"]) == [302**2, 2 * 280**2])
@@ -227,30 +237,29 @@ def suite_cassini():
     return checks
 
 
+_TANGENT_SEED_5 = RatTriangle("3/2", "20/3", "41/6")
+# the figure's P1 on E_5 and the x, |y| of its tangent images P2 and P3
+_FIGURE_5 = (
+    Point(F(-4), F(6)),
+    (F("1681/144"), F("62279/1728")),
+    (F("11183412793921/2234116132416"), F("1791076534232245919/3339324446657665536")),
+)
+
+
 def suite_tangent():
     checks = []
-    seed = RatTriangle("3/2", "20/3", "41/6")
-    chain = tangent.tangent_chain(seed, 5, depth=3)
+    chain = tangent.tangent_chain(_TANGENT_SEED_5, 5, depth=3)
     s = [(e.f1, e.f2) for e in chain.entries]
     checks.append(("N=5 S1", s[0] == (3, 2)))
     checks.append(("N=5 S2", s[1] == (372, 2009)))
     checks.append(("N=5 S3", s[2] == (169317668184, 15811196552161)))
     checks.append(("N=5 doubling", chain.doubling_holds()))
-    p1 = Point(F(-4), F(6))
+    p1, want_p2, want_p3 = _FIGURE_5
     checks.append(("figure P1 on curve", curve_en(5).contains(p1)))
     p2 = tangent.tangent_intersection(p1, 5)
-    checks.append(("figure P2", (p2.x, abs(p2.y)) == (F("1681/144"), F("62279/1728"))))
+    checks.append(("figure P2", (p2.x, abs(p2.y)) == want_p2))
     p3 = tangent.tangent_intersection(p2, 5)
-    checks.append(
-        (
-            "figure P3",
-            (p3.x, abs(p3.y))
-            == (
-                F("11183412793921/2234116132416"),
-                F("1791076534232245919/3339324446657665536"),
-            ),
-        )
-    )
+    checks.append(("figure P3", (p3.x, abs(p3.y)) == want_p3))
     tri79 = conics.conic_triangle(79, 125, 52, adjoin="sqrtN")
     c = abs(tri79.c)
     f1, f2 = tangent.solve_f(c.denominator, F(c.numerator, 2), 79)
@@ -258,19 +267,17 @@ def suite_tangent():
     return checks
 
 
-def suite_footprints():
-    reports = footprints.verify_tables()
-    bad = [r for r in reports if not r["ok"]]
-    checks = [(f"all {len(reports)} table rows", not bad)]
-    examples = (
-        ((353, 4, 1, "T0a"), RatTriangle("5295/136", "272/15", "87617/2040")),
+_FOOTPRINT_EXAMPLES = tuple(
+    (footprints.FootprintRow(*row), RatTriangle(*sides))
+    for row, sides in (
+        ((353, 4, 1, "T0a"), ("5295/136", "272/15", "87617/2040")),
         (
             (761, 31, 51, "T0b"),
-            RatTriangle("66411709/1296420", "2592840/87269", "6699926952721/113137276980"),
+            ("66411709/1296420", "2592840/87269", "6699926952721/113137276980"),
         ),
         (
             (173, 10865, -343141, "TI"),
-            RatTriangle(
+            (
                 "418416739097462232963/181421867613059954270",
                 "62771966194118744177420/418416739097462232963",
                 "11389552969201600543101928087171460571651881/"
@@ -279,7 +286,7 @@ def suite_footprints():
         ),
         (
             (191, 27469, 11580, "TII"),
-            RatTriangle(
+            (
                 "1726816796630813713/394718867434084440",
                 "789437734868168880/9040925636810543",
                 "311996818759910472998178689881743841/"
@@ -288,7 +295,7 @@ def suite_footprints():
         ),
         (
             (382, 540, 239, "TIII"),
-            RatTriangle(
+            (
                 "447382566673/11444911740",
                 "45779646960/2342317103",
                 "1171595729834345971681/26807612510927489220",
@@ -296,38 +303,62 @@ def suite_footprints():
         ),
         (
             (326, 170, -69, "TIV"),
-            RatTriangle(
+            (
                 "28931957373/22855819",
                 "91423276/177496671",
                 "5135326544339012645/4056831785478549",
             ),
         ),
     )
-    for (n, m, k, cls), want in examples:
-        got = footprints.footprint_triangle(footprints.FootprintRow(n, m, k, cls))
-        checks.append((f"worked example N={n}", got == want))
+)
+
+
+def suite_footprints():
+    reports = footprints.verify_tables()
+    bad = [r for r in reports if not r["ok"]]
+    checks = [(f"all {len(reports)} table rows", not bad)]
+    for row, want in _FOOTPRINT_EXAMPLES:
+        got = footprints.footprint_triangle(row)
+        checks.append((f"worked example N={row.n}", got == want))
     return checks
+
+
+_RECURRENCE_PAIRS = tuple(_random_pairs(79, 20, 40))
 
 
 def suite_recurrence():
     reports = recurrence.verify_tree_table()
     checks = [("28-cell walk table", all(r["ok"] for r in reports))]
-    random_count = 20
-    for m, n in _random_pairs(79, random_count, 40):
+    for m, n in _RECURRENCE_PAIRS:
         tri0, n0 = recurrence.euclid_root(m, n)
         steps = recurrence.walk(tri0, n0, "aaa") + recurrence.walk(tri0, n0, "ba")
         for path, (_, tri) in zip(("a", "aa", "aaa", "b", "ba"), steps):
             if tri != recurrence.closed_form(m, n, path):
                 return checks + [(f"closed form {path} ({m},{n})", False)]
-    checks.append((f"closed forms on {random_count} random (m,n)", True))
+    checks.append((f"closed forms on {len(_RECURRENCE_PAIRS)} random (m,n)", True))
     return checks
+
+
+_FIB_3_REDUCED = RatTriangle("20/3", "3/2", "41/6")
+_CHEB_3_2 = RatTriangle(45, "52/15", "677/15")
+_CHEB_3_2_POINTS = (
+    Point(F(-3), F(135)),
+    Point(F(2028), F(91260)),
+    Point(F("458329/900"), F("306627517/27000")),
+)
+_BRAHMAGUPTA_3_POINTS = (
+    Point(F(0), F(140556)),
+    Point(F(-2704), F(52)),
+    Point(F(-2650), F(106)),
+    Point(F(-2754), F(102)),
+)
 
 
 def suite_sequences():
     checks = []
     tri, n, _ = sequences.fib_even_family(3)
     red = tri.scaled(6)
-    reduced = n == 180 and red == RatTriangle("20/3", "3/2", "41/6")
+    reduced = n == 180 and red == _FIB_3_REDUCED
     checks.append(("Fibonacci n=3 reduces to area 5", reduced))
     families = [
         family(k)
@@ -336,24 +367,14 @@ def suite_sequences():
     ]
     right = all(t.is_right_of_area(n) for t, n, _ in families)
     checks.append(("Fibonacci families, 10 instances", right))
-    pairs = [sequences.fib_lucas(idx) for idx in range(61)]
-    lucas = all(p.l**2 - 5 * p.f**2 == 4 * (-1) ** p.index for p in pairs)
+    pairs = enumerate(sequences.lucas_pairs(60))
+    lucas = all(l**2 - 5 * f**2 == 4 * (-1) ** k for k, (f, l) in pairs)
     checks.append(("Fibonacci/Lucas identity n <= 60", lucas))
     checks.append(("Pell polynomial identity m <= 12", sequences.pell_identity_check(12)))
     tri, n, pts = sequences.cheb_family(3, 2)
-    cheb = n == 78 and tri == RatTriangle(45, "52/15", "677/15")
+    cheb = n == 78 and tri == _CHEB_3_2
     checks.append(("Chebyshev (3,2) triangle", cheb))
-    checks.append(
-        (
-            "Chebyshev (3,2) points",
-            pts
-            == (
-                Point(F(-3), F(135)),
-                Point(F(2028), F(91260)),
-                Point(F("458329/900"), F("306627517/27000")),
-            ),
-        )
-    )
+    checks.append(("Chebyshev (3,2) points", pts == _CHEB_3_2_POINTS))
     bt, _, qs, orders = sequences.brahmagupta(3)
     checks.append(
         (
@@ -362,17 +383,7 @@ def suite_sequences():
         )
     )
     checks.append(
-        (
-            "Brahmagupta k=3 points",
-            qs
-            == (
-                Point(F(0), F(140556)),
-                Point(F(-2704), F(52)),
-                Point(F(-2650), F(106)),
-                Point(F(-2754), F(102)),
-            )
-            and orders is None,
-        )
+        ("Brahmagupta k=3 points", qs == _BRAHMAGUPTA_3_POINTS and orders is None)
     )
     _, _, _, orders = sequences.brahmagupta(0)
     checks.append(("degenerate case has order-4 points", orders == (4, 4, 4, 4)))

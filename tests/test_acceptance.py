@@ -131,11 +131,17 @@ def test_fibonacci_family_check_catches_a_triangle_that_is_not_right(monkeypatch
 
 
 def test_lucas_identity_check_catches_one_wrong_value(monkeypatch):
-    def wrong(pair):
-        return SimpleNamespace(index=pair.index, f=pair.f, l=pair.l + 1)
+    # the check reads one run of lucas_pairs, so L_37 + 1 is wrong there only
+    real = sequences.lucas_pairs
 
-    _corrupt_one(monkeypatch, sequences, "fib_lucas", 37, wrong)
-    assert not dict(verify.suite_sequences())["Fibonacci/Lucas identity n <= 60"]
+    def wrong(n):
+        for k, (f, l) in enumerate(real(n)):
+            yield f, l + (k == 37)
+
+    monkeypatch.setattr(sequences, "lucas_pairs", wrong)
+    checks = dict(verify.suite_sequences())
+    assert not checks["Fibonacci/Lucas identity n <= 60"]
+    assert checks["Fibonacci families, 10 instances"]
 
 
 def test_brahmagupta_points_check_fails_an_uncertified_q0(monkeypatch):
@@ -209,12 +215,15 @@ def test_random_triples_suite_builds_no_fraction(monkeypatch):
 def test_gate_builds_a_bounded_number_of_fractions(monkeypatch):
     # a cost guard that needs no timing: one run_all() built 8,467 Fractions
     # before triples-random, footprints, recurrence and sequences ran on
-    # shared integers, 5,050 after, and 4,750 once the checks that could not
-    # fail and the repeated sides and areas were gone (CPython 3.11)
+    # shared integers, 5,050 after, 4,750 once the checks that could not
+    # fail and the repeated sides and areas were gone, 4,572 after polyrat
+    # kept its results in normal form, and 4,249 once the reference values
+    # and tables were built once per process, not once per call (CPython 3.11)
+    verify.run_all()  # the walk table is parsed on first use
     built = _count_fractions(monkeypatch)
     results = verify.run_all()
     assert all(ok for checks in results.values() for _, ok in checks)
-    assert len(built) <= 4750
+    assert len(built) <= 4249
 
 
 @pytest.mark.parametrize(

@@ -320,7 +320,7 @@ def _point_off_curve(result):
 
 def _leg_off_by_one(steps):
     n, tri = steps[-1]
-    return steps[:-1] + [(n, SimpleNamespace(a=tri.a + 1, b=tri.b, c=tri.c))]
+    return steps[:-1] + [(n, RatTriangle._proved(tri.a + 1, tri.b, tri.c))]
 
 
 def _double_legs(tri):
@@ -413,6 +413,23 @@ def test_wrong_walk_step_fails_its_check(capsys, monkeypatch):
     ]
     sides = [[Fraction(step["triangle"][k]) for k in "abc"] for step in env["results"]["steps"]]
     assert [a**2 + b**2 == c**2 for a, b, c in sides] == [True, True, True, False]
+
+
+def test_wrong_walk_n_fails_the_step_check(capsys, monkeypatch):
+    # every step stays a right triangle, so only its printed N, one more than
+    # the area, can fail the check
+    real = recurrence.walk
+    monkeypatch.setattr(
+        recurrence, "walk", lambda *args: [(n + 1, tri) for n, tri in real(*args)]
+    )
+    argv = ["recur", "walk", "--start-m", "2", "--start-n", "1", "--path", "ab", "--json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 1
+    env = json.loads(out)
+    assert [c["name"] for c in env["checks"] if not c["pass"]] == [
+        "every step is a valid right triangle"
+    ]
+    assert [step["n"] for step in env["results"]["steps"]] == [16, 35]
 
 
 def test_wrong_chebyshev_value_fails_heron_area_by_name(capsys, monkeypatch):

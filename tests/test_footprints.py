@@ -34,6 +34,13 @@ def test_load_rows_shape():
     assert by_class == {"T0a": 3, "T0b": 4, "TI": 43, "TII": 43, "TIII": 25, "TIV": 25}
 
 
+def test_load_rows_returns_a_fresh_list():
+    rows = footprints.load_rows()
+    rows.clear()
+    assert footprints.load_rows() is not rows
+    assert len(footprints.load_rows()) == 143
+
+
 def test_all_rows_verify():
     reports = footprints.verify_tables()
     bad = [r for r in reports if not r["ok"]]

@@ -105,13 +105,28 @@ def test_tree_table_verifies():
     assert all(r["ok"] for r in reports)
 
 
+def test_tree_table_walks_each_root_once_per_leaf(monkeypatch):
+    # the one-step cells are read off the two-step walks "aa" and "ba"
+    real, paths = recurrence.walk, []
+
+    def spy(tri0, n0, path):
+        paths.append((n0, path))
+        return real(tri0, n0, path)
+
+    monkeypatch.setattr(recurrence, "walk", spy)
+    assert all(r["ok"] for r in recurrence.verify_tree_table())
+    assert paths == [(n0, p) for n0 in (6, 34, 41, 7) for p in ("aa", "ab", "ba", "bb")]
+
+
 def _walk_table_check():
     return dict(verify.suite_recurrence())["28-cell walk table"]
 
 
 def test_wrong_printed_triangle_fails_the_walk_table(monkeypatch):
+    # the table is parsed once per process, so the misprint goes into the parsed cell
+    _, cells = recurrence._tree_table()
     a, b, c = recurrence._TABLE_TRIANGLES[41, "ba"]
-    monkeypatch.setitem(recurrence._TABLE_TRIANGLES, (41, "ba"), (a, b, c + "1"))
+    monkeypatch.setitem(cells, (41, "ba"), (F(a), F(b), F(c + "1")))
     assert not _walk_table_check()
 
 

@@ -1,6 +1,7 @@
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -71,6 +72,23 @@ def test_cheb_pair_matches_sympy():
             assert sequences.cheb_pair(m, n) == (t.eval(n), u.eval(n))
 
 
+def test_lucas_pairs_are_the_fib_lucas_values():
+    pairs = list(sequences.lucas_pairs(60))
+    assert pairs == [(p.f, p.l) for p in map(sequences.fib_lucas, range(61))]
+
+
+def test_cheb_pairs_match_the_two_term_recurrence():
+    # (T_m(n), U_{m-1}(n)) stepped from (T_{-1}, T_0) = (n, 1), (U_{-2}, U_{-1}) = (-1, 0)
+    for n in range(25):
+        t0, t1, u0, u1 = n, 1, -1, 0
+        want = [(t1, u1)]
+        for _ in range(12):
+            t0, t1 = t1, 2 * n * t1 - t0
+            u0, u1 = u1, 2 * n * u1 - u0
+            want.append((t1, u1))
+        assert list(islice(sequences.cheb_pairs(n), 13)) == want
+
+
 def test_cheb_pair_rejects_negative_index():
     with pytest.raises(ValueError):
         sequences.cheb_pair(-1, 3)
@@ -92,13 +110,14 @@ def test_pell_identity():
 
 
 def test_pell_identity_catches_one_wrong_value(monkeypatch):
-    cheb_pair = sequences.cheb_pair
+    # the check runs one cheb_pairs(n) per point, so U_6(9) + 1 is wrong at (7, 9) only
+    cheb_pairs = sequences.cheb_pairs
 
-    def off_by_one(m, n):
-        t, u = cheb_pair(m, n)
-        return t, u + ((m, n) == (7, 9))
+    def off_by_one(n):
+        for m, (t, u) in enumerate(cheb_pairs(n)):
+            yield t, u + ((m, n) == (7, 9))
 
-    monkeypatch.setattr(sequences, "cheb_pair", off_by_one)
+    monkeypatch.setattr(sequences, "cheb_pairs", off_by_one)
     assert not sequences.pell_identity_check(12)
 
 
@@ -200,9 +219,16 @@ def test_sequences_stop_at_the_first_value_past_the_digit_limit(limit):
         assert sequences.fib_lucas(first_l - 1).l == lucas[first_l - 1]
         with pytest.raises(OutputTooLarge):
             sequences.fib_lucas(first_l)
+        assert [l for _, l in sequences.lucas_pairs(first_l - 1)] == lucas[:first_l]
+        with pytest.raises(OutputTooLarge):
+            list(sequences.lucas_pairs(first_l))
         assert sequences.cheb_pair(first_t - 1, 9) == (t[-2], u[-2])
         with pytest.raises(OutputTooLarge):
             sequences.cheb_pair(first_t, 9)
+        pairs = sequences.cheb_pairs(9)
+        assert list(islice(pairs, first_t)) == list(zip(t[1:-1], u[1:-1]))
+        with pytest.raises(OutputTooLarge):
+            next(pairs)
         # no limit, no bound
         sys.set_int_max_str_digits(0)
         assert sequences.fib_lucas(first_l).l == lucas[first_l]
