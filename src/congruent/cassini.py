@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conics import _signed_triangle, f2_squared
+from .conics import f2_squared, signed_triangle
 from .exact import rat_sqrt
 from .triples import RatTriangle
 
@@ -130,7 +130,7 @@ def heegner_two(n, f1, f2, adjoin="none"):
     if c1c3 is None:
         raise ValueError("c1 c3 irrational: sides do not rationalize")
     # right, area N: tests/test_identities.py::test_heegner_two_triangle_is_the_conic_triangle
-    tri = _signed_triangle(n, f1**2, f2sq, c1c3)
+    tri = signed_triangle(n, f1**2, f2sq, c1c3)
     if tri.c < 0:
         tri = tri.scaled(-1)
     oval = CassiniOval(c2**2, c1sq**2 * n**2, x_weight=1)

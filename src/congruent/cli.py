@@ -119,11 +119,12 @@ def _point(p):
 def _cmd_triples(args):
     from . import triples
     m, n = args.m, args.n
-    ac, bc, ba = triples.derived_triples(m, n)
-    quad = triples.area_quad(m, n)
-    ident = triples.area_identity_check(m, n)
-    dist = triples.distance_identity(m, n)
-    sols = triples.concordant_solutions(m, n)
+    pair = triples.derive(m, n)
+    ac, bc, ba = triples.derived_triples(pair)
+    quad = pair.quad
+    ident = triples.area_identity(pair)
+    dist = triples.distance_identity(pair)
+    sols = triples.concordant_solutions(pair)
     results = {
         "triple_ac": _tri_dict(ac),
         "triple_bc": _tri_dict(bc),
@@ -133,7 +134,7 @@ def _cmd_triples(args):
         "concordant": [
             {"x": s.x, "y": s.y, "z": s.z, "t": s.t, "n": s.n} for s in sols
         ],
-        "distance_root": dist["lhs_root"],
+        "distance_root": Fraction(dist["lhs_root"], pair.d),
     }
     checks = [
         ("area identity", ident["holds"]),

@@ -23,6 +23,7 @@ from .triples import RatTriangle, triangle_point
 
 __all__ = [
     "f2_squared",
+    "signed_triangle",
     "conic_triangle",
     "conic_ec_points",
     "intersect_example",
@@ -53,7 +54,7 @@ def f2_squared(n, f2, adjoin="none"):
     return f2sq
 
 
-def _signed_triangle(n, f1sq, f2sq, ef):
+def signed_triangle(n, f1sq, f2sq, ef):
     """Triangle from the conic closed forms given E = e*f1*f2 (signed)."""
     w = n * f1sq - f2sq
     s = n * f1sq + f2sq
@@ -81,7 +82,7 @@ def conic_triangle(n, f1, f2, adjoin="none"):
         raise ValueError(
             "e*f1*f2 is irrational; (N, f1, f2) is not a valid rational input"
         )
-    return _signed_triangle(n, f1sq, f2sq, ef)
+    return signed_triangle(n, f1sq, f2sq, ef)
 
 
 def conic_ec_points(tri):
@@ -206,7 +207,7 @@ def _lattice_triangle(m, n, name):
         raise ValueError(f"degenerate (m, n): denominator of {name} vanishes")
     s = m**2 + n**2
     x, e = _lattice_point(m, n)
-    return _signed_triangle(x, Fraction(1), s**2, e * s)
+    return signed_triangle(x, Fraction(1), s**2, e * s)
 
 
 def lattice_points(m, n):
@@ -264,7 +265,7 @@ def lattice_secondary(m, n, t):
         e2 = t * (x2 - x_i) + e_i
         # the triangle is built from the positive root at the new abscissa
         ef = abs(e2) * s  # f1 = 1, f2 = m^2+n^2 exactly rational here
-        primitive, tri = reduce_raise(_signed_triangle(x2, Fraction(1), f2sq, ef))
+        primitive, tri = reduce_raise(signed_triangle(x2, Fraction(1), f2sq, ef))
         if primitive != abs(squarefree_part(n_i2)):
             raise AssertionError("secondary congruent number mismatch")
         out.append(

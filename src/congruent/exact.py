@@ -26,7 +26,6 @@ __all__ = [
     "factorize",
     "squarefree_part",
     "printable_bits",
-    "printable_bit_limit",
     "check_printable",
     "format_rat",
 ]
@@ -226,15 +225,10 @@ def printable_bits(digits):
     return (10**digits).bit_length() if digits else None
 
 
-def printable_bit_limit():
-    """printable_bits(sys.get_int_max_str_digits()), or math.inf when there is no limit."""
-    return printable_bits(sys.get_int_max_str_digits()) or math.inf
-
-
 def check_printable(*values):
     """Raise OutputTooLarge if an int, or a Fraction's numerator or denominator,
-    has more bits than printable_bit_limit() allows."""
-    bits = printable_bit_limit()
+    has more bits than printable_bits(sys.get_int_max_str_digits()) allows."""
+    bits = printable_bits(sys.get_int_max_str_digits()) or math.inf
     for v in values:
         if v.numerator.bit_length() > bits or v.denominator.bit_length() > bits:
             raise OutputTooLarge

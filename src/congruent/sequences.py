@@ -1,14 +1,14 @@
 """Congruent-number families from Fibonacci/Lucas and Chebyshev numbers.
 
 The Lucas identity L_n^2 = 5 F_n^2 + 4(-1)^n turns the algebraic identity
-(L^2-4)^2 + (4L)^2 = (L^2+4)^2 into right triangles: for even indices the
-triangle (5F, 4L/F, (L^2+4)/F) of area 10L, for odd indices the integer
-triangle (L^2-4, 4L, 5F^2).  The Pell relation T_m(n)^2 =
-(n^2-1)U_{m-1}(n)^2 + 1 does the same for Chebyshev values, and
-specializing at n=2 connects the family to the Heronian triangles with
-consecutive integer sides.  Every family instance carries explicit
-rational points on its curve y^2 = x^3 - N^2 x, tied together by the
-group law: P1 = (0,0) + P0 and P2 = 2 P0.
+(L^2-4)^2 + (4L)^2 = (L^2+4)^2 into the integer triangle (L^2-4, 4L, 5F^2)
+at odd indices.  At even indices it is the Pell relation T^2 - D U^2 = s^2
+at (D, s) = (5, 2), and T_m(n)^2 = (n^2-1)U_{m-1}(n)^2 + 1 is the same at
+(n^2-1, 1); a solution gives the triangle (DU, 2sT/U, (T^2+s^2)/U) of area
+sDT.  Specializing the Chebyshev family at n=2 connects it to the Heronian
+triangles with consecutive integer sides.  Every family instance carries
+explicit rational points on its curve y^2 = x^3 - N^2 x, tied together by
+the group law: P1 = (0,0) + P0 and P2 = 2 P0.
 
 T_m(n) and U_{m-1}(n) are integers computed together by one recurrence.
 The Pell relation, a polynomial identity of degree 2m in n, is proved by
@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .elliptic import Curve, Point
-from .exact import EffortOutOfRange, OutputTooLarge, printable_bit_limit
+from .exact import EffortOutOfRange, check_printable
 from .triples import RatTriangle, triangle_point
 
 __all__ = [
@@ -75,13 +75,11 @@ def lucas_pairs(n):
         raise ValueError("need n >= 0")
     f0, f1 = 0, 1
     l0, l1 = 2, 1
-    bits = printable_bit_limit()
     yield f0, l0
     for _ in range(n):
         f0, f1 = f1, f0 + f1
         l0, l1 = l1, l0 + l1
-        if l0.bit_length() > bits:
-            raise OutputTooLarge
+        check_printable(l0)
         yield f0, l0
 
 
@@ -104,23 +102,30 @@ def standard_points(tri):
     return triangle_point(tri), Point(c**2 / 4, c * (a**2 - b**2) / 8)
 
 
+def _pell_family(d, t, u, s):
+    """Triangle, congruent number and curve points for T^2 - D U^2 = s^2.
+
+    The triangle (DU, 2sT/U, (T^2+s^2)/U) has area N = sDT, and P0 =
+    (-s^2 D, s^2 D^2 U) lies on E_N with P1 = (0,0) + P0 and P2 = 2 P0.
+    """
+    # all of the above: tests/test_identities.py::test_pell_group_relations
+    tri = RatTriangle._proved(Fraction(d * u), Fraction(2 * s * t, u), Fraction(t**2 + s**2, u))
+    p0 = Point(Fraction(-s * s * d), Fraction(s * s * d * d * u))
+    return tri, s * d * t, (p0, *standard_points(tri))
+
+
 def fib_even_family(n):
     """Triangle, congruent number and curve points for index 2n.
 
-    The triangle is (5F, 4L/F, (L^2+4)/F) with (F, L) = (F_2n, L_2n); the
-    area is N = 10 L_2n and every curve in the sequence passes through
-    the vertical line x = -20 at P0 = (-20, 100 F_2n).
+    The Pell family at (D, s) = (5, 2), (T, U) = (L_2n, F_2n): the triangle
+    (5F, 4L/F, (L^2+4)/F) of area N = 10 L_2n; every curve in the sequence
+    passes through the vertical line x = -20 at P0 = (-20, 100 F_2n).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     pair = fib_lucas(2 * n)
-    f, l = pair.f, pair.l
-    # right: tests/test_identities.py::test_fib_group_relations
-    tri = RatTriangle._proved(Fraction(5 * f), Fraction(4 * l, f), Fraction(l**2 + 4, f))
-    big_n = 10 * l
-    # P0 on E_N, P1 = (0,0) + P0, P2 = 2 P0: tests/test_identities.py::test_fib_group_relations
-    p0 = Point(Fraction(-20), Fraction(100 * f))
-    return tri, big_n, (p0, *standard_points(tri))
+    # L^2 - 5 F^2 = 4 at an even index: tests/test_identities.py::test_lucas_identity_at_every_index
+    return _pell_family(5, pair.l, pair.f, 2)
 
 
 def fib_odd_family(n):
@@ -142,13 +147,11 @@ def cheb_pairs(n):
     gives (1, 0); raises OutputTooLarge at the first value past the digit limit.
     """
     t0, t1, u0, u1 = n, 1, -1, 0
-    bits = printable_bit_limit()
     while True:
         yield t1, u1
         t0, t1 = t1, 2 * n * t1 - t0
         u0, u1 = u1, 2 * n * u1 - u0
-        if t1.bit_length() > bits or u1.bit_length() > bits:
-            raise OutputTooLarge
+        check_printable(t1, u1)
 
 
 def cheb_pair(m, n):
@@ -161,19 +164,15 @@ def cheb_pair(m, n):
 def cheb_family(m, n):
     """Triangle, congruent number and P0 for the Chebyshev family.
 
-    T = T_m(n) and U = U_{m-1}(n) give the triangle ((n^2-1)U, 2T/U,
-    (T^2+1)/U) of area N = (n^2-1)T, with P0 = (1-n^2, (n^2-1)^2 U) on
-    E_N and the standard companion points P1, P2.
+    The Pell family at (D, s) = (n^2-1, 1) and (T, U) = (T_m(n), U_{m-1}(n)):
+    the triangle ((n^2-1)U, 2T/U, (T^2+1)/U) of area N = (n^2-1)T, with
+    P0 = (1-n^2, (n^2-1)^2 U) on E_N and the standard companion points P1, P2.
     """
     if m < 1 or n < 2:
         raise ValueError("need m >= 1 and n >= 2")
     t, u = cheb_pair(m, n)
-    # right: tests/test_identities.py::test_cheb_group_relations
-    tri = RatTriangle._proved(Fraction((n**2 - 1) * u), Fraction(2 * t, u), Fraction(t**2 + 1, u))
-    big_n = (n**2 - 1) * t
-    # P0 on E_N, P1 = (0,0) + P0, P2 = 2 P0: tests/test_identities.py::test_cheb_group_relations
-    p0 = Point(Fraction(1 - n**2), Fraction((n**2 - 1) ** 2 * u))
-    return tri, big_n, (p0, *standard_points(tri))
+    # T^2 - (n^2-1) U^2 = 1: pell_identity_check
+    return _pell_family(n**2 - 1, t, u, 1)
 
 
 def pell_identity_check(max_m=12):

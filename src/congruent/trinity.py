@@ -31,7 +31,7 @@ from itertools import product
 from math import factorial, lcm
 
 from .exact import EffortOutOfRange
-from .triples import derived_triples, euclid
+from .triples import derive
 
 __all__ = [
     "Vec3F",
@@ -350,15 +350,14 @@ def sum_of_squares_identity(m, n):
     """The common squared norm of the three side vectors for one (m, n).
 
     Whether sum a_i^2 = 2 sum b_i^2 = (2/3) sum c_i^2
-    = (2(C^4 - (AB)^2)/(ABC))^2 over the derived triples.
+    = (2(C^4 - (AB)^2)/(ABC))^2 over the derived triples, compared as the
+    integer numerators over D^2 of the sides over the one D = ABC.
     """
-    t = euclid(m, n)
-    ac, bc, ba = derived_triples(m, n)
-    sa = ac.a**2 + bc.a**2 + ba.a**2
-    sb = ac.b**2 + bc.b**2 + ba.b**2
-    sc = ac.c**2 + bc.c**2 + ba.c**2
-    rhs = Fraction(2 * (t.c**4 - (t.a * t.b) ** 2), t.a * t.b * t.c) ** 2
-    return sa == 2 * sb == Fraction(2, 3) * sc == rhs
+    pair = derive(m, n)
+    t = pair.triple
+    sa, sb, sc = (sum(x**2 for x in column) for column in zip(*pair.sides))
+    root = 2 * (t.c**4 - (t.a * t.b) ** 2)
+    return 3 * sa == 6 * sb == 2 * sc == 3 * root**2
 
 
 # The base circle (signs (1, 1, 1)) of each family: center C, directions u

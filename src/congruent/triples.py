@@ -6,11 +6,13 @@ numbers tied together by a single quartic identity.  Also here: the
 point of a right triangle of area N on y^2 = x^3 - N^2 x, the collinear
 points the three areas induce on their curves, Euler concordant-form
 solutions read off the hypotenuses, and the three-dimensional distance
-identity of the side differences.
+identity of the side differences, each read from the one EuclidPair
+that derive(m, n) builds.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -24,10 +26,11 @@ __all__ = [
     "triangle_point",
     "AreaQuad",
     "ConcordantSolution",
+    "EuclidPair",
     "euclid",
+    "derive",
     "derived_triples",
-    "area_quad",
-    "area_identity_check",
+    "area_identity",
     "connecting_points",
     "concordant_solutions",
     "distance_identity",
@@ -134,6 +137,10 @@ class ConcordantSolution:
             raise ValueError("concordant form x^2 - N y^2 = t^2 fails")
 
 
+# what derive(m, n) returns; every derived quantity below reads one pair
+EuclidPair = namedtuple("EuclidPair", "triple quad d sides")
+
+
 def _check_mn(m, n):
     if not (m > n > 0):
         raise ValueError(f"need m > n > 0, got (m, n) = ({m}, {n})")
@@ -146,8 +153,9 @@ def euclid(m, n):
     return PythTriple(m**2 - n**2, 2 * m * n, m**2 + n**2)
 
 
-def _pair(m, n):
-    """euclid(m, n), its AreaQuad, D = ABC and the integer side numerators over D of AC, BC, BA.
+def derive(m, n):
+    """The EuclidPair of euclid(m, n): the triple, its AreaQuad, D = ABC and
+    the integer side numerators over D of the derived triples AC, BC, BA.
 
     With (X, Y, Z) = (A, C, B), (B, C, A) and (A, B, C) in turn, the sides
     are (2 X^2 Y^2, Z^2 (Y^2 + X^2), X^4 + Y^4) / D, with Y^2 - X^2 for BA;
@@ -156,46 +164,39 @@ def _pair(m, n):
     t = euclid(m, n)
     a2, b2, c2 = t.a**2, t.b**2, t.c**2
     q = AreaQuad(t.a * t.b // 2, a2 + c2, b2 + c2, b2 - a2)
-    return t, q, t.a * t.b * t.c, (
+    return EuclidPair(t, q, t.a * t.b * t.c, (
         (2 * a2 * c2, b2 * (a2 + c2), a2**2 + c2**2),
         (2 * b2 * c2, a2 * (b2 + c2), b2**2 + c2**2),
         (2 * a2 * b2, c2 * (b2 - a2), a2**2 + b2**2),
-    )
+    ))
 
 
-def derived_triples(m, n):
-    """The three rational triples built by pairing sides of euclid(m, n).
+def derived_triples(pair):
+    """The three rational triples built by pairing sides of the pair's triple.
 
     Returns (AC, BC, BA); BA's middle side goes negative once B < A.
     """
-    _, _, d, table = _pair(m, n)
     # right: tests/test_identities.py::test_derived_triples_are_right
-    return tuple(RatTriangle._proved(*(Fraction(side, d) for side in sides)) for sides in table)
+    return tuple(
+        RatTriangle._proved(*(Fraction(side, pair.d) for side in sides)) for sides in pair.sides
+    )
 
 
-def area_quad(m, n):
-    """(N, N_AC, N_BC, N_BA) = (AB/2, A^2+C^2, B^2+C^2, B^2-A^2)."""
-    return _pair(m, n)[1]
-
-
-def _area_identity(t, q, *_):
+def area_identity(pair):
+    """Both sides of N_AC^2 + N_BC^2 + N_BA^2 = 6(C^4 - 4N^2)."""
+    q = pair.quad
     lhs = q.n_ac**2 + q.n_bc**2 + q.n_ba**2
-    rhs = 6 * (t.c**4 - 4 * q.n**2)
+    rhs = 6 * (pair.triple.c**4 - 4 * q.n**2)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs == rhs}
 
 
-def area_identity_check(m, n):
-    """Both sides of N_AC^2 + N_BC^2 + N_BA^2 = 6(C^4 - 4N^2)."""
-    return _area_identity(*_pair(m, n))
-
-
-def connecting_points(m, n):
+def connecting_points(pair):
     """The collinear points at y = 2ABC on the three area curves.
 
     Returns three (curve, point) pairs; each curve is y^2 = x^3 - N^2 x
     built from the squared area, so the sign of N_BA does not matter.
     """
-    t, q = _pair(m, n)[:2]
+    t, q = pair.triple, pair.quad
     a, b, c = t.a, t.b, t.c
     y = 2 * a * b * c
     pairs = (
@@ -207,27 +208,35 @@ def connecting_points(m, n):
     return pairs
 
 
-def _concordant(_t, q, d, table):
-    y = 2 * d
-    # x^2 ± N y^2 are squares: tests/test_identities.py::test_concordant_radicals_are_squares
-    return tuple(
-        ConcordantSolution(x, y, isqrt(x**2 + area * y**2), isqrt(x**2 - area * y**2), area)
-        for (_, _, x), area in zip(table, (q.n_ac, q.n_bc, q.n_ba))
-    )
-
-
-def concordant_solutions(m, n):
+def concordant_solutions(pair):
     """Euler concordant-form solutions for the AC, BC and BA hypotenuses.
 
     (x, y) is (numerator of c over D = ABC, 2D); z and t are the roots of
     the radical definitions, and all three y values equal 2ABC.
     """
-    return _concordant(*_pair(m, n))
+    q = pair.quad
+    y = 2 * pair.d
+    # x^2 ± N y^2 are squares: tests/test_identities.py::test_concordant_radicals_are_squares
+    return tuple(
+        ConcordantSolution(x, y, isqrt(x**2 + area * y**2), isqrt(x**2 - area * y**2), area)
+        for (_, _, x), area in zip(pair.sides, (q.n_ac, q.n_bc, q.n_ba))
+    )
 
 
-def _distance(t, _q, _d, table):
-    """(lhs root, (sum d_i, u, v, w), holds) of distance_identity, as numerators over D."""
-    d1, d2, d3 = (c - a for a, _, c in table)
+def distance_identity(pair):
+    """The squared-distance identity for the vectors of first sides vs hypotenuses.
+
+    With d_i = c_i - a_i over the AC, BC, BA triples, verifies
+        (2(C^4 - 3(AB)^2)/(ABC))^2 = 2*sum d_i^2 = (sum d_i)^2
+                                   = 4*(d1 d2 + d1 d3 + d2 d3)
+    and that each product 4 d_i d_j is the square of a signed combination
+    u, v, w of the d_i (so a perfect rational square), returning the
+    resulting Pythagorean quadruple decomposition of (sum d_i)^2.  Every
+    quantity is an integer numerator over D = pair.d, so the identities
+    compare integers; "lhs_root" and "quadruple" are such numerators.
+    """
+    t = pair.triple
+    d1, d2, d3 = (c - a for a, _, c in pair.sides)
     lhs_root = 2 * (t.c**4 - 3 * (t.a * t.b) ** 2)
     lhs = lhs_root**2
     total = d1 + d2 + d3
@@ -238,24 +247,8 @@ def _distance(t, _q, _d, table):
     u, v, w = d1 + d2 - d3, d1 - d2 + d3, -d1 + d2 + d3
     eq19 = 4 * d1 * d2 == u**2 and 4 * d1 * d3 == v**2 and 4 * d2 * d3 == w**2
     decomposition = total**2 == u**2 + v**2 + w**2
-    return lhs_root, (total, u, v, w), eq16 and eq17 and eq18 and eq19 and decomposition
-
-
-def distance_identity(m, n):
-    """The squared-distance identity for the vectors of first sides vs hypotenuses.
-
-    With d_i = c_i - a_i over the AC, BC, BA triples, verifies
-        (2(C^4 - 3(AB)^2)/(ABC))^2 = 2*sum d_i^2 = (sum d_i)^2
-                                   = 4*(d1 d2 + d1 d3 + d2 d3)
-    and that each product 4 d_i d_j is the square of a signed combination
-    u, v, w of the d_i (so a perfect rational square), returning the
-    resulting Pythagorean quadruple decomposition of (sum d_i)^2.  Every
-    quantity is a numerator over D = ABC, so the identities compare integers.
-    """
-    t, q, d, table = _pair(m, n)
-    lhs_root, quadruple, holds = _distance(t, q, d, table)
     return {
-        "lhs_root": Fraction(lhs_root, d),
-        "quadruple": tuple(Fraction(x, d) for x in quadruple),
-        "holds": holds,
+        "lhs_root": lhs_root,
+        "quadruple": (total, u, v, w),
+        "holds": eq16 and eq17 and eq18 and eq19 and decomposition,
     }

@@ -44,15 +44,16 @@ _DISTANCE_ROOT_2_1 = F(193, 30)
 def suite_triples():
     """The (m, n) = (2, 1) worked example, end to end."""
     checks = []
-    derived = triples.derived_triples(2, 1)
+    pair = triples.derive(2, 1)
+    derived = triples.derived_triples(pair)
     for name, got, want in zip(("AC", "BC", "BA"), derived, _DERIVED_2_1):
         checks.append((f"derived {name}", got == want))
-    q = triples.area_quad(2, 1)
+    q = pair.quad
     checks.append(("area quadruple", (q.n, q.n_ac, q.n_bc, q.n_ba) == (6, 34, 41, 7)))
-    rep = triples.area_identity_check(2, 1)
+    rep = triples.area_identity(pair)
     checks.append(("area identity holds", rep["holds"]))
     checks.append(("area identity value", rep["lhs"] == 2886 == rep["rhs"]))
-    pairs = triples.connecting_points(2, 1)
+    pairs = triples.connecting_points(pair)
     checks.append(
         (
             "connecting points",
@@ -60,7 +61,7 @@ def suite_triples():
             == [(-16, 120), (-9, 120), (25, 120)],
         )
     )
-    sols = triples.concordant_solutions(2, 1)
+    sols = triples.concordant_solutions(pair)
     want = ((706, 120, 994, 94, 34), (881, 120, 1169, 431, 41), (337, 120, 463, 113, 7))
     checks.append(
         (
@@ -68,9 +69,9 @@ def suite_triples():
             tuple((s.x, s.y, s.z, s.t, s.n) for s in sols) == want,
         )
     )
-    rep = triples.distance_identity(2, 1)
+    rep = triples.distance_identity(pair)
     checks.append(("distance identity holds", rep["holds"]))
-    checks.append(("distance identity root", rep["lhs_root"] == _DISTANCE_ROOT_2_1))
+    checks.append(("distance identity root", F(rep["lhs_root"], pair.d) == _DISTANCE_ROOT_2_1))
     checks.append(
         ("distance quadruple", rep["lhs_root"] ** 2 == sum(v**2 for v in rep["quadruple"][1:]))
     )
@@ -96,12 +97,12 @@ def suite_triples_random():
     """Derived-triple identities over 200 random admissible (m, n)."""
     for m, n in _TRIPLES_PAIRS:
         try:
-            pair = triples._pair(m, n)
-            if not triples._area_identity(*pair)["holds"]:
+            pair = triples.derive(m, n)
+            if not triples.area_identity(pair)["holds"]:
                 return [(f"area identity ({m},{n})", False)]
-            if not triples._distance(*pair)[2]:
+            if not triples.distance_identity(pair)["holds"]:
                 return [(f"distance identity ({m},{n})", False)]
-            triples._concordant(*pair)
+            triples.concordant_solutions(pair)
         except ValueError as exc:
             return [(f"random ({m},{n}): {exc}", False)]
     return [(f"{len(_TRIPLES_PAIRS)} random (m,n) pass all identities", True)]
@@ -317,9 +318,10 @@ def suite_footprints():
     reports = footprints.verify_tables()
     bad = [r for r in reports if not r["ok"]]
     checks = [(f"all {len(reports)} table rows", not bad)]
+    # each worked example is its row's triangle from this run, or None
+    built = {r["row"]: r["triangle"] for r in reports}
     for row, want in _FOOTPRINT_EXAMPLES:
-        got = footprints.footprint_triangle(row)
-        checks.append((f"worked example N={row.n}", got == want))
+        checks.append((f"worked example N={row.n}", built.get(row) == want))
     return checks
 
 

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from congruent import cli, fermat, recurrence, sequences, triples, verify
+from congruent import cli, fermat, footprints, recurrence, sequences, triples, verify
 from congruent.elliptic import Curve
 
 
@@ -72,6 +72,25 @@ def test_tangent_chains():
 
 def test_footprint_tables_and_worked_examples():
     _all_pass(verify.suite_footprints())
+
+
+def test_worked_footprint_examples_read_the_table_run(monkeypatch):
+    # each worked example is the triangle the table run built for its row:
+    # a row missing from the run reads False, and a wrong triangle there too
+    real = footprints.verify_tables
+
+    def changed():
+        reports = [r for r in real() if r["row"].n != 353]
+        for r in reports:
+            if r["row"].n == 761:
+                r["triangle"] = r["triangle"].scaled(2)
+        return reports
+
+    monkeypatch.setattr(footprints, "verify_tables", changed)
+    checks = dict(verify.suite_footprints())
+    assert checks["all 142 table rows"]
+    assert not checks["worked example N=353"] and not checks["worked example N=761"]
+    assert checks["worked example N=173"] and checks["worked example N=326"]
 
 
 def test_walk_table_and_closed_forms():
@@ -206,7 +225,7 @@ def _count_fractions(monkeypatch):
 
 
 def test_random_triples_suite_builds_no_fraction(monkeypatch):
-    # each pair's identities are integers over the one D = ABC of _pair
+    # each pair's identities are integers over the one D = ABC of triples.derive
     built = _count_fractions(monkeypatch)
     assert verify.suite_triples_random() == [("200 random (m,n) pass all identities", True)]
     assert built == []
@@ -217,32 +236,34 @@ def test_gate_builds_a_bounded_number_of_fractions(monkeypatch):
     # before triples-random, footprints, recurrence and sequences ran on
     # shared integers, 5,050 after, 4,750 once the checks that could not
     # fail and the repeated sides and areas were gone, 4,572 after polyrat
-    # kept its results in normal form, and 4,249 once the reference values
-    # and tables were built once per process, not once per call (CPython 3.11)
+    # kept its results in normal form, 4,249 once the reference values and
+    # tables were built once per process, not once per call, and 4,092 once
+    # each Euclid pair was derived once, the side-vector norms compared in
+    # integers and the worked footprints read from the table run (CPython 3.11)
     verify.run_all()  # the walk table is parsed on first use
     built = _count_fractions(monkeypatch)
     results = verify.run_all()
     assert all(ok for checks in results.values() for _, ok in checks)
-    assert len(built) <= 4249
+    assert len(built) <= 4092
 
 
 @pytest.mark.parametrize(
     "corrupt, check",
     [
         # a wrong first side changes d_1 = c_1 - a_1 only
-        (lambda t, q, d, rows: (t, q, d, ((rows[0][0] + 1, *rows[0][1:]), *rows[1:])),
+        (lambda p: p._replace(sides=((p.sides[0][0] + 1, *p.sides[0][1:]), *p.sides[1:])),
          "distance identity"),
         # a wrong area fails its identity before the concordant forms can raise
-        (lambda t, q, d, rows: (t, SimpleNamespace(**{**vars(q), "n_ac": q.n_ac + 1}), d, rows),
+        (lambda p: p._replace(quad=SimpleNamespace(**{**vars(p.quad), "n_ac": p.quad.n_ac + 1})),
          "area identity"),
     ],
 )  # fmt: skip
 def test_random_triples_suite_names_a_corrupted_pair(monkeypatch, corrupt, check):
     pairs = list(verify._random_pairs(20210525, 200, 80))
     m, n = pairs[57]
-    real = triples._pair
+    real = triples.derive
     monkeypatch.setattr(
-        triples, "_pair", lambda *mn: corrupt(*real(*mn)) if mn == (m, n) else real(*mn)
+        triples, "derive", lambda *mn: corrupt(real(*mn)) if mn == (m, n) else real(*mn)
     )
     assert verify.suite_triples_random() == [(f"{check} ({m},{n})", False)]
 

@@ -26,7 +26,7 @@ from congruent import (
     verify,
 )
 from congruent.elliptic import Curve, Point
-from congruent.triples import RatTriangle, derived_triples
+from congruent.triples import RatTriangle, derive, derived_triples
 
 
 def run(capsys, argv):
@@ -346,14 +346,14 @@ def _stretch(tri):
         # check sees a broken helper, and the points of a wrong conic
         # triangle are off E_N too
         (["conics", "triangle", "--n", "157", "--f1", "87005", "--f2", "610961"],
-         conics, "_signed_triangle", _double_legs, ["area = N", "points infinite order"]),
+         conics, "signed_triangle", _double_legs, ["area = N", "points infinite order"]),
         (["conics", "lattice", "--m", "1", "--n", "2"],
          conics, "_lattice_triangle", lambda tri: tri.scaled(Fraction(1, 2)),
          "lattice triangles have area x_i"),
         (["tangent", "--n", "5", "--a", "3/2", "--b", "20/3"],
          tangent.TangentChain, "doubling_holds", lambda ok: False, "doubling relation"),
         (["cassini", "two", "--n", "29", "--f1", "1", "--f2", "-13"],
-         cassini, "_signed_triangle", _double_legs, "triangle area = N"),
+         cassini, "signed_triangle", _double_legs, "triangle area = N"),
         (["footprints", "triangle", "--n", "14", "--m", "2", "--k", "1", "--cls", "TIII"],
          footprints, "footprint_triangle", _double_legs, "area = N"),
         (["seq", "brahmagupta", "--k", "0"],
@@ -363,11 +363,11 @@ def _stretch(tri):
          conics, "_lattice_n2", lambda n2: 4 * n2, "secondary intersections verified"),
         # each printed triangle must be right as well as of area N
         (["conics", "triangle", "--n", "157", "--f1", "87005", "--f2", "610961"],
-         conics, "_signed_triangle", _stretch, ["area = N", "points infinite order"]),
+         conics, "signed_triangle", _stretch, ["area = N", "points infinite order"]),
         (["conics", "lattice", "--m", "1", "--n", "2"],
          conics, "_lattice_triangle", _stretch, "lattice triangles have area x_i"),
         (["cassini", "two", "--n", "29", "--f1", "1", "--f2", "-13"],
-         cassini, "_signed_triangle", _stretch, "triangle area = N"),
+         cassini, "signed_triangle", _stretch, "triangle area = N"),
         (["footprints", "triangle", "--n", "14", "--m", "2", "--k", "1", "--cls", "TIII"],
          footprints, "footprint_triangle", _stretch, "area = N"),
         (["seq", "fib", "--n", "3"],
@@ -532,7 +532,7 @@ def test_every_proved_triangle_is_right(monkeypatch, capsys):
     capsys.readouterr()
     for m in range(2, 13):
         for n in range(1, m):
-            derived_triples(m, n)
+            derived_triples(derive(m, n))
             tri0, n0 = recurrence.euclid_root(m, n)
             for path in map("".join, product("ab", repeat=4)):
                 recurrence.walk(tri0, n0, path)

@@ -50,6 +50,49 @@ def test_no_new_assertion_error_in_src():
     assert sites == ASSERTION_SITES
 
 
+# A module reads only its siblings' public names: a private helper serves its
+# own module, and a helper that two modules share is public. Class attributes
+# such as RatTriangle._proved are not module reads. This set may only shrink.
+PRIVATE_READS = set()
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_reads(tree):
+    """(sibling, name) for each `from .sibling import _name` and `sibling._name` in tree."""
+    reads = set()
+    siblings = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+            siblings.update((a.asname or a.name, a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module is not None:
+            reads |= {(node.module, a.name) for a in node.names if _is_private(a.name)}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in siblings and _is_private(node.attr):
+                reads.add((siblings[node.value.id], node.attr))
+    return reads
+
+
+def test_the_private_name_rule_sees_imports_and_attributes():
+    source = (
+        "from .conics import _a, b\n"
+        "from . import triples as t, verify\n"
+        "def f():\n"
+        "    return t._pair(1), verify.__name__, RatTriangle._proved, triples._x\n"
+    )
+    assert _private_reads(ast.parse(source)) == {("conics", "_a"), ("triples", "_pair")}
+
+
+def test_no_module_reads_a_private_name_of_another():
+    sites = set()
+    for path in Path(congruent.__file__).parent.glob("*.py"):
+        sites |= {(path.stem, *read) for read in _private_reads(ast.parse(path.read_text()))}
+    assert sites == PRIVATE_READS
+
+
 def test_only_the_cli_names_flags():
     # a library module words its errors in its own parameter names; cli.main
     # turns an effort bound into its flag (ROADMAP item 12)

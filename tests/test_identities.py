@@ -106,7 +106,7 @@ def test_conic_points_match_the_conic_forms(record_triangles):
     e2 = n * f1sq * f2sq - w**2 / 4
     # conic_triangle takes ef as the root of e2 f1^2 f2^2
     relation, gens = [ef**2 - e2 * f1sq * f2sq], (ef, n, f1sq, f2sq)
-    p1, p2 = conics.conic_ec_points(conics._signed_triangle(n, f1sq, f2sq, ef))
+    p1, p2 = conics.conic_ec_points(conics.signed_triangle(n, f1sq, f2sq, ef))
     # the closed forms in (N, f1^2, f2^2, ef) that P1, P2 were computed from
     # before they were read off the triangle
     h = (n * f1sq + f2sq) / 2
@@ -127,13 +127,13 @@ def test_conic_points_match_the_conic_forms(record_triangles):
 
 
 def test_heegner_two_triangle_is_the_conic_triangle(record_triangles):
-    # heegner_two calls _signed_triangle at ef = c1 c3, where c3^2 = |e2|:
+    # heegner_two calls signed_triangle at ef = c1 c3, where c3^2 = |e2|:
     # ef^2 = e2 f1^2 f2^2 inside the real ellipse and -e2 f1^2 f2^2 outside
     n, f1sq, f2sq, ef = sympy.symbols("n f1sq f2sq ef")
     w = n * f1sq - f2sq
     s = n * f1sq + f2sq
     e2 = n * f1sq * f2sq - w**2 / 4
-    tri = conics._signed_triangle(n, f1sq, f2sq, ef)
+    tri = conics.signed_triangle(n, f1sq, f2sq, ef)
     assert _vanishes(tri.a * tri.b / 2 - n)
     for sign in (1, -1):
         relation, gens = [ef**2 - sign * e2 * f1sq * f2sq], (ef, n, f1sq, f2sq)
@@ -154,7 +154,7 @@ def test_heegner_two_triangle_is_the_conic_triangle(record_triangles):
 
 def test_lattice_triangle_matches_its_closed_form(record_triangles):
     # T(m, n), the conic triangle at P(m, n), is the closed form in (m, n)
-    # that lattice_points printed before it was built by _signed_triangle
+    # that lattice_points printed before it was built by signed_triangle
     m, n = sympy.symbols("m n")
     tri = conics._lattice_triangle(m, n, "a1")
     x, _ = conics._lattice_point(m, n)
@@ -250,11 +250,19 @@ def _assert_group_relations(tri, n, p0, relation, gens):
         assert _vanishes(got.y - want.y, [relation], gens)
 
 
-def test_fib_group_relations():
-    # fib_even_family at (F, L) = (F_2k, L_2k), where L^2 = 5 F^2 + 4
-    f, l = sympy.symbols("f l")
-    tri = SimpleNamespace(a=5 * f, b=4 * l / f, c=(l**2 + 4) / f)
-    _assert_group_relations(tri, 10 * l, Point(-20, 100 * f), l**2 - 5 * f**2 - 4, (l, f))
+def test_pell_group_relations(monkeypatch):
+    # _pell_family at a solution of T^2 - D U^2 = s^2: fib_even_family is
+    # (D, s) = (5, 2) at (T, U) = (L_2k, F_2k), where L^2 = 5 F^2 + 4, and
+    # cheb_family is (k^2 - 1, 1) at (T_m(k), U_{m-1}(k))
+    t, u, d, s = sympy.symbols("t u d s")
+    monkeypatch.setattr(sequences, "Fraction", lambda num, den=1: num / den)
+    record = SimpleNamespace(_proved=lambda a, b, c: SimpleNamespace(a=a, b=b, c=c))
+    monkeypatch.setattr(sequences, "RatTriangle", record)
+    tri, n, (p0, p1, p2) = sequences._pell_family(d, t, u, s)
+    assert _vanishes(tri.a * tri.b / 2 - n)
+    relation, gens = t**2 - d * u**2 - s**2, (t, u, d, s)
+    _assert_group_relations(tri, n, p0, relation, gens)
+    assert (p1, p2) == sequences.standard_points(tri)
 
 
 def test_fib_odd_triangle_is_right():
@@ -263,14 +271,6 @@ def test_fib_odd_triangle_is_right():
     f, l = sympy.symbols("f l")
     a, b, c = l**2 - 4, 4 * l, 5 * f**2
     assert _vanishes(a**2 + b**2 - c**2, [l**2 - 5 * f**2 + 4], (l, f))
-
-
-def test_cheb_group_relations():
-    # cheb_family at (T, U) = (T_m(k), U_{m-1}(k)), where T^2 = (k^2-1) U^2 + 1
-    t, u, k = sympy.symbols("t u k")
-    tri = SimpleNamespace(a=(k**2 - 1) * u, b=2 * t / u, c=(t**2 + 1) / u)
-    p0 = Point(1 - k**2, (k**2 - 1) ** 2 * u)
-    _assert_group_relations(tri, (k**2 - 1) * t, p0, t**2 - (k**2 - 1) * u**2 - 1, (t, u, k))
 
 
 def test_brahmagupta_semiperimeter():
@@ -363,14 +363,13 @@ def symbolic_triples(monkeypatch):
 def test_derived_triples_are_right(symbolic_triples):
     # derived_triples' sides are these numerators over the one D = ABC
     m, n = symbolic_triples
-    *_, table = triples._pair(m, n)
-    for a, b, c in table:
+    for a, b, c in triples.derive(m, n).sides:
         assert _vanishes(a**2 + b**2 - c**2)
 
 
 def test_connecting_points_lie_on_their_curves(symbolic_triples):
     m, n = symbolic_triples
-    t, q = triples.euclid(m, n), triples.area_quad(m, n)
+    t, q, _, _ = triples.derive(m, n)
     # connecting_points' (x, 2ABC) on the curve of each area
     y = 2 * t.a * t.b * t.c
     for x, big_n in ((-(t.b**2), q.n_ac), (-(t.a**2), q.n_bc), (t.c**2, q.n_ba)):
@@ -379,8 +378,7 @@ def test_connecting_points_lie_on_their_curves(symbolic_triples):
 
 def test_concordant_radicals_are_squares(symbolic_triples):
     m, n = symbolic_triples
-    _, _, d, table = triples._pair(m, n)
-    q = triples.area_quad(m, n)
+    _, q, d, table = triples.derive(m, n)
     # the legs a/D, b/D have area N, so N (2D)^2 = 2ab and x^2 ± N y^2 = (a ± b)^2
     for (a, b, x), big_n in zip(table, (q.n_ac, q.n_bc, q.n_ba)):
         assert _vanishes(x**2 + big_n * (2 * d) ** 2 - (a + b) ** 2)

@@ -4,13 +4,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from congruent import triples
 from congruent.triples import (
     RatTriangle,
-    area_identity_check,
-    area_quad,
+    area_identity,
     concordant_solutions,
     connecting_points,
+    derive,
     derived_triples,
     distance_identity,
     euclid,
@@ -46,7 +45,7 @@ def test_euclid_rejects_bad_parameters():
 
 
 def test_derived_triples_baseline():
-    ac, bc, ba = derived_triples(2, 1)
+    ac, bc, ba = derived_triples(derive(2, 1))
     assert ac == RatTriangle(F(15, 2), F(136, 15), F(353, 30))
     assert bc == RatTriangle(F(40, 3), F(123, 20), F(881, 60))
     assert ba == RatTriangle(F(24, 5), F(35, 12), F(337, 60))
@@ -56,8 +55,9 @@ def test_derived_triples_baseline():
 @settings(max_examples=60, deadline=None)
 def test_derived_areas_match_quadruple(mn):
     m, n = mn
-    q = area_quad(m, n)
-    ac, bc, ba = derived_triples(m, n)
+    pair = derive(m, n)
+    q = pair.quad
+    ac, bc, ba = derived_triples(pair)
     assert ac.area == q.n_ac
     assert bc.area == q.n_bc
     assert ba.area == q.n_ba
@@ -65,12 +65,12 @@ def test_derived_areas_match_quadruple(mn):
 
 
 def test_area_quad_baseline():
-    q = area_quad(2, 1)
+    q = derive(2, 1).quad
     assert (q.n, q.n_ac, q.n_bc, q.n_ba) == (6, 34, 41, 7)
 
 
 def test_area_identity_value():
-    rep = area_identity_check(2, 1)
+    rep = area_identity(derive(2, 1))
     assert rep["holds"]
     assert rep["lhs"] == rep["rhs"] == 2886
 
@@ -78,18 +78,18 @@ def test_area_identity_value():
 @given(admissible_mn)
 @settings(max_examples=60, deadline=None)
 def test_area_identity_generic(mn):
-    assert area_identity_check(*mn)["holds"]
+    assert area_identity(derive(*mn))["holds"]
 
 
 def test_connecting_points_on_curves():
-    pairs = connecting_points(2, 1)
+    pairs = connecting_points(derive(2, 1))
     assert [(p.x, p.y) for _, p in pairs] == [(-16, 120), (-9, 120), (25, 120)]
     for mn in ((2, 1), (3, 2), (7, 4), (12, 5)):
-        assert all(curve.contains(p) for curve, p in connecting_points(*mn))
+        assert all(curve.contains(p) for curve, p in connecting_points(derive(*mn)))
 
 
 def test_concordant_solutions_satisfy_both_forms():
-    sols = concordant_solutions(2, 1)
+    sols = concordant_solutions(derive(2, 1))
     for s in sols:
         assert s.x**2 + s.n * s.y**2 == s.z**2
         assert s.x**2 - s.n * s.y**2 == s.t**2
@@ -103,7 +103,7 @@ def test_concordant_solutions_satisfy_both_forms():
 @given(admissible_mn)
 @settings(max_examples=40, deadline=None)
 def test_distance_identity_generic(mn):
-    rep = distance_identity(*mn)
+    rep = distance_identity(derive(*mn))
     assert rep["holds"]
     assert rep["lhs_root"] ** 2 == sum(v**2 for v in rep["quadruple"][1:])
 
@@ -121,26 +121,24 @@ def test_rat_triangle_rejects_non_pythagorean():
 
 
 def test_gate_pair_checks_agree_with_the_public_results():
-    # the gate evaluates the area identity, the distance identity and the
-    # concordant solutions as integers from one _pair(m, n); they agree with
-    # the CLI's results and with the d_i = c_i - a_i of derived_triples
+    # the area identity, the distance identity and the concordant solutions
+    # are integers over the one D = ABC of derive(m, n); they agree with the
+    # closed forms and with the d_i = c_i - a_i of the Fraction triangles
     for m in range(2, 41):
         for n in range(1, m):
             if gcd(m, n) != 1 or (m - n) % 2 == 0:
                 continue
-            pair = triples._pair(m, n)
+            pair = derive(m, n)
             t, q, d, _ = pair
-            assert triples._area_identity(*pair) == area_identity_check(m, n)
-            sols = triples._concordant(*pair)
-            assert sols == concordant_solutions(m, n)
-            tris = derived_triples(m, n)
+            assert area_identity(pair)["holds"]
+            sols = concordant_solutions(pair)
+            tris = derived_triples(pair)
             want = [(tri.c * d, 2 * d, tri.area) for tri in tris]
             assert [(s.x, s.y, s.n) for s in sols] == want
-            root, quadruple, holds = triples._distance(*pair)
-            rep = distance_identity(m, n)
-            assert holds and rep["holds"]
-            assert F(root, d) == rep["lhs_root"] == F(2 * (t.c**4 - 3 * (t.a * t.b) ** 2), d)
+            rep = distance_identity(pair)
+            assert rep["holds"]
+            assert rep["lhs_root"] == 2 * (t.c**4 - 3 * (t.a * t.b) ** 2)
             d1, d2, d3 = (tri.c - tri.a for tri in tris)
             want = (d1 + d2 + d3, d1 + d2 - d3, d1 - d2 + d3, -d1 + d2 + d3)
-            assert tuple(F(x, d) for x in quadruple) == rep["quadruple"] == want
-            assert q == area_quad(m, n) and (q.n, q.n_ac) == (t.a * t.b // 2, t.a**2 + t.c**2)
+            assert tuple(F(x, d) for x in rep["quadruple"]) == want
+            assert (q.n, q.n_ac) == (t.a * t.b // 2, t.a**2 + t.c**2)

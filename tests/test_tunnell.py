@@ -50,7 +50,7 @@ def _certified_numbers():
     for m in range(2, 12):
         for n in range(1, m):
             if gcd(m, n) == 1 and (m - n) % 2:
-                q = triples.area_quad(m, n)
+                q = triples.derive(m, n).quad
                 yield from (q.n, q.n_ac, q.n_bc, q.n_ba)
     yield conics.conic_triangle(157, 87005, 610961).area
     for t in (Fraction(1, 3), 2, 3, Fraction(5, 2), 4, 7):
