@@ -250,19 +250,45 @@ def _assert_group_relations(tri, n, p0, relation, gens):
         assert _vanishes(got.y - want.y, [relation], gens)
 
 
-def test_pell_group_relations(monkeypatch):
-    # _pell_family at a solution of T^2 - D U^2 = s^2: fib_even_family is
-    # (D, s) = (5, 2) at (T, U) = (L_2k, F_2k), where L^2 = 5 F^2 + 4, and
-    # cheb_family is (k^2 - 1, 1) at (T_m(k), U_{m-1}(k))
-    t, u, d, s = sympy.symbols("t u d s")
-    monkeypatch.setattr(sequences, "Fraction", lambda num, den=1: num / den)
+@pytest.fixture
+def symbolic_pell(monkeypatch):
+    """sequences._pell_family over sympy symbols, its triangle left unchecked."""
+    monkeypatch.setattr(sequences, "Fraction", lambda num, den=1: sympy.sympify(num) / den)
     record = SimpleNamespace(_proved=lambda a, b, c: SimpleNamespace(a=a, b=b, c=c))
     monkeypatch.setattr(sequences, "RatTriangle", record)
-    tri, n, (p0, p1, p2) = sequences._pell_family(d, t, u, s)
+    return sequences._pell_family
+
+
+def test_pell_group_relations(symbolic_pell):
+    # _pell_family at a solution of T^2 - D U^2 = s^2
+    t, u, d, s = sympy.symbols("t u d s")
+    tri, n, (p0, p1, p2) = symbolic_pell(d, t, u, s)
     assert _vanishes(tri.a * tri.b / 2 - n)
     relation, gens = t**2 - d * u**2 - s**2, (t, u, d, s)
     _assert_group_relations(tri, n, p0, relation, gens)
     assert (p1, p2) == sequences.standard_points(tri)
+
+
+def test_fib_group_relations(symbolic_pell):
+    # fib_even_family is the Pell family at (D, s) = (5, 2) and
+    # (T, U) = (L_2k, F_2k), where L^2 = 5 F^2 + 4
+    f, l = sympy.symbols("f l")
+    tri, n, (p0, _, _) = symbolic_pell(5, l, f, 2)
+    assert (tri.a, tri.b, tri.c) == (5 * f, 4 * l / f, (l**2 + 4) / f)
+    assert (n, p0) == (10 * l, Point(-20, 100 * f))
+    _assert_group_relations(tri, n, p0, l**2 - 5 * f**2 - 4, (l, f))
+
+
+def test_cheb_group_relations(symbolic_pell):
+    # cheb_family is the Pell family at (D, s) = (k^2 - 1, 1) and
+    # (T, U) = (T_m(k), U_{m-1}(k)), where T^2 = (k^2-1) U^2 + 1
+    t, u, k = sympy.symbols("t u k")
+    tri, n, (p0, _, _) = symbolic_pell(k**2 - 1, t, u, 1)
+    want = ((k**2 - 1) * u, 2 * t / u, (t**2 + 1) / u)
+    assert all(_vanishes(got - w) for got, w in zip((tri.a, tri.b, tri.c), want))
+    assert _vanishes(n - (k**2 - 1) * t)
+    assert _vanishes(p0.x - (1 - k**2)) and _vanishes(p0.y - (k**2 - 1) ** 2 * u)
+    _assert_group_relations(tri, n, p0, t**2 - (k**2 - 1) * u**2 - 1, (t, u, k))
 
 
 def test_fib_odd_triangle_is_right():
