@@ -4,7 +4,9 @@ Curves are y^2 = x^3 + a2*x^2 + a4*x + a6, which covers both the
 congruent-number curves y^2 = x^3 - N^2 x and the factored cubics
 y^2 = (x+AB)(x+BC)(x+AC) used by the Heronian-triangle family.  Points are
 affine pairs of Fractions or the point at infinity; exactness, not speed,
-is the goal, so there are no projective coordinates.
+is the goal, so there are no projective coordinates.  ``add`` reads the sum's
+y on the chord at its first argument, so a caller passes the point of smaller
+height first.
 
 Points are validated once, where they enter: a construction's points lie
 on its curve by an identity proved in tests/test_identities.py, input
@@ -81,7 +83,12 @@ class Curve:
             raise ValueError(f"point {p} is not on the curve")
 
     def add(self, p, q):
-        """Chord-tangent addition of two points already known to be on the curve."""
+        """Chord-tangent addition of two points already known to be on the curve.
+
+        The sum is the same exact pair either way round, but y3 is read on the
+        chord at p, so passing the point of smaller height as p saves the
+        big-by-big products and gcds of reading it at the larger one.
+        """
         if p.infinity:
             return q
         if q.infinity:
@@ -105,6 +112,7 @@ class Curve:
         if k < 0:
             return self.mul(-k, -p)
         self._require(p)
+        # acc = (k mod 2^i) P is never larger than addend = 2^i P, so it goes first
         acc = INFINITY
         addend = p
         while k:
@@ -120,7 +128,8 @@ class Curve:
         self._require(p)
         acc = INFINITY
         for k in range(1, MAZUR_MAX_ORDER + 1):
-            acc = self.add(acc, p)
+            # p is the small point: read the chord there, not at k*P
+            acc = self.add(p, acc)
             if acc.infinity:
                 return k
         return None

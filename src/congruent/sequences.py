@@ -40,8 +40,8 @@ __all__ = [
     "brahmagupta",
 ]
 
-# k = 400 takes about 0.7 s as a `seq brahmagupta` process on a 2-vCPU
-# host, 0.4 s of it in the one Mazur loop of certify_infinite_order, on Q0
+# k = 400 takes about 0.3 s as a `seq brahmagupta` process on a 2-vCPU
+# host, 0.13 s of it in the one Mazur loop of certify_infinite_order, on Q0
 MAX_BRAHMAGUPTA_K = 400
 
 

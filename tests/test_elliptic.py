@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from congruent.conics import conic_ec_points, conic_triangle
-from congruent.elliptic import INFINITY, Curve, Point, curve_en
+from congruent.elliptic import INFINITY, MAZUR_MAX_ORDER, Curve, Point, curve_en
+from congruent.sequences import brahmagupta
 from congruent.tangent import tangent_intersection
 
 F = Fraction
@@ -63,6 +64,76 @@ def test_torsion_orders():
         q = Point(F(x), F(0))
         assert E5.order_at_most(q) == 2
     assert E5.order_at_most(INFINITY) == 1
+
+
+def _tate_normal_form(b, c):
+    """E(b, c): y^2 + (1-c)xy - by = x^3 - bx^2 and P = (0, 0), with the square completed."""
+    a1, a3, a2 = 1 - c, -b, -b
+    return Curve(a2 + a1**2 / 4, a1 * a3 / 2, a3**2 / 4), Point(F(0), a3 / 2)
+
+
+T = F(3)
+# Kubert's (b, c) families, on which (0, 0) has order n; order 3 is y^2 = x^3 + 1/4
+TORSION = {
+    3: (Curve(0, 0, F(1, 4)), Point(F(0), F(1, 2))),
+    4: _tate_normal_form(T, 0),
+    5: _tate_normal_form(T, T),
+    6: _tate_normal_form(T + T**2, T),
+    7: _tate_normal_form(T**3 - T**2, T**2 - T),
+    8: _tate_normal_form((2 * T - 1) * (T - 1), (2 * T - 1) * (T - 1) / T),
+    9: _tate_normal_form(T**2 * (T - 1) * (T**2 - T + 1), T**2 * (T - 1)),
+    10: _tate_normal_form(
+        T**3 * (T - 1) * (2 * T - 1) / (T**2 - 3 * T + 1) ** 2,
+        -T * (T - 1) * (2 * T - 1) / (T**2 - 3 * T + 1),
+    ),
+    12: _tate_normal_form(
+        T * (2 * T - 1) * (2 * T**2 - 2 * T + 1) * (3 * T**2 - 3 * T + 1) / (T - 1) ** 4,
+        -T * (2 * T - 1) * (3 * T**2 - 3 * T + 1) / (T - 1) ** 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(TORSION))
+def test_every_mazur_order(n):
+    curve, q = TORSION[n]
+    assert curve.contains(q)
+    assert curve.order_at_most(q) == n
+    assert not curve.certify_infinite_order(q)
+
+
+def test_the_smaller_point_is_added_first(monkeypatch):
+    multiples = [INFINITY]
+    for _ in range(16):
+        multiples.append(E5.add(P, multiples[-1]))
+    index = {q: j for j, q in enumerate(multiples)}
+    calls = []
+    add = Curve.add
+
+    def recording(self, p, q):
+        calls.append((p, q))
+        return add(self, p, q)
+
+    monkeypatch.setattr(Curve, "add", recording)
+    # the Mazur loop reads each chord at the fixed point P, not at k*P
+    assert E5.order_at_most(P) is None
+    assert calls == [(P, multiples[j]) for j in range(MAZUR_MAX_ORDER)]
+    # mul's accumulator (k mod 2^i) P goes before its addend 2^i P
+    for k in (5, 11, 13, 15):
+        calls.clear()
+        assert E5.mul(k, P) == multiples[k]
+        assert calls and all(index[p] <= index[q] for p, q in calls), k
+
+
+_, EB, QB, _ = brahmagupta(3)
+GROUPS = {"E5": (E5, P), "brahmagupta k=3": (EB, QB[0])}
+
+
+@given(st.sampled_from(sorted(GROUPS)), st.integers(-8, 8), st.integers(-8, 8))
+@settings(max_examples=60)
+def test_addition_commutes_on_multiples(name, j, k):
+    curve, q0 = GROUPS[name]
+    p, q = curve.mul(j, q0), curve.mul(k, q0)
+    assert curve.add(p, q) == curve.add(q, p)
 
 
 def test_infinite_order_certificate():
