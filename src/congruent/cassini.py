@@ -11,7 +11,7 @@ coordinates so adjoined (irrational) c values stay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .conics import f2_squared, signed_triangle
@@ -27,22 +27,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HeegnerQuad:
-    """The four quadratic-system values; c1, c3, c4 stored squared.
-
-    Any of c1, c3, c4 may be an integer multiple of sqrt(N) or sqrt(2N);
-    the squared fields are always exact rationals.
-    """
-
-    c1sq: Fraction
-    c2: Fraction
-    c3sq: Fraction
-    c4sq: Fraction
+# The four quadratic-system values; c1, c3, c4 stored squared.  Any of
+# c1, c3, c4 may be an integer multiple of sqrt(N) or sqrt(2N); the
+# squared fields are always exact rationals.
+HeegnerQuad = namedtuple("HeegnerQuad", "c1sq c2 c3sq c4sq")
 
 
-@dataclass(frozen=True)
-class CassiniOval:
+class CassiniOval(namedtuple("CassiniOval", "a2 b4 x_weight")):
     """(w x^2 + y^2 + a'^2)^2 - 4 a'^2 w x^2 = b'^4 in squared coordinates.
 
     x_weight w is 1 for the classical oval and 2 for the stretched form
@@ -51,15 +42,14 @@ class CassiniOval:
     foci (b' < a'), 'lemniscate' at the transition.
     """
 
-    a2: Fraction
-    b4: Fraction
-    x_weight: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.b4 <= 0 or self.a2 < 0:
+    def __new__(cls, a2, b4, x_weight=1):
+        if b4 <= 0 or a2 < 0:
             raise ValueError("need a'^2 >= 0 and b'^4 > 0")
-        if self.x_weight not in (1, 2):
+        if x_weight not in (1, 2):
             raise ValueError("x_weight must be 1 or 2")
+        return tuple.__new__(cls, (a2, b4, x_weight))
 
     @property
     def loops(self):

@@ -415,7 +415,15 @@ def _cmd_verify_all(args):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    import shutil
+
+    # argparse reads the terminal width for every formatter; read it once per tree
+    width = shutil.get_terminal_size().columns - 2
+
+    def formatter(prog):
+        return argparse.HelpFormatter(prog, width=width)
+
+    common = argparse.ArgumentParser(add_help=False, formatter_class=formatter)
     common.add_argument(
         "--json",
         action="store_true",
@@ -426,11 +434,13 @@ def build_parser():
         prog="congruent",
         description="Exact constructions and checks for congruent numbers.",
         parents=[common],
+        formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # each group gets the prog argparse would derive from its parser's usage
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
 
     def add_parser(group, name, **kwargs):
-        return group.add_parser(name, parents=[common], **kwargs)
+        return group.add_parser(name, parents=[common], formatter_class=formatter, **kwargs)
 
     p = add_parser(sub, "triples", help="derived rational triples from a Euclid pair")
     p.add_argument("--m", type=int, required=True)
@@ -442,7 +452,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_trinity, sub=None)
 
     p = add_parser(sub, "conics", help="conic constructions")
-    csub = p.add_subparsers(dest="sub", required=True)
+    csub = p.add_subparsers(dest="sub", required=True, prog=p.prog)
     q = add_parser(csub, "triangle")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--f1", type=int, required=True)
@@ -460,7 +470,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_conics)
 
     p = add_parser(sub, "cassini", help="quadratic-system ovals and triangles")
-    csub = p.add_subparsers(dest="sub", required=True)
+    csub = p.add_subparsers(dest="sub", required=True, prog=p.prog)
     for name in ("two", "four"):
         q = add_parser(csub, name)
         q.add_argument("--n", type=int, required=True)
@@ -481,7 +491,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_tangent, sub=None)
 
     p = add_parser(sub, "footprints", help="per-class closed forms and tables")
-    csub = p.add_subparsers(dest="sub", required=True)
+    csub = p.add_subparsers(dest="sub", required=True, prog=p.prog)
     q = add_parser(csub, "verify")
     q.add_argument("--table", default=None)
     q = add_parser(csub, "triangle")
@@ -492,7 +502,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_footprints)
 
     p = add_parser(sub, "recur", help="side-walk recurrence trees")
-    csub = p.add_subparsers(dest="sub", required=True)
+    csub = p.add_subparsers(dest="sub", required=True, prog=p.prog)
     q = add_parser(csub, "walk")
     q.add_argument("--start-m", type=int, required=True)
     q.add_argument("--start-n", type=int, required=True)
@@ -501,7 +511,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_recur)
 
     p = add_parser(sub, "seq", help="Fibonacci/Lucas and Chebyshev families")
-    csub = p.add_subparsers(dest="sub", required=True)
+    csub = p.add_subparsers(dest="sub", required=True, prog=p.prog)
     q = add_parser(csub, "fib")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--odd", action="store_true")

@@ -17,7 +17,7 @@ pays for no cubic evaluations; an off-curve argument gives a meaningless sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = ["Curve", "Point", "INFINITY", "curve_en"]
@@ -27,13 +27,10 @@ __all__ = ["Curve", "Point", "INFINITY", "curve_en"]
 MAZUR_MAX_ORDER = 12
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(namedtuple("Point", "x y infinity", defaults=(Fraction(0), Fraction(0), False))):
     """An affine point (x, y), or the identity when infinity is True."""
 
-    x: Fraction = Fraction(0)
-    y: Fraction = Fraction(0)
-    infinity: bool = False
+    __slots__ = ()
 
     def __neg__(self):
         if self.infinity:
@@ -51,18 +48,14 @@ class Point:
 INFINITY = Point(infinity=True)
 
 
-@dataclass(frozen=True)
-class Curve:
-    a2: Fraction
-    a4: Fraction
-    a6: Fraction
+class Curve(namedtuple("Curve", "a2 a4 a6")):
+    __slots__ = ()
 
-    def __init__(self, a2, a4, a6):
-        object.__setattr__(self, "a2", Fraction(a2))
-        object.__setattr__(self, "a4", Fraction(a4))
-        object.__setattr__(self, "a6", Fraction(a6))
+    def __new__(cls, a2, a4, a6):
+        self = tuple.__new__(cls, (Fraction(a2), Fraction(a4), Fraction(a6)))
         if self.discriminant() == 0:
             raise ValueError("singular curve")
+        return self
 
     def discriminant(self):
         # discriminant of the cubic x^3 + a2 x^2 + a4 x + a6

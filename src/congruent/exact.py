@@ -27,6 +27,7 @@ __all__ = [
     "squarefree_part",
     "printable_bits",
     "check_printable",
+    "printable_checker",
     "format_rat",
 ]
 
@@ -225,13 +226,23 @@ def printable_bits(digits):
     return (10**digits).bit_length() if digits else None
 
 
+def printable_checker():
+    """A check_printable that reads the digit limit once, when it is made, for
+    a caller that checks values in a loop."""
+    bits = printable_bits(sys.get_int_max_str_digits()) or math.inf
+
+    def check(*values):
+        for v in values:
+            if v.numerator.bit_length() > bits or v.denominator.bit_length() > bits:
+                raise OutputTooLarge
+
+    return check
+
+
 def check_printable(*values):
     """Raise OutputTooLarge if an int, or a Fraction's numerator or denominator,
     has more bits than printable_bits(sys.get_int_max_str_digits()) allows."""
-    bits = printable_bits(sys.get_int_max_str_digits()) or math.inf
-    for v in values:
-        if v.numerator.bit_length() > bits or v.denominator.bit_length() > bits:
-            raise OutputTooLarge
+    printable_checker()(*values)
 
 
 def format_rat(r):

@@ -13,7 +13,7 @@ solution and its 45-digit successor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import EffortOutOfRange, is_square
@@ -31,24 +31,17 @@ __all__ = [
 MAX_DEPTH = 6
 
 
-@dataclass(frozen=True)
-class FermatNode:
+class FermatNode(namedtuple("FermatNode", "x a b c sum_root hyp_root")):
     """One solution: the defining fraction, its signed integer triple and
-    the square roots of a + b and c."""
+    the square roots of a + b and c, which FermatNode(x, a, b, c) computes."""
 
-    x: Fraction
-    a: int
-    b: int
-    c: int
-    sum_root: int = field(init=False, repr=False, compare=False)
-    hyp_root: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        sum_root, hyp_root = is_square(self.a + self.b), is_square(self.c)
+    def __new__(cls, x, a, b, c):
+        sum_root, hyp_root = is_square(a + b), is_square(c)
         if sum_root is None or hyp_root is None:
             raise ValueError("node violates the square invariants")
-        object.__setattr__(self, "sum_root", sum_root)
-        object.__setattr__(self, "hyp_root", hyp_root)
+        return tuple.__new__(cls, (x, a, b, c, sum_root, hyp_root))
 
     @property
     def kind(self):
@@ -59,12 +52,10 @@ class FermatNode:
         return "sum" if self.a > 0 and self.b > 0 else "diff"
 
 
-@dataclass(frozen=True)
-class FermatTree:
-    """Nodes in discovery order with the depth each was found at."""
+class FermatTree(namedtuple("FermatTree", "depth nodes")):
+    """Nodes in discovery order, as (depth found at, FermatNode), to a depth."""
 
-    depth: int
-    nodes: tuple  # of (depth, FermatNode)
+    __slots__ = ()
 
     def smallest_sum(self):
         """The nontrivial all-positive node with the smallest hypotenuse."""

@@ -12,7 +12,7 @@ package and is verified row by row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from importlib import resources
@@ -34,24 +34,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FootprintRow:
-    n: int
-    m: int
-    k: int  # the table's second solution column (named n there)
-    cls: str
+# k is the table's second solution column (named n there)
+class FootprintRow(namedtuple("FootprintRow", "n m k cls")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.cls not in CLASSES:
-            raise ValueError(f"unknown footprint class {self.cls!r}")
+    def __new__(_cls, n, m, k, cls):
+        if cls not in CLASSES:
+            raise ValueError(f"unknown footprint class {cls!r}")
+        return tuple.__new__(_cls, (n, m, k, cls))
 
 
-@dataclass(frozen=True)
-class PQ:
-    """p and q squared; p and q themselves may be irrational."""
-
-    p_sq: Fraction
-    q_sq: Fraction
+# p and q squared; p and q themselves may be irrational
+PQ = namedtuple("PQ", "p_sq q_sq")
 
 
 def classify(n):

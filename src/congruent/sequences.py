@@ -17,12 +17,12 @@ evaluating it at 2m + 1 points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 
 from .elliptic import Curve, Point
-from .exact import EffortOutOfRange, check_printable
+from .exact import EffortOutOfRange, printable_checker
 from .triples import RatTriangle, triangle_point
 
 __all__ = [
@@ -45,41 +45,28 @@ __all__ = [
 MAX_BRAHMAGUPTA_K = 400
 
 
-@dataclass(frozen=True)
-class FibPair:
-    """(F_n, L_n) at index n."""
-
-    index: int
-    f: int
-    l: int
-
-
-@dataclass(frozen=True)
-class BrahmaguptaTriangle:
-    """Heronian triangle with consecutive integer sides and its data."""
-
-    a: int
-    b: int
-    c: int
-    perimeter_half: Fraction
-    area: Fraction
+# (F_n, L_n) at index n
+FibPair = namedtuple("FibPair", "index f l")
+# Heronian triangle with consecutive integer sides and its data
+BrahmaguptaTriangle = namedtuple("BrahmaguptaTriangle", "a b c perimeter_half area")
 
 
 def lucas_pairs(n):
     """Yield (F_k, L_k) for k = 0..n by the standard recurrences.
 
-    Raises OutputTooLarge at the first L_k past the int-to-str digit limit,
-    as every family prints a multiple of L_k.
+    Raises OutputTooLarge at the first L_k past the int-to-str digit limit
+    (read once, at the first step), as every family prints a multiple of L_k.
     """
     if n < 0:
         raise ValueError("need n >= 0")
+    check = printable_checker()
     f0, f1 = 0, 1
     l0, l1 = 2, 1
     yield f0, l0
     for _ in range(n):
         f0, f1 = f1, f0 + f1
         l0, l1 = l1, l0 + l1
-        check_printable(l0)
+        check(l0)
         yield f0, l0
 
 
@@ -144,14 +131,16 @@ def cheb_pairs(n):
     """Yield the integers (T_m(n), U_{m-1}(n)) for m = 0, 1, ... by P_{k+1} = 2n P_k - P_{k-1}.
 
     It starts at (T_{-1}, T_0) = (n, 1) and (U_{-2}, U_{-1}) = (-1, 0), so m = 0
-    gives (1, 0); raises OutputTooLarge at the first value past the digit limit.
+    gives (1, 0); raises OutputTooLarge at the first value past the digit
+    limit, read once at the first step.
     """
+    check = printable_checker()
     t0, t1, u0, u1 = n, 1, -1, 0
     while True:
         yield t1, u1
         t0, t1 = t1, 2 * n * t1 - t0
         u0, u1 = u1, 2 * n * u1 - u0
-        check_printable(t1, u1)
+        check(t1, u1)
 
 
 def cheb_pair(m, n):

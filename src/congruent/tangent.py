@@ -11,11 +11,11 @@ is (minus) the double of the previous one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cassini import heegner_two
-from .elliptic import Point, curve_en
+from .elliptic import curve_en
 from .exact import EffortOutOfRange, check_printable, rat_sqrt
 from .triples import RatTriangle, triangle_point
 
@@ -79,19 +79,11 @@ def solve_f(c1, c2, n):
     raise ValueError("no perfect-square branch: not on a tangent chain")
 
 
-@dataclass(frozen=True)
-class ChainEntry:
-    f1: int
-    f2: int
-    triangle: RatTriangle
-    point: Point
+ChainEntry = namedtuple("ChainEntry", "f1 f2 triangle point")
 
 
-@dataclass(frozen=True)
-class TangentChain:
-    n: int
-    seed: RatTriangle
-    entries: tuple
+class TangentChain(namedtuple("TangentChain", "n seed entries")):
+    __slots__ = ()
 
     def doubling_holds(self):
         """Each entry's point is ±2 times the previous point on E_N."""

@@ -25,7 +25,7 @@ the scalars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import factorial, lcm
@@ -46,16 +46,10 @@ __all__ = [
 MAX_ORDER = 6
 
 
-@dataclass(frozen=True)
-class Vec3F:
+class Vec3F(namedtuple("Vec3F", "x y z")):
     """A 3-vector of exact numbers: scaled values at a point, or circle data."""
 
-    x: Fraction | int
-    y: Fraction | int
-    z: Fraction | int
-
-    def __iter__(self):
-        return iter((self.x, self.y, self.z))
+    __slots__ = ()
 
     def dot(self, other):
         return self.x * other.x + self.y * other.y + self.z * other.z

@@ -13,7 +13,6 @@ that derive(m, n) builds.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -37,37 +36,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PythTriple:
-    a: int
-    b: int
-    c: int
+class PythTriple(namedtuple("PythTriple", "a b c")):
+    __slots__ = ()
 
     @property
     def area(self):
         return Fraction(self.a * self.b, 2)
 
 
-@dataclass(frozen=True)
-class RatTriangle:
+class RatTriangle(namedtuple("RatTriangle", "a b c")):
     """A right triangle with exact rational (possibly signed) sides."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    __slots__ = ()
 
-    def __init__(self, a, b, c):
+    def __new__(cls, a, b, c):
         a, b, c = Fraction(a), Fraction(b), Fraction(c)
         if a**2 + b**2 != c**2:
             raise ValueError(f"sides ({a}, {b}, {c}) violate a^2 + b^2 = c^2")
-        vars(self).update(a=a, b=b, c=c)
+        return tuple.__new__(cls, (a, b, c))
 
     @classmethod
     def _proved(cls, a, b, c):
         """The triangle of Fraction sides whose a^2 + b^2 = c^2 the caller's proof covers."""
-        tri = object.__new__(cls)
-        vars(tri).update(a=a, b=b, c=c)
-        return tri
+        return tuple.__new__(cls, (a, b, c))
 
     @classmethod
     def from_legs(cls, a, b):
@@ -110,31 +101,21 @@ def triangle_point(tri):
     return Point(x, 2 * n * x / tri.b)
 
 
-@dataclass(frozen=True)
-class AreaQuad:
-    """The four areas (N, N_AC, N_BC, N_BA); N_BA may be negative."""
-
-    n: int
-    n_ac: int
-    n_bc: int
-    n_ba: int
+# the four areas (N, N_AC, N_BC, N_BA); N_BA may be negative
+AreaQuad = namedtuple("AreaQuad", "n n_ac n_bc n_ba")
 
 
-@dataclass(frozen=True)
-class ConcordantSolution:
+class ConcordantSolution(namedtuple("ConcordantSolution", "x y z t n")):
     """Integers with x^2 + N y^2 = z^2 and x^2 - N y^2 = t^2."""
 
-    x: int
-    y: int
-    z: int
-    t: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.x**2 + self.n * self.y**2 != self.z**2:
+    def __new__(cls, x, y, z, t, n):
+        if x**2 + n * y**2 != z**2:
             raise ValueError("concordant form x^2 + N y^2 = z^2 fails")
-        if self.x**2 - self.n * self.y**2 != self.t**2:
+        if x**2 - n * y**2 != t**2:
             raise ValueError("concordant form x^2 - N y^2 = t^2 fails")
+        return tuple.__new__(cls, (x, y, z, t, n))
 
 
 # what derive(m, n) returns; every derived quantity below reads one pair

@@ -254,7 +254,7 @@ def test_gate_builds_a_bounded_number_of_fractions(monkeypatch):
         (lambda p: p._replace(sides=((p.sides[0][0] + 1, *p.sides[0][1:]), *p.sides[1:])),
          "distance identity"),
         # a wrong area fails its identity before the concordant forms can raise
-        (lambda p: p._replace(quad=SimpleNamespace(**{**vars(p.quad), "n_ac": p.quad.n_ac + 1})),
+        (lambda p: p._replace(quad=p.quad._replace(n_ac=p.quad.n_ac + 1)),
          "area identity"),
     ],
 )  # fmt: skip

@@ -1,14 +1,15 @@
+import argparse
 import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -310,7 +311,7 @@ def _p1_off_curve(points):
 
 def _wrong_area(result):
     bt, curve, qs, orders = result
-    return SimpleNamespace(**{**vars(bt), "area": bt.area + 1}), curve, qs, orders
+    return bt._replace(area=bt.area + 1), curve, qs, orders
 
 
 def _point_off_curve(result):
@@ -496,6 +497,63 @@ def test_cli_imports_each_subcommand_module_on_first_use():
     child = f"import sys, congruent.cli; print([m for m in {heavy!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-S", "-c", child], env=env, check=True, capture_output=True, text=True)
     assert proc.stdout == "[]\n"
+    # verify loads every module; the records are namedtuples, so none builds a dataclass
+    child = "import sys, congruent.verify; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-S", "-c", child], env=env, check=True, capture_output=True, text=True)
+    assert proc.stdout == "[]\n"
+
+
+USAGES = [
+    "congruent [-h] [--json] {triples,trinity,conics,cassini,tangent,footprints,recur,seq,fermat,verify-all} ...",
+    "congruent triples [-h] [--json] --m M --n N",
+    "congruent trinity [-h] [--json] [--max-order MAX_ORDER]",
+    "congruent conics [-h] [--json] {triangle,intersect,lattice,twin} ...",
+    "congruent conics triangle [-h] [--json] --n N --f1 F1 --f2 F2 [--adjoin {none,sqrtN,sqrt2N}]",
+    "congruent conics intersect [-h] [--json] --t T [--f F]",
+    "congruent conics lattice [-h] [--json] --m M --n N [--t T]",
+    "congruent conics twin [-h] [--json] --t T",
+    "congruent cassini [-h] [--json] {two,four} ...",
+    "congruent cassini two [-h] [--json] --n N --f1 F1 --f2 F2 [--emit-curve COUNT] [--adjoin {none,sqrtN,sqrt2N}]",
+    "congruent cassini four [-h] [--json] --n N --f1 F1 --f2 F2 [--emit-curve COUNT]",
+    "congruent tangent [-h] [--json] --n N --a A --b B [--depth DEPTH]",
+    "congruent footprints [-h] [--json] {verify,triangle} ...",
+    "congruent footprints verify [-h] [--json] [--table TABLE]",
+    "congruent footprints triangle [-h] [--json] --n N --m M --k K --cls {T0a,T0b,TI,TII,TIII,TIV}",
+    "congruent recur [-h] [--json] {walk,table-check} ...",
+    "congruent recur walk [-h] [--json] --start-m START_M --start-n START_N --path PATH",
+    "congruent recur table-check [-h] [--json]",
+    "congruent seq [-h] [--json] {fib,cheb,brahmagupta} ...",
+    "congruent seq fib [-h] [--json] --n N [--odd]",
+    "congruent seq cheb [-h] [--json] --m M --k K",
+    "congruent seq brahmagupta [-h] [--json] --k K",
+    "congruent fermat [-h] [--json] [--depth DEPTH] [--find-smallest]",
+    "congruent verify-all [-h] [--json]",
+]
+
+
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from _parsers(child)
+
+
+def test_every_parser_keeps_its_usage_line(monkeypatch):
+    # build_parser passes each subparser group the prog argparse would derive,
+    # so every parser's usage still starts with its full command path
+    monkeypatch.setenv("COLUMNS", "200")
+    assert [p.format_usage() for p in _parsers(cli.build_parser())] == [f"usage: {u}\n" for u in USAGES]
+
+
+def test_build_parser_reads_the_terminal_width_once(monkeypatch):
+    real = shutil.get_terminal_size
+    calls = []
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or real(*a))
+    parser = cli.build_parser()
+    for p in _parsers(parser):
+        p.format_help()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -2,12 +2,13 @@ import ast
 import importlib
 import pkgutil
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import congruent
-from congruent import fermat, sequences, tangent, trinity
+from congruent import cassini, elliptic, fermat, footprints, sequences, tangent, triples, trinity
 from congruent.exact import EffortOutOfRange
 
 
@@ -114,3 +115,47 @@ def test_each_effort_bound_raises_one_error_in_library_words(build, message):
     with pytest.raises(EffortOutOfRange) as info:
         build()
     assert str(info.value) == message
+
+
+def _concordant(**change):
+    return triples.concordant_solutions(triples.derive(2, 1))[0]._replace(**change)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: triples.RatTriangle(3, 4, 6), "sides (3, 4, 6) violate a^2 + b^2 = c^2"),
+        (lambda: triples.ConcordantSolution(*_concordant(z=1)), "concordant form x^2 + N y^2 = z^2 fails"),
+        (lambda: triples.ConcordantSolution(*_concordant(t=1)), "concordant form x^2 - N y^2 = t^2 fails"),
+        (lambda: fermat.FermatNode(1, 1, 0, 2), "node violates the square invariants"),
+        (lambda: footprints.FootprintRow(6, 2, 1, "TX"), "unknown footprint class 'TX'"),
+        (lambda: cassini.CassiniOval(1, 0), "need a'^2 >= 0 and b'^4 > 0"),
+        (lambda: cassini.CassiniOval(1, 1, x_weight=3), "x_weight must be 1 or 2"),
+        (lambda: elliptic.Curve(0, 0, 0), "singular curve"),
+    ],
+)
+def test_each_validating_record_rejects_bad_input(build, message):
+    # the checks moved from __post_init__ and __init__ into __new__ with their messages
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_every_record_is_a_slotted_tuple():
+    pair = triples.derive(2, 1)
+    row = footprints.FootprintRow(14, 2, 1, "TIII")
+    tree = fermat.enumerate_tree(2)
+    chain = tangent.tangent_chain(triples.RatTriangle.from_legs(Fraction(3, 2), Fraction(20, 3)), 5, 1)
+    quad, tri, oval = cassini.heegner_two(29, 1, -13)
+    records = [
+        pair.triple, pair.quad, tri, triples.concordant_solutions(pair)[0],
+        triples.triangle_point(tri), elliptic.curve_en(5), trinity.Vec3F(1, 2, 3),
+        row, footprints.footprint_pq(row), tree, tree.nodes[-1][1],
+        sequences.fib_lucas(5), sequences.brahmagupta(3)[0],
+        chain, chain.entries[0], quad, oval,
+    ]  # fmt: skip
+    assert len({type(r) for r in records}) == 17
+    for record in records:
+        assert isinstance(record, tuple) and not hasattr(record, "__dict__"), type(record)
+        with pytest.raises(AttributeError):
+            record.extra = 1

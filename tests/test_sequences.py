@@ -235,3 +235,12 @@ def test_sequences_stop_at_the_first_value_past_the_digit_limit(limit):
         assert sequences.cheb_pair(first_t, 9) == (t[-1], u[-1])
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def test_each_generator_run_reads_the_digit_limit_once(monkeypatch):
+    real = sys.get_int_max_str_digits
+    reads = []
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: reads.append(1) or real())
+    sequences.fib_lucas(300)
+    sequences.cheb_pair(200, 9)
+    assert len(reads) == 2
