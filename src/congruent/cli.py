@@ -1,12 +1,14 @@
 """Command-line interface: one subcommand per module plus verify-all.
 
-Every command builds an envelope (command echo, inputs, exact results,
-named checks) and emits it as aligned text or stable-key JSON.  All
-rationals are printed exactly as "p/q"; only the labeled approximate
-point dumps of cassini --emit-curve are floating-point.  Exit codes: 0
-all checks pass, 1 a check failed, 2 usage error, 3 domain/arithmetic
-error.  Each handler imports its modules on first use, so a one-shot
-command loads only what it runs.
+argparse picks the leaf command, and each leaf parser names its one
+handler, _cmd_<group>_<leaf>, which returns (inputs, results, checks).
+The results hold the library's own records; _fmt prints a record as its
+fields, every rational exactly as "p/q".  The envelope (command path,
+inputs, results, named checks) is emitted as aligned text or stable-key
+JSON; only the labeled approximate point dumps of cassini --emit-curve
+are floating-point.  Exit codes: 0 all checks pass, 1 a check failed, 2
+usage error, 3 domain/arithmetic error.  Each handler imports its modules
+on first use, so a one-shot command loads only what it runs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import FOOTPRINT_CLASSES
-from .exact import EffortOutOfRange, FactorBudgetExceeded, OutputTooLarge, check_printable, format_rat
+from .exact import EffortOutOfRange, FactorBudgetExceeded, OutputTooLarge, format_rat, printable_checker
 
 __all__ = ["main"]
 
@@ -51,7 +53,7 @@ def _rational(flag, text):
     if not (limit and exp.isdigit() and (len(exp) > limit or int(exp) > limit + len(text))):
         value = Fraction(text)
         with contextlib.suppress(OutputTooLarge):
-            check_printable(value)
+            printable_checker()(value)
             return value
     raise ValueError(f"{flag}: the value or its exponent is past the {limit}-digit limit")
 
@@ -68,6 +70,9 @@ def _fmt(value):
         return format_rat(value) if abs(value) >= 2**53 else value
     if isinstance(value, dict):
         return {k: _fmt(v) for k, v in value.items()}
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        # a record prints as its fields; every printed point is affine
+        return {f: _fmt(v) for f, v in zip(value._fields, value) if f != "infinity"}
     if isinstance(value, (list, tuple)):
         return [_fmt(v) for v in value]
     return str(value)
@@ -75,7 +80,7 @@ def _fmt(value):
 
 def _envelope(args, inputs, results, checks):
     return {
-        "command": args.command if not getattr(args, "sub", None) else f"{args.command} {args.sub}",
+        "command": args.command,
         "inputs": _fmt(inputs),
         "results": _fmt(results),
         "checks": [{"name": n, "pass": bool(ok)} for n, ok in checks],
@@ -105,42 +110,35 @@ def _emit(envelope, use_json):
             sys.stdout.write(f"  {c['name']:<{width}}  {mark}\n")
 
 
-def _tri_dict(tri):
-    return {"a": tri.a, "b": tri.b, "c": tri.c}
-
-
-def _point(p):
-    return {"x": p.x, "y": p.y}
-
-
-# --- per-command handlers; each returns (inputs, results, checks) ---
+# --- one handler per leaf command; each returns (inputs, results, checks) ---
 
 
 def _cmd_triples(args):
     from . import triples
-    m, n = args.m, args.n
-    pair = triples.derive(m, n)
+    pair = triples.derive(args.m, args.n)
     ac, bc, ba = triples.derived_triples(pair)
-    quad = pair.quad
-    ident = triples.area_identity(pair)
     dist = triples.distance_identity(pair)
-    sols = triples.concordant_solutions(pair)
     results = {
-        "triple_ac": _tri_dict(ac),
-        "triple_bc": _tri_dict(bc),
-        "triple_ba": _tri_dict(ba),
-        "areas": [quad.n, quad.n_ac, quad.n_bc, quad.n_ba],
-        "area_identity_value": ident["lhs"],
-        "concordant": [
-            {"x": s.x, "y": s.y, "z": s.z, "t": s.t, "n": s.n} for s in sols
-        ],
+        "triple_ac": ac,
+        "triple_bc": bc,
+        "triple_ba": ba,
+        "areas": list(pair.quad),
+        "area_identity_value": triples.area_identity(pair)["lhs"],
+        "concordant": triples.concordant_solutions(pair),
         "distance_root": Fraction(dist["lhs_root"], pair.d),
     }
-    checks = [
-        ("area identity", ident["holds"]),
-        ("distance identity", dist["holds"]),
-    ]
-    return {"m": m, "n": n}, results, checks
+    # both identities read the printed values: N_AC^2 + N_BC^2 + N_BA^2 =
+    # 6(C^4 - 4N^2) with C = m^2 + n^2, and, with d_i = c_i - a_i of the
+    # printed triangles, root^2 = 2 sum d_i^2 = (sum d_i)^2, which implies
+    # the rest of distance_identity
+    n, *areas = results["areas"]
+    c = args.m**2 + args.n**2
+    ds = [tri.c - tri.a for tri in (ac, bc, ba)]
+    root = results["distance_root"]
+    area_ok = sum(x * x for x in areas) == results["area_identity_value"] == 6 * (c**4 - 4 * n**2)
+    dist_ok = root**2 == 2 * sum(d * d for d in ds) == sum(ds) ** 2
+    checks = [("area identity", area_ok), ("distance identity", dist_ok)]
+    return {"m": args.m, "n": args.n}, results, checks
 
 
 def _cmd_trinity(args):
@@ -152,74 +150,67 @@ def _cmd_trinity(args):
     return {"max_order": args.max_order}, results, checks
 
 
-def _cmd_conics(args):
+def _cmd_conics_triangle(args):
     from . import conics, elliptic
-    if args.sub == "triangle":
-        tri = conics.conic_triangle(args.n, args.f1, _rational("--f2", args.f2), args.adjoin)
-        p1, p2 = conics.conic_ec_points(tri)
-        results = {
-            "triangle": _tri_dict(tri),
-            "p1": _point(p1),
-            "p2": _point(p2),
-        }
-        e_n = elliptic.curve_en(args.n)
-        checks = [
-            ("area = N", tri.is_right_of_area(args.n)),
-            # E_N(Q)_tors = {O, (0,0), (±N,0)} (Koblitz, ch. I, Prop. 17): a point
-            # of E_N with y != 0 has infinite order
-            ("points infinite order", all(p.y != 0 and e_n.contains(p) for p in (p1, p2))),
-        ]
-        inputs = {"n": args.n, "f1": args.f1, "f2": args.f2, "adjoin": args.adjoin}
-    elif args.sub == "intersect":
-        t = _rational("--t", args.t)
-        n_t, (x_t, e_t), tri, p1, p2 = conics.intersect_example(t, args.f)
-        results = {
-            "n": n_t,
-            "ellipse_point": {"x": x_t, "e": e_t},
-            "triangle": _tri_dict(tri),
-            "p1": _point(p1),
-            "p2": _point(p2),
-        }
-        checks = conics.intersect_polynomial_identity()
-        inputs = {"t": t, "f": args.f}
-    elif args.sub == "lattice":
-        t = None if args.t is None else _rational("--t", args.t)
-        pts, tris = conics.lattice_points(args.m, args.n)
-        results = {
-            "points": [{"x": x, "e": e} for x, e in pts],
-            "triangles": [_tri_dict(t) for t in tris],
-        }
-        areas_ok = all(tri.is_right_of_area(x) for (x, _), tri in zip(pts, tris))
-        checks = [("lattice triangles have area x_i", areas_ok)]
-        inputs = {"m": args.m, "n": args.n}
-        if t is not None:
-            sec = conics.lattice_secondary(args.m, args.n, t)
-            results["secondary"] = [
-                {
-                    "x2": r["point"][0],
-                    "e2": r["point"][1],
-                    "n2": r["n2"],
-                    "primitive": r["primitive"],
-                    "triangle": _tri_dict(r["triangle"]),
-                }
-                for r in sec
-            ]
-            # x_i2 (4t^2+1)^2, with x_i2 from Vieta, against the closed form N_i2
-            sec_ok = all(r["point"][0] * (4 * t**2 + 1) ** 2 == r["n2"] for r in sec)
-            checks.append(("secondary intersections verified", sec_ok))
-            inputs["t"] = t
-    else:  # twin
-        t = _rational("--t", args.t)
-        n1, n2, t1, t2 = conics.twin_hyperbolas(t)
-        results = {
-            "n1": n1,
-            "n2": n2,
-            "triangle1": _tri_dict(t1),
-            "triangle2": _tri_dict(t2),
-        }
-        checks = conics.twin_polynomial_identities()
-        inputs = {"t": t}
+    tri = conics.conic_triangle(args.n, args.f1, _rational("--f2", args.f2), args.adjoin)
+    p1, p2 = conics.conic_ec_points(tri)
+    e_n = elliptic.curve_en(args.n)
+    checks = [
+        ("area = N", tri.is_right_of_area(args.n)),
+        # E_N(Q)_tors = {O, (0,0), (±N,0)} (Koblitz, ch. I, Prop. 17): a point
+        # of E_N with y != 0 has infinite order
+        ("points infinite order", all(p.y != 0 and e_n.contains(p) for p in (p1, p2))),
+    ]
+    inputs = {"n": args.n, "f1": args.f1, "f2": args.f2, "adjoin": args.adjoin}
+    return inputs, {"triangle": tri, "p1": p1, "p2": p2}, checks
+
+
+def _cmd_conics_intersect(args):
+    from . import conics
+    t = _rational("--t", args.t)
+    n_t, (x, e), tri, p1, p2 = conics.intersect_example(t, args.f)
+    results = {"n": n_t, "ellipse_point": {"x": x, "e": e}, "triangle": tri, "p1": p1, "p2": p2}
+    # each identity in t holds on the values printed at t too; the ellipse
+    # point is f^2 times a point of e^2 = x - (x-1)^2/4, and P1, P2 lie on
+    # y^2 = x^3 - N^2 x
+    a, b, c = tri
+    fsq = args.f**2
+    at_t = (
+        a**2 + b**2 == c**2,
+        a * b / 2 == n_t,
+        4 * e**2 == 4 * fsq * x - (x - fsq) ** 2,
+        *(p.y**2 == p.x**3 - n_t**2 * p.x for p in (p1, p2)),
+    )
+    identities = conics.intersect_polynomial_identity()
+    checks = [(name, ok and here) for (name, ok), here in zip(identities, at_t)]
+    return {"t": t, "f": args.f}, results, checks
+
+
+def _cmd_conics_lattice(args):
+    from . import conics
+    t = None if args.t is None else _rational("--t", args.t)
+    pts, tris = conics.lattice_points(args.m, args.n)
+    results = {"points": [{"x": x, "e": e} for x, e in pts], "triangles": tris}
+    areas_ok = all(tri.is_right_of_area(x) for (x, _), tri in zip(pts, tris))
+    checks = [("lattice triangles have area x_i", areas_ok)]
+    inputs = {"m": args.m, "n": args.n}
+    if t is not None:
+        results["secondary"] = sec = conics.lattice_secondary(args.m, args.n, t)
+        # x_i2 (4t^2+1)^2, with x_i2 from Vieta, against the closed form N_i2
+        sec_ok = all(r.x2 * (4 * t**2 + 1) ** 2 == r.n2 for r in sec)
+        checks.append(("secondary intersections verified", sec_ok))
+        inputs["t"] = t
     return inputs, results, checks
+
+
+def _cmd_conics_twin(args):
+    from . import conics
+    t = _rational("--t", args.t)
+    n1, n2, tri1, tri2 = conics.twin_hyperbolas(t)
+    # the area identities in t hold on the triangles and N values printed at t too
+    h1, h2, (name1, ok1), (name2, ok2) = conics.twin_polynomial_identities()
+    checks = [h1, h2, (name1, ok1 and tri1.area == n1), (name2, ok2 and tri2.area == n2)]
+    return {"t": t}, {"n1": n1, "n2": n2, "triangle1": tri1, "triangle2": tri2}, checks
 
 
 def _oval_points(oval, count):
@@ -239,20 +230,14 @@ def _oval_points(oval, count):
     return pts
 
 
-def _cmd_cassini(args):
-    from . import cassini
-    f2 = _rational("--f2", args.f2)
-    if args.sub == "two":
-        quad, tri, oval = cassini.heegner_two(args.n, args.f1, f2, args.adjoin)
-        axis = cassini.oval_axis_points(oval)
-    else:
-        quad, tri, oval, axis = cassini.heegner_four(args.n, args.f1, f2**2)
+def _cassini(args, inputs, quad, tri, oval, axis):
+    """The envelope parts that the two- and four-intersection systems share."""
     results = {
         "c1_sq": quad.c1sq,
         "c2": quad.c2,
         "c3_sq": quad.c3sq,
         "c4_sq": quad.c4sq,
-        "triangle": _tri_dict(tri),
+        "triangle": tri,
         "oval": {"a_sq": oval.a2, "b_4": oval.b4, "loops": oval.loops},
         "axis_x_sq": axis["x2"],
         "axis_y_sq": axis["y2"],
@@ -261,11 +246,21 @@ def _cmd_cassini(args):
         results["curve_points_approx"] = [
             {"x": x, "y": y} for x, y in _oval_points(oval, args.emit_curve)
         ]
-    checks = [("triangle area = N", tri.is_right_of_area(args.n))]
+    return inputs, results, [("triangle area = N", tri.is_right_of_area(args.n))]
+
+
+def _cmd_cassini_two(args):
+    from . import cassini
+    quad, tri, oval = cassini.heegner_two(args.n, args.f1, _rational("--f2", args.f2), args.adjoin)
+    inputs = {"n": args.n, "f1": args.f1, "f2": args.f2, "adjoin": args.adjoin}
+    return _cassini(args, inputs, quad, tri, oval, cassini.oval_axis_points(oval))
+
+
+def _cmd_cassini_four(args):
+    from . import cassini
+    f2 = _rational("--f2", args.f2)
     inputs = {"n": args.n, "f1": args.f1, "f2": args.f2}
-    if args.sub == "two":
-        inputs["adjoin"] = args.adjoin
-    return inputs, results, checks
+    return _cassini(args, inputs, *cassini.heegner_four(args.n, args.f1, f2**2))
 
 
 def _cmd_tangent(args):
@@ -275,82 +270,84 @@ def _cmd_tangent(args):
     chain = tangent.tangent_chain(tri, args.n, depth=args.depth)
     results = {
         "solutions": [{"f1": e.f1, "f2": e.f2} for e in chain.entries],
-        "triangles": [_tri_dict(e.triangle) for e in chain.entries],
-        "points": [_point(e.point) for e in chain.entries],
+        "triangles": [e.triangle for e in chain.entries],
+        "points": [e.point for e in chain.entries],
     }
     checks = [("doubling relation", chain.doubling_holds())]
     return {"n": args.n, "a": a, "b": b, "depth": args.depth}, results, checks
 
 
-def _cmd_footprints(args):
+def _cmd_footprints_verify(args):
     from . import footprints
-    if args.sub == "verify":
-        reports = footprints.verify_tables(args.table)
-        bad = [r for r in reports if not r["ok"]]
-        results = {"rows": len(reports), "failed": len(bad)}
-        if bad:
-            results["failures"] = [
-                {"row": str(r["row"]), "error": r["error"]} for r in bad
-            ]
-        checks = [(f"all {len(reports)} rows rebuild their triangle", not bad)]
-        return {"table": args.table}, results, checks
+    reports = footprints.verify_tables(args.table)
+    bad = [r for r in reports if not r["ok"]]
+    results = {"rows": len(reports), "failed": len(bad)}
+    if bad:
+        results["failures"] = [{"row": str(r["row"]), "error": r["error"]} for r in bad]
+    checks = [(f"all {len(reports)} rows rebuild their triangle", not bad)]
+    return {"table": args.table}, results, checks
+
+
+def _cmd_footprints_triangle(args):
+    from . import footprints
     row = footprints.FootprintRow(args.n, args.m, args.k, args.cls)
     pq = footprints.footprint_pq(row)
     tri = footprints.footprint_triangle(row, pq)
-    results = {
-        "p_sq": pq.p_sq,
-        "q_sq": pq.q_sq,
-        "triangle": _tri_dict(tri),
-    }
+    results = {"p_sq": pq.p_sq, "q_sq": pq.q_sq, "triangle": tri}
     checks = [("area = N", tri.is_right_of_area(args.n))]
     return {"n": args.n, "m": args.m, "k": args.k, "class": args.cls}, results, checks
 
 
-def _cmd_recur(args):
+def _cmd_recur_walk(args):
     from . import recurrence
-    if args.sub == "table-check":
-        reports = recurrence.verify_tree_table()
-        bad = [r for r in reports if not r["ok"]]
-        results = {"cells": len(reports), "failed": len(bad)}
-        checks = [("all table cells reproduce", not bad)]
-        return {}, results, checks
     tri0, n0 = recurrence.euclid_root(args.start_m, args.start_n)
     steps = recurrence.walk(tri0, n0, args.path)
     results = {
-        "start": {"n": n0, "triangle": _tri_dict(tri0)},
-        "steps": [{"n": n, "triangle": _tri_dict(tr)} for n, tr in steps],
+        "start": {"n": n0, "triangle": tri0},
+        "steps": [{"n": n, "triangle": tri} for n, tri in steps],
     }
     # each printed N must be the area of its printed triangle
-    right = all(tr.is_right_of_area(n) for n, tr in [(n0, tri0), *steps])
+    right = all(tri.is_right_of_area(n) for n, tri in [(n0, tri0), *steps])
     checks = [("every step is a valid right triangle", right)]
     inputs = {"start_m": args.start_m, "start_n": args.start_n, "path": args.path}
     return inputs, results, checks
 
 
-def _cmd_seq(args):
+def _cmd_recur_table_check(args):
+    from . import recurrence
+    reports = recurrence.verify_tree_table()
+    bad = [r for r in reports if not r["ok"]]
+    results = {"cells": len(reports), "failed": len(bad)}
+    return {}, results, [("all table cells reproduce", not bad)]
+
+
+def _seq_family(inputs, tri, n, pts):
+    """The envelope of a family that prints a triangle, its N and its curve points."""
+    results = {"triangle": tri, "congruent_number": n, "points": pts}
+    return inputs, results, [("area = N", tri.is_right_of_area(n))]
+
+
+def _cmd_seq_fib(args):
     from . import sequences
-    if args.sub in ("fib", "cheb"):
-        if args.sub == "fib":
-            inputs = {"n": args.n, "odd": args.odd}
-            family = sequences.fib_odd_family if args.odd else sequences.fib_even_family
-            tri, n, pts = family(args.n)
-        else:
-            inputs = {"m": args.m, "k": args.k}
-            tri, n, pts = sequences.cheb_family(args.m, args.k)
-        results = {
-            "triangle": _tri_dict(tri),
-            "congruent_number": n,
-            "points": [_point(p) for p in pts],
-        }
-        return inputs, results, [("area = N", tri.is_right_of_area(n))]
+    family = sequences.fib_odd_family if args.odd else sequences.fib_even_family
+    return _seq_family({"n": args.n, "odd": args.odd}, *family(args.n))
+
+
+def _cmd_seq_cheb(args):
+    from . import sequences
+    return _seq_family({"m": args.m, "k": args.k}, *sequences.cheb_family(args.m, args.k))
+
+
+def _cmd_seq_brahmagupta(args):
+    from . import sequences
     bt, curve, qs, orders = sequences.brahmagupta(args.k)
     results = {
         "sides": [bt.a, bt.b, bt.c],
         "semiperimeter": bt.perimeter_half,
         "area": bt.area,
-        "curve": {"a2": curve.a2, "a4": curve.a4, "a6": curve.a6},
-        "points": [_point(q) for q in qs],
-        "orders": list(orders) if orders else None,
+        "curve": curve,
+        "points": qs,
+        "orders": orders,
     }
     p = bt.perimeter_half
     checks = [
@@ -439,96 +436,90 @@ def build_parser():
     # each group gets the prog argparse would derive from its parser's usage
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
 
-    def add_parser(group, name, **kwargs):
-        return group.add_parser(name, parents=[common], formatter_class=formatter, **kwargs)
+    def add_parser(group, name, handler=None, **kwargs):
+        p = group.add_parser(name, parents=[common], formatter_class=formatter, **kwargs)
+        if handler:
+            # a leaf overrides the group's command with its own path, "conics triangle"
+            p.set_defaults(handler=handler, command=p.prog.partition(" ")[2])
+        return p
 
-    p = add_parser(sub, "triples", help="derived rational triples from a Euclid pair")
+    def add_group(name, summary):
+        p = add_parser(sub, name, help=summary)
+        # dest only names the missing leaf in argparse's usage error
+        return p.add_subparsers(dest="sub", required=True, prog=p.prog)
+
+    p = add_parser(sub, "triples", _cmd_triples, help="derived rational triples from a Euclid pair")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_triples, sub=None)
 
-    p = add_parser(sub, "trinity", help="vector-system identities, proved by exact evaluation")
+    p = add_parser(
+        sub, "trinity", _cmd_trinity, help="vector-system identities, proved by exact evaluation"
+    )
     p.add_argument("--max-order", type=int, default=4)
-    p.set_defaults(handler=_cmd_trinity, sub=None)
 
-    p = add_parser(sub, "conics", help="conic constructions")
-    csub = p.add_subparsers(dest="sub", required=True, prog=p.prog)
-    q = add_parser(csub, "triangle")
+    group = add_group("conics", "conic constructions")
+    q = add_parser(group, "triangle", _cmd_conics_triangle)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--f1", type=int, required=True)
     q.add_argument("--f2", required=True)
     q.add_argument("--adjoin", choices=("none", "sqrtN", "sqrt2N"), default="none")
-    q = add_parser(csub, "intersect")
+    q = add_parser(group, "intersect", _cmd_conics_intersect)
     q.add_argument("--t", required=True)
     q.add_argument("--f", type=int, default=1)
-    q = add_parser(csub, "lattice")
+    q = add_parser(group, "lattice", _cmd_conics_lattice)
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--t", default=None)
-    q = add_parser(csub, "twin")
+    q = add_parser(group, "twin", _cmd_conics_twin)
     q.add_argument("--t", required=True)
-    p.set_defaults(handler=_cmd_conics)
 
-    p = add_parser(sub, "cassini", help="quadratic-system ovals and triangles")
-    csub = p.add_subparsers(dest="sub", required=True, prog=p.prog)
-    for name in ("two", "four"):
-        q = add_parser(csub, name)
+    group = add_group("cassini", "quadratic-system ovals and triangles")
+    for name, handler in (("two", _cmd_cassini_two), ("four", _cmd_cassini_four)):
+        q = add_parser(group, name, handler)
         q.add_argument("--n", type=int, required=True)
         q.add_argument("--f1", type=int, required=True)
         q.add_argument("--f2", required=True)
         q.add_argument("--emit-curve", type=int, default=0, metavar="COUNT")
         if name == "two":
-            q.add_argument(
-                "--adjoin", choices=("none", "sqrtN", "sqrt2N"), default="none"
-            )
-    p.set_defaults(handler=_cmd_cassini)
+            q.add_argument("--adjoin", choices=("none", "sqrtN", "sqrt2N"), default="none")
 
-    p = add_parser(sub, "tangent", help="solution chains by point doubling")
+    p = add_parser(sub, "tangent", _cmd_tangent, help="solution chains by point doubling")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--depth", type=int, default=3)
-    p.set_defaults(handler=_cmd_tangent, sub=None)
 
-    p = add_parser(sub, "footprints", help="per-class closed forms and tables")
-    csub = p.add_subparsers(dest="sub", required=True, prog=p.prog)
-    q = add_parser(csub, "verify")
+    group = add_group("footprints", "per-class closed forms and tables")
+    q = add_parser(group, "verify", _cmd_footprints_verify)
     q.add_argument("--table", default=None)
-    q = add_parser(csub, "triangle")
+    q = add_parser(group, "triangle", _cmd_footprints_triangle)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--cls", required=True, choices=FOOTPRINT_CLASSES)
-    p.set_defaults(handler=_cmd_footprints)
 
-    p = add_parser(sub, "recur", help="side-walk recurrence trees")
-    csub = p.add_subparsers(dest="sub", required=True, prog=p.prog)
-    q = add_parser(csub, "walk")
+    group = add_group("recur", "side-walk recurrence trees")
+    q = add_parser(group, "walk", _cmd_recur_walk)
     q.add_argument("--start-m", type=int, required=True)
     q.add_argument("--start-n", type=int, required=True)
     q.add_argument("--path", required=True)
-    add_parser(csub, "table-check")
-    p.set_defaults(handler=_cmd_recur)
+    add_parser(group, "table-check", _cmd_recur_table_check)
 
-    p = add_parser(sub, "seq", help="Fibonacci/Lucas and Chebyshev families")
-    csub = p.add_subparsers(dest="sub", required=True, prog=p.prog)
-    q = add_parser(csub, "fib")
+    group = add_group("seq", "Fibonacci/Lucas and Chebyshev families")
+    q = add_parser(group, "fib", _cmd_seq_fib)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--odd", action="store_true")
-    q = add_parser(csub, "cheb")
+    q = add_parser(group, "cheb", _cmd_seq_cheb)
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
-    q = add_parser(csub, "brahmagupta")
+    q = add_parser(group, "brahmagupta", _cmd_seq_brahmagupta)
     q.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_seq)
 
-    p = add_parser(sub, "fermat", help="square-hypotenuse solution tree")
+    p = add_parser(sub, "fermat", _cmd_fermat, help="square-hypotenuse solution tree")
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--find-smallest", action="store_true")
-    p.set_defaults(handler=_cmd_fermat, sub=None)
 
-    p = add_parser(sub, "verify-all", help="run every reference-example suite")
-    p.set_defaults(handler=_cmd_verify_all, sub=None)
+    add_parser(sub, "verify-all", _cmd_verify_all, help="run every reference-example suite")
 
     return parser
 
@@ -541,7 +532,7 @@ def main(argv=None):
         envelope = _envelope(args, inputs, results, checks)
     except OutputTooLarge:
         limit = sys.get_int_max_str_digits()
-        hint = _SIZE_FLAGS.get(args.command, "smaller inputs")
+        hint = _SIZE_FLAGS.get(args.command.partition(" ")[0], "smaller inputs")
         print(f"error: a result exceeds the {limit}-digit output limit; use {hint}", file=sys.stderr)
         return EXIT_DOMAIN
     except EffortOutOfRange as exc:  # the one place a library bound is worded as its flag

@@ -13,6 +13,7 @@ are taken of full rational squares.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 # curve_en is unused here; perfbench's tracer test checks that it wraps this alias
@@ -30,6 +31,7 @@ __all__ = [
     "intersect_polynomial_identity",
     "reduce_raise",
     "lattice_points",
+    "Secondary",
     "lattice_secondary",
     "twin_hyperbolas",
     "twin_polynomial_identities",
@@ -233,14 +235,18 @@ def _lattice_n2(m, n, t):
     )
 
 
+# one second intersection (x2, e2), its raised congruent number N_i2, the
+# primitive congruent number and the reduced triangle
+Secondary = namedtuple("Secondary", "x2 e2 n2 primitive triangle")
+
+
 def lattice_secondary(m, n, t):
     """Second intersection points of slope-t lines through the lattice points.
 
     For each lattice point the line meets the ellipse again at a rational
     point (x_i2, e_i2); raising x_i2 by its denominator 4t^2+1 gives the
     four displayed congruent numbers N_i2 with verifying triangles.
-    Returns a list of dicts with the raw point, N_i2, its primitive
-    congruent number and the reduced triangle.
+    Returns a list of four Secondary records.
     """
     t = Fraction(t)
     s = m**2 + n**2
@@ -268,14 +274,7 @@ def lattice_secondary(m, n, t):
         primitive, tri = reduce_raise(signed_triangle(x2, Fraction(1), f2sq, ef))
         if primitive != abs(squarefree_part(n_i2)):
             raise AssertionError("secondary congruent number mismatch")
-        out.append(
-            {
-                "point": (x2, e2),
-                "n2": n_i2,
-                "primitive": primitive,
-                "triangle": tri,
-            }
-        )
+        out.append(Secondary(x2, e2, n_i2, primitive, tri))
     return out
 
 

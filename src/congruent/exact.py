@@ -26,7 +26,6 @@ __all__ = [
     "factorize",
     "squarefree_part",
     "printable_bits",
-    "check_printable",
     "printable_checker",
     "format_rat",
 ]
@@ -227,8 +226,10 @@ def printable_bits(digits):
 
 
 def printable_checker():
-    """A check_printable that reads the digit limit once, when it is made, for
-    a caller that checks values in a loop."""
+    """A check that raises OutputTooLarge if an int, or a Fraction's numerator
+    or denominator, has more bits than printable_bits(sys.get_int_max_str_digits())
+    allows.  It reads the limit once, when it is made, so a caller that
+    checks values in a loop makes one checker."""
     bits = printable_bits(sys.get_int_max_str_digits()) or math.inf
 
     def check(*values):
@@ -237,12 +238,6 @@ def printable_checker():
                 raise OutputTooLarge
 
     return check
-
-
-def check_printable(*values):
-    """Raise OutputTooLarge if an int, or a Fraction's numerator or denominator,
-    has more bits than printable_bits(sys.get_int_max_str_digits()) allows."""
-    printable_checker()(*values)
 
 
 def format_rat(r):

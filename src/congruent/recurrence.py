@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .exact import check_printable
+from .exact import printable_checker
 from .triples import RatTriangle, euclid
 
 __all__ = [
@@ -51,6 +51,7 @@ def walk(tri0, n0, path):
     if tri0.a < 0:
         raise ValueError("the start triangle's legs must be positive")
     out = []
+    check = printable_checker()
     tri, n = tri0, int(n0)
     for side in path:
         leg = tri.a if side == "a" else tri.b
@@ -63,7 +64,7 @@ def walk(tri0, n0, path):
             Fraction(p * r, qqn), Fraction(2 * qqn, p), Fraction(p**4 + 2 * qqn**2, p * qqn)
         )
         n = r
-        check_printable(n, tri.a, tri.b, tri.c)
+        check(n, tri.a, tri.b, tri.c)
         out.append((n, tri))
     return out
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .cassini import heegner_two
 from .elliptic import curve_en
-from .exact import EffortOutOfRange, check_printable, rat_sqrt
+from .exact import EffortOutOfRange, printable_checker, rat_sqrt
 from .triples import RatTriangle, triangle_point
 
 __all__ = [
@@ -113,6 +113,7 @@ def tangent_chain(tri0, n, depth=3):
     if tri0.area != n:
         raise ValueError("seed triangle area is not N")
     entries = []
+    check = printable_checker()
     current = tri0
     for _ in range(depth):
         c = abs(current.c)
@@ -121,7 +122,7 @@ def tangent_chain(tri0, n, depth=3):
         f1, f2 = solve_f(c1, c2, n)
         _, tri, _ = heegner_two(n, f1, f2)
         point = triangle_point(tri)
-        check_printable(f1, f2, tri.a, tri.b, tri.c, point.x, point.y)
+        check(f1, f2, tri.a, tri.b, tri.c, point.x, point.y)
         entries.append(ChainEntry(f1, f2, tri, point))
         current = tri
     return TangentChain(n, tri0, tuple(entries))

@@ -170,8 +170,8 @@ def suite_conics_lattice():
     results = conics.lattice_secondary(1, 2, 3)
     checks = []
     for i, (res, (n2, tri)) in enumerate(zip(results, _LATTICE_1_2_3), 1):
-        checks.append((f"lattice N_{i}2", res["n2"] == n2))
-        checks.append((f"lattice triangle {i}", res["triangle"] == tri))
+        checks.append((f"lattice N_{i}2", res.n2 == n2))
+        checks.append((f"lattice triangle {i}", res.triangle == tri))
     closed_forms = True
     for m, n in ((1, 2), (2, 1)):
         s = m**2 + n**2

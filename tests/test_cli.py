@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import os
 import re
@@ -23,10 +24,11 @@ from congruent import (
     recurrence,
     sequences,
     tangent,
+    triples,
     trinity,
     verify,
 )
-from congruent.elliptic import Curve, Point
+from congruent.elliptic import Curve, Point, curve_en
 from congruent.triples import RatTriangle, derive, derived_triples
 
 
@@ -333,6 +335,24 @@ def _stretch(tri):
     return RatTriangle._proved(2 * tri.a, tri.b / 2, tri.c)
 
 
+def _longer_hypotenuse(tri):
+    return RatTriangle._proved(tri.a, tri.b, tri.c + 1)
+
+
+def _y_plus_one(p):
+    return Point(p.x, p.y + 1)
+
+
+def _nth(i, change):
+    """A mutation of a returned tuple that changes its i-th value only."""
+    return lambda result: tuple(change(v) if j == i else v for j, v in enumerate(result))
+
+
+def _plus_one(key):
+    """A mutation of a returned dict that adds 1 to its value at key."""
+    return lambda result: {**result, key: result[key] + 1}
+
+
 @pytest.mark.parametrize(
     "argv, module, name, change, check",
     [
@@ -378,6 +398,25 @@ def _stretch(tri):
         # a point with y != 0 has infinite order only if it lies on E_N
         (["conics", "triangle", "--n", "157", "--f1", "87005", "--f2", "610961"],
          conics, "conic_ec_points", _p1_off_curve, "points infinite order"),
+        # the identities in t and in (m, n) are read on the printed values too
+        (["triples", "--m", "2", "--n", "1"],
+         triples, "area_identity", _plus_one("lhs"), "area identity"),
+        (["triples", "--m", "2", "--n", "1"],
+         triples, "distance_identity", _plus_one("lhs_root"), "distance identity"),
+        (["conics", "intersect", "--t", "3"],
+         conics, "intersect_example", _nth(2, _longer_hypotenuse), "pythagoras"),
+        (["conics", "intersect", "--t", "3"],
+         conics, "intersect_example", _nth(2, _double_legs), "area = N(t)"),
+        (["conics", "intersect", "--t", "5/7", "--f", "2"],
+         conics, "intersect_example", _nth(1, lambda xe: (xe[0] + 1, xe[1])), "point on ellipse"),
+        (["conics", "intersect", "--t", "3"],
+         conics, "intersect_example", _nth(3, _y_plus_one), "P1 on curve"),
+        (["conics", "intersect", "--t", "3"],
+         conics, "intersect_example", _nth(4, _y_plus_one), "P2 on curve"),
+        (["conics", "twin", "--t", "10"],
+         conics, "twin_hyperbolas", _nth(0, lambda n1: n1 + 1), "area1 = N1"),
+        (["conics", "twin", "--t", "10"],
+         conics, "twin_hyperbolas", _nth(3, _double_legs), "area2 = N2"),
     ],
 )  # fmt: skip
 def test_perturbed_result_fails_its_cli_check(
@@ -599,3 +638,51 @@ def test_every_proved_triangle_is_right(monkeypatch, capsys):
     for m, n in ((1, 2), (2, 2), (4, 2), (2, 3), (1, 5)):
         sequences.cheb_family(m, n)
     assert len(seen) > 500
+
+
+def test_every_leaf_has_its_own_handler():
+    # argparse picks the leaf, and the leaf names its one handler,
+    # _cmd_<group>_<leaf>; a group parser only dispatches
+    handlers = {}
+    for p in _parsers(cli.build_parser()):
+        if any(isinstance(a, argparse._SubParsersAction) for a in p._actions):
+            assert p.get_default("handler") is None, p.prog
+        else:
+            handlers[p.prog] = p.get_default("handler").__name__
+    assert len(handlers) == 18
+    assert handlers == {
+        prog: "_cmd_" + "_".join(prog.split()[1:]).replace("-", "_") for prog in handlers
+    }
+
+
+def test_cli_never_reads_args_sub():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    reads = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "sub"]
+    reads += [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and getattr(n.func, "id", None) in ("getattr", "hasattr")
+        and any(isinstance(a, ast.Constant) and a.value == "sub" for a in n.args)
+    ]
+    assert not reads
+
+
+def test_fmt_prints_each_record_as_its_fields():
+    # results hold the library's records; _fmt prints each as its fields, in
+    # order, and a point without its infinity flag
+    pair = derive(2, 1)
+    tri = derived_triples(pair)[0]
+    secondary = conics.lattice_secondary(1, 2, 3)[0]
+    cases = [
+        (tri, ["a", "b", "c"]),
+        (triples.triangle_point(tri), ["x", "y"]),
+        (curve_en(5), ["a2", "a4", "a6"]),
+        (triples.concordant_solutions(pair)[0], ["x", "y", "z", "t", "n"]),
+        (secondary, ["x2", "e2", "n2", "primitive", "triangle"]),
+    ]
+    for record, keys in cases:
+        assert list(cli._fmt(record)) == keys, type(record)
+    assert cli._fmt(secondary)["triangle"] == {
+        "a": "71757/418", "b": "157907860/71757", "c": "66206019401/29994426"
+    }  # fmt: skip

@@ -126,17 +126,16 @@ def test_reduce_raise_roundtrip():
 
 def test_lattice_secondary_fixture():
     results = conics.lattice_secondary(1, 2, 3)
-    assert [r["n2"] for r in results] == [188885, 58645, 7585, 84545]
+    assert [r.n2 for r in results] == [188885, 58645, 7585, 84545]
     for r in results:
-        tri = r["triangle"]
+        tri = r.triangle
         assert tri.a**2 + tri.b**2 == tri.c**2
-        assert tri.congruent_number() == r["primitive"]
+        assert tri.congruent_number() == r.primitive
     # each second intersection lies on the (1, m^2+n^2) ellipse
     for m, n, t in ((1, 2, 3), (2, 1, 3), (1, 2, 2), (3, 2, 2), (1, 2, F(-5, 2))):
         s2 = (m**2 + n**2) ** 2
         for r in conics.lattice_secondary(m, n, t):
-            x2, e2 = r["point"]
-            assert e2**2 == x2 * s2 - (x2 - s2) ** 2 / 4
+            assert r.e2**2 == r.x2 * s2 - (r.x2 - s2) ** 2 / 4
 
 
 def test_lattice_secondary_matches_its_closed_form_at_integer_t():
@@ -152,7 +151,7 @@ def test_lattice_secondary_matches_its_closed_form_at_integer_t():
                 except ValueError:  # a tangent line or a degenerate second point
                     continue
                 for r in results:
-                    assert r["point"][0] * (4 * t**2 + 1) ** 2 == r["n2"]
+                    assert r.x2 * (4 * t**2 + 1) ** 2 == r.n2
                     checked += 1
     assert checked == 4 * 440
 

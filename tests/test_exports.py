@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import congruent
-from congruent import cassini, elliptic, fermat, footprints, sequences, tangent, triples, trinity
+from congruent import cassini, conics, elliptic, fermat, footprints, sequences, tangent, triples, trinity
 from congruent.exact import EffortOutOfRange
 
 
@@ -152,9 +152,9 @@ def test_every_record_is_a_slotted_tuple():
         triples.triangle_point(tri), elliptic.curve_en(5), trinity.Vec3F(1, 2, 3),
         row, footprints.footprint_pq(row), tree, tree.nodes[-1][1],
         sequences.fib_lucas(5), sequences.brahmagupta(3)[0],
-        chain, chain.entries[0], quad, oval,
+        chain, chain.entries[0], quad, oval, conics.lattice_secondary(1, 2, 3)[0],
     ]  # fmt: skip
-    assert len({type(r) for r in records}) == 17
+    assert len({type(r) for r in records}) == 18
     for record in records:
         assert isinstance(record, tuple) and not hasattr(record, "__dict__"), type(record)
         with pytest.raises(AttributeError):

@@ -174,3 +174,13 @@ def test_closed_form_triangle_is_right(mn):
     m, n = mn
     tri = recurrence.closed_form(m, n, "aa")
     assert tri.a**2 + tri.b**2 == tri.c**2
+
+
+def test_a_walk_reads_the_digit_limit_once(monkeypatch):
+    # walk makes one printable checker and checks every step with it
+    real = sys.get_int_max_str_digits
+    reads = []
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: reads.append(1) or real())
+    tri0, n0 = recurrence.euclid_root(2, 1)
+    assert len(recurrence.walk(tri0, n0, "abab")) == 4
+    assert len(reads) == 1

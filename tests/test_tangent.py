@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -83,3 +84,12 @@ def test_solve_f_second_step():
     c = abs(chain.entries[0].triangle.c)
     f1, f2 = tangent.solve_f(c.denominator, F(c.numerator, 2), 5)
     assert (f1, f2) == (chain.entries[1].f1, chain.entries[1].f2)
+
+
+def test_a_chain_reads_the_digit_limit_once(monkeypatch):
+    # tangent_chain makes one printable checker and checks every step with it
+    real = sys.get_int_max_str_digits
+    reads = []
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: reads.append(1) or real())
+    assert len(tangent.tangent_chain(SEED5, 5, depth=3).entries) == 3
+    assert len(reads) == 1

@@ -59,7 +59,7 @@ def _certified_numbers():
     for m, n in ((1, 2), (2, 1), (3, 5), (1, 3)):
         yield from (x for x, _ in conics.lattice_points(m, n)[0])
     for m, n, t in ((1, 2, 3), (2, 1, 3), (1, 2, 2), (3, 2, 2)):
-        yield from (r["primitive"] for r in conics.lattice_secondary(m, n, t))
+        yield from (r.primitive for r in conics.lattice_secondary(m, n, t))
     yield cassini.heegner_two(29, 1, -13)[1].area
     yield cassini.heegner_two(62, 20, 7, adjoin="sqrt2N")[1].area
     yield cassini.heegner_four(79, 125, 52**2)[1].area
