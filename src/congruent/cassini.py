@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .conics import f2_squared, signed_triangle
+from .conics import ellipse, f2_squared, signed_triangle
 from .exact import rat_sqrt
 from .triples import RatTriangle
 
@@ -113,8 +113,9 @@ def heegner_two(n, f1, f2, adjoin="none"):
     c2 = abs(Fraction(n * f1**2 - f2sq, 2))
     if c2 == 0:
         raise ValueError("degenerate input: N f1^2 = f2^2")
-    # c3^2 != 0: tests/test_identities.py::test_heegner_two_c3_is_nonzero
-    c3sq = abs(n * c1sq - c2**2)
+    # N c1^2 - c2^2 is the conic's e^2 at x = N f1^2; c3^2 != 0:
+    # tests/test_identities.py::test_heegner_two_c3_is_nonzero
+    c3sq = abs(ellipse(n * f1**2, f2sq)) / 4
     quad = HeegnerQuad(c1sq, c2, c3sq, n * c1sq + c2**2)
     c1c3 = rat_sqrt(c3sq * c1sq)
     if c1c3 is None:

@@ -116,28 +116,16 @@ def _emit(envelope, use_json):
 def _cmd_triples(args):
     from . import triples
     pair = triples.derive(args.m, args.n)
-    ac, bc, ba = triples.derived_triples(pair)
-    dist = triples.distance_identity(pair)
-    results = {
-        "triple_ac": ac,
-        "triple_bc": bc,
-        "triple_ba": ba,
-        "areas": list(pair.quad),
-        "area_identity_value": triples.area_identity(pair)["lhs"],
-        "concordant": triples.concordant_solutions(pair),
-        "distance_root": Fraction(dist["lhs_root"], pair.d),
-    }
-    # both identities read the printed values: N_AC^2 + N_BC^2 + N_BA^2 =
-    # 6(C^4 - 4N^2) with C = m^2 + n^2, and, with d_i = c_i - a_i of the
-    # printed triangles, root^2 = 2 sum d_i^2 = (sum d_i)^2, which implies
-    # the rest of distance_identity
-    n, *areas = results["areas"]
-    c = args.m**2 + args.n**2
-    ds = [tri.c - tri.a for tri in (ac, bc, ba)]
-    root = results["distance_root"]
-    area_ok = sum(x * x for x in areas) == results["area_identity_value"] == 6 * (c**4 - 4 * n**2)
-    dist_ok = root**2 == 2 * sum(d * d for d in ds) == sum(ds) ** 2
-    checks = [("area identity", area_ok), ("distance identity", dist_ok)]
+    tris = triples.derived_triples(pair)
+    areas, lhs = list(pair.quad), triples.area_identity(pair)["lhs"]
+    root = Fraction(triples.distance_identity(pair)["lhs_root"], pair.d)
+    concordant = triples.concordant_solutions(pair)
+    results = dict(zip(("triple_ac", "triple_bc", "triple_ba"), tris))
+    results.update(areas=areas, area_identity_value=lhs, concordant=concordant, distance_root=root)
+    checks = [
+        ("area identity", triples.area_relation(areas, pair.triple.c, lhs)),
+        ("distance identity", triples.distance_relation(tris, root)),
+    ]
     return {"m": args.m, "n": args.n}, results, checks
 
 
@@ -168,21 +156,11 @@ def _cmd_conics_triangle(args):
 def _cmd_conics_intersect(args):
     from . import conics
     t = _rational("--t", args.t)
+    if args.f == 0:  # intersect_example refuses it too, naming its parameter f
+        raise ValueError("--f must be nonzero: f = 0 collapses the ellipse point to (0, 0)")
     n_t, (x, e), tri, p1, p2 = conics.intersect_example(t, args.f)
     results = {"n": n_t, "ellipse_point": {"x": x, "e": e}, "triangle": tri, "p1": p1, "p2": p2}
-    # each identity in t holds on the values printed at t too; the ellipse
-    # point is f^2 times a point of e^2 = x - (x-1)^2/4, and P1, P2 lie on
-    # y^2 = x^3 - N^2 x
-    a, b, c = tri
-    fsq = args.f**2
-    at_t = (
-        a**2 + b**2 == c**2,
-        a * b / 2 == n_t,
-        4 * e**2 == 4 * fsq * x - (x - fsq) ** 2,
-        *(p.y**2 == p.x**3 - n_t**2 * p.x for p in (p1, p2)),
-    )
-    identities = conics.intersect_polynomial_identity()
-    checks = [(name, ok and here) for (name, ok), here in zip(identities, at_t)]
+    checks = conics.intersect_checks(n_t, (x, e), tri, p1, p2, args.f)
     return {"t": t, "f": args.f}, results, checks
 
 
@@ -207,9 +185,7 @@ def _cmd_conics_twin(args):
     from . import conics
     t = _rational("--t", args.t)
     n1, n2, tri1, tri2 = conics.twin_hyperbolas(t)
-    # the area identities in t hold on the triangles and N values printed at t too
-    h1, h2, (name1, ok1), (name2, ok2) = conics.twin_polynomial_identities()
-    checks = [h1, h2, (name1, ok1 and tri1.area == n1), (name2, ok2 and tri2.area == n2)]
+    checks = conics.twin_checks(t, n1, n2, tri1, tri2)
     return {"t": t}, {"n1": n1, "n2": n2, "triangle1": tri1, "triangle2": tri2}, checks
 
 

@@ -9,6 +9,9 @@ A second pair of conics (the twin hyperbolas) yields two more quartic
 congruent-number polynomials.  All arithmetic is exact: irrational f2 (multiples of
 sqrt(N) or sqrt(2N)) is only ever handled through f2^2, and square roots
 are taken of full rational squares.
+
+The CLI and the gate take each family's checks from intersect_checks or
+twin_checks: the identity in t and the same relation on the values at t.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-# curve_en is unused here; perfbench's tracer test checks that it wraps this alias
 from .elliptic import Point, curve_en
 from .exact import rat_sqrt, squarefree_part
 from .polyrat import RatFunc
@@ -24,17 +26,20 @@ from .triples import RatTriangle, triangle_point
 
 __all__ = [
     "f2_squared",
+    "ellipse",
     "signed_triangle",
     "conic_triangle",
     "conic_ec_points",
     "intersect_example",
     "intersect_polynomial_identity",
+    "intersect_checks",
     "reduce_raise",
     "lattice_points",
     "Secondary",
     "lattice_secondary",
     "twin_hyperbolas",
     "twin_polynomial_identities",
+    "twin_checks",
 ]
 
 
@@ -56,6 +61,11 @@ def f2_squared(n, f2, adjoin="none"):
     return f2sq
 
 
+def ellipse(x, f2sq):
+    """(2e)^2 at x on the (1, f2) ellipse; the (N, f1, f2) ellipse is it at x = N f1^2."""
+    return 4 * f2sq * x - (x - f2sq) ** 2
+
+
 def signed_triangle(n, f1sq, f2sq, ef):
     """Triangle from the conic closed forms given E = e*f1*f2 (signed)."""
     w = n * f1sq - f2sq
@@ -73,10 +83,10 @@ def signed_triangle(n, f1sq, f2sq, ef):
 def conic_triangle(n, f1, f2, adjoin="none"):
     """The rational right triangle of area N defined by (N, f1, f2); see f2_squared."""
     f1sq, f2sq = Fraction(f1**2), f2_squared(n, f2, adjoin)
-    w = n * f1sq - f2sq
-    if w == 0:
+    x = n * f1sq
+    if x == f2sq:
         raise ValueError("degenerate input: N f1^2 = f2^2")
-    e2 = n * f1sq * f2sq - Fraction(w**2, 4)
+    e2 = ellipse(x, f2sq) / 4
     if e2 <= 0:
         raise ValueError("point lies outside the real ellipse (e^2 <= 0)")
     ef = rat_sqrt(e2 * f1sq * f2sq)
@@ -156,10 +166,24 @@ def intersect_example(t, f=1):
     t = Fraction(t)
     if t == Fraction(1, 2):
         raise ValueError("t = 1/2 is the singular slope")
+    if f == 0:
+        raise ValueError("f must be nonzero: f = 0 collapses the ellipse point to (0, 0)")
     n_t, x_t, e_t, p1, p2 = _intersect_forms(t)
     # right, identically in t: tests/test_conics.py::test_intersect_polynomial_identity
     tri = RatTriangle._proved(*_intersect_sides(t))
     return n_t, (f**2 * x_t, f**2 * e_t), tri, Point(*p1), Point(*p2)
+
+
+def _intersect_relations(n_t, point, tri, p1, p2, f2sq, on_curve):
+    """The family's five relations, on values at one t or on rational functions of t."""
+    (x, e), (a, b, c) = point, tri
+    return [
+        ("pythagoras", a**2 + b**2 == c**2),
+        ("area = N(t)", a * b * Fraction(1, 2) == n_t),
+        ("point on ellipse", 4 * e**2 == ellipse(x, f2sq)),
+        ("P1 on curve", on_curve(p1)),
+        ("P2 on curve", on_curve(p2)),
+    ]
 
 
 def intersect_polynomial_identity():
@@ -170,17 +194,19 @@ def intersect_polynomial_identity():
     parameterized point, and that P1, P2 satisfy y^2 = x^3 - N(t)^2 x.
     """
     t = RatFunc.t()
-    a, b, c = _intersect_sides(t)
-    n_t, x_t, e_t, (x1, y1), (x2, y2) = _intersect_forms(t)
-    # ellipse with f = 1: e(x)^2 = x - (x-1)^2/4
-    ellipse = x_t - (x_t - 1) ** 2 * Fraction(1, 4)
-    return [
-        ("pythagoras", a**2 + b**2 == c**2),
-        ("area = N(t)", a * b * Fraction(1, 2) == n_t),
-        ("point on ellipse", e_t**2 == ellipse),
-        ("P1 on curve", y1**2 == x1**3 - n_t**2 * x1),
-        ("P2 on curve", y2**2 == x2**3 - n_t**2 * x2),
-    ]
+    n_t, x_t, e_t, p1, p2 = _intersect_forms(t)
+
+    def on_curve(p):
+        return p[1] ** 2 == p[0] ** 3 - n_t**2 * p[0]
+
+    return _intersect_relations(n_t, (x_t, e_t), _intersect_sides(t), p1, p2, 1, on_curve)
+
+
+def intersect_checks(n_t, point, tri, p1, p2, f=1):
+    """intersect_polynomial_identity's checks, each also read on intersect_example's values."""
+    at_t = _intersect_relations(n_t, point, tri, p1, p2, f**2, curve_en(n_t).contains)
+    identities = intersect_polynomial_identity()
+    return [(name, ok and here) for (name, ok), (_, here) in zip(identities, at_t)]
 
 
 # --- the lattice-point family ---
@@ -306,6 +332,12 @@ def _twin_sides(t):
     return (a1, b1), (a2, b2)
 
 
+def _twin_h(t):
+    """H(x) = 2 h1(x)^2 h2(x)^2 at the abscissae x1, x2 of the two second intersections."""
+    xs = (2 * (2 - 3 * t + t**2) / (t**2 - 3), (3 - 6 * t - t**2) / (2 * (t**2 - 1)))
+    return [2 * (1 - 2 * x + 3 * x**2) * (3 + 2 * x + x**2) for x in xs]
+
+
 def twin_hyperbolas(t):
     """The two quartic congruent numbers N1, N2 with their triangles.
 
@@ -333,21 +365,27 @@ def twin_polynomial_identities():
     the closed-form legs multiply to twice each congruent-number quartic.
     """
     t = RatFunc.t()
-    x1 = 2 * (2 - 3 * t + t**2) / (t**2 - 3)
-    x2 = (3 - 6 * t - t**2) / (2 * (t**2 - 1))
+    h1, h2 = _twin_h(t)
     n1, n2 = _twin_n(t)
-
-    def h_prod(x):
-        return 2 * (1 - 2 * x + 3 * x**2) * (3 + 2 * x + x**2)
-
     rhs1 = ((9 - 10 * t + 3 * t**2) / (t**2 - 3) ** 2) ** 2 * n1
     # square factor carries 2(t^2-1)^2, so that H(x2) = (...)^2 * (N2/2)/2;
     # four times its squarefree class recovers N2
     rhs2 = ((3 - 2 * t + 3 * t**2) / (2 * (t**2 - 1) ** 2)) ** 2 * n2 * Fraction(1, 4)
     (a1, b1), (a2, b2) = _twin_sides(t)
     return [
-        ("H(x1) decomposition", h_prod(x1) == rhs1),
-        ("H(x2) decomposition", h_prod(x2) == rhs2),
+        ("H(x1) decomposition", h1 == rhs1),
+        ("H(x2) decomposition", h2 == rhs2),
         ("area1 = N1", a1 * b1 * Fraction(1, 2) == n1),
         ("area2 = N2", a2 * b2 * Fraction(1, 2) == n2),
     ]
+
+
+def twin_checks(t, n1, n2, tri1, tri2):
+    """twin_polynomial_identities' checks, each also read on twin_hyperbolas(t)'s values.
+
+    H(x_i) times triangle i's area is a square; triangle i is right of area N_i.
+    """
+    hs = _twin_h(Fraction(t))
+    at_t = [rat_sqrt(h * tri.area) is not None for h, tri in zip(hs, (tri1, tri2))]
+    at_t += [tri1.is_right_of_area(n1), tri2.is_right_of_area(n2)]
+    return [(name, ok and here) for (name, ok), here in zip(twin_polynomial_identities(), at_t)]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
 __all__ = ["Curve", "Point", "INFINITY", "curve_en"]
 
@@ -58,13 +59,14 @@ class Curve(namedtuple("Curve", "a2 a4 a6")):
         return self
 
     def discriminant(self):
-        # discriminant of the cubic x^3 + a2 x^2 + a4 x + a6
-        a, b, c = self.a2, self.a4, self.a6
-        return 18 * a * b * c - 4 * a**3 * c + a**2 * b**2 - 4 * b**3 - 27 * c**2
+        """The cubic's discriminant, from the integers L (a2, a4, a6), L the denominators' lcm."""
+        l = lcm(*(q.denominator for q in self))
+        a, b, c = (q.numerator * (l // q.denominator) for q in self)
+        scaled = 18 * a * b * c * l - 4 * a**3 * c + a**2 * b**2 - 4 * b**3 * l - 27 * c**2 * l**2
+        return Fraction(scaled, l**4)
 
     def rhs(self, x):
-        x = Fraction(x)
-        return x**3 + self.a2 * x**2 + self.a4 * x + self.a6
+        return ((x + self.a2) * x + self.a4) * x + self.a6
 
     def contains(self, p):
         if p.infinity:
@@ -136,5 +138,4 @@ class Curve(namedtuple("Curve", "a2 a4 a6")):
 
 def curve_en(n):
     """The congruent-number curve y^2 = x^3 - N^2 x (sign of N immaterial)."""
-    n = Fraction(n)
-    return Curve(0, -(n**2), 0)
+    return Curve(0, -n * n, 0)

@@ -7,7 +7,8 @@ point of a right triangle of area N on y^2 = x^3 - N^2 x, the collinear
 points the three areas induce on their curves, Euler concordant-form
 solutions read off the hypotenuses, and the three-dimensional distance
 identity of the side differences, each read from the one EuclidPair
-that derive(m, n) builds.
+that derive(m, n) builds.  area_relation and distance_relation state the
+two identities over the printed quantities, integers or Fractions.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ __all__ = [
     "euclid",
     "derive",
     "derived_triples",
+    "area_relation",
     "area_identity",
     "connecting_points",
     "concordant_solutions",
+    "distance_relation",
     "distance_identity",
 ]
 
@@ -163,12 +166,17 @@ def derived_triples(pair):
     )
 
 
+def area_relation(areas, c, value):
+    """Whether N_AC^2 + N_BC^2 + N_BA^2 = value = 6(C^4 - 4N^2), areas = (N, N_AC, N_BC, N_BA)."""
+    n, *derived = areas
+    return sum(x * x for x in derived) == value == 6 * (c**4 - 4 * n**2)
+
+
 def area_identity(pair):
-    """Both sides of N_AC^2 + N_BC^2 + N_BA^2 = 6(C^4 - 4N^2)."""
-    q = pair.quad
+    """Both sides of N_AC^2 + N_BC^2 + N_BA^2 = 6(C^4 - 4N^2), and area_relation on them."""
+    q, c = pair.quad, pair.triple.c
     lhs = q.n_ac**2 + q.n_bc**2 + q.n_ba**2
-    rhs = 6 * (pair.triple.c**4 - 4 * q.n**2)
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs == rhs}
+    return {"lhs": lhs, "rhs": 6 * (c**4 - 4 * q.n**2), "holds": area_relation(q, c, lhs)}
 
 
 def connecting_points(pair):
@@ -177,16 +185,14 @@ def connecting_points(pair):
     Returns three (curve, point) pairs; each curve is y^2 = x^3 - N^2 x
     built from the squared area, so the sign of N_BA does not matter.
     """
-    t, q = pair.triple, pair.quad
-    a, b, c = t.a, t.b, t.c
-    y = 2 * a * b * c
-    pairs = (
-        (curve_en(q.n_ac), Point(Fraction(-(b**2)), Fraction(y))),
-        (curve_en(q.n_bc), Point(Fraction(-(a**2)), Fraction(y))),
-        (curve_en(q.n_ba), Point(Fraction(c**2), Fraction(y))),
-    )
+    (a, b, c), q = pair.triple, pair.quad
+    y = Fraction(2 * pair.d)
     # on their curves: tests/test_identities.py::test_connecting_points_lie_on_their_curves
-    return pairs
+    return (
+        (curve_en(q.n_ac), Point(Fraction(-(b**2)), y)),
+        (curve_en(q.n_bc), Point(Fraction(-(a**2)), y)),
+        (curve_en(q.n_ba), Point(Fraction(c**2), y)),
+    )
 
 
 def concordant_solutions(pair):
@@ -204,32 +210,26 @@ def concordant_solutions(pair):
     )
 
 
+def distance_relation(sides, root):
+    """Whether root^2 = 2 sum d_i^2 = (sum d_i)^2, d_i = c_i - a_i of the AC, BC, BA sides."""
+    ds = [c - a for a, _, c in sides]
+    return root**2 == 2 * sum(d * d for d in ds) == sum(ds) ** 2
+
+
 def distance_identity(pair):
     """The squared-distance identity for the vectors of first sides vs hypotenuses.
 
-    With d_i = c_i - a_i over the AC, BC, BA triples, verifies
-        (2(C^4 - 3(AB)^2)/(ABC))^2 = 2*sum d_i^2 = (sum d_i)^2
-                                   = 4*(d1 d2 + d1 d3 + d2 d3)
-    and that each product 4 d_i d_j is the square of a signed combination
-    u, v, w of the d_i (so a perfect rational square), returning the
-    resulting Pythagorean quadruple decomposition of (sum d_i)^2.  Every
-    quantity is an integer numerator over D = pair.d, so the identities
-    compare integers; "lhs_root" and "quadruple" are such numerators.
+    distance_relation checks (2(C^4 - 3(AB)^2)/(ABC))^2 = 2 sum d_i^2 = (sum d_i)^2.
+    As that gives sum d_i^2 = 2 sum d_i d_j, it implies 4 d_i d_j = u^2, v^2, w^2
+    for the signed combinations u, v, w of the d_i, and the Pythagorean
+    quadruple (sum d_i)^2 = u^2 + v^2 + w^2 returned here.  Every quantity is
+    an integer numerator over D = pair.d; "lhs_root" and "quadruple" are such.
     """
     t = pair.triple
     d1, d2, d3 = (c - a for a, _, c in pair.sides)
     lhs_root = 2 * (t.c**4 - 3 * (t.a * t.b) ** 2)
-    lhs = lhs_root**2
-    total = d1 + d2 + d3
-    eq16 = lhs == 2 * (d1**2 + d2**2 + d3**2)
-    eq17 = lhs == total**2
-    eq18 = lhs == 4 * (d1 * d2 + d1 * d3 + d2 * d3)
-    # the three pairwise products as squares of signed combinations
-    u, v, w = d1 + d2 - d3, d1 - d2 + d3, -d1 + d2 + d3
-    eq19 = 4 * d1 * d2 == u**2 and 4 * d1 * d3 == v**2 and 4 * d2 * d3 == w**2
-    decomposition = total**2 == u**2 + v**2 + w**2
     return {
         "lhs_root": lhs_root,
-        "quadruple": (total, u, v, w),
-        "holds": eq16 and eq17 and eq18 and eq19 and decomposition,
+        "quadruple": (d1 + d2 + d3, d1 + d2 - d3, d1 - d2 + d3, -d1 + d2 + d3),
+        "holds": distance_relation(pair.sides, lhs_root),
     }

@@ -39,43 +39,30 @@ _DERIVED_2_1 = (
     RatTriangle("24/5", "35/12", "337/60"),
 )
 _DISTANCE_ROOT_2_1 = F(193, 30)
+_CONCORDANT_2_1 = ((706, 120, 994, 94, 34), (881, 120, 1169, 431, 41), (337, 120, 463, 113, 7))
 
 
 def suite_triples():
     """The (m, n) = (2, 1) worked example, end to end."""
-    checks = []
     pair = triples.derive(2, 1)
     derived = triples.derived_triples(pair)
-    for name, got, want in zip(("AC", "BC", "BA"), derived, _DERIVED_2_1):
-        checks.append((f"derived {name}", got == want))
-    q = pair.quad
-    checks.append(("area quadruple", (q.n, q.n_ac, q.n_bc, q.n_ba) == (6, 34, 41, 7)))
-    rep = triples.area_identity(pair)
-    checks.append(("area identity holds", rep["holds"]))
-    checks.append(("area identity value", rep["lhs"] == 2886 == rep["rhs"]))
-    pairs = triples.connecting_points(pair)
-    checks.append(
-        (
-            "connecting points",
-            [(p.x, p.y) for _, p in pairs]
-            == [(-16, 120), (-9, 120), (25, 120)],
-        )
-    )
-    sols = triples.concordant_solutions(pair)
-    want = ((706, 120, 994, 94, 34), (881, 120, 1169, 431, 41), (337, 120, 463, 113, 7))
-    checks.append(
-        (
-            "concordant solutions",
-            tuple((s.x, s.y, s.z, s.t, s.n) for s in sols) == want,
-        )
-    )
-    rep = triples.distance_identity(pair)
-    checks.append(("distance identity holds", rep["holds"]))
-    checks.append(("distance identity root", F(rep["lhs_root"], pair.d) == _DISTANCE_ROOT_2_1))
-    checks.append(
-        ("distance quadruple", rep["lhs_root"] ** 2 == sum(v**2 for v in rep["quadruple"][1:]))
-    )
-    return checks
+    checks = [
+        (f"derived {name}", got == want)
+        for name, got, want in zip(("AC", "BC", "BA"), derived, _DERIVED_2_1)
+    ]
+    area, dist = triples.area_identity(pair), triples.distance_identity(pair)
+    root = F(dist["lhs_root"], pair.d)
+    points = [(p.x, p.y) for _, p in triples.connecting_points(pair)]
+    return checks + [
+        ("area quadruple", pair.quad == (6, 34, 41, 7)),
+        ("area identity holds", triples.area_relation(pair.quad, pair.triple.c, area["lhs"])),
+        ("area identity value", area["lhs"] == 2886 == area["rhs"]),
+        ("connecting points", points == [(-16, 120), (-9, 120), (25, 120)]),
+        ("concordant solutions", triples.concordant_solutions(pair) == _CONCORDANT_2_1),
+        ("distance identity holds", triples.distance_relation(derived, root)),
+        ("distance identity root", root == _DISTANCE_ROOT_2_1),
+        ("distance quadruple", dist["lhs_root"] ** 2 == sum(v**2 for v in dist["quadruple"][1:])),
+    ]
 
 
 def _random_pairs(seed, count, max_m):
@@ -146,7 +133,7 @@ _INTERSECT_3 = (
 
 
 def suite_conics_intersect():
-    n_t, _, tri, p1, p2 = conics.intersect_example(3)
+    n_t, point, tri, p1, p2 = conics.intersect_example(3)
     want_tri, want_p1, want_p2 = _INTERSECT_3
     checks = [
         ("t=3 N", n_t == 629),
@@ -154,8 +141,7 @@ def suite_conics_intersect():
         ("t=3 P1", p1 == want_p1),
         ("t=3 P2", p2 == want_p2),
     ]
-    checks += conics.intersect_polynomial_identity()
-    return checks
+    return checks + conics.intersect_checks(n_t, point, tri, p1, p2)
 
 
 _LATTICE_1_2_3 = (
@@ -172,13 +158,12 @@ def suite_conics_lattice():
     for i, (res, (n2, tri)) in enumerate(zip(results, _LATTICE_1_2_3), 1):
         checks.append((f"lattice N_{i}2", res.n2 == n2))
         checks.append((f"lattice triangle {i}", res.triangle == tri))
-    closed_forms = True
-    for m, n in ((1, 2), (2, 1)):
-        s = m**2 + n**2
-        pts, tris = conics.lattice_points(m, n)
-        for (x, e), tri in zip(pts, tris):
-            # on the (f1, f2) = (1, s) ellipse e^2 = x s^2 - (x - s^2)^2 / 4
-            closed_forms &= tri.area == x and 4 * e**2 == 4 * x * s**2 - (x - s**2) ** 2
+    # each triangle has area x_i, and each point lies on the (1, m^2 + n^2) ellipse
+    closed_forms = all(
+        tri.area == x and 4 * e**2 == conics.ellipse(x, (m**2 + n**2) ** 2)
+        for m, n in ((1, 2), (2, 1))
+        for (x, e), tri in zip(*conics.lattice_points(m, n))
+    )
     checks.append(("lattice closed forms", closed_forms))
     return checks
 
@@ -205,8 +190,7 @@ def suite_conics_twin():
         ("twin triangle 1", t1 == _TWIN_10[0]),
         ("twin triangle 2", t2 == _TWIN_10[1]),
     ]
-    checks += conics.twin_polynomial_identities()
-    return checks
+    return checks + conics.twin_checks(10, n1, n2, t1, t2)
 
 
 _CASSINI_29 = RatTriangle("99/910", "52780/99", "48029801/90090")

@@ -138,6 +138,16 @@ def test_domain_error_exit_code(capsys):
     assert "error:" in err
 
 
+def test_intersect_refuses_a_zero_f(capsys):
+    # f = 0 scales the ellipse point to (0, 0); the command names its flag,
+    # and the library refuses it too, in its own words
+    code, out, err = run(capsys, ["conics", "intersect", "--t", "3", "--f", "0"])
+    assert code == 3 and not out
+    assert err == "error: --f must be nonzero: f = 0 collapses the ellipse point to (0, 0)\n"
+    with pytest.raises(ValueError, match="^f must be nonzero"):
+        conics.intersect_example(3, 0)
+
+
 def test_degenerate_lattice_secondary_exits_3_with_its_reason(capsys):
     # each slope puts a second intersection at x2 = (m^2+n^2)^2, where w = 0
     for m, n, t in (("1", "2", "-3/2"), ("2", "3", "1/3"), ("4", "1", "2")):
