@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import FOOTPRINT_CLASSES
-from .exact import EffortOutOfRange, FactorBudgetExceeded, OutputTooLarge, format_rat, printable_checker
+from .exact import FactorBudgetExceeded, OutputTooLarge, ParameterError, format_rat, printable_checker
 
 __all__ = ["main"]
 
@@ -156,8 +156,6 @@ def _cmd_conics_triangle(args):
 def _cmd_conics_intersect(args):
     from . import conics
     t = _rational("--t", args.t)
-    if args.f == 0:  # intersect_example refuses it too, naming its parameter f
-        raise ValueError("--f must be nonzero: f = 0 collapses the ellipse point to (0, 0)")
     n_t, (x, e), tri, p1, p2 = conics.intersect_example(t, args.f)
     results = {"n": n_t, "ellipse_point": {"x": x, "e": e}, "triangle": tri, "p1": p1, "p2": p2}
     checks = conics.intersect_checks(n_t, (x, e), tri, p1, p2, args.f)
@@ -511,9 +509,8 @@ def main(argv=None):
         hint = _SIZE_FLAGS.get(args.command.partition(" ")[0], "smaller inputs")
         print(f"error: a result exceeds the {limit}-digit output limit; use {hint}", file=sys.stderr)
         return EXIT_DOMAIN
-    except EffortOutOfRange as exc:  # the one place a library bound is worded as its flag
-        flag = "--" + exc.name.replace("_", "-")
-        print(f"error: {flag} must be between {exc.low} and {exc.high}, got {exc.value}", file=sys.stderr)
+    except ParameterError as exc:  # the one place a library parameter is worded as its flag
+        print(f"error: --{exc.name.replace('_', '-')} {exc.reason}", file=sys.stderr)
         return EXIT_DOMAIN
     except (ValueError, ArithmeticError, FactorBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,9 @@ sqrt(N) or sqrt(2N)) is only ever handled through f2^2, and square roots
 are taken of full rational squares.
 
 The CLI and the gate take each family's checks from intersect_checks or
-twin_checks: the identity in t and the same relation on the values at t.
+twin_checks, which read the values computed at t.  The relations hold
+identically in t, proved once in tests/test_identities.py; only twin's
+H(x_i) decompositions are also checked here as identities in t.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .elliptic import Point, curve_en
-from .exact import rat_sqrt, squarefree_part
+from .exact import ParameterError, rat_sqrt, squarefree_part
 from .polyrat import RatFunc
 from .triples import RatTriangle, triangle_point
 
@@ -31,7 +33,6 @@ __all__ = [
     "conic_triangle",
     "conic_ec_points",
     "intersect_example",
-    "intersect_polynomial_identity",
     "intersect_checks",
     "reduce_raise",
     "lattice_points",
@@ -159,54 +160,32 @@ def intersect_example(t, f=1):
 
     Returns (N(t), ellipse point (x, e), triangle, P1, P2) where
     N(t) = (4t^2+1)(4t^2-8t+5), the triangle has area N(t), and P1, P2
-    lie on E_{N(t)}; intersect_polynomial_identity proves both for every
-    t.  The ellipse point carries the f^2 factor that the reduce step
-    removes; the triangle and curve points do not depend on f.
+    lie on E_{N(t)}, for every t; intersect_checks reads these relations
+    on the values.  The ellipse point carries the f^2 factor that the
+    reduce step removes; the triangle and curve points do not depend on f.
     """
     t = Fraction(t)
     if t == Fraction(1, 2):
         raise ValueError("t = 1/2 is the singular slope")
     if f == 0:
-        raise ValueError("f must be nonzero: f = 0 collapses the ellipse point to (0, 0)")
+        raise ParameterError("f", "must be nonzero: f = 0 collapses the ellipse point to (0, 0)")
     n_t, x_t, e_t, p1, p2 = _intersect_forms(t)
-    # right, identically in t: tests/test_conics.py::test_intersect_polynomial_identity
+    # right, of area N(t), with the point on the ellipse and P1, P2 on
+    # E_{N(t)}, identically in t: tests/test_identities.py::test_intersect_family_identities
     tri = RatTriangle._proved(*_intersect_sides(t))
     return n_t, (f**2 * x_t, f**2 * e_t), tri, Point(*p1), Point(*p2)
 
 
-def _intersect_relations(n_t, point, tri, p1, p2, f2sq, on_curve):
-    """The family's five relations, on values at one t or on rational functions of t."""
-    (x, e), (a, b, c) = point, tri
+def intersect_checks(n_t, point, tri, p1, p2, f=1):
+    """The family's five relations, read on intersect_example's values at one t."""
+    (x, e), (a, b, c), on_curve = point, tri, curve_en(n_t).contains
     return [
         ("pythagoras", a**2 + b**2 == c**2),
-        ("area = N(t)", a * b * Fraction(1, 2) == n_t),
-        ("point on ellipse", 4 * e**2 == ellipse(x, f2sq)),
+        ("area = N(t)", a * b / 2 == n_t),
+        ("point on ellipse", 4 * e**2 == ellipse(x, f**2)),
         ("P1 on curve", on_curve(p1)),
         ("P2 on curve", on_curve(p2)),
     ]
-
-
-def intersect_polynomial_identity():
-    """Proof obligations of the intersection family, as identities in t.
-
-    Checks, as rational-function identities in t: a^2 + b^2 = c^2,
-    ab/2 = (4t^2+1)(4t^2-8t+5), the ellipse membership of the
-    parameterized point, and that P1, P2 satisfy y^2 = x^3 - N(t)^2 x.
-    """
-    t = RatFunc.t()
-    n_t, x_t, e_t, p1, p2 = _intersect_forms(t)
-
-    def on_curve(p):
-        return p[1] ** 2 == p[0] ** 3 - n_t**2 * p[0]
-
-    return _intersect_relations(n_t, (x_t, e_t), _intersect_sides(t), p1, p2, 1, on_curve)
-
-
-def intersect_checks(n_t, point, tri, p1, p2, f=1):
-    """intersect_polynomial_identity's checks, each also read on intersect_example's values."""
-    at_t = _intersect_relations(n_t, point, tri, p1, p2, f**2, curve_en(n_t).contains)
-    identities = intersect_polynomial_identity()
-    return [(name, ok and here) for (name, ok), (_, here) in zip(identities, at_t)]
 
 
 # --- the lattice-point family ---
@@ -353,16 +332,16 @@ def twin_hyperbolas(t):
     for a, b in _twin_sides(t):
         if a == 0 or b == 0:
             raise ValueError("degenerate t: a closed-form leg vanishes")
+        # a^2 + b^2 is a square in Q(t): tests/test_identities.py::test_twin_triangles_are_right_of_area_n
         tris.append(RatTriangle.from_legs(a, b))
     return n1, n2, tris[0], tris[1]
 
 
 def twin_polynomial_identities():
-    """Checks of the twin-hyperbola construction, as identities in t.
+    """The twin-hyperbola H(x) decompositions, as identities in t.
 
     H(x) = 2 h1(x)^2 h2(x)^2 evaluated at the two second-intersection
-    abscissae factors into a rational square times N1 (resp. N2/4), and
-    the closed-form legs multiply to twice each congruent-number quartic.
+    abscissae factors into a rational square times N1 (resp. N2/4).
     """
     t = RatFunc.t()
     h1, h2 = _twin_h(t)
@@ -371,21 +350,18 @@ def twin_polynomial_identities():
     # square factor carries 2(t^2-1)^2, so that H(x2) = (...)^2 * (N2/2)/2;
     # four times its squarefree class recovers N2
     rhs2 = ((3 - 2 * t + 3 * t**2) / (2 * (t**2 - 1) ** 2)) ** 2 * n2 * Fraction(1, 4)
-    (a1, b1), (a2, b2) = _twin_sides(t)
-    return [
-        ("H(x1) decomposition", h1 == rhs1),
-        ("H(x2) decomposition", h2 == rhs2),
-        ("area1 = N1", a1 * b1 * Fraction(1, 2) == n1),
-        ("area2 = N2", a2 * b2 * Fraction(1, 2) == n2),
-    ]
+    return [("H(x1) decomposition", h1 == rhs1), ("H(x2) decomposition", h2 == rhs2)]
 
 
 def twin_checks(t, n1, n2, tri1, tri2):
-    """twin_polynomial_identities' checks, each also read on twin_hyperbolas(t)'s values.
+    """The family's four checks, read on twin_hyperbolas(t)'s values.
 
-    H(x_i) times triangle i's area is a square; triangle i is right of area N_i.
+    "H(x_i) decomposition" is the identity in t and H(x_i) times triangle
+    i's area being a square; "area_i = N_i" is triangle i right of area N_i.
     """
     hs = _twin_h(Fraction(t))
-    at_t = [rat_sqrt(h * tri.area) is not None for h, tri in zip(hs, (tri1, tri2))]
-    at_t += [tri1.is_right_of_area(n1), tri2.is_right_of_area(n2)]
-    return [(name, ok and here) for (name, ok), here in zip(twin_polynomial_identities(), at_t)]
+    checks = [
+        (name, ok and rat_sqrt(h * tri.area) is not None)
+        for (name, ok), h, tri in zip(twin_polynomial_identities(), hs, (tri1, tri2))
+    ]
+    return checks + [("area1 = N1", tri1.is_right_of_area(n1)), ("area2 = N2", tri2.is_right_of_area(n2))]

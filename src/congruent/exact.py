@@ -17,6 +17,7 @@ from collections import Counter
 from fractions import Fraction
 
 __all__ = [
+    "ParameterError",
     "EffortOutOfRange",
     "FactorBudgetExceeded",
     "OutputTooLarge",
@@ -42,12 +43,19 @@ class FactorBudgetExceeded(Exception):
         self.remaining = remaining
 
 
-class EffortOutOfRange(ValueError):
+class ParameterError(ValueError):
+    """A parameter outside a construction's domain: str() is "<name> <reason>"."""
+
+    def __init__(self, name, reason):
+        super().__init__(f"{name} {reason}")
+        self.name, self.reason = name, reason
+
+
+class EffortOutOfRange(ParameterError):
     """A parameter that bounds a construction's effort is outside low..high."""
 
     def __init__(self, name, low, high, value):
-        super().__init__(f"{name} must be between {low} and {high}, got {value}")
-        self.name, self.low, self.high, self.value = name, low, high, value
+        super().__init__(name, f"must be between {low} and {high}, got {value}")
 
 
 def is_square(n):

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from congruent import conics
+from congruent import cli, conics, verify
 from congruent.elliptic import Point, curve_en
+from congruent.polyrat import RatFunc
 from congruent.triples import RatTriangle
 
 F = Fraction
@@ -64,11 +66,6 @@ def test_intersect_family_other_parameters():
         assert e.contains(p1) and e.contains(p2)
 
 
-def test_intersect_polynomial_identity():
-    checks = conics.intersect_polynomial_identity()
-    assert checks and all(ok for _, ok in checks)
-
-
 def _intersect_n_plus_one(forms):
     n_t, *rest = forms
     return (n_t + 1, *rest)
@@ -77,6 +74,11 @@ def _intersect_n_plus_one(forms):
 def _intersect_x_plus_one(forms):
     n_t, x_t, *rest = forms
     return (n_t, x_t + 1, *rest)
+
+
+def _intersect_c_plus_one(sides):
+    a, b, c = sides
+    return a, b, c + 1
 
 
 def _twin_n1_plus_one(ns):
@@ -89,34 +91,50 @@ def _twin_b2_plus_one(sides):
     return side1, (a2, b2 + 1)
 
 
+INTERSECT_3 = ["conics", "intersect", "--t", "3"]
+TWIN_10 = ["conics", "twin", "--t", "10"]
+
+
 @pytest.mark.parametrize(
-    "form, change, identities, failing",
+    "form, change, failing, argv, code",
     [
-        (
-            "_intersect_forms",
-            _intersect_n_plus_one,
-            conics.intersect_polynomial_identity,
-            {"area = N(t)", "P1 on curve", "P2 on curve"},
-        ),
-        (
-            "_intersect_forms",
-            _intersect_x_plus_one,
-            conics.intersect_polynomial_identity,
-            {"point on ellipse"},
-        ),
+        ("_intersect_forms", _intersect_n_plus_one,
+         {"area = N(t)", "P1 on curve", "P2 on curve"}, INTERSECT_3, 1),
+        ("_intersect_forms", _intersect_x_plus_one, {"point on ellipse"}, INTERSECT_3, 1),
+        ("_intersect_sides", _intersect_c_plus_one, {"pythagoras"}, INTERSECT_3, 1),
         # the legs are built from the patched N1 too (a1 = -p1 q1 N1 / (2 s1)),
-        # so "area1 = N1" holds for any N1; only the H(x1) square class sees it
-        ("_twin_n", _twin_n1_plus_one, conics.twin_polynomial_identities, {"H(x1) decomposition"}),
-        ("_twin_sides", _twin_b2_plus_one, conics.twin_polynomial_identities, {"area2 = N2"}),
+        # so a1 b1 / 2 = N1 for any N1; a1^2 + b1^2 is no longer a square, and
+        # from_legs refuses the legs at t = 10
+        ("_twin_n", _twin_n1_plus_one, {"area1 = N1"}, TWIN_10, 3),
+        ("_twin_sides", _twin_b2_plus_one, {"area2 = N2"}, TWIN_10, 3),
     ],
-    ids=["N(t)+1", "ellipse x+1", "N1+1", "b2+1"],
-)
-def test_perturbed_conic_form_fails_by_name(monkeypatch, form, change, identities, failing):
-    checks = dict(identities())
-    assert failing <= checks.keys() and all(checks.values())
+    ids=["N(t)+1", "ellipse x+1", "c+1", "N1+1", "b2+1"],
+)  # fmt: skip
+def test_perturbed_conic_form_fails_by_name(monkeypatch, capsys, form, change, failing, argv, code):
+    # the form fails its proof in t by name, and its command at the gate's t
+    import test_identities as identities  # the sympy proofs; skipped without sympy
+    proofs = identities.intersect_proofs if form.startswith("_intersect") else identities.twin_proofs
+    proved = proofs()
+    assert failing <= proved.keys() and all(proved.values())
     original = getattr(conics, form)
     monkeypatch.setattr(conics, form, lambda t: change(original(t)))
-    assert dict(identities()) == {name: name not in failing for name in checks}
+    assert proofs() == {name: name not in failing for name in proved}
+    assert cli.main(argv + ["--json"]) == code
+    if code == 1:
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert {c["name"] for c in checks if not c["pass"]} == failing
+
+
+def test_intersect_builds_no_rational_function(monkeypatch):
+    # its identities in t are proved in tests/test_identities.py, not per call
+    def refuse(*args):
+        raise AssertionError("RatFunc built")
+
+    monkeypatch.setattr(RatFunc, "__init__", refuse)
+    with pytest.raises(AssertionError, match="RatFunc built"):
+        conics.twin_polynomial_identities()
+    assert cli.main(INTERSECT_3) == 0
+    assert all(ok for _, ok in verify.suite_conics_intersect())
 
 
 def test_reduce_raise_roundtrip():

@@ -21,7 +21,12 @@ sympy = pytest.importorskip("sympy")
 
 
 def _vanishes(expr, relations=(), gens=()):
-    """True when the numerator of expr is 0, modulo relations in gens (lex order)."""
+    """True when the numerator of expr is 0, modulo relations in gens (lex order).
+
+    expr is a sympy expression or an element of a sympy polynomial ring.
+    """
+    if not isinstance(expr, sympy.Basic):
+        expr = expr.as_expr()
     num = sympy.expand(sympy.numer(sympy.together(expr)))
     if not relations:
         return num == 0
@@ -188,6 +193,52 @@ def test_lattice_second_point_lies_on_the_ellipse():
         x2 = root_sum - x_i
         e2 = t * (x2 - x_i) + e_i
         assert _vanishes(off_ellipse(x2, e2))
+
+
+# The intersection and twin families are closed forms in t, proved in
+# sympy's field of rational functions, whose elements are kept in lowest
+# terms: == between two of them is the identity in t.
+
+
+def _is_square(f):
+    """Whether f, in a field of rational functions over Q, is the square of one."""
+    coeff, factors = (f.numer * f.denom).sqf_list()
+    return sympy.sqrt(coeff).is_rational and all(k % 2 == 0 for _, k in factors)
+
+
+def intersect_proofs():
+    """{name: proved} for intersect_checks' five relations on intersect_example's values."""
+    _, t, f = sympy.field("t, f", sympy.QQ)
+    n_t, x_t, e_t, p1, p2 = conics._intersect_forms(t)
+    a, b, c = conics._intersect_sides(t)
+    return {
+        "pythagoras": a**2 + b**2 == c**2,
+        "area = N(t)": a * b / 2 == n_t,
+        # the point intersect_example returns for f, read with f2 = f
+        "point on ellipse": 4 * (f**2 * e_t) ** 2 == conics.ellipse(f**2 * x_t, f**2),
+        "P1 on curve": _off_e_n(Point(*p1), n_t) == 0,
+        "P2 on curve": _off_e_n(Point(*p2), n_t) == 0,
+    }
+
+
+def twin_proofs():
+    """{name: proved} for twin_checks' "area_i = N_i": a_i b_i / 2 = N_i and a_i^2 + b_i^2 a square."""
+    _, t = sympy.field("t", sympy.QQ)
+    return {
+        f"area{i} = N{i}": a * b / 2 == n and _is_square(a**2 + b**2)
+        for i, ((a, b), n) in enumerate(zip(conics._twin_sides(t), conics._twin_n(t)), 1)
+    }
+
+
+def test_intersect_family_identities():
+    assert intersect_proofs() == dict.fromkeys(
+        ["pythagoras", "area = N(t)", "point on ellipse", "P1 on curve", "P2 on curve"], True
+    )
+
+
+def test_twin_triangles_are_right_of_area_n():
+    # so twin_hyperbolas' from_legs finds the hypotenuse wherever the legs exist
+    assert twin_proofs() == {"area1 = N1": True, "area2 = N2": True}
 
 
 # --- recurrence ---
@@ -379,8 +430,12 @@ def test_euclid_and_fermat_triples_are_pythagorean():
 
 @pytest.fixture
 def symbolic_triples(monkeypatch):
-    """triples with euclid(m, n) = (m^2 - n^2, 2mn, m^2 + n^2) in symbols."""
-    m, n = sympy.symbols("m n")
+    """triples with euclid(m, n) = (m^2 - n^2, 2mn, m^2 + n^2) in Z[m, n].
+
+    derive's AB // 2 is then the exact quotient, and == between two values
+    is the identity in m and n.
+    """
+    _, m, n = sympy.ring("m, n", sympy.ZZ)
     euclid = SimpleNamespace(a=m**2 - n**2, b=2 * m * n, c=m**2 + n**2)
     monkeypatch.setattr(triples, "euclid", lambda *_: euclid)
     return m, n
@@ -400,6 +455,41 @@ def test_connecting_points_lie_on_their_curves(symbolic_triples):
     y = 2 * t.a * t.b * t.c
     for x, big_n in ((-(t.b**2), q.n_ac), (-(t.a**2), q.n_bc), (t.c**2, q.n_ba)):
         assert _vanishes(_off_e_n(Point(x, y), big_n))
+
+
+def _euclid_proofs(pair):
+    """{name: proved} for the CLI's "area identity" and "distance identity" on the pair.
+
+    area_identity and distance_identity read the relations the CLI and the
+    gate check, area_relation and distance_relation, on the pair's numerators.
+    """
+    return {
+        "area identity": triples.area_identity(pair)["holds"],
+        "distance identity": triples.distance_identity(pair)["holds"],
+    }
+
+
+def test_euclid_identities_hold_identically(symbolic_triples):
+    proofs = _euclid_proofs(triples.derive(*symbolic_triples))
+    assert proofs == {"area identity": True, "distance identity": True}
+
+
+def _first_side_plus_one(pair):
+    (a, b, c), *rest = pair.sides
+    return pair._replace(sides=((a + 1, b, c), *rest))
+
+
+@pytest.mark.parametrize(
+    "change, failing",
+    [
+        (lambda p: p._replace(quad=p.quad._replace(n_ac=p.quad.n_ac + 1)), "area identity"),
+        (_first_side_plus_one, "distance identity"),
+    ],
+    ids=["N_AC+1", "AC a+1"],
+)
+def test_perturbed_euclid_form_fails_its_proof(symbolic_triples, change, failing):
+    proofs = _euclid_proofs(change(triples.derive(*symbolic_triples)))
+    assert proofs == {name: name != failing for name in proofs}
 
 
 def test_concordant_radicals_are_squares(symbolic_triples):

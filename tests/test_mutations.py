@@ -85,8 +85,8 @@ def test_every_conic_and_euclid_identity_check_is_mutated():
     # the checks that read only identities in t or in (m, n) before they also
     # read computed values; none of them is left without a mutation
     names = {"area identity holds", "distance identity holds"}
-    names |= {name for name, _ in conics.intersect_polynomial_identity()}
-    names |= {name for name, _ in conics.twin_polynomial_identities()}
+    names |= {name for name, _ in conics.intersect_checks(*conics.intersect_example(3))}
+    names |= {name for name, _ in conics.twin_checks(10, *conics.twin_hyperbolas(10))}
     assert len(names) == 11
     assert names == {row[1] for row in GATE_MUTATIONS}
 
