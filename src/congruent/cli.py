@@ -20,7 +20,8 @@ import sys
 from fractions import Fraction
 
 from . import FOOTPRINT_CLASSES
-from .exact import FactorBudgetExceeded, OutputTooLarge, ParameterError, format_rat, printable_checker
+from .exact import EffortOutOfRange, FactorBudgetExceeded, OutputTooLarge, ParameterError
+from .exact import format_rat, printable_checker
 
 __all__ = ["main"]
 
@@ -28,6 +29,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+
+# cassini --emit-curve COUNT draws at most this many points, about 0.05 s and
+# 50 KB of JSON; COUNT = 1 is the left end of the oval's x range, 0 is none.
+MAX_CURVE_POINTS = 1000
 
 
 # The phrase naming the flag that bounds each command's result size, used
@@ -197,7 +202,7 @@ def _oval_points(oval, count):
     xmax = math.sqrt((a2 + b2) / w)
     pts = []
     for i in range(count):
-        x = -xmax + 2 * xmax * i / (count - 1)
+        x = -xmax + 2 * xmax * i / max(count - 1, 1)
         s, r = oval.y_squared(Fraction(x).limit_denominator(10**6))
         y2 = math.sqrt(float(s)) - float(r)
         pts.append((x, math.sqrt(y2) if y2 > 0 else 0.0))
@@ -225,6 +230,8 @@ def _cassini(args, inputs, quad, tri, oval, axis):
 
 def _cmd_cassini_two(args):
     from . import cassini
+    if not 0 <= args.emit_curve <= MAX_CURVE_POINTS:  # before any work
+        raise EffortOutOfRange("emit_curve", 0, MAX_CURVE_POINTS, args.emit_curve)
     quad, tri, oval = cassini.heegner_two(args.n, args.f1, _rational("--f2", args.f2), args.adjoin)
     inputs = {"n": args.n, "f1": args.f1, "f2": args.f2, "adjoin": args.adjoin}
     return _cassini(args, inputs, quad, tri, oval, cassini.oval_axis_points(oval))
@@ -232,6 +239,8 @@ def _cmd_cassini_two(args):
 
 def _cmd_cassini_four(args):
     from . import cassini
+    if not 0 <= args.emit_curve <= MAX_CURVE_POINTS:  # before any work
+        raise EffortOutOfRange("emit_curve", 0, MAX_CURVE_POINTS, args.emit_curve)
     f2 = _rational("--f2", args.f2)
     inputs = {"n": args.n, "f1": args.f1, "f2": args.f2}
     return _cassini(args, inputs, *cassini.heegner_four(args.n, args.f1, f2**2))

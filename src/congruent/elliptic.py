@@ -10,9 +10,9 @@ height first.
 
 Points are validated once, where they enter: a construction's points lie
 on its curve by an identity proved in tests/test_identities.py, input
-points are checked with ``contains``, and ``mul`` and ``order_at_most``
-check their argument.  ``add`` itself does not, so a chain of additions
-pays for no cubic evaluations; an off-curve argument gives a meaningless sum.
+points are checked with ``contains``, and only ``order_at_most`` checks
+its argument.  ``add`` itself does not, so a chain of additions pays for
+no cubic evaluations; an off-curve argument gives a meaningless sum.
 """
 
 from __future__ import annotations
@@ -73,10 +73,6 @@ class Curve(namedtuple("Curve", "a2 a4 a6")):
             return True
         return p.y**2 == self.rhs(p.x)
 
-    def _require(self, p):
-        if not self.contains(p):
-            raise ValueError(f"point {p} is not on the curve")
-
     def add(self, p, q):
         """Chord-tangent addition of two points already known to be on the curve.
 
@@ -102,25 +98,10 @@ class Curve(namedtuple("Curve", "a2 a4 a6")):
     def double(self, p):
         return self.add(p, p)
 
-    def mul(self, k, p):
-        """k-fold sum by double-and-add; mul(0, p) is the identity."""
-        if k < 0:
-            return self.mul(-k, -p)
-        self._require(p)
-        # acc = (k mod 2^i) P is never larger than addend = 2^i P, so it goes first
-        acc = INFINITY
-        addend = p
-        while k:
-            if k & 1:
-                acc = self.add(acc, addend)
-            if k > 1:
-                addend = self.add(addend, addend)
-            k >>= 1
-        return acc
-
     def order_at_most(self, p):
         """Smallest 1 <= k <= MAZUR_MAX_ORDER with k*P = infinity, or None."""
-        self._require(p)
+        if not self.contains(p):
+            raise ValueError(f"point {p} is not on the curve")
         acc = INFINITY
         for k in range(1, MAZUR_MAX_ORDER + 1):
             # p is the small point: read the chord there, not at k*P
@@ -130,9 +111,7 @@ class Curve(namedtuple("Curve", "a2 a4 a6")):
         return None
 
     def certify_infinite_order(self, p):
-        """True iff P is affine and no multiple up to the Mazur bound vanishes."""
-        if p.infinity:
-            return False
+        """True iff no multiple of P up to the Mazur bound vanishes: never for O, as 1*O = O."""
         return self.order_at_most(p) is None
 
 

@@ -17,12 +17,11 @@ from fractions import Fraction
 from .cassini import heegner_two
 from .elliptic import curve_en
 from .exact import EffortOutOfRange, printable_checker, rat_sqrt
-from .triples import RatTriangle, triangle_point
+from .triples import triangle_point
 
 __all__ = [
     "ChainEntry",
     "TangentChain",
-    "point_to_triangle",
     "tangent_intersection",
     "solve_f",
     "tangent_chain",
@@ -30,17 +29,6 @@ __all__ = [
 
 # beyond this depth the integers have tens of thousands of digits
 MAX_FREE_DEPTH = 5
-
-
-def point_to_triangle(p, n):
-    """The inverse of triples.triangle_point: ((x^2-N^2)/y, 2Nx/y, (x^2+N^2)/y)."""
-    if p.infinity or p.y == 0:
-        raise ValueError("point has no associated triangle")
-    if not curve_en(n).contains(p):
-        raise ValueError(f"point {p} is not on E_{n}")
-    n = Fraction(n)
-    # right, of area N: tests/test_identities.py::test_point_triangle_has_area_n
-    return RatTriangle._proved((p.x**2 - n**2) / p.y, 2 * n * p.x / p.y, (p.x**2 + n**2) / p.y)
 
 
 def tangent_intersection(p, n):
@@ -86,14 +74,14 @@ class TangentChain(namedtuple("TangentChain", "n seed entries")):
     __slots__ = ()
 
     def doubling_holds(self):
-        """Each entry's point is ±2 times the previous point on E_N."""
+        """Each triangle is right of area N and maps to its point, ±2 times the previous one on E_N."""
         curve = curve_en(self.n)
         prev = triangle_point(self.seed)
         for entry in self.entries:
-            dbl = curve.double(prev)
-            if entry.point.x != dbl.x or abs(entry.point.y) != abs(dbl.y):
+            p, tri, dbl = entry.point, entry.triangle, curve.double(prev)
+            if not tri.is_right_of_area(self.n) or p != triangle_point(tri) or p not in (dbl, -dbl):
                 return False
-            prev = entry.point
+            prev = p
         return True
 
 
@@ -105,8 +93,8 @@ def tangent_chain(tri0, n, depth=3):
     triangle through the two-intersection system.  Numbers roughly square
     each step, so depth is bounded by MAX_FREE_DEPTH, and the first step
     with a value too large to print raises exact.OutputTooLarge before the
-    next one starts.  The chain's doubling_holds() checks that each point
-    is ±2 times the previous one.
+    next one starts.  The chain's doubling_holds() checks that each triangle
+    is right of area N and maps to its point, ±2 times the previous one.
     """
     if not 1 <= depth <= MAX_FREE_DEPTH:
         raise EffortOutOfRange("depth", 1, MAX_FREE_DEPTH, depth)

@@ -39,12 +39,7 @@ __all__ = [
 ]
 
 
-class PythTriple(namedtuple("PythTriple", "a b c")):
-    __slots__ = ()
-
-    @property
-    def area(self):
-        return Fraction(self.a * self.b, 2)
+PythTriple = namedtuple("PythTriple", "a b c")
 
 
 class RatTriangle(namedtuple("RatTriangle", "a b c")):

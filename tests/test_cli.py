@@ -85,14 +85,13 @@ def test_cassini_two(capsys):
 
 
 def test_cassini_emit_curve(capsys):
-    code, out, _ = run(
-        capsys,
-        ["cassini", "two", "--n", "29", "--f1", "1", "--f2", "-13", "--emit-curve", "5", "--json"],
-    )
-    assert code == 0
-    env = json.loads(out)
-    pts = env["results"]["curve_points_approx"]
-    assert len(pts) == 5
+    argv = ["cassini", "two", "--n", "29", "--f1", "1", "--f2", "-13", "--json", "--emit-curve"]
+    for count in (5, 1):
+        code, out, _ = run(capsys, argv + [str(count)])
+        assert code == 0
+        pts = json.loads(out)["results"]["curve_points_approx"]
+        # the first point is the left end of the oval's x range, on the axis
+        assert len(pts) == count and pts[0] == {"x": -99.0, "y": 0.0}
 
 
 def test_recur_walk(capsys):
@@ -266,14 +265,17 @@ def test_trinity_json_is_exact(capsys):
 
 
 # the arguments a bounded command needs besides its effort flag
-_REQUIRED = {"tangent": ["--n", "5", "--a", "3/2", "--b", "20/3"]}
+_REQUIRED = {
+    "tangent": ["--n", "5", "--a", "3/2", "--b", "20/3"],
+    "cassini two": ["--n", "29", "--f1", "1", "--f2", "-13"],
+}
 
 
 def _readme_bound_cases():
     """(argv, message) just outside each "`cmd --flag` lo..hi" bound the README states."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     bounds = re.findall(r"`([a-z ]+) (--[a-z-]+)` (\d+)\.\.(\d+)", readme)
-    assert len(bounds) == 4, bounds
+    assert len(bounds) == 5, bounds
     return [
         (cmd.split() + _REQUIRED.get(cmd, []) + [flag, str(value)],
          f"{flag} must be between {lo} and {hi}, got {value}")
@@ -296,7 +298,10 @@ def _readme_bound_cases():
         (["seq", "brahmagupta", "--k", "3000"], "--k must be between 0 and 400"),
         (["seq", "brahmagupta", "--k", "-1"], "--k must be between 0 and 400"),
     ]
-    + _readme_bound_cases(),
+    + _readme_bound_cases()
+    # the README states the --emit-curve bound for cassini two
+    + [(["cassini", "four", "--n", "79", "--f1", "125", "--f2", "52", "--emit-curve", "1001"],
+        "--emit-curve must be between 0 and 1000")],
 )
 def test_out_of_range_effort_exits_before_work(capsys, monkeypatch, argv, flag):
     # each module checks its own bound before its work; the cli names the flag

@@ -31,8 +31,6 @@ def test_entry_points_reject_off_curve_points():
     # add trusts its arguments; points are validated where they enter
     off = Point(F(1), F(1))
     with pytest.raises(ValueError):
-        E5.mul(3, off)
-    with pytest.raises(ValueError):
         E5.order_at_most(off)
     with pytest.raises(ValueError):
         tangent_intersection(off, 5)
@@ -43,13 +41,6 @@ def test_doubling_stays_on_curve():
     for _ in range(4):
         q = E5.double(q)
         assert E5.contains(q)
-
-
-@given(st.integers(min_value=-8, max_value=8), st.integers(min_value=-8, max_value=8))
-@settings(max_examples=60)
-def test_mul_additivity(j, k):
-    lhs = E5.add(E5.mul(j, P), E5.mul(k, P))
-    assert lhs == E5.mul(j + k, P)
 
 
 def test_associativity_on_torsion_and_free_parts():
@@ -103,9 +94,8 @@ def test_every_mazur_order(n):
 
 def test_the_smaller_point_is_added_first(monkeypatch):
     multiples = [INFINITY]
-    for _ in range(16):
+    for _ in range(MAZUR_MAX_ORDER):
         multiples.append(E5.add(P, multiples[-1]))
-    index = {q: j for j, q in enumerate(multiples)}
     calls = []
     add = Curve.add
 
@@ -117,22 +107,25 @@ def test_the_smaller_point_is_added_first(monkeypatch):
     # the Mazur loop reads each chord at the fixed point P, not at k*P
     assert E5.order_at_most(P) is None
     assert calls == [(P, multiples[j]) for j in range(MAZUR_MAX_ORDER)]
-    # mul's accumulator (k mod 2^i) P goes before its addend 2^i P
-    for k in (5, 11, 13, 15):
-        calls.clear()
-        assert E5.mul(k, P) == multiples[k]
-        assert calls and all(index[p] <= index[q] for p, q in calls), k
 
 
 _, EB, QB, _ = brahmagupta(3)
 GROUPS = {"E5": (E5, P), "brahmagupta k=3": (EB, QB[0])}
 
 
+def _multiple(curve, k, q0):
+    """k*q0 by |k| additions of the small point q0, negated for k < 0."""
+    acc = INFINITY
+    for _ in range(abs(k)):
+        acc = curve.add(q0, acc)
+    return acc if k >= 0 else -acc
+
+
 @given(st.sampled_from(sorted(GROUPS)), st.integers(-8, 8), st.integers(-8, 8))
 @settings(max_examples=60)
 def test_addition_commutes_on_multiples(name, j, k):
     curve, q0 = GROUPS[name]
-    p, q = curve.mul(j, q0), curve.mul(k, q0)
+    p, q = _multiple(curve, j, q0), _multiple(curve, k, q0)
     assert curve.add(p, q) == curve.add(q, p)
 
 

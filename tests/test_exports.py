@@ -159,3 +159,65 @@ def test_every_record_is_a_slotted_tuple():
         assert isinstance(record, tuple) and not hasattr(record, "__dict__"), type(record)
         with pytest.raises(AttributeError):
             record.extra = 1
+
+
+# Functions and methods that no code in src/ names, each with its reader
+# outside src/. This set may only shrink.
+UNCALLED = {
+    # perfbench/tracer.py reads the degree of the polynomials it traces
+    "Poly.degree",
+    # the oval equation tests/test_identities.py proves the axis points against;
+    # ROADMAP item 13 makes it a check of the printed cassini values
+    "CassiniOval.residual",
+}
+
+
+def _uncalled(sources):
+    """"module.function" or "Class.method" for each one that no code names outside its own body.
+
+    sources maps module names to their text. Any attribute read of a method's
+    name counts as a call, so the scan cannot see a method whose name another
+    class shares: PythTriple.area went unseen beside RatTriangle.area. Dunder
+    methods are called by the language, and are skipped.
+    """
+    uses, defs = [], []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.append((module, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                uses.append((module, node.lineno, node.attr))
+        for node in tree.body:
+            methods = node.body if isinstance(node, ast.ClassDef) else [node]
+            owner = node.name if isinstance(node, ast.ClassDef) else module
+            defs += [(module, owner, f) for f in methods if isinstance(f, ast.FunctionDef)]
+    return {
+        f"{owner}.{f.name}"
+        for module, owner, f in defs
+        if not (f.name.startswith("__") and f.name.endswith("__"))
+        and not any(
+            name == f.name and not (m == module and f.lineno <= line <= f.end_lineno)
+            for m, line, name in uses
+        )
+    }
+
+
+def test_the_caller_scan_sees_calls_outside_the_body():
+    source = (
+        "class A:\n"
+        "    def used(self):\n"
+        "        return self.used()\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "def f(a):\n"
+        "    return f(a)\n"
+        "def g(a):\n"
+        "    return a.used()\n"
+    )
+    assert _uncalled({"m": source}) == {"m.f", "m.g"}
+
+
+def test_every_function_has_a_caller():
+    paths = Path(congruent.__file__).parent.glob("*.py")
+    assert _uncalled({p.stem: p.read_text() for p in paths}) == UNCALLED

@@ -408,14 +408,6 @@ def test_triangle_point_lies_on_e_n():
     assert _vanishes(_off_e_n(p, a * b / 2), [c**2 - a**2 - b**2], (c, a, b))
 
 
-def test_point_triangle_has_area_n():
-    # point_to_triangle's sides, for a point it has checked to be on E_N
-    x, y, n = sympy.symbols("x y n")
-    a, b, c = (x**2 - n**2) / y, 2 * n * x / y, (x**2 + n**2) / y
-    assert _vanishes(a**2 + b**2 - c**2)
-    assert _vanishes(a * b / 2 - n, [y**2 - x**3 + n**2 * x], (y, x, n))
-
-
 # --- triples and fermat ---
 
 

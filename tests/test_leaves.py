@@ -1,0 +1,172 @@
+"""Every printed value is read by a check, or is listed as unread.
+
+Each leaf command runs on one example.  For each library function whose
+result the handler prints (a producer), every int or Fraction leaf of that
+result is made off by one in turn, and the command runs again through
+``cli.main(argv + ["--json"])``.  Exit 1 or 3 means a check read the leaf.
+Exit 0 with the same printed results means the leaf is not printed, and it
+is skipped.  Exit 0 with other printed results means a printed value that
+no check reads.  UNREAD lists each such value by its path in the JSON
+results, and the test fails both when a value is missing from UNREAD and
+when a listed value is read, so the list can only shrink.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib
+import io
+import json
+from fractions import Fraction
+
+import pytest
+
+from congruent import cli
+
+# One example per leaf command, with the producers ("module.function") whose
+# results its handler prints.  footprints verify, recur table-check and
+# verify-all print only counts and names of their reports' failures.
+EXAMPLES = [
+    ("triples --m 2 --n 1", ["triples.derive", "triples.derived_triples", "triples.area_identity",
+                             "triples.distance_identity", "triples.concordant_solutions"]),
+    ("trinity --max-order 1", ["trinity.circle_check"]),
+    ("conics triangle --n 157 --f1 87005 --f2 610961", ["conics.conic_triangle", "conics.conic_ec_points"]),
+    ("conics intersect --t 3", ["conics.intersect_example"]),
+    ("conics lattice --m 1 --n 2 --t 3", ["conics.lattice_points", "conics.lattice_secondary"]),
+    ("conics twin --t 10", ["conics.twin_hyperbolas"]),
+    ("cassini two --n 29 --f1 1 --f2 -13", ["cassini.heegner_two", "cassini.oval_axis_points"]),
+    ("cassini four --n 79 --f1 125 --f2 52", ["cassini.heegner_four"]),
+    ("tangent --n 5 --a 3/2 --b 20/3 --depth 3", ["tangent.tangent_chain"]),
+    ("footprints verify", []),
+    ("footprints triangle --n 14 --m 2 --k 1 --cls TIII", ["footprints.footprint_pq", "footprints.footprint_triangle"]),
+    ("recur walk --start-m 2 --start-n 1 --path abba", ["recurrence.euclid_root", "recurrence.walk"]),
+    ("recur table-check", []),
+    ("seq fib --n 3", ["sequences.fib_even_family"]),
+    ("seq cheb --m 3 --k 2", ["sequences.cheb_family"]),
+    ("seq brahmagupta --k 3", ["sequences.brahmagupta"]),
+    ("seq brahmagupta --k 0", ["sequences.brahmagupta"]),
+    ("fermat --depth 2 --find-smallest", ["fermat.enumerate_tree"]),
+    ("verify-all", []),
+]  # fmt: skip
+
+# The printed values that no check reads, by example, as paths in the JSON
+# results.  ROADMAP item 13 gives each a relation to check; until then a
+# wrong value here prints with every check passing.
+UNREAD = {
+    "triples --m 2 --n 1": {
+        "triple_ac.b", "triple_bc.b", "triple_ba.b",
+        "concordant[].x", "concordant[].y", "concordant[].z", "concordant[].t", "concordant[].n",
+    },
+    # the number of circles checked, a count
+    "trinity --max-order 1": {"circles"},
+    "conics lattice --m 1 --n 2 --t 3": {
+        "points[].e", "secondary[].e2", "secondary[].primitive",
+        "secondary[].triangle.a", "secondary[].triangle.b", "secondary[].triangle.c",
+    },
+    # the oval's x_weight, which is not printed, moves its loops and the y axis points
+    "cassini two --n 29 --f1 1 --f2 -13": {
+        "c1_sq", "c2", "c3_sq", "c4_sq", "oval.a_sq", "oval.loops", "axis_x_sq[0]", "axis_y_sq",
+        "axis_y_sq[0]",
+    },
+    "cassini four --n 79 --f1 125 --f2 52": {
+        "c1_sq", "c2", "c3_sq", "c4_sq", "oval.a_sq", "oval.b_4", "axis_x_sq[0]", "axis_x_sq[1]",
+    },
+    "tangent --n 5 --a 3/2 --b 20/3 --depth 3": {"solutions[].f1", "solutions[].f2"},
+    "seq fib --n 3": {"points[].x", "points[].y"},
+    "seq cheb --m 3 --k 2": {"points[].x", "points[].y"},
+    # Heron's product p(p - a)(p - b)(p - c) is 0 for any a and b when p = c
+    "seq brahmagupta --k 0": {"sides[0]", "sides[1]"},
+    "fermat --depth 2 --find-smallest": {"nodes[].depth", "nodes[].x"},
+}  # fmt: skip
+
+
+def _leaves(value, path=()):
+    """The path of every int or Fraction leaf of a result, bools excepted.
+
+    A path holds a record's field names, a dict's keys and a list's indices.
+    """
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        yield path
+    elif isinstance(value, dict) or hasattr(value, "_fields"):
+        items = value.items() if isinstance(value, dict) else zip(value._fields, value)
+        for key, item in items:
+            yield from _leaves(item, (*path, key))
+    elif isinstance(value, (tuple, list)):
+        for i, item in enumerate(value):
+            yield from _leaves(item, (*path, i))
+
+
+def _bumped(value, path):
+    """value with its leaf at path off by one; a record is rebuilt without its validation."""
+    if not path:
+        return value + 1
+    key, rest = path[0], path[1:]
+    if isinstance(value, dict):
+        return {**value, key: _bumped(value[key], rest)}
+    if hasattr(value, "_fields"):
+        return value._replace(**{key: _bumped(getattr(value, key), rest)})
+    items = list(value)
+    items[key] = _bumped(items[key], rest)
+    return type(value)(items)
+
+
+def _changed(base, printed, path=""):
+    """The printed paths where two results differ; a list of records indexes as "[]"."""
+    if isinstance(base, dict) and isinstance(printed, dict) and base.keys() == printed.keys():
+        for key in base:
+            yield from _changed(base[key], printed[key], f"{path}.{key}" if path else key)
+    elif isinstance(base, list) and isinstance(printed, list) and len(base) == len(printed):
+        for i, (old, new) in enumerate(zip(base, printed)):
+            yield from _changed(old, new, f"{path}[{'' if isinstance(old, dict) else i}]")
+    elif base != printed:
+        yield path
+
+
+def _run(argv):
+    """(exit code, printed results or None)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv + ["--json"])
+    text = out.getvalue()
+    return code, json.loads(text)["results"] if text else None
+
+
+def _unread(argv, producers, monkeypatch):
+    """The printed paths that change, with every check passing, when a producer's leaf is off by one."""
+    code, base = _run(argv)
+    assert code == 0, argv
+    unread = set()
+    for producer in producers:
+        module_name, func = producer.split(".")
+        module = importlib.import_module(f"congruent.{module_name}")
+        real = getattr(module, func)
+        seen = []
+        monkeypatch.setattr(module, func, lambda *a, **k: seen.append(real(*a, **k)) or seen[-1])
+        _run(argv)
+        for path in _leaves(seen[0]):
+            monkeypatch.setattr(module, func, lambda *a, path=path, **k: _bumped(real(*a, **k), path))
+            code, printed = _run(argv)
+            if code == 0:
+                unread.update(_changed(base, printed))
+        monkeypatch.setattr(module, func, real)
+    return unread
+
+
+def _leaf_commands(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from _leaf_commands(child)
+    if parser.get_default("handler"):
+        yield parser.get_default("command")
+
+
+def test_every_leaf_command_has_an_example():
+    parser = cli.build_parser()
+    assert {parser.parse_args(argv.split()).command for argv, _ in EXAMPLES} == set(_leaf_commands(parser))
+
+
+@pytest.mark.parametrize("argv, producers", EXAMPLES, ids=[a for a, _ in EXAMPLES])
+def test_each_printed_leaf_is_read_or_listed(monkeypatch, argv, producers):
+    assert _unread(argv.split(), producers, monkeypatch) == UNREAD.get(argv, set())

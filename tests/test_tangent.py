@@ -4,30 +4,18 @@ from math import gcd, isqrt
 
 import pytest
 
-from congruent import tangent
+from congruent import tangent, verify
 from congruent.elliptic import Point, curve_en
-from congruent.triples import RatTriangle, triangle_point
+from congruent.triples import RatTriangle
 
 F = Fraction
 
 SEED5 = RatTriangle(F(3, 2), F(20, 3), F(41, 6))
 
 
-def test_triangle_point_roundtrip():
-    p = triangle_point(SEED5)
-    tri = tangent.point_to_triangle(p, 5)
-    assert tri.area == 5
-    assert triangle_point(tri) == p
-
-
 def test_tangent_chain_validates_seed_area():
     with pytest.raises(ValueError, match="seed triangle area is not N"):
         tangent.tangent_chain(SEED5, 6)
-
-
-def test_point_to_triangle_rejects_a_point_off_the_curve():
-    with pytest.raises(ValueError, match="not on E_5"):
-        tangent.point_to_triangle(Point(F(1), F(1)), 5)
 
 
 def test_tangent_intersection_is_minus_double():
@@ -46,6 +34,23 @@ def test_chain_fixture_n5():
     for e in chain.entries:
         assert e.triangle.area == 5
         assert curve_en(5).contains(e.point)
+
+
+@pytest.mark.parametrize("leg", ["a", "b", "c"])
+def test_a_wrong_triangle_fails_the_doubling_relation(monkeypatch, leg):
+    # triangle_point(a, b, c) = (a(a + c)/2, a^2(a + c)/2) cannot see b, so
+    # the relation also requires each triangle to be right of area N
+    real = tangent.tangent_chain
+
+    def wrong(*args, **kwargs):
+        chain = real(*args, **kwargs)
+        first, *rest = chain.entries
+        tri = first.triangle._replace(**{leg: getattr(first.triangle, leg) + 1})
+        return chain._replace(entries=(first._replace(triangle=tri), *rest))
+
+    assert dict(verify.suite_tangent())["N=5 doubling"]
+    monkeypatch.setattr(tangent, "tangent_chain", wrong)
+    assert not dict(verify.suite_tangent())["N=5 doubling"]
 
 
 def test_chain_depth_guard():
