@@ -177,8 +177,15 @@ def _cmd_conics_lattice(args):
     inputs = {"m": args.m, "n": args.n}
     if t is not None:
         results["secondary"] = sec = conics.lattice_secondary(args.m, args.n, t)
-        # x_i2 (4t^2+1)^2, with x_i2 from Vieta, against the closed form N_i2
-        sec_ok = all(r.x2 * (4 * t**2 + 1) ** 2 == r.n2 for r in sec)
+        # x_i2 (4t^2+1)^2, with x_i2 from Vieta, against the closed form N_i2; (x_i2, e_i2)
+        # on the ellipse; the reduced triangle right of area ±primitive
+        f2sq = (args.m**2 + args.n**2) ** 2
+        sec_ok = all(
+            r.x2 * (4 * t**2 + 1) ** 2 == r.n2
+            and 4 * r.e2**2 == conics.ellipse(r.x2, f2sq)
+            and (r.triangle.is_right_of_area(r.primitive) or r.triangle.is_right_of_area(-r.primitive))
+            for r in sec
+        )
         checks.append(("secondary intersections verified", sec_ok))
         inputs["t"] = t
     return inputs, results, checks

@@ -69,16 +69,14 @@ def ellipse(x, f2sq):
 
 def signed_triangle(n, f1sq, f2sq, ef):
     """Triangle from the conic closed forms given E = e*f1*f2 (signed)."""
-    w = n * f1sq - f2sq
-    s = n * f1sq + f2sq
-    a = ef * s / (f1sq * f2sq * w)
-    b = 2 * n * w * f1sq * f2sq / (ef * s)
-    c_num = 4 * n * f1sq * f2sq * (3 * n * f1sq * f2sq - w**2) + (
-        n**2 * f1sq**2 + f2sq**2
-    ) ** 2
-    c = c_num / (4 * ef * (n**2 * f1sq**2 - f2sq**2))
-    # right: tests/test_identities.py::test_heegner_two_triangle_is_the_conic_triangle
-    return RatTriangle._proved(a, b, c)
+    x, y = n * f1sq, f2sq  # X = N f1^2 and Y = f2^2
+    w, s = x - y, x + y
+    a = ef * s / (f1sq * y * w)
+    x2, y2, xy = x * x, y * y, x * y
+    c = ((x2 + y2) ** 2 + 4 * xy * (5 * xy - x2 - y2)) / (4 * ef * s * w)
+    # b from ab = 2N, c over X^2 - Y^2 = s w; right, of area N:
+    # tests/test_identities.py::test_heegner_two_triangle_is_the_conic_triangle
+    return RatTriangle._proved(a, 2 * n / a, c)
 
 
 def conic_triangle(n, f1, f2, adjoin="none"):

@@ -65,11 +65,19 @@ class FermatTree(namedtuple("FermatTree", "depth nodes")):
         return min(candidates, key=lambda n: n.c)
 
     def invariants_hold(self):
-        """Whether every node has a^2 + b^2 = c^2, a + b = sum_root^2 and c = hyp_root^2."""
-        return all(
-            n.a**2 + n.b**2 == n.c**2 and n.a + n.b == n.sum_root**2 and n.c == n.hyp_root**2
-            for _, n in self.nodes
-        )
+        """Whether every node has a = pq, 2b = q^2 - p^2 and 2c = p^2 + q^2 for its
+        x = p/q, a + b = sum_root^2 and c = hyp_root^2.
+
+        The triple of x is Pythagorean:
+        tests/test_identities.py::test_euclid_and_fermat_triples_are_pythagorean
+        """
+        for _, n in self.nodes:
+            p, q = n.x.numerator, n.x.denominator
+            if (n.a, 2 * n.b, 2 * n.c) != (p * q, q * q - p * p, p * p + q * q):
+                return False
+            if n.a + n.b != n.sum_root**2 or n.c != n.hyp_root**2:
+                return False
+        return True
 
 
 def node_from_fraction(x):

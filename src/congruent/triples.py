@@ -93,10 +93,10 @@ class RatTriangle(namedtuple("RatTriangle", "a b c")):
 
 def triangle_point(tri):
     """The point (N(a+c)/b, 2N^2(a+c)/b^2) on E_N, N = ab/2 (Koblitz, ch. I)."""
-    n = tri.a * tri.b / 2
-    x = n * (tri.a + tri.c) / tri.b
-    # on E_N: tests/test_identities.py::test_triangle_point_lies_on_e_n
-    return Point(x, 2 * n * x / tri.b)
+    a = tri.a
+    x = a * (a + tri.c) / 2
+    # N/b = a/2; on E_N: tests/test_identities.py::test_triangle_point_lies_on_e_n
+    return Point(x, a * x)
 
 
 # the four areas (N, N_AC, N_BC, N_BA); N_BA may be negative
@@ -198,11 +198,20 @@ def concordant_solutions(pair):
     """
     q = pair.quad
     y = 2 * pair.d
-    # x^2 ± N y^2 are squares: tests/test_identities.py::test_concordant_radicals_are_squares
-    return tuple(
-        ConcordantSolution(x, y, isqrt(x**2 + area * y**2), isqrt(x**2 - area * y**2), area)
-        for (_, _, x), area in zip(pair.sides, (q.n_ac, q.n_bc, q.n_ba))
-    )
+    y2 = y * y
+    out = []
+    # x^2 ± N y^2 are squares (tests/test_identities.py::test_concordant_radicals_are_squares),
+    # checked once here, so the records skip ConcordantSolution's check
+    for (_, _, x), area in zip(pair.sides, (q.n_ac, q.n_bc, q.n_ba)):
+        x2, ny2 = x * x, area * y2
+        plus, minus = x2 + ny2, x2 - ny2
+        z, t = isqrt(plus), isqrt(minus)
+        if z * z != plus:
+            raise ValueError("concordant form x^2 + N y^2 = z^2 fails")
+        if t * t != minus:
+            raise ValueError("concordant form x^2 - N y^2 = t^2 fails")
+        out.append(ConcordantSolution._make((x, y, z, t, area)))
+    return tuple(out)
 
 
 def distance_relation(sides, root):

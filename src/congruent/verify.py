@@ -53,12 +53,16 @@ def suite_triples():
     area, dist = triples.area_identity(pair), triples.distance_identity(pair)
     root = F(dist["lhs_root"], pair.d)
     points = [(p.x, p.y) for _, p in triples.connecting_points(pair)]
+    try:
+        concordant = triples.concordant_solutions(pair) == _CONCORDANT_2_1
+    except ValueError:  # a radical that is not a square fails this check alone
+        concordant = False
     return checks + [
         ("area quadruple", pair.quad == (6, 34, 41, 7)),
         ("area identity holds", triples.area_relation(pair.quad, pair.triple.c, area["lhs"])),
         ("area identity value", area["lhs"] == 2886 == area["rhs"]),
         ("connecting points", points == [(-16, 120), (-9, 120), (25, 120)]),
-        ("concordant solutions", triples.concordant_solutions(pair) == _CONCORDANT_2_1),
+        ("concordant solutions", concordant),
         ("distance identity holds", triples.distance_relation(derived, root)),
         ("distance identity root", root == _DISTANCE_ROOT_2_1),
         ("distance quadruple", dist["lhs_root"] ** 2 == sum(v**2 for v in dist["quadruple"][1:])),

@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from congruent import cli, triples, verify
 from congruent.triples import (
     RatTriangle,
     area_identity,
@@ -143,3 +145,25 @@ def test_gate_pair_checks_agree_with_the_public_results():
             want = (d1 + d2 + d3, d1 + d2 - d3, d1 - d2 + d3, -d1 + d2 + d3)
             assert tuple(F(x, d) for x in rep["quadruple"]) == want
             assert (q.n, q.n_ac) == (t.a * t.b // 2, t.a**2 + t.c**2)
+
+
+@pytest.mark.parametrize(
+    "wrong, message",
+    [(1, "concordant form x^2 + N y^2 = z^2 fails"), (0, "concordant form x^2 - N y^2 = t^2 fails")],
+    ids=["z", "t"],
+)
+def test_a_wrong_concordant_root_raises_and_fails_its_checks(monkeypatch, capsys, wrong, message):
+    # concordant_solutions takes z, then t, from isqrt; the wrong one is off by one
+    calls = []
+
+    def root(v):
+        calls.append(v)
+        return isqrt(v) + (len(calls) % 2 == wrong)
+
+    monkeypatch.setattr(triples, "isqrt", root)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        concordant_solutions(derive(2, 1))
+    assert cli.main(["triples", "--m", "2", "--n", "1"]) == 3
+    assert message in capsys.readouterr().err
+    checks = verify.run_all()["triples"]
+    assert [name for name, ok in checks if not ok] == ["concordant solutions"]
