@@ -1,14 +1,18 @@
 """Command-line interface: one subcommand per module plus verify-all.
 
-argparse picks the leaf command, and each leaf parser names its one
-handler, _cmd_<group>_<leaf>, which returns (inputs, results, checks).
-The results hold the library's own records; _fmt prints a record as its
-fields, every rational exactly as "p/q".  The envelope (command path,
-inputs, results, named checks) is emitted as aligned text or stable-key
-JSON; only the labeled approximate point dumps of cassini --emit-curve
-are floating-point.  Exit codes: 0 all checks pass, 1 a check failed, 2
-usage error, 3 domain/arithmetic error.  Each handler imports its modules
-on first use, so a one-shot command loads only what it runs.
+The table LEAVES holds one row per leaf command: its path ("conics
+lattice"), its help and its flags as argparse keywords.  build_parser
+makes the parser tree from it, a group's parser (help from _GROUPS) at
+the group's first leaf.  argparse picks the leaf, and each leaf parser
+names its one handler, _cmd_<path> looked up by name as the tree is
+built, which returns (inputs, results, checks).  The results hold the
+library's own records; _fmt prints a record as its fields, every
+rational exactly as "p/q".  The envelope (command path, inputs, results,
+named checks) is emitted as aligned text or stable-key JSON; only the
+labeled approximate point dumps of cassini --emit-curve are
+floating-point.  Exit codes: 0 all checks pass, 1 a check failed, 2
+usage error, 3 domain/arithmetic error.  Each handler imports its
+modules on first use, so a one-shot command loads only what it runs.
 """
 
 from __future__ import annotations
@@ -42,6 +46,53 @@ _SIZE_FLAGS = {
     "recur": "a shorter --path",
     "seq": "a smaller --n (fib), or --m or --k (cheb)",
     "tangent": "a smaller --depth",
+}
+
+_INT = {"type": int, "required": True}
+_TEXT = {"required": True}  # kept as text; a handler parses a rational with _rational
+_SWITCH = {"action": "store_true"}
+_ADJOIN = {"choices": ("none", "sqrtN", "sqrt2N"), "default": "none"}
+_CASSINI = {
+    "--n": _INT, "--f1": _INT, "--f2": _TEXT,
+    "--emit-curve": {"type": int, "default": 0, "metavar": "COUNT"},
+}  # fmt: skip
+
+# One row per leaf command, in the order of its parser: the command path, its
+# help in the top-level list (None for a leaf inside a group) and its flags as
+# {flag: argparse keywords}.  The path names the handler, _cmd_<path>.
+LEAVES = (
+    ("triples", "derived rational triples from a Euclid pair", {"--m": _INT, "--n": _INT}),
+    ("trinity", "vector-system identities, proved by exact evaluation",
+     {"--max-order": {"type": int, "default": 4}}),
+    ("conics triangle", None, {"--n": _INT, "--f1": _INT, "--f2": _TEXT, "--adjoin": _ADJOIN}),
+    ("conics intersect", None, {"--t": _TEXT, "--f": {"type": int, "default": 1}}),
+    ("conics lattice", None, {"--m": _INT, "--n": _INT, "--t": {}}),
+    ("conics twin", None, {"--t": _TEXT}),
+    ("cassini two", None, {**_CASSINI, "--adjoin": _ADJOIN}),
+    ("cassini four", None, _CASSINI),
+    ("tangent", "solution chains by point doubling",
+     {"--n": _INT, "--a": _TEXT, "--b": _TEXT, "--depth": {"type": int, "default": 3}}),
+    ("footprints verify", None, {"--table": {}}),
+    ("footprints triangle", None,
+     {"--n": _INT, "--m": _INT, "--k": _INT, "--cls": {**_TEXT, "choices": FOOTPRINT_CLASSES}}),
+    ("recur walk", None, {"--start-m": _INT, "--start-n": _INT, "--path": _TEXT}),
+    ("recur table-check", None, {}),
+    ("seq fib", None, {"--n": _INT, "--odd": _SWITCH}),
+    ("seq cheb", None, {"--m": _INT, "--k": _INT}),
+    ("seq brahmagupta", None, {"--k": _INT}),
+    ("fermat", "square-hypotenuse solution tree",
+     {"--depth": {"type": int, "default": 4}, "--find-smallest": _SWITCH}),
+    ("verify-all", "run every reference-example suite", {}),
+)  # fmt: skip
+
+# The help of each group, the first word of a leaf's path; a group's parser is
+# made at its first leaf.
+_GROUPS = {
+    "conics": "conic constructions",
+    "cassini": "quadratic-system ovals and triangles",
+    "footprints": "per-class closed forms and tables",
+    "recur": "side-walk recurrence trees",
+    "seq": "Fibonacci/Lucas and Chebyshev families",
 }
 
 
@@ -417,100 +468,27 @@ def build_parser():
         default=os.environ.get("CONGRUENT_FORMAT") == "json",
         help="emit a JSON envelope instead of text",
     )
+    shared = {"parents": [common], "formatter_class": formatter}
     parser = argparse.ArgumentParser(
-        prog="congruent",
-        description="Exact constructions and checks for congruent numbers.",
-        parents=[common],
-        formatter_class=formatter,
+        prog="congruent", description="Exact constructions and checks for congruent numbers.", **shared
     )
     # each group gets the prog argparse would derive from its parser's usage
-    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
-
-    def add_parser(group, name, handler=None, **kwargs):
-        p = group.add_parser(name, parents=[common], formatter_class=formatter, **kwargs)
-        if handler:
-            # a leaf overrides the group's command with its own path, "conics triangle"
-            p.set_defaults(handler=handler, command=p.prog.partition(" ")[2])
-        return p
-
-    def add_group(name, summary):
-        p = add_parser(sub, name, help=summary)
-        # dest only names the missing leaf in argparse's usage error
-        return p.add_subparsers(dest="sub", required=True, prog=p.prog)
-
-    p = add_parser(sub, "triples", _cmd_triples, help="derived rational triples from a Euclid pair")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add_parser(
-        sub, "trinity", _cmd_trinity, help="vector-system identities, proved by exact evaluation"
-    )
-    p.add_argument("--max-order", type=int, default=4)
-
-    group = add_group("conics", "conic constructions")
-    q = add_parser(group, "triangle", _cmd_conics_triangle)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--f1", type=int, required=True)
-    q.add_argument("--f2", required=True)
-    q.add_argument("--adjoin", choices=("none", "sqrtN", "sqrt2N"), default="none")
-    q = add_parser(group, "intersect", _cmd_conics_intersect)
-    q.add_argument("--t", required=True)
-    q.add_argument("--f", type=int, default=1)
-    q = add_parser(group, "lattice", _cmd_conics_lattice)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--t", default=None)
-    q = add_parser(group, "twin", _cmd_conics_twin)
-    q.add_argument("--t", required=True)
-
-    group = add_group("cassini", "quadratic-system ovals and triangles")
-    for name, handler in (("two", _cmd_cassini_two), ("four", _cmd_cassini_four)):
-        q = add_parser(group, name, handler)
-        q.add_argument("--n", type=int, required=True)
-        q.add_argument("--f1", type=int, required=True)
-        q.add_argument("--f2", required=True)
-        q.add_argument("--emit-curve", type=int, default=0, metavar="COUNT")
-        if name == "two":
-            q.add_argument("--adjoin", choices=("none", "sqrtN", "sqrt2N"), default="none")
-
-    p = add_parser(sub, "tangent", _cmd_tangent, help="solution chains by point doubling")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--depth", type=int, default=3)
-
-    group = add_group("footprints", "per-class closed forms and tables")
-    q = add_parser(group, "verify", _cmd_footprints_verify)
-    q.add_argument("--table", default=None)
-    q = add_parser(group, "triangle", _cmd_footprints_triangle)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--cls", required=True, choices=FOOTPRINT_CLASSES)
-
-    group = add_group("recur", "side-walk recurrence trees")
-    q = add_parser(group, "walk", _cmd_recur_walk)
-    q.add_argument("--start-m", type=int, required=True)
-    q.add_argument("--start-n", type=int, required=True)
-    q.add_argument("--path", required=True)
-    add_parser(group, "table-check", _cmd_recur_table_check)
-
-    group = add_group("seq", "Fibonacci/Lucas and Chebyshev families")
-    q = add_parser(group, "fib", _cmd_seq_fib)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--odd", action="store_true")
-    q = add_parser(group, "cheb", _cmd_seq_cheb)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
-    q = add_parser(group, "brahmagupta", _cmd_seq_brahmagupta)
-    q.add_argument("--k", type=int, required=True)
-
-    p = add_parser(sub, "fermat", _cmd_fermat, help="square-hypotenuse solution tree")
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--find-smallest", action="store_true")
-
-    add_parser(sub, "verify-all", _cmd_verify_all, help="run every reference-example suite")
-
+    groups = {"": parser.add_subparsers(dest="command", required=True, prog=parser.prog)}
+    for path, summary, flags in LEAVES:
+        group, _, name = path.rpartition(" ")
+        if group not in groups:
+            p = groups[""].add_parser(group, help=_GROUPS[group], **shared)
+            # dest only names the missing leaf in argparse's usage error
+            groups[group] = p.add_subparsers(dest="sub", required=True, prog=p.prog)
+        # a help=None keyword would still list the leaf in its group's help
+        kwargs = {} if summary is None else {"help": summary}
+        p = groups[group].add_parser(name, **kwargs, **shared)
+        # the handler is looked up now, so a rebound _cmd_* attribute is the one called
+        handler = globals()["_cmd_" + path.replace(" ", "_").replace("-", "_")]
+        # the leaf overrides the group's command with its own path, "conics triangle"
+        p.set_defaults(handler=handler, command=path)
+        for flag, spec in flags.items():
+            p.add_argument(flag, **spec)
     return parser
 
 

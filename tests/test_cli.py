@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import interpreters
 import pytest
 
 import congruent
@@ -600,6 +601,12 @@ def test_every_parser_keeps_its_usage_line(monkeypatch):
     assert [p.format_usage() for p in _parsers(cli.build_parser())] == [f"usage: {u}\n" for u in USAGES]
 
 
+def test_every_parser_keeps_its_texts():
+    # -h and a bad flag on all 24 parsers, no arguments on the root and each
+    # group, at COLUMNS=200; tests/interpreters.py replays this on 3.10 to 3.13
+    assert interpreters.digest(interpreters.parser_texts()) == interpreters.PARSER_TEXTS_DIGEST
+
+
 def test_build_parser_reads_the_terminal_width_once(monkeypatch):
     real = shutil.get_terminal_size
     calls = []
@@ -668,6 +675,9 @@ def test_every_leaf_has_its_own_handler():
     assert handlers == {
         prog: "_cmd_" + "_".join(prog.split()[1:]).replace("-", "_") for prog in handlers
     }
+    # one LEAVES row per handler, so a _cmd_* without a row fails
+    assert {name for name in vars(cli) if name.startswith("_cmd_")} == set(handlers.values())
+    assert [f"congruent {path}" for path, _, _ in cli.LEAVES] == list(handlers)
 
 
 def test_cli_never_reads_args_sub():

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import congruent
-from congruent import cassini, conics, elliptic, fermat, footprints, sequences, tangent, triples, trinity
+from congruent import cassini, cli, conics, elliptic, fermat, footprints, sequences, tangent
+from congruent import triples, trinity
 from congruent.exact import EffortOutOfRange
 
 
@@ -220,4 +221,6 @@ def test_the_caller_scan_sees_calls_outside_the_body():
 
 def test_every_function_has_a_caller():
     paths = Path(congruent.__file__).parent.glob("*.py")
-    assert _uncalled({p.stem: p.read_text() for p in paths}) == UNCALLED
+    # cli.build_parser looks up each LEAVES row's handler by its name, _cmd_<path>
+    rows = {"cli._cmd_" + path.replace(" ", "_").replace("-", "_") for path, _, _ in cli.LEAVES}
+    assert _uncalled({p.stem: p.read_text() for p in paths}) - rows == UNCALLED

@@ -13,7 +13,6 @@ when a listed value is read, so the list can only shrink.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import importlib
 import io
@@ -150,18 +149,10 @@ def _unread(argv, producers, monkeypatch):
     return unread
 
 
-def _leaf_commands(parser):
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for child in action.choices.values():
-                yield from _leaf_commands(child)
-    if parser.get_default("handler"):
-        yield parser.get_default("command")
-
-
 def test_every_leaf_command_has_an_example():
     parser = cli.build_parser()
-    assert {parser.parse_args(argv.split()).command for argv, _ in EXAMPLES} == set(_leaf_commands(parser))
+    leaves = {path for path, _, _ in cli.LEAVES}
+    assert {parser.parse_args(argv.split()).command for argv, _ in EXAMPLES} == leaves
 
 
 @pytest.mark.parametrize("argv, producers", EXAMPLES, ids=[a for a, _ in EXAMPLES])
