@@ -5,8 +5,10 @@ into the four Heegner variables c1..c4; the c's are simultaneously the
 sides of a rational right triangle of area N and the axis intersections
 of a Cassini oval.  The first system gives ovals with two X-axis
 intersections (one loop), the second gives two separate loops with four
-X-axis intersections.  All oval geometry is carried in squared
-coordinates so adjoined (irrational) c values stay exact.
+X-axis intersections.  Both triangles are conics.signed_triangle's: the
+two-intersection one of (N, f1, f2), the four-intersection one of
+(N, f1, f2 sqrt(N)).  All oval geometry is carried in squared coordinates
+so adjoined (irrational) c values stay exact.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from fractions import Fraction
 
 from .conics import ellipse, f2_squared, signed_triangle
 from .exact import rat_sqrt
-from .triples import RatTriangle
 
 __all__ = [
     "HeegnerQuad",
@@ -133,8 +134,9 @@ def heegner_four(n, f1, f2sq):
 
     c3 = f1^2 - f2^2, c4 = 2 f1 f2, c2 = f1^2 + f2^2,
     c1^2 = (c4^2 - c3^2)/N; the oval (weight-2 form) meets the X axis in
-    the four points ±c3, ±c4 and the triangle (c1c2N/(c3c4), 2c3c4/(c1c2),
-    ...) has area N.
+    the four points ±c3, ±c4.  The triangle is the conic one of
+    (N, f1, f2 sqrt(N)) at e f1 f2 = N^2 c1 c4/4, negated if its c < 0; its
+    legs are N c2 c1c4/(|c3| c4^2) and 2 |c3| c4^2/(c2 c1c4).
     """
     f2sq = Fraction(f2sq)
     if f2sq <= 0:
@@ -149,9 +151,11 @@ def heegner_four(n, f1, f2sq):
     c1c4 = rat_sqrt(c1sq * c4sq)
     if c1c4 is None or c3 == 0:
         raise ValueError("sides do not rationalize for this (N, f1, f2)")
-    a = n * c2 * c1c4 / (abs(c3) * c4sq)
-    b = 2 * abs(c3) * c4sq / (c2 * c1c4)
-    tri = RatTriangle.from_legs(a, b)
+    # right, area N, with the former legs after the flip:
+    # tests/test_identities.py::test_heegner_four_triangle_is_the_conic_triangle
+    tri = signed_triangle(n, f1**2, n * f2sq, n * n * c1c4 / 4)
+    if tri.c < 0:
+        tri = tri.scaled(-1)
     oval = CassiniOval(c2**2, c1sq**2 * n**2, x_weight=2)
     # the X-axis points are ±c3, ±c4: tests/test_identities.py::test_heegner_four_axis_points
     return quad, tri, oval, oval_axis_points(oval)

@@ -5,10 +5,13 @@ ellipse e and a degenerate hyperbola h touching at a rational point — in
 two integer variables f1, f2.  Intersecting the ellipse with rational
 lines produces congruent-number polynomials and lattice-point families,
 and each triangle gives points of infinite order on y^2 = x^3 - N^2 x.
-A second pair of conics (the twin hyperbolas) yields two more quartic
-congruent-number polynomials.  All arithmetic is exact: irrational f2 (multiples of
-sqrt(N) or sqrt(2N)) is only ever handled through f2^2, and square roots
-are taken of full rational squares.
+The triangle is written once, in signed_triangle: conic_triangle, the
+intersection family (at its f = 1 ellipse point, scaled by 4t^2+1) and
+the lattice family all read it, and their curve points come from
+conic_ec_points.  A second pair of conics (the twin hyperbolas) yields
+two more quartic congruent-number polynomials.  All arithmetic is exact:
+irrational f2 (multiples of sqrt(N) or sqrt(2N)) is only ever handled
+through f2^2, and square roots are taken of full rational squares.
 
 The CLI and the gate take each family's checks from intersect_checks or
 twin_checks, which read the values computed at t.  The relations hold
@@ -121,36 +124,12 @@ def reduce_raise(tri):
 # --- the line-ellipse intersection family N(t) = (4t^2+1)(4t^2-8t+5) ---
 
 
-def _intersect_sides(t):
-    a = (-16 * t**4 + 32 * t**3 - 24 * t**2 + 8 * t + 3) / (2 - 4 * t)
-    b = 4 * (32 * t**5 - 80 * t**4 + 80 * t**3 - 40 * t**2 + 18 * t - 5) / (
-        16 * t**4 - 32 * t**3 + 24 * t**2 - 8 * t - 3
-    )
-    c = (
-        256 * t**8
-        - 1024 * t**7
-        + 1792 * t**6
-        - 1792 * t**5
-        + 1504 * t**4
-        - 1216 * t**3
-        + 688 * t**2
-        - 208 * t
-        + 41
-    ) / (64 * t**5 - 160 * t**4 + 160 * t**3 - 80 * t**2 + 4 * t + 6)
-    return a, b, c
-
-
 def _intersect_forms(t):
-    """N(t), the f = 1 ellipse point (x_t, e_t) and P1, P2 as (x, y) pairs."""
+    """N(t) and the f = 1 ellipse point (x_t, e_t)."""
     n_t = (4 * t**2 + 1) * (4 * t**2 - 8 * t + 5)
     x_t = (4 * t**2 - 8 * t + 5) / (4 * t**2 + 1)
     e_t = (-4 * t**2 + 4 * t + 1) / (4 * t**2 + 1)
-    u = 2 * t - 1
-    v1 = 4 * t**2 - 4 * t - 1
-    v2 = 4 * t**2 - 4 * t + 3
-    p1 = (-4 * u**2, 2 * u * v1 * v2)
-    p2 = (n_t**2 / (4 * u**2), n_t**2 * v1 * v2 / (8 * u**3))
-    return n_t, x_t, e_t, p1, p2
+    return n_t, x_t, e_t
 
 
 def intersect_example(t, f=1):
@@ -159,19 +138,24 @@ def intersect_example(t, f=1):
     Returns (N(t), ellipse point (x, e), triangle, P1, P2) where
     N(t) = (4t^2+1)(4t^2-8t+5), the triangle has area N(t), and P1, P2
     lie on E_{N(t)}, for every t; intersect_checks reads these relations
-    on the values.  The ellipse point carries the f^2 factor that the
-    reduce step removes; the triangle and curve points do not depend on f.
+    on the values.  The triangle is the conic triangle at the f = 1 point,
+    of area x_t, scaled up by 4t^2+1 (N(t) = (4t^2+1)^2 x_t), and P1 is
+    P2 + (0,0), the negative of the conic P1.  The ellipse point carries
+    the f^2 factor that the reduce step removes; the triangle and curve
+    points do not depend on f.
     """
     t = Fraction(t)
     if t == Fraction(1, 2):
         raise ValueError("t = 1/2 is the singular slope")
     if f == 0:
         raise ParameterError("f", "must be nonzero: f = 0 collapses the ellipse point to (0, 0)")
-    n_t, x_t, e_t, p1, p2 = _intersect_forms(t)
-    # right, of area N(t), with the point on the ellipse and P1, P2 on
-    # E_{N(t)}, identically in t: tests/test_identities.py::test_intersect_family_identities
-    tri = RatTriangle._proved(*_intersect_sides(t))
-    return n_t, (f**2 * x_t, f**2 * e_t), tri, Point(*p1), Point(*p2)
+    n_t, x_t, e_t = _intersect_forms(t)
+    # x_t = 1 only at t = 1/2 and e_t = 0 only at irrational t, so the
+    # triangle exists; the relations hold identically in t:
+    # tests/test_identities.py::test_intersect_family_identities
+    tri = signed_triangle(x_t, 1, 1, e_t).scaled(1 / (4 * t**2 + 1))
+    p1, p2 = conic_ec_points(tri)
+    return n_t, (f**2 * x_t, f**2 * e_t), tri, -p1, p2
 
 
 def intersect_checks(n_t, point, tri, p1, p2, f=1):

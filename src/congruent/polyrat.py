@@ -8,8 +8,8 @@ construction and builds its results unchecked.  A rational function is a
 plain numerator/denominator pair of such polynomials that is never
 reduced; two of them are equal when their cross products are.  An int or
 Fraction operand scales the pair by its own numerator and denominator,
-the same result as ``RatFunc.const`` without building it.  The conic
-identities in ``conics`` build such functions of t and compare them.
+as the constant function it equals would.  The conic identities in
+``conics`` build such functions of t and compare them.
 """
 
 from __future__ import annotations
@@ -126,11 +126,6 @@ class RatFunc:
     @classmethod
     def t(cls):
         return cls(Poly.x())
-
-    @classmethod
-    def const(cls, c):
-        c = Fraction(c)
-        return cls(Poly([c.numerator]), Poly([c.denominator]))
 
     def is_zero(self):
         return self.num.is_zero()

@@ -94,3 +94,13 @@ def test_rejects_degenerate_input():
         cassini.heegner_two(6, 1, 0)
     with pytest.raises(ValueError):
         cassini.heegner_two(4, 1, 2)
+
+
+def test_heegner_four_is_the_conic_triangle_with_positive_sides():
+    # (f1, f2) = (125, 52) and (52, 125) differ only in the sign of c3; the
+    # flip on c < 0 gives both the one positive triangle of area 79
+    tri = cassini.heegner_four(79, 125, 52**2)[1]
+    assert tri == _tri("233126551/167973000", "335946000/2950969", "56434050774922081/495683115837000")
+    assert cassini.heegner_four(79, 52, 125**2)[1] == tri
+    assert tri == conics.conic_triangle(79, 125, 52, adjoin="sqrtN")
+    assert tri == conics.conic_triangle(79, 52, 125, adjoin="sqrtN").scaled(-1)

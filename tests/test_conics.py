@@ -67,18 +67,17 @@ def test_intersect_family_other_parameters():
 
 
 def _intersect_n_plus_one(forms):
-    n_t, *rest = forms
-    return (n_t + 1, *rest)
+    n_t, x_t, e_t = forms
+    return n_t + 1, x_t, e_t
 
 
 def _intersect_x_plus_one(forms):
-    n_t, x_t, *rest = forms
-    return (n_t, x_t + 1, *rest)
+    n_t, x_t, e_t = forms
+    return n_t, x_t + 1, e_t
 
 
-def _intersect_c_plus_one(sides):
-    a, b, c = sides
-    return a, b, c + 1
+def _intersect_c_plus_one(tri):
+    return tri._replace(c=tri.c + 1)
 
 
 def _twin_n1_plus_one(ns):
@@ -100,8 +99,12 @@ TWIN_10 = ["conics", "twin", "--t", "10"]
     [
         ("_intersect_forms", _intersect_n_plus_one,
          {"area = N(t)", "P1 on curve", "P2 on curve"}, INTERSECT_3, 1),
-        ("_intersect_forms", _intersect_x_plus_one, {"point on ellipse"}, INTERSECT_3, 1),
-        ("_intersect_sides", _intersect_c_plus_one, {"pythagoras"}, INTERSECT_3, 1),
+        # x_t also builds the triangle, whose curve points are read off it
+        ("_intersect_forms", _intersect_x_plus_one,
+         {"pythagoras", "area = N(t)", "point on ellipse", "P1 on curve", "P2 on curve"}, INTERSECT_3, 1),
+        # the points are read off a and c, so they leave E_{N(t)} with c
+        ("signed_triangle", _intersect_c_plus_one,
+         {"pythagoras", "P1 on curve", "P2 on curve"}, INTERSECT_3, 1),
         # the legs are built from the patched N1 too (a1 = -p1 q1 N1 / (2 s1)),
         # so a1 b1 / 2 = N1 for any N1; a1^2 + b1^2 is no longer a square, and
         # from_legs refuses the legs at t = 10
@@ -113,11 +116,11 @@ TWIN_10 = ["conics", "twin", "--t", "10"]
 def test_perturbed_conic_form_fails_by_name(monkeypatch, capsys, form, change, failing, argv, code):
     # the form fails its proof in t by name, and its command at the gate's t
     import test_identities as identities  # the sympy proofs; skipped without sympy
-    proofs = identities.intersect_proofs if form.startswith("_intersect") else identities.twin_proofs
+    proofs = identities.twin_proofs if form.startswith("_twin") else identities.intersect_proofs
     proved = proofs()
     assert failing <= proved.keys() and all(proved.values())
     original = getattr(conics, form)
-    monkeypatch.setattr(conics, form, lambda t: change(original(t)))
+    monkeypatch.setattr(conics, form, lambda *args: change(original(*args)))
     assert proofs() == {name: name not in failing for name in proved}
     assert cli.main(argv + ["--json"]) == code
     if code == 1:

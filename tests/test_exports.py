@@ -176,26 +176,29 @@ UNCALLED = {
 def _uncalled(sources):
     """"module.function" or "Class.method" for each one that no code names outside its own body.
 
-    sources maps module names to their text. Any attribute read of a method's
-    name counts as a call, so the scan cannot see a method whose name another
-    class shares: PythTriple.area went unseen beside RatTriangle.area. Dunder
-    methods are called by the language, and are skipped.
+    sources maps module names to their text. A function is named by a bare
+    name or an attribute read, a method by an attribute read alone, so a local
+    variable cannot hide a method of the same name. Any attribute read of a
+    method's name counts as a call, so the scan cannot see a method whose name
+    another class shares: PythTriple.area went unseen beside RatTriangle.area.
+    Dunder methods are called by the language, and are skipped.
     """
-    uses, defs = [], []
+    names, attrs, defs = [], [], []
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                uses.append((module, node.lineno, node.id))
+                names.append((module, node.lineno, node.id))
             elif isinstance(node, ast.Attribute):
-                uses.append((module, node.lineno, node.attr))
+                attrs.append((module, node.lineno, node.attr))
         for node in tree.body:
-            methods = node.body if isinstance(node, ast.ClassDef) else [node]
-            owner = node.name if isinstance(node, ast.ClassDef) else module
-            defs += [(module, owner, f) for f in methods if isinstance(f, ast.FunctionDef)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(module, node.name, f, attrs) for f in node.body if isinstance(f, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef):
+                defs.append((module, module, node, names + attrs))
     return {
         f"{owner}.{f.name}"
-        for module, owner, f in defs
+        for module, owner, f, uses in defs
         if not (f.name.startswith("__") and f.name.endswith("__"))
         and not any(
             name == f.name and not (m == module and f.lineno <= line <= f.end_lineno)
@@ -209,14 +212,19 @@ def test_the_caller_scan_sees_calls_outside_the_body():
         "class A:\n"
         "    def used(self):\n"
         "        return self.used()\n"
+        "    def hidden(self):\n"
+        "        return 0\n"
         "    def __len__(self):\n"
         "        return 0\n"
         "def f(a):\n"
         "    return f(a)\n"
         "def g(a):\n"
         "    return a.used()\n"
+        "def h(hidden):\n"
+        "    return g(hidden)\n"
     )
-    assert _uncalled({"m": source}) == {"m.f", "m.g"}
+    # h's parameter is a bare name, not a call of A.hidden
+    assert _uncalled({"m": source}) == {"A.hidden", "m.f", "m.h"}
 
 
 def test_every_function_has_a_caller():

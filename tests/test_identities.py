@@ -157,6 +157,30 @@ def test_heegner_two_triangle_is_the_conic_triangle(record_triangles):
             assert _vanishes(sign_w * sign_s * tri.b - 2 * n * c1sq * c2 / (ef * c4))
 
 
+def test_heegner_four_triangle_is_the_conic_triangle(record_triangles):
+    # heegner_four calls signed_triangle for (N, f1, f2 sqrt(N)) at
+    # ef = N^2 c1c4/4, where c1c4^2 = c1^2 c4^2 and c1^2 = (c4^2 - c3^2)/N
+    n, f1, f2sq, c1c4 = sympy.symbols("n f1 f2sq c1c4")
+    c3, c4sq, c2 = f1**2 - f2sq, 4 * f1**2 * f2sq, f1**2 + f2sq
+    relation, gens = [n * c1c4**2 - (c4sq - c3**2) * c4sq], (c1c4, n, f1, f2sq)
+    x, y, ef = n * f1**2, n * f2sq, n * n * c1c4 / 4
+    # ef^2 = e^2 f1^2 (N f2^2), with 4 e^2 = ellipse(N f1^2, N f2^2) = N^3 c1^2
+    assert _vanishes(ef**2 - conics.ellipse(x, y) / 4 * f1**2 * y, relation, gens)
+    tri = conics.signed_triangle(n, f1**2, y, ef)
+    assert _vanishes(tri.a * tri.b / 2 - n)
+    assert _vanishes(tri.a**2 + tri.b**2 - tri.c**2, relation, gens)
+    # c = ((4XY)^2 + w^4) / (4 ef w s) with X = N f1^2, Y = N f2^2, w = X - Y =
+    # N c3 and s = X + Y = N c2; c1^2 > 0 makes N > 0, and ef > 0, so
+    # heegner_four's sign flip on c < 0 multiplies the sides by sign(c3)
+    assert _vanishes(tri.c - ((4 * x * y) ** 2 + (x - y) ** 4) / (4 * ef * (x - y) * (x + y)))
+    # the oracle: heegner_four's former legs N c2 c1c4/(|c3| c4^2) and
+    # 2 |c3| c4^2/(c2 c1c4) are the sides times sign(c3), for either sign
+    for sign in (1, -1):
+        abs_c3 = sign * c3
+        assert _vanishes(sign * tri.a - n * c2 * c1c4 / (abs_c3 * c4sq))
+        assert _vanishes(sign * tri.b - 2 * abs_c3 * c4sq / (c2 * c1c4))
+
+
 def test_lattice_triangle_matches_its_closed_form(record_triangles):
     # T(m, n), the conic triangle at P(m, n), is the closed form in (m, n)
     # that lattice_points printed before it was built by signed_triangle
@@ -206,18 +230,27 @@ def _is_square(f):
     return sympy.sqrt(coeff).is_rational and all(k % 2 == 0 for _, k in factors)
 
 
+def _intersect_values(t):
+    """intersect_example's N(t), ellipse point, triangle and points at f = 1, built as it builds them."""
+    n_t, x_t, e_t = conics._intersect_forms(t)
+    # intersect_example's .scaled(1 / (4t^2+1)) converts to Fraction, so the product is written out
+    tri = conics.signed_triangle(x_t, 1, 1, e_t)
+    tri = triples.RatTriangle._proved(*(side * (4 * t**2 + 1) for side in tri))
+    p1, p2 = conics.conic_ec_points(tri)
+    return n_t, x_t, e_t, tri, -p1, p2
+
+
 def intersect_proofs():
     """{name: proved} for intersect_checks' five relations on intersect_example's values."""
     _, t, f = sympy.field("t, f", sympy.QQ)
-    n_t, x_t, e_t, p1, p2 = conics._intersect_forms(t)
-    a, b, c = conics._intersect_sides(t)
+    n_t, x_t, e_t, (a, b, c), p1, p2 = _intersect_values(t)
     return {
         "pythagoras": a**2 + b**2 == c**2,
         "area = N(t)": a * b / 2 == n_t,
         # the point intersect_example returns for f, read with f2 = f
         "point on ellipse": 4 * (f**2 * e_t) ** 2 == conics.ellipse(f**2 * x_t, f**2),
-        "P1 on curve": _off_e_n(Point(*p1), n_t) == 0,
-        "P2 on curve": _off_e_n(Point(*p2), n_t) == 0,
+        "P1 on curve": _off_e_n(p1, n_t) == 0,
+        "P2 on curve": _off_e_n(p2, n_t) == 0,
     }
 
 
@@ -234,6 +267,29 @@ def test_intersect_family_identities():
     assert intersect_proofs() == dict.fromkeys(
         ["pythagoras", "area = N(t)", "point on ellipse", "P1 on curve", "P2 on curve"], True
     )
+
+
+def test_intersect_triangle_is_the_conic_triangle():
+    # (x_t, e_t) is on the (1, 1) ellipse, so signed_triangle(x_t, 1, 1, e_t)
+    # is right of area x_t, and multiplying its sides by 4t^2+1 gives area N(t)
+    _, t = sympy.field("t", sympy.QQ)
+    n_t, x_t, e_t, tri, p1, p2 = _intersect_values(t)
+    assert 4 * e_t**2 == conics.ellipse(x_t, 1)
+    assert n_t == (4 * t**2 + 1) ** 2 * x_t
+    # the oracle: the closed forms in t that intersect_example returned
+    # before it built the triangle and points from the conic formula
+    a = (-16 * t**4 + 32 * t**3 - 24 * t**2 + 8 * t + 3) / (2 - 4 * t)
+    b = 4 * (32 * t**5 - 80 * t**4 + 80 * t**3 - 40 * t**2 + 18 * t - 5) / (
+        16 * t**4 - 32 * t**3 + 24 * t**2 - 8 * t - 3
+    )
+    c = (
+        256 * t**8 - 1024 * t**7 + 1792 * t**6 - 1792 * t**5 + 1504 * t**4
+        - 1216 * t**3 + 688 * t**2 - 208 * t + 41
+    ) / (64 * t**5 - 160 * t**4 + 160 * t**3 - 80 * t**2 + 4 * t + 6)
+    u, v1, v2 = 2 * t - 1, 4 * t**2 - 4 * t - 1, 4 * t**2 - 4 * t + 3
+    assert tuple(tri) == (a, b, c)
+    assert p1 == Point(-4 * u**2, 2 * u * v1 * v2)
+    assert p2 == Point(n_t**2 / (4 * u**2), n_t**2 * v1 * v2 / (8 * u**3))
 
 
 def test_twin_triangles_are_right_of_area_n():
