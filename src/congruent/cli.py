@@ -5,14 +5,16 @@ lattice"), its help and its flags as argparse keywords.  build_parser
 makes the parser tree from it, a group's parser (help from _GROUPS) at
 the group's first leaf.  argparse picks the leaf, and each leaf parser
 names its one handler, _cmd_<path> looked up by name as the tree is
-built, which returns (inputs, results, checks).  The results hold the
-library's own records; _fmt prints a record as its fields, every
-rational exactly as "p/q".  The envelope (command path, inputs, results,
-named checks) is emitted as aligned text or stable-key JSON; only the
-labeled approximate point dumps of cassini --emit-curve are
-floating-point.  Exit codes: 0 all checks pass, 1 a check failed, 2
-usage error, 3 domain/arithmetic error.  Each handler imports its
-modules on first use, so a one-shot command loads only what it runs.
+built, which returns (results, checks).  The results hold the library's
+own records; _fmt prints a record as its fields, every rational exactly
+as "p/q".  The echoed inputs are the parsed flags but _NOT_INPUTS, in the
+table's order, each rational a handler parsed stored back on args.  The
+envelope (command path, inputs, results, named checks) is emitted as
+aligned text or stable-key JSON; only the labeled approximate point
+dumps of cassini --emit-curve are floating-point.  Exit codes: 0 all
+checks pass, 1 a check failed, 2 usage error, 3 domain/arithmetic error.
+Each handler imports its modules on first use, so a one-shot command
+loads only what it runs.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ LEAVES = (
      {"--max-order": {"type": int, "default": 4}}),
     ("conics triangle", None, {"--n": _INT, "--f1": _INT, "--f2": _TEXT, "--adjoin": _ADJOIN}),
     ("conics intersect", None, {"--t": _TEXT, "--f": {"type": int, "default": 1}}),
-    ("conics lattice", None, {"--m": _INT, "--n": _INT, "--t": {}}),
+    ("conics lattice", None, {"--m": _INT, "--n": _INT, "--t": {"default": argparse.SUPPRESS}}),
     ("conics twin", None, {"--t": _TEXT}),
     ("cassini two", None, {**_CASSINI, "--adjoin": _ADJOIN}),
     ("cassini four", None, _CASSINI),
@@ -74,7 +76,8 @@ LEAVES = (
      {"--n": _INT, "--a": _TEXT, "--b": _TEXT, "--depth": {"type": int, "default": 3}}),
     ("footprints verify", None, {"--table": {}}),
     ("footprints triangle", None,
-     {"--n": _INT, "--m": _INT, "--k": _INT, "--cls": {**_TEXT, "choices": FOOTPRINT_CLASSES}}),
+     {"--n": _INT, "--m": _INT, "--k": _INT,
+      "--cls": {**_TEXT, "choices": FOOTPRINT_CLASSES, "dest": "class"}}),
     ("recur walk", None, {"--start-m": _INT, "--start-n": _INT, "--path": _TEXT}),
     ("recur table-check", None, {}),
     ("seq fib", None, {"--n": _INT, "--odd": _SWITCH}),
@@ -134,7 +137,14 @@ def _fmt(value):
     return str(value)
 
 
-def _envelope(args, inputs, results, checks):
+# The namespace entries that are not a command's inputs: argparse's own dests
+# and the two flags that shape the output, --json and --emit-curve
+_NOT_INPUTS = {"json", "command", "sub", "handler", "emit_curve"}
+
+
+def _envelope(args, results, checks):
+    # argparse fills the namespace in flag order, so the echo keeps it
+    inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
     return {
         "command": args.command,
         "inputs": _fmt(inputs),
@@ -166,7 +176,7 @@ def _emit(envelope, use_json):
             sys.stdout.write(f"  {c['name']:<{width}}  {mark}\n")
 
 
-# --- one handler per leaf command; each returns (inputs, results, checks) ---
+# --- one handler per leaf command; each returns (results, checks) ---
 
 
 def _cmd_triples(args):
@@ -182,7 +192,7 @@ def _cmd_triples(args):
         ("area identity", triples.area_relation(areas, pair.triple.c, lhs)),
         ("distance identity", triples.distance_relation(tris, root)),
     ]
-    return {"m": args.m, "n": args.n}, results, checks
+    return results, checks
 
 
 def _cmd_trinity(args):
@@ -191,7 +201,7 @@ def _cmd_trinity(args):
     rep = trinity.circle_check()
     checks.append(("trig circles numeric", rep["ok"]))
     results = {"circles": rep["circles"], "circles_failed": rep["failed"]}
-    return {"max_order": args.max_order}, results, checks
+    return results, checks
 
 
 def _cmd_conics_triangle(args):
@@ -205,49 +215,47 @@ def _cmd_conics_triangle(args):
         # of E_N with y != 0 has infinite order
         ("points infinite order", all(p.y != 0 and e_n.contains(p) for p in (p1, p2))),
     ]
-    inputs = {"n": args.n, "f1": args.f1, "f2": args.f2, "adjoin": args.adjoin}
-    return inputs, {"triangle": tri, "p1": p1, "p2": p2}, checks
+    return {"triangle": tri, "p1": p1, "p2": p2}, checks
 
 
 def _cmd_conics_intersect(args):
     from . import conics
-    t = _rational("--t", args.t)
+    args.t = t = _rational("--t", args.t)
     n_t, (x, e), tri, p1, p2 = conics.intersect_example(t, args.f)
     results = {"n": n_t, "ellipse_point": {"x": x, "e": e}, "triangle": tri, "p1": p1, "p2": p2}
     checks = conics.intersect_checks(n_t, (x, e), tri, p1, p2, args.f)
-    return {"t": t, "f": args.f}, results, checks
+    return results, checks
 
 
 def _cmd_conics_lattice(args):
     from . import conics
-    t = None if args.t is None else _rational("--t", args.t)
+    if "t" in args:  # parsed before any work, so a bad --t is the error reported
+        args.t = _rational("--t", args.t)
     pts, tris = conics.lattice_points(args.m, args.n)
     results = {"points": [{"x": x, "e": e} for x, e in pts], "triangles": tris}
     areas_ok = all(tri.is_right_of_area(x) for (x, _), tri in zip(pts, tris))
     checks = [("lattice triangles have area x_i", areas_ok)]
-    inputs = {"m": args.m, "n": args.n}
-    if t is not None:
-        results["secondary"] = sec = conics.lattice_secondary(args.m, args.n, t)
+    if "t" in args:
+        results["secondary"] = sec = conics.lattice_secondary(args.m, args.n, args.t)
         # x_i2 (4t^2+1)^2, with x_i2 from Vieta, against the closed form N_i2; (x_i2, e_i2)
         # on the ellipse; the reduced triangle right of area ±primitive
         f2sq = (args.m**2 + args.n**2) ** 2
         sec_ok = all(
-            r.x2 * (4 * t**2 + 1) ** 2 == r.n2
+            r.x2 * (4 * args.t**2 + 1) ** 2 == r.n2
             and 4 * r.e2**2 == conics.ellipse(r.x2, f2sq)
             and (r.triangle.is_right_of_area(r.primitive) or r.triangle.is_right_of_area(-r.primitive))
             for r in sec
         )
         checks.append(("secondary intersections verified", sec_ok))
-        inputs["t"] = t
-    return inputs, results, checks
+    return results, checks
 
 
 def _cmd_conics_twin(args):
     from . import conics
-    t = _rational("--t", args.t)
+    args.t = t = _rational("--t", args.t)
     n1, n2, tri1, tri2 = conics.twin_hyperbolas(t)
     checks = conics.twin_checks(t, n1, n2, tri1, tri2)
-    return {"t": t}, {"n1": n1, "n2": n2, "triangle1": tri1, "triangle2": tri2}, checks
+    return {"n1": n1, "n2": n2, "triangle1": tri1, "triangle2": tri2}, checks
 
 
 def _oval_points(oval, count):
@@ -267,7 +275,7 @@ def _oval_points(oval, count):
     return pts
 
 
-def _cassini(args, inputs, quad, tri, oval, axis):
+def _cassini(args, quad, tri, oval, axis):
     """The envelope parts that the two- and four-intersection systems share."""
     results = {
         "c1_sq": quad.c1sq,
@@ -283,7 +291,7 @@ def _cassini(args, inputs, quad, tri, oval, axis):
         results["curve_points_approx"] = [
             {"x": x, "y": y} for x, y in _oval_points(oval, args.emit_curve)
         ]
-    return inputs, results, [("triangle area = N", tri.is_right_of_area(args.n))]
+    return results, [("triangle area = N", tri.is_right_of_area(args.n))]
 
 
 def _cmd_cassini_two(args):
@@ -291,8 +299,7 @@ def _cmd_cassini_two(args):
     if not 0 <= args.emit_curve <= MAX_CURVE_POINTS:  # before any work
         raise EffortOutOfRange("emit_curve", 0, MAX_CURVE_POINTS, args.emit_curve)
     quad, tri, oval = cassini.heegner_two(args.n, args.f1, _rational("--f2", args.f2), args.adjoin)
-    inputs = {"n": args.n, "f1": args.f1, "f2": args.f2, "adjoin": args.adjoin}
-    return _cassini(args, inputs, quad, tri, oval, cassini.oval_axis_points(oval))
+    return _cassini(args, quad, tri, oval, cassini.oval_axis_points(oval))
 
 
 def _cmd_cassini_four(args):
@@ -300,13 +307,13 @@ def _cmd_cassini_four(args):
     if not 0 <= args.emit_curve <= MAX_CURVE_POINTS:  # before any work
         raise EffortOutOfRange("emit_curve", 0, MAX_CURVE_POINTS, args.emit_curve)
     f2 = _rational("--f2", args.f2)
-    inputs = {"n": args.n, "f1": args.f1, "f2": args.f2}
-    return _cassini(args, inputs, *cassini.heegner_four(args.n, args.f1, f2**2))
+    return _cassini(args, *cassini.heegner_four(args.n, args.f1, f2**2))
 
 
 def _cmd_tangent(args):
     from . import tangent, triples
-    a, b = _rational("--a", args.a), _rational("--b", args.b)
+    args.a = a = _rational("--a", args.a)
+    args.b = b = _rational("--b", args.b)
     tri = triples.RatTriangle.from_legs(a, b)
     chain = tangent.tangent_chain(tri, args.n, depth=args.depth)
     results = {
@@ -315,7 +322,7 @@ def _cmd_tangent(args):
         "points": [e.point for e in chain.entries],
     }
     checks = [("doubling relation", chain.doubling_holds())]
-    return {"n": args.n, "a": a, "b": b, "depth": args.depth}, results, checks
+    return results, checks
 
 
 def _cmd_footprints_verify(args):
@@ -326,17 +333,17 @@ def _cmd_footprints_verify(args):
     if bad:
         results["failures"] = [{"row": str(r["row"]), "error": r["error"]} for r in bad]
     checks = [(f"all {len(reports)} rows rebuild their triangle", not bad)]
-    return {"table": args.table}, results, checks
+    return results, checks
 
 
 def _cmd_footprints_triangle(args):
     from . import footprints
-    row = footprints.FootprintRow(args.n, args.m, args.k, args.cls)
+    row = footprints.FootprintRow(args.n, args.m, args.k, getattr(args, "class"))
     pq = footprints.footprint_pq(row)
     tri = footprints.footprint_triangle(row, pq)
     results = {"p_sq": pq.p_sq, "q_sq": pq.q_sq, "triangle": tri}
     checks = [("area = N", tri.is_right_of_area(args.n))]
-    return {"n": args.n, "m": args.m, "k": args.k, "class": args.cls}, results, checks
+    return results, checks
 
 
 def _cmd_recur_walk(args):
@@ -350,8 +357,7 @@ def _cmd_recur_walk(args):
     # each printed N must be the area of its printed triangle
     right = all(tri.is_right_of_area(n) for n, tri in [(n0, tri0), *steps])
     checks = [("every step is a valid right triangle", right)]
-    inputs = {"start_m": args.start_m, "start_n": args.start_n, "path": args.path}
-    return inputs, results, checks
+    return results, checks
 
 
 def _cmd_recur_table_check(args):
@@ -359,24 +365,24 @@ def _cmd_recur_table_check(args):
     reports = recurrence.verify_tree_table()
     bad = [r for r in reports if not r["ok"]]
     results = {"cells": len(reports), "failed": len(bad)}
-    return {}, results, [("all table cells reproduce", not bad)]
+    return results, [("all table cells reproduce", not bad)]
 
 
-def _seq_family(inputs, tri, n, pts):
+def _seq_family(tri, n, pts):
     """The envelope of a family that prints a triangle, its N and its curve points."""
     results = {"triangle": tri, "congruent_number": n, "points": pts}
-    return inputs, results, [("area = N", tri.is_right_of_area(n))]
+    return results, [("area = N", tri.is_right_of_area(n))]
 
 
 def _cmd_seq_fib(args):
     from . import sequences
     family = sequences.fib_odd_family if args.odd else sequences.fib_even_family
-    return _seq_family({"n": args.n, "odd": args.odd}, *family(args.n))
+    return _seq_family(*family(args.n))
 
 
 def _cmd_seq_cheb(args):
     from . import sequences
-    return _seq_family({"m": args.m, "k": args.k}, *sequences.cheb_family(args.m, args.k))
+    return _seq_family(*sequences.cheb_family(args.m, args.k))
 
 
 def _cmd_seq_brahmagupta(args):
@@ -398,7 +404,7 @@ def _cmd_seq_brahmagupta(args):
         if args.k == 0
         else ("infinite order", orders is None),
     ]
-    return {"k": args.k}, results, checks
+    return results, checks
 
 
 def _cmd_fermat(args):
@@ -423,18 +429,10 @@ def _cmd_fermat(args):
     checks = [(f"{len(nodes)} nodes pass square invariants", tree.invariants_hold())]
     if args.find_smallest:
         small = tree.smallest_sum()
-        if small is None:
-            checks.append(("smallest sum-type solution found", False))
-        else:
-            results["smallest"] = {
-                "a": small.a,
-                "b": small.b,
-                "c": small.c,
-                "sum_root": small.sum_root,
-                "hyp_root": small.hyp_root,
-            }
-            checks.append(("smallest sum-type solution found", True))
-    return {"depth": args.depth, "find_smallest": args.find_smallest}, results, checks
+        if small is not None:
+            results["smallest"] = {f: getattr(small, f) for f in ("a", "b", "c", "sum_root", "hyp_root")}
+        checks.append(("smallest sum-type solution found", small is not None))
+    return results, checks
 
 
 def _cmd_verify_all(args):
@@ -449,7 +447,7 @@ def _cmd_verify_all(args):
         failed += [check for check, p in suite_checks if not p]
     if failed:
         results["failed_checks"] = failed
-    return {}, results, checks
+    return results, checks
 
 
 def build_parser():
@@ -496,8 +494,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        inputs, results, checks = args.handler(args)
-        envelope = _envelope(args, inputs, results, checks)
+        envelope = _envelope(args, *args.handler(args))
     except OutputTooLarge:
         limit = sys.get_int_max_str_digits()
         hint = _SIZE_FLAGS.get(args.command.partition(" ")[0], "smaller inputs")

@@ -98,13 +98,12 @@ def footprint_pq(row):
     return PQ(Fraction(p2, 2), Fraction(((m**2 - k**2 + 2 * m * k) * (m**2 + k**2)) ** 2))
 
 
-def footprint_triangle(row, pq=None):
+def footprint_triangle(row, pq):
     """The positive rational right triangle (x/y, 2|N|y/x, r/(xy)) of area N for a table row,
     with p^2/q^2 = x^2/y^2 in lowest terms and r^2 = x^4 + 4N^2 y^4 = (cxy)^2.
 
-    pq is the row's footprint_pq(row), computed here when not given.
+    pq is the row's footprint_pq(row).
     """
-    pq = footprint_pq(row) if pq is None else pq
     num = pq.p_sq.numerator * pq.q_sq.denominator
     den = pq.p_sq.denominator * pq.q_sq.numerator
     if num <= 0 or den <= 0:
@@ -172,7 +171,7 @@ def verify_tables(table=None):
                     f"row class {row.cls} inconsistent with N = {row.n} ({family})"
                 )
             # area N: tests/test_footprints.py::test_integer_triangle_matches_the_from_legs_oracle
-            report["triangle"] = footprint_triangle(row)
+            report["triangle"] = footprint_triangle(row, footprint_pq(row))
         except ValueError as exc:
             report["ok"] = False
             report["error"] = str(exc)

@@ -1,4 +1,4 @@
-"""Replay the gate's, the README examples' and the parser texts' digests on one interpreter.
+"""Replay the digests of the gate, README examples, parser texts and echoes on one interpreter.
 
 Usage: python3.X tests/interpreters.py
 
@@ -6,8 +6,8 @@ It uses the standard library only, so it runs on an interpreter without the
 test dependencies.  It reads the digests recorded in perfbench/pool.json
 (read-only), runs verify.run_all() and each README example through
 cli.main(argv + ["--json"]), compares the parser texts with
-PARSER_TEXTS_DIGEST, prints each op whose digest differs and exits 1 if
-there is one.
+PARSER_TEXTS_DIGEST and the echo cases' outputs with ECHO_DIGEST, prints
+each op whose digest differs and exits 1 if there is one.
 """
 
 import contextlib
@@ -26,6 +26,21 @@ from congruent import cli, verify  # noqa: E402
 
 # The digest of parser_texts(), the same on CPython 3.10 to 3.13
 PARSER_TEXTS_DIGEST = "9b8cd4066406c9d4"
+
+# The echo cases: a parsed rational prints reduced and --f2 as given,
+# --emit-curve is not echoed, an absent lattice --t is left out while an
+# absent --table prints null, and --cls prints as "class"
+ECHO_CASES = (
+    "conics lattice --m 1 --n 2 --t 6/2",
+    "conics lattice --m 1 --n 2",
+    "tangent --n 5 --a 6/4 --b 20/3",
+    "cassini two --n 29 --f1 1 --f2=-26/2 --emit-curve 2",
+    "footprints verify",
+    "footprints triangle --n 14 --m 2 --k 1 --cls TIII",
+)
+
+# The digest of echo_outputs(), the same on CPython 3.10 to 3.13
+ECHO_DIGEST = "c2d69b5e984b3861"
 
 
 def digest(text):
@@ -63,8 +78,23 @@ def parser_texts():
     return "".join(texts)
 
 
+def echo_outputs():
+    """The exit code and stdout of each echo case, as text and as --json.
+
+    JSON sorts its keys, so only the text shows the echo's order.
+    """
+    texts = []
+    for case in ECHO_CASES:
+        for tail in [], ["--json"]:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(case.split() + tail)
+            texts += [f"$ congruent {' '.join([case, *tail])}\n[exit {code}]\n", out.getvalue()]
+    return "".join(texts)
+
+
 def mismatches():
-    """The ops whose output differs from its digest: the gate, the README examples, the parser texts."""
+    """The ops whose output differs from its digest: gate, README examples, parser texts, echoes."""
     workloads = json.loads((ROOT / "perfbench" / "pool.json").read_text())["workloads"]
     gate = "verify.run_all()"
     named = [[suite, name, bool(ok)] for suite, checks in verify.run_all().items() for name, ok in checks]
@@ -77,6 +107,8 @@ def mismatches():
             bad.append(key)
     if digest(parser_texts()) != PARSER_TEXTS_DIGEST:
         bad.append("parser texts")
+    if digest(echo_outputs()) != ECHO_DIGEST:
+        bad.append("echoes")
     return bad
 
 

@@ -9,11 +9,12 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import product, takewhile
 from pathlib import Path
 
 import interpreters
 import pytest
+from test_leaves import EXAMPLES
 
 import congruent
 from congruent import (
@@ -678,6 +679,50 @@ def test_every_leaf_has_its_own_handler():
     # one LEAVES row per handler, so a _cmd_* without a row fails
     assert {name for name in vars(cli) if name.startswith("_cmd_")} == set(handlers.values())
     assert [f"congruent {path}" for path, _, _ in cli.LEAVES] == list(handlers)
+
+
+# The echoes measured before the echo was built from the parsed flags: a parsed
+# rational prints reduced, --f2 as given, and an absent --table as null
+ECHO_VALUES = {
+    "conics lattice --m 1 --n 2 --t 6/2": {"m": 1, "n": 2, "t": "3"},
+    "tangent --n 5 --a 6/4 --b 20/3": {"n": 5, "a": "3/2", "b": "20/3", "depth": 3},
+    "cassini two --n 29 --f1 1 --f2=-26/2 --emit-curve 2": {"n": 29, "f1": 1, "f2": "-26/2", "adjoin": "none"},
+    "footprints verify": {"table": None},
+}  # fmt: skip
+
+
+def _echoed_keys(text):
+    """The keys of the text output's inputs block, in order."""
+    lines = text.splitlines()
+    if "inputs:" not in lines:
+        return []
+    block = lines[lines.index("inputs:") + 1 :]
+    return [line.split(" = ")[0].strip() for line in takewhile(lambda s: s.startswith("  "), block)]
+
+
+def test_every_leaf_echoes_its_flags(capsys):
+    # the echo is the leaf's flags in table order, --cls as "class", without
+    # --emit-curve, and lattice --t only when given; JSON sorts its keys, so
+    # the order is read from the text output
+    rows = {path: flags for path, _, flags in cli.LEAVES}
+    cases = [argv for argv, _ in EXAMPLES] + list(interpreters.ECHO_CASES)
+    paths = set()
+    for case in cases:
+        argv = case.split()
+        path = " ".join(takewhile(lambda w: not w.startswith("--"), argv))
+        paths.add(path)
+        keys = []
+        for flag in rows[path]:
+            key = "class" if flag == "--cls" else flag[2:].replace("-", "_")
+            given = any(w == flag or w.startswith(flag + "=") for w in argv)
+            if key != "emit_curve" and (given or (path, key) != ("conics lattice", "t")):
+                keys.append(key)
+        cli.main(argv)
+        assert _echoed_keys(capsys.readouterr().out) == keys, case
+    assert paths == set(rows)
+    for case, inputs in ECHO_VALUES.items():
+        cli.main(case.split() + ["--json"])
+        assert json.loads(capsys.readouterr().out)["inputs"] == inputs, case
 
 
 def test_cli_never_reads_args_sub():

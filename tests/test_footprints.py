@@ -55,10 +55,14 @@ def test_pq_squares_consistent():
         assert rat_sqrt(4 * row.n**2 * pq.q_sq / pq.p_sq) is not None
 
 
+def _triangle(row):
+    return footprints.footprint_triangle(row, footprints.footprint_pq(row))
+
+
 def test_canonical_small_examples():
-    tri = footprints.footprint_triangle(footprints.FootprintRow(14, 2, 1, "TIII"))
+    tri = _triangle(footprints.FootprintRow(14, 2, 1, "TIII"))
     assert tri == RatTriangle(F(21, 2), F(8, 3), F(65, 6))
-    tri = footprints.footprint_triangle(footprints.FootprintRow(353, 4, 1, "T0a"))
+    tri = _triangle(footprints.FootprintRow(353, 4, 1, "T0a"))
     assert tri == RatTriangle(F(5295, 136), F(272, 15), F(87617, 2040))
 
 
@@ -87,7 +91,7 @@ def _outcome(build, row):
 
 def test_integer_triangle_matches_the_from_legs_oracle():
     for row in footprints.load_rows():
-        tri = footprints.footprint_triangle(row)
+        tri = _triangle(row)
         assert tri == _from_legs_oracle(row), row
         assert tri.a**2 + tri.b**2 == tri.c**2 and tri.area == row.n
     # rows that do not rationalize, or break their class, raise the same message
@@ -95,7 +99,7 @@ def test_integer_triangle_matches_the_from_legs_oracle():
     for n, m, k, cls in product((-7, 0, 5, 14, 353), range(-3, 5), range(-3, 5), CLASSES):
         row = footprints.FootprintRow(n, m, k, cls)
         want = _outcome(_from_legs_oracle, row)
-        assert _outcome(footprints.footprint_triangle, row) == want, row
+        assert _outcome(_triangle, row) == want, row
         outcomes.add(want if isinstance(want, str) else "triangle")
     assert outcomes == {
         "triangle",
@@ -111,4 +115,4 @@ def test_irrational_hypotenuse_raises_the_from_legs_message(monkeypatch):
     row = footprints.FootprintRow(1, 1, 1, "TI")
     message = "a and b are not the legs of a rational right triangle"
     assert _outcome(_from_legs_oracle, row) == message
-    assert _outcome(footprints.footprint_triangle, row) == message
+    assert _outcome(_triangle, row) == message
