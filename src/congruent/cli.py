@@ -231,22 +231,13 @@ def _cmd_conics_lattice(args):
     from . import conics
     if "t" in args:  # parsed before any work, so a bad --t is the error reported
         args.t = _rational("--t", args.t)
-    pts, tris = conics.lattice_points(args.m, args.n)
+    m, n = args.m, args.n
+    pts, tris = conics.lattice_points(m, n)
     results = {"points": [{"x": x, "e": e} for x, e in pts], "triangles": tris}
-    areas_ok = all(tri.is_right_of_area(x) for (x, _), tri in zip(pts, tris))
-    checks = [("lattice triangles have area x_i", areas_ok)]
+    checks = [("lattice triangles have area x_i", conics.lattice_relation(m, n, pts, tris))]
     if "t" in args:
-        results["secondary"] = sec = conics.lattice_secondary(args.m, args.n, args.t)
-        # x_i2 (4t^2+1)^2, with x_i2 from Vieta, against the closed form N_i2; (x_i2, e_i2)
-        # on the ellipse; the reduced triangle right of area ±primitive
-        f2sq = (args.m**2 + args.n**2) ** 2
-        sec_ok = all(
-            r.x2 * (4 * args.t**2 + 1) ** 2 == r.n2
-            and 4 * r.e2**2 == conics.ellipse(r.x2, f2sq)
-            and (r.triangle.is_right_of_area(r.primitive) or r.triangle.is_right_of_area(-r.primitive))
-            for r in sec
-        )
-        checks.append(("secondary intersections verified", sec_ok))
+        results["secondary"] = sec = conics.lattice_secondary(m, n, args.t)
+        checks.append(("secondary intersections verified", conics.secondary_relation(m, n, args.t, sec)))
     return results, checks
 
 
@@ -459,33 +450,27 @@ def build_parser():
     def formatter(prog):
         return argparse.HelpFormatter(prog, width=width)
 
-    common = argparse.ArgumentParser(add_help=False, formatter_class=formatter)
-    common.add_argument(
-        "--json",
-        action="store_true",
-        default=os.environ.get("CONGRUENT_FORMAT") == "json",
-        help="emit a JSON envelope instead of text",
-    )
-    shared = {"parents": [common], "formatter_class": formatter}
-    parser = argparse.ArgumentParser(
-        prog="congruent", description="Exact constructions and checks for congruent numbers.", **shared
-    )
+    # only a leaf takes --json, as its first flag, so it goes after the command path
+    json_flag = {"action": "store_true", "default": os.environ.get("CONGRUENT_FORMAT") == "json",
+                 "help": "emit a JSON envelope instead of text"}  # fmt: skip
+    description = "Exact constructions and checks for congruent numbers."
+    parser = argparse.ArgumentParser(prog="congruent", description=description, formatter_class=formatter)
     # each group gets the prog argparse would derive from its parser's usage
     groups = {"": parser.add_subparsers(dest="command", required=True, prog=parser.prog)}
     for path, summary, flags in LEAVES:
         group, _, name = path.rpartition(" ")
         if group not in groups:
-            p = groups[""].add_parser(group, help=_GROUPS[group], **shared)
+            p = groups[""].add_parser(group, help=_GROUPS[group], formatter_class=formatter)
             # dest only names the missing leaf in argparse's usage error
             groups[group] = p.add_subparsers(dest="sub", required=True, prog=p.prog)
         # a help=None keyword would still list the leaf in its group's help
         kwargs = {} if summary is None else {"help": summary}
-        p = groups[group].add_parser(name, **kwargs, **shared)
+        p = groups[group].add_parser(name, **kwargs, formatter_class=formatter)
         # the handler is looked up now, so a rebound _cmd_* attribute is the one called
         handler = globals()["_cmd_" + path.replace(" ", "_").replace("-", "_")]
         # the leaf overrides the group's command with its own path, "conics triangle"
         p.set_defaults(handler=handler, command=path)
-        for flag, spec in flags.items():
+        for flag, spec in {"--json": json_flag, **flags}.items():
             p.add_argument(flag, **spec)
     return parser
 

@@ -13,10 +13,11 @@ two more quartic congruent-number polynomials.  All arithmetic is exact:
 irrational f2 (multiples of sqrt(N) or sqrt(2N)) is only ever handled
 through f2^2, and square roots are taken of full rational squares.
 
-The CLI and the gate take each family's checks from intersect_checks or
-twin_checks, which read the values computed at t.  The relations hold
-identically in t, proved once in tests/test_identities.py; only twin's
-H(x_i) decompositions are also checked here as identities in t.
+The CLI and the gate take each family's checks from intersect_checks,
+twin_checks, lattice_relation or secondary_relation, read on the values
+computed.  The intersection and twin relations hold identically in t,
+proved once in tests/test_identities.py; only twin's H(x_i) decompositions
+are also checked here as identities in t.
 """
 
 from __future__ import annotations
@@ -39,8 +40,10 @@ __all__ = [
     "intersect_checks",
     "reduce_raise",
     "lattice_points",
+    "lattice_relation",
     "Secondary",
     "lattice_secondary",
+    "secondary_relation",
     "twin_hyperbolas",
     "twin_polynomial_identities",
     "twin_checks",
@@ -213,6 +216,15 @@ def lattice_points(m, n):
     return tuple(pts), tuple(tris)
 
 
+def lattice_relation(m, n, points, triangles):
+    """Whether each triangle is right of area x_i, each (x_i, e_i) on the (1, m^2+n^2) ellipse."""
+    f2sq = (m**2 + n**2) ** 2
+    return all(
+        tri.is_right_of_area(x) and 4 * e**2 == ellipse(x, f2sq)
+        for (x, e), tri in zip(points, triangles)
+    )
+
+
 def _lattice_n2(m, n, t):
     """N(m, n, t): the raised congruent number of the slope-t second intersection."""
     return (4 * t**2 + 1) * (m**2 + n**2) * (
@@ -263,6 +275,18 @@ def lattice_secondary(m, n, t):
             raise AssertionError("secondary congruent number mismatch")
         out.append(Secondary(x2, e2, n_i2, primitive, tri))
     return out
+
+
+def secondary_relation(m, n, t, secondaries):
+    """Whether each x_i2 (4t^2+1)^2, x_i2 from Vieta, is its closed form N_i2, each (x_i2, e_i2)
+    lies on the ellipse and each reduced triangle is right of area ±primitive."""
+    f2sq, raise_sq = (m**2 + n**2) ** 2, (4 * t**2 + 1) ** 2
+    return all(
+        r.x2 * raise_sq == r.n2
+        and 4 * r.e2**2 == ellipse(r.x2, f2sq)
+        and (r.triangle.is_right_of_area(r.primitive) or r.triangle.is_right_of_area(-r.primitive))
+        for r in secondaries
+    )
 
 
 # --- the twin hyperbolas ---

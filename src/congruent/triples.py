@@ -103,17 +103,8 @@ def triangle_point(tri):
 AreaQuad = namedtuple("AreaQuad", "n n_ac n_bc n_ba")
 
 
-class ConcordantSolution(namedtuple("ConcordantSolution", "x y z t n")):
-    """Integers with x^2 + N y^2 = z^2 and x^2 - N y^2 = t^2."""
-
-    __slots__ = ()
-
-    def __new__(cls, x, y, z, t, n):
-        if x**2 + n * y**2 != z**2:
-            raise ValueError("concordant form x^2 + N y^2 = z^2 fails")
-        if x**2 - n * y**2 != t**2:
-            raise ValueError("concordant form x^2 - N y^2 = t^2 fails")
-        return tuple.__new__(cls, (x, y, z, t, n))
+# integers with x^2 + N y^2 = z^2 and x^2 - N y^2 = t^2, checked by concordant_solutions
+ConcordantSolution = namedtuple("ConcordantSolution", "x y z t n")
 
 
 # what derive(m, n) returns; every derived quantity below reads one pair
@@ -200,8 +191,7 @@ def concordant_solutions(pair):
     y = 2 * pair.d
     y2 = y * y
     out = []
-    # x^2 ± N y^2 are squares (tests/test_identities.py::test_concordant_radicals_are_squares),
-    # checked once here, so the records skip ConcordantSolution's check
+    # x^2 ± N y^2 are squares: tests/test_identities.py::test_concordant_radicals_are_squares
     for (_, _, x), area in zip(pair.sides, (q.n_ac, q.n_bc, q.n_ba)):
         x2, ny2 = x * x, area * y2
         plus, minus = x2 + ny2, x2 - ny2
@@ -210,7 +200,7 @@ def concordant_solutions(pair):
             raise ValueError("concordant form x^2 + N y^2 = z^2 fails")
         if t * t != minus:
             raise ValueError("concordant form x^2 - N y^2 = t^2 fails")
-        out.append(ConcordantSolution._make((x, y, z, t, area)))
+        out.append(ConcordantSolution(x, y, z, t, area))
     return tuple(out)
 
 

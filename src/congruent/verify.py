@@ -162,13 +162,9 @@ def suite_conics_lattice():
     for i, (res, (n2, tri)) in enumerate(zip(results, _LATTICE_1_2_3), 1):
         checks.append((f"lattice N_{i}2", res.n2 == n2))
         checks.append((f"lattice triangle {i}", res.triangle == tri))
-    # each triangle has area x_i, and each point lies on the (1, m^2 + n^2) ellipse
-    closed_forms = all(
-        tri.area == x and 4 * e**2 == conics.ellipse(x, (m**2 + n**2) ** 2)
-        for m, n in ((1, 2), (2, 1))
-        for (x, e), tri in zip(*conics.lattice_points(m, n))
-    )
-    checks.append(("lattice closed forms", closed_forms))
+    # the relation that the CLI's "lattice triangles have area x_i" reads
+    forms = (conics.lattice_relation(m, n, *conics.lattice_points(m, n)) for m, n in [(1, 2), (2, 1)])
+    checks.append(("lattice closed forms", all(forms)))
     return checks
 
 

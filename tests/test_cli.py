@@ -56,6 +56,22 @@ def test_triples_json_flag_after_subcommand(capsys):
     assert all(c["pass"] for c in env["checks"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    ["--json triples --m 2 --n 1", "--json conics lattice --m 1 --n 2", "conics --json lattice --m 1 --n 2"],
+)
+def test_json_is_a_flag_of_the_leaf_only(capsys, argv):
+    # the root and the groups take no --json: before the leaf it is a usage error,
+    # not a flag that the leaf's own default overwrites
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --json\n")
+    leaf = argv.replace("--json ", "")
+    code, out, _ = run(capsys, leaf.split() + ["--json"])
+    assert code == 0 and leaf.startswith(json.loads(out)["command"])
+
+
 def test_json_env_default(capsys, monkeypatch):
     monkeypatch.setenv("CONGRUENT_FORMAT", "json")
     code, out, _ = run(capsys, ["triples", "--m", "2", "--n", "1"])
@@ -147,6 +163,17 @@ def test_intersect_refuses_a_zero_f(capsys):
     assert err == "error: --f must be nonzero: f = 0 collapses the ellipse point to (0, 0)\n"
     with pytest.raises(ValueError, match="^f must be nonzero"):
         conics.intersect_example(3, 0)
+
+
+@pytest.mark.parametrize("system, build", [("two", cassini.heegner_two), ("four", cassini.heegner_four)])
+def test_cassini_refuses_a_zero_n(capsys, system, build):
+    # heegner_four would divide by N and heegner_two build an oval with b'^4 = 0;
+    # both refuse N = 0 before any work, and the command names its flag
+    code, out, err = run(capsys, ["cassini", system, "--n", "0", "--f1", "1", "--f2", "1"])
+    assert code == 3 and not out
+    assert err == "error: --n must be nonzero: no right triangle has area 0\n"
+    with pytest.raises(ValueError, match="^n must be nonzero"):
+        build(0, 1, 1)
 
 
 def test_degenerate_lattice_secondary_exits_3_with_its_reason(capsys):
@@ -560,25 +587,25 @@ def test_cli_imports_each_subcommand_module_on_first_use():
 
 
 USAGES = [
-    "congruent [-h] [--json] {triples,trinity,conics,cassini,tangent,footprints,recur,seq,fermat,verify-all} ...",
+    "congruent [-h] {triples,trinity,conics,cassini,tangent,footprints,recur,seq,fermat,verify-all} ...",
     "congruent triples [-h] [--json] --m M --n N",
     "congruent trinity [-h] [--json] [--max-order MAX_ORDER]",
-    "congruent conics [-h] [--json] {triangle,intersect,lattice,twin} ...",
+    "congruent conics [-h] {triangle,intersect,lattice,twin} ...",
     "congruent conics triangle [-h] [--json] --n N --f1 F1 --f2 F2 [--adjoin {none,sqrtN,sqrt2N}]",
     "congruent conics intersect [-h] [--json] --t T [--f F]",
     "congruent conics lattice [-h] [--json] --m M --n N [--t T]",
     "congruent conics twin [-h] [--json] --t T",
-    "congruent cassini [-h] [--json] {two,four} ...",
+    "congruent cassini [-h] {two,four} ...",
     "congruent cassini two [-h] [--json] --n N --f1 F1 --f2 F2 [--emit-curve COUNT] [--adjoin {none,sqrtN,sqrt2N}]",
     "congruent cassini four [-h] [--json] --n N --f1 F1 --f2 F2 [--emit-curve COUNT]",
     "congruent tangent [-h] [--json] --n N --a A --b B [--depth DEPTH]",
-    "congruent footprints [-h] [--json] {verify,triangle} ...",
+    "congruent footprints [-h] {verify,triangle} ...",
     "congruent footprints verify [-h] [--json] [--table TABLE]",
     "congruent footprints triangle [-h] [--json] --n N --m M --k K --cls {T0a,T0b,TI,TII,TIII,TIV}",
-    "congruent recur [-h] [--json] {walk,table-check} ...",
+    "congruent recur [-h] {walk,table-check} ...",
     "congruent recur walk [-h] [--json] --start-m START_M --start-n START_N --path PATH",
     "congruent recur table-check [-h] [--json]",
-    "congruent seq [-h] [--json] {fib,cheb,brahmagupta} ...",
+    "congruent seq [-h] {fib,cheb,brahmagupta} ...",
     "congruent seq fib [-h] [--json] --n N [--odd]",
     "congruent seq cheb [-h] [--json] --m M --k K",
     "congruent seq brahmagupta [-h] [--json] --k K",

@@ -118,16 +118,10 @@ def test_each_effort_bound_raises_one_error_in_library_words(build, message):
     assert str(info.value) == message
 
 
-def _concordant(**change):
-    return triples.concordant_solutions(triples.derive(2, 1))[0]._replace(**change)
-
-
 @pytest.mark.parametrize(
     "build, message",
     [
         (lambda: triples.RatTriangle(3, 4, 6), "sides (3, 4, 6) violate a^2 + b^2 = c^2"),
-        (lambda: triples.ConcordantSolution(*_concordant(z=1)), "concordant form x^2 + N y^2 = z^2 fails"),
-        (lambda: triples.ConcordantSolution(*_concordant(t=1)), "concordant form x^2 - N y^2 = t^2 fails"),
         (lambda: fermat.FermatNode(1, 1, 0, 2), "node violates the square invariants"),
         (lambda: footprints.FootprintRow(6, 2, 1, "TX"), "unknown footprint class 'TX'"),
         (lambda: cassini.CassiniOval(1, 0), "need a'^2 >= 0 and b'^4 > 0"),

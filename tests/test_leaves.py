@@ -59,7 +59,6 @@ UNREAD = {
     },
     # the number of circles checked, a count
     "trinity --max-order 1": {"circles"},
-    "conics lattice --m 1 --n 2 --t 3": {"points[].e"},
     # the oval's x_weight, which is not printed, moves its loops and the y axis points
     "cassini two --n 29 --f1 1 --f2 -13": {
         "c1_sq", "c2", "c3_sq", "c4_sq", "oval.a_sq", "oval.loops", "axis_x_sq[0]", "axis_y_sq",

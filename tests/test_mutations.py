@@ -3,8 +3,9 @@
 The gate's checks of the line-ellipse intersection, the twin hyperbolas and
 the (2, 1) derived triples read the values their suites compute, so a wrong
 value from the producer fails its check by name.  The CLI and the gate read
-the same relations (conics.ellipse, Curve.contains, triples.area_relation and
-triples.distance_relation), so a wrong relation fails both.
+the same relations (conics.ellipse, conics.lattice_relation, Curve.contains,
+triples.area_relation and triples.distance_relation), so a wrong relation
+fails both.
 """
 
 import json
@@ -101,9 +102,13 @@ def _negated(function):
     return lambda *args: not function(*args)
 
 
+def _plus_one(function):
+    return lambda *args: function(*args) + 1
+
+
 # (owner, relation, mutation, CLI argv and check, gate suite and check)
 SHARED_RELATIONS = [
-    (conics, "ellipse", lambda real: lambda x, f2sq: real(x, f2sq) + 1,
+    (conics, "ellipse", _plus_one,
      ["conics", "intersect", "--t", "3"], "point on ellipse",
      "conics-intersect", "point on ellipse"),
     (Curve, "contains", _negated,
@@ -114,6 +119,12 @@ SHARED_RELATIONS = [
      ["triples", "--m", "2", "--n", "1"], "area identity", "triples", "area identity holds"),
     (triples, "distance_relation", _negated,
      ["triples", "--m", "2", "--n", "1"], "distance identity", "triples", "distance identity holds"),
+    (conics, "lattice_relation", _negated,
+     ["conics", "lattice", "--m", "1", "--n", "2"], "lattice triangles have area x_i",
+     "conics-lattice", "lattice closed forms"),
+    (conics, "ellipse", _plus_one,
+     ["conics", "lattice", "--m", "1", "--n", "2"], "lattice triangles have area x_i",
+     "conics-lattice", "lattice closed forms"),
 ]  # fmt: skip
 
 
@@ -129,9 +140,3 @@ def test_one_relation_fails_the_cli_and_the_gate(
     monkeypatch.setattr(owner, relation, change(getattr(owner, relation)))
     assert not _cli_check(capsys, argv, cli_check)
     assert not _gate_check(suite, gate_check)
-
-
-def test_the_lattice_closed_forms_read_the_same_ellipse(monkeypatch):
-    real = conics.ellipse
-    monkeypatch.setattr(conics, "ellipse", lambda x, f2sq: real(x, f2sq) + 1)
-    assert not _gate_check("conics-lattice", "lattice closed forms")
