@@ -107,8 +107,8 @@ def heegner_two(n, f1, f2, adjoin="none"):
     triangle is the conic one at e f1 f2 = c1 c3, negated if its c < 0, also
     where c3^2 = c2^2 - N c1^2 puts the point outside the real ellipse.
     """
-    if n == 0:  # before any work: the oval's b'^4 = c1^4 N^2 would vanish
-        raise ParameterError("n", "must be nonzero: no right triangle has area 0")
+    if n <= 0:  # before any work: at N = 0 the oval's b'^4 = c1^4 N^2 would vanish
+        raise ParameterError("n", "must be positive: no right triangle has area N <= 0")
     f2sq = f2_squared(n, f2, adjoin)
     c1sq = f1**2 * f2sq
     if c1sq == 0:
@@ -140,8 +140,8 @@ def heegner_four(n, f1, f2sq):
     (N, f1, f2 sqrt(N)) at e f1 f2 = N^2 c1 c4/4, negated if its c < 0; its
     legs are N c2 c1c4/(|c3| c4^2) and 2 |c3| c4^2/(c2 c1c4).
     """
-    if n == 0:  # before any work: c1^2 divides by N
-        raise ParameterError("n", "must be nonzero: no right triangle has area 0")
+    if n <= 0:  # before any work: c1^2 divides by N
+        raise ParameterError("n", "must be positive: no right triangle has area N <= 0")
     f2sq = Fraction(f2sq)
     if f2sq <= 0:
         raise ValueError("f2^2 must be positive")

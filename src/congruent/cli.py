@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 from fractions import Fraction
 
@@ -451,8 +450,7 @@ def build_parser():
         return argparse.HelpFormatter(prog, width=width)
 
     # only a leaf takes --json, as its first flag, so it goes after the command path
-    json_flag = {"action": "store_true", "default": os.environ.get("CONGRUENT_FORMAT") == "json",
-                 "help": "emit a JSON envelope instead of text"}  # fmt: skip
+    json_flag = {"action": "store_true", "help": "emit a JSON envelope instead of text"}
     description = "Exact constructions and checks for congruent numbers."
     parser = argparse.ArgumentParser(prog="congruent", description=description, formatter_class=formatter)
     # each group gets the prog argparse would derive from its parser's usage

@@ -159,10 +159,9 @@ def area_relation(areas, c, value):
 
 
 def area_identity(pair):
-    """Both sides of N_AC^2 + N_BC^2 + N_BA^2 = 6(C^4 - 4N^2), and area_relation on them."""
+    """Both sides of N_AC^2 + N_BC^2 + N_BA^2 = 6(C^4 - 4N^2); area_relation checks them."""
     q, c = pair.quad, pair.triple.c
-    lhs = q.n_ac**2 + q.n_bc**2 + q.n_ba**2
-    return {"lhs": lhs, "rhs": 6 * (c**4 - 4 * q.n**2), "holds": area_relation(q, c, lhs)}
+    return {"lhs": q.n_ac**2 + q.n_bc**2 + q.n_ba**2, "rhs": 6 * (c**4 - 4 * q.n**2)}
 
 
 def connecting_points(pair):
@@ -221,9 +220,7 @@ def distance_identity(pair):
     """
     t = pair.triple
     d1, d2, d3 = (c - a for a, _, c in pair.sides)
-    lhs_root = 2 * (t.c**4 - 3 * (t.a * t.b) ** 2)
     return {
-        "lhs_root": lhs_root,
+        "lhs_root": 2 * (t.c**4 - 3 * (t.a * t.b) ** 2),
         "quadruple": (d1 + d2 + d3, d1 + d2 - d3, d1 - d2 + d3, -d1 + d2 + d3),
-        "holds": distance_relation(pair.sides, lhs_root),
     }

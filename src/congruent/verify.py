@@ -89,9 +89,10 @@ def suite_triples_random():
     for m, n in _TRIPLES_PAIRS:
         try:
             pair = triples.derive(m, n)
-            if not triples.area_identity(pair)["holds"]:
+            area, dist = triples.area_identity(pair), triples.distance_identity(pair)
+            if not triples.area_relation(pair.quad, pair.triple.c, area["lhs"]):
                 return [(f"area identity ({m},{n})", False)]
-            if not triples.distance_identity(pair)["holds"]:
+            if not triples.distance_relation(pair.sides, dist["lhs_root"]):
                 return [(f"distance identity ({m},{n})", False)]
             triples.concordant_solutions(pair)
         except ValueError as exc:

@@ -5,16 +5,13 @@ property sweeps, symbolic identities, the shipped tables, and finally
 the `verify-all` CLI command as the whole-repository gate.
 """
 
-import contextlib
-import hashlib
-import io
 import json
 import random
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 from types import SimpleNamespace
 
+import outputs
 import pytest
 
 from congruent import cli, fermat, footprints, recurrence, sequences, triples, verify
@@ -285,86 +282,61 @@ def test_wrong_closed_form_fails_under_its_first_name(monkeypatch, path):
     ]
 
 
-def _pool_workloads():
-    return json.loads((Path(__file__).parents[1] / "perfbench" / "pool.json").read_text())["workloads"]
-
-
-def _digest(text):
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 def test_gate_replays_the_recorded_digest():
     # the benchmark's gate op compares this digest of the whole check list
     # (suite, name and outcome of every check) with the one recorded in its
     # op pool, so any change to the gate's checks fails here as well
-    want = _pool_workloads()["gate"]["gate"]["verify.run_all()"]["digest"]
-    named = [[suite, name, bool(ok)] for suite, checks in verify.run_all().items() for name, ok in checks]
-    assert _digest(json.dumps(named)) == want
+    assert outputs.ops(gate=["gate"]) == {outputs.GATE: outputs.gate_digest()}
 
 
-def _replay(cli_strata, growth_strata):
-    """Run every op of the named pool strata; return the op count and the ops that differ."""
-    workloads = _pool_workloads()
-    strata = [workloads["cli"][name] for name in cli_strata]
-    strata += [workloads["growth"][name] for name in growth_strata]
-    ops = {key: entry["digest"] for stratum in strata for key, entry in stratum.items()}
-    differ = []
-    for key, want in ops.items():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(key.split() + ["--json"])
-        if code != 0 or _digest(out.getvalue()) != want:
-            differ.append(key)
-    return len(ops), differ
-
-
-# the (cli, growth) strata each replay test below runs; together, every one
-_RECUR_AND_SEQ = (
-    ("recur", "seq-fib", "seq-cheb", "seq-brahmagupta"), ("recur-8", "recur-10", "recur-12")
-)
-_CONIC_CASSINI_AND_TANGENT = (
-    (
+# the cli and growth strata each replay test below runs; together, every one
+_RECUR_AND_SEQ = {
+    "cli": ("recur", "seq-fib", "seq-cheb", "seq-brahmagupta"),
+    "growth": ("recur-8", "recur-10", "recur-12"),
+}
+_CONIC_CASSINI_AND_TANGENT = {
+    "cli": (
         "readme", "conics-triangle", "conics-intersect", "conics-lattice",
         "conics-lattice-t", "conics-twin", "cassini", "tangent",
     ),
-    ("tangent-4", "tangent-5"),
-)  # fmt: skip
-_TRIPLES_FOOTPRINTS_AND_FERMAT = (
-    ("triples", "footprints-triangle", "fermat"),
-    (
+    "growth": ("tangent-4", "tangent-5"),
+}  # fmt: skip
+_TRIPLES_FOOTPRINTS_AND_FERMAT = {
+    "cli": ("triples", "footprints-triangle", "fermat"),
+    "growth": (
         "brahmagupta-25", "brahmagupta-50", "brahmagupta-100", "brahmagupta-200",
         "fermat-5", "fermat-6",
     ),
-)  # fmt: skip
+}  # fmt: skip
 
 
 def test_replays_cover_every_cli_and_growth_stratum():
     groups = (_RECUR_AND_SEQ, _CONIC_CASSINI_AND_TANGENT, _TRIPLES_FOOTPRINTS_AND_FERMAT)
-    workloads = _pool_workloads()
-    for i, workload in enumerate(("cli", "growth")):
-        assert sorted(name for group in groups for name in group[i]) == sorted(workloads[workload])
+    workloads = outputs.pool()["workloads"]
+    for workload in ("cli", "growth"):
+        assert sorted(name for group in groups for name in group[workload]) == sorted(workloads[workload])
 
 
 def test_recur_and_seq_ops_replay_their_recorded_digests():
     # the benchmark digests the JSON output of each CLI op and compares it
     # with its op pool; replaying the recur and seq strata here makes any
     # change to those outputs fail the tests as well
-    count, differ = _replay(*_RECUR_AND_SEQ)
-    assert count == 316
-    assert not differ
+    ops = outputs.ops(**_RECUR_AND_SEQ)
+    assert len(ops) == 316
+    assert outputs.replay(ops) == []
 
 
 def test_conic_cassini_and_tangent_ops_replay_their_recorded_digests():
     # the strata whose triangles and curve points come from the conic
     # triangle formula and triples.triangle_point, plus the README examples
-    count, differ = _replay(*_CONIC_CASSINI_AND_TANGENT)
-    assert count == 228
-    assert not differ
+    ops = outputs.ops(**_CONIC_CASSINI_AND_TANGENT)
+    assert len(ops) == 228
+    assert outputs.replay(ops) == []
 
 
 def test_triples_footprints_and_fermat_ops_replay_their_recorded_digests():
     # the remaining strata; fermat-5 and fermat-6 repeat two ops of the cli
     # fermat stratum, so 215 pool entries are 213 distinct ops
-    count, differ = _replay(*_TRIPLES_FOOTPRINTS_AND_FERMAT)
-    assert count == 213
-    assert not differ
+    ops = outputs.ops(**_TRIPLES_FOOTPRINTS_AND_FERMAT)
+    assert len(ops) == 213
+    assert outputs.replay(ops) == []

@@ -3,7 +3,6 @@ import ast
 import json
 import os
 import re
-import shlex
 import shutil
 import subprocess
 import sys
@@ -12,7 +11,7 @@ from fractions import Fraction
 from itertools import product, takewhile
 from pathlib import Path
 
-import interpreters
+import outputs
 import pytest
 from test_leaves import EXAMPLES
 
@@ -70,13 +69,6 @@ def test_json_is_a_flag_of_the_leaf_only(capsys, argv):
     leaf = argv.replace("--json ", "")
     code, out, _ = run(capsys, leaf.split() + ["--json"])
     assert code == 0 and leaf.startswith(json.loads(out)["command"])
-
-
-def test_json_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("CONGRUENT_FORMAT", "json")
-    code, out, _ = run(capsys, ["triples", "--m", "2", "--n", "1"])
-    assert code == 0
-    json.loads(out)  # must be valid JSON without the flag
 
 
 def test_big_integers_serialized_as_strings(capsys):
@@ -167,13 +159,15 @@ def test_intersect_refuses_a_zero_f(capsys):
 
 @pytest.mark.parametrize("system, build", [("two", cassini.heegner_two), ("four", cassini.heegner_four)])
 def test_cassini_refuses_a_zero_n(capsys, system, build):
-    # heegner_four would divide by N and heegner_two build an oval with b'^4 = 0;
-    # both refuse N = 0 before any work, and the command names its flag
-    code, out, err = run(capsys, ["cassini", system, "--n", "0", "--f1", "1", "--f2", "1"])
-    assert code == 3 and not out
-    assert err == "error: --n must be nonzero: no right triangle has area 0\n"
-    with pytest.raises(ValueError, match="^n must be nonzero"):
-        build(0, 1, 1)
+    # at N = 0 heegner_four would divide by N and heegner_two build an oval with
+    # b'^4 = 0, and at N < 0 heegner_two printed a passing triangle; both refuse
+    # N <= 0 before any work, and the command names its flag
+    for n in (0, -1):
+        code, out, err = run(capsys, ["cassini", system, "--n", str(n), "--f1", "1", "--f2", "1"])
+        assert code == 3 and not out
+        assert err == "error: --n must be positive: no right triangle has area N <= 0\n"
+        with pytest.raises(ValueError, match="^n must be positive"):
+            build(n, 1, 1)
 
 
 def test_degenerate_lattice_secondary_exits_3_with_its_reason(capsys):
@@ -531,15 +525,8 @@ def test_wrong_chebyshev_value_fails_heron_area_by_name(capsys, monkeypatch):
     assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] == ["Heron area"]
 
 
-def _readme_cli_lines():
-    """The README's CLI examples, each split into words."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    return [shlex.split(line) for line in block.splitlines() if line.strip()]
-
-
 def test_readme_cli_block_parses():
-    lines = _readme_cli_lines()
+    lines = outputs.readme_examples()
     assert len(lines) >= 10
     parser = cli.build_parser()
     for prog, *argv in lines:
@@ -629,10 +616,11 @@ def test_every_parser_keeps_its_usage_line(monkeypatch):
     assert [p.format_usage() for p in _parsers(cli.build_parser())] == [f"usage: {u}\n" for u in USAGES]
 
 
-def test_every_parser_keeps_its_texts():
+def test_every_parser_keeps_its_texts(monkeypatch):
     # -h and a bad flag on all 24 parsers, no arguments on the root and each
-    # group, at COLUMNS=200; tests/interpreters.py replays this on 3.10 to 3.13
-    assert interpreters.digest(interpreters.parser_texts()) == interpreters.PARSER_TEXTS_DIGEST
+    # group, at COLUMNS=200; test_interpreters replays this on 3.10 to 3.13
+    monkeypatch.setenv("COLUMNS", "200")
+    assert outputs.digest(outputs.transcript(outputs.PARSER_CALLS)) == outputs.PARSER_TEXTS_DIGEST
 
 
 def test_build_parser_reads_the_terminal_width_once(monkeypatch):
@@ -674,7 +662,7 @@ def test_every_proved_triangle_is_right(monkeypatch, capsys):
     monkeypatch.setattr(RatTriangle, "_proved", classmethod(checked))
     for suite, checks in verify.run_all().items():
         assert all(ok for _, ok in checks), suite
-    for _, *argv in _readme_cli_lines():
+    for _, *argv in outputs.readme_examples():
         assert cli.main(argv) == 0, argv
     capsys.readouterr()
     for m in range(2, 13):
@@ -732,7 +720,7 @@ def test_every_leaf_echoes_its_flags(capsys):
     # --emit-curve, and lattice --t only when given; JSON sorts its keys, so
     # the order is read from the text output
     rows = {path: flags for path, _, flags in cli.LEAVES}
-    cases = [argv for argv, _ in EXAMPLES] + list(interpreters.ECHO_CASES)
+    cases = [argv for argv, _ in EXAMPLES] + list(outputs.ECHO_CASES)
     paths = set()
     for case in cases:
         argv = case.split()
@@ -750,6 +738,12 @@ def test_every_leaf_echoes_its_flags(capsys):
     for case, inputs in ECHO_VALUES.items():
         cli.main(case.split() + ["--json"])
         assert json.loads(capsys.readouterr().out)["inputs"] == inputs, case
+
+
+def test_the_echo_cases_keep_their_digest():
+    # each echo case's exit code and output, as text and as --json;
+    # test_interpreters replays this on 3.10 to 3.13
+    assert outputs.digest(outputs.transcript(outputs.ECHO_CALLS)) == outputs.ECHO_DIGEST
 
 
 def test_cli_never_reads_args_sub():

@@ -508,12 +508,13 @@ def test_connecting_points_lie_on_their_curves(symbolic_triples):
 def _euclid_proofs(pair):
     """{name: proved} for the CLI's "area identity" and "distance identity" on the pair.
 
-    area_identity and distance_identity read the relations the CLI and the
-    gate check, area_relation and distance_relation, on the pair's numerators.
+    The relations the CLI and the gate check, area_relation and
+    distance_relation, read area_identity's and distance_identity's values.
     """
+    lhs, root = triples.area_identity(pair)["lhs"], triples.distance_identity(pair)["lhs_root"]
     return {
-        "area identity": triples.area_identity(pair)["holds"],
-        "distance identity": triples.distance_identity(pair)["holds"],
+        "area identity": triples.area_relation(pair.quad, pair.triple.c, lhs),
+        "distance identity": triples.distance_relation(pair.sides, root),
     }
 
 

@@ -4,17 +4,23 @@ import subprocess
 import sys
 from pathlib import Path
 
-import interpreters
+import outputs
 import pytest
-
-SCRIPT = Path(interpreters.__file__)
 
 # pyproject.toml claims requires-python >= 3.10; the replay covers these
 VERSIONS = ("3.10", "3.11", "3.12", "3.13")
 
 
-def test_the_replay_script_passes_on_this_interpreter():
-    assert interpreters.mismatches() == []
+def test_diff_names_each_call_whose_hash_differs(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    lines = ["0123456789abcdef  congruent triples --m 2 --n 1", "fedcba9876543210  verify.run_all()"]
+    a.write_text("\n".join(lines) + "\n")
+    b.write_text("\n".join(lines) + "\n")
+    assert outputs.diff(a, b) == []
+    b.write_text("\n".join(["0123456789abcdee  congruent triples --m 2 --n 1", lines[1]]) + "\n")
+    assert outputs.diff(a, b) == ["congruent triples --m 2 --n 1"]
+    b.write_text(lines[1] + "\n")
+    assert outputs.diff(a, b) == outputs.diff(b, a) == ["congruent triples --m 2 --n 1"]
 
 
 def _broken(exe):
@@ -46,12 +52,13 @@ def _interpreter(version):
 
 @pytest.mark.parametrize("version", VERSIONS)
 def test_each_interpreter_on_path_replays_the_digests(version):
-    # the gate, the README examples and the parser texts print the same bytes
-    # on every supported interpreter; an absent or broken one is skipped, with why
+    # the gate, the README examples, the parser texts and the echoes print the
+    # same bytes on every supported interpreter; the running one is replayed by
+    # the tests that pin each digest, and an absent or broken one is skipped, with why
     if version == "{}.{}".format(*sys.version_info):
         pytest.skip(f"python{version} is the running interpreter")
     exe, why = _interpreter(version)
     if exe is None:
         pytest.skip(why)
-    proc = subprocess.run([exe, str(SCRIPT)], capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([exe, outputs.__file__], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr

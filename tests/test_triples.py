@@ -9,11 +9,13 @@ from congruent import cli, triples, verify
 from congruent.triples import (
     RatTriangle,
     area_identity,
+    area_relation,
     concordant_solutions,
     connecting_points,
     derive,
     derived_triples,
     distance_identity,
+    distance_relation,
     euclid,
 )
 
@@ -73,15 +75,17 @@ def test_area_quad_baseline():
 
 
 def test_area_identity_value():
-    rep = area_identity(derive(2, 1))
-    assert rep["holds"]
+    pair = derive(2, 1)
+    rep = area_identity(pair)
+    assert area_relation(pair.quad, pair.triple.c, rep["lhs"])
     assert rep["lhs"] == rep["rhs"] == 2886
 
 
 @given(admissible_mn)
 @settings(max_examples=60, deadline=None)
 def test_area_identity_generic(mn):
-    assert area_identity(derive(*mn))["holds"]
+    pair = derive(*mn)
+    assert area_relation(pair.quad, pair.triple.c, area_identity(pair)["lhs"])
 
 
 def test_connecting_points_on_curves():
@@ -106,8 +110,9 @@ def test_concordant_solutions_satisfy_both_forms():
 @given(admissible_mn)
 @settings(max_examples=40, deadline=None)
 def test_distance_identity_generic(mn):
-    rep = distance_identity(derive(*mn))
-    assert rep["holds"]
+    pair = derive(*mn)
+    rep = distance_identity(pair)
+    assert distance_relation(pair.sides, rep["lhs_root"])
     assert rep["lhs_root"] ** 2 == sum(v**2 for v in rep["quadruple"][1:])
 
 
@@ -133,13 +138,13 @@ def test_gate_pair_checks_agree_with_the_public_results():
                 continue
             pair = derive(m, n)
             t, q, d, _ = pair
-            assert area_identity(pair)["holds"]
+            assert area_relation(q, t.c, area_identity(pair)["lhs"])
             sols = concordant_solutions(pair)
             tris = derived_triples(pair)
             want = [(tri.c * d, 2 * d, tri.area) for tri in tris]
             assert [(s.x, s.y, s.n) for s in sols] == want
             rep = distance_identity(pair)
-            assert rep["holds"]
+            assert distance_relation(pair.sides, rep["lhs_root"])
             assert rep["lhs_root"] == 2 * (t.c**4 - 3 * (t.a * t.b) ** 2)
             d1, d2, d3 = (tri.c - tri.a for tri in tris)
             want = (d1 + d2 + d3, d1 + d2 - d3, d1 - d2 + d3, -d1 + d2 + d3)
