@@ -8,7 +8,9 @@ intersections (one loop), the second gives two separate loops with four
 X-axis intersections.  Both triangles are conics.signed_triangle's: the
 two-intersection one of (N, f1, f2), the four-intersection one of
 (N, f1, f2 sqrt(N)).  All oval geometry is carried in squared coordinates
-so adjoined (irrational) c values stay exact.
+so adjoined (irrational) c values stay exact.  two_example and
+four_example give each system's CassiniSystem, whose checks() reads its
+triangle.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ __all__ = [
     "heegner_two",
     "heegner_four",
     "oval_axis_points",
+    "two_example",
+    "four_example",
 ]
 
 
@@ -59,6 +63,10 @@ class CassiniOval(namedtuple("CassiniOval", "a2 b4 x_weight")):
         if self.b4 < self.a2**2:
             return "two"
         return "lemniscate"
+
+    def _asdict(self):
+        """The oval as printed: a'^2, b'^4 and its loops."""
+        return {"a_sq": self.a2, "b_4": self.b4, "loops": self.loops}
 
     def residual(self, x2, y2):
         """Exact value of the defining quartic at squared coordinates."""
@@ -163,3 +171,24 @@ def heegner_four(n, f1, f2sq):
     oval = CassiniOval(c2**2, c1sq**2 * n**2, x_weight=2)
     # the X-axis points are ±c3, ±c4: tests/test_identities.py::test_heegner_four_axis_points
     return quad, tri, oval, oval_axis_points(oval)
+
+
+class CassiniSystem(namedtuple("CassiniSystem", "c1_sq c2 c3_sq c4_sq triangle oval axis_x_sq axis_y_sq n")):
+    """One system's quad, triangle of area N, oval and its squared axis points."""
+
+    __slots__ = ()
+
+    def checks(self):
+        return [("triangle area = N", self.triangle.is_right_of_area(self.n))]
+
+
+def two_example(n, f1, f2, adjoin="none"):
+    """The CassiniSystem of heegner_two(n, f1, f2, adjoin)."""
+    quad, tri, oval = heegner_two(n, f1, f2, adjoin)
+    return CassiniSystem(*quad, tri, oval, *oval_axis_points(oval).values(), n)
+
+
+def four_example(n, f1, f2):
+    """The CassiniSystem of heegner_four(n, f1, f2^2)."""
+    quad, tri, oval, axis = heegner_four(n, f1, f2**2)
+    return CassiniSystem(*quad, tri, oval, *axis.values(), n)

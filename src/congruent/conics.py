@@ -13,8 +13,9 @@ two more quartic congruent-number polynomials.  All arithmetic is exact:
 irrational f2 (multiples of sqrt(N) or sqrt(2N)) is only ever handled
 through f2^2, and square roots are taken of full rational squares.
 
-The CLI and the gate take each family's checks from intersect_checks,
-twin_checks, lattice_relation or secondary_relation, read on the values
+The CLI and the gate take each family's checks from the checks() of its
+record, ConicExample, IntersectExample, TwinHyperbolas or LatticeExample
+(which reads lattice_relation and secondary_relation), on the values
 computed.  The intersection and twin relations hold identically in t,
 proved once in tests/test_identities.py; only twin's H(x_i) decompositions
 are also checked here as identities in t.
@@ -36,17 +37,16 @@ __all__ = [
     "signed_triangle",
     "conic_triangle",
     "conic_ec_points",
+    "conic_example",
     "intersect_example",
-    "intersect_checks",
     "reduce_raise",
-    "lattice_points",
     "lattice_relation",
     "Secondary",
     "lattice_secondary",
     "secondary_relation",
+    "lattice_example",
     "twin_hyperbolas",
     "twin_polynomial_identities",
-    "twin_checks",
 ]
 
 
@@ -114,6 +114,30 @@ def conic_ec_points(tri):
     return Point(-n2 / p2.x, -n2 * p2.y / p2.x**2), p2
 
 
+EllipsePoint = namedtuple("EllipsePoint", "x e")
+
+
+class ConicExample(namedtuple("ConicExample", "triangle p1 p2 n")):
+    """The conic triangle of (N, f1, f2) and its two points on E_N."""
+
+    __slots__ = ()
+
+    def checks(self):
+        e_n = curve_en(self.n)
+        return [
+            ("area = N", self.triangle.is_right_of_area(self.n)),
+            # E_N(Q)_tors = {O, (0,0), (±N,0)} (Koblitz, ch. I, Prop. 17): a point
+            # of E_N with y != 0 has infinite order
+            ("points infinite order", all(p.y != 0 and e_n.contains(p) for p in (self.p1, self.p2))),
+        ]
+
+
+def conic_example(n, f1, f2, adjoin="none"):
+    """The ConicExample of conic_triangle(n, f1, f2, adjoin)."""
+    tri = conic_triangle(n, f1, f2, adjoin)
+    return ConicExample(tri, *conic_ec_points(tri), n)
+
+
 def reduce_raise(tri):
     """(N, the similar triangle of area ±N) for N the primitive congruent number of tri.
 
@@ -135,17 +159,33 @@ def _intersect_forms(t):
     return n_t, x_t, e_t
 
 
+class IntersectExample(namedtuple("IntersectExample", "n ellipse_point triangle p1 p2 f")):
+    """N(t), the ellipse point (x, e), the triangle and P1, P2 at one t, for f."""
+
+    __slots__ = ()
+
+    def checks(self):
+        """The family's five relations, read on the values."""
+        (x, e), (a, b, c), on_curve = self.ellipse_point, self.triangle, curve_en(self.n).contains
+        return [
+            ("pythagoras", a**2 + b**2 == c**2),
+            ("area = N(t)", a * b / 2 == self.n),
+            ("point on ellipse", 4 * e**2 == ellipse(x, self.f**2)),
+            ("P1 on curve", on_curve(self.p1)),
+            ("P2 on curve", on_curve(self.p2)),
+        ]
+
+
 def intersect_example(t, f=1):
     """The quartic congruent-number family from one line-ellipse intersection.
 
-    Returns (N(t), ellipse point (x, e), triangle, P1, P2) where
-    N(t) = (4t^2+1)(4t^2-8t+5), the triangle has area N(t), and P1, P2
-    lie on E_{N(t)}, for every t; intersect_checks reads these relations
-    on the values.  The triangle is the conic triangle at the f = 1 point,
-    of area x_t, scaled up by 4t^2+1 (N(t) = (4t^2+1)^2 x_t), and P1 is
-    P2 + (0,0), the negative of the conic P1.  The ellipse point carries
-    the f^2 factor that the reduce step removes; the triangle and curve
-    points do not depend on f.
+    Returns the IntersectExample where N(t) = (4t^2+1)(4t^2-8t+5), the
+    triangle has area N(t), and P1, P2 lie on E_{N(t)}, for every t; its
+    checks() reads these relations on the values.  The triangle is the
+    conic triangle at the f = 1 point, of area x_t, scaled up by 4t^2+1
+    (N(t) = (4t^2+1)^2 x_t), and P1 is P2 + (0,0), the negative of the
+    conic P1.  The ellipse point carries the f^2 factor that the reduce
+    step removes; the triangle and curve points do not depend on f.
     """
     t = Fraction(t)
     if t == Fraction(1, 2):
@@ -158,19 +198,7 @@ def intersect_example(t, f=1):
     # tests/test_identities.py::test_intersect_family_identities
     tri = signed_triangle(x_t, 1, 1, e_t).scaled(1 / (4 * t**2 + 1))
     p1, p2 = conic_ec_points(tri)
-    return n_t, (f**2 * x_t, f**2 * e_t), tri, -p1, p2
-
-
-def intersect_checks(n_t, point, tri, p1, p2, f=1):
-    """The family's five relations, read on intersect_example's values at one t."""
-    (x, e), (a, b, c), on_curve = point, tri, curve_en(n_t).contains
-    return [
-        ("pythagoras", a**2 + b**2 == c**2),
-        ("area = N(t)", a * b / 2 == n_t),
-        ("point on ellipse", 4 * e**2 == ellipse(x, f**2)),
-        ("P1 on curve", on_curve(p1)),
-        ("P2 on curve", on_curve(p2)),
-    ]
+    return IntersectExample(n_t, EllipsePoint(f**2 * x_t, f**2 * e_t), tri, -p1, p2, f)
 
 
 # --- the lattice-point family ---
@@ -202,8 +230,22 @@ def _lattice_triangle(m, n, name):
     return signed_triangle(x, Fraction(1), s**2, e * s)
 
 
-def lattice_points(m, n):
-    """Four ellipse lattice points and their closed-form right triangles.
+class LatticeExample(namedtuple("LatticeExample", "m n points triangles t secondary", defaults=(None, None))):
+    """The lattice points and triangles of (m, n), with the slope-t secondaries if t is given."""
+
+    __slots__ = ()
+
+    def checks(self):
+        m, n, t = self.m, self.n, self.t
+        checks = [("lattice triangles have area x_i", lattice_relation(m, n, self.points, self.triangles))]
+        if t is not None:
+            checks.append(("secondary intersections verified", secondary_relation(m, n, t, self.secondary)))
+        return checks
+
+
+def lattice_example(m, n, t=None):
+    """Four ellipse lattice points, their closed-form right triangles and, for a t,
+    the lattice_secondary(m, n, t) records.
 
     The ellipse is the (f1, f2) = (1, m^2+n^2) instance; each x_i is a
     congruent number (unless square) with triangle area exactly x_i.
@@ -211,9 +253,10 @@ def lattice_points(m, n):
     pts, tris = [], []
     for i, (u, v, e_sign, sign) in enumerate(_lattice_subs(m, n), 1):
         x, e = _lattice_point(u, v)
-        pts.append((x, e_sign * e))
+        pts.append(EllipsePoint(x, e_sign * e))
         tris.append(_lattice_triangle(u, v, f"a{i}").scaled(sign))
-    return tuple(pts), tuple(tris)
+    secondary = None if t is None else lattice_secondary(m, n, t)
+    return LatticeExample(m, n, tuple(pts), tuple(tris), t, secondary)
 
 
 def lattice_relation(m, n, points, triangles):
@@ -323,8 +366,28 @@ def _twin_h(t):
     return [2 * (1 - 2 * x + 3 * x**2) * (3 + 2 * x + x**2) for x in xs]
 
 
+class TwinHyperbolas(namedtuple("TwinHyperbolas", "n1 n2 triangle1 triangle2 t")):
+    """The twin congruent numbers N1, N2 at t and their triangles."""
+
+    __slots__ = ()
+
+    def checks(self):
+        """The family's four checks.
+
+        "H(x_i) decomposition" is the identity in t and H(x_i) times triangle
+        i's area being a square; "area_i = N_i" is triangle i right of area N_i.
+        """
+        tri1, tri2 = self.triangle1, self.triangle2
+        checks = [
+            (name, ok and rat_sqrt(h * tri.area) is not None)
+            for (name, ok), h, tri in zip(twin_polynomial_identities(), _twin_h(self.t), (tri1, tri2))
+        ]
+        checks.append(("area1 = N1", tri1.is_right_of_area(self.n1)))
+        return checks + [("area2 = N2", tri2.is_right_of_area(self.n2))]
+
+
 def twin_hyperbolas(t):
-    """The two quartic congruent numbers N1, N2 with their triangles.
+    """The TwinHyperbolas of the two quartic congruent numbers N1, N2 at t.
 
     N1 = 2(11t^4-36t^3+30t^2-12t+19), N2 = 2(11t^4+60t^3+66t^2-132t+43);
     the legs come from the closed forms and the hypotenuse from the exact
@@ -340,7 +403,7 @@ def twin_hyperbolas(t):
             raise ValueError("degenerate t: a closed-form leg vanishes")
         # a^2 + b^2 is a square in Q(t): tests/test_identities.py::test_twin_triangles_are_right_of_area_n
         tris.append(RatTriangle.from_legs(a, b))
-    return n1, n2, tris[0], tris[1]
+    return TwinHyperbolas(n1, n2, tris[0], tris[1], t)
 
 
 def twin_polynomial_identities():
@@ -357,17 +420,3 @@ def twin_polynomial_identities():
     # four times its squarefree class recovers N2
     rhs2 = ((3 - 2 * t + 3 * t**2) / (2 * (t**2 - 1) ** 2)) ** 2 * n2 * Fraction(1, 4)
     return [("H(x1) decomposition", h1 == rhs1), ("H(x2) decomposition", h2 == rhs2)]
-
-
-def twin_checks(t, n1, n2, tri1, tri2):
-    """The family's four checks, read on twin_hyperbolas(t)'s values.
-
-    "H(x_i) decomposition" is the identity in t and H(x_i) times triangle
-    i's area being a square; "area_i = N_i" is triangle i right of area N_i.
-    """
-    hs = _twin_h(Fraction(t))
-    checks = [
-        (name, ok and rat_sqrt(h * tri.area) is not None)
-        for (name, ok), h, tri in zip(twin_polynomial_identities(), hs, (tri1, tri2))
-    ]
-    return checks + [("area1 = N1", tri1.is_right_of_area(n1)), ("area2 = N2", tri2.is_right_of_area(n2))]

@@ -21,6 +21,8 @@ __all__ = [
     "EffortOutOfRange",
     "FactorBudgetExceeded",
     "OutputTooLarge",
+    "MAX_DIGITS",
+    "max_digits",
     "is_square",
     "rat_sqrt",
     "is_probable_prime",
@@ -223,22 +225,31 @@ def squarefree_part(n):
 
 
 class OutputTooLarge(Exception):
-    """A result has more decimal digits than the int-to-str limit allows."""
+    """A result has more decimal digits than the digit limit allows."""
+
+
+# The most decimal digits a result may have: CPython's default int-to-str limit
+MAX_DIGITS = 4300
+
+
+def max_digits():
+    """MAX_DIGITS, or the interpreter's int-to-str limit where that is lower; its 0 (no
+    limit) lifts nothing, and an interpreter without one (before 3.10.7) gets MAX_DIGITS."""
+    return min(MAX_DIGITS, getattr(sys, "get_int_max_str_digits", lambda: 0)() or MAX_DIGITS)
 
 
 @functools.cache
 def printable_bits(digits):
     """Bits of 10**digits, or None for digits = 0 (no limit).  For the limit
-    sys.get_int_max_str_digits(), format_rat cannot print an int with more bits."""
+    max_digits(), format_rat cannot print an int with more bits."""
     return (10**digits).bit_length() if digits else None
 
 
 def printable_checker():
-    """A check that raises OutputTooLarge if an int, or a Fraction's numerator
-    or denominator, has more bits than printable_bits(sys.get_int_max_str_digits())
-    allows.  It reads the limit once, when it is made, so a caller that
-    checks values in a loop makes one checker."""
-    bits = printable_bits(sys.get_int_max_str_digits()) or math.inf
+    """A check that raises OutputTooLarge if an int, or a Fraction's numerator or denominator,
+    has more bits than printable_bits(max_digits()) allows.  It reads the limit once, when
+    it is made, so a caller that checks values in a loop makes one checker."""
+    bits = printable_bits(max_digits())
 
     def check(*values):
         for v in values:

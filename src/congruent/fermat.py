@@ -52,10 +52,39 @@ class FermatNode(namedtuple("FermatNode", "x a b c sum_root hyp_root")):
         return "sum" if self.a > 0 and self.b > 0 else "diff"
 
 
-class FermatTree(namedtuple("FermatTree", "depth nodes")):
-    """Nodes in discovery order, as (depth found at, FermatNode), to a depth."""
+def _digits(c):
+    """The decimal digits of an int c > 0, counted by powers of ten, not by converting c to text."""
+    # 10**(k - 1) <= 2**(bits - 1) <= c, as 30102/100000 < log10(2)
+    k = (c.bit_length() - 1) * 30102 // 100000 + 1
+    while 10**k <= c:
+        k += 1
+    return k
+
+
+class FermatTree(namedtuple("FermatTree", "depth nodes find_smallest", defaults=(False,))):
+    """Nodes in discovery order, as (depth found at, FermatNode), to a depth;
+    with find_smallest, its checks() and printed form add the smallest sum node."""
 
     __slots__ = ()
+
+    def checks(self):
+        checks = [(f"{len(self.nodes)} nodes pass square invariants", self.invariants_hold())]
+        if self.find_smallest:
+            checks.append(("smallest sum-type solution found", self.smallest_sum() is not None))
+        return checks
+
+    def _asdict(self):
+        """The tree as printed: each node with its depth, kind and the digits of c,
+        then, with find_smallest, the smallest sum node's sides and roots if there is one."""
+        nodes = [
+            {"depth": d, "x": n.x, "a": n.a, "b": n.b, "c": n.c, "kind": n.kind, "digits": _digits(n.c)}
+            for d, n in self.nodes
+        ]
+        printed = {"nodes": nodes}
+        small = self.smallest_sum() if self.find_smallest else None
+        if small is not None:
+            printed["smallest"] = {f: getattr(small, f) for f in ("a", "b", "c", "sum_root", "hyp_root")}
+        return printed
 
     def smallest_sum(self):
         """The nontrivial all-positive node with the smallest hypotenuse."""
@@ -117,7 +146,7 @@ def children(node):
     return out
 
 
-def enumerate_tree(depth):
+def enumerate_tree(depth, find_smallest=False):
     """Breadth-first expansion of the solution tree to a given depth.
 
     Fractions are deduplicated; each node is validated on construction.
@@ -141,4 +170,4 @@ def enumerate_tree(depth):
                 nodes.append((level, child))
                 nxt.append(child)
         frontier = nxt
-    return FermatTree(depth, tuple(nodes))
+    return FermatTree(depth, tuple(nodes), find_smallest)

@@ -31,6 +31,8 @@ __all__ = [
     "footprint_triangle",
     "load_rows",
     "verify_tables",
+    "row_triangle",
+    "tables_report",
 ]
 
 
@@ -177,3 +179,35 @@ def verify_tables(table=None):
             report["error"] = str(exc)
         reports.append(report)
     return reports
+
+
+class RowTriangle(namedtuple("RowTriangle", "p_sq q_sq triangle n")):
+    """A table row's squared (p, q) and its triangle of area N."""
+
+    __slots__ = ()
+
+    def checks(self):
+        return [("area = N", self.triangle.is_right_of_area(self.n))]
+
+
+def row_triangle(n, m, k, cls):
+    """The RowTriangle of the table row (n, m, k, cls)."""
+    row = FootprintRow(n, m, k, cls)
+    pq = footprint_pq(row)
+    return RowTriangle(*pq, footprint_triangle(row, pq), n)
+
+
+class TablesReport(namedtuple("TablesReport", "rows failed failures", defaults=(None,))):
+    """How many rows verify_tables rebuilt and how many failed, with each failure if any."""
+
+    __slots__ = ()
+
+    def checks(self):
+        return [(f"all {self.rows} rows rebuild their triangle", not self.failed)]
+
+
+def tables_report(table=None):
+    """The TablesReport of verify_tables(table); a failure is its row's text and error."""
+    reports = verify_tables(table)
+    failures = [{"row": str(r["row"]), "error": r["error"]} for r in reports if not r["ok"]]
+    return TablesReport(len(reports), len(failures), failures or None)

@@ -12,6 +12,7 @@ started from a Euclid triple are verified against the iteration.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -23,6 +24,8 @@ __all__ = [
     "walk",
     "closed_form",
     "verify_tree_table",
+    "walk_from",
+    "tree_report",
 ]
 
 
@@ -162,3 +165,35 @@ def verify_tree_table():
             ok = n == a * b / 2 and {tri.a, tri.b} == {a, b} and tri.c == c
             reports.append({"n": n, "ok": ok})
     return reports
+
+
+class Walk(namedtuple("Walk", "start steps")):
+    """The start and each step of a walk, as {"n": N, "triangle": its triangle}."""
+
+    __slots__ = ()
+
+    def checks(self):
+        # each printed N must be the area of its printed triangle
+        right = all(step["triangle"].is_right_of_area(step["n"]) for step in (self.start, *self.steps))
+        return [("every step is a valid right triangle", right)]
+
+
+def walk_from(start_m, start_n, path):
+    """The Walk along path from euclid_root(start_m, start_n)."""
+    tri0, n0 = euclid_root(start_m, start_n)
+    return Walk({"n": n0, "triangle": tri0}, [{"n": n, "triangle": tri} for n, tri in walk(tri0, n0, path)])
+
+
+class TreeReport(namedtuple("TreeReport", "cells failed")):
+    """How many cells of the reference tree verify_tree_table recomputed, and how many failed."""
+
+    __slots__ = ()
+
+    def checks(self):
+        return [("all table cells reproduce", not self.failed)]
+
+
+def tree_report():
+    """The TreeReport of verify_tree_table()."""
+    reports = verify_tree_table()
+    return TreeReport(len(reports), sum(not r["ok"] for r in reports))

@@ -27,11 +27,11 @@ from .triples import RatTriangle, triangle_point
 
 __all__ = [
     "FibPair",
-    "BrahmaguptaTriangle",
     "lucas_pairs",
     "fib_lucas",
     "fib_even_family",
     "fib_odd_family",
+    "fib_family",
     "standard_points",
     "cheb_pairs",
     "cheb_pair",
@@ -47,8 +47,31 @@ MAX_BRAHMAGUPTA_K = 400
 
 # (F_n, L_n) at index n
 FibPair = namedtuple("FibPair", "index f l")
-# Heronian triangle with consecutive integer sides and its data
-BrahmaguptaTriangle = namedtuple("BrahmaguptaTriangle", "a b c perimeter_half area")
+
+
+class Family(namedtuple("Family", "triangle congruent_number points")):
+    """A family's triangle, its area N and its points on E_N."""
+
+    __slots__ = ()
+
+    def checks(self):
+        return [("area = N", self.triangle.is_right_of_area(self.congruent_number))]
+
+
+class Brahmagupta(namedtuple("Brahmagupta", "sides semiperimeter area curve points orders k")):
+    """The k-th consecutive-sided Heronian triangle, its curve, Q0..Q3 and their orders, or None."""
+
+    __slots__ = ()
+
+    def checks(self):
+        p, (a, b, c), orders = self.semiperimeter, self.sides, self.orders
+        return [
+            ("Heron area", p * (p - a) * (p - b) * (p - c) == self.area**2),
+            ("points on curve", all(self.curve.contains(q) for q in self.points)),
+            ("order 4 (degenerate)", orders == (4, 4, 4, 4))
+            if self.k == 0
+            else ("infinite order", orders is None),
+        ]
 
 
 def lucas_pairs(n):
@@ -98,7 +121,7 @@ def _pell_family(d, t, u, s):
     # all of the above: tests/test_identities.py::test_pell_group_relations
     tri = RatTriangle._proved(Fraction(d * u), Fraction(2 * s * t, u), Fraction(t**2 + s**2, u))
     p0 = Point(Fraction(-s * s * d), Fraction(s * s * d * d * u))
-    return tri, s * d * t, (p0, *standard_points(tri))
+    return Family(tri, s * d * t, (p0, *standard_points(tri)))
 
 
 def fib_even_family(n):
@@ -123,8 +146,12 @@ def fib_odd_family(n):
     f, l = pair.f, pair.l
     # right: tests/test_identities.py::test_fib_odd_triangle_is_right
     tri = RatTriangle._proved(Fraction(l**2 - 4), Fraction(4 * l), Fraction(5 * f**2))
-    big_n = 2 * (l**2 - 4) * l
-    return tri, big_n, standard_points(tri)
+    return Family(tri, 2 * (l**2 - 4) * l, standard_points(tri))
+
+
+def fib_family(n, odd=False):
+    """fib_odd_family(n) if odd, else fib_even_family(n)."""
+    return (fib_odd_family if odd else fib_even_family)(n)
 
 
 def cheb_pairs(n):
@@ -187,8 +214,8 @@ def brahmagupta(k):
     Chebyshev-family right triangle at (k, 2), so P is a congruent
     number.  The curve y^2 = (x+AB)(x+BC)(x+AC) carries the integral
     points Q0..Q3; they have infinite order for t > 2 and order 4 in the
-    degenerate t = 2 case.  Returns (triangle, curve, points, orders), with
-    orders None when all four points are certified of infinite order and
+    degenerate t = 2 case.  Returns the Brahmagupta record, with orders
+    None when all four points are certified of infinite order and
     otherwise the orders of Q0..Q3 from Curve.order_at_most.
     """
     if not 0 <= k <= MAX_BRAHMAGUPTA_K:
@@ -200,7 +227,6 @@ def brahmagupta(k):
     s = Fraction(3 * tk * uk)
     # P = 3 T_k(2) is the Chebyshev area: tests/test_identities.py::test_brahmagupta_semiperimeter
     # S^2 is Heron's P(P-a)(P-b)(P-c): tests/test_identities.py::test_brahmagupta_heron_area
-    tri = BrahmaguptaTriangle(a, b, c, p, s)
     ab, bc, ac = a * b, b * c, a * c
     curve = Curve(a2=ab + bc + ac, a4=ab * bc + ab * ac + bc * ac, a6=ab * bc * ac)
     qs = (
@@ -224,4 +250,4 @@ def brahmagupta(k):
         and curve.certify_infinite_order(q0)
     )
     orders = None if certified else tuple(curve.order_at_most(q) for q in qs)
-    return tri, curve, qs, orders
+    return Brahmagupta((a, b, c), p, s, curve, qs, orders, k)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .cassini import heegner_two
 from .elliptic import curve_en
 from .exact import EffortOutOfRange, printable_checker, rat_sqrt
-from .triples import triangle_point
+from .triples import RatTriangle, triangle_point
 
 __all__ = [
     "ChainEntry",
@@ -25,6 +25,7 @@ __all__ = [
     "tangent_intersection",
     "solve_f",
     "tangent_chain",
+    "chain_from_legs",
 ]
 
 # beyond this depth the integers have tens of thousands of digits
@@ -84,6 +85,17 @@ class TangentChain(namedtuple("TangentChain", "n seed entries")):
             prev = p
         return True
 
+    def checks(self):
+        return [("doubling relation", self.doubling_holds())]
+
+    def _asdict(self):
+        """The chain as printed: its (f1, f2) solutions, triangles and points."""
+        return {
+            "solutions": [{"f1": e.f1, "f2": e.f2} for e in self.entries],
+            "triangles": [e.triangle for e in self.entries],
+            "points": [e.point for e in self.entries],
+        }
+
 
 def tangent_chain(tri0, n, depth=3):
     """Generate the solution chain S_1..S_depth from a seed triangle.
@@ -114,3 +126,8 @@ def tangent_chain(tri0, n, depth=3):
         entries.append(ChainEntry(f1, f2, tri, point))
         current = tri
     return TangentChain(n, tri0, tuple(entries))
+
+
+def chain_from_legs(n, a, b, depth=3):
+    """The tangent_chain from the right triangle with legs a and b, of area n."""
+    return tangent_chain(RatTriangle.from_legs(a, b), n, depth)

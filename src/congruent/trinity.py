@@ -39,6 +39,7 @@ __all__ = [
     "sum_of_squares_identity",
     "circle_check",
     "verify_all",
+    "identities",
 ]
 
 # The largest derivative order: order 6 takes about 0.003 s in process on a
@@ -451,7 +452,7 @@ def circle_check():
 
 
 def verify_all(max_order=4):
-    """Every check in this module as exact (name, ok) pairs but circle_check, which callers add."""
+    """Every check in this module as exact (name, ok) pairs but circle_check, which Identities adds."""
     checks = verify_derivative_identities(max_order)
     for mm, nn in ((2, 1), (3, 2), (4, 1), (5, 2)):
         checks.append(
@@ -459,3 +460,20 @@ def verify_all(max_order=4):
              sum_of_squares_identity(mm, nn))
         )
     return checks
+
+
+class Identities(namedtuple("Identities", "circles circles_failed max_order")):
+    """circle_check's count of circles and the failed ones; checks() proves every identity."""
+
+    __slots__ = ()
+
+    def checks(self):
+        return verify_all(self.max_order) + [("trig circles numeric", not self.circles_failed)]
+
+
+def identities(max_order=4):
+    """The Identities of circle_check(), proved to derivative order max_order."""
+    if not 1 <= max_order <= MAX_ORDER:  # before any work
+        raise EffortOutOfRange("max_order", 1, MAX_ORDER, max_order)
+    rep = circle_check()
+    return Identities(rep["circles"], rep["failed"], max_order)

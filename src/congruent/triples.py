@@ -8,7 +8,8 @@ points the three areas induce on their curves, Euler concordant-form
 solutions read off the hypotenuses, and the three-dimensional distance
 identity of the side differences, each read from the one EuclidPair
 that derive(m, n) builds.  area_relation and distance_relation state the
-two identities over the printed quantities, integers or Fractions.
+two identities over the printed quantities, integers or Fractions; the
+checks() of derived_family's record reads both.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "concordant_solutions",
     "distance_relation",
     "distance_identity",
+    "derived_family",
 ]
 
 
@@ -224,3 +226,31 @@ def distance_identity(pair):
         "lhs_root": 2 * (t.c**4 - 3 * (t.a * t.b) ** 2),
         "quadruple": (d1 + d2 + d3, d1 + d2 - d3, d1 - d2 + d3, -d1 + d2 + d3),
     }
+
+
+class DerivedFamily(
+    namedtuple(
+        "DerivedFamily", "triple_ac triple_bc triple_ba areas area_identity_value concordant distance_root m n"
+    )
+):
+    """The derived triples of euclid(m, n), the areas (N, N_AC, N_BC, N_BA), the area
+    identity's value, the concordant solutions and the distance identity's root."""
+
+    __slots__ = ()
+
+    def checks(self):
+        c = self.m**2 + self.n**2  # the hypotenuse of euclid(m, n)
+        tris = self.triple_ac, self.triple_bc, self.triple_ba
+        return [
+            ("area identity", area_relation(self.areas, c, self.area_identity_value)),
+            ("distance identity", distance_relation(tris, self.distance_root)),
+        ]
+
+
+def derived_family(m, n):
+    """The DerivedFamily of derive(m, n)."""
+    pair = derive(m, n)
+    tris = derived_triples(pair)
+    lhs = area_identity(pair)["lhs"]
+    root = Fraction(distance_identity(pair)["lhs_root"], pair.d)
+    return DerivedFamily(*tris, tuple(pair.quad), lhs, concordant_solutions(pair), root, m, n)

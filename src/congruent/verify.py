@@ -3,13 +3,16 @@
 Each suite_* function returns a list of (check name, bool) pairs that
 compare computed objects against the library's embedded reference values
 (famous triangles, published curve points, the shipped solution tables).
-run_all() aggregates them; it is the backing for the `verify-all` CLI
-command and the acceptance tests.
+run_all() aggregates them; report() gives them to the `verify-all` CLI
+command as a Report record, and the acceptance tests read them too.  A
+suite that restates a command's checks reads that command's record and
+its checks().
 """
 
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -27,7 +30,7 @@ from . import (
 from .elliptic import Point, curve_en
 from .triples import RatTriangle
 
-__all__ = ["run_all", "SUITES"]
+__all__ = ["run_all", "SUITES", "report"]
 
 F = Fraction
 
@@ -101,7 +104,7 @@ def suite_triples_random():
 
 
 def suite_trinity():
-    return trinity.verify_all() + [("trig circles numeric", trinity.circle_check()["ok"])]
+    return trinity.identities().checks()
 
 
 _ZAGIER_157 = RatTriangle(
@@ -122,12 +125,12 @@ _ZAGIER_157_P2 = Point(
 
 def suite_conics_zagier():
     """The smallest-triangle example for N = 157."""
-    tri = conics.conic_triangle(157, 87005, 610961)
-    checks = [("N=157 triangle", tri == _ZAGIER_157)]
-    p1, p2 = conics.conic_ec_points(tri)
-    checks.append(("N=157 P1", p1 == _ZAGIER_157_P1))
-    checks.append(("N=157 P2", p2 == _ZAGIER_157_P2))
-    return checks
+    example = conics.conic_example(157, 87005, 610961)
+    return [
+        ("N=157 triangle", example.triangle == _ZAGIER_157),
+        ("N=157 P1", example.p1 == _ZAGIER_157_P1),
+        ("N=157 P2", example.p2 == _ZAGIER_157_P2),
+    ]
 
 
 _INTERSECT_3 = (
@@ -138,15 +141,15 @@ _INTERSECT_3 = (
 
 
 def suite_conics_intersect():
-    n_t, point, tri, p1, p2 = conics.intersect_example(3)
+    example = conics.intersect_example(3)
     want_tri, want_p1, want_p2 = _INTERSECT_3
     checks = [
-        ("t=3 N", n_t == 629),
-        ("t=3 triangle", tri == want_tri),
-        ("t=3 P1", p1 == want_p1),
-        ("t=3 P2", p2 == want_p2),
+        ("t=3 N", example.n == 629),
+        ("t=3 triangle", example.triangle == want_tri),
+        ("t=3 P1", example.p1 == want_p1),
+        ("t=3 P2", example.p2 == want_p2),
     ]
-    return checks + conics.intersect_checks(n_t, point, tri, p1, p2)
+    return checks + example.checks()
 
 
 _LATTICE_1_2_3 = (
@@ -158,15 +161,12 @@ _LATTICE_1_2_3 = (
 
 
 def suite_conics_lattice():
-    results = conics.lattice_secondary(1, 2, 3)
     checks = []
-    for i, (res, (n2, tri)) in enumerate(zip(results, _LATTICE_1_2_3), 1):
-        checks.append((f"lattice N_{i}2", res.n2 == n2))
-        checks.append((f"lattice triangle {i}", res.triangle == tri))
-    # the relation that the CLI's "lattice triangles have area x_i" reads
-    forms = (conics.lattice_relation(m, n, *conics.lattice_points(m, n)) for m, n in [(1, 2), (2, 1)])
-    checks.append(("lattice closed forms", all(forms)))
-    return checks
+    for i, (res, (n2, tri)) in enumerate(zip(conics.lattice_secondary(1, 2, 3), _LATTICE_1_2_3), 1):
+        checks += [(f"lattice N_{i}2", res.n2 == n2), (f"lattice triangle {i}", res.triangle == tri)]
+    # the CLI's "lattice triangles have area x_i"
+    forms = (ok for m, n in [(1, 2), (2, 1)] for _, ok in conics.lattice_example(m, n).checks())
+    return checks + [("lattice closed forms", all(forms))]
 
 
 _TWIN_10 = (
@@ -184,14 +184,14 @@ _TWIN_10 = (
 
 
 def suite_conics_twin():
-    n1, n2, t1, t2 = conics.twin_hyperbolas(10)
+    twin = conics.twin_hyperbolas(10)
     checks = [
-        ("twin N1", n1 == 153798),
-        ("twin N2", n2 == 350646),
-        ("twin triangle 1", t1 == _TWIN_10[0]),
-        ("twin triangle 2", t2 == _TWIN_10[1]),
+        ("twin N1", twin.n1 == 153798),
+        ("twin N2", twin.n2 == 350646),
+        ("twin triangle 1", twin.triangle1 == _TWIN_10[0]),
+        ("twin triangle 2", twin.triangle2 == _TWIN_10[1]),
     ]
-    return checks + conics.twin_checks(10, n1, n2, t1, t2)
+    return checks + twin.checks()
 
 
 _CASSINI_29 = RatTriangle("99/910", "52780/99", "48029801/90090")
@@ -199,31 +199,20 @@ _CASSINI_62 = RatTriangle("177537/21140", "84560/5727", "2056525601/121068780")
 
 
 def suite_cassini():
-    checks = []
-    quad, tri, oval = cassini.heegner_two(29, 1, -13)
-    checks.append(
-        ("N=29 quad", (quad.c1sq, quad.c2, quad.c3sq, quad.c4sq) == (13**2, 70, 1, 99**2))
-    )
-    checks.append(("N=29 triangle", tri == _CASSINI_29))
-    pts = cassini.oval_axis_points(oval)
-    checks.append(
-        ("N=29 axis points", (sorted(pts["x2"]), pts["y2"]) == ([99**2], [1]))
-    )
-    quad, tri, oval, pts = cassini.heegner_four(79, 125, 52**2)
-    checks.append(
-        ("N=79 four intersections", sorted(pts["x2"]) == [12921**2, 13000**2])
-    )
-    quad2, tri2, _ = cassini.heegner_two(62, 20, 7, adjoin="sqrt2N")
-    checks.append(("N=62 (c2,c4)", (quad2.c2, quad2.c4sq) == (9362, 15438**2)))
-    checks.append(("N=62 triangle", tri2 == _CASSINI_62))
-    quad3, _, _, pts3 = cassini.heegner_four(62, 20, F(7**2 * 2))
-    checks.append(
-        ("N=62 four intersections", sorted(pts3["x2"]) == [302**2, 2 * 280**2])
-    )
-    return checks
+    two, four = cassini.two_example(29, 1, -13), cassini.four_example(79, 125, 52)
+    two62 = cassini.two_example(62, 20, 7, adjoin="sqrt2N")
+    axis62 = cassini.heegner_four(62, 20, F(7**2 * 2))[3]  # f2 = 7 sqrt(2)
+    return [
+        ("N=29 quad", two[:4] == (13**2, 70, 1, 99**2)),
+        ("N=29 triangle", two.triangle == _CASSINI_29),
+        ("N=29 axis points", (sorted(two.axis_x_sq), two.axis_y_sq) == ([99**2], [1])),
+        ("N=79 four intersections", sorted(four.axis_x_sq) == [12921**2, 13000**2]),
+        ("N=62 (c2,c4)", (two62.c2, two62.c4_sq) == (9362, 15438**2)),
+        ("N=62 triangle", two62.triangle == _CASSINI_62),
+        ("N=62 four intersections", sorted(axis62["x2"]) == [302**2, 2 * 280**2]),
+    ]
 
 
-_TANGENT_SEED_5 = RatTriangle("3/2", "20/3", "41/6")
 # the figure's P1 on E_5 and the x, |y| of its tangent images P2 and P3
 _FIGURE_5 = (
     Point(F(-4), F(6)),
@@ -233,24 +222,23 @@ _FIGURE_5 = (
 
 
 def suite_tangent():
-    checks = []
-    chain = tangent.tangent_chain(_TANGENT_SEED_5, 5, depth=3)
+    chain = tangent.chain_from_legs(5, F(3, 2), F(20, 3), 3)
     s = [(e.f1, e.f2) for e in chain.entries]
-    checks.append(("N=5 S1", s[0] == (3, 2)))
-    checks.append(("N=5 S2", s[1] == (372, 2009)))
-    checks.append(("N=5 S3", s[2] == (169317668184, 15811196552161)))
-    checks.append(("N=5 doubling", chain.doubling_holds()))
     p1, want_p2, want_p3 = _FIGURE_5
-    checks.append(("figure P1 on curve", curve_en(5).contains(p1)))
+    on_curve = curve_en(5).contains(p1)
     p2 = tangent.tangent_intersection(p1, 5)
-    checks.append(("figure P2", (p2.x, abs(p2.y)) == want_p2))
     p3 = tangent.tangent_intersection(p2, 5)
-    checks.append(("figure P3", (p3.x, abs(p3.y)) == want_p3))
-    tri79 = conics.conic_triangle(79, 125, 52, adjoin="sqrtN")
-    c = abs(tri79.c)
-    f1, f2 = tangent.solve_f(c.denominator, F(c.numerator, 2), 79)
-    checks.append(("N=79 S1", (f1, f2) == (2080281, 238277000)))
-    return checks
+    c = abs(conics.conic_triangle(79, 125, 52, adjoin="sqrtN").c)
+    return [
+        ("N=5 S1", s[0] == (3, 2)),
+        ("N=5 S2", s[1] == (372, 2009)),
+        ("N=5 S3", s[2] == (169317668184, 15811196552161)),
+        ("N=5 doubling", chain.doubling_holds()),
+        ("figure P1 on curve", on_curve),
+        ("figure P2", (p2.x, abs(p2.y)) == want_p2),
+        ("figure P3", (p3.x, abs(p3.y)) == want_p3),
+        ("N=79 S1", tangent.solve_f(c.denominator, F(c.numerator, 2), 79) == (2080281, 238277000)),
+    ]
 
 
 _FOOTPRINT_EXAMPLES = tuple(
@@ -342,39 +330,23 @@ _BRAHMAGUPTA_3_POINTS = (
 
 
 def suite_sequences():
-    checks = []
     tri, n, _ = sequences.fib_even_family(3)
-    red = tri.scaled(6)
-    reduced = n == 180 and red == _FIB_3_REDUCED
-    checks.append(("Fibonacci n=3 reduces to area 5", reduced))
-    families = [
-        family(k)
-        for k in range(1, 6)
-        for family in (sequences.fib_even_family, sequences.fib_odd_family)
+    fib = sequences.fib_even_family, sequences.fib_odd_family
+    families = [family(k) for k in range(1, 6) for family in fib]
+    lucas = all(l**2 - 5 * f**2 == 4 * (-1) ** k for k, (f, l) in enumerate(sequences.lucas_pairs(60)))
+    pell = sequences.pell_identity_check(12)
+    cheb, bt = sequences.cheb_family(3, 2), sequences.brahmagupta(3)
+    return [
+        ("Fibonacci n=3 reduces to area 5", n == 180 and tri.scaled(6) == _FIB_3_REDUCED),
+        ("Fibonacci families, 10 instances", all(ok for family in families for _, ok in family.checks())),
+        ("Fibonacci/Lucas identity n <= 60", lucas),
+        ("Pell polynomial identity m <= 12", pell),
+        ("Chebyshev (3,2) triangle", cheb.congruent_number == 78 and cheb.triangle == _CHEB_3_2),
+        ("Chebyshev (3,2) points", cheb.points == _CHEB_3_2_POINTS),
+        ("Brahmagupta k=3", (*bt.sides, bt.area, bt.semiperimeter) == (51, 52, 53, 1170, 78)),
+        ("Brahmagupta k=3 points", bt.points == _BRAHMAGUPTA_3_POINTS and bt.orders is None),
+        ("degenerate case has order-4 points", sequences.brahmagupta(0).orders == (4, 4, 4, 4)),
     ]
-    right = all(t.is_right_of_area(n) for t, n, _ in families)
-    checks.append(("Fibonacci families, 10 instances", right))
-    pairs = enumerate(sequences.lucas_pairs(60))
-    lucas = all(l**2 - 5 * f**2 == 4 * (-1) ** k for k, (f, l) in pairs)
-    checks.append(("Fibonacci/Lucas identity n <= 60", lucas))
-    checks.append(("Pell polynomial identity m <= 12", sequences.pell_identity_check(12)))
-    tri, n, pts = sequences.cheb_family(3, 2)
-    cheb = n == 78 and tri == _CHEB_3_2
-    checks.append(("Chebyshev (3,2) triangle", cheb))
-    checks.append(("Chebyshev (3,2) points", pts == _CHEB_3_2_POINTS))
-    bt, _, qs, orders = sequences.brahmagupta(3)
-    checks.append(
-        (
-            "Brahmagupta k=3",
-            (bt.a, bt.b, bt.c, bt.area, bt.perimeter_half) == (51, 52, 53, 1170, 78),
-        )
-    )
-    checks.append(
-        ("Brahmagupta k=3 points", qs == _BRAHMAGUPTA_3_POINTS and orders is None)
-    )
-    _, _, _, orders = sequences.brahmagupta(0)
-    checks.append(("degenerate case has order-4 points", orders == (4, 4, 4, 4)))
-    return checks
 
 
 def suite_fermat():
@@ -431,3 +403,23 @@ def run_all():
         except Exception as exc:
             results[name] = [(f"{name}: {type(exc).__name__}: {exc}", False)]
     return results
+
+
+class Report(namedtuple("Report", "suites")):
+    """run_all()'s {suite: [(check, ok)]}; a suite's check passes when all of its checks do."""
+
+    __slots__ = ()
+
+    def checks(self):
+        return [(name, all(p for _, p in checks)) for name, checks in self.suites.items()]
+
+    def _asdict(self):
+        """The report as printed: each suite's passed/total, then the failed checks' names if any."""
+        printed = {name: f"{sum(p for _, p in c)}/{len(c)}" for name, c in self.suites.items()}
+        failed = [check for c in self.suites.values() for check, p in c if not p]
+        return {**printed, "failed_checks": failed} if failed else printed
+
+
+def report():
+    """The Report of run_all()."""
+    return Report(run_all())

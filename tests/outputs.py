@@ -20,7 +20,8 @@ its rejected keys, each as text and with --json; the README examples, the
 same two ways; PARSER_CALLS; EDGE_CASES; and repr(verify.run_all()).  A
 call's hash covers its exit code (or the exception it raised), its stdout
 and its stderr.  Run it in two checkouts (a parent and a change) and
-compare the files with --diff, which exits 1 if a call differs.
+compare the files with --diff, which exits 1 if a call differs.  Any
+other first argument that starts with "-" prints this usage.
 """
 
 import contextlib
@@ -43,7 +44,7 @@ _ROOT_AND_GROUPS = ["", *cli._GROUPS]
 # -h and a bad flag on all 24 parsers, and no arguments on the root and each group
 PARSER_CALLS = [
     path.split() + tail
-    for path in _ROOT_AND_GROUPS + [path for path, _, _ in cli.LEAVES]
+    for path in _ROOT_AND_GROUPS + [row[0] for row in cli.LEAVES]
     for tail in (["-h"], ["--no-such-flag"], *([[]] if path in _ROOT_AND_GROUPS else []))
 ]
 
@@ -192,7 +193,7 @@ def diff(a, b):
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "200"
-    if len(sys.argv) == 2:
+    if len(sys.argv) == 2 and not sys.argv[1].startswith("-"):
         Path(sys.argv[1]).write_text("\n".join(hashes()) + "\n")
         sys.exit()
     if len(sys.argv) == 1:

@@ -120,18 +120,21 @@ def test_raising_suite_becomes_one_named_failing_check(monkeypatch):
 
 
 def _corrupt_one(monkeypatch, module, name, which, corrupt):
-    """Make module.name return corrupt(result) for the argument `which` only."""
+    """Make module.name return corrupt(result) when its first argument is `which` only."""
     original = getattr(module, name)
 
-    def patched(k):
-        result = original(k)
-        return corrupt(result) if k == which else result
+    def patched(*args, **kwargs):
+        result = original(*args, **kwargs)
+        return corrupt(result) if [*args, *kwargs.values()][0] == which else result
 
     monkeypatch.setattr(module, name, patched)
 
 
 def test_fibonacci_family_check_catches_one_wrong_area(monkeypatch):
-    _corrupt_one(monkeypatch, sequences, "fib_odd_family", 4, lambda r: (r[0], r[1] + 1, r[2]))
+    def wrong(family):
+        return family._replace(congruent_number=family.congruent_number + 1)
+
+    _corrupt_one(monkeypatch, sequences, "fib_odd_family", 4, wrong)
     checks = dict(verify.suite_sequences())
     assert not checks["Fibonacci families, 10 instances"]
     assert checks["Fibonacci/Lucas identity n <= 60"]
@@ -172,7 +175,7 @@ def _corrupt_last_node(tree):
     fields = ("x", "a", "b", "c", "kind", "sum_root", "hyp_root")
     bad = SimpleNamespace(**{k: getattr(node, k) for k in fields})
     bad.hyp_root += 1
-    return fermat.FermatTree(tree.depth, tree.nodes[:-1] + ((depth, bad),))
+    return tree._replace(nodes=tree.nodes[:-1] + ((depth, bad),))
 
 
 def test_fermat_node_check_catches_one_wrong_node(monkeypatch):

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import importlib
 import json
 import os
 import re
@@ -218,15 +219,15 @@ def test_verify_all_names_a_raising_suite(capsys, monkeypatch):
     assert not err
 
 
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["recur", "walk", "--start-m", "2", "--start-n", "1", "--path", "aaaaaaaaaaaaaa"], "--path"),
-        (["recur", "walk", "--start-m", "2", "--start-n", "1", "--path", "a" * 20], "--path"),
-        (["seq", "fib", "--n", "2000000"], "--n"),
-        (["seq", "cheb", "--m", "1000000", "--k", "9"], "--m"),
-    ],
-)
+PAST_THE_DIGIT_LIMIT = [
+    (["recur", "walk", "--start-m", "2", "--start-n", "1", "--path", "aaaaaaaaaaaaaa"], "--path"),
+    (["recur", "walk", "--start-m", "2", "--start-n", "1", "--path", "a" * 20], "--path"),
+    (["seq", "fib", "--n", "2000000"], "--n"),
+    (["seq", "cheb", "--m", "1000000", "--k", "9"], "--m"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", PAST_THE_DIGIT_LIMIT)
 def test_result_past_the_digit_limit_exits_3(capsys, argv, flag):
     # the walk and the sequence loops stop at the first value past the limit,
     # not at the end of the path or the index
@@ -237,6 +238,37 @@ def test_result_past_the_digit_limit_exits_3(capsys, argv, flag):
     assert not out
     assert "4300-digit output limit" in err and flag in err
     assert "set_int_max_str_digits" not in err
+
+
+# Runs each argv of its first argument, a JSON list, and prints [exit code,
+# stderr, seconds] of each
+_TIMED_CHILD = """
+import contextlib, io, json, sys, time
+from congruent import cli
+
+def run(argv):
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue(), time.perf_counter() - start
+
+print(json.dumps([run(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_no_int_to_str_limit_lifts_no_bound(capsys):
+    # PYTHONINTMAXSTRDIGITS=0 turns off the interpreter's limit; the library's
+    # exact.MAX_DIGITS still bounds every input and result, with the same message
+    argvs = [argv for argv, _ in PAST_THE_DIGIT_LIMIT] + [["conics", "twin", "--t", "1e200000"]]
+    argvs += [argv for _, *argv in outputs.readme_examples()]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONINTMAXSTRDIGITS="0")
+    child = [sys.executable, "-c", _TIMED_CHILD, json.dumps(argvs)]
+    proc = subprocess.run(child, env=env, check=True, capture_output=True, text=True, timeout=120)
+    for argv, (code, err, seconds) in zip(argvs, json.loads(proc.stdout), strict=True):
+        assert seconds < 2, argv
+        want_code, _, want_err = run(capsys, argv)
+        assert (code, err) == (want_code, want_err), argv
 
 
 def test_tangent_stops_at_the_first_step_past_the_digit_limit(capsys, monkeypatch):
@@ -349,14 +381,13 @@ def _p1_off_curve(points):
     return Point(p1.x, p1.y + 1), p2
 
 
-def _wrong_area(result):
-    bt, curve, qs, orders = result
-    return bt._replace(area=bt.area + 1), curve, qs, orders
+def _wrong_area(bt):
+    return bt._replace(area=bt.area + 1)
 
 
-def _point_off_curve(result):
-    bt, curve, (q0, *qs), orders = result
-    return bt, curve, (Point(q0.x, q0.y + 1), *qs), orders
+def _point_off_curve(bt):
+    q0, *qs = bt.points
+    return bt._replace(points=(Point(q0.x, q0.y + 1), *qs))
 
 
 def _leg_off_by_one(steps):
@@ -382,8 +413,10 @@ def _y_plus_one(p):
 
 
 def _nth(i, change):
-    """A mutation of a returned tuple that changes its i-th value only."""
-    return lambda result: tuple(change(v) if j == i else v for j, v in enumerate(result))
+    """A mutation of a returned tuple or record that changes its i-th value only."""
+    return lambda result: getattr(result, "_make", tuple)(
+        change(v) if j == i else v for j, v in enumerate(result)
+    )
 
 
 def _plus_one(key):
@@ -463,7 +496,7 @@ def test_perturbed_result_fails_its_cli_check(
     # each check is computed from the result it prints, so a wrong result
     # fails that check by name and exits 1
     real = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: change(real(*args)))
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: change(real(*args, **kwargs)))
     code, out, _ = run(capsys, argv + ["--json"])
     assert code == 1
     failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
@@ -678,22 +711,23 @@ def test_every_proved_triangle_is_right(monkeypatch, capsys):
     assert len(seen) > 500
 
 
-def test_every_leaf_has_its_own_handler():
-    # argparse picks the leaf, and the leaf names its one handler,
-    # _cmd_<group>_<leaf>; a group parser only dispatches
-    handlers = {}
+def test_every_row_names_a_public_entry():
+    # argparse picks the leaf, and the leaf carries its row's entry, which
+    # names a public function of its module; a group parser only dispatches
+    entries = {}
     for p in _parsers(cli.build_parser()):
         if any(isinstance(a, argparse._SubParsersAction) for a in p._actions):
-            assert p.get_default("handler") is None, p.prog
+            assert p.get_default("entry") is None, p.prog
         else:
-            handlers[p.prog] = p.get_default("handler").__name__
-    assert len(handlers) == 18
-    assert handlers == {
-        prog: "_cmd_" + "_".join(prog.split()[1:]).replace("-", "_") for prog in handlers
-    }
-    # one LEAVES row per handler, so a _cmd_* without a row fails
-    assert {name for name in vars(cli) if name.startswith("_cmd_")} == set(handlers.values())
-    assert [f"congruent {path}" for path, _, _ in cli.LEAVES] == list(handlers)
+            entries[p.prog] = p.get_default("entry")
+    assert entries == {f"congruent {path}": entry for path, _, _, entry in cli.LEAVES}
+    assert len(entries) == 18
+    for entry in entries.values():
+        module_name, function = entry.split()[0].split(".")
+        module = importlib.import_module(f"congruent.{module_name}")
+        assert function in module.__all__ and callable(getattr(module, function)), entry
+    # one dispatch, _cmd_run, serves every leaf
+    assert [name for name in vars(cli) if name.startswith("_cmd_")] == ["_cmd_run"]
 
 
 # The echoes measured before the echo was built from the parsed flags: a parsed
@@ -719,7 +753,7 @@ def test_every_leaf_echoes_its_flags(capsys):
     # the echo is the leaf's flags in table order, --cls as "class", without
     # --emit-curve, and lattice --t only when given; JSON sorts its keys, so
     # the order is read from the text output
-    rows = {path: flags for path, _, flags in cli.LEAVES}
+    rows = {path: flags for path, _, flags, _ in cli.LEAVES}
     cases = [argv for argv, _ in EXAMPLES] + list(outputs.ECHO_CASES)
     paths = set()
     for case in cases:

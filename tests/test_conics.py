@@ -48,7 +48,7 @@ def test_conic_ec_points_lie_on_curve():
 
 
 def test_intersect_example_fixture():
-    n_t, _, tri, p1, p2 = conics.intersect_example(3)
+    n_t, _, tri, p1, p2, _ = conics.intersect_example(3)
     assert n_t == 629
     assert tri == _tri("621/10", "12580/621", "405641/6210")
     assert (p1, p2) == (
@@ -60,7 +60,7 @@ def test_intersect_example_fixture():
 
 def test_intersect_family_other_parameters():
     for t in (2, 4, 5, 7):
-        n_t, _, tri, p1, p2 = conics.intersect_example(t)
+        n_t, _, tri, p1, p2, _ = conics.intersect_example(t)
         assert tri.area == n_t
         e = curve_en(n_t)
         assert e.contains(p1) and e.contains(p2)
@@ -141,7 +141,7 @@ def test_intersect_builds_no_rational_function(monkeypatch):
 
 
 def test_reduce_raise_roundtrip():
-    n_t, _, tri, _, _ = conics.intersect_example(3)
+    tri = conics.intersect_example(3).triangle
     assert conics.reduce_raise(tri.scaled(F(1, 5))) == (629, tri)
 
 
@@ -179,11 +179,11 @@ def test_lattice_secondary_matches_its_closed_form_at_integer_t():
 
 def test_lattice_points_self_check():
     for m, n in ((1, 2), (2, 1), (1, 3)):
-        conics.lattice_points(m, n)  # raises on any internal mismatch
+        conics.lattice_example(m, n)  # raises on any internal mismatch
 
 
 def test_lattice_points_fixtures():
-    pts, tris = conics.lattice_points(1, 2)
+    _, _, pts, tris, _, _ = conics.lattice_example(1, 2)
     assert pts == ((145, 5), (65, -35), (5, 5), (85, -35))
     assert tris == (
         _tri("17/12", "3480/17", "41761/204"),
@@ -191,7 +191,7 @@ def test_lattice_points_fixtures():
         _tri("-3/2", "-20/3", "-41/6"),
         _tri("77/6", "1020/77", "8521/462"),
     )
-    pts, tris = conics.lattice_points(3, 5)
+    _, _, pts, tris, _, _ = conics.lattice_example(3, 5)
     assert pts == ((6596, 476), (2516, -1564), (340, 476), (4420, -1564))
     assert tris == (
         _tri("399/20", "263840/399", "5279201/7980"),
@@ -206,7 +206,7 @@ def test_lattice_points_sweep():
     for m in range(-6, 7):
         for n in range(-6, 7):
             try:
-                pts, tris = conics.lattice_points(m, n)
+                _, _, pts, tris, _, _ = conics.lattice_example(m, n)
             except ValueError:
                 continue
             s = m**2 + n**2
@@ -220,11 +220,11 @@ def test_lattice_points_sweep():
 def test_lattice_points_degenerate_inputs_name_the_leg():
     for (m, n), leg in (((1, 0), "a1"), ((0, 1), "a3"), ((1, 1), "a2")):
         with pytest.raises(ValueError, match=f"denominator of {leg} vanishes"):
-            conics.lattice_points(m, n)
+            conics.lattice_example(m, n)
 
 
 def test_twin_hyperbolas_fixture():
-    n1, n2, t1, t2 = conics.twin_hyperbolas(10)
+    n1, n2, t1, t2, _ = conics.twin_hyperbolas(10)
     assert (n1, n2) == (153798, 350646)
     for n, tri in ((n1, t1), (n2, t2)):
         assert tri.a**2 + tri.b**2 == tri.c**2
@@ -233,7 +233,7 @@ def test_twin_hyperbolas_fixture():
 
 def test_twin_hyperbolas_more_parameters():
     for t in (3, 5, 7):
-        n1, n2, t1, t2 = conics.twin_hyperbolas(t)
+        n1, n2, t1, t2, _ = conics.twin_hyperbolas(t)
         assert t1.a**2 + t1.b**2 == t1.c**2
         assert t2.a**2 + t2.b**2 == t2.c**2
 

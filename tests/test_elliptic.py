@@ -109,7 +109,7 @@ def test_the_smaller_point_is_added_first(monkeypatch):
     assert calls == [(P, multiples[j]) for j in range(MAZUR_MAX_ORDER)]
 
 
-_, EB, QB, _ = brahmagupta(3)
+_, _, _, EB, QB, _, _ = brahmagupta(3)
 GROUPS = {"E5": (E5, P), "brahmagupta k=3": (EB, QB[0])}
 
 

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import congruent
-from congruent import cassini, cli, conics, elliptic, fermat, footprints, sequences, tangent
-from congruent import triples, trinity
+from congruent import cassini, cli, conics, elliptic, fermat, footprints, recurrence, sequences
+from congruent import tangent, triples, trinity, verify
 from congruent.exact import EffortOutOfRange
 
 
@@ -140,16 +140,24 @@ def test_every_record_is_a_slotted_tuple():
     pair = triples.derive(2, 1)
     row = footprints.FootprintRow(14, 2, 1, "TIII")
     tree = fermat.enumerate_tree(2)
-    chain = tangent.tangent_chain(triples.RatTriangle.from_legs(Fraction(3, 2), Fraction(20, 3)), 5, 1)
+    chain = tangent.chain_from_legs(5, Fraction(3, 2), Fraction(20, 3), 1)
     quad, tri, oval = cassini.heegner_two(29, 1, -13)
+    lattice = conics.lattice_example(1, 2, 3)
+    walk = recurrence.walk_from(2, 1, "ab")
     records = [
         pair.triple, pair.quad, tri, triples.concordant_solutions(pair)[0],
         triples.triangle_point(tri), elliptic.curve_en(5), trinity.Vec3F(1, 2, 3),
         row, footprints.footprint_pq(row), tree, tree.nodes[-1][1],
-        sequences.fib_lucas(5), sequences.brahmagupta(3)[0],
-        chain, chain.entries[0], quad, oval, conics.lattice_secondary(1, 2, 3)[0],
+        sequences.fib_lucas(5), sequences.brahmagupta(3),
+        chain, chain.entries[0], quad, oval, lattice.secondary[0],
+        # each leaf's record, and the records it prints that are not the above
+        triples.derived_family(2, 1), trinity.identities(1), conics.conic_example(157, 87005, 610961),
+        conics.intersect_example(3), lattice, lattice.points[0], conics.twin_hyperbolas(10),
+        cassini.two_example(29, 1, -13), footprints.tables_report("IV"),
+        footprints.row_triangle(14, 2, 1, "TIII"), walk, recurrence.tree_report(),
+        sequences.cheb_family(3, 2), verify.report(),
     ]  # fmt: skip
-    assert len({type(r) for r in records}) == 18
+    assert len({type(r) for r in records}) == 32
     for record in records:
         assert isinstance(record, tuple) and not hasattr(record, "__dict__"), type(record)
         with pytest.raises(AttributeError):
@@ -223,6 +231,6 @@ def test_the_caller_scan_sees_calls_outside_the_body():
 
 def test_every_function_has_a_caller():
     paths = Path(congruent.__file__).parent.glob("*.py")
-    # cli.build_parser looks up each LEAVES row's handler by its name, _cmd_<path>
-    rows = {"cli._cmd_" + path.replace(" ", "_").replace("-", "_") for path, _, _ in cli.LEAVES}
-    assert _uncalled({p.stem: p.read_text() for p in paths}) - rows == UNCALLED
+    # cli._cmd_run calls each LEAVES row's entry by its name, "module.function"
+    entries = {entry.split()[0] for _, _, _, entry in cli.LEAVES}
+    assert _uncalled({p.stem: p.read_text() for p in paths}) - entries == UNCALLED

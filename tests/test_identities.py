@@ -183,7 +183,7 @@ def test_heegner_four_triangle_is_the_conic_triangle(record_triangles):
 
 def test_lattice_triangle_matches_its_closed_form(record_triangles):
     # T(m, n), the conic triangle at P(m, n), is the closed form in (m, n)
-    # that lattice_points printed before it was built by signed_triangle
+    # that lattice_example printed before it was built by signed_triangle
     m, n = sympy.symbols("m n")
     tri = conics._lattice_triangle(m, n, "a1")
     x, _ = conics._lattice_point(m, n)
@@ -241,7 +241,7 @@ def _intersect_values(t):
 
 
 def intersect_proofs():
-    """{name: proved} for intersect_checks' five relations on intersect_example's values."""
+    """{name: proved} for IntersectExample.checks()' five relations on intersect_example's values."""
     _, t, f = sympy.field("t, f", sympy.QQ)
     n_t, x_t, e_t, (a, b, c), p1, p2 = _intersect_values(t)
     return {
@@ -255,7 +255,7 @@ def intersect_proofs():
 
 
 def twin_proofs():
-    """{name: proved} for twin_checks' "area_i = N_i": a_i b_i / 2 = N_i and a_i^2 + b_i^2 a square."""
+    """{name: proved} for the twin checks' "area_i = N_i": a_i b_i / 2 = N_i and a_i^2 + b_i^2 a square."""
     _, t = sympy.field("t", sympy.QQ)
     return {
         f"area{i} = N{i}": a * b / 2 == n and _is_square(a**2 + b**2)

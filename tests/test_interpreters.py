@@ -62,3 +62,14 @@ def test_each_interpreter_on_path_replays_the_digests(version):
         pytest.skip(why)
     proc = subprocess.run([exe, outputs.__file__], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help", "--no-such-flag"])
+def test_a_flag_prints_the_usage_and_writes_no_file(tmp_path, flag):
+    # only --diff is a flag; any other first argument starting with "-" is not OUT
+    proc = subprocess.run(
+        [sys.executable, outputs.__file__, flag], cwd=tmp_path, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == outputs.__doc__ + "\n"
+    assert not list(tmp_path.iterdir())

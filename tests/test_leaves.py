@@ -1,9 +1,10 @@
 """Every printed value is read by a check, or is listed as unread.
 
-Each leaf command runs on one example.  For each library function whose
-result the handler prints (a producer), every int or Fraction leaf of that
-result is made off by one in turn, and the command runs again through
-``cli.main(argv + ["--json"])``.  Exit 1 or 3 means a check read the leaf.
+Each leaf command runs on one example.  For each producer, a library
+function whose result the command prints, mostly the leaf's entry, every
+int or Fraction leaf of that result is made off by one in turn, and the
+command runs again through ``cli.main(argv + ["--json"])``.  Exit 1 or 3
+means a check read the leaf.
 Exit 0 with the same printed results means the leaf is not printed, and it
 is skipped.  Exit 0 with other printed results means a printed value that
 no check reads.  UNREAD lists each such value by its path in the JSON
@@ -24,24 +25,27 @@ import pytest
 from congruent import cli
 
 # One example per leaf command, with the producers ("module.function") whose
-# results its handler prints.  footprints verify, recur table-check and
-# verify-all print only counts and names of their reports' failures.
+# results it prints: the leaf's entry, whose record is what it prints.  Two
+# entries derive a printed value from another, so their producers are the
+# constructors the entry calls: the record's cassini two oval.b_4 and
+# footprints triangle p_sq, q_sq are read by no check.  footprints verify,
+# recur table-check and verify-all print only counts and names of their
+# reports' failures.
 EXAMPLES = [
-    ("triples --m 2 --n 1", ["triples.derive", "triples.derived_triples", "triples.area_identity",
-                             "triples.distance_identity", "triples.concordant_solutions"]),
-    ("trinity --max-order 1", ["trinity.circle_check"]),
-    ("conics triangle --n 157 --f1 87005 --f2 610961", ["conics.conic_triangle", "conics.conic_ec_points"]),
+    ("triples --m 2 --n 1", ["triples.derived_family"]),
+    ("trinity --max-order 1", ["trinity.identities"]),
+    ("conics triangle --n 157 --f1 87005 --f2 610961", ["conics.conic_example"]),
     ("conics intersect --t 3", ["conics.intersect_example"]),
-    ("conics lattice --m 1 --n 2 --t 3", ["conics.lattice_points", "conics.lattice_secondary"]),
+    ("conics lattice --m 1 --n 2 --t 3", ["conics.lattice_example"]),
     ("conics twin --t 10", ["conics.twin_hyperbolas"]),
     ("cassini two --n 29 --f1 1 --f2 -13", ["cassini.heegner_two", "cassini.oval_axis_points"]),
-    ("cassini four --n 79 --f1 125 --f2 52", ["cassini.heegner_four"]),
-    ("tangent --n 5 --a 3/2 --b 20/3 --depth 3", ["tangent.tangent_chain"]),
+    ("cassini four --n 79 --f1 125 --f2 52", ["cassini.four_example"]),
+    ("tangent --n 5 --a 3/2 --b 20/3 --depth 3", ["tangent.chain_from_legs"]),
     ("footprints verify", []),
     ("footprints triangle --n 14 --m 2 --k 1 --cls TIII", ["footprints.footprint_pq", "footprints.footprint_triangle"]),
-    ("recur walk --start-m 2 --start-n 1 --path abba", ["recurrence.euclid_root", "recurrence.walk"]),
+    ("recur walk --start-m 2 --start-n 1 --path abba", ["recurrence.walk_from"]),
     ("recur table-check", []),
-    ("seq fib --n 3", ["sequences.fib_even_family"]),
+    ("seq fib --n 3", ["sequences.fib_family"]),
     ("seq cheb --m 3 --k 2", ["sequences.cheb_family"]),
     ("seq brahmagupta --k 3", ["sequences.brahmagupta"]),
     ("seq brahmagupta --k 0", ["sequences.brahmagupta"]),
@@ -140,7 +144,8 @@ def _unread(argv, producers, monkeypatch):
         monkeypatch.setattr(module, func, lambda *a, **k: seen.append(real(*a, **k)) or seen[-1])
         _run(argv)
         for path in _leaves(seen[0]):
-            monkeypatch.setattr(module, func, lambda *a, path=path, **k: _bumped(real(*a, **k), path))
+            # the leaf's path is bound as _leaf, since an entry may take a "path" keyword
+            monkeypatch.setattr(module, func, lambda *a, _leaf=path, **k: _bumped(real(*a, **k), _leaf))
             code, printed = _run(argv)
             if code == 0:
                 unread.update(_changed(base, printed))
@@ -150,7 +155,7 @@ def _unread(argv, producers, monkeypatch):
 
 def test_every_leaf_command_has_an_example():
     parser = cli.build_parser()
-    leaves = {path for path, _, _ in cli.LEAVES}
+    leaves = {row[0] for row in cli.LEAVES}
     assert {parser.parse_args(argv.split()).command for argv, _ in EXAMPLES} == leaves
 
 

@@ -19,8 +19,10 @@ from congruent.triples import RatTriangle
 
 
 def _nth(i, change):
-    """A mutation of a returned tuple that changes its i-th value only."""
-    return lambda result: tuple(change(v) if j == i else v for j, v in enumerate(result))
+    """A mutation of a returned tuple or record that changes its i-th value only."""
+    return lambda result: getattr(result, "_make", tuple)(
+        change(v) if j == i else v for j, v in enumerate(result)
+    )
 
 
 def _double_legs(tri):
@@ -86,8 +88,8 @@ def test_every_conic_and_euclid_identity_check_is_mutated():
     # the checks that read only identities in t or in (m, n) before they also
     # read computed values; none of them is left without a mutation
     names = {"area identity holds", "distance identity holds"}
-    names |= {name for name, _ in conics.intersect_checks(*conics.intersect_example(3))}
-    names |= {name for name, _ in conics.twin_checks(10, *conics.twin_hyperbolas(10))}
+    names |= {name for name, _ in conics.intersect_example(3).checks()}
+    names |= {name for name, _ in conics.twin_hyperbolas(10).checks()}
     assert len(names) == 11
     assert names == {row[1] for row in GATE_MUTATIONS}
 

@@ -6,7 +6,7 @@ from itertools import islice
 import pytest
 
 from congruent import cli, sequences
-from congruent.exact import OutputTooLarge, printable_bits
+from congruent.exact import MAX_DIGITS, OutputTooLarge, printable_bits
 from congruent.elliptic import Curve, Point, curve_en
 from congruent.triples import RatTriangle
 
@@ -122,9 +122,10 @@ def test_pell_identity_catches_one_wrong_value(monkeypatch):
 
 
 def test_brahmagupta_baseline():
-    bt, curve, qs, orders = sequences.brahmagupta(3)
-    assert (bt.a, bt.b, bt.c) == (51, 52, 53)
-    assert bt.area == 1170 and bt.perimeter_half == 78
+    bt = sequences.brahmagupta(3)
+    assert bt.sides == (51, 52, 53)
+    assert bt.area == 1170 and bt.semiperimeter == 78
+    curve, qs = bt.curve, bt.points
     for q in qs:
         assert curve.contains(q)
     assert qs[0] == Point(F(0), F(140556))
@@ -132,9 +133,9 @@ def test_brahmagupta_baseline():
 
 def test_brahmagupta_heron():
     for k in (1, 2, 4):
-        bt, curve, qs, _ = sequences.brahmagupta(k)
-        s = bt.perimeter_half
-        assert bt.area**2 == s * (s - bt.a) * (s - bt.b) * (s - bt.c)
+        bt = sequences.brahmagupta(k)
+        s, (a, b, c), curve, qs = bt.semiperimeter, bt.sides, bt.curve, bt.points
+        assert bt.area**2 == s * (s - a) * (s - b) * (s - c)
         # the semiperimeter is the area of the Chebyshev triangle at (k, 2)
         assert s == sequences.cheb_family(k, 2)[0].area
         for q in qs:
@@ -142,19 +143,19 @@ def test_brahmagupta_heron():
 
 
 def test_brahmagupta_degenerate_torsion():
-    bt, curve, qs, orders = sequences.brahmagupta(0)
-    assert orders == (4, 4, 4, 4)
-    for q in qs:
-        assert curve.order_at_most(q) == 4
+    bt = sequences.brahmagupta(0)
+    assert bt.orders == (4, 4, 4, 4)
+    for q in bt.points:
+        assert bt.curve.order_at_most(q) == 4
 
 
 def test_brahmagupta_points_have_infinite_order_by_the_mazur_loop():
     # the per-point loop is the oracle for the one certificate on Q0
     for k in range(1, 41):
-        _, curve, qs, orders = sequences.brahmagupta(k)
-        assert orders is None
-        for q in qs:
-            assert curve.order_at_most(q) is None, (k, q)
+        bt = sequences.brahmagupta(k)
+        assert bt.orders is None
+        for q in bt.points:
+            assert bt.curve.order_at_most(q) is None, (k, q)
 
 
 def test_brahmagupta_certifies_only_q0(monkeypatch):
@@ -168,8 +169,8 @@ def test_brahmagupta_certifies_only_q0(monkeypatch):
     monkeypatch.setattr(Curve, "certify_infinite_order", counting)
     for k in (0, 1, 2, 3, 10, 40):
         certified.clear()
-        _, _, qs, _ = sequences.brahmagupta(k)
-        assert certified == ([qs[0]] if k else []), k
+        q0 = sequences.brahmagupta(k).points[0]
+        assert certified == ([q0] if k else []), k
 
 
 def _cli_checks_at_k3(capsys):
@@ -179,19 +180,19 @@ def _cli_checks_at_k3(capsys):
 
 @pytest.mark.parametrize("swap", ["2-torsion", "negated"])
 def test_brahmagupta_fails_when_q2_is_off_the_shift(monkeypatch, capsys, swap):
-    _, curve, qs, _ = sequences.brahmagupta(3)
-    q2 = qs[2]
+    bt = sequences.brahmagupta(3)
+    curve, q2 = bt.curve, bt.points[2]
     other = {"2-torsion": Point(F(-51 * 52)), "negated": -q2}[swap]
     assert curve.contains(other) and other != q2
     monkeypatch.setattr(sequences, "Point", lambda *xy: other if Point(*xy) == q2 else Point(*xy))
-    assert sequences.brahmagupta(3)[3] is not None
+    assert sequences.brahmagupta(3).orders is not None
     checks = _cli_checks_at_k3(capsys)
     assert checks == {"Heron area": True, "points on curve": True, "infinite order": False}
 
 
 def test_brahmagupta_fails_when_q0_is_not_certified(monkeypatch, capsys):
     monkeypatch.setattr(Curve, "certify_infinite_order", lambda self, p: False)
-    assert sequences.brahmagupta(3)[3] == (None, None, None, None)
+    assert sequences.brahmagupta(3).orders == (None, None, None, None)
     checks = _cli_checks_at_k3(capsys)
     assert checks == {"Heron area": True, "points on curve": True, "infinite order": False}
 
@@ -229,10 +230,16 @@ def test_sequences_stop_at_the_first_value_past_the_digit_limit(limit):
         assert list(islice(pairs, first_t)) == list(zip(t[1:-1], u[1:-1]))
         with pytest.raises(OutputTooLarge):
             next(pairs)
-        # no limit, no bound
+        # 0 lifts nothing: the bound is then MAX_DIGITS, which only a lower limit is below
         sys.set_int_max_str_digits(0)
-        assert sequences.fib_lucas(first_l).l == lucas[first_l]
-        assert sequences.cheb_pair(first_t, 9) == (t[-1], u[-1])
+        if limit < MAX_DIGITS:
+            assert sequences.fib_lucas(first_l).l == lucas[first_l]
+            assert sequences.cheb_pair(first_t, 9) == (t[-1], u[-1])
+        else:
+            with pytest.raises(OutputTooLarge):
+                sequences.fib_lucas(first_l)
+            with pytest.raises(OutputTooLarge):
+                sequences.cheb_pair(first_t, 9)
     finally:
         sys.set_int_max_str_digits(old)
 

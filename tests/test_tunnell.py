@@ -43,7 +43,7 @@ def _certified_numbers():
     for k in range(1, 8):
         yield sequences.fib_even_family(k)[1]
         yield sequences.fib_odd_family(k)[1]
-        yield sequences.brahmagupta(k)[0].perimeter_half
+        yield sequences.brahmagupta(k).semiperimeter
     for m in range(1, 6):
         for k in range(2, 8):
             yield sequences.cheb_family(m, k)[1]
@@ -57,7 +57,7 @@ def _certified_numbers():
         yield conics.intersect_example(t)[0]
         yield from conics.twin_hyperbolas(t)[:2]
     for m, n in ((1, 2), (2, 1), (3, 5), (1, 3)):
-        yield from (x for x, _ in conics.lattice_points(m, n)[0])
+        yield from (x for x, _ in conics.lattice_example(m, n).points)
     for m, n, t in ((1, 2, 3), (2, 1, 3), (1, 2, 2), (3, 2, 2)):
         yield from (r.primitive for r in conics.lattice_secondary(m, n, t))
     yield cassini.heegner_two(29, 1, -13)[1].area
