@@ -8,8 +8,8 @@ intersections (one loop), the second gives two separate loops with four
 X-axis intersections.  Both triangles are conics.signed_triangle's: the
 two-intersection one of (N, f1, f2), the four-intersection one of
 (N, f1, f2 sqrt(N)).  All oval geometry is carried in squared coordinates
-so adjoined (irrational) c values stay exact.  two_example and
-four_example give each system's CassiniSystem, whose checks() reads its
+so adjoined (irrational) c values stay exact.  heegner_two and
+heegner_four return each system's CassiniSystem, whose checks() reads its
 triangle.
 """
 
@@ -22,20 +22,12 @@ from .conics import ellipse, f2_squared, signed_triangle
 from .exact import ParameterError, rat_sqrt
 
 __all__ = [
-    "HeegnerQuad",
     "CassiniOval",
     "heegner_two",
     "heegner_four",
     "oval_axis_points",
-    "two_example",
     "four_example",
 ]
-
-
-# The four quadratic-system values; c1, c3, c4 stored squared.  Any of
-# c1, c3, c4 may be an integer multiple of sqrt(N) or sqrt(2N); the
-# squared fields are always exact rationals.
-HeegnerQuad = namedtuple("HeegnerQuad", "c1sq c2 c3sq c4sq")
 
 
 class CassiniOval(namedtuple("CassiniOval", "a2 b4 x_weight")):
@@ -87,28 +79,32 @@ class CassiniOval(namedtuple("CassiniOval", "a2 b4 x_weight")):
 def oval_axis_points(oval):
     """Exact axis intersections of the oval, in squared coordinates.
 
-    Returns a dict with x2 (list of x^2 values for points (±x, 0)) and
-    y2 (list of y^2 values for points (0, ±y)).
+    Returns (x2, y2): the x^2 values of the points (±x, 0) and the y^2
+    values of the points (0, ±y).
     b'^2 must be rational (it always is here: b'^4 = c1^4 N^2).
     """
     b2 = rat_sqrt(oval.b4)
     if b2 is None:
         raise ValueError("b'^2 irrational; axis points not representable")
     w = oval.x_weight
-    x2 = []
-    for val in (oval.a2 + b2, oval.a2 - b2):
-        v = Fraction(val, w)
-        if v > 0:
-            x2.append(v)
-    y2 = []
-    if b2 > oval.a2:
-        y2.append(b2 - oval.a2)
+    x2 = [v for v in (Fraction(oval.a2 + b2, w), Fraction(oval.a2 - b2, w)) if v > 0]
+    y2 = [b2 - oval.a2] if b2 > oval.a2 else []
     # on the oval: tests/test_identities.py::test_axis_points_lie_on_the_oval
-    return {"x2": x2, "y2": y2}
+    return x2, y2
+
+
+class CassiniSystem(namedtuple("CassiniSystem", "c1_sq c2 c3_sq c4_sq triangle oval axis_x_sq axis_y_sq n")):
+    """One system's c1^2, c2, c3^2, c4^2 (c1, c3, c4 may be multiples of sqrt(N) or sqrt(2N)),
+    its triangle of area N, its oval and the oval's squared axis points."""
+
+    __slots__ = ()
+
+    def checks(self):
+        return [("triangle area = N", self.triangle.is_right_of_area(self.n))]
 
 
 def heegner_two(n, f1, f2, adjoin="none"):
-    """The two-intersection system: quad, triangle and oval for (N, f1, f2).
+    """The CassiniSystem of the two-intersection system for (N, f1, f2).
 
     c1 = |f1 f2|, c2 = |N f1^2 - f2^2|/2, c3^2 = |N c1^2 - c2^2|,
     c4^2 = N c1^2 + c2^2; the oval is (a', b') = (c2, c1 sqrt(N)) and the
@@ -127,7 +123,6 @@ def heegner_two(n, f1, f2, adjoin="none"):
     # N c1^2 - c2^2 is the conic's e^2 at x = N f1^2; c3^2 != 0:
     # tests/test_identities.py::test_heegner_two_c3_is_nonzero
     c3sq = abs(ellipse(n * f1**2, f2sq)) / 4
-    quad = HeegnerQuad(c1sq, c2, c3sq, n * c1sq + c2**2)
     c1c3 = rat_sqrt(c3sq * c1sq)
     if c1c3 is None:
         raise ValueError("c1 c3 irrational: sides do not rationalize")
@@ -136,11 +131,11 @@ def heegner_two(n, f1, f2, adjoin="none"):
     if tri.c < 0:
         tri = tri.scaled(-1)
     oval = CassiniOval(c2**2, c1sq**2 * n**2, x_weight=1)
-    return quad, tri, oval
+    return CassiniSystem(c1sq, c2, c3sq, n * c1sq + c2**2, tri, oval, *oval_axis_points(oval), n)
 
 
 def heegner_four(n, f1, f2sq):
-    """The four-intersection system for (N, f1, f2) with f2^2 = f2sq.
+    """The CassiniSystem of the four-intersection system for (N, f1, f2) with f2^2 = f2sq.
 
     c3 = f1^2 - f2^2, c4 = 2 f1 f2, c2 = f1^2 + f2^2,
     c1^2 = (c4^2 - c3^2)/N; the oval (weight-2 form) meets the X axis in
@@ -159,7 +154,6 @@ def heegner_four(n, f1, f2sq):
     if c4sq <= c3**2:
         raise ValueError("c4^2 <= c3^2: no valid four-intersection system")
     c1sq = (c4sq - c3**2) / n
-    quad = HeegnerQuad(c1sq, c2, c3**2, c4sq)
     c1c4 = rat_sqrt(c1sq * c4sq)
     if c1c4 is None or c3 == 0:
         raise ValueError("sides do not rationalize for this (N, f1, f2)")
@@ -170,25 +164,9 @@ def heegner_four(n, f1, f2sq):
         tri = tri.scaled(-1)
     oval = CassiniOval(c2**2, c1sq**2 * n**2, x_weight=2)
     # the X-axis points are ±c3, ±c4: tests/test_identities.py::test_heegner_four_axis_points
-    return quad, tri, oval, oval_axis_points(oval)
-
-
-class CassiniSystem(namedtuple("CassiniSystem", "c1_sq c2 c3_sq c4_sq triangle oval axis_x_sq axis_y_sq n")):
-    """One system's quad, triangle of area N, oval and its squared axis points."""
-
-    __slots__ = ()
-
-    def checks(self):
-        return [("triangle area = N", self.triangle.is_right_of_area(self.n))]
-
-
-def two_example(n, f1, f2, adjoin="none"):
-    """The CassiniSystem of heegner_two(n, f1, f2, adjoin)."""
-    quad, tri, oval = heegner_two(n, f1, f2, adjoin)
-    return CassiniSystem(*quad, tri, oval, *oval_axis_points(oval).values(), n)
+    return CassiniSystem(c1sq, c2, c3**2, c4sq, tri, oval, *oval_axis_points(oval), n)
 
 
 def four_example(n, f1, f2):
     """The CassiniSystem of heegner_four(n, f1, f2^2)."""
-    quad, tri, oval, axis = heegner_four(n, f1, f2**2)
-    return CassiniSystem(*quad, tri, oval, *axis.values(), n)
+    return heegner_four(n, f1, f2**2)

@@ -69,7 +69,7 @@ LEAVES = (
     ("conics lattice", None, {"--m": _INT, "--n": _INT, "--t": {"default": argparse.SUPPRESS}},
      "conics.lattice_example"),
     ("conics twin", None, {"--t": _TEXT}, "conics.twin_hyperbolas"),
-    ("cassini two", None, {**_CASSINI, "--adjoin": _ADJOIN}, "cassini.two_example"),
+    ("cassini two", None, {**_CASSINI, "--adjoin": _ADJOIN}, "cassini.heegner_two"),
     ("cassini four", None, _CASSINI, "cassini.four_example"),
     ("tangent", "solution chains by point doubling",
      {"--n": _INT, "--a": _TEXT, "--b": _TEXT, "--depth": {"type": int, "default": 3}},

@@ -259,12 +259,16 @@ def printable_checker():
     return check
 
 
+@functools.cache
+def _power_of_ten(digits):
+    return 10**digits
+
+
 def format_rat(r):
-    """Exact 'p/q' (or 'p') string for a rational; raises OutputTooLarge past the digit limit."""
+    """Exact 'p/q' (or 'p') string for a rational; raises OutputTooLarge if the numerator
+    or the denominator has more digits than max_digits(), whatever the interpreter allows."""
     r = Fraction(r)
-    try:
-        if r.denominator == 1:
-            return str(r.numerator)
-        return f"{r.numerator}/{r.denominator}"
-    except ValueError:
-        raise OutputTooLarge from None
+    bound = _power_of_ten(max_digits())
+    if abs(r.numerator) >= bound or r.denominator >= bound:
+        raise OutputTooLarge
+    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"

@@ -24,7 +24,6 @@ from .triples import RatTriangle
 
 __all__ = [
     "FootprintRow",
-    "PQ",
     "CLASSES",
     "classify",
     "footprint_pq",
@@ -44,10 +43,6 @@ class FootprintRow(namedtuple("FootprintRow", "n m k cls")):
         if cls not in CLASSES:
             raise ValueError(f"unknown footprint class {cls!r}")
         return tuple.__new__(_cls, (n, m, k, cls))
-
-
-# p and q squared; p and q themselves may be irrational
-PQ = namedtuple("PQ", "p_sq q_sq")
 
 
 def classify(n):
@@ -77,37 +72,37 @@ def classify(n):
 
 
 def footprint_pq(row):
-    """The squared (p, q) for a table row, by its class formula."""
+    """(p^2, q^2) for a table row, by its class formula; p and q themselves may be irrational."""
     n, m, k = row.n, row.m, row.k
     if row.cls == "T0a":
         if n != m**4 + 6 * m**2 * k**2 + k**4:
             raise ValueError("T0a requires N = m^4 + 6 m^2 n^2 + n^4")
-        return PQ(Fraction((n * (m**2 - k**2)) ** 2), Fraction((2 * m * k * (m**2 + k**2)) ** 2))
+        return Fraction((n * (m**2 - k**2)) ** 2), Fraction((2 * m * k * (m**2 + k**2)) ** 2)
     if row.cls == "T0b":
         p_sq = Fraction((m**2 + k**2) ** 2 * n * ((2 * m * k) ** 2 - (m**2 - k**2) ** 2), 16)
-        return PQ(p_sq, Fraction((m * k * (m**2 - k**2)) ** 2, 4))
+        return p_sq, Fraction((m * k * (m**2 - k**2)) ** 2, 4)
     if row.cls == "TI":
         p_sq = Fraction(16 * (m**2 * k**2 * n) ** 2 - (m**2 * n - k**2) ** 4, 16)
-        return PQ(p_sq, Fraction((m * k * (m**2 * n - k**2)) ** 2, 4))
+        return p_sq, Fraction((m * k * (m**2 * n - k**2)) ** 2, 4)
     if row.cls == "TII":
         p_sq = Fraction((m**2 + k**2) ** 2 * n * ((2 * m * k) ** 2 - (m**2 - k**2) ** 2))
-        return PQ(p_sq, Fraction((2 * m * k * (m**2 - k**2)) ** 2))
+        return p_sq, Fraction((2 * m * k * (m**2 - k**2)) ** 2)
     if row.cls == "TIII":
         p_sq = Fraction((m**2 + 2 * k**2) ** 2 * n * (8 * m**2 * k**2 - (m**2 - 2 * k**2) ** 2))
-        return PQ(p_sq, Fraction(8 * m**2 * k**2 * (m**2 - 2 * k**2) ** 2))
+        return p_sq, Fraction(8 * m**2 * k**2 * (m**2 - 2 * k**2) ** 2)
     # TIV
     p2 = (m**2 - k**2 - 2 * m * k) ** 2 * n * ((m - k) ** 2 + 2 * m**2) * ((m + k) ** 2 + 2 * k**2)
-    return PQ(Fraction(p2, 2), Fraction(((m**2 - k**2 + 2 * m * k) * (m**2 + k**2)) ** 2))
+    return Fraction(p2, 2), Fraction(((m**2 - k**2 + 2 * m * k) * (m**2 + k**2)) ** 2)
 
 
-def footprint_triangle(row, pq):
+def footprint_triangle(row, p_sq, q_sq):
     """The positive rational right triangle (x/y, 2|N|y/x, r/(xy)) of area N for a table row,
     with p^2/q^2 = x^2/y^2 in lowest terms and r^2 = x^4 + 4N^2 y^4 = (cxy)^2.
 
-    pq is the row's footprint_pq(row).
+    (p_sq, q_sq) is the row's footprint_pq(row).
     """
-    num = pq.p_sq.numerator * pq.q_sq.denominator
-    den = pq.p_sq.denominator * pq.q_sq.numerator
+    num = p_sq.numerator * q_sq.denominator
+    den = p_sq.denominator * q_sq.numerator
     if num <= 0 or den <= 0:
         raise ValueError("row yields a nonpositive p^2 or q^2")
     g = gcd(num, den)
@@ -173,7 +168,7 @@ def verify_tables(table=None):
                     f"row class {row.cls} inconsistent with N = {row.n} ({family})"
                 )
             # area N: tests/test_footprints.py::test_integer_triangle_matches_the_from_legs_oracle
-            report["triangle"] = footprint_triangle(row, footprint_pq(row))
+            report["triangle"] = footprint_triangle(row, *footprint_pq(row))
         except ValueError as exc:
             report["ok"] = False
             report["error"] = str(exc)
@@ -194,7 +189,7 @@ def row_triangle(n, m, k, cls):
     """The RowTriangle of the table row (n, m, k, cls)."""
     row = FootprintRow(n, m, k, cls)
     pq = footprint_pq(row)
-    return RowTriangle(*pq, footprint_triangle(row, pq), n)
+    return RowTriangle(*pq, footprint_triangle(row, *pq), n)
 
 
 class TablesReport(namedtuple("TablesReport", "rows failed failures", defaults=(None,))):

@@ -23,7 +23,6 @@ __all__ = [
     "euclid_root",
     "walk",
     "closed_form",
-    "verify_tree_table",
     "walk_from",
     "tree_report",
 ]
@@ -145,28 +144,6 @@ def _tree_table():
     return roots, cells
 
 
-def verify_tree_table():
-    """Recompute every cell of the reference tree; 28 reports {"n": N, "ok": bool}.
-
-    A root cell checks that its triangle has area N.  Every other cell walks
-    from its root and checks the congruent number, which is the area of the
-    printed triangle, the legs as an unordered pair (the table swaps legs
-    when re-rooting) and the hypotenuse.  The walks "aa", "ab", "ba" and
-    "bb" reach every cell; a one-step cell is read off the walk "aa" or "ba".
-    """
-    roots, cells = _tree_table()
-    reports = []
-    for n0, tri0 in roots.items():
-        reports.append({"n": n0, "ok": tri0.area == n0})
-        aa, ab, ba, bb = (walk(tri0, n0, path) for path in ("aa", "ab", "ba", "bb"))
-        steps = {"a": aa[0], "aa": aa[1], "ab": ab[1], "b": ba[0], "ba": ba[1], "bb": bb[1]}
-        for path, (n, tri) in steps.items():
-            a, b, c = cells[n0, path]
-            ok = n == a * b / 2 and {tri.a, tri.b} == {a, b} and tri.c == c
-            reports.append({"n": n, "ok": ok})
-    return reports
-
-
 class Walk(namedtuple("Walk", "start steps")):
     """The start and each step of a walk, as {"n": N, "triangle": its triangle}."""
 
@@ -185,7 +162,7 @@ def walk_from(start_m, start_n, path):
 
 
 class TreeReport(namedtuple("TreeReport", "cells failed")):
-    """How many cells of the reference tree verify_tree_table recomputed, and how many failed."""
+    """How many cells of the reference tree tree_report recomputed, and how many failed."""
 
     __slots__ = ()
 
@@ -194,6 +171,21 @@ class TreeReport(namedtuple("TreeReport", "cells failed")):
 
 
 def tree_report():
-    """The TreeReport of verify_tree_table()."""
-    reports = verify_tree_table()
-    return TreeReport(len(reports), sum(not r["ok"] for r in reports))
+    """Recompute every cell of the reference tree: the TreeReport of its 28 cells.
+
+    A root cell checks that its triangle has area N.  Every other cell walks
+    from its root and checks the congruent number, which is the area of the
+    printed triangle, the legs as an unordered pair (the table swaps legs
+    when re-rooting) and the hypotenuse.  The walks "aa", "ab", "ba" and
+    "bb" reach every cell; a one-step cell is read off the walk "aa" or "ba".
+    """
+    roots, cells = _tree_table()
+    oks = []
+    for n0, tri0 in roots.items():
+        oks.append(tri0.area == n0)
+        aa, ab, ba, bb = (walk(tri0, n0, path) for path in ("aa", "ab", "ba", "bb"))
+        steps = {"a": aa[0], "aa": aa[1], "ab": ab[1], "b": ba[0], "ba": ba[1], "bb": bb[1]}
+        for path, (n, tri) in steps.items():
+            a, b, c = cells[n0, path]
+            oks.append(n == a * b / 2 and {tri.a, tri.b} == {a, b} and tri.c == c)
+    return TreeReport(len(oks), oks.count(False))

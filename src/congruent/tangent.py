@@ -120,7 +120,7 @@ def tangent_chain(tri0, n, depth=3):
         c1 = c.denominator
         c2 = Fraction(c.numerator, 2)
         f1, f2 = solve_f(c1, c2, n)
-        _, tri, _ = heegner_two(n, f1, f2)
+        tri = heegner_two(n, f1, f2).triangle
         point = triangle_point(tri)
         check(f1, f2, tri.a, tri.b, tri.c, point.x, point.y)
         entries.append(ChainEntry(f1, f2, tri, point))

@@ -38,7 +38,6 @@ __all__ = [
     "verify_derivative_identities",
     "sum_of_squares_identity",
     "circle_check",
-    "verify_all",
     "identities",
 ]
 
@@ -415,8 +414,8 @@ def circle_check():
     positive, so each p(θ) is a real point.  Each condition is compared in
     ints, at the power of the family's vector and scalar scales it carries.
     Each family is proved on its base circle, which proves its sign sets
-    too (see below).  Returns a dict with the number of circles, the
-    (family, signs) of those that fail, and a pass flag.
+    too (see below).  Returns (count, failed): the number of circles and
+    the (family, signs) of those that fail.
     """
     failed = []
     count = 0
@@ -448,18 +447,7 @@ def circle_check():
         on_spheres = all(_on_sphere(center - q, u, v, su, sv, v2 * r2, scale) for q, r2 in spheres)
         if not (in_plane and on_spheres):
             failed += [(family, signs) for signs in sign_sets]
-    return {"circles": count, "failed": failed, "ok": not failed}
-
-
-def verify_all(max_order=4):
-    """Every check in this module as exact (name, ok) pairs but circle_check, which Identities adds."""
-    checks = verify_derivative_identities(max_order)
-    for mm, nn in ((2, 1), (3, 2), (4, 1), (5, 2)):
-        checks.append(
-            (f"side-vector norm identity (m,n)=({mm},{nn})",
-             sum_of_squares_identity(mm, nn))
-        )
-    return checks
+    return count, failed
 
 
 class Identities(namedtuple("Identities", "circles circles_failed max_order")):
@@ -468,12 +456,14 @@ class Identities(namedtuple("Identities", "circles circles_failed max_order")):
     __slots__ = ()
 
     def checks(self):
-        return verify_all(self.max_order) + [("trig circles numeric", not self.circles_failed)]
+        checks = verify_derivative_identities(self.max_order)
+        for m, n in ((2, 1), (3, 2), (4, 1), (5, 2)):
+            checks.append((f"side-vector norm identity (m,n)=({m},{n})", sum_of_squares_identity(m, n)))
+        return checks + [("trig circles numeric", not self.circles_failed)]
 
 
 def identities(max_order=4):
     """The Identities of circle_check(), proved to derivative order max_order."""
     if not 1 <= max_order <= MAX_ORDER:  # before any work
         raise EffortOutOfRange("max_order", 1, MAX_ORDER, max_order)
-    rep = circle_check()
-    return Identities(rep["circles"], rep["failed"], max_order)
+    return Identities(*circle_check(), max_order)

@@ -161,9 +161,9 @@ def area_relation(areas, c, value):
 
 
 def area_identity(pair):
-    """Both sides of N_AC^2 + N_BC^2 + N_BA^2 = 6(C^4 - 4N^2); area_relation checks them."""
+    """Both sides (lhs, rhs) of N_AC^2 + N_BC^2 + N_BA^2 = 6(C^4 - 4N^2); area_relation checks them."""
     q, c = pair.quad, pair.triple.c
-    return {"lhs": q.n_ac**2 + q.n_bc**2 + q.n_ba**2, "rhs": 6 * (c**4 - 4 * q.n**2)}
+    return q.n_ac**2 + q.n_bc**2 + q.n_ba**2, 6 * (c**4 - 4 * q.n**2)
 
 
 def connecting_points(pair):
@@ -217,15 +217,12 @@ def distance_identity(pair):
     distance_relation checks (2(C^4 - 3(AB)^2)/(ABC))^2 = 2 sum d_i^2 = (sum d_i)^2.
     As that gives sum d_i^2 = 2 sum d_i d_j, it implies 4 d_i d_j = u^2, v^2, w^2
     for the signed combinations u, v, w of the d_i, and the Pythagorean
-    quadruple (sum d_i)^2 = u^2 + v^2 + w^2 returned here.  Every quantity is
-    an integer numerator over D = pair.d; "lhs_root" and "quadruple" are such.
+    quadruple (sum d_i)^2 = u^2 + v^2 + w^2.  Returns (root, quadruple), each
+    an integer numerator over D = pair.d.
     """
     t = pair.triple
     d1, d2, d3 = (c - a for a, _, c in pair.sides)
-    return {
-        "lhs_root": 2 * (t.c**4 - 3 * (t.a * t.b) ** 2),
-        "quadruple": (d1 + d2 + d3, d1 + d2 - d3, d1 - d2 + d3, -d1 + d2 + d3),
-    }
+    return 2 * (t.c**4 - 3 * (t.a * t.b) ** 2), (d1 + d2 + d3, d1 + d2 - d3, d1 - d2 + d3, -d1 + d2 + d3)
 
 
 class DerivedFamily(
@@ -251,6 +248,6 @@ def derived_family(m, n):
     """The DerivedFamily of derive(m, n)."""
     pair = derive(m, n)
     tris = derived_triples(pair)
-    lhs = area_identity(pair)["lhs"]
-    root = Fraction(distance_identity(pair)["lhs_root"], pair.d)
+    lhs, _ = area_identity(pair)
+    root = Fraction(distance_identity(pair)[0], pair.d)
     return DerivedFamily(*tris, tuple(pair.quad), lhs, concordant_solutions(pair), root, m, n)

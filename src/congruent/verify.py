@@ -53,8 +53,8 @@ def suite_triples():
         (f"derived {name}", got == want)
         for name, got, want in zip(("AC", "BC", "BA"), derived, _DERIVED_2_1)
     ]
-    area, dist = triples.area_identity(pair), triples.distance_identity(pair)
-    root = F(dist["lhs_root"], pair.d)
+    (lhs, rhs), (root_d, quadruple) = triples.area_identity(pair), triples.distance_identity(pair)
+    root = F(root_d, pair.d)
     points = [(p.x, p.y) for _, p in triples.connecting_points(pair)]
     try:
         concordant = triples.concordant_solutions(pair) == _CONCORDANT_2_1
@@ -62,13 +62,13 @@ def suite_triples():
         concordant = False
     return checks + [
         ("area quadruple", pair.quad == (6, 34, 41, 7)),
-        ("area identity holds", triples.area_relation(pair.quad, pair.triple.c, area["lhs"])),
-        ("area identity value", area["lhs"] == 2886 == area["rhs"]),
+        ("area identity holds", triples.area_relation(pair.quad, pair.triple.c, lhs)),
+        ("area identity value", lhs == 2886 == rhs),
         ("connecting points", points == [(-16, 120), (-9, 120), (25, 120)]),
         ("concordant solutions", concordant),
         ("distance identity holds", triples.distance_relation(derived, root)),
         ("distance identity root", root == _DISTANCE_ROOT_2_1),
-        ("distance quadruple", dist["lhs_root"] ** 2 == sum(v**2 for v in dist["quadruple"][1:])),
+        ("distance quadruple", root_d**2 == sum(v**2 for v in quadruple[1:])),
     ]
 
 
@@ -92,10 +92,10 @@ def suite_triples_random():
     for m, n in _TRIPLES_PAIRS:
         try:
             pair = triples.derive(m, n)
-            area, dist = triples.area_identity(pair), triples.distance_identity(pair)
-            if not triples.area_relation(pair.quad, pair.triple.c, area["lhs"]):
+            (lhs, _), (root_d, _) = triples.area_identity(pair), triples.distance_identity(pair)
+            if not triples.area_relation(pair.quad, pair.triple.c, lhs):
                 return [(f"area identity ({m},{n})", False)]
-            if not triples.distance_relation(pair.sides, dist["lhs_root"]):
+            if not triples.distance_relation(pair.sides, root_d):
                 return [(f"distance identity ({m},{n})", False)]
             triples.concordant_solutions(pair)
         except ValueError as exc:
@@ -199,9 +199,9 @@ _CASSINI_62 = RatTriangle("177537/21140", "84560/5727", "2056525601/121068780")
 
 
 def suite_cassini():
-    two, four = cassini.two_example(29, 1, -13), cassini.four_example(79, 125, 52)
-    two62 = cassini.two_example(62, 20, 7, adjoin="sqrt2N")
-    axis62 = cassini.heegner_four(62, 20, F(7**2 * 2))[3]  # f2 = 7 sqrt(2)
+    two, four = cassini.heegner_two(29, 1, -13), cassini.four_example(79, 125, 52)
+    two62 = cassini.heegner_two(62, 20, 7, adjoin="sqrt2N")
+    four62 = cassini.heegner_four(62, 20, F(7**2 * 2))  # f2 = 7 sqrt(2)
     return [
         ("N=29 quad", two[:4] == (13**2, 70, 1, 99**2)),
         ("N=29 triangle", two.triangle == _CASSINI_29),
@@ -209,7 +209,7 @@ def suite_cassini():
         ("N=79 four intersections", sorted(four.axis_x_sq) == [12921**2, 13000**2]),
         ("N=62 (c2,c4)", (two62.c2, two62.c4_sq) == (9362, 15438**2)),
         ("N=62 triangle", two62.triangle == _CASSINI_62),
-        ("N=62 four intersections", sorted(axis62["x2"]) == [302**2, 2 * 280**2]),
+        ("N=62 four intersections", sorted(four62.axis_x_sq) == [302**2, 2 * 280**2]),
     ]
 
 
@@ -302,8 +302,7 @@ _RECURRENCE_PAIRS = tuple(_random_pairs(79, 20, 40))
 
 
 def suite_recurrence():
-    reports = recurrence.verify_tree_table()
-    checks = [("28-cell walk table", all(r["ok"] for r in reports))]
+    checks = [("28-cell walk table", not recurrence.tree_report().failed)]
     for m, n in _RECURRENCE_PAIRS:
         tri0, n0 = recurrence.euclid_root(m, n)
         steps = recurrence.walk(tri0, n0, "aaa") + recurrence.walk(tri0, n0, "ba")

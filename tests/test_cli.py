@@ -15,6 +15,7 @@ from pathlib import Path
 import outputs
 import pytest
 from test_leaves import EXAMPLES
+from test_mutations import _double_legs, _nth
 
 import congruent
 from congruent import (
@@ -261,6 +262,8 @@ def test_no_int_to_str_limit_lifts_no_bound(capsys):
     # PYTHONINTMAXSTRDIGITS=0 turns off the interpreter's limit; the library's
     # exact.MAX_DIGITS still bounds every input and result, with the same message
     argvs = [argv for argv, _ in PAST_THE_DIGIT_LIMIT] + [["conics", "twin", "--t", "1e200000"]]
+    # a 1501-digit --m prints sides of about 6000 digits, which format_rat refuses
+    argvs.append(["triples", "--m", "1" + "0" * 1500, "--n", "1", "--json"])
     argvs += [argv for _, *argv in outputs.readme_examples()]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONINTMAXSTRDIGITS="0")
     child = [sys.executable, "-c", _TIMED_CHILD, json.dumps(argvs)]
@@ -395,10 +398,6 @@ def _leg_off_by_one(steps):
     return steps[:-1] + [(n, RatTriangle._proved(tri.a + 1, tri.b, tri.c))]
 
 
-def _double_legs(tri):
-    return tri.scaled(Fraction(1, 2))
-
-
 def _stretch(tri):
     # (2a, b/2, c) keeps the area and breaks a^2 + b^2 = c^2
     return RatTriangle._proved(2 * tri.a, tri.b / 2, tri.c)
@@ -410,18 +409,6 @@ def _longer_hypotenuse(tri):
 
 def _y_plus_one(p):
     return Point(p.x, p.y + 1)
-
-
-def _nth(i, change):
-    """A mutation of a returned tuple or record that changes its i-th value only."""
-    return lambda result: getattr(result, "_make", tuple)(
-        change(v) if j == i else v for j, v in enumerate(result)
-    )
-
-
-def _plus_one(key):
-    """A mutation of a returned dict that adds 1 to its value at key."""
-    return lambda result: {**result, key: result[key] + 1}
 
 
 @pytest.mark.parametrize(
@@ -471,9 +458,9 @@ def _plus_one(key):
          conics, "conic_ec_points", _p1_off_curve, "points infinite order"),
         # the identities in t and in (m, n) are read on the printed values too
         (["triples", "--m", "2", "--n", "1"],
-         triples, "area_identity", _plus_one("lhs"), "area identity"),
+         triples, "area_identity", _nth(0, lambda lhs: lhs + 1), "area identity"),
         (["triples", "--m", "2", "--n", "1"],
-         triples, "distance_identity", _plus_one("lhs_root"), "distance identity"),
+         triples, "distance_identity", _nth(0, lambda root: root + 1), "distance identity"),
         (["conics", "intersect", "--t", "3"],
          conics, "intersect_example", _nth(2, _longer_hypotenuse), "pythagoras"),
         (["conics", "intersect", "--t", "3"],
@@ -754,7 +741,7 @@ def test_every_leaf_echoes_its_flags(capsys):
     # --emit-curve, and lattice --t only when given; JSON sorts its keys, so
     # the order is read from the text output
     rows = {path: flags for path, _, flags, _ in cli.LEAVES}
-    cases = [argv for argv, _ in EXAMPLES] + list(outputs.ECHO_CASES)
+    cases = EXAMPLES + list(outputs.ECHO_CASES)
     paths = set()
     for case in cases:
         argv = case.split()

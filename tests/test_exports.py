@@ -109,7 +109,7 @@ def test_only_the_cli_names_flags():
         (lambda: tangent.tangent_chain(None, 5, depth=9), "depth must be between 1 and 5, got 9"),
         (lambda: fermat.enumerate_tree(0), "depth must be between 1 and 6, got 0"),
         (lambda: sequences.brahmagupta(401), "k must be between 0 and 400, got 401"),
-        (lambda: trinity.verify_all(7), "max_order must be between 1 and 6, got 7"),
+        (lambda: trinity.identities(7), "max_order must be between 1 and 6, got 7"),
     ],
 )
 def test_each_effort_bound_raises_one_error_in_library_words(build, message):
@@ -137,29 +137,19 @@ def test_each_validating_record_rejects_bad_input(build, message):
 
 
 def test_every_record_is_a_slotted_tuple():
-    pair = triples.derive(2, 1)
-    row = footprints.FootprintRow(14, 2, 1, "TIII")
-    tree = fermat.enumerate_tree(2)
-    chain = tangent.chain_from_legs(5, Fraction(3, 2), Fraction(20, 3), 1)
-    quad, tri, oval = cassini.heegner_two(29, 1, -13)
-    lattice = conics.lattice_example(1, 2, 3)
-    walk = recurrence.walk_from(2, 1, "ab")
-    records = [
-        pair.triple, pair.quad, tri, triples.concordant_solutions(pair)[0],
-        triples.triangle_point(tri), elliptic.curve_en(5), trinity.Vec3F(1, 2, 3),
-        row, footprints.footprint_pq(row), tree, tree.nodes[-1][1],
-        sequences.fib_lucas(5), sequences.brahmagupta(3),
-        chain, chain.entries[0], quad, oval, lattice.secondary[0],
-        # each leaf's record, and the records it prints that are not the above
-        triples.derived_family(2, 1), trinity.identities(1), conics.conic_example(157, 87005, 610961),
-        conics.intersect_example(3), lattice, lattice.points[0], conics.twin_hyperbolas(10),
-        cassini.two_example(29, 1, -13), footprints.tables_report("IV"),
-        footprints.row_triangle(14, 2, 1, "TIII"), walk, recurrence.tree_report(),
-        sequences.cheb_family(3, 2), verify.report(),
-    ]  # fmt: skip
-    assert len({type(r) for r in records}) == 32
-    for record in records:
-        assert isinstance(record, tuple) and not hasattr(record, "__dict__"), type(record)
+    # every namedtuple class of the package, found by scanning its modules
+    records = set()
+    for info in pkgutil.iter_modules(congruent.__path__):
+        module = importlib.import_module(f"congruent.{info.name}")
+        records |= {
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+        }  # fmt: skip
+    assert {triples.RatTriangle, cassini.CassiniSystem, verify.Report} <= records
+    for cls in records:
+        # built without the validation some records' __new__ does
+        record = tuple.__new__(cls, (None,) * len(cls._fields))
+        assert not hasattr(record, "__dict__"), cls
         with pytest.raises(AttributeError):
             record.extra = 1
 

@@ -50,13 +50,13 @@ def test_all_rows_verify():
 def test_pq_squares_consistent():
     # a = p/q and b = 2Nq/p must both be rational for every row
     for row in footprints.load_rows()[::17]:
-        pq = footprints.footprint_pq(row)
-        assert rat_sqrt(pq.p_sq / pq.q_sq) is not None
-        assert rat_sqrt(4 * row.n**2 * pq.q_sq / pq.p_sq) is not None
+        p_sq, q_sq = footprints.footprint_pq(row)
+        assert rat_sqrt(p_sq / q_sq) is not None
+        assert rat_sqrt(4 * row.n**2 * q_sq / p_sq) is not None
 
 
 def _triangle(row):
-    return footprints.footprint_triangle(row, footprints.footprint_pq(row))
+    return footprints.footprint_triangle(row, *footprints.footprint_pq(row))
 
 
 def test_canonical_small_examples():
@@ -73,10 +73,10 @@ def test_rejects_unknown_class():
 
 def _from_legs_oracle(row):
     # footprint_triangle before it ran in integers: two rational roots and from_legs
-    pq = footprints.footprint_pq(row)
-    if pq.p_sq <= 0 or pq.q_sq <= 0:
+    p_sq, q_sq = footprints.footprint_pq(row)
+    if p_sq <= 0 or q_sq <= 0:
         raise ValueError("row yields a nonpositive p^2 or q^2")
-    a = rat_sqrt(pq.p_sq / pq.q_sq)
+    a = rat_sqrt(p_sq / q_sq)
     if a is None:
         raise ValueError("row does not rationalize: a side square is not a square")
     return RatTriangle.from_legs(a, 2 * abs(row.n) / a)
@@ -111,7 +111,7 @@ def test_integer_triangle_matches_the_from_legs_oracle():
 
 def test_irrational_hypotenuse_raises_the_from_legs_message(monkeypatch):
     # no class formula gets here: a = 1 and b = 2 leave c^2 = 5
-    monkeypatch.setattr(footprints, "footprint_pq", lambda row: footprints.PQ(F(1), F(1)))
+    monkeypatch.setattr(footprints, "footprint_pq", lambda row: (F(1), F(1)))
     row = footprints.FootprintRow(1, 1, 1, "TI")
     message = "a and b are not the legs of a rational right triangle"
     assert _outcome(_from_legs_oracle, row) == message

@@ -511,7 +511,7 @@ def _euclid_proofs(pair):
     The relations the CLI and the gate check, area_relation and
     distance_relation, read area_identity's and distance_identity's values.
     """
-    lhs, root = triples.area_identity(pair)["lhs"], triples.distance_identity(pair)["lhs_root"]
+    (lhs, _), (root, _) = triples.area_identity(pair), triples.distance_identity(pair)
     return {
         "area identity": triples.area_relation(pair.quad, pair.triple.c, lhs),
         "distance identity": triples.distance_relation(pair.sides, root),

@@ -1,10 +1,9 @@
 """Every printed value is read by a check, or is listed as unread.
 
-Each leaf command runs on one example.  For each producer, a library
-function whose result the command prints, mostly the leaf's entry, every
-int or Fraction leaf of that result is made off by one in turn, and the
-command runs again through ``cli.main(argv + ["--json"])``.  Exit 1 or 3
-means a check read the leaf.
+Each leaf command runs on one example.  Every int or Fraction leaf of the
+record its entry returns (the "module.function" of its cli.LEAVES row) is
+made off by one in turn, and the command runs again through
+``cli.main(argv + ["--json"])``.  Exit 1 or 3 means a check read the leaf.
 Exit 0 with the same printed results means the leaf is not printed, and it
 is skipped.  Exit 0 with other printed results means a printed value that
 no check reads.  UNREAD lists each such value by its path in the JSON
@@ -24,34 +23,28 @@ import pytest
 
 from congruent import cli
 
-# One example per leaf command, with the producers ("module.function") whose
-# results it prints: the leaf's entry, whose record is what it prints.  Two
-# entries derive a printed value from another, so their producers are the
-# constructors the entry calls: the record's cassini two oval.b_4 and
-# footprints triangle p_sq, q_sq are read by no check.  footprints verify,
-# recur table-check and verify-all print only counts and names of their
-# reports' failures.
+# One example per leaf command
 EXAMPLES = [
-    ("triples --m 2 --n 1", ["triples.derived_family"]),
-    ("trinity --max-order 1", ["trinity.identities"]),
-    ("conics triangle --n 157 --f1 87005 --f2 610961", ["conics.conic_example"]),
-    ("conics intersect --t 3", ["conics.intersect_example"]),
-    ("conics lattice --m 1 --n 2 --t 3", ["conics.lattice_example"]),
-    ("conics twin --t 10", ["conics.twin_hyperbolas"]),
-    ("cassini two --n 29 --f1 1 --f2 -13", ["cassini.heegner_two", "cassini.oval_axis_points"]),
-    ("cassini four --n 79 --f1 125 --f2 52", ["cassini.four_example"]),
-    ("tangent --n 5 --a 3/2 --b 20/3 --depth 3", ["tangent.chain_from_legs"]),
-    ("footprints verify", []),
-    ("footprints triangle --n 14 --m 2 --k 1 --cls TIII", ["footprints.footprint_pq", "footprints.footprint_triangle"]),
-    ("recur walk --start-m 2 --start-n 1 --path abba", ["recurrence.walk_from"]),
-    ("recur table-check", []),
-    ("seq fib --n 3", ["sequences.fib_family"]),
-    ("seq cheb --m 3 --k 2", ["sequences.cheb_family"]),
-    ("seq brahmagupta --k 3", ["sequences.brahmagupta"]),
-    ("seq brahmagupta --k 0", ["sequences.brahmagupta"]),
-    ("fermat --depth 2 --find-smallest", ["fermat.enumerate_tree"]),
-    ("verify-all", []),
-]  # fmt: skip
+    "triples --m 2 --n 1",
+    "trinity --max-order 1",
+    "conics triangle --n 157 --f1 87005 --f2 610961",
+    "conics intersect --t 3",
+    "conics lattice --m 1 --n 2 --t 3",
+    "conics twin --t 10",
+    "cassini two --n 29 --f1 1 --f2 -13",
+    "cassini four --n 79 --f1 125 --f2 52",
+    "tangent --n 5 --a 3/2 --b 20/3 --depth 3",
+    "footprints verify",
+    "footprints triangle --n 14 --m 2 --k 1 --cls TIII",
+    "recur walk --start-m 2 --start-n 1 --path abba",
+    "recur table-check",
+    "seq fib --n 3",
+    "seq cheb --m 3 --k 2",
+    "seq brahmagupta --k 3",
+    "seq brahmagupta --k 0",
+    "fermat --depth 2 --find-smallest",
+    "verify-all",
+]
 
 # The printed values that no check reads, by example, as paths in the JSON
 # results.  ROADMAP item 13 gives each a relation to check; until then a
@@ -63,15 +56,20 @@ UNREAD = {
     },
     # the number of circles checked, a count
     "trinity --max-order 1": {"circles"},
-    # the oval's x_weight, which is not printed, moves its loops and the y axis points
+    # the checks read the triangle alone
     "cassini two --n 29 --f1 1 --f2 -13": {
-        "c1_sq", "c2", "c3_sq", "c4_sq", "oval.a_sq", "oval.loops", "axis_x_sq[0]", "axis_y_sq",
+        "c1_sq", "c2", "c3_sq", "c4_sq", "oval.a_sq", "oval.b_4", "oval.loops", "axis_x_sq[0]",
         "axis_y_sq[0]",
     },
     "cassini four --n 79 --f1 125 --f2 52": {
         "c1_sq", "c2", "c3_sq", "c4_sq", "oval.a_sq", "oval.b_4", "axis_x_sq[0]", "axis_x_sq[1]",
     },
     "tangent --n 5 --a 3/2 --b 20/3 --depth 3": {"solutions[].f1", "solutions[].f2"},
+    # the number of rows rebuilt, a count
+    "footprints verify": {"rows"},
+    "footprints triangle --n 14 --m 2 --k 1 --cls TIII": {"p_sq", "q_sq"},
+    # the number of cells recomputed, a count
+    "recur table-check": {"cells"},
     "seq fib --n 3": {"points[].x", "points[].y"},
     "seq cheb --m 3 --k 2": {"points[].x", "points[].y"},
     # Heron's product p(p - a)(p - b)(p - c) is 0 for any a and b when p = c
@@ -131,34 +129,32 @@ def _run(argv):
     return code, json.loads(text)["results"] if text else None
 
 
-def _unread(argv, producers, monkeypatch):
-    """The printed paths that change, with every check passing, when a producer's leaf is off by one."""
+def _unread(argv, monkeypatch):
+    """The printed paths that change, with every check passing, when a leaf of the entry's record is off by one."""
     code, base = _run(argv)
     assert code == 0, argv
+    module_name, _, func = cli.build_parser().parse_args(argv).entry.split()[0].partition(".")
+    module = importlib.import_module(f"congruent.{module_name}")
+    real = getattr(module, func)
+    seen = []
+    monkeypatch.setattr(module, func, lambda *a, **k: seen.append(real(*a, **k)) or seen[-1])
+    _run(argv)
     unread = set()
-    for producer in producers:
-        module_name, func = producer.split(".")
-        module = importlib.import_module(f"congruent.{module_name}")
-        real = getattr(module, func)
-        seen = []
-        monkeypatch.setattr(module, func, lambda *a, **k: seen.append(real(*a, **k)) or seen[-1])
-        _run(argv)
-        for path in _leaves(seen[0]):
-            # the leaf's path is bound as _leaf, since an entry may take a "path" keyword
-            monkeypatch.setattr(module, func, lambda *a, _leaf=path, **k: _bumped(real(*a, **k), _leaf))
-            code, printed = _run(argv)
-            if code == 0:
-                unread.update(_changed(base, printed))
-        monkeypatch.setattr(module, func, real)
+    for path in _leaves(seen[0]):
+        # the leaf's path is bound as _leaf, since an entry may take a "path" keyword
+        monkeypatch.setattr(module, func, lambda *a, _leaf=path, **k: _bumped(real(*a, **k), _leaf))
+        code, printed = _run(argv)
+        if code == 0:
+            unread.update(_changed(base, printed))
     return unread
 
 
 def test_every_leaf_command_has_an_example():
     parser = cli.build_parser()
     leaves = {row[0] for row in cli.LEAVES}
-    assert {parser.parse_args(argv.split()).command for argv, _ in EXAMPLES} == leaves
+    assert {parser.parse_args(argv.split()).command for argv in EXAMPLES} == leaves
 
 
-@pytest.mark.parametrize("argv, producers", EXAMPLES, ids=[a for a, _ in EXAMPLES])
-def test_each_printed_leaf_is_read_or_listed(monkeypatch, argv, producers):
-    assert _unread(argv.split(), producers, monkeypatch) == UNREAD.get(argv, set())
+@pytest.mark.parametrize("argv", EXAMPLES)
+def test_each_printed_leaf_is_read_or_listed(monkeypatch, argv):
+    assert _unread(argv.split(), monkeypatch) == UNREAD.get(argv, set())

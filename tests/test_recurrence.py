@@ -100,9 +100,7 @@ def test_walk_rejects_a_start_that_is_not_its_positive_integer_area(tri0, n0):
 
 
 def test_tree_table_verifies():
-    reports = recurrence.verify_tree_table()
-    assert len(reports) == 28
-    assert all(r["ok"] for r in reports)
+    assert recurrence.tree_report() == (28, 0)
 
 
 def test_tree_table_walks_each_root_once_per_leaf(monkeypatch):
@@ -114,7 +112,7 @@ def test_tree_table_walks_each_root_once_per_leaf(monkeypatch):
         return real(tri0, n0, path)
 
     monkeypatch.setattr(recurrence, "walk", spy)
-    assert all(r["ok"] for r in recurrence.verify_tree_table())
+    assert not recurrence.tree_report().failed
     assert paths == [(n0, p) for n0 in (6, 34, 41, 7) for p in ("aa", "ab", "ba", "bb")]
 
 

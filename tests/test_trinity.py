@@ -50,10 +50,9 @@ def test_derivative_identities_small():
     assert checks and all(ok for _, ok in checks)
 
 
-# (checks in verify_all, jet evaluation points) for max_order 1..6: the
-# points are 0..8, as the base facts have weight <= 2 at every order; the
-# circle check is appended by the callers of verify_all
-ONE_PASS = {1: (48, 9), 2: (87, 9), 3: (146, 9), 4: (225, 9), 5: (324, 9), 6: (443, 9)}
+# (checks of identities(max_order), jet evaluation points) for max_order
+# 1..6: the points are 0..8, as the base facts have weight <= 2 at every order
+ONE_PASS = {1: (49, 9), 2: (88, 9), 3: (147, 9), 4: (226, 9), 5: (325, 9), 6: (444, 9)}
 
 
 @pytest.mark.parametrize("max_order", sorted(ONE_PASS))
@@ -72,7 +71,7 @@ def test_one_pass_takes_one_jet_table_per_point(monkeypatch, max_order):
         # a second call takes the same tables again: nothing is kept between calls
         calls.clear()
         orders.clear()
-        checks = trinity.verify_all(max_order)
+        checks = trinity.identities(max_order).checks()
         assert (len(checks), len(calls)) == ONE_PASS[max_order]
         assert calls == list(range(len(calls)))
         assert all(ok for _, ok in checks)
@@ -426,8 +425,7 @@ def _reference_point(family, signs, angle):
 
 
 def test_circle_check_proves_every_circle():
-    rep = trinity.circle_check()
-    assert rep == {"circles": 20, "failed": [], "ok": True}
+    assert trinity.circle_check() == (20, [])
 
 
 def test_circle_check_proves_each_family_on_its_base_circle(monkeypatch):
@@ -442,7 +440,7 @@ def test_circle_check_proves_each_family_on_its_base_circle(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(trinity, "_on_sphere", counted)
-    assert trinity.circle_check()["ok"]
+    assert not trinity.circle_check()[1]
     assert len(calls) == 8
 
 
@@ -484,11 +482,9 @@ def test_circle_check_fails_on_any_changed_datum(monkeypatch, family):
     info = trinity._FAMILY[family]
     for key, value in _mutations(info):
         monkeypatch.setitem(trinity._FAMILY, family, {**info, key: value})
-        rep = trinity.circle_check()
-        assert not rep["ok"], (family, key, value)
-        assert {f for f, _ in rep["failed"]} == {family}
+        _, failed = trinity.circle_check()
         # every signed circle of the family fails with it, in order
-        assert rep["failed"] == [(family, signs) for signs in _SIGN_SETS[family]]
+        assert failed == [(family, signs) for signs in _SIGN_SETS[family]], (family, key, value)
 
 
 def test_circle_check_builds_no_fraction(monkeypatch):
@@ -509,22 +505,22 @@ def test_circle_check_builds_no_fraction(monkeypatch):
         monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting(make)))
     assert Fraction(1, 3) * 3 == 1 and len(built) >= 2
     built.clear()
-    assert trinity.circle_check()["ok"]
+    assert not trinity.circle_check()[1]
     assert built == []
 
 
 def test_twenty_signed_circles(monkeypatch):
     # with every sphere condition failing, circle_check lists each signed circle once
     monkeypatch.setattr(trinity, "_on_sphere", lambda *_: False)
-    rep = trinity.circle_check()
-    assert rep["circles"] == len(rep["failed"]) == len(set(rep["failed"])) == 20
-    by_family = Counter(family for family, _ in rep["failed"])
+    count, failed = trinity.circle_check()
+    assert count == len(failed) == len(set(failed)) == 20
+    by_family = Counter(family for family, _ in failed)
     assert by_family == {1: 8, 2: 4, 3: 8}
     # family 2 keeps one of each pair of opposite sign patterns
-    flips = {signs for family, signs in rep["failed"] if family == 2}
+    flips = {signs for family, signs in failed if family == 2}
     assert not flips & {tuple(-s for s in signs) for signs in flips}
 
 
 def test_verify_all_low_order():
-    checks = trinity.verify_all(max_order=1)
+    checks = trinity.identities(max_order=1).checks()
     assert checks and all(ok for _, ok in checks)

@@ -76,16 +76,16 @@ def test_area_quad_baseline():
 
 def test_area_identity_value():
     pair = derive(2, 1)
-    rep = area_identity(pair)
-    assert area_relation(pair.quad, pair.triple.c, rep["lhs"])
-    assert rep["lhs"] == rep["rhs"] == 2886
+    lhs, rhs = area_identity(pair)
+    assert area_relation(pair.quad, pair.triple.c, lhs)
+    assert lhs == rhs == 2886
 
 
 @given(admissible_mn)
 @settings(max_examples=60, deadline=None)
 def test_area_identity_generic(mn):
     pair = derive(*mn)
-    assert area_relation(pair.quad, pair.triple.c, area_identity(pair)["lhs"])
+    assert area_relation(pair.quad, pair.triple.c, area_identity(pair)[0])
 
 
 def test_connecting_points_on_curves():
@@ -111,9 +111,9 @@ def test_concordant_solutions_satisfy_both_forms():
 @settings(max_examples=40, deadline=None)
 def test_distance_identity_generic(mn):
     pair = derive(*mn)
-    rep = distance_identity(pair)
-    assert distance_relation(pair.sides, rep["lhs_root"])
-    assert rep["lhs_root"] ** 2 == sum(v**2 for v in rep["quadruple"][1:])
+    root, quadruple = distance_identity(pair)
+    assert distance_relation(pair.sides, root)
+    assert root**2 == sum(v**2 for v in quadruple[1:])
 
 
 def test_from_legs_takes_the_exact_hypotenuse():
@@ -138,17 +138,17 @@ def test_gate_pair_checks_agree_with_the_public_results():
                 continue
             pair = derive(m, n)
             t, q, d, _ = pair
-            assert area_relation(q, t.c, area_identity(pair)["lhs"])
+            assert area_relation(q, t.c, area_identity(pair)[0])
             sols = concordant_solutions(pair)
             tris = derived_triples(pair)
             want = [(tri.c * d, 2 * d, tri.area) for tri in tris]
             assert [(s.x, s.y, s.n) for s in sols] == want
-            rep = distance_identity(pair)
-            assert distance_relation(pair.sides, rep["lhs_root"])
-            assert rep["lhs_root"] == 2 * (t.c**4 - 3 * (t.a * t.b) ** 2)
+            root, quadruple = distance_identity(pair)
+            assert distance_relation(pair.sides, root)
+            assert root == 2 * (t.c**4 - 3 * (t.a * t.b) ** 2)
             d1, d2, d3 = (tri.c - tri.a for tri in tris)
             want = (d1 + d2 + d3, d1 + d2 - d3, d1 - d2 + d3, -d1 + d2 + d3)
-            assert tuple(F(x, d) for x in rep["quadruple"]) == want
+            assert tuple(F(x, d) for x in quadruple) == want
             assert (q.n, q.n_ac) == (t.a * t.b // 2, t.a**2 + t.c**2)
 
 

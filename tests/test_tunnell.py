@@ -39,7 +39,11 @@ def tunnell_counts_agree(n):
 def _certified_numbers():
     """Each congruent number the package constructs a triangle for, from small inputs."""
     yield from (r["row"].n for r in footprints.verify_tables() if r["ok"])
-    yield from (r["n"] for r in recurrence.verify_tree_table() if r["ok"])
+    # the reference tree's congruent numbers, each a step of a walk from its root
+    for n0, tri0 in recurrence._tree_table()[0].items():
+        yield n0
+        for path in ("aa", "ab", "ba", "bb"):
+            yield from (n for n, _ in recurrence.walk(tri0, n0, path))
     for k in range(1, 8):
         yield sequences.fib_even_family(k)[1]
         yield sequences.fib_odd_family(k)[1]
@@ -60,9 +64,9 @@ def _certified_numbers():
         yield from (x for x, _ in conics.lattice_example(m, n).points)
     for m, n, t in ((1, 2, 3), (2, 1, 3), (1, 2, 2), (3, 2, 2)):
         yield from (r.primitive for r in conics.lattice_secondary(m, n, t))
-    yield cassini.heegner_two(29, 1, -13)[1].area
-    yield cassini.heegner_two(62, 20, 7, adjoin="sqrt2N")[1].area
-    yield cassini.heegner_four(79, 125, 52**2)[1].area
+    yield cassini.heegner_two(29, 1, -13).triangle.area
+    yield cassini.heegner_two(62, 20, 7, adjoin="sqrt2N").triangle.area
+    yield cassini.heegner_four(79, 125, 52**2).triangle.area
 
 
 def test_tunnell_rejects_the_small_non_congruent_numbers():
