@@ -2,16 +2,20 @@
 
 Each leaf command is one row of LEAVES: its path ("conics lattice"), help,
 argparse flags and library entry ("module.function", then "dest=parameter"
-where a flag is not named as the entry's parameter).  build_parser makes
-the parser tree from the rows; the one dispatch, _cmd_run, parses the
-leaf's rational flags, imports the entry's module on first use and calls
-the entry, which returns the leaf's record, and record.checks() gives its
-named checks.  The results print the record's _asdict() but the inputs it
-carries and optional fields left at their default, every rational exactly
-as "p/q"; the echoed inputs are the parsed flags but _NOT_INPUTS, in table
-order.  The envelope is aligned text or stable-key JSON; only cassini
---emit-curve's labeled approximate points are floating-point.  Exit codes:
-0 all checks pass, 1 a check failed, 2 usage error, 3 domain error.
+where a flag is not named as the entry's parameter).  build_parser(argv)
+makes every parser of the tree from the rows but gives a leaf its flags only
+when its name, the last word of its path, is one of argv's words: argparse
+picks a leaf only by a word equal to its name, so the leaf that runs has all
+its flags, and every help, usage and error text is the full tree's.  The one
+dispatch, _cmd_run, parses the leaf's rational flags, imports the entry's
+module on first use and calls the entry, which returns the leaf's record,
+and record.checks() gives its named checks.  The results print the record's
+_asdict() but the inputs it carries and optional fields left at their
+default, every rational exactly as "p/q"; the echoed inputs are the parsed
+flags but _NOT_INPUTS, in table order.  The envelope is aligned text or
+stable-key JSON; only cassini --emit-curve's labeled approximate points are
+floating-point.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage
+error, 3 domain error.
 """
 
 from __future__ import annotations
@@ -213,7 +217,7 @@ def _cmd_run(args):
     return envelope
 
 
-def build_parser():
+def build_parser(argv):
     import shutil
 
     # argparse reads the terminal width for every formatter; read it once per tree
@@ -228,6 +232,7 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="congruent", description=description, formatter_class=formatter)
     # each group gets the prog argparse would derive from its parser's usage
     groups = {"": parser.add_subparsers(dest="command", required=True, prog=parser.prog)}
+    named = set(argv)
     for path, summary, flags, entry in LEAVES:
         group, _, name = path.rpartition(" ")
         if group not in groups:
@@ -239,14 +244,15 @@ def build_parser():
         p = groups[group].add_parser(name, **kwargs, formatter_class=formatter)
         # the leaf overrides the group's command with its own path, "conics triangle"
         p.set_defaults(command=path, entry=entry)
-        for flag, spec in {"--json": json_flag, **flags}.items():
-            p.add_argument(flag, **spec)
+        if name in named:  # a leaf argv does not name cannot run, so its flags go unused
+            for flag, spec in {"--json": json_flag, **flags}.items():
+                p.add_argument(flag, **spec)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         envelope = _cmd_run(args)
     except OutputTooLarge:

@@ -28,7 +28,6 @@ __all__ = [
     "is_probable_prime",
     "factorize",
     "squarefree_part",
-    "printable_bits",
     "printable_checker",
     "format_rat",
 ]
@@ -239,36 +238,27 @@ def max_digits():
 
 
 @functools.cache
-def printable_bits(digits):
-    """Bits of 10**digits, or None for digits = 0 (no limit).  For the limit
-    max_digits(), format_rat cannot print an int with more bits."""
-    return (10**digits).bit_length() if digits else None
-
-
-def printable_checker():
-    """A check that raises OutputTooLarge if an int, or a Fraction's numerator or denominator,
-    has more bits than printable_bits(max_digits()) allows.  It reads the limit once, when
-    it is made, so a caller that checks values in a loop makes one checker."""
-    bits = printable_bits(max_digits())
+def _checker(digits):
+    """printable_checker's check for a limit of digits decimal digits."""
+    low, high = -(10**digits), 10**digits
 
     def check(*values):
         for v in values:
-            if v.numerator.bit_length() > bits or v.denominator.bit_length() > bits:
+            if not low < v.numerator < high or v.denominator >= high:
                 raise OutputTooLarge
 
     return check
 
 
-@functools.cache
-def _power_of_ten(digits):
-    return 10**digits
+def printable_checker():
+    """A check that raises OutputTooLarge if an int, or a Fraction's numerator or denominator,
+    has more digits than max_digits().  It reads the limit once, when it is made, so a
+    caller that checks values in a loop makes one checker."""
+    return _checker(max_digits())
 
 
 def format_rat(r):
-    """Exact 'p/q' (or 'p') string for a rational; raises OutputTooLarge if the numerator
-    or the denominator has more digits than max_digits(), whatever the interpreter allows."""
-    r = Fraction(r)
-    bound = _power_of_ten(max_digits())
-    if abs(r.numerator) >= bound or r.denominator >= bound:
-        raise OutputTooLarge
+    """Exact 'p/q' (or 'p') string for an int or a Fraction; raises OutputTooLarge if the
+    numerator or the denominator has more digits than max_digits(), whatever the interpreter allows."""
+    _checker(max_digits())(r)
     return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"

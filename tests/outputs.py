@@ -68,10 +68,13 @@ ECHO_CALLS = [argv for case in ECHO_CASES for argv in (case.split(), [*case.spli
 # The digest of transcript(ECHO_CALLS), the same on CPython 3.10 to 3.13
 ECHO_DIGEST = "c2d69b5e984b3861"
 
-# Calls that no pool op makes: --json before a leaf, and N <= 0 in both Cassini systems
+# Calls that no pool op makes: --json before a leaf, a leaf abbreviated, a
+# leaf's name as a flag value, and N <= 0 in both Cassini systems
 EDGE_CASES = (
     "--json triples --m 2 --n 1",
     "conics --json lattice --m 1 --n 2",
+    "conics lat --m 1 --n 2",
+    "cassini two --n 29 --f1 1 --f2 twin",
     "cassini two --n 0 --f1 1 --f2 1",
     "cassini four --n 0 --f1 1 --f2 1",
     "cassini two --n -30 --f1 1 --f2 3",

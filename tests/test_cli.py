@@ -1,6 +1,8 @@
 import argparse
 import ast
+import contextlib
 import importlib
+import io
 import json
 import os
 import re
@@ -548,10 +550,9 @@ def test_wrong_chebyshev_value_fails_heron_area_by_name(capsys, monkeypatch):
 def test_readme_cli_block_parses():
     lines = outputs.readme_examples()
     assert len(lines) >= 10
-    parser = cli.build_parser()
     for prog, *argv in lines:
         assert prog == "congruent"
-        parser.parse_args(argv)
+        cli.build_parser(argv).parse_args(argv)
 
 
 # Run in a fresh interpreter: the congruent modules loaded after importing
@@ -621,6 +622,10 @@ USAGES = [
 ]
 
 
+# Every leaf's name: build_parser(LEAF_NAMES) is the full tree, each leaf with its flags
+LEAF_NAMES = [path.rpartition(" ")[2] for path, *_ in cli.LEAVES]
+
+
 def _parsers(parser):
     yield parser
     for action in parser._actions:
@@ -633,7 +638,8 @@ def test_every_parser_keeps_its_usage_line(monkeypatch):
     # build_parser passes each subparser group the prog argparse would derive,
     # so every parser's usage still starts with its full command path
     monkeypatch.setenv("COLUMNS", "200")
-    assert [p.format_usage() for p in _parsers(cli.build_parser())] == [f"usage: {u}\n" for u in USAGES]
+    parsers = _parsers(cli.build_parser(LEAF_NAMES))
+    assert [p.format_usage() for p in parsers] == [f"usage: {u}\n" for u in USAGES]
 
 
 def test_every_parser_keeps_its_texts(monkeypatch):
@@ -643,11 +649,43 @@ def test_every_parser_keeps_its_texts(monkeypatch):
     assert outputs.digest(outputs.transcript(outputs.PARSER_CALLS)) == outputs.PARSER_TEXTS_DIGEST
 
 
+def _parse(parser, argv):
+    """vars(parser.parse_args(argv)), or (exit code, stdout, stderr) where argparse exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def test_the_tree_argv_names_parses_like_the_full_tree(monkeypatch):
+    # every call tests/outputs.py hashes: the pool's keys, the README examples,
+    # PARSER_CALLS and EDGE_CASES give the full tree's namespace, or its exit,
+    # stdout and stderr.  build_parser reads only which leaf names argv holds,
+    # so one tree serves each set of them.
+    monkeypatch.setenv("COLUMNS", "200")
+    full = cli.build_parser(LEAF_NAMES)
+    # the reference gives every leaf -h, --json and its row's flags
+    leaves = {p.prog: [a.option_strings[0] for a in p._actions] for p in _parsers(full)
+              if p.get_default("entry")}
+    assert leaves == {f"congruent {path}": ["-h", "--json", *flags] for path, _, flags, _ in cli.LEAVES}
+    trees = {}
+    for argv in outputs.calls():
+        named = frozenset(argv).intersection(LEAF_NAMES)
+        if named not in trees:
+            trees[named] = cli.build_parser(argv)
+        assert _parse(trees[named], argv) == _parse(full, argv), argv
+    # argparse picks no leaf by a prefix of its name, so an unnamed leaf never runs
+    code, _, err = _parse(full, "conics lat --m 1 --n 2".split())
+    assert code == 2 and "invalid choice: 'lat'" in err
+
+
 def test_build_parser_reads_the_terminal_width_once(monkeypatch):
     real = shutil.get_terminal_size
     calls = []
     monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or real(*a))
-    parser = cli.build_parser()
+    parser = cli.build_parser(LEAF_NAMES)
     for p in _parsers(parser):
         p.format_help()
     assert len(calls) == 1
@@ -702,7 +740,7 @@ def test_every_row_names_a_public_entry():
     # argparse picks the leaf, and the leaf carries its row's entry, which
     # names a public function of its module; a group parser only dispatches
     entries = {}
-    for p in _parsers(cli.build_parser()):
+    for p in _parsers(cli.build_parser(LEAF_NAMES)):
         if any(isinstance(a, argparse._SubParsersAction) for a in p._actions):
             assert p.get_default("entry") is None, p.prog
         else:

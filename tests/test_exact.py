@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,8 @@ from congruent.exact import (
     format_rat,
     is_probable_prime,
     is_square,
-    printable_bits,
+    max_digits,
+    printable_checker,
     rat_sqrt,
     squarefree_part,
 )
@@ -77,13 +77,27 @@ def test_factorize_budget():
         factorize(p * q, budget=10**3)
 
 
-def test_printable_bits_is_the_first_unprintable_bit_length():
-    limit = sys.get_int_max_str_digits()
-    bits = printable_bits(limit)
-    assert len(format_rat(2 ** (bits - 1))) <= limit
-    with pytest.raises(OutputTooLarge):
-        format_rat(Fraction(1, 2**bits))
-    assert printable_bits(0) is None
+def test_the_digit_limit_admits_every_value_below_ten_to_the_limit():
+    # 10**d - 1 has the limit's d digits and 10**d has one more, whatever
+    # their bit lengths: as an int, a numerator of either sign and a denominator
+    # (10**d - 1 is odd and 7 divides no 10**d, so no fraction here reduces)
+    d = max_digits()
+    check = printable_checker()
+    for sign in (1, -1):
+        top = sign * (10**d - 1)
+        printable = {
+            top: str(top),
+            Fraction(top, 2): f"{top}/2",
+            Fraction(sign, 10**d - 1): f"{sign}/{10**d - 1}",
+        }
+        for value, text in printable.items():
+            check(value)
+            assert format_rat(value) == text
+        for past in (sign * 10**d, Fraction(sign * 10**d, 7), Fraction(sign, 10**d)):
+            with pytest.raises(OutputTooLarge):
+                check(past)
+            with pytest.raises(OutputTooLarge):
+                format_rat(past)
 
 
 def test_factorize_budget_is_shared_by_the_attempts():

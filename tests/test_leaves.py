@@ -133,7 +133,7 @@ def _unread(argv, monkeypatch):
     """The printed paths that change, with every check passing, when a leaf of the entry's record is off by one."""
     code, base = _run(argv)
     assert code == 0, argv
-    module_name, _, func = cli.build_parser().parse_args(argv).entry.split()[0].partition(".")
+    module_name, _, func = cli.build_parser(argv).parse_args(argv).entry.split()[0].partition(".")
     module = importlib.import_module(f"congruent.{module_name}")
     real = getattr(module, func)
     seen = []
@@ -150,9 +150,9 @@ def _unread(argv, monkeypatch):
 
 
 def test_every_leaf_command_has_an_example():
-    parser = cli.build_parser()
     leaves = {row[0] for row in cli.LEAVES}
-    assert {parser.parse_args(argv.split()).command for argv in EXAMPLES} == leaves
+    parsed = (cli.build_parser(argv.split()).parse_args(argv.split()) for argv in EXAMPLES)
+    assert {args.command for args in parsed} == leaves
 
 
 @pytest.mark.parametrize("argv", EXAMPLES)

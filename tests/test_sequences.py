@@ -6,7 +6,7 @@ from itertools import islice
 import pytest
 
 from congruent import cli, sequences
-from congruent.exact import MAX_DIGITS, OutputTooLarge, printable_bits
+from congruent.exact import MAX_DIGITS, OutputTooLarge
 from congruent.elliptic import Curve, Point, curve_en
 from congruent.triples import RatTriangle
 
@@ -205,12 +205,12 @@ def test_brahmagupta_rejects_negative():
 @pytest.mark.parametrize("limit", [640, 4300])
 def test_sequences_stop_at_the_first_value_past_the_digit_limit(limit):
     # fib_lucas bounds each L_k and cheb_pair each T_k(9) and U_{k-1}(9) by the
-    # bits of the current digit limit; the first k past it raises
-    bits = printable_bits(limit)
+    # current digit limit; the first k with a value of more digits raises
+    bound = 10**limit
     lucas, t, u = [2, 1], [9, 1], [-1, 0]
-    while lucas[-2].bit_length() <= bits:
+    while lucas[-2] < bound:
         lucas.append(lucas[-1] + lucas[-2])
-    while t[-1].bit_length() <= bits and u[-1].bit_length() <= bits:
+    while t[-1] < bound and u[-1] < bound:
         t.append(18 * t[-1] - t[-2])
         u.append(18 * u[-1] - u[-2])
     first_l, first_t = len(lucas) - 2, len(t) - 2
