@@ -3,13 +3,15 @@
 Each leaf command is one row of LEAVES: its path ("conics lattice"), help,
 argparse flags and library entry ("module.function", then "dest=parameter"
 where a flag is not named as the entry's parameter).  build_parser(argv)
-makes every parser of the tree from the rows but gives a leaf its flags only
-when its name, the last word of its path, is one of argv's words: argparse
-picks a leaf only by a word equal to its name, so the leaf that runs has all
-its flags, and every help, usage and error text is the full tree's.  The one
-dispatch, _cmd_run, parses the leaf's rational flags, imports the entry's
-module on first use and calls the entry, which returns the leaf's record,
-and record.checks() gives its named checks.  The results print the record's
+makes every parser of the tree from the rows, but a group or leaf gets its
+-h, and a leaf its flags and defaults, only when its name, a word of its
+path, is one of argv's words.  argparse picks a parser only by a word equal
+to its name, and no text formats a parser that argv does not name, so the
+parsers that run have all their arguments and every help, usage and error
+text is the full tree's.  The one dispatch, _cmd_run, parses the leaf's
+rational flags, each refused by its flag's name, imports the entry's module
+on first use and calls the entry, which returns the leaf's record, and
+record.checks() gives its named checks.  The results print the record's
 _asdict() but the inputs it carries and optional fields left at their
 default, every rational exactly as "p/q"; the echoed inputs are the parsed
 flags but _NOT_INPUTS, in table order.  The envelope is aligned text or
@@ -109,7 +111,7 @@ _RATIONALS = ("t", "a", "b", "f2")
 
 
 def _rational(flag, text):
-    """Fraction(text) for a rational flag; ValueError naming the flag past the digit limit.
+    """Fraction(text) for a rational flag; ValueError naming the flag for a refused text.
 
     Fraction multiplies out an exponent before anything can check it, so an
     exponent beyond the limit plus the text's length, which makes a numerator
@@ -119,7 +121,12 @@ def _rational(flag, text):
     exp = text.lower().partition("e")[2].lstrip("+-").replace("_", "")
     # int() itself refuses an exponent with more digits than the limit
     if not (exp.isdigit() and (len(exp) > limit or int(exp) > limit + len(text))):
-        value = Fraction(text)
+        try:
+            value = Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"{flag}: the denominator is zero") from None
+        except ValueError as exc:  # not a rational, or a literal past the interpreter's digit limit
+            raise ValueError(f"{flag}: {exc}") from None
         with contextlib.suppress(OutputTooLarge):
             printable_checker()(value)
             return value
@@ -233,18 +240,23 @@ def build_parser(argv):
     # each group gets the prog argparse would derive from its parser's usage
     groups = {"": parser.add_subparsers(dest="command", required=True, prog=parser.prog)}
     named = set(argv)
+
+    def add_parser(group, name, **kwargs):
+        # a parser argv does not name is never picked, so nothing reads its -h
+        return groups[group].add_parser(name, **kwargs, formatter_class=formatter, add_help=name in named)
+
     for path, summary, flags, entry in LEAVES:
         group, _, name = path.rpartition(" ")
         if group not in groups:
-            p = groups[""].add_parser(group, help=_GROUPS[group], formatter_class=formatter)
+            p = add_parser("", group, help=_GROUPS[group])
             # dest only names the missing leaf in argparse's usage error
             groups[group] = p.add_subparsers(dest="sub", required=True, prog=p.prog)
         # a help=None keyword would still list the leaf in its group's help
         kwargs = {} if summary is None else {"help": summary}
-        p = groups[group].add_parser(name, **kwargs, formatter_class=formatter)
-        # the leaf overrides the group's command with its own path, "conics triangle"
-        p.set_defaults(command=path, entry=entry)
+        p = add_parser(group, name, **kwargs)
         if name in named:  # a leaf argv does not name cannot run, so its flags go unused
+            # the leaf overrides the group's command with its own path, "conics triangle"
+            p.set_defaults(command=path, entry=entry)
             for flag, spec in {"--json": json_flag, **flags}.items():
                 p.add_argument(flag, **spec)
     return parser

@@ -12,8 +12,9 @@ differently between interpreters (at 30, 80 and 100, 3.13 re-wraps some).
 
 The replay compares the gate's check list and the README ops' --json output
 with the digests the pool records, the parser texts with PARSER_TEXTS_DIGEST
-and the echo cases' outputs with ECHO_DIGEST; it prints each that differs
-and exits 1 if there is one.
+and the echo cases' outputs with ECHO_DIGEST, and parses every hashed call
+with the tree its argv names and with the full tree (unlike_the_full_tree);
+it prints each that differs and exits 1 if there is one.
 
 OUT hashes every op key of the pool (cli, growth and defects) and each of
 its rejected keys, each as text and with --json; the README examples, the
@@ -24,6 +25,7 @@ compare the files with --diff, which exits 1 if a call differs.  Any
 other first argument that starts with "-" prints this usage.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -68,13 +70,17 @@ ECHO_CALLS = [argv for case in ECHO_CASES for argv in (case.split(), [*case.spli
 # The digest of transcript(ECHO_CALLS), the same on CPython 3.10 to 3.13
 ECHO_DIGEST = "c2d69b5e984b3861"
 
-# Calls that no pool op makes: --json before a leaf, a leaf abbreviated, a
-# leaf's name as a flag value, and N <= 0 in both Cassini systems
+# Calls that no pool op makes: --json before a leaf, a leaf and a group
+# abbreviated, a leaf's and a group's name as a flag value, a zero
+# denominator, and N <= 0 in both Cassini systems
 EDGE_CASES = (
     "--json triples --m 2 --n 1",
     "conics --json lattice --m 1 --n 2",
     "conics lat --m 1 --n 2",
+    "con twin --t 10",
     "cassini two --n 29 --f1 1 --f2 twin",
+    "recur walk --start-m 2 --start-n 1 --path seq",
+    "conics twin --t 1/0",
     "cassini two --n 0 --f1 1 --f2 1",
     "cassini four --n 0 --f1 1 --f2 1",
     "cassini two --n -30 --f1 1 --f2 3",
@@ -146,15 +152,67 @@ def readme_examples():
     return [shlex.split(line) for line in block.splitlines() if line.strip()]
 
 
+# Every word of every command path, groups included: build_parser(PATH_WORDS)
+# is the full tree, in which every parser has -h and every leaf its flags
+PATH_WORDS = list(dict.fromkeys(word for path, *_ in cli.LEAVES for word in path.split()))
+
+
+def parsers(parser):
+    """The parser and every parser below it, depth first."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from parsers(child)
+
+
+def parse(parser, argv):
+    """vars(parser.parse_args(argv)), or (exit code, stdout, stderr) where argparse exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def unlike_the_full_tree():
+    """The hashed calls that build_parser(argv) parses unlike the full tree.
+
+    Each must give the full tree's namespace, or its exit code, stdout and
+    stderr.  build_parser reads only which path words argv holds, so one tree
+    serves each set of them.  "the full tree" is listed when it lacks a
+    parser's -h or a leaf's flags, and an abbreviated leaf or group is listed
+    unless the full tree refuses it: argparse picks a parser only by a word
+    equal to its name, so a parser argv does not name never runs.
+    """
+    full = cli.build_parser(PATH_WORDS)
+    options = {p.prog: [a.option_strings[0] for a in p._actions if a.option_strings] for p in parsers(full)}
+    want = {f"congruent {path}": ["-h", "--json", *flags] for path, _, flags, _ in cli.LEAVES}
+    bad = [] if options == {prog: want.get(prog, ["-h"]) for prog in options} else ["the full tree"]
+    trees = {}
+    for argv in calls():
+        named = frozenset(argv).intersection(PATH_WORDS)
+        if named not in trees:
+            trees[named] = cli.build_parser(argv)
+        if parse(trees[named], argv) != parse(full, argv):
+            bad.append(" ".join(argv))
+    for abbreviated in ("conics lat --m 1 --n 2", "con twin --t 10"):
+        code, _, err = parse(full, abbreviated.split())
+        if code != 2 or "invalid choice" not in err:
+            bad.append(abbreviated)
+    return bad
+
+
 def mismatches():
-    """The pinned outputs that differ: the gate, README ops, parser texts and echoes."""
+    """The pinned outputs that differ: the gate, README ops, parser texts, echoes and narrow parses."""
     bad = [] if ops(gate=["gate"]) == {GATE: gate_digest()} else [GATE]
     bad += replay(ops(cli=["readme"]))
     pins = ("parser texts", PARSER_CALLS, PARSER_TEXTS_DIGEST), ("echoes", ECHO_CALLS, ECHO_DIGEST)
     for name, argvs, want in pins:
         if digest(transcript(argvs)) != want:
             bad.append(name)
-    return bad
+    return bad + unlike_the_full_tree()
 
 
 def calls():

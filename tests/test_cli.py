@@ -316,6 +316,20 @@ def test_rational_flag_past_the_digit_limit_exits_3(capsys, argv, flag):
     assert f"{flag}: the value or its exponent is past the 4300-digit limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("conics twin --t 1/0", "--t: the denominator is zero"),
+        ("cassini two --n 29 --f1 1 --f2 twin", "--f2: Invalid literal for Fraction: 'twin'"),
+    ],
+)
+def test_a_flag_that_is_not_a_rational_exits_3_naming_it(capsys, argv, message):
+    code, out, err = run(capsys, argv.split())
+    assert code == 3
+    assert not out
+    assert err == f"error: {message}\n"
+
+
 def test_trinity_json_is_exact(capsys):
     code, out, _ = run(capsys, ["trinity", "--max-order", "1", "--json"])
     assert code == 0
@@ -622,23 +636,11 @@ USAGES = [
 ]
 
 
-# Every leaf's name: build_parser(LEAF_NAMES) is the full tree, each leaf with its flags
-LEAF_NAMES = [path.rpartition(" ")[2] for path, *_ in cli.LEAVES]
-
-
-def _parsers(parser):
-    yield parser
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for child in action.choices.values():
-                yield from _parsers(child)
-
-
 def test_every_parser_keeps_its_usage_line(monkeypatch):
     # build_parser passes each subparser group the prog argparse would derive,
     # so every parser's usage still starts with its full command path
     monkeypatch.setenv("COLUMNS", "200")
-    parsers = _parsers(cli.build_parser(LEAF_NAMES))
+    parsers = outputs.parsers(cli.build_parser(outputs.PATH_WORDS))
     assert [p.format_usage() for p in parsers] == [f"usage: {u}\n" for u in USAGES]
 
 
@@ -649,44 +651,28 @@ def test_every_parser_keeps_its_texts(monkeypatch):
     assert outputs.digest(outputs.transcript(outputs.PARSER_CALLS)) == outputs.PARSER_TEXTS_DIGEST
 
 
-def _parse(parser, argv):
-    """vars(parser.parse_args(argv)), or (exit code, stdout, stderr) where argparse exits."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            return vars(parser.parse_args(argv))
-        except SystemExit as exc:
-            return exc.code, out.getvalue(), err.getvalue()
-
-
 def test_the_tree_argv_names_parses_like_the_full_tree(monkeypatch):
-    # every call tests/outputs.py hashes: the pool's keys, the README examples,
-    # PARSER_CALLS and EDGE_CASES give the full tree's namespace, or its exit,
-    # stdout and stderr.  build_parser reads only which leaf names argv holds,
-    # so one tree serves each set of them.
+    # every call tests/outputs.py hashes; test_interpreters replays this on 3.10 to 3.13
     monkeypatch.setenv("COLUMNS", "200")
-    full = cli.build_parser(LEAF_NAMES)
-    # the reference gives every leaf -h, --json and its row's flags
-    leaves = {p.prog: [a.option_strings[0] for a in p._actions] for p in _parsers(full)
-              if p.get_default("entry")}
-    assert leaves == {f"congruent {path}": ["-h", "--json", *flags] for path, _, flags, _ in cli.LEAVES}
-    trees = {}
-    for argv in outputs.calls():
-        named = frozenset(argv).intersection(LEAF_NAMES)
-        if named not in trees:
-            trees[named] = cli.build_parser(argv)
-        assert _parse(trees[named], argv) == _parse(full, argv), argv
-    # argparse picks no leaf by a prefix of its name, so an unnamed leaf never runs
-    code, _, err = _parse(full, "conics lat --m 1 --n 2".split())
-    assert code == 2 and "invalid choice: 'lat'" in err
+    assert outputs.unlike_the_full_tree() == []
+
+
+def test_only_the_parsers_argv_names_get_arguments():
+    # every parser is made, but a group or leaf argv does not name gets no -h,
+    # no flags and no defaults; the root keeps its -h
+    parser = cli.build_parser("triples --m 2 --n 1".split())
+    assert len(list(outputs.parsers(parser))) == 24
+    armed = {p.prog for p in outputs.parsers(parser)
+             if p._defaults or any(not isinstance(a, argparse._SubParsersAction) for a in p._actions)}
+    assert armed == {"congruent", "congruent triples"}
 
 
 def test_build_parser_reads_the_terminal_width_once(monkeypatch):
     real = shutil.get_terminal_size
     calls = []
     monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or real(*a))
-    parser = cli.build_parser(LEAF_NAMES)
-    for p in _parsers(parser):
+    parser = cli.build_parser(outputs.PATH_WORDS)
+    for p in outputs.parsers(parser):
         p.format_help()
     assert len(calls) == 1
 
@@ -740,7 +726,7 @@ def test_every_row_names_a_public_entry():
     # argparse picks the leaf, and the leaf carries its row's entry, which
     # names a public function of its module; a group parser only dispatches
     entries = {}
-    for p in _parsers(cli.build_parser(LEAF_NAMES)):
+    for p in outputs.parsers(cli.build_parser(outputs.PATH_WORDS)):
         if any(isinstance(a, argparse._SubParsersAction) for a in p._actions):
             assert p.get_default("entry") is None, p.prog
         else:

@@ -53,8 +53,9 @@ def _interpreter(version):
 @pytest.mark.parametrize("version", VERSIONS)
 def test_each_interpreter_on_path_replays_the_digests(version):
     # the gate, the README examples, the parser texts and the echoes print the
-    # same bytes on every supported interpreter; the running one is replayed by
-    # the tests that pin each digest, and an absent or broken one is skipped, with why
+    # same bytes on every supported interpreter, and each hashed call parses with
+    # the tree its argv names as with the full tree; the running one is replayed
+    # by the tests that pin each, and an absent or broken one is skipped, with why
     if version == "{}.{}".format(*sys.version_info):
         pytest.skip(f"python{version} is the running interpreter")
     exe, why = _interpreter(version)
