@@ -10,7 +10,8 @@ two-intersection one of (N, f1, f2), the four-intersection one of
 (N, f1, f2 sqrt(N)).  All oval geometry is carried in squared coordinates
 so adjoined (irrational) c values stay exact.  heegner_two and
 heegner_four return each system's CassiniSystem, whose checks() reads its
-triangle.
+triangle; its oval is a CassiniOval or, for the four-intersection system,
+a StretchedOval, each holding the a'^2, b'^4 and loops it prints.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .exact import ParameterError, rat_sqrt
 
 __all__ = [
     "CassiniOval",
+    "StretchedOval",
     "heegner_two",
     "heegner_four",
     "oval_axis_points",
@@ -30,40 +32,29 @@ __all__ = [
 ]
 
 
-class CassiniOval(namedtuple("CassiniOval", "a2 b4 x_weight")):
+class CassiniOval(namedtuple("CassiniOval", "a_sq b_4 loops")):
     """(w x^2 + y^2 + a'^2)^2 - 4 a'^2 w x^2 = b'^4 in squared coordinates.
 
-    x_weight w is 1 for the classical oval and 2 for the stretched form
-    used by the four-intersection system.  loops is 'one' when the curve
-    is a single closed curve (b' > a'), 'two' when it splits around the
-    foci (b' < a'), 'lemniscate' at the transition.
+    The x weight w is 1 for the classical oval and 2 for a StretchedOval, the
+    form used by the four-intersection system.  CassiniOval(a'^2, b'^4)
+    computes loops: 'one' when the curve is a single closed curve (b' > a'),
+    'two' when it splits around the foci (b' < a'), 'lemniscate' at the
+    transition.
     """
 
     __slots__ = ()
+    x_weight = 1
 
-    def __new__(cls, a2, b4, x_weight=1):
-        if b4 <= 0 or a2 < 0:
+    def __new__(cls, a_sq, b_4):
+        if b_4 <= 0 or a_sq < 0:
             raise ValueError("need a'^2 >= 0 and b'^4 > 0")
-        if x_weight not in (1, 2):
-            raise ValueError("x_weight must be 1 or 2")
-        return tuple.__new__(cls, (a2, b4, x_weight))
-
-    @property
-    def loops(self):
-        if self.b4 > self.a2**2:
-            return "one"
-        if self.b4 < self.a2**2:
-            return "two"
-        return "lemniscate"
-
-    def _asdict(self):
-        """The oval as printed: a'^2, b'^4 and its loops."""
-        return {"a_sq": self.a2, "b_4": self.b4, "loops": self.loops}
+        loops = "one" if b_4 > a_sq**2 else "two" if b_4 < a_sq**2 else "lemniscate"
+        return tuple.__new__(cls, (a_sq, b_4, loops))
 
     def residual(self, x2, y2):
         """Exact value of the defining quartic at squared coordinates."""
         w = self.x_weight
-        return (w * x2 + y2 + self.a2) ** 2 - 4 * self.a2 * w * x2 - self.b4
+        return (w * x2 + y2 + self.a_sq) ** 2 - 4 * self.a_sq * w * x2 - self.b_4
 
     def y_squared(self, x):
         """Largest y^2 on the oval above abscissa x, as an exact pair.
@@ -73,7 +64,14 @@ class CassiniOval(namedtuple("CassiniOval", "a2 b4 x_weight")):
         """
         x = Fraction(x)
         w = self.x_weight
-        return 4 * self.a2 * w * x**2 + self.b4, w * x**2 + self.a2
+        return 4 * self.a_sq * w * x**2 + self.b_4, w * x**2 + self.a_sq
+
+
+class StretchedOval(CassiniOval):
+    """The CassiniOval of x weight 2."""
+
+    __slots__ = ()
+    x_weight = 2
 
 
 def oval_axis_points(oval):
@@ -83,12 +81,12 @@ def oval_axis_points(oval):
     values of the points (0, ±y).
     b'^2 must be rational (it always is here: b'^4 = c1^4 N^2).
     """
-    b2 = rat_sqrt(oval.b4)
+    b2 = rat_sqrt(oval.b_4)
     if b2 is None:
         raise ValueError("b'^2 irrational; axis points not representable")
     w = oval.x_weight
-    x2 = [v for v in (Fraction(oval.a2 + b2, w), Fraction(oval.a2 - b2, w)) if v > 0]
-    y2 = [b2 - oval.a2] if b2 > oval.a2 else []
+    x2 = [v for v in (Fraction(oval.a_sq + b2, w), Fraction(oval.a_sq - b2, w)) if v > 0]
+    y2 = [b2 - oval.a_sq] if b2 > oval.a_sq else []
     # on the oval: tests/test_identities.py::test_axis_points_lie_on_the_oval
     return x2, y2
 
@@ -130,7 +128,7 @@ def heegner_two(n, f1, f2, adjoin="none"):
     tri = signed_triangle(n, f1**2, f2sq, c1c3)
     if tri.c < 0:
         tri = tri.scaled(-1)
-    oval = CassiniOval(c2**2, c1sq**2 * n**2, x_weight=1)
+    oval = CassiniOval(c2**2, c1sq**2 * n**2)
     return CassiniSystem(c1sq, c2, c3sq, n * c1sq + c2**2, tri, oval, *oval_axis_points(oval), n)
 
 
@@ -162,7 +160,7 @@ def heegner_four(n, f1, f2sq):
     tri = signed_triangle(n, f1**2, n * f2sq, n * n * c1c4 / 4)
     if tri.c < 0:
         tri = tri.scaled(-1)
-    oval = CassiniOval(c2**2, c1sq**2 * n**2, x_weight=2)
+    oval = StretchedOval(c2**2, c1sq**2 * n**2)
     # the X-axis points are ±c3, ±c4: tests/test_identities.py::test_heegner_four_axis_points
     return CassiniSystem(c1sq, c2, c3**2, c4sq, tri, oval, *oval_axis_points(oval), n)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import re
 import sys
 from fractions import Fraction
 from importlib import import_module
@@ -79,7 +80,7 @@ LEAVES = (
     ("cassini four", None, _CASSINI, "cassini.four_example"),
     ("tangent", "solution chains by point doubling",
      {"--n": _INT, "--a": _TEXT, "--b": _TEXT, "--depth": {"type": int, "default": 3}},
-     "tangent.chain_from_legs"),
+     "tangent.tangent_chain"),
     ("footprints verify", None, {"--table": {}}, "footprints.tables_report"),
     ("footprints triangle", None,
      {"--n": _INT, "--m": _INT, "--k": _INT,
@@ -113,19 +114,22 @@ _RATIONALS = ("t", "a", "b", "f2")
 def _rational(flag, text):
     """Fraction(text) for a rational flag; ValueError naming the flag for a refused text.
 
-    Fraction multiplies out an exponent before anything can check it, so an
-    exponent beyond the limit plus the text's length, which makes a numerator
-    or denominator past the limit, is refused from the text alone.
+    A number of more digits than the limit, leading zeros counted, is refused
+    from the text, which the interpreter does in its own words unless its limit
+    is lifted.  Fraction multiplies out an exponent before anything can check
+    it, so an exponent beyond the limit plus the text's length, which makes a
+    numerator or denominator past the limit, is refused from the text alone.
     """
     limit = max_digits()
+    if any(len(run.replace("_", "")) > limit for run in re.findall(r"[\d_]+", text)):
+        raise ValueError(f"{flag}: a number in the text has more than {limit} digits")
     exp = text.lower().partition("e")[2].lstrip("+-").replace("_", "")
-    # int() itself refuses an exponent with more digits than the limit
-    if not (exp.isdigit() and (len(exp) > limit or int(exp) > limit + len(text))):
+    if not (exp.isdigit() and int(exp) > limit + len(text)):
         try:
             value = Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"{flag}: the denominator is zero") from None
-        except ValueError as exc:  # not a rational, or a literal past the interpreter's digit limit
+        except ValueError as exc:  # not a rational
             raise ValueError(f"{flag}: {exc}") from None
         with contextlib.suppress(OutputTooLarge):
             printable_checker()(value)
@@ -192,7 +196,7 @@ def _oval_points(oval, count):
     """Approximate points {"x": x, "y": y} on the upper half of an oval."""
     import math
 
-    xmax = math.sqrt((float(oval.a2) + math.sqrt(float(oval.b4))) / oval.x_weight)
+    xmax = math.sqrt((float(oval.a_sq) + math.sqrt(float(oval.b_4))) / oval.x_weight)
     pts = []
     for i in range(count):
         x = -xmax + 2 * xmax * i / max(count - 1, 1)

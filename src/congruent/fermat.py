@@ -8,7 +8,9 @@ construction, so the solutions form an infinite binary tree rooted at
 x = 1 (the trivial 1^2 + 0^2 = 1^2).  Nodes where both legs are positive
 are genuine sum-of-legs solutions; nodes with a negative leg solve the
 difference variant.  Enumerating the tree locates Fermat's 13-digit
-solution and its 45-digit successor.
+solution and its 45-digit successor.  enumerate_tree returns a FermatTree
+that holds what it prints: its FermatNodes and, with find_smallest, the
+SumSolution of the smallest sum node.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .exact import EffortOutOfRange, is_square
 
 __all__ = [
     "FermatNode",
+    "SumSolution",
     "FermatTree",
     "node_from_fraction",
     "children",
@@ -31,27 +34,6 @@ __all__ = [
 MAX_DEPTH = 6
 
 
-class FermatNode(namedtuple("FermatNode", "x a b c sum_root hyp_root")):
-    """One solution: the defining fraction, its signed integer triple and
-    the square roots of a + b and c, which FermatNode(x, a, b, c) computes."""
-
-    __slots__ = ()
-
-    def __new__(cls, x, a, b, c):
-        sum_root, hyp_root = is_square(a + b), is_square(c)
-        if sum_root is None or hyp_root is None:
-            raise ValueError("node violates the square invariants")
-        return tuple.__new__(cls, (x, a, b, c, sum_root, hyp_root))
-
-    @property
-    def kind(self):
-        """'sum' for all-positive legs, 'root' for the trivial node,
-        'diff' when one leg is negative (|a|+|b| sums to a non-square)."""
-        if self.b == 0:
-            return "root"
-        return "sum" if self.a > 0 and self.b > 0 else "diff"
-
-
 def _digits(c):
     """The decimal digits of an int c > 0, counted by powers of ten, not by converting c to text."""
     # 10**(k - 1) <= 2**(bits - 1) <= c, as 30102/100000 < log10(2)
@@ -61,56 +43,66 @@ def _digits(c):
     return k
 
 
-class FermatTree(namedtuple("FermatTree", "depth nodes find_smallest", defaults=(False,))):
-    """Nodes in discovery order, as (depth found at, FermatNode), to a depth;
-    with find_smallest, its checks() and printed form add the smallest sum node."""
+class FermatNode(namedtuple("FermatNode", "depth x a b c kind digits")):
+    """One solution: the depth it is found at, its defining fraction, its signed
+    integer triple, its kind and the decimal digits of c, which
+    FermatNode(depth, x, a, b, c) computes once a + b and c are squares.  The
+    kind is 'sum' for all-positive legs, 'root' for the trivial node, 'diff'
+    when one leg is negative (|a|+|b| sums to a non-square)."""
+
+    __slots__ = ()
+
+    def __new__(cls, depth, x, a, b, c):
+        if is_square(a + b) is None or is_square(c) is None:
+            raise ValueError("node violates the square invariants")
+        kind = "root" if b == 0 else "sum" if a > 0 and b > 0 else "diff"
+        return tuple.__new__(cls, (depth, x, a, b, c, kind, _digits(c)))
+
+
+# The sides of a sum node and the square roots of a + b and c
+SumSolution = namedtuple("SumSolution", "a b c sum_root hyp_root")
+
+
+class FermatTree(namedtuple("FermatTree", "depth nodes find_smallest smallest", defaults=(False, None))):
+    """The FermatNodes in discovery order to a depth; with find_smallest,
+    smallest is the SumSolution of the sum node with the least c, if there is one."""
 
     __slots__ = ()
 
     def checks(self):
         checks = [(f"{len(self.nodes)} nodes pass square invariants", self.invariants_hold())]
         if self.find_smallest:
-            checks.append(("smallest sum-type solution found", self.smallest_sum() is not None))
+            checks.append(("smallest sum-type solution found", self.smallest_holds()))
         return checks
 
-    def _asdict(self):
-        """The tree as printed: each node with its depth, kind and the digits of c,
-        then, with find_smallest, the smallest sum node's sides and roots if there is one."""
-        nodes = [
-            {"depth": d, "x": n.x, "a": n.a, "b": n.b, "c": n.c, "kind": n.kind, "digits": _digits(n.c)}
-            for d, n in self.nodes
-        ]
-        printed = {"nodes": nodes}
-        small = self.smallest_sum() if self.find_smallest else None
-        if small is not None:
-            printed["smallest"] = {f: getattr(small, f) for f in ("a", "b", "c", "sum_root", "hyp_root")}
-        return printed
-
-    def smallest_sum(self):
-        """The nontrivial all-positive node with the smallest hypotenuse."""
-        candidates = [n for _, n in self.nodes if n.kind == "sum"]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda n: n.c)
+    def smallest_holds(self):
+        """Whether smallest gives the sides of the sum node with the least c,
+        and a + b = sum_root^2 and c = hyp_root^2."""
+        s = self.smallest
+        sums = [(n.c, n.a, n.b) for n in self.nodes if n.kind == "sum"]
+        if s is None or not sums:
+            return False
+        c, a, b = min(sums)
+        return (s.a, s.b, s.c) == (a, b, c) and s.a + s.b == s.sum_root**2 and s.c == s.hyp_root**2
 
     def invariants_hold(self):
         """Whether every node has a = pq, 2b = q^2 - p^2 and 2c = p^2 + q^2 for its
-        x = p/q, a + b = sum_root^2 and c = hyp_root^2.
+        x = p/q, and a + b and c are squares.
 
         The triple of x is Pythagorean:
         tests/test_identities.py::test_euclid_and_fermat_triples_are_pythagorean
         """
-        for _, n in self.nodes:
+        for n in self.nodes:
             p, q = n.x.numerator, n.x.denominator
             if (n.a, 2 * n.b, 2 * n.c) != (p * q, q * q - p * p, p * p + q * q):
                 return False
-            if n.a + n.b != n.sum_root**2 or n.c != n.hyp_root**2:
+            if is_square(n.a + n.b) is None or is_square(n.c) is None:
                 return False
         return True
 
 
-def node_from_fraction(x):
-    """Build and validate the node for a fraction p/q with p, q odd."""
+def node_from_fraction(x, depth=0):
+    """Build and validate the node found at a depth for a fraction p/q with p, q odd."""
     x = Fraction(x)
     p, q = x.numerator, x.denominator
     if p % 2 == 0 or q % 2 == 0:
@@ -119,7 +111,7 @@ def node_from_fraction(x):
     b = -(p**2 - q**2) // 2
     c = (p**2 + q**2) // 2
     # a^2 + b^2 = c^2: tests/test_identities.py::test_euclid_and_fermat_triples_are_pythagorean
-    return FermatNode(x, a, b, c)
+    return FermatNode(depth, x, a, b, c)
 
 
 def children(node):
@@ -134,7 +126,7 @@ def children(node):
     whose positive root is 2u^2 + v^2 = 3a^2 + 2ab + 3b^2.
     """
     n = node.a - node.b
-    m = node.sum_root * node.hyp_root
+    m = is_square(node.a + node.b) * is_square(node.c)
     d = 2 * (node.a + node.b) ** 2 + n**2
     den = 16 * m**4 + n**4
     out = []
@@ -157,7 +149,7 @@ def enumerate_tree(depth, find_smallest=False):
         raise EffortOutOfRange("depth", 1, MAX_DEPTH, depth)
     root = node_from_fraction(Fraction(1))
     seen = {root.x}
-    nodes = [(0, root)]
+    nodes = [root]
     frontier = [root]
     for level in range(1, depth + 1):
         nxt = []
@@ -166,8 +158,13 @@ def enumerate_tree(depth, find_smallest=False):
                 if x in seen:
                     continue
                 seen.add(x)
-                child = node_from_fraction(x)
-                nodes.append((level, child))
+                child = node_from_fraction(x, level)
+                nodes.append(child)
                 nxt.append(child)
         frontier = nxt
-    return FermatTree(depth, tuple(nodes), find_smallest)
+    smallest = None
+    sums = [n for n in nodes if n.kind == "sum"]
+    if find_smallest and sums:
+        s = min(sums, key=lambda n: n.c)
+        smallest = SumSolution(s.a, s.b, s.c, is_square(s.a + s.b), is_square(s.c))
+    return FermatTree(depth, tuple(nodes), find_smallest, smallest)

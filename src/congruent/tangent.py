@@ -6,7 +6,9 @@ binary quadratic form c2 = |N f1^2 - f2^2|/2 with f1 f2 = c1 yields a new
 solution pair (f1, f2) and, through the two-intersection system, a new
 triangle for the same N.  Iterating walks the tangent lines of
 y^2 = x^3 - N^2 x: each triangle's curve point, triples.triangle_point,
-is (minus) the double of the previous one.
+is (minus) the double of the previous one.  tangent_chain returns a
+TangentChain that holds what it prints: each step's (f1, f2) Solution, its
+triangle and its point.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from .exact import EffortOutOfRange, printable_checker, rat_sqrt
 from .triples import RatTriangle, triangle_point
 
 __all__ = [
-    "ChainEntry",
+    "Solution",
     "TangentChain",
     "tangent_intersection",
     "solve_f",
     "tangent_chain",
-    "chain_from_legs",
 ]
 
 # beyond this depth the integers have tens of thousands of digits
@@ -68,18 +69,21 @@ def solve_f(c1, c2, n):
     raise ValueError("no perfect-square branch: not on a tangent chain")
 
 
-ChainEntry = namedtuple("ChainEntry", "f1 f2 triangle point")
+Solution = namedtuple("Solution", "f1 f2")
 
 
-class TangentChain(namedtuple("TangentChain", "n seed entries")):
+class TangentChain(namedtuple("TangentChain", "n a b solutions triangles points")):
+    """The chain from the right triangle with legs a and b, of area n: each
+    step's Solution, its triangle and the triangle's point on E_N."""
+
     __slots__ = ()
 
     def doubling_holds(self):
         """Each triangle is right of area N and maps to its point, ±2 times the previous one on E_N."""
         curve = curve_en(self.n)
-        prev = triangle_point(self.seed)
-        for entry in self.entries:
-            p, tri, dbl = entry.point, entry.triangle, curve.double(prev)
+        prev = triangle_point(RatTriangle.from_legs(self.a, self.b))
+        for tri, p in zip(self.triangles, self.points, strict=True):
+            dbl = curve.double(prev)
             if not tri.is_right_of_area(self.n) or p != triangle_point(tri) or p not in (dbl, -dbl):
                 return False
             prev = p
@@ -88,33 +92,26 @@ class TangentChain(namedtuple("TangentChain", "n seed entries")):
     def checks(self):
         return [("doubling relation", self.doubling_holds())]
 
-    def _asdict(self):
-        """The chain as printed: its (f1, f2) solutions, triangles and points."""
-        return {
-            "solutions": [{"f1": e.f1, "f2": e.f2} for e in self.entries],
-            "triangles": [e.triangle for e in self.entries],
-            "points": [e.point for e in self.entries],
-        }
 
-
-def tangent_chain(tri0, n, depth=3):
-    """Generate the solution chain S_1..S_depth from a seed triangle.
+def tangent_chain(n, a, b, depth=3):
+    """Generate the solution chain S_1..S_depth from the seed triangle with legs a and b.
 
     Each step reads (c1, c2) = (denominator(c), numerator(c)/2) off the
     current hypotenuse, solves for (f1, f2), and rebuilds the next
     triangle through the two-intersection system.  Numbers roughly square
     each step, so depth is bounded by MAX_FREE_DEPTH, and the first step
     with a value too large to print raises exact.OutputTooLarge before the
-    next one starts.  The chain's doubling_holds() checks that each triangle
+    next one starts.  The legs are checked first, then depth, then the
+    seed's area.  The chain's doubling_holds() checks that each triangle
     is right of area N and maps to its point, ±2 times the previous one.
     """
+    current = RatTriangle.from_legs(a, b)
     if not 1 <= depth <= MAX_FREE_DEPTH:
         raise EffortOutOfRange("depth", 1, MAX_FREE_DEPTH, depth)
-    if tri0.area != n:
+    if current.area != n:
         raise ValueError("seed triangle area is not N")
-    entries = []
+    solutions, triangles, points = [], [], []
     check = printable_checker()
-    current = tri0
     for _ in range(depth):
         c = abs(current.c)
         c1 = c.denominator
@@ -123,11 +120,8 @@ def tangent_chain(tri0, n, depth=3):
         tri = heegner_two(n, f1, f2).triangle
         point = triangle_point(tri)
         check(f1, f2, tri.a, tri.b, tri.c, point.x, point.y)
-        entries.append(ChainEntry(f1, f2, tri, point))
+        solutions.append(Solution(f1, f2))
+        triangles.append(tri)
+        points.append(point)
         current = tri
-    return TangentChain(n, tri0, tuple(entries))
-
-
-def chain_from_legs(n, a, b, depth=3):
-    """The tangent_chain from the right triangle with legs a and b, of area n."""
-    return tangent_chain(RatTriangle.from_legs(a, b), n, depth)
+    return TangentChain(n, a, b, tuple(solutions), tuple(triangles), tuple(points))

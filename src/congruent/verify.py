@@ -222,8 +222,8 @@ _FIGURE_5 = (
 
 
 def suite_tangent():
-    chain = tangent.chain_from_legs(5, F(3, 2), F(20, 3), 3)
-    s = [(e.f1, e.f2) for e in chain.entries]
+    chain = tangent.tangent_chain(5, F(3, 2), F(20, 3), 3)
+    s = chain.solutions
     p1, want_p2, want_p3 = _FIGURE_5
     on_curve = curve_en(5).contains(p1)
     p2 = tangent.tangent_intersection(p1, 5)
@@ -349,8 +349,8 @@ def suite_sequences():
 
 
 def suite_fermat():
-    tree = fermat.enumerate_tree(4)
-    found = {(n.a, n.b, n.c): d for d, n in tree.nodes}
+    tree = fermat.enumerate_tree(4, find_smallest=True)
+    found = {(n.a, n.b, n.c) for n in tree.nodes}
     table = {
         "N1": (-119, 120, 169),
         "N2": (2276953, -473304, 2325625),
@@ -362,7 +362,7 @@ def suite_fermat():
         ),
     }
     checks = [(f"table {k}", v in found) for k, v in table.items()]
-    small = tree.smallest_sum()
+    small = tree.smallest
     checks.append(("smallest sum node", (small.a, small.b, small.c) == table["P1"]))
     checks.append(
         ("square witnesses", (small.sum_root, small.hyp_root) == (2372159, 2165017))

@@ -9,7 +9,6 @@ import json
 import random
 from fractions import Fraction
 from math import gcd
-from types import SimpleNamespace
 
 import outputs
 import pytest
@@ -171,11 +170,10 @@ def test_brahmagupta_points_check_fails_an_uncertified_q0(monkeypatch):
 
 
 def _corrupt_last_node(tree):
-    depth, node = tree.nodes[-1]
-    fields = ("x", "a", "b", "c", "kind", "sum_root", "hyp_root")
-    bad = SimpleNamespace(**{k: getattr(node, k) for k in fields})
-    bad.hyp_root += 1
-    return tree._replace(nodes=tree.nodes[:-1] + ((depth, bad),))
+    # 13/7 gives the Pythagorean (91, -60, 109) of its x, but 91 - 60 is not a
+    # square, so only the square part of the invariants sees it
+    bad = tree.nodes[-1]._replace(x=Fraction(13, 7), a=91, b=-60, c=109)
+    return tree._replace(nodes=tree.nodes[:-1] + (bad,))
 
 
 def test_fermat_node_check_catches_one_wrong_node(monkeypatch):

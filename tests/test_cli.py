@@ -276,11 +276,28 @@ def test_no_int_to_str_limit_lifts_no_bound(capsys):
         assert (code, err) == (want_code, want_err), argv
 
 
+def test_an_over_long_literal_is_refused_alike_under_both_digit_limits():
+    # the interpreter refuses a run of more than 4300 digits, leading zeros
+    # counted, in its own words unless PYTHONINTMAXSTRDIGITS=0 lifts its limit;
+    # the flag is refused from its text either way, naming the flag
+    zeros = "0" * 4400
+    argvs = [["conics", "twin", "--t", "1" + zeros], ["conics", "twin", "--t", "0" + zeros + "1"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    child = [sys.executable, "-c", _TIMED_CHILD, json.dumps(argvs)]
+    runs = [
+        json.loads(subprocess.run(child, env=e, check=True, capture_output=True, text=True, timeout=60).stdout)
+        for e in (env, {**env, "PYTHONINTMAXSTRDIGITS": "0"})
+    ]
+    for default, unlimited in zip(*runs, strict=True):
+        assert default[:2] == unlimited[:2] == [3, "error: --t: a number in the text has more than 4300 digits\n"]
+        assert "sys." not in default[1]
+
+
 def test_tangent_stops_at_the_first_step_past_the_digit_limit(capsys, monkeypatch):
     # the fourth entry of the README chain has 423-digit legs; its second step
     # is past the limit, and the three steps after it are never computed
-    seed = RatTriangle.from_legs(Fraction(3, 2), Fraction(20, 3))
-    tri = tangent.tangent_chain(seed, 5, depth=4).entries[-1].triangle
+    tri = tangent.tangent_chain(5, Fraction(3, 2), Fraction(20, 3), depth=4).triangles[-1]
     steps = []
     solve_f = tangent.solve_f
     monkeypatch.setattr(tangent, "solve_f", lambda *a: steps.append(a) or solve_f(*a))

@@ -97,7 +97,7 @@ def test_no_module_reads_a_private_name_of_another():
 
 def test_only_the_cli_names_flags():
     # a library module words its errors in its own parameter names; cli.main
-    # turns an effort bound into its flag (ROADMAP item 12)
+    # turns an effort bound into its flag
     paths = [p for p in Path(congruent.__file__).parent.glob("*.py") if p.name != "cli.py"]
     flags = {p.name: re.findall(r"--[a-z][a-z-]*", p.read_text()) for p in paths}
     assert not any(flags.values()), flags
@@ -106,7 +106,7 @@ def test_only_the_cli_names_flags():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: tangent.tangent_chain(None, 5, depth=9), "depth must be between 1 and 5, got 9"),
+        (lambda: tangent.tangent_chain(5, 3, 4, depth=9), "depth must be between 1 and 5, got 9"),
         (lambda: fermat.enumerate_tree(0), "depth must be between 1 and 6, got 0"),
         (lambda: sequences.brahmagupta(401), "k must be between 0 and 400, got 401"),
         (lambda: trinity.identities(7), "max_order must be between 1 and 6, got 7"),
@@ -122,10 +122,9 @@ def test_each_effort_bound_raises_one_error_in_library_words(build, message):
     "build, message",
     [
         (lambda: triples.RatTriangle(3, 4, 6), "sides (3, 4, 6) violate a^2 + b^2 = c^2"),
-        (lambda: fermat.FermatNode(1, 1, 0, 2), "node violates the square invariants"),
+        (lambda: fermat.FermatNode(0, 1, 1, 0, 2), "node violates the square invariants"),
         (lambda: footprints.FootprintRow(6, 2, 1, "TX"), "unknown footprint class 'TX'"),
         (lambda: cassini.CassiniOval(1, 0), "need a'^2 >= 0 and b'^4 > 0"),
-        (lambda: cassini.CassiniOval(1, 1, x_weight=3), "x_weight must be 1 or 2"),
         (lambda: elliptic.Curve(0, 0, 0), "singular curve"),
     ],
 )

@@ -45,7 +45,7 @@ def test_axis_points_lie_on_the_oval():
     # oval_axis_points: x^2 = (a'^2 ± b'^2)/w and y^2 = b'^2 - a'^2, where
     # b'^2 is the root of b'^4
     a2, b2, w = sympy.symbols("a2 b2 w")
-    oval = SimpleNamespace(a2=a2, b4=b2**2, x_weight=w)
+    oval = SimpleNamespace(a_sq=a2, b_4=b2**2, x_weight=w)
     for x2 in ((a2 + b2) / w, (a2 - b2) / w):
         assert _vanishes(CassiniOval.residual(oval, x2, 0))
     assert _vanishes(CassiniOval.residual(oval, 0, b2 - a2))

@@ -56,10 +56,10 @@ UNREAD = {
     },
     # the number of circles checked, a count
     "trinity --max-order 1": {"circles"},
-    # the checks read the triangle alone
+    # the checks read the triangle alone; nor does any read oval.loops, a
+    # string, which the probe does not bump
     "cassini two --n 29 --f1 1 --f2 -13": {
-        "c1_sq", "c2", "c3_sq", "c4_sq", "oval.a_sq", "oval.b_4", "oval.loops", "axis_x_sq[0]",
-        "axis_y_sq[0]",
+        "c1_sq", "c2", "c3_sq", "c4_sq", "oval.a_sq", "oval.b_4", "axis_x_sq[0]", "axis_y_sq[0]",
     },
     "cassini four --n 79 --f1 125 --f2 52": {
         "c1_sq", "c2", "c3_sq", "c4_sq", "oval.a_sq", "oval.b_4", "axis_x_sq[0]", "axis_x_sq[1]",
@@ -74,7 +74,7 @@ UNREAD = {
     "seq cheb --m 3 --k 2": {"points[].x", "points[].y"},
     # Heron's product p(p - a)(p - b)(p - c) is 0 for any a and b when p = c
     "seq brahmagupta --k 0": {"sides[0]", "sides[1]"},
-    "fermat --depth 2 --find-smallest": {"nodes[].depth"},
+    "fermat --depth 2 --find-smallest": {"nodes[].depth", "nodes[].digits"},
 }  # fmt: skip
 
 

@@ -6,16 +6,21 @@ import pytest
 
 from congruent import tangent, verify
 from congruent.elliptic import Point, curve_en
-from congruent.triples import RatTriangle
 
 F = Fraction
 
-SEED5 = RatTriangle(F(3, 2), F(20, 3), F(41, 6))
+# the legs of the seed triangle (3/2, 20/3, 41/6) of area 5
+LEGS5 = (F(3, 2), F(20, 3))
 
 
 def test_tangent_chain_validates_seed_area():
     with pytest.raises(ValueError, match="seed triangle area is not N"):
-        tangent.tangent_chain(SEED5, 6)
+        tangent.tangent_chain(6, *LEGS5)
+
+
+def test_tangent_chain_checks_the_legs_before_the_depth():
+    with pytest.raises(ValueError, match="a and b are not the legs of a rational right triangle"):
+        tangent.tangent_chain(5, 1, 1, depth=9)
 
 
 def test_tangent_intersection_is_minus_double():
@@ -27,13 +32,12 @@ def test_tangent_intersection_is_minus_double():
 
 
 def test_chain_fixture_n5():
-    chain = tangent.tangent_chain(SEED5, 5, depth=3)
-    pairs = [(e.f1, e.f2) for e in chain.entries]
-    assert pairs == [(3, 2), (372, 2009), (169317668184, 15811196552161)]
+    chain = tangent.tangent_chain(5, *LEGS5, depth=3)
+    assert chain.solutions == ((3, 2), (372, 2009), (169317668184, 15811196552161))
     assert chain.doubling_holds()
-    for e in chain.entries:
-        assert e.triangle.area == 5
-        assert curve_en(5).contains(e.point)
+    for tri, point in zip(chain.triangles, chain.points, strict=True):
+        assert tri.area == 5
+        assert curve_en(5).contains(point)
 
 
 @pytest.mark.parametrize("leg", ["a", "b", "c"])
@@ -44,9 +48,8 @@ def test_a_wrong_triangle_fails_the_doubling_relation(monkeypatch, leg):
 
     def wrong(*args, **kwargs):
         chain = real(*args, **kwargs)
-        first, *rest = chain.entries
-        tri = first.triangle._replace(**{leg: getattr(first.triangle, leg) + 1})
-        return chain._replace(entries=(first._replace(triangle=tri), *rest))
+        first, *rest = chain.triangles
+        return chain._replace(triangles=(first._replace(**{leg: getattr(first, leg) + 1}), *rest))
 
     assert dict(verify.suite_tangent())["N=5 doubling"]
     monkeypatch.setattr(tangent, "tangent_chain", wrong)
@@ -55,9 +58,9 @@ def test_a_wrong_triangle_fails_the_doubling_relation(monkeypatch, leg):
 
 def test_chain_depth_guard():
     with pytest.raises(ValueError):
-        tangent.tangent_chain(SEED5, 5, depth=0)
+        tangent.tangent_chain(5, *LEGS5, depth=0)
     with pytest.raises(ValueError):
-        tangent.tangent_chain(SEED5, 5, depth=9)
+        tangent.tangent_chain(5, *LEGS5, depth=9)
 
 
 def _solve_f_bruteforce(c1, c2, n):
@@ -85,10 +88,10 @@ def test_solve_f_rejects_off_chain():
 
 
 def test_solve_f_second_step():
-    chain = tangent.tangent_chain(SEED5, 5, depth=2)
-    c = abs(chain.entries[0].triangle.c)
+    chain = tangent.tangent_chain(5, *LEGS5, depth=2)
+    c = abs(chain.triangles[0].c)
     f1, f2 = tangent.solve_f(c.denominator, F(c.numerator, 2), 5)
-    assert (f1, f2) == (chain.entries[1].f1, chain.entries[1].f2)
+    assert (f1, f2) == chain.solutions[1]
 
 
 def test_a_chain_reads_the_digit_limit_once(monkeypatch):
@@ -96,5 +99,5 @@ def test_a_chain_reads_the_digit_limit_once(monkeypatch):
     real = sys.get_int_max_str_digits
     reads = []
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: reads.append(1) or real())
-    assert len(tangent.tangent_chain(SEED5, 5, depth=3).entries) == 3
+    assert len(tangent.tangent_chain(5, *LEGS5, depth=3).solutions) == 3
     assert len(reads) == 1
